@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint docs linkcheck test test-race short bench bench-smoke batch-smoke fleet-smoke faults-smoke figures examples fuzz cover trace-demo clean
+.PHONY: all check build vet lint docs linkcheck test test-race short bench bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
 
 all: build test
 
@@ -101,6 +101,16 @@ faults-smoke:
 figures:
 	$(GO) run ./cmd/medusa-bench -all -out results
 
+# Zero-drift gate: regenerate every results/ file and the trace demo
+# into a temporary directory and diff it against the checked-in copies.
+# Simulated outputs are deterministic, so any difference is a behavior
+# change; the perf-*.txt files hold wall-clock timings and are skipped.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/medusa-bench -all -out "$$tmp" >/dev/null && \
+	$(GO) run ./cmd/medusa-simulate $(TRACE_DEMO_FLAGS) -trace "$$tmp/trace-demo.json" >/dev/null && \
+	diff -r -x 'perf-*.txt' "$$tmp" results && echo "results-check: no drift"
+
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/graph-materialize
@@ -123,9 +133,10 @@ cover:
 # Demonstrate the tracing layer: a short cluster simulation that writes
 # a Perfetto-loadable Chrome trace and prints the drift-free per-phase
 # cold-start breakdown.
+TRACE_DEMO_FLAGS = -rps 4 -duration 20 -phases
 trace-demo:
 	mkdir -p results
-	$(GO) run ./cmd/medusa-simulate -rps 4 -duration 20 -phases -trace results/trace-demo.json
+	$(GO) run ./cmd/medusa-simulate $(TRACE_DEMO_FLAGS) -trace results/trace-demo.json
 
 clean:
 	rm -rf results

@@ -216,6 +216,6 @@ func runExtFleet(c *Context) (*Report, error) {
 			fmt.Sprintf("%d", cold))
 	}
 	r.AddNote("SLO: ttft ≤ %v, tpot ≤ %v; node-seconds integrate wall time each node holds ≥1 live instance, so a row dominates when attainment rises at equal or lower node-seconds", slo.TTFT, slo.TPOT)
-	r.AddNote("fixed seed: every cell is byte-identical across reruns and GOMAXPROCS — diff results/ext-fleet-sweep.txt against a fresh run to verify")
+	r.AddNote("fixed seed: every cell is byte-identical across reruns and GOMAXPROCS — diff results/ext-fleet.txt against a fresh run to verify")
 	return r, nil
 }
