@@ -5,16 +5,19 @@
 // instance serves with iteration-level continuous batching. The
 // discrete-event simulation reproduces the queueing dynamics behind
 // Figures 10 and 11: cold starts inflate time-to-first-token tails.
+//
+// The package holds the simulator core: one event loop (sim.go),
+// entered through RunFleet, that serves every scale. Run and RunMulti
+// run it as a single node without an artifact cache; internal/cluster
+// runs it as a multi-node fleet whose nodes cache artifacts.
 package serverless
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/faults"
-	"github.com/medusa-repro/medusa/internal/kvcache"
 	"github.com/medusa-repro/medusa/internal/medusa"
 	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
@@ -138,17 +141,17 @@ type CacheSpec struct {
 	// cache transfers charge); zero means "encode to measure".
 	ArtifactBytes uint64
 	// ArtifactPreloaded marks the encoded artifact as already in host
-	// memory when loading begins. The cluster simulator sets it: its
-	// tiered cache charges the artifact fetch explicitly per launch
-	// (tier- and dedup-dependent), so the template profile must not
-	// also charge the storage read inside the restore stage.
+	// memory when loading begins. RunFleet sets it on a fleet with node
+	// caches: the tiered cache charges the artifact fetch explicitly per
+	// launch (tier- and dedup-dependent), so the template profile must
+	// not also charge the storage read inside the restore stage.
 	ArtifactPreloaded bool
 	// Template, when set, marks the deployment's artifact as
 	// template-factored (wire format v3): the registry holds the shared
 	// per-architecture template plus this model's small delta, and cold
-	// fetches move delta bytes instead of the full artifact. The cluster
-	// simulator registers the template once under its ID and fetches it
-	// alongside the delta (cached independently, shared across sibling
+	// fetches move delta bytes instead of the full artifact. A fleet with
+	// node caches registers the template once under its ID and fetches
+	// it alongside the delta (cached independently, shared across sibling
 	// deployments); ArtifactBytes then means the delta's encoded size.
 	Template *medusa.Template
 	// TemplateBytes is the encoded template's size; zero means "encode
@@ -629,140 +632,30 @@ type MultiResult struct {
 	Makespan time.Duration
 }
 
-// RunMulti simulates several deployments contending for one GPU pool.
+// RunMulti simulates several deployments contending for one GPU pool:
+// the simulator core on a single node of NumGPUs GPUs and
+// WarmContainers warm containers, without an artifact cache, under the
+// reactive autoscaler and launch-order dispatch.
 func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	if cfg.NumGPUs == 0 {
 		cfg.NumGPUs = 4
 	}
-	if len(cfg.Deployments) == 0 {
-		return nil, fmt.Errorf("serverless: no deployments")
+	fr, err := RunFleet(Fleet{
+		Nodes:                 1,
+		GPUsPerNode:           cfg.NumGPUs,
+		WarmContainersPerNode: cfg.WarmContainers,
+		Deployments:           cfg.Deployments,
+		Arrivals:              cfg.Arrivals,
+		Faults:                cfg.Faults,
+	})
+	if err != nil {
+		return nil, err
 	}
-	sim := &simulation{numGPUs: cfg.NumGPUs, warmLeft: -1}
-	if cfg.WarmContainers > 0 {
-		sim.warmLeft = cfg.WarmContainers
+	out := &MultiResult{TotalColdStarts: fr.TotalColdStarts, GPUSeconds: fr.GPUSeconds, Makespan: fr.Makespan}
+	for _, d := range fr.PerDeployment {
+		out.PerDeployment = append(out.PerDeployment, &d.Result)
 	}
-	if cfg.Faults.Plan != nil {
-		inj, err := faults.NewInjector(*cfg.Faults.Plan)
-		if err != nil {
-			return nil, err
-		}
-		sim.inj = inj // nil for a zero plan: the fault paths vanish
-	}
-	// Streaming mode — a pre-merged stream or any per-deployment Source
-	// — assigns request IDs in delivery order; the slice-based path
-	// pre-assigns concatenation-order IDs below (the historical
-	// numbering, which tracer span names embed).
-	streaming := cfg.Arrivals != nil
-	for _, dep := range cfg.Deployments {
-		if dep.Source != nil {
-			streaming = true
-		}
-	}
-	for di, dep := range cfg.Deployments {
-		if !streaming && len(dep.Requests) == 0 {
-			return nil, fmt.Errorf("serverless: deployment %d (%s) has an empty trace", di, dep.Name)
-		}
-		dcfg := dep.Config
-		dcfg.NumGPUs = cfg.NumGPUs
-		dcfg, err := dcfg.withDefaults()
-		if err != nil {
-			return nil, fmt.Errorf("deployment %d (%s): %w", di, dep.Name, err)
-		}
-		prof, err := buildProfile(dcfg)
-		if err != nil {
-			return nil, fmt.Errorf("serverless: profiling %s: %w", dep.Name, err)
-		}
-		name := dep.Name
-		if name == "" {
-			name = fmt.Sprintf("deployment-%d", di)
-		}
-		// Under a nonzero fault plan, artifact-based deployments get a
-		// vanilla fallback profile so a failed or untrusted restore
-		// degrades instead of aborting (§4's fallback path). The artifact
-		// read duration stands in for one failed read attempt's cost.
-		var fallback *profile
-		var artRead time.Duration
-		fkey := ""
-		if sim.inj != nil && dcfg.Strategy.NeedsArtifact() && dcfg.TPDegree <= 1 {
-			fcfg := dcfg
-			fcfg.Strategy = engine.StrategyVLLM
-			fcfg.Cache = CacheSpec{}
-			fallback, err = buildProfile(fcfg)
-			if err != nil {
-				return nil, fmt.Errorf("serverless: profiling %s fallback: %w", dep.Name, err)
-			}
-			size, err := dcfg.Cache.ColdFetchBytes()
-			if err != nil {
-				return nil, fmt.Errorf("serverless: encoding %s artifact: %w", dep.Name, err)
-			}
-			artRead = dcfg.Store.Array().ReadDuration(size)
-			fkey = dcfg.Model.Name + "@" + dcfg.Strategy.String()
-		}
-		// Resolve the batched-execution parameters against the measured
-		// profile: an unset KV pool inherits the instance's measured KV
-		// capacity, so legacy and batched admission see the same memory.
-		batch := dcfg.Scheduler.Batch
-		if batch.Enabled() && batch.KVBlocks == 0 {
-			batch.KVBlocks = prof.maxKVTok / kvcache.TokensPerBlock
-		}
-		d := &depState{
-			cfg:      dcfg,
-			prof:     prof,
-			fallback: fallback,
-			fkey:     fkey,
-			artRead:  artRead,
-			name:     name,
-			batched:  batch.Enabled(),
-			batch:    batch,
-			reg:      obs.NewRegistry(),
-			phases:   obs.NewPhaseBreakdown(),
-			rng:      rand.New(rand.NewSource(dcfg.Seed ^ 0x5eed ^ int64(di))),
-		}
-		if dcfg.RetainPerRequest {
-			d.reg.RetainSamples()
-		}
-		d.bindInstruments()
-		if !streaming {
-			d.seenArr = true
-			d.firstArr = dep.Requests[0].Arrival
-		}
-		sim.deps = append(sim.deps, d)
-	}
-	if streaming {
-		sim.renumber = true
-		if cfg.Arrivals != nil {
-			sim.src = cfg.Arrivals
-		} else {
-			perDep := make([]workload.Source, len(cfg.Deployments))
-			for di, dep := range cfg.Deployments {
-				if dep.Source != nil {
-					perDep[di] = dep.Source
-				} else {
-					perDep[di] = workload.NewSlice(dep.Requests)
-				}
-			}
-			sim.src = MergeArrivals(perDep)
-		}
-	} else {
-		// Pre-assign concatenation-order global IDs (the historical
-		// numbering) and merge the per-deployment traces by (arrival,
-		// deployment) — the order the old all-events-upfront scheduler
-		// delivered simultaneous arrivals in.
-		nextID := 0
-		perDep := make([]workload.Source, len(cfg.Deployments))
-		for di, dep := range cfg.Deployments {
-			reqs := make([]workload.Request, len(dep.Requests))
-			copy(reqs, dep.Requests)
-			for i := range reqs {
-				reqs[i].ID = nextID
-				nextID++
-			}
-			perDep[di] = workload.NewSlice(reqs)
-		}
-		sim.src = MergeArrivals(perDep)
-		sim.nextID = nextID
-	}
-	return sim.run()
+	return out, nil
 }
 
 // Run simulates serving one deployment's trace and returns its latency
