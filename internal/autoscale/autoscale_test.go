@@ -91,7 +91,7 @@ func TestPredictiveScalesAheadOfRamp(t *testing.T) {
 		InstanceTarget:   4,
 		ProvisionLatency: 3 * time.Second,
 	}
-	base := reactiveDesired(o) // 1
+	base := reactiveDesired(&o) // 1
 	got := p.Desired(0, o)
 	if got <= base {
 		t.Fatalf("predictive %d did not scale ahead of the ramp (reactive %d)", got, base)
@@ -123,7 +123,7 @@ func TestPredictiveStepCap(t *testing.T) {
 		InstanceTarget:   4,
 		ProvisionLatency: 3 * time.Second,
 	}
-	if got, want := p.Desired(0, o), reactiveDesired(o)+2; got != want {
+	if got, want := p.Desired(0, o), reactiveDesired(&o)+2; got != want {
 		t.Fatalf("capped desired = %d, want %d", got, want)
 	}
 }
@@ -146,7 +146,7 @@ func TestPredictiveSteadyStateMatchesReactive(t *testing.T) {
 		InstanceTarget:   4,
 		ProvisionLatency: 4 * time.Second,
 	}
-	if got, want := p.Desired(0, o), reactiveDesired(o); got != want {
+	if got, want := p.Desired(0, o), reactiveDesired(&o); got != want {
 		t.Fatalf("steady-state desired = %d, want reactive %d", got, want)
 	}
 }
