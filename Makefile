@@ -67,7 +67,8 @@ bench:
 # simulation exercising the tiered artifact cache end to end, and the
 # simulator-core scale smoke — one million streamed requests under a
 # wall-clock budget with an allocs/request ceiling checked in at
-# internal/cluster/testdata/max_allocs_per_request.
+# internal/cluster/testdata/max_allocs_per_request and an autoscale
+# Desired-calls/request ceiling at max_desired_calls_per_request.
 bench-smoke:
 	$(GO) run ./cmd/medusa-bench -exp ext-cache-policies
 	$(GO) run ./cmd/medusa-simulate -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" \
@@ -77,14 +78,16 @@ bench-smoke:
 # Seconds-scale continuous-batching gate: a seeded 100k-request fleet
 # run in batched execution mode under a wall-clock budget and an
 # allocs/request ceiling checked in at
-# internal/cluster/testdata/max_allocs_per_request_batched.
+# internal/cluster/testdata/max_allocs_per_request_batched, plus the
+# autoscale Desired-calls/request ceiling.
 batch-smoke:
 	MEDUSA_BATCH_SMOKE=1 $(GO) test -run TestBatchSmoke100k -count=1 -v ./internal/cluster/
 
 # Seconds-scale fleet-control-plane gate: a seeded ~100k-request
 # diurnal multi-tenant run under predictive autoscaling and score
 # routing, asserting SLO attainment and node-seconds stay inside
-# checked bounds.
+# checked bounds and Desired calls/request under
+# internal/cluster/testdata/max_desired_calls_per_request_predictive.
 fleet-smoke:
 	MEDUSA_FLEET_SMOKE=1 $(GO) test -run TestFleetSmoke100k -count=1 -v ./internal/cluster/
 

@@ -17,9 +17,10 @@ import (
 )
 
 // runCluster executes the fleet simulation and prints its Render (or,
-// with -reps > 1, per-replication stats plus mean ± 95% CI). All
-// shared knobs arrive pre-parsed in v (see internal/cliconfig).
-func runCluster(v *cliconfig.Values, baseTC workload.TraceConfig, tracePath string, plan *faults.Plan, reps int, parallel bool) error {
+// with -reps > 1, per-replication stats plus mean ± 95% CI), followed
+// by the core's work counters when work is set. All shared knobs
+// arrive pre-parsed in v (see internal/cliconfig).
+func runCluster(v *cliconfig.Values, baseTC workload.TraceConfig, tracePath string, plan *faults.Plan, reps int, parallel, work bool) error {
 	seed := baseTC.Seed
 	params, err := v.CacheParams()
 	if err != nil {
@@ -132,8 +133,8 @@ func runCluster(v *cliconfig.Values, baseTC workload.TraceConfig, tracePath stri
 	}
 
 	if reps > 1 {
-		if tracePath != "" {
-			return fmt.Errorf("-reps > 1 is incompatible with -trace")
+		if tracePath != "" || work {
+			return fmt.Errorf("-reps > 1 is incompatible with -trace and -work")
 		}
 		stats, err := replicate.Run(reps, repWorkers(parallel), func(rep int) (repStats, error) {
 			ccfg, err := mkCfg(int64(rep))
@@ -167,6 +168,9 @@ func runCluster(v *cliconfig.Values, baseTC workload.TraceConfig, tracePath stri
 		return err
 	}
 	fmt.Print(res.Render())
+	if work {
+		fmt.Print("\n" + res.Work.Render(res.Completed))
+	}
 
 	if tracer != nil {
 		f, err := os.Create(tracePath)

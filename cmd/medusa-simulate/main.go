@@ -17,7 +17,8 @@
 // tiered cache (-cache-ram/-cache-ssd MiB, -cache-policy
 // lru|lfu|costaware) and cold-starting instances are placed by a
 // locality-aware scorer (-locality). -models co-locates several
-// deployments sharing the fleet under Zipf popularity (-zipf).
+// deployments sharing the fleet under Zipf popularity (-zipf). -work
+// adds the simulator core's work counters, in total and per request.
 //
 // The shared flag surface (workload, serving, batching and cluster
 // knobs) is declared once in internal/cliconfig.
@@ -51,6 +52,7 @@ func main() {
 	faultsSpec := flag.String("faults", "", "fault plan: preset name (none | mild | heavy | crash) or path to a plan JSON file")
 	reps := flag.Int("reps", 1, "independent-seed replications; > 1 prints per-rep stats plus mean ± 95% CI")
 	parallel := flag.Bool("parallel", false, "run replications on a worker pool (one per core); output is identical either way")
+	work := flag.Bool("work", false, "print the simulator core's work counters (events by kind, autoscale calls, dispatch-walk steps, heap high-water mark); needs -nodes")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -84,10 +86,13 @@ func main() {
 		plan = &p
 	}
 	if v.Nodes > 0 {
-		if err := runCluster(v, baseTC, *tracePath, plan, *reps, *parallel); err != nil {
+		if err := runCluster(v, baseTC, *tracePath, plan, *reps, *parallel, *work); err != nil {
 			fail(err)
 		}
 		return
+	}
+	if *work {
+		fail(fmt.Errorf("-work needs the fleet simulator (-nodes > 0)"))
 	}
 	cfg, err := model.ByName(v.Model)
 	if err != nil {

@@ -95,4 +95,8 @@ func TestMedusaSimulateCLI(t *testing.T) {
 	if !strings.Contains(out, "TTFT p50/p99") || !strings.Contains(out, "cold starts") {
 		t.Fatalf("simulate output malformed:\n%s", out)
 	}
+	out = run(t, bin, "-nodes", "1", "-models", "Qwen1.5-0.5B", "-strategy", "vllm", "-rps", "3", "-duration", "5", "-work")
+	if !strings.Contains(out, "cold starts") || !strings.Contains(out, "work desired") {
+		t.Fatalf("fleet -work output malformed:\n%s", out)
+	}
 }

@@ -1,11 +1,17 @@
 // Package autoscale holds the fleet control plane's scaling policies:
 // pluggable deciders for how many instances each deployment should have
-// live at a virtual instant. The cluster simulator consults the policy
-// on every control tick (arrival, iteration end, idle retirement, node
-// crash) and launches until the policy is satisfied or the fleet is
-// out of GPUs; placement itself stays with the simulator's
-// locality-aware placer (RAM > in-flight > SSD > registry), so a
-// scale-up lands on artifact-warm nodes whichever policy asked for it.
+// live at a virtual instant. The simulator core checks every deployment
+// against its policy's answer at each control tick (arrival, iteration
+// end, idle retirement, node crash) and launches until the policy is
+// satisfied or the fleet is out of GPUs; placement itself stays with
+// the simulator's locality-aware placer (RAM > in-flight > SSD >
+// registry), so a scale-up lands on artifact-warm nodes whichever
+// policy asked for it.
+//
+// The predictive policy, and any policy other than *Reactive, is asked
+// at every tick. Reactive's answer depends only on a deployment's
+// outstanding and live counts, so the core keeps its last answer and
+// asks again only when either count changed.
 //
 // Policies advance only on virtual-time observations — no wall clock,
 // no shared RNG — so a fixed-seed simulation renders byte-identically
@@ -103,8 +109,8 @@ func (*Reactive) Desired(_ int, o Observation) int {
 }
 
 // reactiveDesired takes the observation by pointer: it has too many
-// fields to live in registers, and copying it on every control tick
-// showed in the single-pool simulator's profile.
+// fields to live in registers, and copying it on every call showed in
+// the single-pool simulator's profile.
 func reactiveDesired(o *Observation) int {
 	if o.Outstanding == 0 {
 		return 0

@@ -3,8 +3,6 @@ package cluster
 import (
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -19,24 +17,10 @@ import (
 // development machine; the budget absorbs slow CI hosts.
 const batchSmokeBudget = 90 * time.Second
 
-// maxAllocsPerBatchedRequest reads the checked-in allocs/request
-// ceiling for batched execution mode.
-func maxAllocsPerBatchedRequest(t *testing.T) float64 {
-	t.Helper()
-	raw, err := os.ReadFile("testdata/max_allocs_per_request_batched")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
-	if err != nil {
-		t.Fatalf("testdata/max_allocs_per_request_batched: %v", err)
-	}
-	return v
-}
-
 // TestBatchSmoke100k streams one hundred thousand requests through a
 // two-node Zipf fleet in batched execution mode under a wall-clock
-// budget and an allocs/request ceiling — the pooled per-request and
+// budget, an allocs/request ceiling and the reactive autoscaler's
+// Desired-calls/request ceiling — the pooled per-request and
 // per-sequence state must hold at scale exactly like the legacy path.
 // It runs from `make batch-smoke` (gated on MEDUSA_BATCH_SMOKE so
 // ordinary `go test ./...` stays fast).
@@ -94,11 +78,9 @@ func TestBatchSmoke100k(t *testing.T) {
 		t.Fatalf("100k-request batched run took %v, budget %v", elapsed, batchSmokeBudget)
 	}
 	allocsPerReq := float64(after.Mallocs-before.Mallocs) / float64(completed)
-	if limit := maxAllocsPerBatchedRequest(t); allocsPerReq > limit {
-		t.Fatalf("allocs/request = %.2f exceeds checked-in threshold %.2f "+
-			"(testdata/max_allocs_per_request_batched); if the regression is intentional, update the threshold deliberately",
-			allocsPerReq, limit)
-	}
-	t.Logf("completed %d requests in %v (%.2f allocs/request, %d preemptions, %d cold starts)",
-		completed, elapsed, allocsPerReq, preempted, res.TotalColdStarts)
+	checkCeiling(t, "allocs/request", "max_allocs_per_request_batched", allocsPerReq)
+	desiredPerReq := float64(res.Work.Desired) / float64(completed)
+	checkCeiling(t, "Desired calls/request", "max_desired_calls_per_request", desiredPerReq)
+	t.Logf("completed %d requests in %v (%.2f allocs/request, %.2f Desired calls/request, %d preemptions, %d cold starts)",
+		completed, elapsed, allocsPerReq, desiredPerReq, preempted, res.TotalColdStarts)
 }

@@ -18,25 +18,31 @@ import (
 // pre-streaming core (which needed minutes at this scale).
 const scaleSmokeBudget = 90 * time.Second
 
-// maxAllocsPerRequest reads the checked-in allocation threshold — the
-// benchstat-style guard against hot-path allocation regressions.
-func maxAllocsPerRequest(t *testing.T) float64 {
+// checkCeiling fails the test when a per-request figure exceeds its
+// checked-in threshold, testdata/<file> — the benchstat-style guard
+// against hot-path regressions.
+func checkCeiling(t *testing.T, what, file string, perReq float64) {
 	t.Helper()
-	raw, err := os.ReadFile("testdata/max_allocs_per_request")
+	raw, err := os.ReadFile("testdata/" + file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
+	limit, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
 	if err != nil {
-		t.Fatalf("testdata/max_allocs_per_request: %v", err)
+		t.Fatalf("testdata/%s: %v", file, err)
 	}
-	return v
+	if perReq > limit {
+		t.Fatalf("%s = %.2f exceeds checked-in threshold %.2f (testdata/%s); "+
+			"if the regression is intentional, update the threshold deliberately",
+			what, perReq, limit, file)
+	}
 }
 
 // TestScaleSmoke1M streams one million requests through a four-node
-// Zipf fleet under a wall-clock budget and an allocs/request ceiling.
-// It runs from `make bench-smoke` (gated on MEDUSA_SCALE_SMOKE so
-// ordinary `go test ./...` stays fast).
+// Zipf fleet under a wall-clock budget, an allocs/request ceiling and
+// the reactive autoscaler's Desired-calls/request ceiling. It runs from
+// `make bench-smoke` (gated on MEDUSA_SCALE_SMOKE so ordinary `go test
+// ./...` stays fast).
 func TestScaleSmoke1M(t *testing.T) {
 	if os.Getenv("MEDUSA_SCALE_SMOKE") == "" {
 		t.Skip("set MEDUSA_SCALE_SMOKE=1 to run the 1M-request scale smoke (make bench-smoke)")
@@ -88,11 +94,9 @@ func TestScaleSmoke1M(t *testing.T) {
 		t.Fatalf("1M-request run took %v, budget %v", elapsed, scaleSmokeBudget)
 	}
 	allocsPerReq := float64(after.Mallocs-before.Mallocs) / float64(completed)
-	if limit := maxAllocsPerRequest(t); allocsPerReq > limit {
-		t.Fatalf("allocs/request = %.2f exceeds checked-in threshold %.2f "+
-			"(testdata/max_allocs_per_request); if the regression is intentional, update the threshold deliberately",
-			allocsPerReq, limit)
-	}
-	t.Logf("completed %d requests in %v (%.2f allocs/request, %d cold starts)",
-		completed, elapsed, allocsPerReq, res.TotalColdStarts)
+	checkCeiling(t, "allocs/request", "max_allocs_per_request", allocsPerReq)
+	desiredPerReq := float64(res.Work.Desired) / float64(completed)
+	checkCeiling(t, "Desired calls/request", "max_desired_calls_per_request", desiredPerReq)
+	t.Logf("completed %d requests in %v (%.2f allocs/request, %.2f Desired calls/request, %d cold starts)",
+		completed, elapsed, allocsPerReq, desiredPerReq, res.TotalColdStarts)
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/medusa-repro/medusa/internal/metrics"
 )
@@ -12,9 +13,9 @@ import (
 // Registry is a lightweight, name-keyed collection of counters, gauges
 // and latency samples — the replacement for ad-hoc metrics plumbing.
 // Instruments are created on first use, so readers and writers need no
-// registration handshake. Safe for concurrent use; values are plain
-// (no atomics needed — simulators are single-goroutine, and the mutex
-// covers the rest).
+// registration handshake. Safe for concurrent use: the registry's
+// mutex guards instrument lookup, counters are atomic, and gauges
+// carry their own mutex.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -42,10 +43,11 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter is a monotonically increasing count.
+// Counter is a monotonically increasing count. It is lock-free: the
+// simulators bump counters on every event, and an atomic add costs far
+// less than a mutex round trip.
 type Counter struct {
-	mu sync.Mutex
-	v  int64
+	v atomic.Int64
 }
 
 // Inc adds one.
@@ -56,17 +58,11 @@ func (c *Counter) Add(n int64) {
 	if n < 0 {
 		panic(fmt.Sprintf("obs: counter decrement by %d", n))
 	}
-	c.mu.Lock()
-	c.v += n
-	c.mu.Unlock()
+	c.v.Add(n)
 }
 
 // Value reads the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous level that also tracks its high-water mark
 // (peak instances, live requests, …).

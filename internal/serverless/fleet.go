@@ -3,6 +3,7 @@ package serverless
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
@@ -72,9 +73,13 @@ type Fleet struct {
 	// bounded reservoir for quantiles.
 	RetainPerRequest bool
 	// Autoscaler decides how many instances each deployment keeps live,
-	// evaluated on every control tick (arrival, iteration end, idle
+	// consulted at every control tick (arrival, iteration end, idle
 	// retirement, node crash). Nil selects the reactive baseline, which
-	// reproduces the legacy autoscaler byte-for-byte. A stateful policy
+	// reproduces the legacy autoscaler byte-for-byte. The reactive
+	// policy (*autoscale.Reactive) depends only on the outstanding and
+	// live counts, so the core asks it again only when a deployment's
+	// counts changed since its last answer; every other policy, wrappers
+	// included, is asked at every tick. A stateful policy
 	// (autoscale.NewPredictive) must not be shared across runs.
 	Autoscaler autoscale.Policy
 	// Router orders each deployment's ready instances for dispatch by
@@ -135,6 +140,63 @@ type FleetResult struct {
 	Completed int
 	// Makespan spans simulation start to the last completion.
 	Makespan time.Duration
+	// Work counts what the simulator core did to produce the result.
+	Work Work
+}
+
+// Work counts the simulator core's own work in one run: deterministic
+// tallies that, unlike wall time, do not depend on the host. They sit
+// outside Metrics, so rendered results do not change with them.
+//
+// The event counts are popped events by kind, stale ones (whose
+// instance was recycled before they fired) included.
+type Work struct {
+	// Arrivals counts arrival events (initial requests and follow-ups).
+	Arrivals int
+	// Readies counts instance-ready events.
+	Readies int
+	// IterationEnds counts iteration-end events.
+	IterationEnds int
+	// IdleChecks counts idle-retirement checks.
+	IdleChecks int
+	// Crashes counts node-crash events.
+	Crashes int
+	// Desired counts autoscale Policy.Desired calls.
+	Desired int
+	// Retain counts autoscale Retainer.Retain calls.
+	Retain int
+	// DispatchSteps counts instances the dispatch walks visited.
+	DispatchSteps int
+	// HeapMax is the event queue's high-water mark.
+	HeapMax int
+}
+
+// Events sums the popped events over every kind.
+func (w *Work) Events() int {
+	return w.Arrivals + w.Readies + w.IterationEnds + w.IdleChecks + w.Crashes
+}
+
+// Render lists the counters, each also per request when requests > 0.
+func (w *Work) Render(requests int) string {
+	var b strings.Builder
+	row := func(name string, v int) {
+		if requests > 0 {
+			fmt.Fprintf(&b, "work %-16s %12d  %10.3f/req\n", name, v, float64(v)/float64(requests))
+			return
+		}
+		fmt.Fprintf(&b, "work %-16s %12d\n", name, v)
+	}
+	row("events", w.Events())
+	row("arrivals", w.Arrivals)
+	row("readies", w.Readies)
+	row("iteration_ends", w.IterationEnds)
+	row("idle_checks", w.IdleChecks)
+	row("crashes", w.Crashes)
+	row("desired", w.Desired)
+	row("retain", w.Retain)
+	row("dispatch_steps", w.DispatchSteps)
+	fmt.Fprintf(&b, "work %-16s %12d\n", "heap_max", w.HeapMax)
+	return b.String()
 }
 
 // FleetDeployment is one deployment's slice of a fleet outcome: its
@@ -187,6 +249,7 @@ func RunFleet(f Fleet) (*FleetResult, error) {
 	if sim.scaler == nil {
 		sim.scaler = autoscale.NewReactive()
 	}
+	_, sim.reuseDesired = sim.scaler.(*autoscale.Reactive)
 	if f.Faults.Plan != nil {
 		inj, err := faults.NewInjector(*f.Faults.Plan)
 		if err != nil {
@@ -322,6 +385,7 @@ func (s *simulation) prepare(di int, dep Deployment) (*depState, error) {
 		// the profile's measured cold start (placement may shave the
 		// fetch, but the loading stages dominate).
 		provLatency: prof.coldStart,
+		askedOut:    -1,
 		reg:         obs.NewRegistry(),
 		phases:      obs.NewPhaseBreakdown(),
 		rng:         rand.New(rand.NewSource(s.cfg.Seed ^ dcfg.Seed ^ 0x5eed ^ int64(di))),

@@ -442,12 +442,15 @@ type profile struct {
 	// Hot-path memoization keyed on the simulator's call arguments.
 	// The engine memoizes too, but only after re-deriving graph-batch
 	// quantization and cache keys per call; these caches make the
-	// steady-state per-iteration cost a single map probe. Values are
+	// steady-state per-iteration cost a single probe. Values are
 	// stable: the engine's one-time lazy loads are absorbed before
 	// first use (cold start or, for deferred capture, the ensure that
 	// startIteration always runs before the first decode of a size).
+	// Prompt lengths are unbounded, so prefill memoizes in a map; decode
+	// batch sizes are bounded by MaxBatch/MaxSeqs, so stepCache is a
+	// slice indexed by batch size (0 = not yet computed).
 	prefillCache map[int]time.Duration
-	stepCache    map[int]time.Duration
+	stepCache    []time.Duration
 }
 
 // prefillDur memoizes prefill by exact prompt length.
@@ -565,16 +568,16 @@ func (p *profile) captureCost(n int) (int, time.Duration, error) {
 
 // decodeStep is one continuous-batching iteration for n sequences.
 func (p *profile) decodeStep(n int) (time.Duration, error) {
-	if d, ok := p.stepCache[n]; ok {
-		return d, nil
+	if n < len(p.stepCache) && p.stepCache[n] != 0 {
+		return p.stepCache[n], nil
 	}
 	base, err := p.decode(n)
 	if err != nil {
 		return 0, err
 	}
 	d := base + time.Duration(n)*p.kvPerTok
-	if p.stepCache == nil {
-		p.stepCache = make(map[int]time.Duration)
+	if n >= len(p.stepCache) {
+		p.stepCache = append(p.stepCache, make([]time.Duration, n+1-len(p.stepCache))...)
 	}
 	p.stepCache[n] = d
 	return d, nil

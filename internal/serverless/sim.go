@@ -184,6 +184,11 @@ type depState struct {
 	// outstanding counts the deployment's unfinished requests
 	// (pending + running), maintained incrementally.
 	outstanding int
+	// desired is the autoscaler's last answer, computed from askedOut
+	// outstanding requests and askedLive live instances (askedOut is -1
+	// before the first answer). tick reuses it while both counts are
+	// unchanged and the policy allows it (simulation.reuseDesired).
+	desired, askedOut, askedLive int
 
 	reg      *obs.Registry
 	phases   *obs.PhaseBreakdown
@@ -258,11 +263,16 @@ type simulation struct {
 
 	nodes []*nodeState
 
-	// The control plane: scaler decides instance counts on every tick
+	// The control plane: scaler decides instance counts at control ticks
 	// (never nil — RunFleet defaults it to the reactive baseline), router
 	// orders dispatch (nil = launch-order walk).
 	scaler autoscale.Policy
 	router router.Policy
+	// reuseDesired is set when the scaler is the reactive policy, whose
+	// answer depends only on a deployment's outstanding and live counts
+	// (not on the tick's instant): tick asks it again only when either
+	// count changed. Every other policy is asked at every tick.
+	reuseDesired bool
 
 	deps []*depState
 
@@ -296,6 +306,8 @@ type simulation struct {
 	completed  int
 	lastDone   time.Duration
 	gpuSeconds float64
+
+	work Work
 }
 
 func (s *simulation) schedule(t time.Duration, ev event) {
@@ -414,10 +426,16 @@ func (s *simulation) run() (*FleetResult, error) {
 	}
 
 	for s.events.Len() > 0 {
+		// Events are pushed only between pops, so the queue peaks just
+		// before one.
+		if n := s.events.Len(); n > s.work.HeapMax {
+			s.work.HeapMax = n
+		}
 		t, ev := s.events.Pop()
 		s.now = t
 		switch ev.kind {
 		case evArrival:
+			s.work.Arrivals++
 			r := ev.req
 			d := s.deps[r.dep]
 			if !d.seenArr {
@@ -439,6 +457,7 @@ func (s *simulation) run() (*FleetResult, error) {
 				return nil, err
 			}
 		case evInstanceReady:
+			s.work.Readies++
 			inst := ev.inst
 			if inst.epoch != ev.epoch {
 				// The instance's node crashed mid-provisioning; the
@@ -451,6 +470,7 @@ func (s *simulation) run() (*FleetResult, error) {
 				return nil, err
 			}
 		case evIterationEnd:
+			s.work.IterationEnds++
 			if ev.inst.epoch != ev.epoch {
 				// The node crashed mid-iteration; the batch was requeued
 				// and this event means nothing.
@@ -460,10 +480,12 @@ func (s *simulation) run() (*FleetResult, error) {
 				return nil, err
 			}
 		case evNodeCrash:
+			s.work.Crashes++
 			if err := s.crashNode(int(ev.epoch)); err != nil {
 				return nil, err
 			}
 		case evIdleCheck:
+			s.work.IdleChecks++
 			inst := ev.inst
 			if inst.epoch != ev.epoch {
 				break
@@ -540,7 +562,7 @@ func (s *simulation) retire(inst *instState) {
 // assemble builds the results, including GPU- and node-time accounting.
 func (s *simulation) assemble() *FleetResult {
 	out := &FleetResult{Metrics: s.reg, Makespan: s.lastDone,
-		GPUSeconds: s.gpuSeconds, Completed: s.completed}
+		GPUSeconds: s.gpuSeconds, Completed: s.completed, Work: s.work}
 	for _, d := range s.deps {
 		completed := int(d.cCompleted.Value())
 		coldStarts := int(d.cColdStarts.Value())
@@ -607,14 +629,26 @@ func (s *simulation) assemble() *FleetResult {
 // instance count comes from the pluggable autoscale policy, and
 // launches repeat round-robin (so no model starves) until every policy
 // is satisfied or no node can host another instance.
+//
+// Under the reactive policy the last answer is reused while the
+// deployment's outstanding and live counts are unchanged. That skips
+// only the policy call: a deployment blocked on capacity still has
+// live < desired and still tries a launch on every tick, so launch
+// order, event order and fault draws are those of a full evaluation.
 func (s *simulation) tick() error {
 	progress := true
 	for progress {
 		progress = false
 		for di, d := range s.deps {
+			want := d.desired
+			if !s.reuseDesired || d.askedOut != d.outstanding || d.askedLive != d.live {
+				s.work.Desired++
+				want = s.scaler.Desired(di, s.observe(di))
+				d.desired, d.askedOut, d.askedLive = want, d.outstanding, d.live
+			}
 			// The check stays out of launchOne, whose large frame would
 			// otherwise be set up on every tick.
-			if d.live >= s.scaler.Desired(di, s.observe(di)) {
+			if d.live >= want {
 				continue
 			}
 			launched, err := s.launchOne(di)
@@ -720,6 +754,7 @@ func (s *simulation) retainVeto(inst *instState) bool {
 	if !s.nodeAnchored(inst.node, inst) {
 		return false
 	}
+	s.work.Retain++
 	di := inst.dep
 	return s.deps[di].live-1 < r.Retain(di, s.observe(di))
 }
@@ -1018,6 +1053,7 @@ func (s *simulation) crashNode(id int) error {
 func (s *simulation) dispatchIdle() error {
 	for _, d := range s.deps {
 		if s.router == nil {
+			s.work.DispatchSteps += len(d.active)
 			for _, inst := range d.active {
 				if inst.ready && !inst.iterating {
 					if err := s.startIteration(inst); err != nil {
@@ -1041,6 +1077,7 @@ func (s *simulation) dispatchIdle() error {
 func (s *simulation) routeDispatch(d *depState) error {
 	ready := s.scratchRoute[:0]
 	cands := s.scratchCands[:0]
+	s.work.DispatchSteps += len(d.active)
 	for _, inst := range d.active {
 		if !inst.ready || inst.iterating {
 			continue
