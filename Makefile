@@ -67,8 +67,9 @@ bench:
 # simulation exercising the tiered artifact cache end to end, and the
 # simulator-core scale smoke — one million streamed requests under a
 # wall-clock budget with an allocs/request ceiling checked in at
-# internal/cluster/testdata/max_allocs_per_request and an autoscale
-# Desired-calls/request ceiling at max_desired_calls_per_request.
+# internal/cluster/testdata/max_allocs_per_request, an autoscale
+# Desired-calls/request ceiling at max_desired_calls_per_request and a
+# popped-events/request ceiling at max_events_per_request.
 bench-smoke:
 	$(GO) run ./cmd/medusa-bench -exp ext-cache-policies
 	$(GO) run ./cmd/medusa-simulate -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" \

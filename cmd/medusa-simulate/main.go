@@ -52,7 +52,7 @@ func main() {
 	faultsSpec := flag.String("faults", "", "fault plan: preset name (none | mild | heavy | crash) or path to a plan JSON file")
 	reps := flag.Int("reps", 1, "independent-seed replications; > 1 prints per-rep stats plus mean ± 95% CI")
 	parallel := flag.Bool("parallel", false, "run replications on a worker pool (one per core); output is identical either way")
-	work := flag.Bool("work", false, "print the simulator core's work counters (events by kind, autoscale calls, dispatch-walk steps, heap high-water mark); needs -nodes")
+	work := flag.Bool("work", false, "print the simulator core's work counters (events by kind, simulated iterations, autoscale calls, dispatch-walk steps, heap high-water mark); needs -nodes")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()

@@ -23,8 +23,12 @@ type fullScan struct{ autoscale.Policy }
 // changed; hiding the policy behind a pass-through wrapper forces a
 // call on every tick. The two runs must render byte-identically and do
 // the same work — every Work counter equal except Desired, which the
-// reuse must strictly reduce. The fixtures keep demand above the
-// fleet's capacity, so deployments spend ticks blocked on GPUs.
+// reuse must strictly reduce, and the iteration-end events and heap
+// high-water mark: the pass-through policy is not the reactive policy,
+// so the core also runs every decode step as its own event there
+// (coalesced decode runs need the reactive policy). The fixtures keep
+// demand above the fleet's capacity, so deployments spend ticks blocked
+// on GPUs.
 func TestCachedDesiredMatchesFullScan(t *testing.T) {
 	const traceSeconds = 25
 	base := func(t *testing.T, tweak func(i int, c *serverless.Config)) Config {
@@ -103,6 +107,8 @@ func TestCachedDesiredMatchesFullScan(t *testing.T) {
 				t.Errorf("Desired calls: reused %d, full scan %d; want fewer", rw.Desired, fw.Desired)
 			}
 			rw.Desired, fw.Desired = 0, 0
+			rw.IterationEnds, fw.IterationEnds = 0, 0
+			rw.HeapMax, fw.HeapMax = 0, 0
 			if rw != fw {
 				t.Errorf("work differs beyond Desired calls:\n reused    %+v\n full scan %+v", rw, fw)
 			}

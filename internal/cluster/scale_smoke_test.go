@@ -39,8 +39,9 @@ func checkCeiling(t *testing.T, what, file string, perReq float64) {
 }
 
 // TestScaleSmoke1M streams one million requests through a four-node
-// Zipf fleet under a wall-clock budget, an allocs/request ceiling and
-// the reactive autoscaler's Desired-calls/request ceiling. It runs from
+// Zipf fleet under a wall-clock budget, an allocs/request ceiling, the
+// reactive autoscaler's Desired-calls/request ceiling and a ceiling on
+// popped events per request (coalesced decode runs). It runs from
 // `make bench-smoke` (gated on MEDUSA_SCALE_SMOKE so ordinary `go test
 // ./...` stays fast).
 func TestScaleSmoke1M(t *testing.T) {
@@ -97,6 +98,8 @@ func TestScaleSmoke1M(t *testing.T) {
 	checkCeiling(t, "allocs/request", "max_allocs_per_request", allocsPerReq)
 	desiredPerReq := float64(res.Work.Desired) / float64(completed)
 	checkCeiling(t, "Desired calls/request", "max_desired_calls_per_request", desiredPerReq)
-	t.Logf("completed %d requests in %v (%.2f allocs/request, %.2f Desired calls/request, %d cold starts)",
-		completed, elapsed, allocsPerReq, desiredPerReq, res.TotalColdStarts)
+	eventsPerReq := float64(res.Work.Events()) / float64(completed)
+	checkCeiling(t, "events/request", "max_events_per_request", eventsPerReq)
+	t.Logf("completed %d requests in %v (%.2f allocs/request, %.2f Desired calls/request, %.2f events/request, heap max %d, %d cold starts)",
+		completed, elapsed, allocsPerReq, desiredPerReq, eventsPerReq, res.Work.HeapMax, res.TotalColdStarts)
 }

@@ -73,6 +73,10 @@ func (q *Queue[T]) Push(t time.Duration, v T) {
 	q.siftUp(len(q.entries) - 1)
 }
 
+// PeekTime returns the earliest event's instant without removing it.
+// It must not be called on an empty queue (guard with Len).
+func (q *Queue[T]) PeekTime() time.Duration { return q.entries[0].t }
+
 // Pop removes and returns the earliest event. It must not be called on
 // an empty queue (guard with Len).
 func (q *Queue[T]) Pop() (time.Duration, T) {

@@ -51,10 +51,14 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 			seq++
 			pushes++
 		} else {
+			peek := q.PeekTime()
 			gt, gv := q.Pop()
 			want := heap.Pop(&ref).(refEvent)
 			if gt != want.t || gv != want.v {
 				t.Fatalf("pop %d diverged: got (%v, %d), want (%v, %d)", pops, gt, gv, want.t, want.v)
+			}
+			if peek != gt {
+				t.Fatalf("pop %d: PeekTime %v, popped at %v", pops, peek, gt)
 			}
 			pops++
 		}

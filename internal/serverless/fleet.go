@@ -155,8 +155,11 @@ type Work struct {
 	Arrivals int
 	// Readies counts instance-ready events.
 	Readies int
-	// IterationEnds counts iteration-end events.
+	// IterationEnds counts iteration-end events. A coalesced decode run
+	// is one event for many steps, so this trails Iterations.
 	IterationEnds int
+	// Iterations counts the iteration steps simulated.
+	Iterations int
 	// IdleChecks counts idle-retirement checks.
 	IdleChecks int
 	// Crashes counts node-crash events.
@@ -190,6 +193,7 @@ func (w *Work) Render(requests int) string {
 	row("arrivals", w.Arrivals)
 	row("readies", w.Readies)
 	row("iteration_ends", w.IterationEnds)
+	row("iterations", w.Iterations)
 	row("idle_checks", w.IdleChecks)
 	row("crashes", w.Crashes)
 	row("desired", w.Desired)
@@ -250,6 +254,7 @@ func RunFleet(f Fleet) (*FleetResult, error) {
 		sim.scaler = autoscale.NewReactive()
 	}
 	_, sim.reuseDesired = sim.scaler.(*autoscale.Reactive)
+	sim.coalesce = sim.reuseDesired && !forcePerStep
 	if f.Faults.Plan != nil {
 		inj, err := faults.NewInjector(*f.Faults.Plan)
 		if err != nil {

@@ -37,6 +37,14 @@ import (
 //   - GPU accounting, dispatch and outstanding counts are maintained
 //     incrementally via per-deployment live-instance lists and
 //     counters.
+//   - In legacy mode under the reactive policy, a run of decode steps
+//     that admit nothing is one event (see coalescible): the steps are
+//     identical, and no skipped boundary changes anything but token
+//     counts. A request queued mid-run cuts the run back to the
+//     boundary where per-step code would admit it (splitRuns), and
+//     exact-instant ties keep per-step order (orderTies,
+//     yieldToLateEnd).
+//   - Each instance keeps at most one idle check queued.
 //
 // Every launch first picks a node (locality vs load), then charges
 // runtime init and the artifact read. A node with a cache overlaps its
@@ -44,7 +52,7 @@ import (
 // while the container boots); on a node without one the read from
 // storage stays inside the restore stage.
 
-type eventKind int
+type eventKind uint8
 
 const (
 	evArrival eventKind = iota
@@ -58,10 +66,13 @@ const (
 // the instance state had when scheduled; recycled instances bump their
 // epoch, which invalidates events still queued against the previous
 // incarnation (idle checks after retirement, ready/iteration-end
-// events after a node crash). A node-crash event carries the node id
-// in epoch, which keeps every event at four words.
+// events after a node crash). An iteration-end event also carries its
+// run's generation (instState.runGen): splitting a coalesced decode run
+// bumps it, which invalidates the superseded end. A node-crash event
+// carries the node id in epoch, which keeps every event at four words.
 type event struct {
 	kind  eventKind
+	gen   uint32
 	req   *reqState
 	inst  *instState
 	epoch uint64
@@ -85,6 +96,11 @@ type reqState struct {
 	firstTok time.Duration
 	// turn is the request's position in its conversation (1-based).
 	turn int
+	// pushedAt is when the request's arrival event was scheduled (0 for
+	// arrivals pulled before the loop starts). It decides the request's
+	// order against a coalesced run's step boundary at the same instant
+	// (see instState.nextBoundary).
+	pushedAt time.Duration
 }
 
 // instState is one provisioned instance, pinned to a node.
@@ -99,7 +115,24 @@ type instState struct {
 	retired bool
 	running []*reqState
 	// iterating reports whether an iteration-end event is in flight.
-	iterating  bool
+	iterating bool
+	// The in-flight iteration-end event closes a run of runLen steps
+	// begun at runStart: the first lasts runFirst (graph capture and
+	// prefill, if any, plus one decode step), every later one runStep.
+	// runLen > 1 only for a coalesced decode run (legacy mode; see
+	// startIteration). runAdmitted is how many requests the first step
+	// admitted. The end event carries runGen and was pushed at
+	// runPushed; runOrdered records that its tie order has been settled
+	// (orderTies), runLate that a split pushed it after its last step
+	// began (yieldToLateEnd).
+	runStart, runFirst, runStep, runPushed time.Duration
+	runLen, runAdmitted                    int
+	runGen                                 uint32
+	runOrdered, runLate                    bool
+	// checkArmed reports whether this incarnation has an idle check
+	// queued; checkAt is when it was pushed.
+	checkArmed bool
+	checkAt    time.Duration
 	idleSince  time.Duration
 	launchedAt time.Duration
 	retiredAt  time.Duration
@@ -114,6 +147,46 @@ type instState struct {
 	// execution mode only; nil otherwise). It recycles with the
 	// instance state through the free-list.
 	sch *sched.Scheduler[*reqState]
+}
+
+// boundary returns the end of the run's j-th step (j = 0 is the run's
+// start).
+func (inst *instState) boundary(j int) time.Duration {
+	if j == 0 {
+		return inst.runStart
+	}
+	return inst.runStart + inst.runFirst + time.Duration(j-1)*inst.runStep
+}
+
+// nextBoundary returns the first step of the run whose end an event at
+// now, pushed at pushedAt, precedes. Per-step code pushes a step's end
+// when the step starts, at the previous boundary; an event due exactly
+// on a boundary therefore goes first only if it was pushed strictly
+// before that previous boundary. An event pushed at the very instant of
+// the previous boundary is taken to follow it: deciding that tie would
+// need the pusher's own order against the boundary, which is not kept.
+func (inst *instState) nextBoundary(now, pushedAt time.Duration) int {
+	first := inst.runStart + inst.runFirst
+	if now < first {
+		return 1
+	}
+	// boundary(j) <= now < boundary(j+1).
+	j := int((now-first)/inst.runStep) + 1
+	if inst.boundary(j) == now && pushedAt < inst.boundary(j-1) {
+		return j
+	}
+	return j + 1
+}
+
+// stepsBegun counts the run's steps started before now. A step starting
+// exactly at now has not begun for a node crash at now: crash events are
+// queued before the loop starts, so they win every tie.
+func (inst *instState) stepsBegun(now time.Duration) int {
+	n := 1
+	for n < inst.runLen && inst.boundary(n) < now {
+		n++
+	}
+	return n
 }
 
 // idleNow reports whether the instance currently holds no work.
@@ -273,6 +346,9 @@ type simulation struct {
 	// (not on the tick's instant): tick asks it again only when either
 	// count changed. Every other policy is asked at every tick.
 	reuseDesired bool
+	// coalesce enables coalesced decode runs for legacy-mode deployments:
+	// they need the reactive policy (see coalescible).
+	coalesce bool
 
 	deps []*depState
 
@@ -301,6 +377,10 @@ type simulation struct {
 	scratchChunkDur  []time.Duration
 	scratchCands     []router.Candidate
 	scratchRoute     []*instState
+	scratchTied      []event
+	// lateEnds lists instances whose run end a split pushed late (see
+	// yieldToLateEnd); entries whose end has been handled are pruned.
+	lateEnds []*instState
 
 	created    int
 	completed  int
@@ -385,6 +465,7 @@ func (s *simulation) pullArrival() error {
 	r.Request = req
 	r.dep = di
 	r.turn = 1
+	r.pushedAt = s.now
 	if s.renumber {
 		r.ID = s.nextID
 		s.nextID++
@@ -432,6 +513,9 @@ func (s *simulation) run() (*FleetResult, error) {
 			s.work.HeapMax = n
 		}
 		t, ev := s.events.Pop()
+		if len(s.lateEnds) > 0 && s.yieldToLateEnd(t, ev) {
+			continue
+		}
 		s.now = t
 		switch ev.kind {
 		case evArrival:
@@ -456,6 +540,7 @@ func (s *simulation) run() (*FleetResult, error) {
 			if err := s.dispatchIdle(); err != nil {
 				return nil, err
 			}
+			s.splitRuns(d, r.pushedAt)
 		case evInstanceReady:
 			s.work.Readies++
 			inst := ev.inst
@@ -470,12 +555,16 @@ func (s *simulation) run() (*FleetResult, error) {
 				return nil, err
 			}
 		case evIterationEnd:
+			if s.orderTies(t, ev) {
+				continue
+			}
 			s.work.IterationEnds++
-			if ev.inst.epoch != ev.epoch {
-				// The node crashed mid-iteration; the batch was requeued
-				// and this event means nothing.
+			if ev.inst.epoch != ev.epoch || ev.inst.runGen != ev.gen {
+				// The node crashed mid-iteration (the batch was requeued),
+				// or a split superseded this end: the event means nothing.
 				break
 			}
+			ev.inst.runLate = false
 			if err := s.finishIteration(ev.inst); err != nil {
 				return nil, err
 			}
@@ -490,29 +579,36 @@ func (s *simulation) run() (*FleetResult, error) {
 			if inst.epoch != ev.epoch {
 				break
 			}
+			inst.checkArmed = false
 			d := s.deps[inst.dep]
-			if !inst.retired && inst.ready && inst.idleNow(d.batched) &&
-				s.now-inst.idleSince >= d.cfg.Scheduler.IdleTimeout {
-				if s.retainVeto(inst) {
-					// The autoscaling policy is holding this capacity warm
-					// for forecast traffic: re-arm the idle check instead
-					// of retiring. The veto lapses as the forecast decays,
-					// and a policy without the Retainer extension (the
-					// reactive baseline) never vetoes. Re-checks run at
-					// half the timeout so a vetoed instance retires
-					// promptly once its node's anchor work drains.
-					s.schedule(s.now+(d.cfg.Scheduler.IdleTimeout+1)/2,
-						event{kind: evIdleCheck, inst: inst, epoch: inst.epoch})
-					break
-				}
-				s.retire(inst)
-				// A freed GPU may unblock another deployment's launch.
-				if err := s.tick(); err != nil {
-					return nil, err
-				}
-				if err := s.dispatchIdle(); err != nil {
-					return nil, err
-				}
+			if inst.retired || !inst.ready || !inst.idleNow(d.batched) {
+				// Busy: the next markIdle arms a fresh check.
+				break
+			}
+			if due := inst.idleSince + d.cfg.Scheduler.IdleTimeout; s.now < due {
+				// Armed by an earlier idle spell; the instance has been
+				// busy since and idle again from idleSince.
+				s.armIdleCheck(inst, due)
+				break
+			}
+			if s.retainVeto(inst) {
+				// The autoscaling policy is holding this capacity warm
+				// for forecast traffic: re-arm the idle check instead
+				// of retiring. The veto lapses as the forecast decays,
+				// and a policy without the Retainer extension (the
+				// reactive baseline) never vetoes. Re-checks run at
+				// half the timeout so a vetoed instance retires
+				// promptly once its node's anchor work drains.
+				s.armIdleCheck(inst, s.now+(d.cfg.Scheduler.IdleTimeout+1)/2)
+				break
+			}
+			s.retire(inst)
+			// A freed GPU may unblock another deployment's launch.
+			if err := s.tick(); err != nil {
+				return nil, err
+			}
+			if err := s.dispatchIdle(); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -1028,6 +1124,9 @@ func (s *simulation) crashNode(id int) error {
 		if d.batched {
 			inst.sch.Drain(requeue)
 		} else {
+			if inst.iterating {
+				s.settleRun(inst, inst.stepsBegun(s.now))
+			}
 			for _, r := range inst.running {
 				requeue(r)
 			}
@@ -1041,7 +1140,15 @@ func (s *simulation) crashNode(id int) error {
 	if err := s.tick(); err != nil {
 		return err
 	}
-	return s.dispatchIdle()
+	if err := s.dispatchIdle(); err != nil {
+		return err
+	}
+	// Crash events are queued before the loop starts, so the requeued
+	// requests precede every step boundary at this instant.
+	for _, d := range s.deps {
+		s.splitRuns(d, -1)
+	}
+	return nil
 }
 
 // dispatchIdle starts iterations on ready instances that are idle and
@@ -1168,6 +1275,10 @@ func (s *simulation) admit(inst *instState) []*reqState {
 // iteration covers the prefill of newly admitted requests plus one
 // decode step for every running sequence. Batched deployments plan
 // the iteration through the continuous-batching scheduler instead.
+//
+// A step that admits nothing starts a coalesced decode run when
+// coalescible allows it: one end event covers every step up to the
+// first completion, all of them decodeStep(n) for the same batch.
 func (s *simulation) startIteration(inst *instState) error {
 	d := s.deps[inst.dep]
 	if d.batched {
@@ -1217,31 +1328,201 @@ func (s *simulation) startIteration(inst *instState) error {
 	}
 	dur += step
 	inst.iterating = true
-	d.cIterations.Inc()
-	if tr := d.cfg.Tracer; tr != nil {
-		phase := "decode"
-		if len(admitted) > 0 {
-			phase = "prefill+decode"
+	inst.runStart, inst.runFirst, inst.runStep = s.now, dur, step
+	inst.runLen, inst.runAdmitted = 1, len(admitted)
+	if len(admitted) == 0 && s.coalescible(d, inst) {
+		k := inst.running[0].OutputTokens - inst.running[0].emitted
+		for _, r := range inst.running[1:] {
+			if left := r.OutputTokens - r.emitted; left < k {
+				k = left
+			}
 		}
-		tr.RecordSpan(s.instTrack(inst), "iteration", phase, s.now, s.now+dur,
-			obs.Attr{Key: "batch", Value: fmt.Sprint(len(inst.running))},
-			obs.Attr{Key: "admitted", Value: fmt.Sprint(len(admitted))})
+		inst.runLen = k
 	}
-	s.schedule(s.now+dur, event{kind: evIterationEnd, inst: inst, epoch: inst.epoch})
+	s.scheduleEnd(inst)
 	return nil
 }
 
-// finishIteration emits one token per running request, completes
-// finished ones, and starts the next iteration.
+// forcePerStep makes every legacy-mode iteration its own event. Tests
+// set it to check coalesced runs against per-step execution; it is
+// never set otherwise.
+var forcePerStep bool
+
+// coalescible reports whether a legacy-mode step that admitted nothing
+// may run on as a coalesced decode run. Every skipped boundary must be
+// one where per-step code would change nothing but token counts: the
+// tick there is a no-op because the reactive policy's answer depends
+// only on counts that no boundary changes, and the admit finds nothing
+// because the queue is empty or the batch is full (a request queued
+// later splits the run; see splitRuns). Time-dependent policies keep
+// one event per step.
+func (s *simulation) coalescible(d *depState, inst *instState) bool {
+	return s.coalesce && (d.pending.Len() == 0 || len(inst.running) >= d.cfg.Scheduler.MaxBatch)
+}
+
+// scheduleEnd pushes the end of the instance's current run, superseding
+// any end already queued for it.
+func (s *simulation) scheduleEnd(inst *instState) {
+	inst.runGen++
+	inst.runPushed = s.now
+	inst.runOrdered, inst.runLate = false, false
+	s.schedule(inst.boundary(inst.runLen),
+		event{kind: evIterationEnd, gen: inst.runGen, inst: inst, epoch: inst.epoch})
+}
+
+// splitRuns cuts every coalesced run of the deployment that has room
+// for another request back to its next step boundary, once a request
+// pushed at pushedAt (an arrival, or -1 for a crash requeue) is left
+// queued: per-step code would admit it there. The queue grows nowhere
+// else, so a run is never cut for any other reason.
+func (s *simulation) splitRuns(d *depState, pushedAt time.Duration) {
+	if !s.coalesce || d.batched || d.pending.Len() == 0 {
+		return
+	}
+	for _, inst := range d.active {
+		if !inst.iterating || inst.runLen == 1 || len(inst.running) >= d.cfg.Scheduler.MaxBatch {
+			continue
+		}
+		if j := inst.nextBoundary(s.now, pushedAt); j < inst.runLen {
+			inst.runLen = j
+			s.scheduleEnd(inst)
+			if s.now > inst.boundary(j-1) {
+				inst.runLate = true
+				s.lateEnds = append(s.lateEnds, inst)
+			}
+		}
+	}
+}
+
+// yieldToLateEnd re-queues the just-popped event ev, due at t, behind a
+// split run's end due at the same instant, reporting whether it did.
+// Per-step code pushes that end when the run's last step starts; the
+// split pushed it later, so an event due at t that was pushed in
+// between pops first but belongs after it. An arrival pulled by the
+// very event that split the run is one.
+func (s *simulation) yieldToLateEnd(t time.Duration, ev event) bool {
+	// Another late end yields only if it was pushed strictly later, so
+	// two late ends never yield to each other.
+	late := ev.kind == evIterationEnd && ev.inst.runLate
+	at := s.pushedAt(ev)
+	keep := s.lateEnds[:0]
+	yield := false
+	for _, inst := range s.lateEnds {
+		if !inst.runLate {
+			continue
+		}
+		keep = append(keep, inst)
+		if inst.boundary(inst.runLen) != t || (ev.kind == evIterationEnd && ev.inst == inst) {
+			continue
+		}
+		if last := inst.boundary(inst.runLen - 1); at > last || (at == last && !late) {
+			yield = true
+		}
+	}
+	clear(s.lateEnds[len(keep):])
+	s.lateEnds = keep
+	if yield {
+		s.schedule(t, ev)
+	}
+	return yield
+}
+
+// orderTies puts a coalesced run's end, just popped at t, in per-step
+// order among the other events due at t, reporting whether it re-queued
+// anything. Per-step code pushes the run's last end when the last step
+// starts; this end was pushed earlier, at runPushed, so an event due at
+// t that was pushed in between now pops after it but belongs before it.
+// Such exact-instant ties are rare and cost one pass over the events
+// due at t; the end is re-queued behind the ones pushed before its last
+// step began (see pushedAt), ahead of the rest.
+func (s *simulation) orderTies(t time.Duration, ev event) bool {
+	inst := ev.inst
+	if inst.epoch != ev.epoch || inst.runGen != ev.gen || inst.runOrdered {
+		return false
+	}
+	last := inst.boundary(inst.runLen - 1)
+	if last <= inst.runPushed || s.events.Len() == 0 || s.events.PeekTime() != t {
+		return false
+	}
+	inst.runOrdered = true
+	tied := s.scratchTied[:0]
+	for s.events.Len() > 0 && s.events.PeekTime() == t {
+		_, e := s.events.Pop()
+		tied = append(tied, e)
+	}
+	for _, e := range tied {
+		if s.pushedAt(e) < last {
+			s.schedule(t, e)
+		}
+	}
+	s.schedule(t, ev)
+	for _, e := range tied {
+		if s.pushedAt(e) >= last {
+			s.schedule(t, e)
+		}
+	}
+	s.scratchTied = tied[:0]
+	return true
+}
+
+// pushedAt is the instant per-step code pushes the event. Node crashes
+// are queued before the loop starts, and stale events do nothing
+// wherever they pop: both report -1.
+func (s *simulation) pushedAt(e event) time.Duration {
+	switch e.kind {
+	case evArrival:
+		return e.req.pushedAt
+	case evInstanceReady:
+		if e.inst.epoch == e.epoch {
+			return e.inst.launchedAt
+		}
+	case evIterationEnd:
+		if e.inst.epoch == e.epoch && e.inst.runGen == e.gen {
+			return e.inst.boundary(e.inst.runLen - 1)
+		}
+	case evIdleCheck:
+		if e.inst.epoch == e.epoch {
+			return e.inst.checkAt
+		}
+	}
+	return -1
+}
+
+// settleRun books the first steps of the instance's run as done: the
+// iteration counters and, under a tracer, one iteration span per step.
+func (s *simulation) settleRun(inst *instState, steps int) {
+	d := s.deps[inst.dep]
+	d.cIterations.Add(int64(steps))
+	s.work.Iterations += steps
+	tr := d.cfg.Tracer
+	if tr == nil {
+		return
+	}
+	track, batch := s.instTrack(inst), fmt.Sprint(len(inst.running))
+	for j := 1; j <= steps; j++ {
+		phase, admitted := "decode", 0
+		if j == 1 && inst.runAdmitted > 0 {
+			phase, admitted = "prefill+decode", inst.runAdmitted
+		}
+		tr.RecordSpan(track, "iteration", phase, inst.boundary(j-1), inst.boundary(j),
+			obs.Attr{Key: "batch", Value: batch},
+			obs.Attr{Key: "admitted", Value: fmt.Sprint(admitted)})
+	}
+}
+
+// finishIteration emits one token per running request for every step
+// of the run, completes finished ones, and starts the next iteration.
 func (s *simulation) finishIteration(inst *instState) error {
 	d := s.deps[inst.dep]
 	if d.batched {
 		return s.finishIterationBatched(inst)
 	}
+	steps := inst.runLen
+	s.settleRun(inst, steps)
 	inst.iterating = false
 	keep := inst.running[:0]
 	for _, r := range inst.running {
-		r.emitted++
+		r.emitted += steps
 		if !r.ttftSeen {
 			r.ttftSeen = true
 			d.sTTFT.Add(s.now - r.Arrival)
@@ -1351,6 +1632,7 @@ func (s *simulation) startIterationBatched(inst *instState) error {
 	}
 	inst.iterating = true
 	d.cIterations.Inc()
+	s.work.Iterations++
 	if tr := d.cfg.Tracer; tr != nil {
 		phase := "decode"
 		switch {
@@ -1385,7 +1667,8 @@ func (s *simulation) startIterationBatched(inst *instState) error {
 		}
 		root.End(off)
 	}
-	s.schedule(s.now+dur, event{kind: evIterationEnd, inst: inst, epoch: inst.epoch})
+	inst.runStart, inst.runFirst, inst.runLen = s.now, dur, 1
+	s.scheduleEnd(inst)
 	return nil
 }
 
@@ -1468,17 +1751,26 @@ func (s *simulation) maybeFollowUp(r *reqState) {
 	}
 	next.dep = r.dep
 	next.turn = r.turn + 1
+	next.pushedAt = s.now
 	s.nextID++
 	s.created++
 	d.cFollowUps.Inc()
 	s.schedule(next.Arrival, event{kind: evArrival, req: next})
 }
 
-// markIdle stamps the instance idle and arms the retirement timer.
+// markIdle stamps the instance idle and arms the retirement timer,
+// unless a check is already queued: that one fires no later than this
+// spell's deadline and re-arms itself for it.
 func (s *simulation) markIdle(inst *instState) {
 	inst.idleSince = s.now
-	if s.deps[inst.dep].cfg.Scheduler.IdleTimeout > 0 {
-		s.schedule(s.now+s.deps[inst.dep].cfg.Scheduler.IdleTimeout,
-			event{kind: evIdleCheck, inst: inst, epoch: inst.epoch})
+	if t := s.deps[inst.dep].cfg.Scheduler.IdleTimeout; t > 0 && !inst.checkArmed {
+		s.armIdleCheck(inst, s.now+t)
 	}
+}
+
+// armIdleCheck queues the instance's one idle check at at.
+func (s *simulation) armIdleCheck(inst *instState, at time.Duration) {
+	inst.checkArmed = true
+	inst.checkAt = s.now
+	s.schedule(at, event{kind: evIdleCheck, inst: inst, epoch: inst.epoch})
 }

@@ -97,9 +97,11 @@ type diurnalSource struct {
 	rng    *rand.Rand // candidate gaps, thinning, lengths
 	chain  *rand.Rand // burst-state sojourns
 	lamMax float64
-	t      time.Duration
-	id     int
-	done   bool
+	// prompt and output are the length distributions of cfg.
+	prompt, output lengthDist
+	t              time.Duration
+	id             int
+	done           bool
 
 	inBurst    bool
 	sojournEnd time.Duration
@@ -117,6 +119,8 @@ func NewDiurnal(cfg DiurnalConfig) (Source, error) {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		chain:  rand.New(rand.NewSource(cfg.Seed + 1)),
 		lamMax: cfg.BaseRPS * (1 + cfg.Amplitude) * cfg.BurstFactor,
+		prompt: newLengthDist(cfg.MeanPrompt, cfg.MaxPrompt),
+		output: newLengthDist(cfg.MeanOutput, cfg.MaxOutput),
 	}
 	if cfg.BurstFactor > 1 {
 		d.sojournEnd = d.drawSojourn(false)
@@ -172,8 +176,8 @@ func (d *diurnalSource) Next() (Request, bool) {
 		r := Request{
 			ID:           d.id,
 			Arrival:      d.t,
-			PromptTokens: sampleLen(d.rng, d.cfg.MeanPrompt, d.cfg.MaxPrompt),
-			OutputTokens: sampleLen(d.rng, d.cfg.MeanOutput, d.cfg.MaxOutput),
+			PromptTokens: d.prompt.draw(d.rng),
+			OutputTokens: d.output.draw(d.rng),
 		}
 		d.id++
 		return r, true

@@ -39,11 +39,13 @@ func Collect(src Source) ([]Request, error) {
 // poissonSource draws the same (gap, prompt, output) sequence Generate
 // always has, one request per pull.
 type poissonSource struct {
-	cfg  TraceConfig
-	rng  *rand.Rand
-	t    time.Duration
-	id   int
-	done bool
+	cfg TraceConfig
+	rng *rand.Rand
+	// prompt and output are the length distributions of cfg.
+	prompt, output lengthDist
+	t              time.Duration
+	id             int
+	done           bool
 }
 
 // NewPoisson returns a streaming Poisson source. Draining it yields
@@ -55,7 +57,9 @@ func NewPoisson(cfg TraceConfig) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &poissonSource{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+	return &poissonSource{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)),
+		prompt: newLengthDist(cfg.MeanPrompt, cfg.MaxPrompt),
+		output: newLengthDist(cfg.MeanOutput, cfg.MaxOutput)}, nil
 }
 
 func (p *poissonSource) Next() (Request, bool) {
@@ -71,8 +75,8 @@ func (p *poissonSource) Next() (Request, bool) {
 	r := Request{
 		ID:           p.id,
 		Arrival:      p.t,
-		PromptTokens: sampleLen(p.rng, p.cfg.MeanPrompt, p.cfg.MaxPrompt),
-		OutputTokens: sampleLen(p.rng, p.cfg.MeanOutput, p.cfg.MaxOutput),
+		PromptTokens: p.prompt.draw(p.rng),
+		OutputTokens: p.output.draw(p.rng),
 	}
 	p.id++
 	return r, true

@@ -70,16 +70,26 @@ func (c TraceConfig) withDefaults() (TraceConfig, error) {
 // distributions; ShareGPT lengths are heavy-tailed.
 const lengthSigma = 0.85
 
-// sampleLen draws a log-normal length with the given mean, clamped to
-// [1, max].
-func sampleLen(rng *rand.Rand, mean, max int) int {
-	mu := math.Log(float64(mean)) - lengthSigma*lengthSigma/2
-	v := int(math.Round(math.Exp(rng.NormFloat64()*lengthSigma + mu)))
+// lengthDist is a log-normal length distribution with the given mean,
+// clamped to [1, max]. The location parameter is fixed per source, so
+// it is computed once rather than for every draw.
+type lengthDist struct {
+	mu  float64
+	max int
+}
+
+func newLengthDist(mean, max int) lengthDist {
+	return lengthDist{mu: math.Log(float64(mean)) - lengthSigma*lengthSigma/2, max: max}
+}
+
+// draw samples one length.
+func (l lengthDist) draw(rng *rand.Rand) int {
+	v := int(math.Round(math.Exp(rng.NormFloat64()*lengthSigma + l.mu)))
 	if v < 1 {
 		v = 1
 	}
-	if v > max {
-		v = max
+	if v > l.max {
+		v = l.max
 	}
 	return v
 }

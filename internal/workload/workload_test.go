@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -113,5 +114,31 @@ func TestGenerateBurstyValidation(t *testing.T) {
 	}
 	if _, err := GenerateBursty(BurstConfig{BaseRPS: 1, BurstRPS: 2, Period: time.Second, BurstLen: 2 * time.Second, Duration: time.Second}); err == nil {
 		t.Fatal("burst longer than period accepted")
+	}
+}
+
+// TestLengthDistMatchesInlineFormula checks that precomputing the
+// log-normal location once per source draws exactly the lengths the
+// per-draw formula does, from one seed.
+func TestLengthDistMatchesInlineFormula(t *testing.T) {
+	inline := func(rng *rand.Rand, mean, max int) int {
+		mu := math.Log(float64(mean)) - lengthSigma*lengthSigma/2
+		v := int(math.Round(math.Exp(rng.NormFloat64()*lengthSigma + mu)))
+		if v < 1 {
+			v = 1
+		}
+		if v > max {
+			v = max
+		}
+		return v
+	}
+	for _, c := range []struct{ mean, max int }{{ShareGPTMeanPrompt, 2048}, {ShareGPTMeanOutput, 1024}, {8, 16}} {
+		a, b := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+		dist := newLengthDist(c.mean, c.max)
+		for i := 0; i < 10_000; i++ {
+			if got, want := dist.draw(a), inline(b, c.mean, c.max); got != want {
+				t.Fatalf("mean %d draw %d: got %d, want %d", c.mean, i, got, want)
+			}
+		}
 	}
 }
