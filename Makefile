@@ -67,30 +67,30 @@ bench:
 # simulation exercising the tiered artifact cache end to end, and the
 # simulator-core scale smoke — one million streamed requests under a
 # wall-clock budget with an allocs/request ceiling checked in at
-# internal/cluster/testdata/max_allocs_per_request, an autoscale
+# internal/serverless/testdata/max_allocs_per_request, an autoscale
 # Desired-calls/request ceiling at max_desired_calls_per_request and a
 # popped-events/request ceiling at max_events_per_request.
 bench-smoke:
 	$(GO) run ./cmd/medusa-bench -exp ext-cache-policies
 	$(GO) run ./cmd/medusa-simulate -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" \
 		-cache-policy costaware -cache-ram 3 -cache-ssd 6 -idle 200ms -rps 3 -duration 10
-	MEDUSA_SCALE_SMOKE=1 $(GO) test -run TestScaleSmoke1M -count=1 -v ./internal/cluster/
+	MEDUSA_SCALE_SMOKE=1 $(GO) test -run TestScaleSmoke1M -count=1 -v ./internal/serverless/
 
 # Seconds-scale continuous-batching gate: a seeded 100k-request fleet
 # run in batched execution mode under a wall-clock budget and an
 # allocs/request ceiling checked in at
-# internal/cluster/testdata/max_allocs_per_request_batched, plus the
+# internal/serverless/testdata/max_allocs_per_request_batched, plus the
 # autoscale Desired-calls/request ceiling.
 batch-smoke:
-	MEDUSA_BATCH_SMOKE=1 $(GO) test -run TestBatchSmoke100k -count=1 -v ./internal/cluster/
+	MEDUSA_BATCH_SMOKE=1 $(GO) test -run TestBatchSmoke100k -count=1 -v ./internal/serverless/
 
 # Seconds-scale fleet-control-plane gate: a seeded ~100k-request
 # diurnal multi-tenant run under predictive autoscaling and score
 # routing, asserting SLO attainment and node-seconds stay inside
 # checked bounds and Desired calls/request under
-# internal/cluster/testdata/max_desired_calls_per_request_predictive.
+# internal/serverless/testdata/max_desired_calls_per_request_predictive.
 fleet-smoke:
-	MEDUSA_FLEET_SMOKE=1 $(GO) test -run TestFleetSmoke100k -count=1 -v ./internal/cluster/
+	MEDUSA_FLEET_SMOKE=1 $(GO) test -run TestFleetSmoke100k -count=1 -v ./internal/serverless/
 
 # Seconds-scale fault-injection gate: the seeded probability sweep
 # (every run must survive every injected fault — FAILURES.md) plus a

@@ -12,13 +12,15 @@
 // first-class, and KV exhaustion preempts the lowest-id sequence for
 // recompute-on-resume.
 //
-// With -nodes N (N > 0) the command switches to the multi-node fleet
-// simulator: each node fronts the shared artifact registry with a
-// tiered cache (-cache-ram/-cache-ssd MiB, -cache-policy
-// lru|lfu|costaware) and cold-starting instances are placed by a
-// locality-aware scorer (-locality). -models co-locates several
-// deployments sharing the fleet under Zipf popularity (-zipf). -work
-// adds the simulator core's work counters, in total and per request.
+// With -nodes N (N > 0) the command runs a multi-node fleet: each node
+// fronts the shared artifact registry with a tiered cache
+// (-cache-ram/-cache-ssd MiB, -cache-policy lru|lfu|costaware) and
+// cold-starting instances are placed by a locality-aware scorer
+// (-locality). -models co-locates several deployments sharing the
+// fleet under Zipf popularity (-zipf). Without -nodes the same
+// deployments run on one pool of -gpus GPUs without an artifact cache.
+// -work adds the simulator core's work counters, in total and per
+// request.
 //
 // The shared flag surface (workload, serving, batching and cluster
 // knobs) is declared once in internal/cliconfig.
@@ -27,17 +29,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/cliconfig"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/faults"
-	"github.com/medusa-repro/medusa/internal/medusa"
-	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/prof"
-	"github.com/medusa-repro/medusa/internal/serverless"
+	"github.com/medusa-repro/medusa/internal/replicate"
 	"github.com/medusa-repro/medusa/internal/storage"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
@@ -52,7 +53,7 @@ func main() {
 	faultsSpec := flag.String("faults", "", "fault plan: preset name (none | mild | heavy | crash) or path to a plan JSON file")
 	reps := flag.Int("reps", 1, "independent-seed replications; > 1 prints per-rep stats plus mean ± 95% CI")
 	parallel := flag.Bool("parallel", false, "run replications on a worker pool (one per core); output is identical either way")
-	work := flag.Bool("work", false, "print the simulator core's work counters (events by kind, simulated iterations, autoscale calls, dispatch-walk steps, heap high-water mark); needs -nodes")
+	work := flag.Bool("work", false, "print the simulator core's work counters (events by kind, simulated iterations, autoscale calls, dispatch-walk steps, heap high-water mark)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -73,166 +74,90 @@ func main() {
 			os.Exit(1)
 		}
 	}()
-	if *reps < 1 {
+	switch {
+	case *reps < 1:
 		fail(fmt.Errorf("-reps must be ≥ 1, got %d", *reps))
-	}
-	baseTC := v.TraceConfig()
-	var plan *faults.Plan
-	if *faultsSpec != "" {
-		p, err := faults.LoadPlan(*faultsSpec)
-		if err != nil {
-			fail(err)
-		}
-		plan = &p
-	}
-	if v.Nodes > 0 {
-		if err := runCluster(v, baseTC, *tracePath, plan, *reps, *parallel, *work); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *work {
-		fail(fmt.Errorf("-work needs the fleet simulator (-nodes > 0)"))
-	}
-	cfg, err := model.ByName(v.Model)
-	if err != nil {
-		fail(err)
+	case *reps > 1 && (*requestsIn != "" || *requestsOut != "" || *tracePath != "" || *phases || *work):
+		fail(fmt.Errorf("-reps > 1 is incompatible with -requests, -requests-out, -trace, -phases and -work"))
+	case (v.Stream || v.Diurnal > 0) && (v.Nodes == 0 || *requestsIn != "" || *requestsOut != ""):
+		fail(fmt.Errorf("-stream and -diurnal need -nodes and exclude -requests and -requests-out"))
+	case v.Nodes == 0 && len(v.ModelNames()) > 1:
+		fail(fmt.Errorf("a multi-model fleet (-models) needs -nodes"))
 	}
 	strategy, err := engine.ParseStrategy(v.Strategy)
 	if err != nil {
 		fail(err)
 	}
-	store := storage.NewStore(storage.DefaultArray())
-
-	// artOnce runs the offline phase at most once, caching the artifact
-	// across the strategies that need it.
-	var cachedArt *medusa.Artifact
-	var cachedArtBytes uint64
-	artOnce := func() (*medusa.Artifact, uint64, error) {
-		if cachedArt != nil {
-			return cachedArt, cachedArtBytes, nil
-		}
-		fmt.Println("running offline phase (artifact not cached)...")
-		art, report, err := engine.RunOffline(engine.OfflineOptions{Model: cfg, Store: store, Seed: 7})
+	s := &simulator{v: v, strategy: strategy, requests: *requestsIn, slo: *slo,
+		store: storage.NewStore(storage.DefaultArray())}
+	if *faultsSpec != "" {
+		p, err := faults.LoadPlan(*faultsSpec)
 		if err != nil {
-			return nil, 0, err
+			fail(err)
 		}
-		cachedArt, cachedArtBytes = art, report.ArtifactBytes
-		return cachedArt, cachedArtBytes, nil
-	}
-	// buildConfig assembles a cluster config for one strategy.
-	buildConfig := func(s engine.Strategy) (serverless.Config, error) {
-		sc := serverless.Config{
-			Model: cfg, Strategy: s, Store: store,
-			NumGPUs: v.GPUs, Seed: 1,
-			Scheduler: v.SchedulerConfig(),
-			Workload:  v.WorkloadConfig(),
-			Faults:    serverless.FaultSpec{Plan: plan},
-		}
-		if s.NeedsArtifact() {
-			art, size, err := artOnce()
-			if err != nil {
-				return sc, err
-			}
-			sc.Cache = serverless.CacheSpec{Artifact: art, ArtifactBytes: size}
-		}
-		return sc, nil
+		s.plan = &p
 	}
 
-	if *reps > 1 {
-		if *requestsIn != "" || *requestsOut != "" || *tracePath != "" || *phases {
-			fail(fmt.Errorf("-reps > 1 is incompatible with -requests, -requests-out, -trace and -phases"))
-		}
-		if strategy.NeedsArtifact() {
-			// Warm the artifact cache before the fan-out; replication
-			// workers then share it read-only.
-			if _, _, err := artOnce(); err != nil {
-				fail(err)
-			}
-		}
-		fmt.Printf("model=%s strategy=%s rps=%.1f duration=%ds reps=%d parallel=%v\n",
-			cfg.Name, strategy, v.RPS, v.DurationSec, *reps, *parallel)
-		if err := runServerlessReps(
-			func() (serverless.Config, error) { return buildConfig(strategy) },
-			baseTC, *reps, *parallel); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	var reqs []workload.Request
-	if *requestsIn != "" {
-		f, err := os.Open(*requestsIn)
-		if err != nil {
-			fail(err)
-		}
-		reqs, err = workload.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-	} else {
-		var err error
-		reqs, err = workload.Generate(baseTC)
-		if err != nil {
-			fail(err)
-		}
-	}
 	if *requestsOut != "" {
-		f, err := os.Create(*requestsOut)
+		reqs, err := s.trace(0)
 		if err != nil {
 			fail(err)
 		}
-		if err := workload.WriteTrace(f, reqs); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*requestsOut, func(w io.Writer) error { return workload.WriteTrace(w, reqs) }); err != nil {
 			fail(err)
 		}
 		fmt.Printf("request trace written to %s (%d requests)\n", *requestsOut, len(reqs))
 	}
-
-	var tracer *obs.Tracer
-	sc, err := buildConfig(strategy)
+	// Building the deployments runs each model's offline phase once;
+	// replication workers then share the artifacts read-only.
+	deps, err := s.deployments(strategy)
 	if err != nil {
 		fail(err)
 	}
-	if *tracePath != "" {
-		tracer = obs.NewTracer()
-		sc.Tracer = tracer
-	}
-	res, err := serverless.Run(sc, reqs)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("model=%s strategy=%s rps=%.1f duration=%ds requests=%d\n",
-		cfg.Name, strategy, v.RPS, v.DurationSec, len(reqs))
-	fmt.Printf("  completed:      %d\n", res.Completed)
-	fmt.Printf("  cold starts:    %d (peak instances %d)\n", res.ColdStarts, res.PeakInstances)
-	if plan != nil && !plan.Zero() {
-		fmt.Printf("  degraded:       %d cold starts fell back to vanilla (see FAILURES.md)\n", res.Degraded)
-	}
-	fmt.Printf("  throughput:     %.2f req/s\n", res.Throughput)
-	fmt.Printf("  TTFT p50/p99:   %.3fs / %.3fs\n", res.TTFT.P50().Seconds(), res.TTFT.P99().Seconds())
-	fmt.Printf("  E2E  p50/p99:   %.3fs / %.3fs\n", res.E2E.P50().Seconds(), res.E2E.P99().Seconds())
-	if res.TPOT != nil {
-		fmt.Printf("  TPOT p50/p99:   %.1fms / %.1fms (%d preemptions)\n",
-			float64(res.TPOT.P50().Microseconds())/1000, float64(res.TPOT.P99().Microseconds())/1000,
-			res.Preemptions)
-	}
-	fmt.Printf("  TTFT ≤ %v:      %.1f%% of requests\n", *slo, res.TTFT.FractionBelow(*slo)*100)
-	fmt.Println("\nTTFT distribution (100ms buckets):")
-	fmt.Print(res.TTFT.Histogram(100*time.Millisecond, 50))
 
-	if tracer != nil {
-		f, err := os.Create(*tracePath)
+	if *reps > 1 {
+		s.printRepHeader(*reps, *parallel)
+		stats, err := replicate.Run(*reps, repWorkers(*parallel), func(rep int) (repStats, error) {
+			f, err := s.fleet(deps, int64(rep))
+			if err != nil {
+				return repStats{}, err
+			}
+			res, err := s.run(f, int64(rep))
+			if err != nil {
+				return repStats{}, err
+			}
+			return s.stats(f, res), nil
+		})
 		if err != nil {
 			fail(err)
 		}
-		if err := tracer.WriteChrome(f); err != nil {
-			fail(err)
+		printRepTable(stats)
+		return
+	}
+
+	f, err := s.fleet(deps, 0)
+	if err != nil {
+		fail(err)
+	}
+	var tracer *obs.Tracer
+	if *tracePath != "" {
+		tracer = obs.NewTracer()
+		f.Tracer = tracer
+		for i := range f.Deployments {
+			f.Deployments[i].Config.Tracer = tracer
 		}
-		if err := f.Close(); err != nil {
+	}
+	res, err := s.run(f, 0)
+	if err != nil {
+		fail(err)
+	}
+	s.print(f, res)
+	if *work {
+		fmt.Print("\n" + res.Work.Render(res.Completed))
+	}
+
+	if tracer != nil {
+		if err := writeFile(*tracePath, tracer.WriteChrome); err != nil {
 			fail(err)
 		}
 		fmt.Printf("\nChrome trace written to %s (%d spans, %d tracks) — load at ui.perfetto.dev\n",
@@ -241,23 +166,45 @@ func main() {
 
 	if *phases {
 		fmt.Println("\ncold-start phase breakdown (exclusive attribution; sums are drift-free):")
-		for _, s := range engine.Strategies() {
-			psc, err := buildConfig(s)
-			if err != nil {
-				fail(err)
-			}
+		for _, ps := range engine.Strategies() {
 			pres := res
-			if s != strategy {
-				pres, err = serverless.Run(psc, reqs)
+			if ps != strategy {
+				pdeps, err := s.deployments(ps)
 				if err != nil {
 					fail(err)
 				}
+				pf, err := s.fleet(pdeps, 0)
+				if err != nil {
+					fail(err)
+				}
+				if pres, err = s.run(pf, 0); err != nil {
+					fail(err)
+				}
 			}
-			fmt.Printf("\n%v (%d cold starts, end-to-end total %.3fs):\n", s, pres.ColdStarts, pres.ColdStartTotal.Seconds())
-			fmt.Print(pres.ColdStartPhases.Table())
-			if drift := pres.ColdStartPhases.Total() - pres.ColdStartTotal; drift != 0 {
-				fail(fmt.Errorf("phase attribution drifted by %v for %v", drift, s))
+			for _, d := range pres.PerDeployment {
+				label := ps.String()
+				if len(pres.PerDeployment) > 1 {
+					label = d.Name + " " + label
+				}
+				fmt.Printf("\n%s (%d cold starts, end-to-end total %.3fs):\n", label, d.ColdStarts, d.ColdStartTotal.Seconds())
+				fmt.Print(d.ColdStartPhases.Table())
+				if drift := d.ColdStartPhases.Total() - d.ColdStartTotal; drift != 0 {
+					fail(fmt.Errorf("phase attribution drifted by %v for %s", drift, label))
+				}
 			}
 		}
 	}
+}
+
+// writeFile creates path and fills it through write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -99,4 +99,14 @@ func TestMedusaSimulateCLI(t *testing.T) {
 	if !strings.Contains(out, "cold starts") || !strings.Contains(out, "work desired") {
 		t.Fatalf("fleet -work output malformed:\n%s", out)
 	}
+	out = run(t, bin, "-model", "Qwen1.5-0.5B", "-strategy", "vllm", "-rps", "3", "-duration", "5", "-work")
+	if !strings.Contains(out, "TTFT p50/p99") || !strings.Contains(out, "work desired") {
+		t.Fatalf("single-pool -work output malformed:\n%s", out)
+	}
+	// Both modes build the same deployments, so the fleet honours the
+	// serving flags too.
+	fleet := []string{"-nodes", "1", "-model", "Qwen1.5-0.5B", "-strategy", "vllm", "-rps", "3", "-duration", "5"}
+	if cold, warm := run(t, bin, append(fleet, "-prewarm", "0")...), run(t, bin, append(fleet, "-prewarm", "1")...); cold == warm {
+		t.Fatalf("fleet ignores -prewarm:\n%s", warm)
+	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
 	"github.com/medusa-repro/medusa/internal/autoscale"
-	"github.com/medusa-repro/medusa/internal/cluster"
 	"github.com/medusa-repro/medusa/internal/router"
 	"github.com/medusa-repro/medusa/internal/sched"
 	"github.com/medusa-repro/medusa/internal/serverless"
@@ -133,7 +132,7 @@ func Register(fs *flag.FlagSet) *Values {
 	fs.StringVar(&v.CachePolicy, "cache-policy", "lru", "artifact cache eviction policy: lru | lfu | costaware")
 	fs.IntVar(&v.CacheRAMMiB, "cache-ram", 4096, "per-node RAM cache tier size in MiB")
 	fs.IntVar(&v.CacheSSDMiB, "cache-ssd", 16384, "per-node SSD cache tier size in MiB")
-	fs.Float64Var(&v.Locality, "locality", cluster.DefaultLocalityWeight, "placement weight for artifact locality vs load balance (0 = pure load balancing)")
+	fs.Float64Var(&v.Locality, "locality", serverless.DefaultLocalityWeight, "placement weight for artifact locality vs load balance (0 = pure load balancing)")
 	fs.BoolVar(&v.PrewarmSSD, "prewarm-ssd", false, "pre-pull every artifact onto every node's SSD tier before the trace")
 	fs.StringVar(&v.Models, "models", "", "comma-separated model list for a multi-model fleet (cluster mode; default: -model)")
 	fs.Float64Var(&v.Zipf, "zipf", 1.2, "Zipf popularity skew across -models (must be > 1)")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -115,17 +116,17 @@ func genTrace(t testing.TB, seed int64, rps float64, seconds int) []workload.Req
 // churnConfig is a fleet sized so artifacts contend for cache space:
 // tiers hold one or two of the fixture artifacts (1.6–3 MiB each), and
 // short idle timeouts force continual relaunching.
-func churnConfig(policy artifactcache.PolicyKind) Config {
+func churnConfig(policy artifactcache.PolicyKind) serverless.Fleet {
 	const MiB = 1 << 20
 	p := artifactcache.DefaultParams()
 	p.RAMBytes = 3 * MiB
 	p.SSDBytes = 6 * MiB
 	p.Policy = policy
-	return Config{
+	return serverless.Fleet{
 		Nodes:          2,
 		GPUsPerNode:    4,
 		Cache:          p,
-		LocalityWeight: DefaultLocalityWeight,
+		LocalityWeight: serverless.DefaultLocalityWeight,
 		Seed:           7,
 	}
 }
@@ -146,7 +147,7 @@ func TestClusterCompletesAndConserves(t *testing.T) {
 		{Name: "vllm-1.8b", Config: idleOut(vllmDep, 300*time.Millisecond),
 			Requests: genTrace(t, 12, 1, 20)},
 	}
-	res, err := Run(cfg)
+	res, err := serverless.RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestClusterDeterministic(t *testing.T) {
 				{Name: "b", Config: idleOut(medusaDeployment(t, "Llama2-7B", 2), 250*time.Millisecond),
 					Requests: genTrace(t, 22, 1, 15)},
 			}
-			res, err := Run(cfg)
+			res, err := serverless.RunFleet(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +239,7 @@ func zipfWorkload(t testing.TB, n int, idle time.Duration, traceSeed int64, rps 
 			Config: idleOut(medusaDeployment(t, name, int64(i+1)), idle),
 		})
 	}
-	split, err := ZipfDeployments(deps, genTrace(t, traceSeed, rps, seconds), 43, 1.2)
+	split, err := serverless.ZipfDeployments(deps, genTrace(t, traceSeed, rps, seconds), 43, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +252,11 @@ func zipfWorkload(t testing.TB, n int, idle time.Duration, traceSeed int64, rps 
 // fleet's local hit rate — spreading by load alone splits each model's
 // working set across nodes whose tight caches can't all retain it.
 func TestLocalityImprovesHitRate(t *testing.T) {
-	run := func(weight float64) *Result {
+	run := func(weight float64) *serverless.FleetResult {
 		cfg := churnConfig(artifactcache.PolicyLRU)
 		cfg.LocalityWeight = weight
 		cfg.Deployments = zipfWorkload(t, 6, 150*time.Millisecond, 31, 4, 30)
-		res, err := Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,9 +279,6 @@ func TestLocalityImprovesHitRate(t *testing.T) {
 // multi-model workload with cache churn, the cost-aware policy's
 // cluster hit rate must beat LRU's.
 func TestCostAwareBeatsLRUOnZipf(t *testing.T) {
-	mkDeps := func() ([]serverless.Deployment, error) {
-		return zipfWorkload(t, len(fixtureModels), 150*time.Millisecond, 41, 4, 40), nil
-	}
 	base := churnConfig(artifactcache.PolicyLRU)
 	// Tight tiers: SSD holds two small artifacts or one large one, so
 	// the eviction policy decides which models stay local while the
@@ -288,15 +286,18 @@ func TestCostAwareBeatsLRUOnZipf(t *testing.T) {
 	base.Cache.RAMBytes = 2 << 20
 	base.Cache.SSDBytes = 6 << 20
 	base.LocalityWeight = 0.8
-	results, err := RunPolicySweep(base, mkDeps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPolicy := map[artifactcache.PolicyKind]*Result{}
-	for i, kind := range artifactcache.PolicyKinds() {
-		byPolicy[kind] = results[i]
-		if results[i].Cache.Requests() < 10 {
-			t.Fatalf("%v: only %d artifact fetches; workload not churning", kind, results[i].Cache.Requests())
+	byPolicy := map[artifactcache.PolicyKind]*serverless.FleetResult{}
+	for _, kind := range artifactcache.PolicyKinds() {
+		cfg := base
+		cfg.Cache.Policy = kind
+		cfg.Deployments = zipfWorkload(t, len(fixtureModels), 150*time.Millisecond, 41, 4, 40)
+		res, err := serverless.RunFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byPolicy[kind] = res
+		if res.Cache.Requests() < 10 {
+			t.Fatalf("%v: only %d artifact fetches; workload not churning", kind, res.Cache.Requests())
 		}
 	}
 	lru := byPolicy[artifactcache.PolicyLRU].Cache.HitRate()
@@ -320,7 +321,7 @@ func TestPrewarmSSDServesFirstLaunchLocally(t *testing.T) {
 		{Name: "a", Config: idleOut(medusaDeployment(t, "Qwen1.5-0.5B", 1), 300*time.Millisecond),
 			Requests: genTrace(t, 51, 2, 10)},
 	}
-	res, err := Run(cfg)
+	res, err := serverless.RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestZipfDeployments(t *testing.T) {
 	for i := range deps {
 		deps[i].Name = fixtureModels[i]
 	}
-	split, err := ZipfDeployments(deps, trace, 9, 1.3)
+	split, err := serverless.ZipfDeployments(deps, trace, 9, 1.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestZipfDeployments(t *testing.T) {
 			len(split[0].Requests), len(split[len(split)-1].Requests))
 	}
 	// Same seed, same split.
-	again, err := ZipfDeployments(deps, trace, 9, 1.3)
+	again, err := serverless.ZipfDeployments(deps, trace, 9, 1.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,20 +372,22 @@ func TestZipfDeployments(t *testing.T) {
 			t.Fatalf("split not deterministic for deployment %d", i)
 		}
 	}
-	if _, err := ZipfDeployments(deps, trace, 9, 0.9); err == nil {
+	if _, err := serverless.ZipfDeployments(deps, trace, 9, 0.9); err == nil {
 		t.Fatal("skew ≤ 1 should be rejected")
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := serverless.RunFleet(serverless.Fleet{}); err == nil {
 		t.Fatal("empty config should be rejected (no deployments)")
 	}
-	if _, err := Run(Config{LocalityWeight: -1,
-		Deployments: []serverless.Deployment{{}}}); err == nil {
-		t.Fatal("negative locality weight should be rejected")
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := serverless.RunFleet(serverless.Fleet{LocalityWeight: w,
+			Deployments: []serverless.Deployment{{}}}); err == nil {
+			t.Fatalf("locality weight %g should be rejected", w)
+		}
 	}
-	if _, err := Run(Config{
+	if _, err := serverless.RunFleet(serverless.Fleet{
 		Deployments: []serverless.Deployment{{Name: "empty"}}}); err == nil {
 		t.Fatal("empty trace should be rejected")
 	}

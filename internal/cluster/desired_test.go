@@ -31,7 +31,7 @@ type fullScan struct{ autoscale.Policy }
 // on GPUs.
 func TestCachedDesiredMatchesFullScan(t *testing.T) {
 	const traceSeconds = 25
-	base := func(t *testing.T, tweak func(i int, c *serverless.Config)) Config {
+	base := func(t *testing.T, tweak func(i int, c *serverless.Config)) serverless.Fleet {
 		cfg := churnConfig(artifactcache.PolicyLRU)
 		cfg.GPUsPerNode = 2
 		for i, name := range []string{"Qwen1.5-0.5B", "Llama2-7B"} {
@@ -45,26 +45,26 @@ func TestCachedDesiredMatchesFullScan(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		cfg  func(t *testing.T) Config
+		cfg  func(t *testing.T) serverless.Fleet
 	}{
-		{"legacy", func(t *testing.T) Config {
+		{"legacy", func(t *testing.T) serverless.Fleet {
 			return base(t, func(int, *serverless.Config) {})
 		}},
-		{"batched-preempt", func(t *testing.T) Config {
+		{"batched-preempt", func(t *testing.T) serverless.Fleet {
 			return base(t, func(_ int, c *serverless.Config) {
 				c.Scheduler.Batch = sched.Params{BatchTokens: 256, KVBlocks: 80}
 			})
 		}},
-		{"follow-ups", func(t *testing.T) Config {
+		{"follow-ups", func(t *testing.T) serverless.Fleet {
 			return base(t, func(_ int, c *serverless.Config) {
 				c.Workload.FollowUp = &serverless.FollowUpModel{
 					Probability: 0.4, ThinkTime: 800 * time.Millisecond, MaxTurns: 3}
 			})
 		}},
-		{"prewarm", func(t *testing.T) Config {
+		{"prewarm", func(t *testing.T) serverless.Fleet {
 			return base(t, func(_ int, c *serverless.Config) { c.Scheduler.Prewarm = 1 })
 		}},
-		{"tp2", func(t *testing.T) Config {
+		{"tp2", func(t *testing.T) serverless.Fleet {
 			return base(t, func(i int, c *serverless.Config) {
 				if i == 1 {
 					c.Strategy = engine.StrategyVLLM
@@ -73,12 +73,12 @@ func TestCachedDesiredMatchesFullScan(t *testing.T) {
 				}
 			})
 		}},
-		{"warm-exhaustion", func(t *testing.T) Config {
+		{"warm-exhaustion", func(t *testing.T) serverless.Fleet {
 			cfg := base(t, func(int, *serverless.Config) {})
 			cfg.WarmContainersPerNode = 1
 			return cfg
 		}},
-		{"crash", func(t *testing.T) Config {
+		{"crash", func(t *testing.T) serverless.Fleet {
 			cfg := base(t, func(int, *serverless.Config) {})
 			plan := faults.Presets()["crash"]
 			cfg.Faults = serverless.FaultSpec{Plan: &plan}
@@ -86,13 +86,13 @@ func TestCachedDesiredMatchesFullScan(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			reused, err := Run(tc.cfg(t))
+			reused, err := serverless.RunFleet(tc.cfg(t))
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := tc.cfg(t)
 			cfg.Autoscaler = fullScan{autoscale.NewReactive()}
-			full, err := Run(cfg)
+			full, err := serverless.RunFleet(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

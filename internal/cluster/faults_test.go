@@ -16,7 +16,7 @@ import (
 
 // faultConfig is churnConfig plus a fault plan and two Medusa
 // deployments whose relaunch churn gives the injector plenty of draws.
-func faultConfig(t *testing.T, plan *faults.Plan) Config {
+func faultConfig(t *testing.T, plan *faults.Plan) serverless.Fleet {
 	cfg := churnConfig(artifactcache.PolicyLRU)
 	cfg.Faults = serverless.FaultSpec{Plan: plan}
 	cfg.Deployments = []serverless.Deployment{
@@ -28,7 +28,7 @@ func faultConfig(t *testing.T, plan *faults.Plan) Config {
 	return cfg
 }
 
-func submittedOf(cfg Config) int {
+func submittedOf(cfg serverless.Fleet) int {
 	n := 0
 	for _, d := range cfg.Deployments {
 		n += len(d.Requests)
@@ -49,7 +49,7 @@ func TestClusterFaultsSurvivable(t *testing.T) {
 		NodeCrashes:     []faults.NodeCrash{{Node: 1, At: faults.Duration(4 * time.Second)}},
 	}
 	cfg := faultConfig(t, plan)
-	res, err := Run(cfg)
+	res, err := serverless.RunFleet(cfg)
 	if err != nil {
 		t.Fatalf("injected faults must degrade, not abort: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestClusterFaultsDeterministic(t *testing.T) {
 		cfg := faultConfig(t, plan)
 		tr := obsTracer()
 		cfg.Tracer = tr.tracer
-		res, err := Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestClusterEmptyPlanBitIdentical(t *testing.T) {
 		cfg := faultConfig(t, plan)
 		tr := obsTracer()
 		cfg.Tracer = tr.tracer
-		res, err := Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestClusterEmptyPlanBitIdentical(t *testing.T) {
 func TestClusterAllFetchesTimeOut(t *testing.T) {
 	plan := &faults.Plan{RegistryTimeout: faults.SiteSpec{Every: 1}}
 	cfg := faultConfig(t, plan)
-	res, err := Run(cfg)
+	res, err := serverless.RunFleet(cfg)
 	if err != nil {
 		t.Fatalf("total registry outage must degrade, not abort: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestClusterCrashRequeues(t *testing.T) {
 		{Name: "a", Config: medusaDeployment(t, "Qwen1.5-0.5B", 1), Requests: long},
 		{Name: "b", Config: medusaDeployment(t, "Llama2-7B", 2), Requests: genTrace(t, 34, 2, 10)},
 	}
-	res, err := Run(cfg)
+	res, err := serverless.RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func templated(t testing.TB, cfg serverless.Config) serverless.Config {
 
 // templateFaultConfig is faultConfig with every deployment
 // template-factored.
-func templateFaultConfig(t *testing.T, plan *faults.Plan) Config {
+func templateFaultConfig(t *testing.T, plan *faults.Plan) serverless.Fleet {
 	cfg := faultConfig(t, plan)
 	for i := range cfg.Deployments {
 		cfg.Deployments[i].Config = templated(t, cfg.Deployments[i].Config)
@@ -268,7 +268,7 @@ func templateFaultConfig(t *testing.T, plan *faults.Plan) Config {
 func TestClusterTemplateMissingDegrades(t *testing.T) {
 	plan := &faults.Plan{TemplateMissing: faults.SiteSpec{Every: 1}}
 	cfg := templateFaultConfig(t, plan)
-	res, err := Run(cfg)
+	res, err := serverless.RunFleet(cfg)
 	if err != nil {
 		t.Fatalf("missing template must degrade to vanilla cold start, not abort: %v", err)
 	}
@@ -302,7 +302,7 @@ func TestClusterTemplateMissingDegrades(t *testing.T) {
 func TestClusterCorruptTemplateDegrades(t *testing.T) {
 	plan := &faults.Plan{ArtifactCorrupt: faults.SiteSpec{Every: 1}}
 	cfg := templateFaultConfig(t, plan)
-	res, err := Run(cfg)
+	res, err := serverless.RunFleet(cfg)
 	if err != nil {
 		t.Fatalf("corrupt template must degrade, not abort: %v", err)
 	}
@@ -338,7 +338,7 @@ func TestClusterTemplateFaultsDeterministic(t *testing.T) {
 		cfg := templateFaultConfig(t, plan)
 		tr := obsTracer()
 		cfg.Tracer = tr.tracer
-		res, err := Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func TestClusterCrashValidation(t *testing.T) {
 		cfg := base
 		plan := tc.plan
 		cfg.Faults = serverless.FaultSpec{Plan: &plan}
-		if _, err := Run(cfg); err == nil {
+		if _, err := serverless.RunFleet(cfg); err == nil {
 			t.Errorf("%s: Run accepted an unsurvivable plan", tc.name)
 		}
 	}

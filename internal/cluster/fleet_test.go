@@ -32,7 +32,7 @@ func fleetSources(t testing.TB, n int, skew float64) []workload.Source {
 
 // fleetConfig assembles a two-tenant cluster fed by diurnal sources,
 // parameterized over the control-plane policies under test.
-func fleetConfig(t testing.TB, scaler autoscale.Policy, route router.Policy, slo serverless.SLO) Config {
+func fleetConfig(t testing.TB, scaler autoscale.Policy, route router.Policy, slo serverless.SLO) serverless.Fleet {
 	t.Helper()
 	srcs := fleetSources(t, 2, 1.0)
 	cfg := churnConfig(artifactcache.PolicyLRU)
@@ -53,7 +53,7 @@ func fleetConfig(t testing.TB, scaler autoscale.Policy, route router.Policy, slo
 func TestReactivePolicyMatchesLegacy(t *testing.T) {
 	run := func(scaler autoscale.Policy) string {
 		cfg := fleetConfig(t, scaler, nil, serverless.SLO{})
-		res, err := Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestFleetControlPlaneDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := fleetConfig(t, scaler, route, serverless.SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond})
-		res, err := Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestRouterConservesRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := fleetConfig(t, nil, route, serverless.SLO{})
-		res, err := Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,9 +138,9 @@ func TestRouterConservesRequests(t *testing.T) {
 // positive). The same workload runs in both arms, so Completed must
 // match too.
 func TestSLOAttainmentExact(t *testing.T) {
-	run := func(slo serverless.SLO) *Result {
+	run := func(slo serverless.SLO) *serverless.FleetResult {
 		cfg := fleetConfig(t, nil, nil, slo)
-		res, err := Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestSLOAttainmentExact(t *testing.T) {
 // and no greater than every node being up for the whole run.
 func TestNodeSecondsBounds(t *testing.T) {
 	cfg := fleetConfig(t, nil, nil, serverless.SLO{})
-	res, err := Run(cfg)
+	res, err := serverless.RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestNodeSecondsBounds(t *testing.T) {
 func TestRetainerHoldsThroughTroughs(t *testing.T) {
 	coldStarts := func(scaler autoscale.Policy) (int, int) {
 		cfg := fleetConfig(t, scaler, nil, serverless.SLO{})
-		res, err := Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func TestOneNodeFleetMatchesSinglePool(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fleet, err := Run(Config{
+			fleet, err := serverless.RunFleet(serverless.Fleet{
 				Nodes: 1, GPUsPerNode: tc.gpus, WarmContainersPerNode: tc.warm,
 				Deployments: tc.deployments(t),
 			})

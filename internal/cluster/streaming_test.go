@@ -29,7 +29,7 @@ func TestClusterStreamingMatchesSlice(t *testing.T) {
 	trace := genTrace(t, 91, 6, 25)
 
 	slice := churnConfig(artifactcache.PolicyLRU)
-	split, err := ZipfDeployments(mkDeps(), trace, 43, 1.2)
+	split, err := serverless.ZipfDeployments(mkDeps(), trace, 43, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,18 +42,18 @@ func TestClusterStreamingMatchesSlice(t *testing.T) {
 		}
 	}
 	slice.Deployments = split
-	sliceRes, err := Run(slice)
+	sliceRes, err := serverless.RunFleet(slice)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	stream := churnConfig(artifactcache.PolicyLRU)
 	stream.Deployments = mkDeps()
-	stream.Arrivals, err = ZipfArrivals(workload.NewSlice(trace), nDeps, 43, 1.2)
+	stream.Arrivals, err = serverless.ZipfArrivals(workload.NewSlice(trace), nDeps, 43, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamRes, err := Run(stream)
+	streamRes, err := serverless.RunFleet(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,16 +72,18 @@ func TestClusterStreamingMatchesSlice(t *testing.T) {
 func TestClusterRetainMatchesReservoir(t *testing.T) {
 	run := func(retain bool) string {
 		cfg := churnConfig(artifactcache.PolicyLRU)
-		cfg.RetainPerRequest = retain
-		split, err := ZipfDeployments([]serverless.Deployment{
+		split, err := serverless.ZipfDeployments([]serverless.Deployment{
 			{Name: "a", Config: idleOut(medusaDeployment(t, "Qwen1.5-0.5B", 1), 250*time.Millisecond)},
 			{Name: "b", Config: idleOut(medusaDeployment(t, "Llama2-7B", 2), 250*time.Millisecond)},
 		}, genTrace(t, 23, 4, 20), 43, 1.2)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i := range split {
+			split[i].Config.RetainPerRequest = retain
+		}
 		cfg.Deployments = split
-		res, err := Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

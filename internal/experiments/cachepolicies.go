@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
-	"github.com/medusa-repro/medusa/internal/cluster"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
@@ -69,7 +68,7 @@ func runExtCachePolicies(c *Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cluster.ZipfDeployments(deps, trace, 43, 1.2)
+		return serverless.ZipfDeployments(deps, trace, 43, 1.2)
 	}
 
 	// Tight tiers: SSD holds two small artifacts or one large one, so
@@ -78,32 +77,40 @@ func runExtCachePolicies(c *Context) (*Report, error) {
 	params := artifactcache.DefaultParams()
 	params.RAMBytes = 2 << 20
 	params.SSDBytes = 6 << 20
-	base := cluster.Config{
+	base := serverless.Fleet{
 		Nodes: 2, GPUsPerNode: 4,
 		Cache:          params,
 		LocalityWeight: 0.8,
 		Seed:           7,
 	}
-	results, err := cluster.RunPolicySweep(base, mkDeps)
-	if err != nil {
-		return nil, err
-	}
-
 	r := &Report{
 		ID:    "ext-cache-policies",
 		Title: "Extension: tiered artifact cache eviction policies (2 nodes, 10 models, Zipf popularity)",
 		Header: []string{"policy", "hit rate", "ram/ssd/miss", "coalesced",
 			"cold start p50(s)", "cold start p99(s)", "TTFT p99(s)", "fetched MB"},
 	}
-	kinds := artifactcache.PolicyKinds()
-	for i, res := range results {
+	for _, kind := range artifactcache.PolicyKinds() {
+		// Each policy's run regenerates its deployments, so it starts
+		// from a fresh trace and profile (runs must not share mutable
+		// state).
+		deps, err := mkDeps()
+		if err != nil {
+			return nil, err
+		}
+		cfg := base
+		cfg.Cache.Policy = kind
+		cfg.Deployments = deps
+		res, err := serverless.RunFleet(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("ext-cache-policies: policy %v: %w", kind, err)
+		}
 		cs, ttft := &metrics.Sample{}, &metrics.Sample{}
 		for _, d := range res.PerDeployment {
 			cs.AddAll(d.ColdStart)
 			ttft.AddAll(d.TTFT)
 		}
 		st := res.Cache
-		r.AddRow(kinds[i].String(),
+		r.AddRow(kind.String(),
 			pct(st.HitRate()),
 			fmt.Sprintf("%d/%d/%d", st.RAMHits, st.SSDHits, st.Misses),
 			fmt.Sprintf("%d", st.Coalesced),

@@ -54,7 +54,7 @@ type Context struct {
 // ext-fleet experiment. The policy fields hold the names accepted by
 // autoscale.Parse and router.Parse — names rather than constructed
 // policies, because a stateful policy must be built fresh for every
-// cluster.Run and the sweep runs many.
+// serverless.RunFleet and the sweep runs many.
 type FleetOverrides struct {
 	Autoscale string
 	Router    string

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
-	"github.com/medusa-repro/medusa/internal/cluster"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
@@ -98,7 +97,7 @@ func runExtBatching(c *Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cluster.ZipfDeployments(deps, trace, 67, zipf)
+		return serverless.ZipfDeployments(deps, trace, 67, zipf)
 	}
 
 	r := &Report{
@@ -112,7 +111,7 @@ func runExtBatching(c *Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := cluster.Run(cluster.Config{
+		res, err := serverless.RunFleet(serverless.Fleet{
 			Nodes: 2, GPUsPerNode: 2,
 			Cache:          artifactcache.DefaultParams(),
 			LocalityWeight: 0.8,

@@ -6,7 +6,6 @@ import (
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
 	"github.com/medusa-repro/medusa/internal/autoscale"
-	"github.com/medusa-repro/medusa/internal/cluster"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/metrics"
@@ -182,7 +181,7 @@ func runExtFleet(c *Context) (*Report, error) {
 		// control plane earns its keep: predictive scale-ahead moves the
 		// fetch off the deadline's critical path, and locality-aware
 		// placement avoids paying it at all.
-		res, err := cluster.Run(cluster.Config{
+		res, err := serverless.RunFleet(serverless.Fleet{
 			Nodes: 4, GPUsPerNode: 6,
 			Cache: artifactcache.Params{
 				RAMBytes: 4 << 20,

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
-	"github.com/medusa-repro/medusa/internal/cluster"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/medusa"
 	"github.com/medusa-repro/medusa/internal/metrics"
@@ -121,12 +120,12 @@ func runExtTemplate(c *Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cluster.ZipfDeployments(deps, trace, 43, 1.2)
+		return serverless.ZipfDeployments(deps, trace, 43, 1.2)
 	}
 	params := artifactcache.DefaultParams()
 	params.RAMBytes = 2 << 20
 	params.SSDBytes = 6 << 20
-	base := cluster.Config{
+	base := serverless.Fleet{
 		Nodes: 2, GPUsPerNode: 4,
 		Cache:          params,
 		LocalityWeight: 0.8,
@@ -147,7 +146,7 @@ func runExtTemplate(c *Context) (*Report, error) {
 		}
 		cfg := base
 		cfg.Deployments = deps
-		res, err := cluster.Run(cfg)
+		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			return nil, err
 		}

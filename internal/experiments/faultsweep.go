@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
-	"github.com/medusa-repro/medusa/internal/cluster"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/metrics"
@@ -72,7 +71,7 @@ func runExtFaultSweep(c *Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cluster.ZipfDeployments(deps, trace, 53, 1.2)
+		return serverless.ZipfDeployments(deps, trace, 53, 1.2)
 	}
 
 	type point struct {
@@ -111,7 +110,7 @@ func runExtFaultSweep(c *Context) (*Report, error) {
 			return nil, err
 		}
 		plan := pt.plan
-		ccfg := cluster.Config{
+		ccfg := serverless.Fleet{
 			Nodes: 2, GPUsPerNode: 4,
 			Cache:          params,
 			LocalityWeight: 0.8,
@@ -119,7 +118,7 @@ func runExtFaultSweep(c *Context) (*Report, error) {
 			Deployments:    deps,
 			Faults:         serverless.FaultSpec{Plan: &plan},
 		}
-		res, err := cluster.Run(ccfg)
+		res, err := serverless.RunFleet(ccfg)
 		if err != nil {
 			return nil, fmt.Errorf("fault sweep p=%s: %w", pt.label, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/medusa-repro/medusa/internal/cluster"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
@@ -81,11 +80,11 @@ func runExtScale(c *Context) (*Report, error) {
 		if err != nil {
 			return scaleRepStats{}, err
 		}
-		arrivals, err := cluster.ZipfArrivals(src, len(deps), 43+int64(rep), 1.2)
+		arrivals, err := serverless.ZipfArrivals(src, len(deps), 43+int64(rep), 1.2)
 		if err != nil {
 			return scaleRepStats{}, err
 		}
-		res, err := cluster.Run(cluster.Config{
+		res, err := serverless.RunFleet(serverless.Fleet{
 			Nodes: 3, Seed: 7 + int64(rep),
 			Deployments: deps,
 			Arrivals:    arrivals,

@@ -1,6 +1,10 @@
 package serverless
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
@@ -79,3 +83,96 @@ func (m *mergeArrivals) Next() (int, workload.Request, bool) {
 }
 
 func (m *mergeArrivals) Err() error { return m.err }
+
+// newZipf draws deployment indices in [0, n) with skew s. The skew must
+// be finite and > 1: math/rand's sampler never returns for NaN or +Inf.
+func newZipf(n int, seed int64, s float64) (*rand.Zipf, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("serverless: no deployments to split across")
+	}
+	if !(s > 1) || math.IsInf(s, 1) {
+		return nil, fmt.Errorf("serverless: Zipf skew must be finite and > 1, got %g", s)
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(seed)), s, 1, uint64(n-1))
+	if zipf == nil {
+		return nil, fmt.Errorf("serverless: invalid Zipf parameters (s=%g, n=%d)", s, n)
+	}
+	return zipf, nil
+}
+
+// ZipfDeployments splits one Poisson arrival process across the given
+// deployments with Zipf-distributed popularity (skew s > 1; rank 0 is
+// the most popular). The returned slices preserve each deployment's
+// own arrival ordering and re-number per-deployment request IDs.
+func ZipfDeployments(deps []Deployment, trace []workload.Request, seed int64, s float64) ([]Deployment, error) {
+	zipf, err := newZipf(len(deps), seed, s)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Deployment, len(deps))
+	copy(out, deps)
+	for i := range out {
+		out[i].Requests = nil
+	}
+	for _, r := range trace {
+		di := int(zipf.Uint64())
+		r.ID = len(out[di].Requests)
+		out[di].Requests = append(out[di].Requests, r)
+	}
+	for i := range out {
+		if len(out[i].Requests) == 0 {
+			// Every deployment needs at least one request or the core
+			// rejects it; steal the tail of the busiest deployment.
+			busiest := 0
+			for j := range out {
+				if len(out[j].Requests) > len(out[busiest].Requests) {
+					busiest = j
+				}
+			}
+			if len(out[busiest].Requests) < 2 {
+				return nil, fmt.Errorf("serverless: trace too small to cover %d deployments", len(deps))
+			}
+			last := len(out[busiest].Requests) - 1
+			r := out[busiest].Requests[last]
+			out[busiest].Requests = out[busiest].Requests[:last]
+			r.ID = 0
+			out[i].Requests = []workload.Request{r}
+		}
+	}
+	return out, nil
+}
+
+// zipfArrivals streams one arrival process across a fleet of
+// deployments with Zipf-distributed popularity — the pull-based
+// counterpart of ZipfDeployments. Draw order matches ZipfDeployments
+// exactly (one Zipf draw per request, in trace order), so both paths
+// route request k of the trace to the same deployment. Unlike the
+// slice-based splitter it never materializes the trace and never
+// reshuffles requests into empty deployments: a deployment the Zipf
+// draw skips simply serves no traffic.
+type zipfArrivals struct {
+	src  workload.Source
+	zipf *rand.Zipf
+}
+
+// ZipfArrivals wraps a request source into a fleet-wide arrival stream
+// with Zipf-distributed deployment popularity (skew s > 1; deployment 0
+// is the most popular). numDeps must match the simulation's deployment
+// count.
+func ZipfArrivals(src workload.Source, numDeps int, seed int64, s float64) (ArrivalSource, error) {
+	zipf, err := newZipf(numDeps, seed, s)
+	if err != nil {
+		return nil, err
+	}
+	return &zipfArrivals{src: src, zipf: zipf}, nil
+}
+
+func (z *zipfArrivals) Next() (int, workload.Request, bool) {
+	req, ok := z.src.Next()
+	if !ok {
+		return 0, workload.Request{}, false
+	}
+	return int(z.zipf.Uint64()), req, true
+}
+
+func (z *zipfArrivals) Err() error { return z.src.Err() }

@@ -1,4 +1,4 @@
-package cluster
+package serverless
 
 import (
 	"os"
@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/sched"
-	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
@@ -29,11 +28,11 @@ func TestBatchSmoke100k(t *testing.T) {
 		t.Skip("set MEDUSA_BATCH_SMOKE=1 to run the 100k-request batched smoke (make batch-smoke)")
 	}
 	models := fixtureModels[:2]
-	deps := make([]serverless.Deployment, 0, len(models))
+	deps := make([]Deployment, 0, len(models))
 	for i, name := range models {
 		dcfg := idleOut(medusaDeployment(t, name, int64(i+1)), 500*time.Millisecond)
 		dcfg.Scheduler.Batch = sched.Params{BatchTokens: 512, KVBlocks: 96, ChunkedPrefill: true}
-		deps = append(deps, serverless.Deployment{Name: name, Config: dcfg})
+		deps = append(deps, Deployment{Name: name, Config: dcfg})
 	}
 	// Prompts clamp to 512 tokens so the largest request needs 34 KV
 	// blocks — admissible against the 96-block pool, tight enough that
@@ -49,7 +48,7 @@ func TestBatchSmoke100k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	cfg := Fleet{
 		Nodes: 2, GPUsPerNode: 8, Seed: 7,
 		Deployments: deps,
 		Arrivals:    arrivals,
@@ -59,7 +58,7 @@ func TestBatchSmoke100k(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	res, err := Run(cfg)
+	res, err := RunFleet(cfg)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {

@@ -54,7 +54,7 @@ func batchedFixture(t testing.TB) (MultiConfig, [][]workload.Request) {
 // batchedSummary extends multiSummary with the batched-mode outputs —
 // the TPOT sample and preemption counter — so identity tests cover
 // them too.
-func batchedSummary(res *MultiResult) string {
+func batchedSummary(res *FleetResult) string {
 	out := multiSummary(res)
 	for _, d := range res.PerDeployment {
 		if d.TPOT != nil {

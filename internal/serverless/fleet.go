@@ -2,6 +2,7 @@ package serverless
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"time"
@@ -18,30 +19,32 @@ import (
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
+// DefaultLocalityWeight is the placement trade-off the command-line
+// tools use when the caller does not set one: locality contributes up
+// to this much score against a load term in [0, 1].
+const DefaultLocalityWeight = 0.6
+
 // Fleet parameterizes one run of the simulator core: deployments
-// sharing a fleet of identical nodes. It is internal/cluster's Config;
-// cluster.Run fills its defaults and calls RunFleet, and RunMulti runs
-// a single node without an artifact cache.
+// sharing a fleet of identical nodes, each fronting the shared artifact
+// registry with a tiered cache. RunFleet fills its zero fields with the
+// defaults documented below; RunMulti and Run run the same core as one
+// node without an artifact cache.
 type Fleet struct {
-	// Nodes is the fleet size (cluster default 2).
+	// Nodes is the fleet size (default 2).
 	Nodes int
-	// GPUsPerNode bounds instances per node (cluster default 4, the
-	// paper's testbed as one node).
+	// GPUsPerNode bounds instances per node (default 4, the paper's
+	// testbed as one node).
 	GPUsPerNode int
 	// Cache sizes and times each node's local tiers and selects the
-	// eviction policy (cluster.Run fills a zero value with
-	// artifactcache.DefaultParams).
+	// eviction policy (default artifactcache.DefaultParams).
 	Cache artifactcache.Params
-	// Network times the shared artifact registry link (cluster.Run fills
-	// a zero value with artifactcache.DefaultNetwork). RunFleet reads a
-	// zero value as no registry: the nodes have no artifact cache, the
-	// artifact read from storage stays inside the restore stage, and
-	// the fault plan's RegistryTimeout and NodeCrashes entries are
-	// ignored — the single pool.
+	// Network times the shared artifact registry link (default
+	// artifactcache.DefaultNetwork).
 	Network storage.Array
 	// LocalityWeight scales the placer's preference for nodes whose
 	// cache holds the deployment's artifact: score = weight·locality −
-	// load. 0 means pure load balancing; negative values are rejected.
+	// load. 0 means pure load balancing; negative and non-finite
+	// values are rejected.
 	LocalityWeight float64
 	// WarmContainersPerNode sizes each node's pool of pre-initialized
 	// execution environments; launches beyond it also pay runtime init.
@@ -66,12 +69,6 @@ type Fleet struct {
 	// nondecreasing. Deployments' Requests/Source fields are ignored
 	// when set.
 	Arrivals ArrivalSource
-	// RetainPerRequest keeps every per-request latency observation in
-	// every deployment's samples (exact quantiles, O(requests) memory); a
-	// deployment's own Config.RetainPerRequest does so for it alone. Off
-	// by default: samples keep exact count/mean/max plus a deterministic
-	// bounded reservoir for quantiles.
-	RetainPerRequest bool
 	// Autoscaler decides how many instances each deployment keeps live,
 	// consulted at every control tick (arrival, iteration end, idle
 	// retirement, node crash). Nil selects the reactive baseline, which
@@ -99,12 +96,59 @@ type Fleet struct {
 	// cold-start stages and crashed nodes' work is re-placed. A nil or
 	// zero plan leaves the simulation bit-identical to a fault-free
 	// build. Node crashes must name nodes of the fleet and leave one
-	// standing (cluster.Run checks). See FAILURES.md for the catalog.
+	// standing. See FAILURES.md for the catalog.
 	Faults FaultSpec
 }
 
-// FleetResult aggregates one RunFleet simulation.
+// withDefaults fills the fleet defaults and rejects configurations the
+// fleet cannot run.
+func (f Fleet) withDefaults() (Fleet, error) {
+	if f.Nodes == 0 {
+		f.Nodes = 2
+	}
+	if f.GPUsPerNode == 0 {
+		f.GPUsPerNode = 4
+	}
+	if f.Nodes < 0 || f.GPUsPerNode < 0 {
+		return f, fmt.Errorf("serverless: Nodes %d and GPUsPerNode %d must be positive", f.Nodes, f.GPUsPerNode)
+	}
+	if !(f.LocalityWeight >= 0) || math.IsInf(f.LocalityWeight, 1) {
+		return f, fmt.Errorf("serverless: LocalityWeight must be finite and ≥ 0, got %g", f.LocalityWeight)
+	}
+	if f.WarmContainersPerNode < 0 {
+		return f, fmt.Errorf("serverless: WarmContainersPerNode must be ≥ 0, got %d", f.WarmContainersPerNode)
+	}
+	if err := f.SLO.Validate(); err != nil {
+		return f, err
+	}
+	if f.Cache == (artifactcache.Params{}) {
+		f.Cache = artifactcache.DefaultParams()
+	}
+	if f.Network == (storage.Array{}) {
+		f.Network = artifactcache.DefaultNetwork()
+	}
+	if f.Faults.Plan != nil {
+		if err := f.Faults.Validate(); err != nil {
+			return f, err
+		}
+		crashed := make(map[int]bool)
+		for _, nc := range f.Faults.Plan.NodeCrashes {
+			if nc.Node >= f.Nodes {
+				return f, fmt.Errorf("serverless: fault plan crashes node %d of a %d-node fleet", nc.Node, f.Nodes)
+			}
+			crashed[nc.Node] = true
+		}
+		if len(crashed) >= f.Nodes {
+			return f, fmt.Errorf("serverless: fault plan crashes all %d nodes; at least one must survive", f.Nodes)
+		}
+	}
+	return f, nil
+}
+
+// FleetResult aggregates one run of the simulator core.
 type FleetResult struct {
+	// Config echoes the normalized configuration the run used.
+	Config Fleet
 	// PerDeployment holds each deployment's statistics, in
 	// configuration order.
 	PerDeployment []*FleetDeployment
@@ -142,6 +186,15 @@ type FleetResult struct {
 	Makespan time.Duration
 	// Work counts what the simulator core did to produce the result.
 	Work Work
+}
+
+// SLOAttainment returns the fleet-wide fraction of completed requests
+// that met every configured deadline (0 when nothing completed).
+func (r *FleetResult) SLOAttainment() float64 {
+	if r.Completed == 0 {
+		return 0
+	}
+	return float64(r.SLOMet) / float64(r.Completed)
 }
 
 // Work counts the simulator core's own work in one run: deterministic
@@ -237,19 +290,29 @@ func artifactCacheKey(modelName string, strategy engine.Strategy) string {
 	return engine.ArtifactKey(modelName) + "@" + strategy.String()
 }
 
-// RunFleet runs the simulator core. It prepares every deployment once
-// — defaults, the profile and the vanilla fallback profile, the
+// RunFleet runs the simulator core on a fleet whose nodes front the
+// shared artifact registry with tiered caches. It fills the fleet
+// defaults and rejects configurations the fleet cannot run.
+func RunFleet(f Fleet) (*FleetResult, error) {
+	f, err := f.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return simulate(f, artifactcache.NewRegistry(f.Network))
+}
+
+// simulate runs the simulator core. A nil registry gives the nodes no
+// artifact cache: the artifact read from storage stays inside the
+// restore stage and the fault plan's RegistryTimeout and NodeCrashes
+// entries are ignored — the single pool. It prepares every deployment
+// once — defaults, the profile and the vanilla fallback profile, the
 // artifact's registry entry or storage-read cost, batched-mode KV
 // sizing, instruments — merges the traffic, and runs the event loop.
-func RunFleet(f Fleet) (*FleetResult, error) {
+func simulate(f Fleet, registry *artifactcache.Registry) (*FleetResult, error) {
 	if len(f.Deployments) == 0 {
 		return nil, fmt.Errorf("serverless: no deployments")
 	}
-	sim := &simulation{cfg: f, reg: obs.NewRegistry(), scaler: f.Autoscaler, router: f.Router}
-	// A zero Network is the single pool: no registry, no node caches.
-	if f.Network != (storage.Array{}) {
-		sim.registry = artifactcache.NewRegistry(f.Network)
-	}
+	sim := &simulation{cfg: f, reg: obs.NewRegistry(), registry: registry, scaler: f.Autoscaler, router: f.Router}
 	if sim.scaler == nil {
 		sim.scaler = autoscale.NewReactive()
 	}
@@ -431,7 +494,7 @@ func (s *simulation) prepare(di int, dep Deployment) (*depState, error) {
 			return nil, fmt.Errorf("serverless: profiling %s fallback: %w", dep.Name, err)
 		}
 	}
-	if s.cfg.RetainPerRequest || dcfg.RetainPerRequest {
+	if dcfg.RetainPerRequest {
 		d.reg.RetainSamples()
 	}
 	d.bindInstruments()

@@ -1,11 +1,10 @@
-package cluster
+package serverless
 
 import (
 	"testing"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
-	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
@@ -14,16 +13,16 @@ import (
 // popularity churning through two nodes with tight caches and short
 // idle timeouts, so the run exercises placement, cache contention,
 // continual relaunching and the full event-loop hot path.
-func benchZipfFleet(b *testing.B, rps float64, seconds int) Config {
+func benchZipfFleet(b *testing.B, rps float64, seconds int) Fleet {
 	b.Helper()
 	cfg := churnConfig(artifactcache.PolicyCostAware)
 	cfg.Nodes = 4
 	cfg.Cache.RAMBytes = 3 << 20
 	cfg.Cache.SSDBytes = 6 << 20
 	cfg.LocalityWeight = 0.8
-	deps := make([]serverless.Deployment, 0, len(fixtureModels))
+	deps := make([]Deployment, 0, len(fixtureModels))
 	for i, name := range fixtureModels {
-		deps = append(deps, serverless.Deployment{
+		deps = append(deps, Deployment{
 			Name:   name,
 			Config: idleOut(medusaDeployment(b, name, int64(i+1)), 250*time.Millisecond),
 		})
@@ -74,7 +73,7 @@ func BenchmarkClusterSimWallclock(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Each deployment's Requests slice is read-only to Run, so
 				// the config is reusable across iterations.
-				res, err := Run(cfg)
+				res, err := RunFleet(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,4 +1,4 @@
-package cluster
+package serverless
 
 import (
 	"os"
@@ -8,7 +8,6 @@ import (
 	"github.com/medusa-repro/medusa/internal/autoscale"
 	"github.com/medusa-repro/medusa/internal/router"
 	"github.com/medusa-repro/medusa/internal/sched"
-	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
@@ -40,11 +39,11 @@ func TestFleetSmoke100k(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := fixtureModels[:2]
-	deps := make([]serverless.Deployment, 0, len(models))
+	deps := make([]Deployment, 0, len(models))
 	for i, name := range models {
 		dcfg := idleOut(medusaDeployment(t, name, int64(i+1)), 2*time.Second)
 		dcfg.Scheduler.Batch = sched.Params{BatchTokens: 512, KVBlocks: 256, ChunkedPrefill: true}
-		deps = append(deps, serverless.Deployment{Name: name, Config: dcfg, Source: srcs[i]})
+		deps = append(deps, Deployment{Name: name, Config: dcfg, Source: srcs[i]})
 	}
 	scaler, err := autoscale.NewPredictive(autoscale.PredictiveConfig{Window: 2 * time.Second})
 	if err != nil {
@@ -54,16 +53,16 @@ func TestFleetSmoke100k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	cfg := Fleet{
 		Nodes: 4, GPUsPerNode: 8, Seed: 7,
 		Deployments: deps,
 		Autoscaler:  scaler,
 		Router:      route,
-		SLO:         serverless.SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond},
+		SLO:         SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond},
 	}
 
 	start := time.Now()
-	res, err := Run(cfg)
+	res, err := RunFleet(cfg)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

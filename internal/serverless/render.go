@@ -1,14 +1,17 @@
-package cluster
+package serverless
 
 import (
 	"fmt"
+	"sort"
 	"strings"
+
+	"github.com/medusa-repro/medusa/internal/obs"
 )
 
-// Render is the Result's canonical text form: a pure function of the
-// simulation outcome, used by the determinism tests (byte-identical
+// Render is the FleetResult's canonical text form: a pure function of
+// the simulation outcome, used by the determinism tests (byte-identical
 // across repetitions and GOMAXPROCS) and printed by medusa-simulate.
-func (r *Result) Render() string {
+func (r *FleetResult) Render() string {
 	// Fault lines only appear under a nonzero plan so that fault-free
 	// output stays byte-identical to builds without fault injection.
 	withFaults := r.Config.Faults.Plan != nil && !r.Config.Faults.Plan.Zero()
@@ -89,4 +92,12 @@ func (r *Result) Render() string {
 	fmt.Fprintf(&b, "cold starts %d  gpu_seconds %.3f  makespan %v\n",
 		r.TotalColdStarts, r.GPUSeconds, r.Makespan)
 	return b.String()
+}
+
+// sortedPhases lists a breakdown's phases sorted by name (rendering
+// must not depend on first-charged order, which varies with workload).
+func sortedPhases(b *obs.PhaseBreakdown) []string {
+	phases := b.Phases()
+	sort.Strings(phases)
+	return phases
 }

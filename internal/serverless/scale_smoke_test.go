@@ -1,4 +1,4 @@
-package cluster
+package serverless
 
 import (
 	"os"
@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
@@ -49,9 +48,9 @@ func TestScaleSmoke1M(t *testing.T) {
 		t.Skip("set MEDUSA_SCALE_SMOKE=1 to run the 1M-request scale smoke (make bench-smoke)")
 	}
 	models := fixtureModels[:4]
-	deps := make([]serverless.Deployment, 0, len(models))
+	deps := make([]Deployment, 0, len(models))
 	for i, name := range models {
-		deps = append(deps, serverless.Deployment{
+		deps = append(deps, Deployment{
 			Name:   name,
 			Config: idleOut(medusaDeployment(t, name, int64(i+1)), 500*time.Millisecond),
 		})
@@ -67,7 +66,7 @@ func TestScaleSmoke1M(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	cfg := Fleet{
 		Nodes: 4, GPUsPerNode: 8, Seed: 7,
 		Deployments: deps,
 		Arrivals:    arrivals,
@@ -77,7 +76,7 @@ func TestScaleSmoke1M(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	res, err := Run(cfg)
+	res, err := RunFleet(cfg)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {

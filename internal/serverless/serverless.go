@@ -6,10 +6,12 @@
 // discrete-event simulation reproduces the queueing dynamics behind
 // Figures 10 and 11: cold starts inflate time-to-first-token tails.
 //
-// The package holds the simulator core: one event loop (sim.go),
-// entered through RunFleet, that serves every scale. Run and RunMulti
-// run it as a single node without an artifact cache; internal/cluster
-// runs it as a multi-node fleet whose nodes cache artifacts.
+// The package holds the simulator core: one event loop (sim.go) that
+// serves every scale. RunFleet runs it as a multi-node fleet whose
+// nodes front the shared artifact registry with tiered caches (§9 of
+// DESIGN.md); RunMulti and Run run it as a single node without an
+// artifact cache. RunFleet and RunMulti return a FleetResult, whose
+// Render is the canonical text form medusa-simulate prints.
 package serverless
 
 import (
@@ -196,7 +198,7 @@ func (c CacheSpec) EncodedTemplateBytes() uint64 {
 }
 
 // SLO sets per-request latency deadlines. The zero value disables SLO
-// accounting entirely; with either deadline set, the cluster simulator
+// accounting entirely; with either deadline set, the fleet (RunFleet)
 // tracks the fraction of completed requests meeting every configured
 // deadline (SLO attainment) as a first-class result.
 type SLO struct {
@@ -224,16 +226,16 @@ func (s SLO) Validate() error {
 }
 
 // FaultSpec groups fault injection. The sub-config exists so the
-// serverless and cluster configurations share one validation path and
-// one field-path namespace for fault options.
+// deployment, pool and fleet configurations share one validation path
+// and one field-path namespace for fault options.
 type FaultSpec struct {
 	// Plan, when set to a nonzero plan, injects deterministic faults
 	// into artifact-based launches: SSD read errors (retried with
 	// backoff, then degrade), artifact corruption and restore-validation
 	// mismatches (degrade to the vanilla cold-start stages). The
-	// single-pool simulator has no registry or nodes, so RegistryTimeout
-	// and NodeCrashes entries are ignored here; the cluster simulator
-	// exercises them. Nil or a zero plan changes nothing.
+	// single pool (Run, RunMulti) has no registry and one node, so
+	// RegistryTimeout and NodeCrashes entries are ignored there; the
+	// fleet (RunFleet) exercises them. Nil or a zero plan changes nothing.
 	Plan *faults.Plan
 }
 
@@ -588,8 +590,8 @@ type Deployment struct {
 	// Name labels the deployment in results.
 	Name string
 	// Config carries the model, strategy and per-deployment policies.
-	// NumGPUs and WarmContainers are cluster-wide and taken from
-	// MultiConfig instead.
+	// NumGPUs and Scheduler.WarmContainers are pool-wide and taken from
+	// MultiConfig or Fleet instead.
 	Config Config
 	// Requests is the deployment's arrival trace.
 	Requests []workload.Request
@@ -621,44 +623,22 @@ type MultiConfig struct {
 	Faults FaultSpec
 }
 
-// MultiResult aggregates a shared-cluster simulation.
-type MultiResult struct {
-	// PerDeployment holds each deployment's latency statistics, in
-	// configuration order.
-	PerDeployment []*Result
-	// TotalColdStarts counts instance launches across deployments.
-	TotalColdStarts int
-	// GPUSeconds is total provisioned GPU time (busy or idle) — the
-	// cost side of the hot-spare trade-off.
-	GPUSeconds float64
-	// Makespan spans simulation start to the last completion.
-	Makespan time.Duration
-}
-
 // RunMulti simulates several deployments contending for one GPU pool:
-// the simulator core on a single node of NumGPUs GPUs and
+// the simulator core on a single node of NumGPUs GPUs (default 4) and
 // WarmContainers warm containers, without an artifact cache, under the
 // reactive autoscaler and launch-order dispatch.
-func RunMulti(cfg MultiConfig) (*MultiResult, error) {
+func RunMulti(cfg MultiConfig) (*FleetResult, error) {
 	if cfg.NumGPUs == 0 {
 		cfg.NumGPUs = 4
 	}
-	fr, err := RunFleet(Fleet{
+	return simulate(Fleet{
 		Nodes:                 1,
 		GPUsPerNode:           cfg.NumGPUs,
 		WarmContainersPerNode: cfg.WarmContainers,
 		Deployments:           cfg.Deployments,
 		Arrivals:              cfg.Arrivals,
 		Faults:                cfg.Faults,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &MultiResult{TotalColdStarts: fr.TotalColdStarts, GPUSeconds: fr.GPUSeconds, Makespan: fr.Makespan}
-	for _, d := range fr.PerDeployment {
-		out.PerDeployment = append(out.PerDeployment, &d.Result)
-	}
-	return out, nil
+	}, nil)
 }
 
 // Run simulates serving one deployment's trace and returns its latency
@@ -671,7 +651,7 @@ func Run(cfg Config, reqs []workload.Request) (*Result, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("serverless: empty trace")
 	}
-	multi, err := RunMulti(MultiConfig{
+	res, err := RunMulti(MultiConfig{
 		NumGPUs:        cfg.NumGPUs,
 		WarmContainers: cfg.Scheduler.WarmContainers,
 		Deployments:    []Deployment{{Name: cfg.Model.Name, Config: cfg, Requests: reqs}},
@@ -680,5 +660,5 @@ func Run(cfg Config, reqs []workload.Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return multi.PerDeployment[0], nil
+	return &res.PerDeployment[0].Result, nil
 }

@@ -19,10 +19,10 @@ import (
 
 // The simulator core is one event loop for every scale: deployments
 // share a fleet of identical nodes, each deployment with its own queue,
-// autoscaling target and loading strategy. RunMulti runs it as a single
-// node without an artifact cache (one GPU pool, §7.5); internal/cluster
-// runs it as a multi-node fleet whose nodes front a shared artifact
-// registry with tiered caches (RunFleet).
+// autoscaling target and loading strategy. RunFleet runs it as a
+// multi-node fleet whose nodes front a shared artifact registry with
+// tiered caches; RunMulti runs it as a single node without an artifact
+// cache (one GPU pool, §7.5). Both enter through simulate.
 //
 // The loop is built to scale to 10M+ requests per run:
 //
@@ -337,7 +337,7 @@ type simulation struct {
 	nodes []*nodeState
 
 	// The control plane: scaler decides instance counts at control ticks
-	// (never nil — RunFleet defaults it to the reactive baseline), router
+	// (never nil — simulate defaults it to the reactive baseline), router
 	// orders dispatch (nil = launch-order walk).
 	scaler autoscale.Policy
 	router router.Policy
@@ -657,7 +657,7 @@ func (s *simulation) retire(inst *instState) {
 
 // assemble builds the results, including GPU- and node-time accounting.
 func (s *simulation) assemble() *FleetResult {
-	out := &FleetResult{Metrics: s.reg, Makespan: s.lastDone,
+	out := &FleetResult{Config: s.cfg, Metrics: s.reg, Makespan: s.lastDone,
 		GPUSeconds: s.gpuSeconds, Completed: s.completed, Work: s.work}
 	for _, d := range s.deps {
 		completed := int(d.cCompleted.Value())

@@ -13,7 +13,7 @@ import (
 // multiSummary flattens the observable outcome of a multi-deployment
 // run into one comparable string: every latency summary, counter and
 // aggregate the exporters read.
-func multiSummary(res *MultiResult) string {
+func multiSummary(res *FleetResult) string {
 	out := fmt.Sprintf("cold=%d gpu=%.9f makespan=%v\n", res.TotalColdStarts, res.GPUSeconds, res.Makespan)
 	for _, d := range res.PerDeployment {
 		out += fmt.Sprintf("completed=%d cold=%d peak=%d throughput=%.9f\n",
