@@ -129,6 +129,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzTemplateRoundTrip -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzDeltaCorrupted -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzDecodeTemplate -fuzztime 30s ./internal/medusa/
+	$(GO) test -run xxx -fuzz FuzzDeltaApply -fuzztime 30s ./internal/medusa/
+	$(GO) test -run xxx -fuzz FuzzDeltaEncodeOracle -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzEncodeDecode -fuzztime 30s ./internal/tokenizer/
 
 cover:

@@ -1,6 +1,7 @@
 package cuda
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -696,5 +697,22 @@ func TestCaptureAlwaysValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestEncodeArgsImagesIsolated(t *testing.T) {
+	args := []Value{PtrValue(0x7f00_0000_1000), U32Value(7), F32Value(2), U64Value(9)}
+	raw := EncodeArgs(args)
+	for i, img := range raw {
+		if len(img) != args[i].Kind.Size() || cap(img) != len(img) {
+			t.Fatalf("image %d: len %d cap %d, want both %d", i, len(img), cap(img), args[i].Kind.Size())
+		}
+		if !bytes.Equal(img, args[i].Encode()) {
+			t.Fatalf("image %d = %x, want %x", i, img, args[i].Encode())
+		}
+	}
+	_ = append(raw[1], 0xAA, 0xBB, 0xCC, 0xDD)
+	if got, err := DecodeArgs([]ParamKind{Ptr, U32, F32, U64}, raw); err != nil || got[2] != args[2] {
+		t.Fatalf("appending to image 1 changed image 2: %v, %v", got, err)
 	}
 }

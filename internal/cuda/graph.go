@@ -180,28 +180,32 @@ func (g *Graph) NodeCount() int { return len(g.nodes) }
 // Validate checks IDs are dense, dependencies reference earlier valid
 // nodes, and the graph is acyclic.
 func (g *Graph) Validate() error {
+	_, err := g.validate()
+	return err
+}
+
+// validate is Validate, returning the topological order it computed
+// so Instantiate does not compute it twice.
+func (g *Graph) validate() ([]int, error) {
 	for i, n := range g.nodes {
 		if n.ID != i {
-			return fmt.Errorf("node %d has ID %d", i, n.ID)
+			return nil, fmt.Errorf("node %d has ID %d", i, n.ID)
 		}
 		if len(n.Params) != len(n.ParamSizes) {
-			return fmt.Errorf("node %d: %d params, %d sizes", i, len(n.Params), len(n.ParamSizes))
+			return nil, fmt.Errorf("node %d: %d params, %d sizes", i, len(n.Params), len(n.ParamSizes))
 		}
 		for j, p := range n.Params {
 			if len(p) != n.ParamSizes[j] {
-				return fmt.Errorf("node %d param %d: image %d bytes, declared %d", i, j, len(p), n.ParamSizes[j])
+				return nil, fmt.Errorf("node %d param %d: image %d bytes, declared %d", i, j, len(p), n.ParamSizes[j])
 			}
 		}
 		for _, d := range n.Deps {
 			if d < 0 || d >= len(g.nodes) {
-				return fmt.Errorf("node %d depends on invalid node %d", i, d)
+				return nil, fmt.Errorf("node %d depends on invalid node %d", i, d)
 			}
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	return g.TopoOrder()
 }
 
 // TopoOrder returns a topological ordering of node IDs (dependencies
@@ -209,11 +213,24 @@ func (g *Graph) Validate() error {
 func (g *Graph) TopoOrder() ([]int, error) {
 	n := len(g.nodes)
 	indeg := make([]int, n)
-	succ := make([][]int, n)
+	// Successor lists in one flat array: node d's successors, in node
+	// order, are succ[start[d]:start[d+1]].
+	start := make([]int, n+1)
 	for _, node := range g.nodes {
 		for _, d := range node.Deps {
-			succ[d] = append(succ[d], node.ID)
+			start[d+1]++
 			indeg[node.ID]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	succ := make([]int, start[n])
+	fill := append([]int(nil), start[:n]...)
+	for _, node := range g.nodes {
+		for _, d := range node.Deps {
+			succ[fill[d]] = node.ID
+			fill[d]++
 		}
 	}
 	// Kahn's algorithm with a FIFO over node IDs keeps the order
@@ -229,7 +246,7 @@ func (g *Graph) TopoOrder() ([]int, error) {
 		id := queue[0]
 		queue = queue[1:]
 		order = append(order, id)
-		for _, s := range succ[id] {
+		for _, s := range succ[start[id]:start[id+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				queue = append(queue, s)
@@ -253,10 +270,7 @@ type GraphExec struct {
 // kernel address must resolve to a loaded kernel with a matching
 // parameter layout — and prepares it for launch (cudaGraphInstantiate).
 func (g *Graph) Instantiate(p *Process) (*GraphExec, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	topo, err := g.TopoOrder()
+	topo, err := g.validate()
 	if err != nil {
 		return nil, err
 	}

@@ -121,10 +121,23 @@ func DecodeValue(kind ParamKind, raw []byte) (Value, error) {
 }
 
 // EncodeArgs serializes an argument list into raw parameter images.
+// The images share one slab; each is a full-slice-expression sub-slice
+// (len == cap), so appending to one can never overwrite its neighbour.
 func EncodeArgs(args []Value) [][]byte {
+	size := 0
+	for _, a := range args {
+		size += a.Kind.Size()
+	}
+	slab := make([]byte, 0, size)
 	out := make([][]byte, len(args))
 	for i, a := range args {
-		out[i] = a.Encode()
+		start := len(slab)
+		if a.Kind.Size() == 8 {
+			slab = binary.LittleEndian.AppendUint64(slab, a.Bits)
+		} else {
+			slab = binary.LittleEndian.AppendUint32(slab, uint32(a.Bits))
+		}
+		out[i] = slab[start:len(slab):len(slab)]
 	}
 	return out
 }

@@ -187,6 +187,7 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 			return ix.BackwardMatch(eventPos, p)
 		}
 	}
+	out.gr.Nodes = make([]NodeRecord, 0, len(cg.graph.Nodes()))
 	for ni, node := range cg.graph.Nodes() {
 		l := cg.launches[ni]
 		nr := NodeRecord{Deps: append([]int(nil), node.Deps...)}
@@ -206,8 +207,17 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 			out.kernels[nr.KernelName] = loc
 		}
 
+		// One slab holds the node's parameter images; each is a
+		// full-slice-expression sub-slice, so appending to one can never
+		// overwrite its neighbour.
+		slab := make([]byte, 0, paramBytes(node.Params))
+		if len(node.Params) > 0 {
+			nr.Params = make([]ParamRecord, 0, len(node.Params))
+		}
 		for _, raw := range node.Params {
-			pr := ParamRecord{Raw: append([]byte(nil), raw...)}
+			start := len(slab)
+			slab = append(slab, raw...)
+			pr := ParamRecord{Raw: slab[start:len(slab):len(slab)]}
 			if p, isPtr := looksLikePointer(raw); isPtr {
 				if idx, off, found := match(l.eventPos, p); found {
 					pr.Pointer = true
@@ -225,6 +235,15 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 		out.gr.Nodes = append(out.gr.Nodes, nr)
 	}
 	return out
+}
+
+// paramBytes sums the sizes of a node's parameter images.
+func paramBytes(params [][]byte) int {
+	n := 0
+	for _, p := range params {
+		n += len(p)
+	}
+	return n
 }
 
 // locateKernel records how the online phase can find a kernel: its

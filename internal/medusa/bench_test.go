@@ -1,6 +1,9 @@
 package medusa
 
 import (
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/medusa-repro/medusa/internal/cuda"
@@ -9,7 +12,7 @@ import (
 )
 
 // offlineBenchFixture builds a recorder + graphs without test assertions.
-func offlineBenchFixture(b *testing.B, nodes int) (*cuda.Process, *Recorder) {
+func offlineBenchFixture(b testing.TB, nodes int) (*cuda.Process, *Recorder) {
 	b.Helper()
 	rt := toyRuntime()
 	p := cuda.NewProcess(rt, vclock.New(), cuda.Config{Seed: 1, Mode: gpu.CostOnly})
@@ -73,6 +76,54 @@ func BenchmarkEncode1kNodes(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(raw)))
+	}
+}
+
+// deltaBenchFixture returns the 1k-node artifact and a template built
+// from a 900-node sibling: the graph delta needs both the aligned scan
+// and the seed index, as a real sibling-model delta does.
+func deltaBenchFixture(b testing.TB) (*Artifact, *Template) {
+	b.Helper()
+	analyze := func(nodes int) *Artifact {
+		p, rec := offlineBenchFixture(b, nodes)
+		art, err := Analyze(rec, p, AnalyzeOptions{ModelName: "bench", SkipContents: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return art
+	}
+	tmpl, err := BuildTemplate("medusa/templates/bench", analyze(900))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return analyze(1000), tmpl
+}
+
+func BenchmarkEncodeDelta1kNodes(b *testing.B) {
+	art, tmpl := deltaBenchFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		raw, err := art.EncodeDelta(tmpl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(raw)))
+	}
+}
+
+func BenchmarkDecodeResolved1kNodes(b *testing.B) {
+	art, tmpl := deltaBenchFixture(b)
+	raw, err := art.EncodeDelta(tmpl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resolve := func(string) (*Template, bool) { return tmpl, true }
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeResolved(raw, resolve); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -246,4 +297,57 @@ func BenchmarkRestore1kNodes(b *testing.B) {
 		}
 	}
 	b.ReportMetric(1000, "nodes/restore")
+}
+
+// TestCodecAllocCeilings holds the codec's allocations per call on the
+// 1k-node fixture under the checked-in ceilings in
+// testdata/max_allocs_<op>_1k: the wire writer appends without boxing,
+// and each decoded node keeps its parameter images in one slab.
+func TestCodecAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	art, tmpl := deltaBenchFixture(t)
+	v2, err := art.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := art.EncodeDelta(tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(string) (*Template, bool) { return tmpl, true }
+	ops := []struct {
+		file string
+		run  func() error
+	}{
+		{"max_allocs_encode_1k", func() error { _, err := art.Encode(); return err }},
+		{"max_allocs_encode_delta_1k", func() error { _, err := art.EncodeDelta(tmpl); return err }},
+		{"max_allocs_decode_1k", func() error { _, err := Decode(v2); return err }},
+		{"max_allocs_decode_resolved_1k", func() error { _, err := DecodeResolved(v3, resolve); return err }},
+	}
+	for _, op := range ops {
+		raw, err := os.ReadFile("testdata/" + op.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
+		if err != nil {
+			t.Fatalf("testdata/%s: %v", op.file, err)
+		}
+		var runErr error
+		got := testing.AllocsPerRun(5, func() {
+			if err := op.run(); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatalf("%s: %v", op.file, runErr)
+		}
+		t.Logf("%s: %.0f allocs/op (ceiling %.0f)", op.file, got, limit)
+		if got > limit {
+			t.Errorf("%.0f allocs/op exceeds checked-in ceiling %.0f (testdata/%s); "+
+				"if the regression is intentional, update the ceiling deliberately", got, limit, op.file)
+		}
+	}
 }

@@ -207,20 +207,37 @@ func (r *Restorer) buildNode(id int, nr *NodeRecord) (*cuda.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	node := &cuda.Node{ID: id, KernelAddr: addr, Deps: append([]int(nil), nr.Deps...)}
+	node := &cuda.Node{
+		ID:         id,
+		KernelAddr: addr,
+		Deps:       append([]int(nil), nr.Deps...),
+		Params:     make([][]byte, 0, len(nr.Params)),
+		ParamSizes: make([]int, 0, len(nr.Params)),
+	}
+	// One slab holds the node's parameter images, copied (never
+	// aliased) from the artifact; each is a full-slice-expression
+	// sub-slice, so appending to one can never overwrite its neighbour.
+	size := 0
+	for _, p := range nr.Params {
+		if p.Pointer {
+			size += 8
+		} else {
+			size += len(p.Raw)
+		}
+	}
+	slab := make([]byte, 0, size)
 	for pi, p := range nr.Params {
-		var raw []byte
+		start := len(slab)
 		if p.Pointer {
 			if !r.have[p.AllocIndex] {
 				return nil, fmt.Errorf("param %d: indirect index %d was never allocated", pi, p.AllocIndex)
 			}
-			raw = make([]byte, 8)
-			binary.LittleEndian.PutUint64(raw, r.addr[p.AllocIndex]+p.Offset)
+			slab = binary.LittleEndian.AppendUint64(slab, r.addr[p.AllocIndex]+p.Offset)
 		} else {
-			raw = append([]byte(nil), p.Raw...)
+			slab = append(slab, p.Raw...)
 		}
-		node.Params = append(node.Params, raw)
-		node.ParamSizes = append(node.ParamSizes, len(raw))
+		node.Params = append(node.Params, slab[start:len(slab):len(slab)])
+		node.ParamSizes = append(node.ParamSizes, len(slab)-start)
 	}
 	return node, nil
 }

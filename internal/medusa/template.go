@@ -70,15 +70,13 @@ func BuildTemplate(id string, a *Artifact) (*Template, error) {
 	if err := a.validate(); err != nil {
 		return nil, fmt.Errorf("medusa: refusing to build template from inconsistent artifact: %w", err)
 	}
-	t := &Template{id: id}
-	var w wireWriter
-	last := 0
-	sec := 0
-	a.encodeBody(&w, func(string) {
-		t.sections[sec] = append([]byte{}, w.buf.Bytes()[last:]...)
-		last = w.buf.Len()
-		sec++
-	})
+	body, ends, graphEnds := a.bodySections()
+	t := &Template{id: id} // seal copies the sections out of body
+	start := 0
+	for i, end := range ends {
+		t.sections[i] = body[start:end]
+		start = end
+	}
 	canonical := -1
 	for i := range a.Graphs {
 		g := &a.Graphs[i]
@@ -89,9 +87,7 @@ func BuildTemplate(id string, a *Artifact) (*Template, error) {
 		}
 	}
 	if canonical >= 0 {
-		var gw wireWriter
-		encodeGraph(&gw, &a.Graphs[canonical])
-		t.sections[2] = append([]byte{}, gw.buf.Bytes()...)
+		t.sections[2] = graphBody(body, ends[1], graphEnds, canonical)
 	} else {
 		t.sections[2] = []byte{}
 	}
@@ -99,22 +95,24 @@ func BuildTemplate(id string, a *Artifact) (*Template, error) {
 	return t, nil
 }
 
-// seal computes the canonical encoding and body CRC from the sections.
+// seal computes the canonical encoding and body CRC from the sections,
+// then points the sections at their copies inside the encoding, so a
+// template holds exactly one buffer.
 func (t *Template) seal() {
-	var w wireWriter
+	w := newEnvelopeWriter()
 	w.str(t.id)
 	w.u8(numBodySections)
-	for _, s := range t.sections {
+	var starts [numBodySections]int
+	for i, s := range t.sections {
 		w.bytes(s)
+		starts[i] = len(w.buf) - len(s)
 	}
-	body := w.buf.Bytes()
-	t.bodyCRC = crc32.ChecksumIEEE(body)
-	out := make([]byte, 0, len(body)+16)
-	out = append(out, templateMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, TemplateFormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	out = binary.LittleEndian.AppendUint32(out, t.bodyCRC)
-	t.encoded = append(out, body...)
+	t.encoded = w.seal(templateMagic, TemplateFormatVersion)
+	t.bodyCRC = binary.LittleEndian.Uint32(t.encoded[12:16])
+	for i, s := range t.sections {
+		end := starts[i] + len(s)
+		t.sections[i] = t.encoded[starts[i]:end:end]
+	}
 }
 
 // ID returns the template's registry identity.
@@ -177,7 +175,7 @@ func DecodeTemplate(p []byte) (*Template, error) {
 		r.fail("template lists %d sections, want %d", n, numBodySections)
 	}
 	for i := 0; i < numBodySections && r.err == nil; i++ {
-		t.sections[i] = r.blob(bodySectionNames[i]+" template section", 1<<26)
+		t.sections[i] = r.view(bodySectionNames[i]+" template section", 1<<26) // seal copies
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -200,17 +198,11 @@ func (a *Artifact) EncodeDelta(t *Template) ([]byte, error) {
 	if err := a.validate(); err != nil {
 		return nil, fmt.Errorf("medusa: refusing to encode inconsistent artifact: %w", err)
 	}
-	var w wireWriter
+	w := newEnvelopeWriter()
 	if err := a.encodeDeltaBody(t, &w, func(string) {}); err != nil {
 		return nil, err
 	}
-	body := w.buf.Bytes()
-	out := make([]byte, 0, len(body)+16)
-	out = append(out, wireMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, DeltaFormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return append(out, body...), nil
+	return w.seal(wireMagic, DeltaFormatVersion), nil
 }
 
 // DeltaSectionSizes attributes an EncodeDelta encoding to wire
@@ -225,8 +217,8 @@ func (a *Artifact) DeltaSectionSizes(t *Template) ([]Section, error) {
 	out := []Section{{Name: "envelope", Bytes: 16}}
 	last := 0
 	err := a.encodeDeltaBody(t, &w, func(section string) {
-		out = append(out, Section{Name: section, Bytes: uint64(w.buf.Len() - last)})
-		last = w.buf.Len()
+		out = append(out, Section{Name: section, Bytes: uint64(len(w.buf) - last)})
+		last = len(w.buf)
 	})
 	if err != nil {
 		return nil, err
@@ -243,27 +235,15 @@ func (a *Artifact) encodeDeltaBody(t *Template, w *wireWriter, mark func(section
 	if t == nil {
 		return fmt.Errorf("medusa: EncodeDelta needs a template")
 	}
-	var bw wireWriter
-	var secs [numBodySections][]byte
-	last := 0
-	sec := 0
-	a.encodeBody(&bw, func(string) {
-		secs[sec] = bw.buf.Bytes()[last:]
-		last = bw.buf.Len()
-		sec++
-	})
-	graphBodies := make([][]byte, len(a.Graphs))
-	for i := range a.Graphs {
-		var gw wireWriter
-		encodeGraph(&gw, &a.Graphs[i])
-		graphBodies[i] = gw.buf.Bytes()
-	}
+	body, ends, graphEnds := a.bodySections()
 
-	crcs := make([]uint32, 0, len(deltaSectionNames))
-	lastW := 0
+	var crcs [len(deltaSectionNames)]uint32
+	sec := 0
+	lastW := len(w.buf)
 	endSection := func(name string) {
-		crcs = append(crcs, crc32.ChecksumIEEE(w.buf.Bytes()[lastW:]))
-		lastW = w.buf.Len()
+		crcs[sec] = crc32.ChecksumIEEE(w.buf[lastW:])
+		sec++
+		lastW = len(w.buf)
 		mark(name)
 	}
 
@@ -271,21 +251,25 @@ func (a *Artifact) encodeDeltaBody(t *Template, w *wireWriter, mark func(section
 	w.u32(t.bodyCRC)
 	endSection("template_ref")
 
+	var enc deltaEncoder
+	start := 0
 	for i, name := range bodySectionNames {
-		raw := secs[i]
+		raw := body[start:ends[i]]
 		w.u32(uint32(len(raw)))
 		w.u32(crc32.ChecksumIEEE(raw))
 		if name == "graphs" {
-			w.u32(uint32(len(graphBodies)))
+			w.u32(uint32(len(graphEnds)))
 			src := t.sections[2]
-			for _, gb := range graphBodies {
+			for gi := range graphEnds {
+				gb := graphBody(body, start, graphEnds, gi)
 				w.u32(uint32(len(gb)))
-				w.bytes(deltaEncode(src, gb))
+				w.delta(&enc, src, gb)
 				src = gb
 			}
 		} else {
-			w.bytes(deltaEncode(t.sections[i], raw))
+			w.delta(&enc, t.sections[i], raw)
 		}
+		start = ends[i]
 		endSection(name)
 	}
 
@@ -295,6 +279,40 @@ func (a *Artifact) encodeDeltaBody(t *Template, w *wireWriter, mark func(section
 	}
 	mark("section_crcs")
 	return nil
+}
+
+// bodySections encodes the artifact body once and returns it with each
+// section's end offset and each graph's end offset: the split
+// BuildTemplate and the v3 encoder cut sections and graph bodies from.
+func (a *Artifact) bodySections() (body []byte, ends [numBodySections]int, graphEnds []int) {
+	var w wireWriter
+	graphEnds = make([]int, len(a.Graphs))
+	sec := 0
+	a.encodeBody(&w, func(string) {
+		ends[sec] = len(w.buf)
+		sec++
+	}, graphEnds)
+	return w.buf, ends, graphEnds
+}
+
+// graphBody returns graph gi's encoding out of a bodySections body:
+// the graphs section starts at sectionStart with its u32 count, and
+// graphEnds holds each graph's end offset.
+func graphBody(body []byte, sectionStart int, graphEnds []int, gi int) []byte {
+	start := sectionStart + 4
+	if gi > 0 {
+		start = graphEnds[gi-1]
+	}
+	return body[start:graphEnds[gi]:graphEnds[gi]]
+}
+
+// delta writes the delta rewriting tgt in terms of src as a blob,
+// encoding it straight into the buffer behind a back-patched length.
+func (w *wireWriter) delta(e *deltaEncoder, src, tgt []byte) {
+	at := len(w.buf)
+	w.u32(0)
+	w.buf = e.appendDelta(w.buf, src, tgt)
+	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 }
 
 // deltaWire is the parsed (not yet resolved) structure of a v3 body.
@@ -337,16 +355,20 @@ func parseDeltaBody(body []byte) (*deltaWire, error) {
 			if nGraphs > 1<<16 {
 				r.fail("%d graph deltas", nGraphs)
 			}
+			if nGraphs > 0 && r.err == nil {
+				d.graphLens = make([]uint32, 0, r.capFor(nGraphs, 8))
+				d.graphDeltas = make([][]byte, 0, cap(d.graphLens))
+			}
 			for gi := uint32(0); gi < nGraphs && r.err == nil; gi++ {
 				gLen := r.u32()
 				if gLen > 1<<26 {
 					r.fail("graph of %d resolved bytes exceeds limit", gLen)
 				}
 				d.graphLens = append(d.graphLens, gLen)
-				d.graphDeltas = append(d.graphDeltas, r.blob("graph delta", 1<<26))
+				d.graphDeltas = append(d.graphDeltas, r.view("graph delta", 1<<26))
 			}
 		} else {
-			d.deltas[i] = r.blob(name+" delta", 1<<26)
+			d.deltas[i] = r.view(name+" delta", 1<<26)
 		}
 		endSection()
 	}
@@ -418,16 +440,23 @@ func decodeDeltaBody(body []byte, resolve TemplateResolver) (*Artifact, error) {
 		}
 	}
 
-	var resolved wireWriter
+	// Resolve every section straight into one v2 body buffer, sized
+	// from the declared lengths up to the limit one section may claim.
+	total := 1 + 4*numBodySections
+	for _, n := range d.rawLen {
+		total += int(n)
+	}
+	resolved := wireWriter{buf: make([]byte, 0, min(total, 1<<28))}
 	lastR := 0
 	for i, name := range bodySectionNames {
 		if name == "graphs" {
 			resolved.u32(uint32(len(d.graphDeltas)))
 			src := t.sections[2]
 			for gi, gd := range d.graphDeltas {
-				gb, err := deltaApply(src, gd, int(d.graphLens[gi]))
-				if err == nil && len(gb) != int(d.graphLens[gi]) {
-					err = fmt.Errorf("resolved %d bytes, want %d", len(gb), d.graphLens[gi])
+				at := len(resolved.buf)
+				out, err := deltaApply(resolved.buf, src, gd, int(d.graphLens[gi]))
+				if err == nil && len(out)-at != int(d.graphLens[gi]) {
+					err = fmt.Errorf("resolved %d bytes, want %d", len(out)-at, d.graphLens[gi])
 				}
 				if err != nil {
 					return nil, &faults.ArtifactCorruptError{
@@ -435,20 +464,19 @@ func decodeDeltaBody(body []byte, resolve TemplateResolver) (*Artifact, error) {
 						Detail:  fmt.Sprintf("graph %d delta: %v", gi, err),
 					}
 				}
-				resolved.buf.Write(gb)
-				src = gb
+				resolved.buf, src = out, out[at:]
 			}
 		} else {
-			raw, err := deltaApply(t.sections[i], d.deltas[i], int(d.rawLen[i]))
+			out, err := deltaApply(resolved.buf, t.sections[i], d.deltas[i], int(d.rawLen[i]))
 			if err != nil {
 				return nil, &faults.ArtifactCorruptError{
 					Section: name,
 					Detail:  fmt.Sprintf("section delta: %v", err),
 				}
 			}
-			resolved.buf.Write(raw)
+			resolved.buf = out
 		}
-		sec := resolved.buf.Bytes()[lastR:]
+		sec := resolved.buf[lastR:]
 		if len(sec) != int(d.rawLen[i]) {
 			return nil, &faults.ArtifactCorruptError{
 				Section: name,
@@ -461,7 +489,7 @@ func decodeDeltaBody(body []byte, resolve TemplateResolver) (*Artifact, error) {
 				Detail:  fmt.Sprintf("resolved section checksum mismatch: %#x != %#x", got, d.rawCRC[i]),
 			}
 		}
-		lastR = resolved.buf.Len()
+		lastR = len(resolved.buf)
 	}
 	// Append the v2 trailer the resolved sections imply and reuse the
 	// ordinary parser — the reconstruction is bit-exact v2 by design.
@@ -469,7 +497,7 @@ func decodeDeltaBody(body []byte, resolve TemplateResolver) (*Artifact, error) {
 	for i := range bodySectionNames {
 		resolved.u32(d.rawCRC[i])
 	}
-	a, _, _, err := parseBody(resolved.buf.Bytes(), true)
+	a, _, _, err := parseBody(resolved.buf, true)
 	if err != nil {
 		return nil, err
 	}

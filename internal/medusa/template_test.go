@@ -8,6 +8,10 @@ package medusa_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/medusa-repro/medusa/internal/engine"
@@ -220,43 +224,63 @@ func TestCorruptedDeltaLocalizes(t *testing.T) {
 	}
 }
 
+// zooFleet materializes templateFleetModels and builds one template
+// per architecture family, referenced on the lexicographically smallest
+// model name as engine.StoreTemplates does. The fleet is built once per
+// test binary; tests only read it.
+func zooFleet(t *testing.T) (map[string]*medusa.Artifact, map[model.Family]*medusa.Template) {
+	t.Helper()
+	fleet.once.Do(func() { fleet.arts, fleet.templates, fleet.err = buildZooFleet() })
+	if fleet.err != nil {
+		t.Fatal(fleet.err)
+	}
+	return fleet.arts, fleet.templates
+}
+
+var fleet struct {
+	once      sync.Once
+	arts      map[string]*medusa.Artifact
+	templates map[model.Family]*medusa.Template
+	err       error
+}
+
+func buildZooFleet() (map[string]*medusa.Artifact, map[model.Family]*medusa.Template, error) {
+	arts := map[string]*medusa.Artifact{}
+	refs := map[model.Family]*medusa.Artifact{}
+	for _, name := range templateFleetModels {
+		cfg, err := model.ByName(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		cfg.Functional = false
+		art, _, err := engine.RunOffline(engine.OfflineOptions{Model: cfg, Seed: 1})
+		if err != nil {
+			return nil, nil, fmt.Errorf("offline %s: %w", name, err)
+		}
+		arts[name] = art
+		if ref := refs[cfg.Family]; ref == nil || art.ModelName < ref.ModelName {
+			refs[cfg.Family] = art
+		}
+	}
+	templates := map[model.Family]*medusa.Template{}
+	for fam, ref := range refs {
+		tmpl, err := medusa.BuildTemplate("medusa/templates/"+string(fam), ref)
+		if err != nil {
+			return nil, nil, err
+		}
+		templates[fam] = tmpl
+	}
+	return arts, templates, nil
+}
+
 // TestTemplateFleetDedup measures the acceptance criterion on the real
 // ten-model Zipf fleet: per-family templates plus per-model deltas must
 // shrink the registry footprint by at least 5x versus self-contained v2
 // artifacts.
 func TestTemplateFleetDedup(t *testing.T) {
-	byFamily := map[model.Family][]*medusa.Artifact{}
-	var order []model.Family
-	arts := map[string]*medusa.Artifact{}
-	for _, name := range templateFleetModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		art := offlineArtifact(t, name)
-		arts[name] = art
-		if len(byFamily[cfg.Family]) == 0 {
-			order = append(order, cfg.Family)
-		}
-		byFamily[cfg.Family] = append(byFamily[cfg.Family], art)
-	}
-
+	arts, templates := zooFleet(t)
 	var fullBytes, sharedBytes int
-	templates := map[model.Family]*medusa.Template{}
-	for _, fam := range order {
-		// Reference = lexicographically smallest model name, matching
-		// engine.StoreTemplates.
-		ref := byFamily[fam][0]
-		for _, a := range byFamily[fam] {
-			if a.ModelName < ref.ModelName {
-				ref = a
-			}
-		}
-		tmpl, err := medusa.BuildTemplate("medusa/templates/"+string(fam), ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		templates[fam] = tmpl
+	for _, tmpl := range templates {
 		sharedBytes += len(tmpl.Encode())
 	}
 	for _, name := range templateFleetModels {
@@ -347,5 +371,92 @@ func TestLegacyV1Decodes(t *testing.T) {
 	}
 	if !bytes.Equal(reEnc, v2) {
 		t.Fatal("v1 decode does not normalize to the v2 encoding")
+	}
+}
+
+// mutate returns a copy of p with a few in-place substitutions,
+// insertions and deletions: the edits sibling sections differ by.
+func mutate(rng *rand.Rand, p []byte) []byte {
+	out := append([]byte(nil), p...)
+	for e := rng.Intn(6); e > 0 && len(out) > 0; e-- {
+		at := rng.Intn(len(out))
+		switch rng.Intn(3) {
+		case 0:
+			out[at] ^= byte(1 + rng.Intn(255))
+		case 1:
+			ins := make([]byte, 1+rng.Intn(20))
+			rng.Read(ins)
+			out = append(out[:at], append(ins, out[at:]...)...)
+		default:
+			end := min(len(out), at+1+rng.Intn(20))
+			out = append(out[:at], out[end:]...)
+		}
+	}
+	return out
+}
+
+// TestDeltaEncodeMatchesOracle requires the delta encoder to produce
+// the map-indexed oracle encoder's bytes exactly: on random pairs, on
+// inputs that overflow the per-seed candidate cap or are too short to
+// index, and on every pair the v3 encoder delta-encodes for the zoo.
+func TestDeltaEncodeMatchesOracle(t *testing.T) {
+	var check medusa.DeltaChecker
+	rng := rand.New(rand.NewSource(1))
+
+	// Random pairs over a small alphabet (so seeds repeat) and their
+	// edited copies.
+	for i := 0; i < 300; i++ {
+		src := make([]byte, rng.Intn(600))
+		alphabet := 1 + rng.Intn(8)
+		for j := range src {
+			src[j] = byte(rng.Intn(alphabet))
+		}
+		tgt := mutate(rng, src)
+		if rng.Intn(4) == 0 {
+			tgt = make([]byte, rng.Intn(600))
+			rng.Read(tgt)
+		}
+		check.Check(t, "random", src, tgt)
+	}
+
+	// Runs of one repeated byte overflow the per-seed candidate cap;
+	// sources shorter than a seed have no index at all.
+	zeros := func(n int) []byte { return make([]byte, n) }
+	rep := func(s string, n int) []byte { return []byte(strings.Repeat(s, n)) }
+	// A seed whose only long match is its ninth occurrence: past the
+	// cap, so the target byte stays a literal.
+	var ninth []byte
+	for i := 0; i < 8; i++ {
+		ninth = append(append(ninth, "abcdefgh"...), rep(string(rune('0'+i)), 8)...)
+	}
+	ninth = append(ninth, "abcdefgh-the-long-tail-after-the-ninth-seed"...)
+	pairs := []struct {
+		what     string
+		src, tgt []byte
+	}{
+		{"ninth candidate", ninth, []byte("zzzzabcdefgh-the-long-tail-after-the-ninth-seed")},
+		{"eighth candidate", ninth[16:], []byte("zzzzabcdefgh-the-long-tail-after-the-ninth-seed")},
+		{"repeated byte", zeros(200), zeros(300)},
+		{"repeated byte, shifted tail", append(zeros(100), rep("k", 60)...), append(rep("k", 80), zeros(150)...)},
+		{"periodic", rep("toy_scale|", 50), append(rep("x", 9), rep("toy_scale|", 40)...)},
+		{"overflowing cap then unique", append(zeros(64), rep("abcdefghijklmnopqrstuvwxyz", 2)...),
+			append(rep("abcdefghijklmnopqrstuvwxyz", 2), zeros(64)...)},
+		{"empty source", nil, rep("abc", 10)},
+		{"empty target", rep("abc", 10), nil},
+		{"source shorter than a seed", []byte("abcdefg"), []byte("abcdefgabcdefg")},
+		{"seed-length source", []byte("abcdefgh"), rep("abcdefgh", 4)},
+	}
+	for _, p := range pairs {
+		check.Check(t, p.what, p.src, p.tgt)
+	}
+
+	// Every template-section and graph-chain pair of the zoo artifacts.
+	if testing.Short() {
+		t.Skip("zoo pairs skipped in -short mode")
+	}
+	arts, templates := zooFleet(t)
+	for _, name := range templateFleetModels {
+		cfg, _ := model.ByName(name)
+		medusa.CheckDeltaOracle(t, arts[name], templates[cfg.Family])
 	}
 }

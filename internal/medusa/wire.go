@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"github.com/medusa-repro/medusa/internal/faults"
@@ -41,13 +42,45 @@ var bodySectionNames = [numBodySections]string{
 	"header", "alloc_seq", "graphs", "kernel_table", "permanent", "kv_record",
 }
 
+// envelopeLen is the size of the "magic | u32 version | u32 bodyLen |
+// u32 crc32(body)" envelope that fronts artifacts and templates.
+const envelopeLen = 16
+
+// wireWriter appends little-endian fields to buf. Whole artifacts and
+// templates start from newEnvelopeWriter, which reserves the envelope
+// in front of the body so seal fills it in place instead of copying
+// the body behind a fresh header.
 type wireWriter struct {
-	buf bytes.Buffer
+	buf []byte
 }
 
-func (w *wireWriter) u8(v uint8)   { w.buf.WriteByte(v) }
-func (w *wireWriter) u32(v uint32) { _ = binary.Write(&w.buf, binary.LittleEndian, v) }
-func (w *wireWriter) u64(v uint64) { _ = binary.Write(&w.buf, binary.LittleEndian, v) }
+// newEnvelopeWriter returns a writer whose buffer starts with the
+// reserved envelope; the body follows at offset envelopeLen.
+func newEnvelopeWriter() wireWriter {
+	return wireWriter{buf: make([]byte, envelopeLen, 4<<10)}
+}
+
+// reserve makes room for n more bytes, at least doubling the buffer
+// when it is full: append alone grows a large slice by about 1.25x,
+// which would copy a multi-megabyte body several times over.
+func (w *wireWriter) reserve(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		w.buf = slices.Grow(w.buf, max(n, cap(w.buf)))
+	}
+}
+
+func (w *wireWriter) u8(v uint8) {
+	w.reserve(1)
+	w.buf = append(w.buf, v)
+}
+func (w *wireWriter) u32(v uint32) {
+	w.reserve(4)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+}
+func (w *wireWriter) u64(v uint64) {
+	w.reserve(8)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+}
 func (w *wireWriter) boolean(v bool) {
 	if v {
 		w.u8(1)
@@ -57,9 +90,25 @@ func (w *wireWriter) boolean(v bool) {
 }
 func (w *wireWriter) bytes(p []byte) {
 	w.u32(uint32(len(p)))
-	w.buf.Write(p)
+	w.reserve(len(p))
+	w.buf = append(w.buf, p...)
 }
-func (w *wireWriter) str(s string) { w.bytes([]byte(s)) }
+func (w *wireWriter) str(s string) {
+	w.u32(uint32(len(s)))
+	w.reserve(len(s))
+	w.buf = append(w.buf, s...)
+}
+
+// seal writes the envelope into the space newEnvelopeWriter reserved
+// and returns the complete encoding.
+func (w *wireWriter) seal(magic [4]byte, version uint32) []byte {
+	body := w.buf[envelopeLen:]
+	copy(w.buf, magic[:])
+	binary.LittleEndian.PutUint32(w.buf[4:], version)
+	binary.LittleEndian.PutUint32(w.buf[8:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(w.buf[12:], crc32.ChecksumIEEE(body))
+	return w.buf
+}
 
 type wireReader struct {
 	p   []byte
@@ -112,13 +161,19 @@ func (r *wireReader) u64() uint64 {
 
 func (r *wireReader) boolean() bool { return r.u8() != 0 }
 
-func (r *wireReader) blob(what string, limit uint32) []byte {
+// view reads a length-prefixed byte string without copying it out of
+// the input; callers that keep it past the decode use blob.
+func (r *wireReader) view(what string, limit uint32) []byte {
 	n := r.u32()
 	if n > limit {
 		r.fail("%s of %d bytes exceeds limit %d", what, n, limit)
 		return nil
 	}
-	b := r.take(int(n))
+	return r.take(int(n))
+}
+
+func (r *wireReader) blob(what string, limit uint32) []byte {
+	b := r.view(what, limit)
 	if b == nil {
 		return nil
 	}
@@ -128,12 +183,53 @@ func (r *wireReader) blob(what string, limit uint32) []byte {
 	return append([]byte{}, b...)
 }
 
-func (r *wireReader) str(what string) string { return string(r.blob(what, 1<<20)) }
+func (r *wireReader) str(what string) string { return string(r.view(what, 1<<20)) }
+
+// image reads one parameter image into slab and returns it as a
+// full-slice-expression sub-slice (len == cap), so appending to one
+// image reallocates it instead of overwriting its neighbour. An empty
+// image still comes back non-nil, as blob's do.
+func (r *wireReader) image(slab []byte) (img, rest []byte) {
+	n := r.u32()
+	if n > maxParamImage {
+		r.fail("param image of %d bytes exceeds limit %d", n, maxParamImage)
+		return nil, slab
+	}
+	b := r.take(int(n))
+	if r.err != nil {
+		return nil, slab
+	}
+	start := len(slab)
+	slab = append(slab, b...)
+	return slab[start:len(slab):len(slab)], slab
+}
+
+// capFor bounds a decoded element count by the bytes left in the
+// input, given each element's minimum wire size, so pre-sizing from a
+// corrupt count cannot allocate more than the input could describe.
+func (r *wireReader) capFor(n uint32, minWire int) int {
+	if left := (len(r.p) - r.off) / minWire; left < int(n) {
+		return left
+	}
+	return int(n)
+}
+
+// Minimum wire sizes of the repeated records, for wireReader.capFor.
+const (
+	maxParamImage = 8
+	minAllocWire  = 1 + 4 + 8 + 4 // free, index, size, empty label
+	minNodeWire   = 4 + 4 + 4     // empty kernel name, dep and param counts
+	minParamWire  = 4 + 1 + 4 + 8 // empty image, pointer, index, offset
+	minPermWire   = 4 + 8 + 1     // index, size, presence
+)
 
 // encodeBody writes the artifact body, calling mark after each wire
 // section so callers can attribute bytes to sections without a second
-// format definition (Encode and SectionSizes share this one walk).
-func (a *Artifact) encodeBody(w *wireWriter, mark func(section string)) {
+// format definition (Encode and SectionSizes share this one walk). A
+// non-nil graphEnds (one slot per graph) receives each graph's end
+// offset in w, so the v3 encoder and BuildTemplate cut per-graph
+// bodies out of this one encoding instead of encoding graphs twice.
+func (a *Artifact) encodeBody(w *wireWriter, mark func(section string), graphEnds []int) {
 	w.str(a.ModelName)
 	w.u32(uint32(a.AllocCount))
 	w.u32(uint32(a.PrefixLen))
@@ -150,7 +246,18 @@ func (a *Artifact) encodeBody(w *wireWriter, mark func(section string)) {
 
 	w.u32(uint32(len(a.Graphs)))
 	for i := range a.Graphs {
+		start := len(w.buf)
 		encodeGraph(w, &a.Graphs[i])
+		if i == 0 {
+			// The per-batch graphs of one model share a topology, so
+			// the first one sizes the rest of the section, with an
+			// eighth of a graph to spare for the small sections after.
+			g := len(w.buf) - start
+			w.reserve(g*(len(a.Graphs)-1) + g/8)
+		}
+		if graphEnds != nil {
+			graphEnds[i] = len(w.buf)
+		}
 	}
 	mark("graphs")
 
@@ -185,10 +292,10 @@ func (a *Artifact) encodeBody(w *wireWriter, mark func(section string)) {
 	mark("kv_record")
 }
 
-// encodeGraph writes one materialized graph. Shared between the v2
-// body walk and the v3 per-graph delta chunking: the graphs section
-// body is exactly u32 count followed by these graph encodings, so the
-// v3 decoder can splice resolved graph bodies back into a bit-exact v2
+// encodeGraph writes one materialized graph. The graphs section body
+// is exactly u32 count followed by these graph encodings, so the v3
+// encoder takes per-graph bodies as sub-slices of the section and the
+// v3 decoder splices resolved graph bodies back into a bit-exact v2
 // section.
 func encodeGraph(w *wireWriter, g *GraphRecord) {
 	w.u32(uint32(g.Batch))
@@ -213,13 +320,15 @@ func encodeGraph(w *wireWriter, g *GraphRecord) {
 // appends the v2 per-section checksum trailer. mark fires after each
 // section and once more for the trailer itself ("section_crcs").
 func (a *Artifact) encodeBodyChecksummed(w *wireWriter, mark func(section string)) {
-	crcs := make([]uint32, 0, numBodySections)
-	last := 0
+	var crcs [numBodySections]uint32
+	sec := 0
+	last := len(w.buf)
 	a.encodeBody(w, func(section string) {
-		crcs = append(crcs, crc32.ChecksumIEEE(w.buf.Bytes()[last:]))
-		last = w.buf.Len()
+		crcs[sec] = crc32.ChecksumIEEE(w.buf[last:])
+		sec++
+		last = len(w.buf)
 		mark(section)
-	})
+	}, nil)
 	w.u8(uint8(len(crcs)))
 	for _, c := range crcs {
 		w.u32(c)
@@ -247,8 +356,8 @@ func (a *Artifact) SectionSizes() ([]Section, error) {
 	out := []Section{{Name: "envelope", Bytes: 16}}
 	last := 0
 	a.encodeBodyChecksummed(&w, func(section string) {
-		out = append(out, Section{Name: section, Bytes: uint64(w.buf.Len() - last)})
-		last = w.buf.Len()
+		out = append(out, Section{Name: section, Bytes: uint64(len(w.buf) - last)})
+		last = len(w.buf)
 	})
 	return out, nil
 }
@@ -258,17 +367,9 @@ func (a *Artifact) Encode() ([]byte, error) {
 	if err := a.validate(); err != nil {
 		return nil, fmt.Errorf("medusa: refusing to encode inconsistent artifact: %w", err)
 	}
-	var w wireWriter
+	w := newEnvelopeWriter()
 	a.encodeBodyChecksummed(&w, func(string) {})
-
-	body := w.buf.Bytes()
-	out := make([]byte, 0, len(body)+16)
-	out = append(out, wireMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, a.FormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	out = append(out, body...)
-	return out, nil
+	return w.seal(wireMagic, a.FormatVersion), nil
 }
 
 // EncodeLegacyV1 serializes the artifact in the original trailer-less
@@ -279,15 +380,9 @@ func EncodeLegacyV1(a *Artifact) ([]byte, error) {
 	if err := a.validate(); err != nil {
 		return nil, fmt.Errorf("medusa: refusing to encode inconsistent artifact: %w", err)
 	}
-	var w wireWriter
-	a.encodeBody(&w, func(string) {})
-	body := w.buf.Bytes()
-	out := make([]byte, 0, len(body)+16)
-	out = append(out, wireMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, legacyFormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return append(out, body...), nil
+	w := newEnvelopeWriter()
+	a.encodeBody(&w, func(string) {}, nil)
+	return w.seal(wireMagic, legacyFormatVersion), nil
 }
 
 // Decode parses a self-contained (v1 or v2) artifact, verifying magic,
@@ -418,6 +513,9 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 	if nEvents > 1<<24 {
 		r.fail("%d allocation events", nEvents)
 	}
+	if nEvents > 0 && r.err == nil {
+		a.AllocSeq = make([]AllocRecord, 0, r.capFor(nEvents, minAllocWire))
+	}
 	for i := uint32(0); i < nEvents && r.err == nil; i++ {
 		var ev AllocRecord
 		ev.Free = r.boolean()
@@ -428,9 +526,15 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 	}
 	endSection(r)
 
+	// Every node of every graph names one of a few kernels; sharing one
+	// string per distinct name saves an allocation per node.
+	kernelNames := make(map[string]string)
 	nGraphs := r.u32()
 	if nGraphs > 1<<16 {
 		r.fail("%d graphs", nGraphs)
+	}
+	if nGraphs > 0 && r.err == nil {
+		a.Graphs = make([]GraphRecord, 0, r.capFor(nGraphs, 8))
 	}
 	for gi := uint32(0); gi < nGraphs && r.err == nil; gi++ {
 		var g GraphRecord
@@ -439,12 +543,23 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 		if nNodes > 1<<22 {
 			r.fail("graph with %d nodes", nNodes)
 		}
+		if nNodes > 0 && r.err == nil {
+			g.Nodes = make([]NodeRecord, 0, r.capFor(nNodes, minNodeWire))
+		}
 		for ni := uint32(0); ni < nNodes && r.err == nil; ni++ {
 			var n NodeRecord
-			n.KernelName = r.str("kernel name")
+			name := r.view("kernel name", 1<<20)
+			var ok bool
+			if n.KernelName, ok = kernelNames[string(name)]; !ok {
+				n.KernelName = string(name)
+				kernelNames[n.KernelName] = n.KernelName
+			}
 			nDeps := r.u32()
 			if nDeps > nNodes {
 				r.fail("node with %d deps", nDeps)
+			}
+			if nDeps > 0 && r.err == nil {
+				n.Deps = make([]int, 0, r.capFor(nDeps, 4))
 			}
 			for di := uint32(0); di < nDeps && r.err == nil; di++ {
 				n.Deps = append(n.Deps, int(r.u32()))
@@ -453,9 +568,14 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 			if nParams > 1<<12 {
 				r.fail("node with %d params", nParams)
 			}
+			if nParams > 0 && r.err == nil {
+				n.Params = make([]ParamRecord, 0, r.capFor(nParams, minParamWire))
+			}
+			// One slab holds the node's parameter images.
+			slab := make([]byte, 0, maxParamImage*cap(n.Params))
 			for pi := uint32(0); pi < nParams && r.err == nil; pi++ {
 				var p ParamRecord
-				p.Raw = r.blob("param image", 8)
+				p.Raw, slab = r.image(slab)
 				p.Pointer = r.boolean()
 				p.AllocIndex = int(r.u32())
 				p.Offset = r.u64()
@@ -482,6 +602,9 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 	nPerm := r.u32()
 	if nPerm > 1<<22 {
 		r.fail("%d permanent records", nPerm)
+	}
+	if nPerm > 0 && r.err == nil {
+		a.Permanent = make([]PermRecord, 0, r.capFor(nPerm, minPermWire))
 	}
 	for i := uint32(0); i < nPerm && r.err == nil; i++ {
 		var pr PermRecord
