@@ -39,13 +39,66 @@ type Event struct {
 // NewEvent creates an event.
 func (p *Process) NewEvent() *Event { return &Event{node: -1} }
 
-// captureState holds an in-progress stream capture.
+// captureState holds an in-progress stream capture. Nodes live in one
+// backing array, and their parameter images, image headers, sizes and
+// dependency lists in per-capture slabs, so recording a launch
+// allocates nothing per node once the slabs are sized.
 type captureState struct {
 	origin       *Stream
-	nodes        []*Node
+	nodes        []Node
+	images       slab[byte]
+	params       slab[[]byte]
+	ints         slab[int]   // param sizes and deps
 	lastInStream map[int]int // stream id -> last node id
 	pendingDeps  map[int][]int
 	invalidated  error
+}
+
+// captureSize is what one capture handed out of each slab. The next
+// capture on the process starts its slabs at these sizes: a model's
+// per-batch graphs (and its per-batch first-layer triggers) share a
+// topology, so after the first capture the slabs are exactly sized.
+type captureSize struct {
+	nodes, images, params, ints int
+}
+
+// minSlabChunk is the smallest chunk a slab starts when it runs out,
+// in elements. Chunks then double, so a capture with no predecessor
+// to size it makes O(log n) chunks and wastes at most half of the last.
+const minSlabChunk = 64
+
+// slab hands out sub-slices of a backing chunk, each cut with a full
+// slice expression (len == cap) so appending to one reallocates it
+// instead of overwriting its neighbour. When the chunk runs out the
+// slab starts a new one; earlier sub-slices keep theirs.
+type slab[T any] struct {
+	buf  []T
+	grow int // size of the next overflow chunk
+	used int // elements handed out
+}
+
+// sized returns a slab whose first chunk holds n elements.
+func sized[T any](n int) slab[T] {
+	s := slab[T]{grow: minSlabChunk}
+	if n > 0 {
+		s.buf = make([]T, 0, n)
+	}
+	return s
+}
+
+// take returns the next n elements; nil when n is zero.
+func (s *slab[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(s.buf)-len(s.buf) < n {
+		s.buf = make([]T, 0, max(n, s.grow))
+		s.grow *= 2
+	}
+	start := len(s.buf)
+	s.buf = s.buf[:start+n]
+	s.used += n
+	return s.buf[start : start+n : start+n]
 }
 
 // BeginCapture starts capturing on the stream
@@ -54,8 +107,13 @@ func (s *Stream) BeginCapture() error {
 	if s.p.capture != nil {
 		return ErrCaptureActive
 	}
+	last := s.p.lastCapture
 	s.p.capture = &captureState{
 		origin:       s,
+		nodes:        make([]Node, 0, last.nodes),
+		images:       sized[byte](last.images),
+		params:       sized[[]byte](last.params),
+		ints:         sized[int](last.ints),
 		lastInStream: make(map[int]int),
 		pendingDeps:  make(map[int][]int),
 	}
@@ -74,7 +132,14 @@ func (s *Stream) EndCapture() (*Graph, error) {
 	if c.invalidated != nil {
 		return nil, c.invalidated
 	}
-	g := &Graph{nodes: c.nodes}
+	s.p.lastCapture = captureSize{
+		nodes: len(c.nodes), images: c.images.used, params: c.params.used, ints: c.ints.used,
+	}
+	nodes := make([]*Node, len(c.nodes))
+	for i := range c.nodes {
+		nodes[i] = &c.nodes[i]
+	}
+	g := &Graph{nodes: nodes}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("cuda: capture produced invalid graph: %w", err)
 	}
@@ -84,31 +149,40 @@ func (s *Stream) EndCapture() (*Graph, error) {
 // Capturing reports whether a capture is active on the process.
 func (p *Process) Capturing() bool { return p.capture != nil }
 
-// record appends a launch as a graph node.
-func (c *captureState) record(s *Stream, k *Kernel, args []Value) int {
-	id := len(c.nodes)
-	var deps []int
-	if last, ok := c.lastInStream[s.id]; ok {
-		deps = append(deps, last)
+// record appends a launch as a graph node, encoding its arguments once
+// into the capture's slabs, and returns the node.
+func (c *captureState) record(s *Stream, k *Kernel, args []Value) Node {
+	last, hasLast := c.lastInStream[s.id]
+	pend := c.pendingDeps[s.id]
+	nDeps := len(pend)
+	if hasLast {
+		nDeps++
 	}
-	if pend := c.pendingDeps[s.id]; len(pend) > 0 {
-		deps = append(deps, pend...)
+	deps := c.ints.take(nDeps)
+	if hasLast {
+		deps[0] = last
+	}
+	copy(deps[nDeps-len(pend):], pend)
+	if len(pend) > 0 {
 		delete(c.pendingDeps, s.id)
 	}
-	raw := EncodeArgs(args)
-	sizes := make([]int, len(raw))
-	for i := range raw {
-		sizes[i] = len(raw[i])
+
+	params := c.params.take(len(args))
+	encodeArgs(c.images.take(argBytes(args)), params, args)
+	sizes := c.ints.take(len(args))
+	for i, img := range params {
+		sizes[i] = len(img)
 	}
-	c.nodes = append(c.nodes, &Node{
-		ID:         id,
+	n := Node{
+		ID:         len(c.nodes),
 		KernelAddr: k.Addr(),
-		Params:     raw,
+		Params:     params,
 		ParamSizes: sizes,
 		Deps:       deps,
-	})
-	c.lastInStream[s.id] = id
-	return id
+	}
+	c.nodes = append(c.nodes, n)
+	c.lastInStream[s.id] = n.ID
+	return n
 }
 
 // RecordEvent records the event on the stream. During capture it marks

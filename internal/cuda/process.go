@@ -102,13 +102,16 @@ type AllocEvent struct {
 type LaunchRecord struct {
 	KernelName string
 	KernelAddr uint64
-	// RawParams are the serialized parameter images, exactly what a
-	// captured graph node stores. Offline analysis must work from these
-	// (plus sizes), never from typed values.
+	// RawParams and ParamSizes are a captured launch's parameter images
+	// and their sizes: the very slices of the graph node the capture
+	// recorded, encoded once. Hooks must treat them as read-only. An
+	// eager launch is never encoded and carries neither. Offline
+	// analysis works from the images (plus sizes), never from typed
+	// values.
 	RawParams  [][]byte
 	ParamSizes []int
 	// Captured reports whether the launch was recorded into an active
-	// capture; NodeID is its node id when so.
+	// capture; NodeID is its node id when so, and -1 otherwise.
 	Captured bool
 	NodeID   int
 }
@@ -135,11 +138,12 @@ type Process struct {
 	byName  map[string]*Kernel
 	modules map[string]*LoadedModule // "lib/module" -> loaded
 
-	streams   []*Stream
-	capture   *captureState
-	hooks     Hooks
-	allocSeq  int            // next allocation index
-	liveAlloc map[uint64]int // live addr -> allocation index
+	streams     []*Stream
+	capture     *captureState
+	lastCapture captureSize // sizes the next capture's slabs
+	hooks       Hooks
+	allocSeq    int            // next allocation index
+	liveAlloc   map[uint64]int // live addr -> allocation index
 }
 
 // Kernel is a loaded kernel function in one process: the pair of a
@@ -427,12 +431,19 @@ func (p *Process) Launch(s *Stream, name string, args []Value) error {
 	if p.capture != nil && p.capture.invalidated == nil {
 		node := p.capture.record(s, k, args)
 		p.clock.Advance(p.cfg.CaptureOverhead)
-		p.emitLaunch(k, args, true, node)
+		p.emitLaunch(LaunchRecord{
+			KernelName: k.Name(),
+			KernelAddr: k.Addr(),
+			RawParams:  node.Params,
+			ParamSizes: node.ParamSizes,
+			Captured:   true,
+			NodeID:     node.ID,
+		})
 		return nil
 	}
 	p.clock.Advance(p.cfg.LaunchOverhead)
 	p.clock.Advance(p.kernelCost(impl, args))
-	p.emitLaunch(k, args, false, -1)
+	p.emitLaunch(LaunchRecord{KernelName: k.Name(), KernelAddr: k.Addr(), NodeID: -1})
 	if p.dev.Functional() && impl.Func != nil {
 		if err := impl.Func(p.dev, args); err != nil {
 			return fmt.Errorf("kernel %s: %w", name, err)
@@ -441,23 +452,10 @@ func (p *Process) Launch(s *Stream, name string, args []Value) error {
 	return nil
 }
 
-func (p *Process) emitLaunch(k *Kernel, args []Value, captured bool, node int) {
-	if p.hooks.OnLaunch == nil {
-		return
+func (p *Process) emitLaunch(rec LaunchRecord) {
+	if p.hooks.OnLaunch != nil {
+		p.hooks.OnLaunch(rec)
 	}
-	raw := EncodeArgs(args)
-	sizes := make([]int, len(raw))
-	for i := range raw {
-		sizes[i] = len(raw[i])
-	}
-	p.hooks.OnLaunch(LaunchRecord{
-		KernelName: k.Name(),
-		KernelAddr: k.Addr(),
-		RawParams:  raw,
-		ParamSizes: sizes,
-		Captured:   captured,
-		NodeID:     node,
-	})
 }
 
 func checkArgs(impl *KernelImpl, args []Value) error {

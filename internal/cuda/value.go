@@ -93,15 +93,21 @@ func (v Value) F32() float32 { return math.Float32frombits(uint32(v.Bits)) }
 // Encode serializes the argument to its little-endian raw image — the
 // representation stored in a captured graph node.
 func (v Value) Encode() []byte {
+	p := make([]byte, v.Kind.Size())
+	v.put(p)
+	return p
+}
+
+// put writes the argument's raw image to the front of p and returns
+// its size.
+func (v Value) put(p []byte) int {
 	switch v.Kind.Size() {
 	case 8:
-		p := make([]byte, 8)
 		binary.LittleEndian.PutUint64(p, v.Bits)
-		return p
+		return 8
 	case 4:
-		p := make([]byte, 4)
 		binary.LittleEndian.PutUint32(p, uint32(v.Bits))
-		return p
+		return 4
 	default:
 		panic("unreachable")
 	}
@@ -124,22 +130,30 @@ func DecodeValue(kind ParamKind, raw []byte) (Value, error) {
 // The images share one slab; each is a full-slice-expression sub-slice
 // (len == cap), so appending to one can never overwrite its neighbour.
 func EncodeArgs(args []Value) [][]byte {
-	size := 0
-	for _, a := range args {
-		size += a.Kind.Size()
-	}
-	slab := make([]byte, 0, size)
 	out := make([][]byte, len(args))
-	for i, a := range args {
-		start := len(slab)
-		if a.Kind.Size() == 8 {
-			slab = binary.LittleEndian.AppendUint64(slab, a.Bits)
-		} else {
-			slab = binary.LittleEndian.AppendUint32(slab, uint32(a.Bits))
-		}
-		out[i] = slab[start:len(slab):len(slab)]
-	}
+	encodeArgs(make([]byte, argBytes(args)), out, args)
 	return out
+}
+
+// argBytes sums the raw image sizes of an argument list.
+func argBytes(args []Value) int {
+	n := 0
+	for _, a := range args {
+		n += a.Kind.Size()
+	}
+	return n
+}
+
+// encodeArgs writes the arguments' raw images into slab, which holds
+// exactly argBytes(args), and cuts each image out of it into images[i]
+// as a full-slice-expression sub-slice.
+func encodeArgs(slab []byte, images [][]byte, args []Value) {
+	off := 0
+	for i, a := range args {
+		n := a.put(slab[off:])
+		images[i] = slab[off : off+n : off+n]
+		off += n
+	}
 }
 
 // DecodeArgs parses raw parameter images against a kernel's declared

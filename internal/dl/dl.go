@@ -16,6 +16,7 @@ package dl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -71,7 +72,8 @@ func (l *Library) ModuleNames() []string {
 // linker search path. It is immutable after setup and shared across all
 // simulated processes.
 type Registry struct {
-	libs map[string]*Library
+	libs  map[string]*Library
+	names []string // library names, kept sorted as libraries are added
 }
 
 // NewRegistry returns an empty registry.
@@ -92,6 +94,8 @@ func (r *Registry) AddSymbol(lib, module, name string, exported bool) (*Symbol, 
 			next:    0x1000,
 		}
 		r.libs[lib] = l
+		i, _ := slices.BinarySearch(r.names, lib)
+		r.names = slices.Insert(r.names, i, lib)
 	}
 	if _, dup := l.symbols[name]; dup {
 		return nil, fmt.Errorf("dl: duplicate symbol %q in %q", name, lib)
@@ -109,19 +113,10 @@ func (r *Registry) Library(name string) (*Library, bool) {
 	return l, ok
 }
 
-// LibraryNames returns the installed library names, sorted.
-func (r *Registry) LibraryNames() []string {
-	names := make([]string, 0, len(r.libs))
-	for n := range r.libs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// FindSymbol locates name across all libraries (loader-private view).
+// FindSymbol locates name across all libraries (loader-private view),
+// searching them in name order.
 func (r *Registry) FindSymbol(name string) (*Library, *Symbol, bool) {
-	for _, ln := range r.LibraryNames() {
+	for _, ln := range r.names {
 		l := r.libs[ln]
 		if s, ok := l.symbols[name]; ok {
 			return l, s, true

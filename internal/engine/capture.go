@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/medusa-repro/medusa/internal/obs"
 )
@@ -73,7 +74,11 @@ func (inst *Instance) warmupAndCapture(batch int) error {
 	if err != nil {
 		return err
 	}
-	if want := inst.opts.Model.NodesPerGraph(batch, inst.opts.CaptureSizes); g.NodeCount() != want {
+	want := inst.opts.Model.BaseNodesPerGraph()
+	if inst.graphPadded(batch) {
+		want++
+	}
+	if g.NodeCount() != want {
 		return fmt.Errorf("captured %d nodes, model structure predicts %d", g.NodeCount(), want)
 	}
 	if inst.opts.Recorder != nil {
@@ -87,6 +92,13 @@ func (inst *Instance) warmupAndCapture(batch int) error {
 	}
 	inst.graphs[batch] = ge
 	return nil
+}
+
+// graphPadded reports whether the graph for a batch size gets the
+// padding node (model.Config.GraphPadded, from the padded sizes the
+// instance computed once).
+func (inst *Instance) graphPadded(batch int) bool {
+	return slices.Contains(inst.padded, batch)
 }
 
 func maxInt(vals []int) int {

@@ -327,6 +327,9 @@ func (o Options) withDefaults() (Options, error) {
 	if len(o.CaptureSizes) == 0 {
 		o.CaptureSizes = model.CaptureBatchSizes()
 	}
+	if err := checkCaptureSizes(o.CaptureSizes); err != nil {
+		return o, err
+	}
 	if o.GPUMemoryUtilization == 0 {
 		o.GPUMemoryUtilization = 0.9
 	}
@@ -338,6 +341,23 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("engine: %v requires CheckpointBytes from TakeCheckpoint", o.Strategy)
 	}
 	return o, nil
+}
+
+// checkCaptureSizes rejects a capture-size list that names a batch
+// size twice (the instance would capture it twice and keep whichever
+// graph came last) or holds a size below one.
+func checkCaptureSizes(sizes []int) error {
+	seen := make(map[int]bool, len(sizes))
+	for _, b := range sizes {
+		if b < 1 {
+			return fmt.Errorf("engine: capture size %d is not positive", b)
+		}
+		if seen[b] {
+			return fmt.Errorf("engine: capture size %d listed twice", b)
+		}
+		seen[b] = true
+	}
+	return nil
 }
 
 // wsPair is a bucket's pair of cuBLAS workspace buffers.
@@ -355,7 +375,10 @@ type Instance struct {
 	timeline *trace.Timeline
 
 	weights map[string]uint64
+	layers  []layerWeights // per-layer weight addresses, by layer
 	io      ioSet
+	args    [8]cuda.Value // launch argument buffer; see launch
+	padded  []int         // capture sizes whose graphs get the padding node
 
 	kvMgr          *kvcache.Manager
 	kcache, vcache uint64
@@ -520,6 +543,7 @@ func coldStartOnce(opts Options) (*Instance, time.Duration, error) {
 		prefillDur: make(map[int]time.Duration),
 	}
 	inst.track = opts.trackName()
+	inst.padded = opts.Model.PaddedSizes(opts.CaptureSizes)
 	if opts.Recorder != nil {
 		proc.SetHooks(opts.Recorder.Hooks())
 	}

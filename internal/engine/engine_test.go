@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -357,6 +358,37 @@ func TestExternalClockAdvances(t *testing.T) {
 func TestMedusaRequiresArtifact(t *testing.T) {
 	if _, err := ColdStart(tinyOptions(StrategyMedusa, 97)); err == nil {
 		t.Fatal("Medusa cold start without artifact succeeded")
+	}
+}
+
+// TestCaptureSizesRejectDuplicates: a batch size listed twice would be
+// captured twice and shipped as two graphs, of which a cold start keeps
+// whichever it restores last. Both phases must refuse it.
+func TestCaptureSizesRejectDuplicates(t *testing.T) {
+	opts := tinyOptions(StrategyVLLM, 98)
+	opts.CaptureSizes = []int{2, 2, 1}
+	if _, err := ColdStart(opts); err == nil || !strings.Contains(err.Error(), "listed twice") {
+		t.Fatalf("ColdStart with sizes %v: err = %v, want a duplicate-size error", opts.CaptureSizes, err)
+	}
+	if _, _, err := RunOffline(OfflineOptions{Model: opts.Model, Seed: 98, CaptureSizes: opts.CaptureSizes}); err == nil ||
+		!strings.Contains(err.Error(), "listed twice") {
+		t.Fatalf("RunOffline with sizes %v: err = %v, want a duplicate-size error", opts.CaptureSizes, err)
+	}
+}
+
+// TestCaptureSizesRejectNonPositive: a batch of zero or fewer rows has
+// no decode forward to capture.
+func TestCaptureSizesRejectNonPositive(t *testing.T) {
+	for _, sizes := range [][]int{{0, 1}, {1, -4}} {
+		opts := tinyOptions(StrategyVLLM, 99)
+		opts.CaptureSizes = sizes
+		if _, err := ColdStart(opts); err == nil || !strings.Contains(err.Error(), "not positive") {
+			t.Fatalf("ColdStart with sizes %v: err = %v, want a non-positive-size error", sizes, err)
+		}
+		if _, _, err := RunOffline(OfflineOptions{Model: opts.Model, Seed: 99, CaptureSizes: sizes}); err == nil ||
+			!strings.Contains(err.Error(), "not positive") {
+			t.Fatalf("RunOffline with sizes %v: err = %v, want a non-positive-size error", sizes, err)
+		}
 	}
 }
 

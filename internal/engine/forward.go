@@ -9,6 +9,16 @@ import (
 	"github.com/medusa-repro/medusa/internal/model"
 )
 
+// wsLabels names each GEMM bucket's pair of cuBLAS workspace
+// allocations, formatted once.
+var wsLabels = func() map[int][2]string {
+	labels := make(map[int][2]string, len(kernels.GemmBuckets))
+	for _, b := range kernels.GemmBuckets {
+		labels[b] = [2]string{fmt.Sprintf("cublas.ws1.b%d", b), fmt.Sprintf("cublas.ws2.b%d", b)}
+	}
+	return labels
+}()
+
 // ensureWorkspace lazily performs the simulated cuBLAS initialization
 // for a batch bucket: two 4-byte workspace buffers holding the magic
 // words the bucket's GEMM variant checks (§4.3's permanent buffers).
@@ -18,19 +28,20 @@ func (inst *Instance) ensureWorkspace(bucket int) (wsPair, error) {
 	if ws, ok := inst.ws[bucket]; ok {
 		return ws, nil
 	}
+	labels := wsLabels[bucket]
 	a, err := inst.proc.Malloc(4)
 	if err != nil {
 		return wsPair{}, err
 	}
 	if inst.opts.Recorder != nil {
-		inst.opts.Recorder.LabelLastAlloc(fmt.Sprintf("cublas.ws1.b%d", bucket))
+		inst.opts.Recorder.LabelLastAlloc(labels[0])
 	}
 	b, err := inst.proc.Malloc(4)
 	if err != nil {
 		return wsPair{}, err
 	}
 	if inst.opts.Recorder != nil {
-		inst.opts.Recorder.LabelLastAlloc(fmt.Sprintf("cublas.ws2.b%d", bucket))
+		inst.opts.Recorder.LabelLastAlloc(labels[1])
 	}
 	m1, m2 := kernels.WorkspaceMagic(bucket)
 	var w [4]byte
@@ -52,12 +63,24 @@ func (inst *Instance) ensureWorkspace(bucket int) (wsPair, error) {
 // restored graphs reference.
 func (inst *Instance) restoreWorkspaces() {
 	for _, bucket := range kernels.GemmBuckets {
-		a, okA := inst.restorer.AddrOfLabel(fmt.Sprintf("cublas.ws1.b%d", bucket))
-		b, okB := inst.restorer.AddrOfLabel(fmt.Sprintf("cublas.ws2.b%d", bucket))
+		labels := wsLabels[bucket]
+		a, okA := inst.restorer.AddrOfLabel(labels[0])
+		b, okB := inst.restorer.AddrOfLabel(labels[1])
 		if okA && okB {
 			inst.ws[bucket] = wsPair{a: a, b: b}
 		}
 	}
+}
+
+// launch launches a kernel on the instance's stream. The arguments
+// pass through the instance's own buffer: a variadic list handed on
+// to Process.Launch would escape to the heap on every launch.
+func (inst *Instance) launch(name string, args ...cuda.Value) error {
+	if len(args) > len(inst.args) {
+		return fmt.Errorf("engine: %s launched with %d args, buffer holds %d", name, len(args), len(inst.args))
+	}
+	n := copy(inst.args[:], args)
+	return inst.proc.Launch(inst.stream, name, inst.args[:n])
 }
 
 // launchDecodeForward launches one decode-shaped forwarding for `rows`
@@ -74,7 +97,7 @@ func (inst *Instance) launchDecodeForward(rows int) error {
 	if err != nil {
 		return err
 	}
-	p, s, io := inst.proc, inst.stream, &inst.io
+	io := &inst.io
 	h, f, v := cfg.Hidden, cfg.FFN, cfg.Vocab
 	// Tensor-parallel shards run the same kernel sequence over divided
 	// matrix dimensions (attention width, FFN width, vocabulary slice).
@@ -85,62 +108,57 @@ func (inst *Instance) launchDecodeForward(rows int) error {
 	slPtr := io.meta + uint64(metaSeqlenOffset(cfg, rows))*4
 	gemmName := kernels.GemmKernelName(bucket)
 
-	launch := func(name string, args ...cuda.Value) error {
-		return p.Launch(s, name, args)
-	}
 	gemm := func(dst, src, w uint64, n, k int) error {
-		return launch(gemmName,
+		return inst.launch(gemmName,
 			cuda.PtrValue(dst), cuda.PtrValue(src), cuda.PtrValue(w),
 			cuda.PtrValue(ws.a), cuda.PtrValue(ws.b),
 			cuda.U32Value(m), cuda.U32Value(uint32(n)), cuda.U32Value(uint32(k)))
 	}
 	norm := func(dst, src, w uint64) error {
-		return launch(kernels.RMSNorm,
+		return inst.launch(kernels.RMSNorm,
 			cuda.PtrValue(dst), cuda.PtrValue(src), cuda.PtrValue(w),
 			cuda.U32Value(m), cuda.U32Value(uint32(h)))
 	}
 	add := func(dst, a, b uint64) error {
-		return launch(kernels.ResidualAdd,
+		return inst.launch(kernels.ResidualAdd,
 			cuda.PtrValue(dst), cuda.PtrValue(a), cuda.PtrValue(b),
 			cuda.U32Value(m*uint32(h)))
 	}
-	wt := func(layer int, name string) uint64 {
-		return inst.weights[fmt.Sprintf("layers.%d.%s", layer, name)]
-	}
 
 	// Prologue: embedding lookup.
-	if err := launch(kernels.EmbedLookup,
+	if err := inst.launch(kernels.EmbedLookup,
 		cuda.PtrValue(io.x), cuda.PtrValue(inst.weights["embed_tokens"]), cuda.PtrValue(io.ids),
 		cuda.U32Value(m), cuda.U32Value(uint32(h))); err != nil {
 		return err
 	}
 
-	for l := 0; l < cfg.Layers; l++ {
-		if err := norm(io.norm, io.x, wt(l, "input_norm")); err != nil {
+	for l := range inst.layers {
+		w := &inst.layers[l]
+		if err := norm(io.norm, io.x, w.inputNorm); err != nil {
 			return err
 		}
-		if err := gemm(io.qkv, io.norm, wt(l, "wqkv"), 3*hd, h); err != nil {
+		if err := gemm(io.qkv, io.norm, w.wqkv, 3*hd, h); err != nil {
 			return err
 		}
-		if err := launch(kernels.RopeCache,
+		if err := inst.launch(kernels.RopeCache,
 			cuda.PtrValue(io.qkv), cuda.PtrValue(inst.kcache), cuda.PtrValue(inst.vcache),
 			cuda.PtrValue(io.meta), cuda.PtrValue(slPtr),
 			cuda.U32Value(m), cuda.U32Value(uint32(hd)), cuda.U32Value(mb)); err != nil {
 			return err
 		}
-		if err := launch(kernels.PagedAttn,
+		if err := inst.launch(kernels.PagedAttn,
 			cuda.PtrValue(io.attnOut), cuda.PtrValue(io.qkv),
 			cuda.PtrValue(inst.kcache), cuda.PtrValue(inst.vcache), cuda.PtrValue(io.meta),
 			cuda.U32Value(m), cuda.U32Value(uint32(hd)), cuda.U32Value(mb)); err != nil {
 			return err
 		}
-		if err := gemm(io.oOut, io.attnOut, wt(l, "wo"), h, hd); err != nil {
+		if err := gemm(io.oOut, io.attnOut, w.wo, h, hd); err != nil {
 			return err
 		}
 		switch cfg.Family {
 		case model.FamilyParallel:
-			if err := launch(kernels.BiasAdd,
-				cuda.PtrValue(io.oOut), cuda.PtrValue(wt(l, "attn_bias")),
+			if err := inst.launch(kernels.BiasAdd,
+				cuda.PtrValue(io.oOut), cuda.PtrValue(w.attnBias),
 				cuda.U32Value(m), cuda.U32Value(uint32(h))); err != nil {
 				return err
 			}
@@ -149,25 +167,25 @@ func (inst *Instance) launchDecodeForward(rows int) error {
 			if err := add(io.x, io.x, io.oOut); err != nil {
 				return err
 			}
-			if err := norm(io.norm, io.x, wt(l, "post_norm")); err != nil {
+			if err := norm(io.norm, io.x, w.postNorm); err != nil {
 				return err
 			}
 		case model.FamilyFused:
 			// Fused residual: the post-norm reads the attention output
 			// directly and a single add closes the layer.
-			if err := norm(io.norm, io.oOut, wt(l, "post_norm")); err != nil {
+			if err := norm(io.norm, io.oOut, w.postNorm); err != nil {
 				return err
 			}
 		}
-		if err := gemm(io.gateUp, io.norm, wt(l, "wgateup"), 2*fd, h); err != nil {
+		if err := gemm(io.gateUp, io.norm, w.wgateup, 2*fd, h); err != nil {
 			return err
 		}
-		if err := launch(kernels.SiluMul,
+		if err := inst.launch(kernels.SiluMul,
 			cuda.PtrValue(io.mlpOut), cuda.PtrValue(io.gateUp),
 			cuda.U32Value(m), cuda.U32Value(uint32(fd))); err != nil {
 			return err
 		}
-		if err := gemm(io.downOut, io.mlpOut, wt(l, "wdown"), h, fd); err != nil {
+		if err := gemm(io.downOut, io.mlpOut, w.wdown, h, fd); err != nil {
 			return err
 		}
 		if cfg.Family == model.FamilyFused {
@@ -186,25 +204,25 @@ func (inst *Instance) launchDecodeForward(rows int) error {
 	if err := norm(io.norm, io.x, inst.weights["final_norm"]); err != nil {
 		return err
 	}
-	if err := launch(kernels.LMHeadGemm,
+	if err := inst.launch(kernels.LMHeadGemm,
 		cuda.PtrValue(io.logits), cuda.PtrValue(io.norm), cuda.PtrValue(inst.weights["lm_head"]),
 		cuda.U32Value(m), cuda.U32Value(uint32(vd)), cuda.U32Value(uint32(h))); err != nil {
 		return err
 	}
 	for i := 0; i < cfg.AuxEpilogueNodes(); i++ {
-		if err := launch(kernels.ElemCopy,
+		if err := inst.launch(kernels.ElemCopy,
 			cuda.PtrValue(io.aux), cuda.PtrValue(io.logits),
 			cuda.U32Value(m*uint32(vd))); err != nil {
 			return err
 		}
 	}
-	if err := launch(kernels.SampleArgmax,
+	if err := inst.launch(kernels.SampleArgmax,
 		cuda.PtrValue(io.sample), cuda.PtrValue(io.logits),
 		cuda.U32Value(m), cuda.U32Value(uint32(vd)), cuda.U64Value(inst.sampleSeed)); err != nil {
 		return err
 	}
-	if cfg.GraphPadded(rows, inst.opts.CaptureSizes) {
-		if err := launch(kernels.PadBatch,
+	if inst.graphPadded(rows) {
+		if err := inst.launch(kernels.PadBatch,
 			cuda.PtrValue(io.pad), cuda.U32Value(m)); err != nil {
 			return err
 		}
@@ -223,7 +241,7 @@ func (inst *Instance) launchFirstLayerForward(rows int) error {
 	if !ok {
 		return fmt.Errorf("engine: first-layer forward for bucket %d without restored workspace", bucket)
 	}
-	p, s, io := inst.proc, inst.stream, &inst.io
+	io := &inst.io
 	h, f := cfg.Hidden, cfg.FFN
 	tp := cfg.TP()
 	hd, fd := h/tp, f/tp
@@ -232,49 +250,50 @@ func (inst *Instance) launchFirstLayerForward(rows int) error {
 	slPtr := io.meta + uint64(metaSeqlenOffset(cfg, rows))*4
 	gemmName := kernels.GemmKernelName(bucket)
 	gemm := func(dst, src, w uint64, n, k int) error {
-		return p.Launch(s, gemmName, []cuda.Value{
+		return inst.launch(gemmName,
 			cuda.PtrValue(dst), cuda.PtrValue(src), cuda.PtrValue(w),
 			cuda.PtrValue(ws.a), cuda.PtrValue(ws.b),
-			cuda.U32Value(m), cuda.U32Value(uint32(n)), cuda.U32Value(uint32(k))})
+			cuda.U32Value(m), cuda.U32Value(uint32(n)), cuda.U32Value(uint32(k)))
 	}
+	w := &inst.layers[0]
 
-	if err := p.Launch(s, kernels.EmbedLookup, []cuda.Value{
+	if err := inst.launch(kernels.EmbedLookup,
 		cuda.PtrValue(io.x), cuda.PtrValue(inst.weights["embed_tokens"]), cuda.PtrValue(io.ids),
-		cuda.U32Value(m), cuda.U32Value(uint32(h))}); err != nil {
+		cuda.U32Value(m), cuda.U32Value(uint32(h))); err != nil {
 		return err
 	}
-	if err := p.Launch(s, kernels.RMSNorm, []cuda.Value{
-		cuda.PtrValue(io.norm), cuda.PtrValue(io.x), cuda.PtrValue(inst.weights["layers.0.input_norm"]),
-		cuda.U32Value(m), cuda.U32Value(uint32(h))}); err != nil {
+	if err := inst.launch(kernels.RMSNorm,
+		cuda.PtrValue(io.norm), cuda.PtrValue(io.x), cuda.PtrValue(w.inputNorm),
+		cuda.U32Value(m), cuda.U32Value(uint32(h))); err != nil {
 		return err
 	}
-	if err := gemm(io.qkv, io.norm, inst.weights["layers.0.wqkv"], 3*hd, h); err != nil {
+	if err := gemm(io.qkv, io.norm, w.wqkv, 3*hd, h); err != nil {
 		return err
 	}
-	if err := p.Launch(s, kernels.RopeCache, []cuda.Value{
+	if err := inst.launch(kernels.RopeCache,
 		cuda.PtrValue(io.qkv), cuda.PtrValue(inst.kcache), cuda.PtrValue(inst.vcache),
 		cuda.PtrValue(io.meta), cuda.PtrValue(slPtr),
-		cuda.U32Value(m), cuda.U32Value(uint32(hd)), cuda.U32Value(mb)}); err != nil {
+		cuda.U32Value(m), cuda.U32Value(uint32(hd)), cuda.U32Value(mb)); err != nil {
 		return err
 	}
-	if err := p.Launch(s, kernels.PagedAttn, []cuda.Value{
+	if err := inst.launch(kernels.PagedAttn,
 		cuda.PtrValue(io.attnOut), cuda.PtrValue(io.qkv),
 		cuda.PtrValue(inst.kcache), cuda.PtrValue(inst.vcache), cuda.PtrValue(io.meta),
-		cuda.U32Value(m), cuda.U32Value(uint32(hd)), cuda.U32Value(mb)}); err != nil {
+		cuda.U32Value(m), cuda.U32Value(uint32(hd)), cuda.U32Value(mb)); err != nil {
 		return err
 	}
-	if err := gemm(io.oOut, io.attnOut, inst.weights["layers.0.wo"], h, hd); err != nil {
+	if err := gemm(io.oOut, io.attnOut, w.wo, h, hd); err != nil {
 		return err
 	}
-	if err := gemm(io.gateUp, io.norm, inst.weights["layers.0.wgateup"], 2*fd, h); err != nil {
+	if err := gemm(io.gateUp, io.norm, w.wgateup, 2*fd, h); err != nil {
 		return err
 	}
-	if err := p.Launch(s, kernels.SiluMul, []cuda.Value{
+	if err := inst.launch(kernels.SiluMul,
 		cuda.PtrValue(io.mlpOut), cuda.PtrValue(io.gateUp),
-		cuda.U32Value(m), cuda.U32Value(uint32(fd))}); err != nil {
+		cuda.U32Value(m), cuda.U32Value(uint32(fd))); err != nil {
 		return err
 	}
-	return gemm(io.downOut, io.mlpOut, inst.weights["layers.0.wdown"], h, fd)
+	return gemm(io.downOut, io.mlpOut, w.wdown, h, fd)
 }
 
 // primeDecodeInputs writes deterministic decode inputs for `rows`

@@ -161,16 +161,14 @@ func (inst *Instance) prefillLaunches(T int) error {
 			cuda.PtrValue(dst), cuda.PtrValue(src), cuda.PtrValue(w),
 			cuda.U32Value(m), cuda.U32Value(uint32(n)), cuda.U32Value(uint32(k))})
 	}
-	wt := func(layer int, name string) uint64 {
-		return inst.weights[fmt.Sprintf("layers.%d.%s", layer, name)]
-	}
-	for l := 0; l < cfg.Layers; l++ {
+	for l := range inst.layers {
+		w := &inst.layers[l]
 		if err := p.Launch(s, kernels.RMSNorm, []cuda.Value{
-			cuda.PtrValue(tNorm), cuda.PtrValue(tIn), cuda.PtrValue(wt(l, "input_norm")),
+			cuda.PtrValue(tNorm), cuda.PtrValue(tIn), cuda.PtrValue(w.inputNorm),
 			cuda.U32Value(m), cuda.U32Value(uint32(h))}); err != nil {
 			return err
 		}
-		if err := gemm(tQKV, tNorm, wt(l, "wqkv"), 3*hd, h); err != nil {
+		if err := gemm(tQKV, tNorm, w.wqkv, 3*hd, h); err != nil {
 			return err
 		}
 		// Prefill attention stands in as a bandwidth-bound pass over the
@@ -180,7 +178,7 @@ func (inst *Instance) prefillLaunches(T int) error {
 			cuda.PtrValue(tIn), cuda.PtrValue(tQKV), cuda.U32Value(m * uint32(h))}); err != nil {
 			return err
 		}
-		if err := gemm(tGU, tNorm, wt(l, "wgateup"), 2*fd, h); err != nil {
+		if err := gemm(tGU, tNorm, w.wgateup, 2*fd, h); err != nil {
 			return err
 		}
 		if err := p.Launch(s, kernels.SiluMul, []cuda.Value{
@@ -188,7 +186,7 @@ func (inst *Instance) prefillLaunches(T int) error {
 			cuda.U32Value(m), cuda.U32Value(uint32(fd))}); err != nil {
 			return err
 		}
-		if err := gemm(tIn, tMLP, wt(l, "wdown"), h, fd); err != nil {
+		if err := gemm(tIn, tMLP, w.wdown, h, fd); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/medusa-repro/medusa/internal/kvcache"
 	"github.com/medusa-repro/medusa/internal/model"
@@ -46,17 +47,50 @@ func metaSeqlenOffset(cfg model.Config, rows int) int {
 // IO buffers, and charges the Python-side construction cost.
 func (inst *Instance) stageStructInit() error {
 	cfg := inst.opts.Model
+	specs := cfg.Tensors()
 	done := inst.stageSpan("struct_init")
-	defer done(obs.Attr{Key: "tensors", Value: fmt.Sprint(len(cfg.Tensors()))})
+	defer done(obs.Attr{Key: "tensors", Value: fmt.Sprint(len(specs))})
 	inst.proc.Clock().Advance(structInitDuration(cfg))
-	for _, spec := range cfg.Tensors() {
+	inst.layers = make([]layerWeights, cfg.Layers)
+	for _, spec := range specs {
 		addr, err := inst.proc.Malloc(cfg.TensorBytes(spec))
 		if err != nil {
 			return fmt.Errorf("tensor %s: %w", spec.Name, err)
 		}
 		inst.weights[spec.Name] = addr
+		if spec.Layer >= 0 {
+			inst.layers[spec.Layer].set(spec.Name[strings.LastIndexByte(spec.Name, '.')+1:], addr)
+		}
 	}
 	return inst.allocIO()
+}
+
+// layerWeights holds one decoder layer's weight addresses, resolved
+// once at structure initialization so forwards never look a layer's
+// weights up by formatted name.
+type layerWeights struct {
+	inputNorm, wqkv, wo, postNorm, wgateup, wdown, attnBias uint64
+}
+
+// set records the address of the layer tensor with the given
+// model.Config.Tensors name suffix.
+func (w *layerWeights) set(suffix string, addr uint64) {
+	switch suffix {
+	case "input_norm":
+		w.inputNorm = addr
+	case "wqkv":
+		w.wqkv = addr
+	case "wo":
+		w.wo = addr
+	case "post_norm":
+		w.postNorm = addr
+	case "wgateup":
+		w.wgateup = addr
+	case "wdown":
+		w.wdown = addr
+	case "attn_bias":
+		w.attnBias = addr
+	}
 }
 
 // allocIO allocates the persistent IO buffers for the largest capture

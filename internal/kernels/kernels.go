@@ -48,15 +48,42 @@ func GemmBucket(b int) int {
 	return GemmBuckets[len(GemmBuckets)-1]
 }
 
+// Name formats of the per-bucket GEMM kernels and their modules.
+const (
+	gemmKernelFormat = "sim_cublas_sgemm_128x%d_tn"
+	gemmModuleFormat = "cublas_mod_sgemm_%d"
+)
+
+// Per-bucket GEMM kernel and module names, formatted once: every
+// decode forward looks its bucket's kernel up by name.
+var (
+	gemmKernelNames = bucketNames(gemmKernelFormat)
+	gemmModuleNames = bucketNames(gemmModuleFormat)
+)
+
+func bucketNames(format string) map[int]string {
+	names := make(map[int]string, len(GemmBuckets))
+	for _, b := range GemmBuckets {
+		names[b] = fmt.Sprintf(format, b)
+	}
+	return names
+}
+
 // GemmKernelName returns the mangled name of the hidden GEMM variant for
 // a bucket.
 func GemmKernelName(bucket int) string {
-	return fmt.Sprintf("sim_cublas_sgemm_128x%d_tn", bucket)
+	if name, ok := gemmKernelNames[bucket]; ok {
+		return name
+	}
+	return fmt.Sprintf(gemmKernelFormat, bucket)
 }
 
 // GemmModuleName returns the module that carries a bucket's GEMM variant.
 func GemmModuleName(bucket int) string {
-	return fmt.Sprintf("cublas_mod_sgemm_%d", bucket)
+	if name, ok := gemmModuleNames[bucket]; ok {
+		return name
+	}
+	return fmt.Sprintf(gemmModuleFormat, bucket)
 }
 
 // WorkspaceMagic returns the two magic words a bucket's GEMM variant

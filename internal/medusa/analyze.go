@@ -187,10 +187,29 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 			return ix.BackwardMatch(eventPos, p)
 		}
 	}
-	out.gr.Nodes = make([]NodeRecord, 0, len(cg.graph.Nodes()))
-	for ni, node := range cg.graph.Nodes() {
+	// Per-graph slabs, sized exactly from the captured nodes: one for
+	// the node records, one each for every node's dependencies, param
+	// records and param images. Each node's share is a full-slice-
+	// expression sub-slice, so appending to one never overwrites its
+	// neighbour.
+	nodes := cg.graph.Nodes()
+	var nDeps, nParams, nBytes int
+	for _, node := range nodes {
+		nDeps += len(node.Deps)
+		nParams += len(node.Params)
+		nBytes += paramBytes(node.Params)
+	}
+	out.gr.Nodes = make([]NodeRecord, len(nodes))
+	deps := make([]int, nDeps)
+	params := make([]ParamRecord, nParams)
+	images := make([]byte, nBytes)
+	for ni, node := range nodes {
 		l := cg.launches[ni]
-		nr := NodeRecord{Deps: append([]int(nil), node.Deps...)}
+		nr := &out.gr.Nodes[ni]
+		if len(node.Deps) > 0 {
+			nr.Deps = cut(&deps, len(node.Deps))
+			copy(nr.Deps, node.Deps)
+		}
 
 		k, ok := proc.KernelByAddr(node.KernelAddr)
 		if !ok {
@@ -207,17 +226,13 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 			out.kernels[nr.KernelName] = loc
 		}
 
-		// One slab holds the node's parameter images; each is a
-		// full-slice-expression sub-slice, so appending to one can never
-		// overwrite its neighbour.
-		slab := make([]byte, 0, paramBytes(node.Params))
 		if len(node.Params) > 0 {
-			nr.Params = make([]ParamRecord, 0, len(node.Params))
+			nr.Params = cut(&params, len(node.Params))
 		}
-		for _, raw := range node.Params {
-			start := len(slab)
-			slab = append(slab, raw...)
-			pr := ParamRecord{Raw: slab[start:len(slab):len(slab)]}
+		for pi, raw := range node.Params {
+			pr := &nr.Params[pi]
+			pr.Raw = cut(&images, len(raw))
+			copy(pr.Raw, raw)
 			if p, isPtr := looksLikePointer(raw); isPtr {
 				if idx, off, found := match(l.eventPos, p); found {
 					pr.Pointer = true
@@ -230,11 +245,18 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 				// manages. Validation forwarding covers the case
 				// where this speculation is wrong.
 			}
-			nr.Params = append(nr.Params, pr)
 		}
-		out.gr.Nodes = append(out.gr.Nodes, nr)
 	}
 	return out
+}
+
+// cut takes the next n elements off the front of *slab as a
+// full-slice-expression sub-slice (len == cap), so appending to it
+// reallocates instead of overwriting what follows.
+func cut[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // paramBytes sums the sizes of a node's parameter images.

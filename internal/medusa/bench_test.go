@@ -273,7 +273,6 @@ func BenchmarkBackwardMatchIndexed(b *testing.B) {
 }
 
 func BenchmarkRestore1kNodes(b *testing.B) {
-	rt := toyRuntime()
 	p, rec := offlineBenchFixture(b, 1000)
 	art, err := Analyze(rec, p, AnalyzeOptions{ModelName: "bench", SkipContents: true})
 	if err != nil {
@@ -281,28 +280,39 @@ func BenchmarkRestore1kNodes(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fresh := cuda.NewProcess(rt, vclock.New(), cuda.Config{Seed: int64(i + 2), Mode: gpu.CostOnly})
-		rest, err := NewRestorer(fresh, art)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rest.ReplayPrefix(); err != nil {
-			b.Fatal(err)
-		}
-		if err := rest.ReplayCaptureStage(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rest.RestoreGraphs(nil); err != nil {
+		if err := restoreOnce(art); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(1000, "nodes/restore")
 }
 
-// TestCodecAllocCeilings holds the codec's allocations per call on the
-// 1k-node fixture under the checked-in ceilings in
-// testdata/max_allocs_<op>_1k: the wire writer appends without boxing,
-// and each decoded node keeps its parameter images in one slab.
+// restoreRuntime is the kernel environment restoreOnce's processes share.
+var restoreRuntime = toyRuntime()
+
+// restoreOnce restores art into a fresh process: replay, permanent
+// contents, and every graph rebuilt and instantiated.
+func restoreOnce(art *Artifact) error {
+	fresh := cuda.NewProcess(restoreRuntime, vclock.New(), cuda.Config{Seed: 2, Mode: gpu.CostOnly})
+	rest, err := NewRestorer(fresh, art)
+	if err != nil {
+		return err
+	}
+	if err := rest.ReplayPrefix(); err != nil {
+		return err
+	}
+	if err := rest.ReplayCaptureStage(); err != nil {
+		return err
+	}
+	_, err = rest.RestoreGraphs(nil)
+	return err
+}
+
+// TestCodecAllocCeilings holds the codec's and the restore path's
+// allocations per call on the 1k-node fixture under the checked-in
+// ceilings in testdata/max_allocs_<op>_1k: the wire writer appends
+// without boxing, and decode and restore keep each graph's deps,
+// params and parameter images in per-graph slabs.
 func TestCodecAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -325,6 +335,7 @@ func TestCodecAllocCeilings(t *testing.T) {
 		{"max_allocs_encode_delta_1k", func() error { _, err := art.EncodeDelta(tmpl); return err }},
 		{"max_allocs_decode_1k", func() error { _, err := Decode(v2); return err }},
 		{"max_allocs_decode_resolved_1k", func() error { _, err := DecodeResolved(v3, resolve); return err }},
+		{"max_allocs_restore_1k", func() error { return restoreOnce(art) }},
 	}
 	for _, op := range ops {
 		raw, err := os.ReadFile("testdata/" + op.file)

@@ -33,13 +33,12 @@ type event struct {
 	label      string
 }
 
-// launch is one offline-observed kernel launch.
+// launch is one offline-observed captured kernel launch: where it sits
+// in the event stream, which is all analysis reads, and the node id
+// AttachGraph checks. The parameter images are the graph node's own.
 type launch struct {
-	eventPos   int // events observed before this launch
-	kernelAddr uint64
-	raw        [][]byte
-	captured   bool
-	nodeID     int
+	eventPos int // events observed before this launch
+	nodeID   int
 }
 
 // capturedGraph pairs a captured CUDA graph with the launches that
@@ -53,10 +52,9 @@ type capturedGraph struct {
 // Recorder observes one offline cold start. Install its Hooks on the
 // process before the first allocation.
 type Recorder struct {
-	events   []event
-	launches []launch // non-captured launches (eager warm-up etc.)
-	pending  []launch // captured launches awaiting AttachGraph
-	graphs   []capturedGraph
+	events  []event
+	pending []launch // captured launches awaiting AttachGraph
+	graphs  []capturedGraph
 
 	labels            map[string]int // label -> alloc index
 	captureStageBegin int            // event position; -1 until marked
@@ -87,18 +85,14 @@ func (r *Recorder) Hooks() cuda.Hooks {
 			})
 		},
 		OnLaunch: func(rec cuda.LaunchRecord) {
-			l := launch{
-				eventPos:   len(r.events),
-				kernelAddr: rec.KernelAddr,
-				raw:        rec.RawParams,
-				captured:   rec.Captured,
-				nodeID:     rec.NodeID,
+			if !rec.Captured {
+				return
 			}
-			if rec.Captured {
-				r.pending = append(r.pending, l)
-			} else {
-				r.launches = append(r.launches, l)
+			if r.pending == nil && len(r.graphs) > 0 {
+				// The next graph most likely has the last one's shape.
+				r.pending = make([]launch, 0, len(r.graphs[len(r.graphs)-1].launches))
 			}
+			r.pending = append(r.pending, launch{eventPos: len(r.events), nodeID: rec.NodeID})
 		},
 	}
 }

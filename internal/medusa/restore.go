@@ -183,13 +183,9 @@ func (r *Restorer) RestoreGraphs(trigger TriggerFunc) (map[int]*cuda.GraphExec, 
 				return nil, fmt.Errorf("medusa: triggering-kernels for batch %d: %w", g.Batch, err)
 			}
 		}
-		nodes := make([]*cuda.Node, len(g.Nodes))
-		for ni := range g.Nodes {
-			node, err := r.buildNode(ni, &g.Nodes[ni])
-			if err != nil {
-				return nil, fmt.Errorf("medusa: graph %d node %d: %w", g.Batch, ni, err)
-			}
-			nodes[ni] = node
+		nodes, err := r.buildNodes(g)
+		if err != nil {
+			return nil, err
 		}
 		r.p.Clock().Advance(time.Duration(len(nodes)) * perNodeFillCost)
 		ge, err := cuda.NewGraph(nodes).Instantiate(r.p)
@@ -201,45 +197,64 @@ func (r *Restorer) RestoreGraphs(trigger TriggerFunc) (map[int]*cuda.GraphExec, 
 	return out, nil
 }
 
-// buildNode materializes one node: kernel address plus parameter images.
-func (r *Restorer) buildNode(id int, nr *NodeRecord) (*cuda.Node, error) {
-	addr, err := r.resolveKernel(nr.KernelName)
-	if err != nil {
-		return nil, err
-	}
-	node := &cuda.Node{
-		ID:         id,
-		KernelAddr: addr,
-		Deps:       append([]int(nil), nr.Deps...),
-		Params:     make([][]byte, 0, len(nr.Params)),
-		ParamSizes: make([]int, 0, len(nr.Params)),
-	}
-	// One slab holds the node's parameter images, copied (never
-	// aliased) from the artifact; each is a full-slice-expression
-	// sub-slice, so appending to one can never overwrite its neighbour.
-	size := 0
-	for _, p := range nr.Params {
-		if p.Pointer {
-			size += 8
-		} else {
-			size += len(p.Raw)
-		}
-	}
-	slab := make([]byte, 0, size)
-	for pi, p := range nr.Params {
-		start := len(slab)
-		if p.Pointer {
-			if !r.have[p.AllocIndex] {
-				return nil, fmt.Errorf("param %d: indirect index %d was never allocated", pi, p.AllocIndex)
+// buildNodes materializes one graph's nodes: kernel addresses plus
+// parameter images. The nodes live in one backing array and their
+// images, image headers, sizes and dependency lists in per-graph slabs
+// sized exactly from the graph record. Images are copied (never
+// aliased) from the artifact; each node's share of a slab is a
+// full-slice-expression sub-slice, so appending to one can never
+// overwrite its neighbour.
+func (r *Restorer) buildNodes(g *GraphRecord) ([]*cuda.Node, error) {
+	var nInts, nParams, nBytes int
+	for ni := range g.Nodes {
+		nr := &g.Nodes[ni]
+		nInts += len(nr.Deps) + len(nr.Params)
+		nParams += len(nr.Params)
+		for _, p := range nr.Params {
+			if p.Pointer {
+				nBytes += 8
+			} else {
+				nBytes += len(p.Raw)
 			}
-			slab = binary.LittleEndian.AppendUint64(slab, r.addr[p.AllocIndex]+p.Offset)
-		} else {
-			slab = append(slab, p.Raw...)
 		}
-		node.Params = append(node.Params, slab[start:len(slab):len(slab)])
-		node.ParamSizes = append(node.ParamSizes, len(slab)-start)
 	}
-	return node, nil
+	backing := make([]cuda.Node, len(g.Nodes))
+	nodes := make([]*cuda.Node, len(g.Nodes))
+	ints := make([]int, nInts)
+	params := make([][]byte, nParams)
+	images := make([]byte, nBytes)
+	for ni := range g.Nodes {
+		nr := &g.Nodes[ni]
+		addr, err := r.resolveKernel(nr.KernelName)
+		if err != nil {
+			return nil, fmt.Errorf("medusa: graph %d node %d: %w", g.Batch, ni, err)
+		}
+		node := &backing[ni]
+		node.ID = ni
+		node.KernelAddr = addr
+		if len(nr.Deps) > 0 {
+			node.Deps = cut(&ints, len(nr.Deps))
+			copy(node.Deps, nr.Deps)
+		}
+		node.Params = cut(&params, len(nr.Params))
+		node.ParamSizes = cut(&ints, len(nr.Params))
+		for pi, p := range nr.Params {
+			if p.Pointer {
+				if !r.have[p.AllocIndex] {
+					return nil, fmt.Errorf("medusa: graph %d node %d: param %d: indirect index %d was never allocated",
+						g.Batch, ni, pi, p.AllocIndex)
+				}
+				node.Params[pi] = cut(&images, 8)
+				binary.LittleEndian.PutUint64(node.Params[pi], r.addr[p.AllocIndex]+p.Offset)
+			} else {
+				node.Params[pi] = cut(&images, len(p.Raw))
+				copy(node.Params[pi], p.Raw)
+			}
+			node.ParamSizes[pi] = len(node.Params[pi])
+		}
+		nodes[ni] = node
+	}
+	return nodes, nil
 }
 
 // resolveKernel finds the process-local address of a kernel by name.

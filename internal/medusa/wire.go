@@ -214,6 +214,55 @@ func (r *wireReader) capFor(n uint32, minWire int) int {
 	return int(n)
 }
 
+// scanGraph pre-scans the node encodings of one graph at the front of
+// p, without allocating, and returns the totals its decode slabs need:
+// dependencies, param records and param image bytes. It stops at the
+// first truncated or out-of-limit node, so it counts only records the
+// bytes of p actually hold and can never size a slab beyond what the
+// input could describe.
+func scanGraph(p []byte, nNodes uint32) (deps, params, images int) {
+	off := 0
+	u32 := func() (uint32, bool) {
+		if len(p)-off < 4 {
+			return 0, false
+		}
+		v := binary.LittleEndian.Uint32(p[off:])
+		off += 4
+		return v, true
+	}
+	skip := func(n uint64) bool {
+		if uint64(len(p)-off) < n {
+			return false
+		}
+		off += int(n)
+		return true
+	}
+	for ni := uint32(0); ni < nNodes; ni++ {
+		name, ok := u32()
+		if !ok || name > 1<<20 || !skip(uint64(name)) {
+			return
+		}
+		nd, ok := u32()
+		if !ok || nd > nNodes || !skip(4*uint64(nd)) {
+			return
+		}
+		deps += int(nd)
+		np, ok := u32()
+		if !ok || np > 1<<12 {
+			return
+		}
+		for pi := uint32(0); pi < np; pi++ {
+			img, ok := u32()
+			if !ok || img > maxParamImage || !skip(uint64(img)+1+4+8) {
+				return
+			}
+			params++
+			images += int(img)
+		}
+	}
+	return
+}
+
 // Minimum wire sizes of the repeated records, for wireReader.capFor.
 const (
 	maxParamImage = 8
@@ -546,6 +595,15 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 		if nNodes > 0 && r.err == nil {
 			g.Nodes = make([]NodeRecord, 0, r.capFor(nNodes, minNodeWire))
 		}
+		// Per-graph slabs for every node's deps, param records and
+		// param images, sized by a pre-scan. Each node's share is a
+		// full-slice-expression sub-slice (len == cap); should a
+		// corrupt graph outgrow the scan, append reallocates and the
+		// shares already cut keep the old backing.
+		nDepsTotal, nParamsTotal, nImageBytes := scanGraph(r.p[r.off:], nNodes)
+		deps := make([]int, 0, nDepsTotal)
+		params := make([]ParamRecord, 0, nParamsTotal)
+		images := make([]byte, 0, nImageBytes)
 		for ni := uint32(0); ni < nNodes && r.err == nil; ni++ {
 			var n NodeRecord
 			name := r.view("kernel name", 1<<20)
@@ -559,27 +617,27 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 				r.fail("node with %d deps", nDeps)
 			}
 			if nDeps > 0 && r.err == nil {
-				n.Deps = make([]int, 0, r.capFor(nDeps, 4))
-			}
-			for di := uint32(0); di < nDeps && r.err == nil; di++ {
-				n.Deps = append(n.Deps, int(r.u32()))
+				start := len(deps)
+				for di := uint32(0); di < nDeps && r.err == nil; di++ {
+					deps = append(deps, int(r.u32()))
+				}
+				n.Deps = deps[start:len(deps):len(deps)]
 			}
 			nParams := r.u32()
 			if nParams > 1<<12 {
 				r.fail("node with %d params", nParams)
 			}
 			if nParams > 0 && r.err == nil {
-				n.Params = make([]ParamRecord, 0, r.capFor(nParams, minParamWire))
-			}
-			// One slab holds the node's parameter images.
-			slab := make([]byte, 0, maxParamImage*cap(n.Params))
-			for pi := uint32(0); pi < nParams && r.err == nil; pi++ {
-				var p ParamRecord
-				p.Raw, slab = r.image(slab)
-				p.Pointer = r.boolean()
-				p.AllocIndex = int(r.u32())
-				p.Offset = r.u64()
-				n.Params = append(n.Params, p)
+				start := len(params)
+				for pi := uint32(0); pi < nParams && r.err == nil; pi++ {
+					var p ParamRecord
+					p.Raw, images = r.image(images)
+					p.Pointer = r.boolean()
+					p.AllocIndex = int(r.u32())
+					p.Offset = r.u64()
+					params = append(params, p)
+				}
+				n.Params = params[start:len(params):len(params)]
 			}
 			g.Nodes = append(g.Nodes, n)
 		}

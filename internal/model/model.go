@@ -13,7 +13,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Family selects the per-layer kernel sequence variant.
@@ -144,25 +144,25 @@ func (c Config) BaseNodesPerGraph() int {
 	return c.Layers*c.Family.KernelsPerLayer() + c.EpilogueNodes
 }
 
+// PaddedSizes returns the capture sizes whose graphs get the extra
+// padding node, given the full set of capture sizes: the PaddedGraphs
+// largest sizes, in descending order.
+func (c Config) PaddedSizes(captureSizes []int) []int {
+	if c.PaddedGraphs == 0 {
+		return nil
+	}
+	sorted := slices.Clone(captureSizes)
+	slices.Sort(sorted)
+	slices.Reverse(sorted)
+	return sorted[:min(c.PaddedGraphs, len(sorted))]
+}
+
 // GraphPadded reports whether the graph for the given batch size gets
 // the extra padding node, given the full set of capture sizes: the
-// PaddedGraphs largest sizes do.
+// PaddedGraphs largest sizes do. Callers asking repeatedly should keep
+// PaddedSizes instead.
 func (c Config) GraphPadded(batch int, captureSizes []int) bool {
-	if c.PaddedGraphs == 0 {
-		return false
-	}
-	sorted := append([]int(nil), captureSizes...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	cut := c.PaddedGraphs
-	if cut > len(sorted) {
-		cut = len(sorted)
-	}
-	for _, s := range sorted[:cut] {
-		if s == batch {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(c.PaddedSizes(captureSizes), batch)
 }
 
 // NodesPerGraph returns the node count of the graph captured for one
