@@ -2,17 +2,23 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint docs linkcheck test test-race short bench bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
+.PHONY: all check build fmt vet lint docs linkcheck test test-race short bench bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
 
 all: build test
 
-# One-stop verification: compile, vet, lint the determinism invariants,
-# check the documentation's relative links, full tests, race-detect
-# everything, then the batched-execution and fleet-control-plane smokes.
-check: build vet lint linkcheck test test-race batch-smoke fleet-smoke
+# One-stop verification: compile, check formatting, vet, lint the
+# determinism invariants, check the documentation's relative links, full
+# tests, race-detect everything, then the batched-execution and
+# fleet-control-plane smokes.
+check: build fmt vet lint linkcheck test test-race batch-smoke fleet-smoke
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every tracked Go file must be gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')) && \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -332,7 +332,7 @@ func TestObsCounters(t *testing.T) {
 	c.SetObs(tr, mreg)
 
 	r1, _ := c.Fetch(0, "a")
-	c.Fetch(r1.Ready/2, "a")         //nolint:errcheck // counters under test
+	c.Fetch(r1.Ready/2, "a")           //nolint:errcheck // counters under test
 	c.Fetch(r1.Ready+time.Second, "a") //nolint:errcheck
 
 	if got := mreg.Counter("cache_misses").Value(); got != 1 {

@@ -104,9 +104,9 @@ func CostAwareWeight(size uint64, cost time.Duration, freq int) float64 {
 
 type lruPolicy struct{}
 
-func (lruPolicy) Kind() PolicyKind          { return PolicyLRU }
+func (lruPolicy) Kind() PolicyKind           { return PolicyLRU }
 func (lruPolicy) Score(e EntryStats) float64 { return float64(e.LastSeq) }
-func (lruPolicy) OnEvict(float64)           {}
+func (lruPolicy) OnEvict(float64)            {}
 
 type lfuPolicy struct{}
 

@@ -8,10 +8,13 @@
 // registry), so a scale-up lands on artifact-warm nodes whichever
 // policy asked for it.
 //
-// The predictive policy, and any policy other than *Reactive, is asked
-// at every tick. Reactive's answer depends only on a deployment's
-// outstanding and live counts, so the core keeps its last answer and
-// asks again only when either count changed.
+// A policy may say how long its answer holds by implementing Horizon.
+// The core keeps each deployment's last answer and asks again only
+// when the deployment's outstanding or live count changed or the
+// answer's horizon passed. Reactive's answer holds until the counts
+// change; Predictive's holds until its next rate-window boundary. A
+// policy without Horizon, a wrapper around either included, is asked
+// at every tick.
 //
 // Policies advance only on virtual-time observations — no wall clock,
 // no shared RNG — so a fixed-seed simulation renders byte-identically
@@ -87,6 +90,22 @@ type Retainer interface {
 	Retain(dep int, o Observation) int
 }
 
+// Horizon is an optional Policy extension: how long an answer holds.
+// The simulator core reuses a deployment's last answer until the
+// deployment's outstanding or live count changes or the instant Until
+// returned is reached; a policy without Horizon is asked at every
+// control tick.
+type Horizon interface {
+	// Until returns the first instant at or after now at which Desired
+	// may answer the deployment differently than it did at now,
+	// assuming the deployment's Outstanding and Live stay what they
+	// were (InstanceTarget and ProvisionLatency are fixed per
+	// deployment). Arrivals observed in between must not bring that
+	// instant forward. math.MaxInt64 means the answer depends on the
+	// counts alone.
+	Until(dep int, now time.Duration) time.Duration
+}
+
 // Reactive is the baseline policy: one instance per InstanceTarget
 // outstanding requests, zero when idle — exactly the formula the
 // simulator applied before policies were pluggable, so a reactive run
@@ -107,6 +126,10 @@ func (*Reactive) ObserveArrival(int, time.Duration) {}
 func (*Reactive) Desired(_ int, o Observation) int {
 	return reactiveDesired(&o)
 }
+
+// Until reports that the answer holds for as long as the outstanding
+// and live counts do.
+func (*Reactive) Until(int, time.Duration) time.Duration { return math.MaxInt64 }
 
 // reactiveDesired takes the observation by pointer: it has too many
 // fields to live in registers, and copying it on every call showed in
@@ -246,6 +269,16 @@ func (p *Predictive) Desired(dep int, o Observation) int {
 		extra = p.cfg.MaxStep
 	}
 	return base + extra
+}
+
+// Until returns the next multiple of Window after now: the forecast
+// changes only when the rate window closes a window, and it closes
+// them only at those multiples. Closing is lazy and idempotent, so
+// skipping calls inside a window leaves the Holt filter fed the same
+// rates in the same order. Arrivals inside the window only count
+// toward the window still open, which the forecast ignores.
+func (p *Predictive) Until(_ int, now time.Duration) time.Duration {
+	return now - now%p.cfg.Window + p.cfg.Window
 }
 
 // Retain implements the scale-down veto: hold up to KeepWarm idle

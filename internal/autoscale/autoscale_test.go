@@ -2,6 +2,7 @@ package autoscale
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -230,5 +231,82 @@ func TestPredictiveRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := NewPredictive(PredictiveConfig{MaxStep: -3}); err == nil {
 		t.Fatal("max step -3 accepted")
+	}
+}
+
+// TestHorizonHoldsAnswer is the Horizon contract as a property: for
+// random arrival sequences, a policy asked only when a deployment's
+// Outstanding or Live changed or its last answer's Until instant was
+// reached answers exactly like an identically fed policy asked at
+// every instant. Arrivals land between the asks, as they do in the
+// simulator core.
+func TestHorizonHoldsAnswer(t *testing.T) {
+	type policy interface {
+		Policy
+		Horizon
+	}
+	mk := func(window time.Duration) []policy {
+		var out []policy
+		for i := 0; i < 2; i++ {
+			p, err := NewPredictive(PredictiveConfig{Window: window, MaxStep: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, p)
+		}
+		return append(out, NewReactive(), NewReactive())
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		window := time.Duration(1+rng.Intn(4)) * 500 * time.Millisecond
+		ps := mk(window)
+		lead := time.Duration(1+rng.Intn(4)) * time.Second
+		type held struct {
+			answer, outstanding, live int
+			until                     time.Duration
+			asked                     bool
+		}
+		var last [2][2]held // [policy pair][dep]
+		now, reused, ahead := time.Duration(0), 0, 0
+		for step := 0; step < 2000; step++ {
+			// The mean gap cycles through 1–41 ms, so the forecast
+			// sees the rate fall and then jump back up.
+			meanGap := time.Duration(1+8*((step/150)%6)) * time.Millisecond
+			now += time.Duration(rng.Int63n(int64(2 * meanGap)))
+			dep := rng.Intn(2)
+			if rng.Intn(3) > 0 {
+				for _, p := range ps {
+					p.ObserveArrival(dep, now)
+				}
+				continue
+			}
+			o := Observation{Now: now, Outstanding: rng.Intn(3), Live: rng.Intn(2),
+				InstanceTarget: 2, ProvisionLatency: lead}
+			for pair := 0; pair < 2; pair++ {
+				full, cached := ps[2*pair], ps[2*pair+1]
+				want := full.Desired(dep, o)
+				h := &last[pair][dep]
+				if !h.asked || h.outstanding != o.Outstanding || h.live != o.Live || now >= h.until {
+					h.answer = cached.Desired(dep, o)
+					h.until = cached.Until(dep, now)
+					h.outstanding, h.live, h.asked = o.Outstanding, o.Live, true
+					if h.until < now {
+						t.Fatalf("%s: Until(%v) = %v, before now", cached.Name(), now, h.until)
+					}
+				} else {
+					reused++
+				}
+				if h.answer != want {
+					t.Fatalf("trial %d step %d %s dep %d at %v: reused answer %d, asked %d (held until %v)",
+						trial, step, cached.Name(), dep, now, h.answer, want, h.until)
+				}
+				if pair == 0 && want > reactiveDesired(&o) {
+					ahead++
+				}
+			}
+		}
+		if reused == 0 || ahead == 0 {
+			t.Fatalf("trial %d too tame: %d reused answers, %d scale-ahead answers", trial, reused, ahead)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -12,23 +13,31 @@ import (
 	"github.com/medusa-repro/medusa/internal/serverless"
 )
 
-// fullScan hides the wrapped policy's concrete type, so the simulator
-// core cannot recognise the reactive policy and asks it at every
-// control tick: the full scan the reused answers must reproduce.
+// fullScan hides the wrapped policy's autoscale.Horizon extension, so
+// the simulator core asks it at every control tick: the full scan the
+// reused answers must reproduce.
 type fullScan struct{ autoscale.Policy }
 
+// fullScanRetainer is fullScan for a policy that also vetoes
+// scale-down: it hides Horizon but keeps Retain.
+type fullScanRetainer struct {
+	fullScan
+	autoscale.Retainer
+}
+
 // TestCachedDesiredMatchesFullScan is the oracle for the incremental
-// control plane. Under the reactive policy the core asks for a
-// deployment's desired count only when its outstanding or live count
-// changed; hiding the policy behind a pass-through wrapper forces a
-// call on every tick. The two runs must render byte-identically and do
+// control plane. The core asks for a deployment's desired count only
+// when its outstanding or live count changed or the answer's horizon
+// (autoscale.Horizon) passed; hiding the horizon behind a pass-through
+// wrapper forces a call on every tick. Under both the reactive and the
+// predictive policy, the two runs must render byte-identically and do
 // the same work — every Work counter equal except Desired, which the
 // reuse must strictly reduce, and the iteration-end events and heap
-// high-water mark: the pass-through policy is not the reactive policy,
-// so the core also runs every decode step as its own event there
-// (coalesced decode runs need the reactive policy). The fixtures keep
-// demand above the fleet's capacity, so deployments spend ticks blocked
-// on GPUs.
+// high-water mark: under the pass-through reactive policy the answer
+// no longer holds until the counts change, so the core also runs every
+// decode step as its own event there (coalesced decode runs need such
+// an answer). The fixtures keep demand above the fleet's capacity, so
+// deployments spend ticks blocked on GPUs.
 func TestCachedDesiredMatchesFullScan(t *testing.T) {
 	const traceSeconds = 25
 	base := func(t *testing.T, tweak func(i int, c *serverless.Config)) serverless.Fleet {
@@ -43,10 +52,18 @@ func TestCachedDesiredMatchesFullScan(t *testing.T) {
 		}
 		return cfg
 	}
-	for _, tc := range []struct {
+	predictive := func(t *testing.T) *autoscale.Predictive {
+		p, err := autoscale.NewPredictive(autoscale.PredictiveConfig{Window: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	type fixture struct {
 		name string
 		cfg  func(t *testing.T) serverless.Fleet
-	}{
+	}
+	fixtures := []fixture{
 		{"legacy", func(t *testing.T) serverless.Fleet {
 			return base(t, func(int, *serverless.Config) {})
 		}},
@@ -84,14 +101,29 @@ func TestCachedDesiredMatchesFullScan(t *testing.T) {
 			cfg.Faults = serverless.FaultSpec{Plan: &plan}
 			return cfg
 		}},
-	} {
+	}
+	// The reactive subtests keep the fixtures' names; each predictive
+	// one runs the same fixture under a fresh predictive policy per run.
+	cases := fixtures
+	for _, f := range fixtures {
+		cases = append(cases, fixture{"predictive-" + f.name, func(t *testing.T) serverless.Fleet {
+			cfg := f.cfg(t)
+			cfg.Autoscaler = predictive(t)
+			return cfg
+		}})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reused, err := serverless.RunFleet(tc.cfg(t))
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := tc.cfg(t)
-			cfg.Autoscaler = fullScan{autoscale.NewReactive()}
+			if p, ok := cfg.Autoscaler.(*autoscale.Predictive); ok {
+				cfg.Autoscaler = fullScanRetainer{fullScan{p}, p}
+			} else {
+				cfg.Autoscaler = fullScan{autoscale.NewReactive()}
+			}
 			full, err := serverless.RunFleet(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -113,7 +145,7 @@ func TestCachedDesiredMatchesFullScan(t *testing.T) {
 				t.Errorf("work differs beyond Desired calls:\n reused    %+v\n full scan %+v", rw, fw)
 			}
 			t.Logf("Desired calls: reused %d, full scan %d; %d cold starts, %d completed", reused.Work.Desired, full.Work.Desired, reused.TotalColdStarts, reused.Completed)
-			if tc.name == "crash" && reused.NodeCrashes != 1 {
+			if strings.HasSuffix(tc.name, "crash") && reused.NodeCrashes != 1 {
 				t.Errorf("crash preset crashed %d nodes, want 1", reused.NodeCrashes)
 			}
 		})

@@ -48,11 +48,18 @@ func (e *OutOfBlocksError) Error() string {
 		e.Seq, e.Needed, e.Free, e.Shortfall)
 }
 
+// seqState is one live sequence: its block table and token count.
+type seqState struct {
+	table  []int
+	tokens int
+}
+
 // reservation records one uncommitted Reserve so Rollback can restore
 // the manager byte-for-byte: the tokens added, the number of blocks
 // popped from the free tail, and whether the sequence existed before.
 type reservation struct {
 	seq     uint64
+	st      *seqState
 	tokens  int
 	blocks  int
 	existed bool
@@ -63,9 +70,11 @@ type reservation struct {
 type Manager struct {
 	numBlocks int
 	free      []int
-	tables    map[uint64][]int
-	seqLens   map[uint64]int
-	pending   []reservation
+	seqs      map[uint64]*seqState
+	// spare holds released sequence states, tables emptied but with
+	// their capacity kept, for the next new sequence.
+	spare   []*seqState
+	pending []reservation
 }
 
 // NewManager creates a manager over numBlocks blocks.
@@ -77,8 +86,7 @@ func NewManager(numBlocks int) *Manager {
 	return &Manager{
 		numBlocks: numBlocks,
 		free:      free,
-		tables:    make(map[uint64][]int),
-		seqLens:   make(map[uint64]int),
+		seqs:      make(map[uint64]*seqState),
 	}
 }
 
@@ -89,25 +97,39 @@ func (m *Manager) NumBlocks() int { return m.numBlocks }
 func (m *Manager) NumFreeBlocks() int { return len(m.free) }
 
 // SeqLen returns the cached token count of a sequence.
-func (m *Manager) SeqLen(seq uint64) int { return m.seqLens[seq] }
+func (m *Manager) SeqLen(seq uint64) int {
+	if st := m.seqs[seq]; st != nil {
+		return st.tokens
+	}
+	return 0
+}
 
 // Sequences returns the number of live sequences.
-func (m *Manager) Sequences() int { return len(m.tables) }
+func (m *Manager) Sequences() int { return len(m.seqs) }
 
-// BlockTable returns the sequence's block table (shared slice; callers
-// must not mutate).
-func (m *Manager) BlockTable(seq uint64) []int { return m.tables[seq] }
+// BlockTable returns the sequence's block table. The slice is the
+// manager's own: callers must not mutate it, and it is valid only until
+// the next Release or Reset, which recycle its storage.
+func (m *Manager) BlockTable(seq uint64) []int {
+	if st := m.seqs[seq]; st != nil {
+		return st.table
+	}
+	return nil
+}
 
-// blocksNeeded computes additional blocks to extend seq by n tokens.
-func (m *Manager) blocksNeeded(seq uint64, n int) int {
-	cur := m.seqLens[seq]
-	return BlocksForTokens(cur+n) - len(m.tables[seq])
+// blocksNeeded computes additional blocks to extend st (nil for an
+// unknown sequence) by n tokens.
+func blocksNeeded(st *seqState, n int) int {
+	if st == nil {
+		return BlocksForTokens(n)
+	}
+	return BlocksForTokens(st.tokens+n) - len(st.table)
 }
 
 // CanAppend reports whether n more tokens fit without exhausting the
 // pool.
 func (m *Manager) CanAppend(seq uint64, n int) bool {
-	return m.blocksNeeded(seq, n) <= len(m.free)
+	return blocksNeeded(m.seqs[seq], n) <= len(m.free)
 }
 
 // Append extends a sequence by n tokens, allocating blocks as needed.
@@ -116,23 +138,50 @@ func (m *Manager) Append(seq uint64, n int) error {
 	if n < 0 {
 		return fmt.Errorf("kvcache: negative append %d", n)
 	}
-	need := m.blocksNeeded(seq, n)
+	st := m.seqs[seq]
+	need := blocksNeeded(st, n)
 	if need > len(m.free) {
 		return &OutOfBlocksError{Seq: seq, Needed: need, Free: len(m.free), Shortfall: need - len(m.free)}
 	}
-	m.grow(seq, n, need)
+	if st == nil {
+		st = m.newSeq(seq)
+	}
+	m.grow(st, n, need)
 	return nil
 }
 
-// grow pops need blocks from the free tail onto seq's table and extends
-// its length by n tokens. Callers have already checked capacity.
-func (m *Manager) grow(seq uint64, n, need int) {
-	for i := 0; i < need; i++ {
-		b := m.free[len(m.free)-1]
-		m.free = m.free[:len(m.free)-1]
-		m.tables[seq] = append(m.tables[seq], b)
+// newSeq registers a sequence, recycling a released state if one is
+// spare.
+func (m *Manager) newSeq(seq uint64) *seqState {
+	var st *seqState
+	if k := len(m.spare); k > 0 {
+		st = m.spare[k-1]
+		m.spare = m.spare[:k-1]
+	} else {
+		st = &seqState{}
 	}
-	m.seqLens[seq] += n
+	m.seqs[seq] = st
+	return st
+}
+
+// dropSeq unregisters a sequence whose blocks are already back on the
+// free list and keeps its state for reuse.
+func (m *Manager) dropSeq(seq uint64, st *seqState) {
+	delete(m.seqs, seq)
+	st.table = st.table[:0]
+	st.tokens = 0
+	m.spare = append(m.spare, st)
+}
+
+// grow pops need blocks from the free tail onto st's table and extends
+// its length by n tokens. Callers have already checked capacity.
+func (m *Manager) grow(st *seqState, n, need int) {
+	tail := len(m.free) - need
+	for i := len(m.free) - 1; i >= tail; i-- {
+		st.table = append(st.table, m.free[i])
+	}
+	m.free = m.free[:tail]
+	st.tokens += n
 }
 
 // Reserve extends a sequence like Append but logs the allocation in an
@@ -145,13 +194,17 @@ func (m *Manager) Reserve(seq uint64, n int) error {
 	if n < 0 {
 		return fmt.Errorf("kvcache: negative reserve %d", n)
 	}
-	need := m.blocksNeeded(seq, n)
+	st := m.seqs[seq]
+	need := blocksNeeded(st, n)
 	if need > len(m.free) {
 		return &OutOfBlocksError{Seq: seq, Needed: need, Free: len(m.free), Shortfall: need - len(m.free)}
 	}
-	_, existed := m.seqLens[seq]
-	m.pending = append(m.pending, reservation{seq: seq, tokens: n, blocks: need, existed: existed})
-	m.grow(seq, n, need)
+	existed := st != nil
+	if !existed {
+		st = m.newSeq(seq)
+	}
+	m.pending = append(m.pending, reservation{seq: seq, st: st, tokens: n, blocks: need, existed: existed})
+	m.grow(st, n, need)
 	return nil
 }
 
@@ -163,19 +216,16 @@ func (m *Manager) Reserve(seq uint64, n int) error {
 func (m *Manager) Rollback() {
 	for i := len(m.pending) - 1; i >= 0; i-- {
 		r := m.pending[i]
-		table := m.tables[r.seq]
+		st := r.st
 		for j := 0; j < r.blocks; j++ {
-			b := table[len(table)-1]
-			table = table[:len(table)-1]
-			m.free = append(m.free, b)
+			last := len(st.table) - 1
+			m.free = append(m.free, st.table[last])
+			st.table = st.table[:last]
 		}
-		if len(table) == 0 && !r.existed {
-			delete(m.tables, r.seq)
-			delete(m.seqLens, r.seq)
-			continue
+		st.tokens -= r.tokens
+		if !r.existed && len(st.table) == 0 {
+			m.dropSeq(r.seq, st)
 		}
-		m.tables[r.seq] = table
-		m.seqLens[r.seq] -= r.tokens
 	}
 	m.pending = m.pending[:0]
 }
@@ -186,23 +236,25 @@ func (m *Manager) Commit() {
 }
 
 // Reset restores the manager to its freshly constructed state without
-// reallocating, so pooled managers can be recycled across instances.
+// reallocating the free list, so pooled managers can be recycled
+// across instances.
 func (m *Manager) Reset() {
 	m.free = m.free[:0]
 	for i := 0; i < m.numBlocks; i++ {
 		m.free = append(m.free, m.numBlocks-1-i)
 	}
-	clear(m.tables)
-	clear(m.seqLens)
+	clear(m.seqs)
 	m.pending = m.pending[:0]
 }
 
 // Release frees all blocks of a sequence.
 func (m *Manager) Release(seq uint64) {
-	blocks := m.tables[seq]
-	delete(m.tables, seq)
-	delete(m.seqLens, seq)
-	m.free = append(m.free, blocks...)
+	st := m.seqs[seq]
+	if st == nil {
+		return
+	}
+	m.free = append(m.free, st.table...)
+	m.dropSeq(seq, st)
 }
 
 // UsedBlocks returns allocated block count.

@@ -2,6 +2,8 @@ package kvcache
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -271,5 +273,174 @@ func TestBlockAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refManager is the two-map manager Manager replaced (block tables and
+// token counts in separate maps, tables regrown from nil), kept as the
+// oracle for byte-exact free-list order.
+type refManager struct {
+	free    []int
+	tables  map[uint64][]int
+	seqLens map[uint64]int
+	pending []reservation
+}
+
+func newRefManager(numBlocks int) *refManager {
+	r := &refManager{tables: map[uint64][]int{}, seqLens: map[uint64]int{}}
+	for i := 0; i < numBlocks; i++ {
+		r.free = append(r.free, numBlocks-1-i)
+	}
+	return r
+}
+
+func (r *refManager) need(seq uint64, n int) int {
+	return BlocksForTokens(r.seqLens[seq]+n) - len(r.tables[seq])
+}
+
+func (r *refManager) grow(seq uint64, n, need int) {
+	for i := 0; i < need; i++ {
+		b := r.free[len(r.free)-1]
+		r.free = r.free[:len(r.free)-1]
+		r.tables[seq] = append(r.tables[seq], b)
+	}
+	r.seqLens[seq] += n
+}
+
+func (r *refManager) append(seq uint64, n int) bool {
+	need := r.need(seq, n)
+	if need > len(r.free) {
+		return false
+	}
+	r.grow(seq, n, need)
+	return true
+}
+
+func (r *refManager) reserve(seq uint64, n int) bool {
+	need := r.need(seq, n)
+	if need > len(r.free) {
+		return false
+	}
+	_, existed := r.seqLens[seq]
+	r.pending = append(r.pending, reservation{seq: seq, tokens: n, blocks: need, existed: existed})
+	r.grow(seq, n, need)
+	return true
+}
+
+func (r *refManager) rollback() {
+	for i := len(r.pending) - 1; i >= 0; i-- {
+		p := r.pending[i]
+		table := r.tables[p.seq]
+		for j := 0; j < p.blocks; j++ {
+			r.free = append(r.free, table[len(table)-1])
+			table = table[:len(table)-1]
+		}
+		if len(table) == 0 && !p.existed {
+			delete(r.tables, p.seq)
+			delete(r.seqLens, p.seq)
+			continue
+		}
+		r.tables[p.seq] = table
+		r.seqLens[p.seq] -= p.tokens
+	}
+	r.pending = r.pending[:0]
+}
+
+func (r *refManager) release(seq uint64) {
+	r.free = append(r.free, r.tables[seq]...)
+	delete(r.tables, seq)
+	delete(r.seqLens, seq)
+}
+
+// TestManagerMatchesTwoMapOracle drives the manager and the two-map
+// oracle through the same random appends, reservation batches that
+// commit or roll back, releases and resets, and requires the free list
+// (order included), every block table and token count, and every
+// success or failure to agree after each step.
+func TestManagerMatchesTwoMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		blocks := 4 + rng.Intn(40)
+		m, ref := NewManager(blocks), newRefManager(blocks)
+		for step := 0; step < 400; step++ {
+			seq := uint64(rng.Intn(8))
+			n := 1 + rng.Intn(40)
+			switch op := rng.Intn(20); {
+			case op < 3:
+				m.Release(seq)
+				ref.release(seq)
+			case op < 6:
+				if (m.Append(seq, n) == nil) != ref.append(seq, n) {
+					t.Fatalf("trial %d step %d: Append(%d, %d) disagrees", trial, step, seq, n)
+				}
+			case op == 6:
+				m.Reset()
+				ref = newRefManager(blocks)
+			default:
+				ok := true
+				for i := 0; i < 1+rng.Intn(4) && ok; i++ {
+					s, k := uint64(rng.Intn(8)), 1+rng.Intn(20)
+					got := m.Reserve(s, k) == nil
+					if got != ref.reserve(s, k) {
+						t.Fatalf("trial %d step %d: Reserve(%d, %d) disagrees", trial, step, s, k)
+					}
+					ok = got
+				}
+				if ok && rng.Intn(3) > 0 {
+					m.Commit()
+					ref.pending = ref.pending[:0]
+				} else {
+					m.Rollback()
+					ref.rollback()
+				}
+			}
+			if !slices.Equal(m.free, ref.free) || m.Sequences() != len(ref.tables) {
+				t.Fatalf("trial %d step %d: free %v seqs %d, oracle free %v seqs %d",
+					trial, step, m.free, m.Sequences(), ref.free, len(ref.tables))
+			}
+			for s := uint64(0); s < 8; s++ {
+				if !slices.Equal(m.BlockTable(s), ref.tables[s]) || m.SeqLen(s) != ref.seqLens[s] {
+					t.Fatalf("trial %d step %d: seq %d table %v len %d, oracle %v len %d",
+						trial, step, s, m.BlockTable(s), m.SeqLen(s), ref.tables[s], ref.seqLens[s])
+				}
+			}
+		}
+	}
+}
+
+// TestSteadyStateCycleAllocatesNothing: once a sequence's state and
+// table capacity have been recycled, admitting it (Reserve + Commit),
+// decoding it one token at a time and releasing it allocates nothing.
+func TestSteadyStateCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	m := NewManager(64)
+	var next uint64
+	cycle := func() {
+		seqs := [3]uint64{next, next + 1, next + 2}
+		next = (next + 3) % 6 // a few live IDs, as a small batch
+		for _, s := range seqs {
+			if m.Reserve(s, 20) != nil {
+				t.Fatal("prompt reservation failed")
+			}
+		}
+		m.Commit()
+		for step := 0; step < 40; step++ {
+			for _, s := range seqs {
+				if m.Reserve(s, 1) != nil {
+					t.Fatal("decode reservation failed")
+				}
+			}
+			m.Commit()
+		}
+		for _, s := range seqs {
+			m.Release(s)
+		}
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Fatalf("steady-state Reserve/Commit/Release cycle allocated %v times, want 0", n)
 	}
 }

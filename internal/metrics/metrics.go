@@ -97,7 +97,7 @@ func (s *Sample) offer(d time.Duration) {
 		s.vals = append(s.vals, d)
 		return
 	}
-	if j := splitmix64(reservoirSalt ^ s.offered) % s.offered; j < uint64(k) {
+	if j := splitmix64(reservoirSalt^s.offered) % s.offered; j < uint64(k) {
 		s.vals[j] = d
 	}
 }

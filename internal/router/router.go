@@ -10,8 +10,9 @@
 package router
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Candidate is one dispatchable instance as the router sees it.
@@ -94,21 +95,54 @@ func Pick(p Policy, cands []Candidate) int {
 }
 
 // Rank orders indices into cands by descending score, ties broken by
-// ascending ID — the dispatch order the cluster simulator walks.
+// ascending ID — the dispatch order the cluster simulator walks. It
+// allocates its result; a hot path ranks through a reused Ranker.
 func Rank(p Policy, cands []Candidate) []int {
-	order := make([]int, len(cands))
-	scores := make([]float64, len(cands))
-	for i, c := range cands {
-		order[i] = i
-		scores[i] = p.Score(c)
+	var r Ranker
+	return r.Rank(p, cands)
+}
+
+// Ranker ranks candidates into buffers it keeps across calls, so a
+// warm Ranker allocates nothing. The zero value is ready to use.
+type Ranker struct {
+	keys  []rankKey
+	order []int
+}
+
+// rankKey is one candidate's sort key and its index into the slate.
+type rankKey struct {
+	score float64
+	id    int
+	idx   int
+}
+
+// compareRank orders by descending score, then ascending ID. IDs are
+// unique within a slate, so for finite scores this is a total order
+// and every correct sort yields the same permutation.
+func compareRank(a, b rankKey) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case a.score < b.score:
+		return 1
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if scores[ia] != scores[ib] {
-			return scores[ia] > scores[ib]
-		}
-		return cands[ia].ID < cands[ib].ID
-	})
+	return cmp.Compare(a.id, b.id)
+}
+
+// Rank orders indices into cands like the package-level Rank. The
+// returned slice is the Ranker's own buffer, valid until its next
+// call.
+func (r *Ranker) Rank(p Policy, cands []Candidate) []int {
+	keys := r.keys[:0]
+	for i, c := range cands {
+		keys = append(keys, rankKey{score: p.Score(c), id: c.ID, idx: i})
+	}
+	slices.SortFunc(keys, compareRank)
+	order := r.order[:0]
+	for _, k := range keys {
+		order = append(order, k.idx)
+	}
+	r.keys, r.order = keys, order
 	return order
 }
 

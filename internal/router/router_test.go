@@ -1,6 +1,11 @@
 package router
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
 
 // TestLeastLoadedPrefersEmptiest: queue depth alone decides, ties go
 // to the lowest instance id.
@@ -103,5 +108,55 @@ func TestParse(t *testing.T) {
 	}
 	if _, err := Parse("random"); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// sortRank is the sort.Slice ranking Ranker replaced, kept as its
+// oracle.
+func sortRank(p Policy, cands []Candidate) []int {
+	order := make([]int, len(cands))
+	scores := make([]float64, len(cands))
+	for i, c := range cands {
+		order[i] = i
+		scores[i] = p.Score(c)
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ia, ib := order[a], order[b]
+		if scores[ia] != scores[ib] {
+			return scores[ia] > scores[ib]
+		}
+		return cands[ia].ID < cands[ib].ID
+	})
+	return order
+}
+
+// TestRankerMatchesSortSlice: one reused Ranker orders random slates,
+// ties included, exactly like the sort.Slice ranking, and a warm
+// Ranker allocates nothing.
+func TestRankerMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var r Ranker
+	for _, p := range []Policy{&LeastLoaded{}, &Scored{}} {
+		for trial := 0; trial < 500; trial++ {
+			cands := make([]Candidate, rng.Intn(12))
+			for i, id := range rng.Perm(len(cands)) {
+				cands[i] = Candidate{ID: id, QueueDepth: rng.Intn(4),
+					KVHeadroom: float64(rng.Intn(3)) / 2, Locality: float64(rng.Intn(2)), PredTTFT: float64(rng.Intn(3)) / 4}
+			}
+			if got, want := r.Rank(p, cands), sortRank(p, cands); !slices.Equal(got, want) {
+				t.Fatalf("%s: Ranker %v, sort.Slice %v for %+v", p.Name(), got, want, cands)
+			}
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	cands := make([]Candidate, 16)
+	for i := range cands {
+		cands[i] = Candidate{ID: 15 - i, QueueDepth: i % 3, KVHeadroom: float64(i%4) / 4}
+	}
+	p := &Scored{}
+	if n := testing.AllocsPerRun(100, func() { r.Rank(p, cands) }); n != 0 {
+		t.Fatalf("warm Ranker.Rank allocated %v times per call, want 0", n)
 	}
 }

@@ -72,11 +72,11 @@ type Fleet struct {
 	// Autoscaler decides how many instances each deployment keeps live,
 	// consulted at every control tick (arrival, iteration end, idle
 	// retirement, node crash). Nil selects the reactive baseline, which
-	// reproduces the legacy autoscaler byte-for-byte. The reactive
-	// policy (*autoscale.Reactive) depends only on the outstanding and
-	// live counts, so the core asks it again only when a deployment's
-	// counts changed since its last answer; every other policy, wrappers
-	// included, is asked at every tick. A stateful policy
+	// reproduces the legacy autoscaler byte-for-byte. A policy that
+	// implements autoscale.Horizon is asked again for a deployment only
+	// when the deployment's outstanding or live count changed or the
+	// horizon it gave for its last answer passed; a policy without it,
+	// wrappers included, is asked at every tick. A stateful policy
 	// (autoscale.NewPredictive) must not be shared across runs.
 	Autoscaler autoscale.Policy
 	// Router orders each deployment's ready instances for dispatch by
@@ -316,8 +316,7 @@ func simulate(f Fleet, registry *artifactcache.Registry) (*FleetResult, error) {
 	if sim.scaler == nil {
 		sim.scaler = autoscale.NewReactive()
 	}
-	_, sim.reuseDesired = sim.scaler.(*autoscale.Reactive)
-	sim.coalesce = sim.reuseDesired && !forcePerStep
+	sim.horizon, _ = sim.scaler.(autoscale.Horizon)
 	if f.Faults.Plan != nil {
 		inj, err := faults.NewInjector(*f.Faults.Plan)
 		if err != nil {

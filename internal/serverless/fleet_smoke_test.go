@@ -84,8 +84,9 @@ func TestFleetSmoke100k(t *testing.T) {
 	if res.NodeSeconds <= 0 || res.NodeSeconds > ceiling {
 		t.Fatalf("node-seconds %.3f outside (0, nodes × (makespan+drain) = %.3f]", res.NodeSeconds, ceiling)
 	}
-	// The predictive policy reads the tick's instant, so the core asks
-	// it at every tick; its own ceiling pins that cost.
+	// The predictive policy's answer also lapses at each rate-window
+	// boundary (its autoscale.Horizon), so the core asks it more often
+	// than the reactive one; its own ceiling pins that cost.
 	desiredPerReq := float64(res.Work.Desired) / float64(res.Completed)
 	checkCeiling(t, "Desired calls/request", "max_desired_calls_per_request_predictive", desiredPerReq)
 	t.Logf("completed %d requests in %v (attainment %.4f, node-seconds %.1f, %.2f Desired calls/request, %d cold starts)",

@@ -2,6 +2,7 @@ package serverless
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -37,13 +38,16 @@ import (
 //   - GPU accounting, dispatch and outstanding counts are maintained
 //     incrementally via per-deployment live-instance lists and
 //     counters.
-//   - In legacy mode under the reactive policy, a run of decode steps
-//     that admit nothing is one event (see coalescible): the steps are
-//     identical, and no skipped boundary changes anything but token
-//     counts. A request queued mid-run cuts the run back to the
-//     boundary where per-step code would admit it (splitRuns), and
-//     exact-instant ties keep per-step order (orderTies,
-//     yieldToLateEnd).
+//   - The autoscaler is asked for a deployment's desired count only
+//     when its outstanding or live count changed or the policy's
+//     stated horizon passed (see tick).
+//   - In legacy mode, while the policy's answer holds until the counts
+//     change, a run of decode steps that admit nothing is one event
+//     (see coalescible): the steps are identical, and no skipped
+//     boundary changes anything but token counts. A request queued
+//     mid-run cuts the run back to the boundary where per-step code
+//     would admit it (splitRuns), and exact-instant ties keep per-step
+//     order (orderTies, yieldToLateEnd).
 //   - Each instance keeps at most one idle check queued.
 //
 // Every launch first picks a node (locality vs load), then charges
@@ -260,8 +264,10 @@ type depState struct {
 	// desired is the autoscaler's last answer, computed from askedOut
 	// outstanding requests and askedLive live instances (askedOut is -1
 	// before the first answer). tick reuses it while both counts are
-	// unchanged and the policy allows it (simulation.reuseDesired).
+	// unchanged and the virtual clock is before validUntil, the
+	// policy's horizon for it (math.MaxInt64: until the counts change).
 	desired, askedOut, askedLive int
+	validUntil                   time.Duration
 
 	reg      *obs.Registry
 	phases   *obs.PhaseBreakdown
@@ -341,14 +347,9 @@ type simulation struct {
 	// orders dispatch (nil = launch-order walk).
 	scaler autoscale.Policy
 	router router.Policy
-	// reuseDesired is set when the scaler is the reactive policy, whose
-	// answer depends only on a deployment's outstanding and live counts
-	// (not on the tick's instant): tick asks it again only when either
-	// count changed. Every other policy is asked at every tick.
-	reuseDesired bool
-	// coalesce enables coalesced decode runs for legacy-mode deployments:
-	// they need the reactive policy (see coalescible).
-	coalesce bool
+	// horizon is the scaler's optional validity extension (nil when the
+	// scaler does not state one: it is asked at every tick).
+	horizon autoscale.Horizon
 
 	deps []*depState
 
@@ -377,6 +378,7 @@ type simulation struct {
 	scratchChunkDur  []time.Duration
 	scratchCands     []router.Candidate
 	scratchRoute     []*instState
+	ranker           router.Ranker
 	scratchTied      []event
 	// lateEnds lists instances whose run end a split pushed late (see
 	// yieldToLateEnd); entries whose end has been handled are pruned.
@@ -726,21 +728,27 @@ func (s *simulation) assemble() *FleetResult {
 // launches repeat round-robin (so no model starves) until every policy
 // is satisfied or no node can host another instance.
 //
-// Under the reactive policy the last answer is reused while the
-// deployment's outstanding and live counts are unchanged. That skips
-// only the policy call: a deployment blocked on capacity still has
-// live < desired and still tries a launch on every tick, so launch
-// order, event order and fault draws are those of a full evaluation.
+// The last answer is reused while the deployment's outstanding and
+// live counts are unchanged and the instant the policy's Horizon gave
+// for it has not been reached; a policy without Horizon is asked every
+// time. That skips only the policy call: a deployment blocked on
+// capacity still has live < desired and still tries a launch on every
+// tick, so launch order, event order and fault draws are those of a
+// full evaluation.
 func (s *simulation) tick() error {
 	progress := true
 	for progress {
 		progress = false
 		for di, d := range s.deps {
 			want := d.desired
-			if !s.reuseDesired || d.askedOut != d.outstanding || d.askedLive != d.live {
+			if d.askedOut != d.outstanding || d.askedLive != d.live || s.now >= d.validUntil {
 				s.work.Desired++
 				want = s.scaler.Desired(di, s.observe(di))
 				d.desired, d.askedOut, d.askedLive = want, d.outstanding, d.live
+				d.validUntil = s.now
+				if s.horizon != nil {
+					d.validUntil = s.horizon.Until(di, s.now)
+				}
 			}
 			// The check stays out of launchOne, whose large frame would
 			// otherwise be set up on every tick.
@@ -1197,7 +1205,7 @@ func (s *simulation) routeDispatch(d *depState) error {
 		cands = append(cands, c)
 	}
 	s.scratchRoute, s.scratchCands = ready, cands
-	for _, i := range router.Rank(s.router, cands) {
+	for _, i := range s.ranker.Rank(s.router, cands) {
 		if err := s.startIteration(ready[i]); err != nil {
 			return err
 		}
@@ -1351,13 +1359,15 @@ var forcePerStep bool
 // coalescible reports whether a legacy-mode step that admitted nothing
 // may run on as a coalesced decode run. Every skipped boundary must be
 // one where per-step code would change nothing but token counts: the
-// tick there is a no-op because the reactive policy's answer depends
-// only on counts that no boundary changes, and the admit finds nothing
-// because the queue is empty or the batch is full (a request queued
-// later splits the run; see splitRuns). Time-dependent policies keep
-// one event per step.
+// tick there is a no-op because the deployment's answer holds until
+// its counts change (validUntil is math.MaxInt64) and no boundary
+// changes them, and the admit finds nothing because the queue is empty
+// or the batch is full (a request queued later splits the run; see
+// splitRuns). A deployment whose answer may lapse with time keeps one
+// event per step.
 func (s *simulation) coalescible(d *depState, inst *instState) bool {
-	return s.coalesce && (d.pending.Len() == 0 || len(inst.running) >= d.cfg.Scheduler.MaxBatch)
+	return !forcePerStep && d.validUntil == math.MaxInt64 &&
+		(d.pending.Len() == 0 || len(inst.running) >= d.cfg.Scheduler.MaxBatch)
 }
 
 // scheduleEnd pushes the end of the instance's current run, superseding
@@ -1376,7 +1386,7 @@ func (s *simulation) scheduleEnd(inst *instState) {
 // queued: per-step code would admit it there. The queue grows nowhere
 // else, so a run is never cut for any other reason.
 func (s *simulation) splitRuns(d *depState, pushedAt time.Duration) {
-	if !s.coalesce || d.batched || d.pending.Len() == 0 {
+	if forcePerStep || d.batched || d.pending.Len() == 0 {
 		return
 	}
 	for _, inst := range d.active {
