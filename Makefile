@@ -74,8 +74,9 @@ bench:
 # simulator-core scale smoke — one million streamed requests under a
 # wall-clock budget with an allocs/request ceiling checked in at
 # internal/serverless/testdata/max_allocs_per_request, an autoscale
-# Desired-calls/request ceiling at max_desired_calls_per_request and a
-# popped-events/request ceiling at max_events_per_request.
+# Desired-calls/request ceiling at max_desired_calls_per_request, a
+# popped-events/request ceiling at max_events_per_request and a
+# dispatch-steps/request ceiling at max_dispatch_steps_per_request.
 bench-smoke:
 	$(GO) run ./cmd/medusa-bench -exp ext-cache-policies
 	$(GO) run ./cmd/medusa-simulate -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" \
@@ -93,8 +94,10 @@ batch-smoke:
 # Seconds-scale fleet-control-plane gate: a seeded ~100k-request
 # diurnal multi-tenant run under predictive autoscaling and score
 # routing, asserting SLO attainment and node-seconds stay inside
-# checked bounds and Desired calls/request under
-# internal/serverless/testdata/max_desired_calls_per_request_predictive.
+# checked bounds, Desired calls/request under
+# internal/serverless/testdata/max_desired_calls_per_request_predictive
+# and routed dispatch steps/request under
+# max_dispatch_steps_per_request_routed.
 fleet-smoke:
 	MEDUSA_FLEET_SMOKE=1 $(GO) test -run TestFleetSmoke100k -count=1 -v ./internal/serverless/
 

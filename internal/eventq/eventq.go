@@ -67,10 +67,35 @@ func (q *Queue[T]) Reserve(n int) {
 // Push schedules v at instant t, assigning the next sequence number.
 // Events pushed earlier win ties at equal t.
 func (q *Queue[T]) Push(t time.Duration, v T) {
-	e := entry[T]{t: t, seq: q.seq, v: v}
+	q.PushStamped(t, q.Stamp(), v)
+}
+
+// Stamp hands out the sequence number the next Push would assign, and
+// consumes it, without queueing anything. A caller can hold one event
+// outside the queue under its stamp: comparing it with Precedes and
+// popping whichever comes first yields exactly the order Push would
+// have, and PushStamped queues it under the same stamp later.
+func (q *Queue[T]) Stamp() uint64 {
+	seq := q.seq
 	q.seq++
-	q.entries = append(q.entries, e)
+	return seq
+}
+
+// PushStamped schedules v at instant t under seq, a sequence number
+// Stamp returned that no queued event carries.
+func (q *Queue[T]) PushStamped(t time.Duration, seq uint64, v T) {
+	q.entries = append(q.entries, entry[T]{t: t, seq: seq, v: v})
 	q.siftUp(len(q.entries) - 1)
+}
+
+// Precedes reports whether an event held at instant t under stamp seq
+// pops before every queued event; it does when the queue is empty.
+func (q *Queue[T]) Precedes(t time.Duration, seq uint64) bool {
+	if len(q.entries) == 0 {
+		return true
+	}
+	held := entry[T]{t: t, seq: seq}
+	return held.less(&q.entries[0])
 }
 
 // PeekTime returns the earliest event's instant without removing it.

@@ -78,6 +78,67 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 	}
 }
 
+// TestStampedHoldMatchesPush holds one event at a time outside the
+// queue under a Stamp, pops whichever of it and the queue's earliest
+// comes first by (t, seq), and now and then moves it in with
+// PushStamped. The pop sequence must equal that of a queue every event
+// was pushed into, ties included.
+func TestStampedHoldMatchesPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var q, ref Queue[int]
+	type held struct {
+		t   time.Duration
+		seq uint64
+		v   int
+		ok  bool
+	}
+	var h held
+	pops, merged, moved := 0, 0, 0
+	pop := func() (time.Duration, int) {
+		if h.ok && q.Precedes(h.t, h.seq) {
+			h.ok = false
+			merged++
+			return h.t, h.v
+		}
+		return q.Pop()
+	}
+	for step := 0; step < 30000; step++ {
+		at := time.Duration(rng.Intn(40)) * time.Millisecond
+		switch op := rng.Intn(8); {
+		case op < 3:
+			q.Push(at, step)
+			ref.Push(at, step)
+		case op < 5 && !h.ok:
+			h = held{t: at, seq: q.Stamp(), v: step, ok: true}
+			ref.Push(at, step)
+		case op == 5 && h.ok:
+			q.PushStamped(h.t, h.seq, h.v)
+			h.ok = false
+			moved++
+		case ref.Len() > 0:
+			gt, gv := pop()
+			wt, wv := ref.Pop()
+			if gt != wt || gv != wv {
+				t.Fatalf("pop %d: held merge gave (%v, %d), push gave (%v, %d)", pops, gt, gv, wt, wv)
+			}
+			pops++
+		}
+	}
+	for ref.Len() > 0 {
+		gt, gv := pop()
+		wt, wv := ref.Pop()
+		if gt != wt || gv != wv {
+			t.Fatalf("drain: held merge gave (%v, %d), push gave (%v, %d)", gt, gv, wt, wv)
+		}
+	}
+	if q.Len() != 0 || h.ok {
+		t.Fatalf("held merge left %d queued, held %v", q.Len(), h.ok)
+	}
+	if merged < 1000 || moved < 500 || pops < 1000 {
+		t.Fatalf("schedule too tame: %d pops, %d held pops, %d moved", pops, merged, moved)
+	}
+}
+
 func TestQueueFIFOAtEqualTime(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 100; i++ {

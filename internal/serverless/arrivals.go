@@ -12,8 +12,8 @@ import (
 // multi-deployment simulation in nondecreasing arrival order — the form
 // the event loop consumes traffic in. Pull-based delivery is what lets
 // a 10M-request run hold O(active) request state: the simulator keeps
-// exactly one undelivered arrival in its event queue and pulls the next
-// only when that one fires.
+// exactly one undelivered arrival, held beside its event queue rather
+// than in it, and pulls the next only when that one fires.
 type ArrivalSource interface {
 	// Next returns the next arrival's deployment index and request, or
 	// ok == false once the stream is exhausted (or failed — check Err).

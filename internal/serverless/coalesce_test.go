@@ -37,12 +37,14 @@ func fleetSummary(res *FleetResult) string {
 }
 
 // runTraced runs the fleet with every span going to one tracer and
-// returns the result and the tracer's Chrome export. perStep forces one
-// event per legacy-mode iteration.
-func runTraced(t *testing.T, f Fleet, perStep bool) (*FleetResult, *obs.Tracer, string) {
+// returns the result and the tracer's Chrome export. A non-nil hook
+// (&forcePerStep, &referenceLoop) is set for the run.
+func runTraced(t *testing.T, f Fleet, hook *bool) (*FleetResult, *obs.Tracer, string) {
 	t.Helper()
-	forcePerStep = perStep
-	defer func() { forcePerStep = false }()
+	if hook != nil {
+		*hook = true
+		defer func() { *hook = false }()
+	}
 	tr := obs.NewTracer()
 	f.Tracer = tr
 	deps := make([]Deployment, len(f.Deployments))
@@ -68,8 +70,8 @@ func runTraced(t *testing.T, f Fleet, perStep bool) (*FleetResult, *obs.Tracer, 
 // mark.
 func checkCoalescedMatchesPerStep(t *testing.T, f Fleet) (coalesced, perStep *FleetResult) {
 	t.Helper()
-	co, _, coTrace := runTraced(t, f, false)
-	ps, _, psTrace := runTraced(t, f, true)
+	co, _, coTrace := runTraced(t, f, nil)
+	ps, _, psTrace := runTraced(t, f, &forcePerStep)
 	if got, want := fleetSummary(co), fleetSummary(ps); got != want {
 		t.Fatalf("coalesced runs diverge from per-step execution:\n--- coalesced\n%s\n--- per step\n%s", got, want)
 	}
@@ -219,15 +221,23 @@ func tieFleet(t *testing.T, x, y []workload.Request) Fleet {
 	}}
 }
 
-// TestCoalescedRunTies places an arrival exactly on a step boundary of
-// a coalesced run. Deployment x serves a1 (4 tokens) and a2 (24 tokens),
-// both at time zero: a2 joins at the first boundary e1, and from e2 the
-// two decode as one run whose steps end at e3 and e4, where a1
-// completes. Per-step code pushes a step's end when the step starts, so
-// an arrival due on a boundary precedes that boundary's end only if it
-// was pushed before the previous boundary. The y request's arrival,
-// between e2 and e3, is what pushes a later arrival after e2.
-func TestCoalescedRunTies(t *testing.T) {
+// tieCase is one arrangement of TestCoalescedRunTies: the traces of
+// tieFleet's deployments x and y.
+type tieCase struct {
+	name string
+	x, y []workload.Request
+}
+
+// tieCases places an arrival exactly on a step boundary of a coalesced
+// run. Deployment x serves a1 (4 tokens) and a2 (24 tokens), both at
+// time zero: a2 joins at the first boundary e1, and from e2 the two
+// decode as one run whose steps end at e3 and e4, where a1 completes.
+// Per-step code pushes a step's end when the step starts, so an arrival
+// due on a boundary precedes that boundary's end only if it was pushed
+// before the previous boundary. The y request's arrival, between e2 and
+// e3, is what pushes a later arrival after e2.
+func tieCases(t *testing.T) []tieCase {
+	t.Helper()
 	req := func(at time.Duration, out int) workload.Request {
 		return workload.Request{Arrival: at, PromptTokens: 32, OutputTokens: out}
 	}
@@ -238,7 +248,7 @@ func TestCoalescedRunTies(t *testing.T) {
 		return reqs
 	}
 	base := numbered(req(0, 4), req(0, 24))
-	_, tr, _ := runTraced(t, tieFleet(t, base, numbered(req(time.Hour, 4))), true)
+	_, tr, _ := runTraced(t, tieFleet(t, base, numbered(req(time.Hour, 4))), &forcePerStep)
 	var ends []time.Duration
 	for _, sp := range tr.Spans() {
 		if sp.Name == "iteration" && strings.HasPrefix(sp.Track, "x/") {
@@ -252,10 +262,7 @@ func TestCoalescedRunTies(t *testing.T) {
 	e2, e3, e4 := ends[1], ends[2], ends[3]
 	mid := e2 + (e3-e2)/2
 
-	for _, tc := range []struct {
-		name string
-		x, y []workload.Request
-	}{
+	return []tieCase{
 		// b is pushed at time zero, before e2: per-step code admits it
 		// at e3, so the run is cut back to e3.
 		{"pushed before the previous boundary", numbered(req(0, 4), req(0, 24), req(e3, 4)), numbered(req(time.Hour, 4))},
@@ -268,7 +275,13 @@ func TestCoalescedRunTies(t *testing.T) {
 		// c cuts the run back to e3 and pulls b, due at e3, before the
 		// cut end is pushed: b still follows that end.
 		{"pulled by the splitting arrival", numbered(req(0, 4), req(0, 24), req(mid, 4), req(e3, 4)), numbered(req(time.Hour, 4))},
-	} {
+	}
+}
+
+// TestCoalescedRunTies checks each of tieCases against per-step
+// execution.
+func TestCoalescedRunTies(t *testing.T) {
+	for _, tc := range tieCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			co, _ := checkCoalescedMatchesPerStep(t, tieFleet(t, tc.x, tc.y))
 			if co.Completed != len(tc.x)+len(tc.y) {
@@ -295,7 +308,7 @@ func TestSynchronizedRunsCutTogether(t *testing.T) {
 		{ID: 0, PromptTokens: 32, OutputTokens: 24},
 		{ID: 1, PromptTokens: 32, OutputTokens: 24},
 	}
-	_, tr, _ := runTraced(t, fleet(pair), true)
+	_, tr, _ := runTraced(t, fleet(pair), &forcePerStep)
 	var ends []time.Duration
 	for _, sp := range tr.Spans() {
 		if sp.Name == "iteration" && strings.HasSuffix(sp.Track, "inst-0") {

@@ -223,6 +223,8 @@ type Work struct {
 	Retain int
 	// DispatchSteps counts instances the dispatch walks visited.
 	DispatchSteps int
+	// Scores counts router Score calls: the candidates of every ranking.
+	Scores int
 	// HeapMax is the event queue's high-water mark.
 	HeapMax int
 }
@@ -252,6 +254,7 @@ func (w *Work) Render(requests int) string {
 	row("desired", w.Desired)
 	row("retain", w.Retain)
 	row("dispatch_steps", w.DispatchSteps)
+	row("scores", w.Scores)
 	fmt.Fprintf(&b, "work %-16s %12d\n", "heap_max", w.HeapMax)
 	return b.String()
 }

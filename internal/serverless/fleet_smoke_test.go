@@ -89,6 +89,11 @@ func TestFleetSmoke100k(t *testing.T) {
 	// than the reactive one; its own ceiling pins that cost.
 	desiredPerReq := float64(res.Work.Desired) / float64(res.Completed)
 	checkCeiling(t, "Desired calls/request", "max_desired_calls_per_request_predictive", desiredPerReq)
-	t.Logf("completed %d requests in %v (attainment %.4f, node-seconds %.1f, %.2f Desired calls/request, %d cold starts)",
-		res.Completed, elapsed, res.SLOAttainment(), res.NodeSeconds, desiredPerReq, res.TotalColdStarts)
+	// Routed dispatch still walks a deployment with an idle instance in
+	// full, to score every candidate.
+	dispatchPerReq := float64(res.Work.DispatchSteps) / float64(res.Completed)
+	checkCeiling(t, "dispatch steps/request", "max_dispatch_steps_per_request_routed", dispatchPerReq)
+	t.Logf("completed %d requests in %v (attainment %.4f, node-seconds %.1f, %.2f Desired calls/request, %.2f dispatch steps/request, %.2f scores/request, %d cold starts)",
+		res.Completed, elapsed, res.SLOAttainment(), res.NodeSeconds, desiredPerReq, dispatchPerReq,
+		float64(res.Work.Scores)/float64(res.Completed), res.TotalColdStarts)
 }

@@ -1,0 +1,134 @@
+package serverless
+
+import (
+	"testing"
+	"time"
+
+	"github.com/medusa-repro/medusa/internal/autoscale"
+	"github.com/medusa-repro/medusa/internal/faults"
+	"github.com/medusa-repro/medusa/internal/router"
+	"github.com/medusa-repro/medusa/internal/sched"
+)
+
+// checkMatchesReference runs the fleet with the held arrival and the
+// idle-gated dispatch walk, then in the reference loop (referenceLoop:
+// every arrival in the heap, every active instance walked, idle counts
+// checked against a recount), and requires identical outputs, Chrome
+// trace included, and identical work except dispatch steps. Each run
+// gets a fleet of its own from build, so stateful policies start fresh.
+func checkMatchesReference(t *testing.T, build func(t *testing.T) Fleet) (fast, ref *FleetResult) {
+	t.Helper()
+	fast, _, fastTrace := runTraced(t, build(t), nil)
+	ref, _, refTrace := runTraced(t, build(t), &referenceLoop)
+	if got, want := fast.Render(), ref.Render(); got != want {
+		t.Fatalf("Render differs from the reference loop:\n--- fast\n%s\n--- reference\n%s", got, want)
+	}
+	if got, want := fleetSummary(fast), fleetSummary(ref); got != want {
+		t.Fatalf("metrics differ from the reference loop:\n--- fast\n%s\n--- reference\n%s", got, want)
+	}
+	if fastTrace != refTrace {
+		t.Fatalf("Chrome trace differs from the reference loop (%d vs %d bytes)", len(fastTrace), len(refTrace))
+	}
+	fw, rw := fast.Work, ref.Work
+	if fw.DispatchSteps > rw.DispatchSteps {
+		t.Errorf("dispatch steps: %d, reference loop %d", fw.DispatchSteps, rw.DispatchSteps)
+	}
+	fw.DispatchSteps, rw.DispatchSteps = 0, 0
+	if fw != rw {
+		t.Errorf("work differs beyond dispatch steps:\n fast      %+v\n reference %+v", fw, rw)
+	}
+	return fast, ref
+}
+
+// TestHeldArrivalAndIdleDispatchMatchReference is the oracle for the
+// arrival held beside the event queue and the idle-gated dispatch walk:
+// the reference loop must reproduce every output byte on legacy,
+// follow-up, crash, exact-tie, batched and routed fleets.
+func TestHeldArrivalAndIdleDispatchMatchReference(t *testing.T) {
+	type fleetCase struct {
+		name  string
+		build func(t *testing.T) Fleet
+	}
+	legacy := func(t *testing.T) Fleet { return coalesceFleet(t, func(int, *Config) {}) }
+	batched := func(t *testing.T) Fleet {
+		return coalesceFleet(t, func(_ int, c *Config) {
+			c.Scheduler.Batch = sched.Params{BatchTokens: 512, KVBlocks: 256, ChunkedPrefill: true}
+		})
+	}
+	cases := []fleetCase{
+		{"legacy", legacy},
+		{"follow-ups", func(t *testing.T) Fleet {
+			return coalesceFleet(t, func(_ int, c *Config) {
+				c.Workload.FollowUp = &FollowUpModel{Probability: 0.4, ThinkTime: 800 * time.Millisecond, MaxTurns: 3}
+			})
+		}},
+		{"crash", func(t *testing.T) Fleet {
+			f := legacy(t)
+			plan := faults.Presets()["crash"]
+			f.Faults = FaultSpec{Plan: &plan}
+			return f
+		}},
+		{"batched", batched},
+		{"batched-routed", func(t *testing.T) Fleet {
+			f := batched(t)
+			scaler, err := autoscale.NewPredictive(autoscale.PredictiveConfig{Window: 2 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Autoscaler = scaler
+			f.Router = &router.Scored{}
+			f.SLO = SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond}
+			return f
+		}},
+		{"routed", func(t *testing.T) Fleet {
+			f := legacy(t)
+			f.Router = &router.LeastLoaded{}
+			return f
+		}},
+	}
+	for _, tc := range tieCases(t) {
+		cases = append(cases, fleetCase{"tie/" + tc.name, func(t *testing.T) Fleet { return tieFleet(t, tc.x, tc.y) }})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fast, ref := checkMatchesReference(t, tc.build)
+			if fast.Completed == 0 {
+				t.Fatal("fixture completed nothing")
+			}
+			if tc.name == "crash" && fast.NodeCrashes != 1 {
+				t.Errorf("crash preset crashed %d nodes, want 1", fast.NodeCrashes)
+			}
+			if tc.name == "batched-routed" && fast.Work.Scores == 0 {
+				t.Error("routed fleet counted no Score calls")
+			}
+			t.Logf("dispatch steps %d, reference loop %d (%d completed, %d scores)",
+				fast.Work.DispatchSteps, ref.Work.DispatchSteps, fast.Completed, fast.Work.Scores)
+		})
+	}
+}
+
+// countingRouter counts the Score calls it forwards.
+type countingRouter struct {
+	router.Policy
+	calls int
+}
+
+func (c *countingRouter) Score(cand router.Candidate) float64 {
+	c.calls++
+	return c.Policy.Score(cand)
+}
+
+// TestWorkCountsScores pins Work.Scores to the router's own count of
+// Score calls.
+func TestWorkCountsScores(t *testing.T) {
+	f := coalesceFleet(t, func(int, *Config) {})
+	route := &countingRouter{Policy: &router.Scored{}}
+	f.Router = route
+	res, err := RunFleet(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if route.calls == 0 || res.Work.Scores != route.calls {
+		t.Fatalf("Work.Scores = %d, router saw %d Score calls", res.Work.Scores, route.calls)
+	}
+}

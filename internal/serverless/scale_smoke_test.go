@@ -39,8 +39,9 @@ func checkCeiling(t *testing.T, what, file string, perReq float64) {
 
 // TestScaleSmoke1M streams one million requests through a four-node
 // Zipf fleet under a wall-clock budget, an allocs/request ceiling, the
-// reactive autoscaler's Desired-calls/request ceiling and a ceiling on
-// popped events per request (coalesced decode runs). It runs from
+// reactive autoscaler's Desired-calls/request ceiling, a ceiling on
+// popped events per request (coalesced decode runs) and one on
+// dispatch steps per request (the idle-gated dispatch walk). It runs from
 // `make bench-smoke` (gated on MEDUSA_SCALE_SMOKE so ordinary `go test
 // ./...` stays fast).
 func TestScaleSmoke1M(t *testing.T) {
@@ -99,6 +100,8 @@ func TestScaleSmoke1M(t *testing.T) {
 	checkCeiling(t, "Desired calls/request", "max_desired_calls_per_request", desiredPerReq)
 	eventsPerReq := float64(res.Work.Events()) / float64(completed)
 	checkCeiling(t, "events/request", "max_events_per_request", eventsPerReq)
-	t.Logf("completed %d requests in %v (%.2f allocs/request, %.2f Desired calls/request, %.2f events/request, heap max %d, %d cold starts)",
-		completed, elapsed, allocsPerReq, desiredPerReq, eventsPerReq, res.Work.HeapMax, res.TotalColdStarts)
+	dispatchPerReq := float64(res.Work.DispatchSteps) / float64(completed)
+	checkCeiling(t, "dispatch steps/request", "max_dispatch_steps_per_request", dispatchPerReq)
+	t.Logf("completed %d requests in %v (%.2f allocs/request, %.2f Desired calls/request, %.2f events/request, %.2f dispatch steps/request, heap max %d, %d cold starts)",
+		completed, elapsed, allocsPerReq, desiredPerReq, eventsPerReq, dispatchPerReq, res.Work.HeapMax, res.TotalColdStarts)
 }

@@ -31,13 +31,17 @@ import (
 //     interface boxing) with the (time, push-sequence) tie-break.
 //   - Arrivals are pulled lazily from an ArrivalSource — exactly one
 //     undelivered arrival is in flight at any time, so neither the
-//     trace nor its events are ever materialized in full.
+//     trace nor its events are ever materialized in full. That arrival
+//     waits beside the queue under the sequence number a push would
+//     have given it (eventq.Queue.Stamp), so it costs no heap push or
+//     pop and still pops in (time, sequence) order.
 //   - Request and instance state recycle through free-lists, and the
 //     queues, scratch buffers and registry instruments are reused, so
 //     steady-state allocation is O(active requests), not O(total).
 //   - GPU accounting, dispatch and outstanding counts are maintained
 //     incrementally via per-deployment live-instance lists and
-//     counters.
+//     counters. Dispatch walks a deployment's instances only while one
+//     of them is idle (depState.idle).
 //   - The autoscaler is asked for a deployment's desired count only
 //     when its outstanding or live count changed or the policy's
 //     stated horizon passed (see tick).
@@ -258,6 +262,10 @@ type depState struct {
 	// active lists live instances in launch order — the dispatch and
 	// accounting walk.
 	active []*instState
+	// idle counts the active instances that are ready and not iterating,
+	// the ones dispatch can start; it changes only in setIterating and
+	// at ready and retire.
+	idle int
 	// outstanding counts the deployment's unfinished requests
 	// (pending + running), maintained incrementally.
 	outstanding int
@@ -353,10 +361,14 @@ type simulation struct {
 
 	deps []*depState
 
-	// src streams arrivals; head is the one pulled-but-unfired arrival
-	// whose event sits in the queue.
-	src  ArrivalSource
-	head *reqState
+	// src streams arrivals; head is the one pulled-but-unfired arrival.
+	// While headHeld, its event waits outside the queue under the
+	// sequence number headSeq (see pullArrival); orderTies and
+	// yieldToLateEnd move it into the queue.
+	src      ArrivalSource
+	head     *reqState
+	headSeq  uint64
+	headHeld bool
 	// renumber assigns request IDs in delivery order (streaming mode);
 	// the slice-based path pre-assigns concatenation-order IDs instead.
 	renumber bool
@@ -448,12 +460,21 @@ func (s *simulation) freeInst(inst *instState) {
 	s.instPool = append(s.instPool, inst)
 }
 
-// pullArrival draws the next arrival from the source and schedules it.
-// Exactly one sourced arrival is in the event queue at a time.
+// referenceLoop restores the loop's reference form: the sourced
+// arrival is pushed into the event queue and dispatch walks every
+// active instance, checking each deployment's idle count against a
+// recount. Tests set it to check the held arrival and the idle-gated
+// walk against that form; it is never set otherwise.
+var referenceLoop bool
+
+// pullArrival draws the next arrival from the source and holds it
+// beside the event queue under the sequence number a push would give
+// it, so the loop pops it in exactly the pushed order without a heap
+// push and pop. Exactly one sourced arrival is undelivered at a time.
 func (s *simulation) pullArrival() error {
 	di, req, ok := s.src.Next()
 	if !ok {
-		s.head = nil
+		s.head, s.headHeld = nil, false
 		return s.src.Err()
 	}
 	if di < 0 || di >= len(s.deps) {
@@ -474,7 +495,11 @@ func (s *simulation) pullArrival() error {
 	}
 	s.created++
 	s.head = r
-	s.schedule(req.Arrival, event{kind: evArrival, req: r})
+	if referenceLoop {
+		s.schedule(req.Arrival, event{kind: evArrival, req: r})
+		return nil
+	}
+	s.headSeq, s.headHeld = s.events.Stamp(), true
 	return nil
 }
 
@@ -494,6 +519,7 @@ func (s *simulation) run() (*FleetResult, error) {
 			s.nodeUp(node)
 			d.active = append(d.active, inst)
 			d.live++
+			d.idle++
 		}
 		d.liveChanged()
 	}
@@ -508,13 +534,24 @@ func (s *simulation) run() (*FleetResult, error) {
 		}
 	}
 
-	for s.events.Len() > 0 {
+	for s.headHeld || s.events.Len() > 0 {
 		// Events are pushed only between pops, so the queue peaks just
-		// before one.
-		if n := s.events.Len(); n > s.work.HeapMax {
+		// before one. The held arrival counts as queued.
+		n := s.events.Len()
+		if s.headHeld {
+			n++
+		}
+		if n > s.work.HeapMax {
 			s.work.HeapMax = n
 		}
-		t, ev := s.events.Pop()
+		var t time.Duration
+		var ev event
+		if s.headHeld && s.events.Precedes(s.head.Arrival, s.headSeq) {
+			t, ev = s.head.Arrival, event{kind: evArrival, req: s.head}
+			s.headHeld = false
+		} else {
+			t, ev = s.events.Pop()
+		}
 		if len(s.lateEnds) > 0 && s.yieldToLateEnd(t, ev) {
 			continue
 		}
@@ -552,6 +589,7 @@ func (s *simulation) run() (*FleetResult, error) {
 				break
 			}
 			inst.ready = true
+			s.deps[inst.dep].idle++
 			s.markIdle(inst)
 			if err := s.dispatchIdle(); err != nil {
 				return nil, err
@@ -644,6 +682,9 @@ func (s *simulation) nodeDown(n *nodeState) {
 // account and recycling its state.
 func (s *simulation) retire(inst *instState) {
 	d := s.deps[inst.dep]
+	if inst.ready && !inst.iterating {
+		d.idle--
+	}
 	inst.retired = true
 	inst.retiredAt = s.now
 	s.nodes[inst.node].gpusUsed -= d.cfg.TPDegree
@@ -1140,7 +1181,7 @@ func (s *simulation) crashNode(id int) error {
 			}
 		}
 		inst.running = inst.running[:0]
-		inst.iterating = false
+		s.setIterating(inst, false)
 		inst.kvTokens = 0
 		s.retire(inst)
 	}
@@ -1159,28 +1200,72 @@ func (s *simulation) crashNode(id int) error {
 	return nil
 }
 
+// setIterating marks whether an iteration-end event is in flight for
+// the instance, keeping its deployment's idle count.
+func (s *simulation) setIterating(inst *instState, on bool) {
+	if inst.iterating == on {
+		return
+	}
+	inst.iterating = on
+	if inst.ready {
+		if on {
+			s.deps[inst.dep].idle--
+		} else {
+			s.deps[inst.dep].idle++
+		}
+	}
+}
+
 // dispatchIdle starts iterations on ready instances that are idle and
-// have admissible work. Without a router each deployment's live
-// instances are walked in launch order (the historical behavior); with
-// one, dispatchable instances are offered work in descending score
-// order, ties to the lowest instance id, so queued requests land on
-// the instances the policy ranks best.
+// have admissible work. A deployment with no idle instance is skipped.
+// Without a router each deployment's live instances are walked in
+// launch order (the historical behavior), until no idle instance is
+// left or, in legacy mode, no request is queued: a legacy instance that
+// is idle holds no requests, so without queued ones it has nothing to
+// start. With a router, dispatchable instances are offered work in
+// descending score order, ties to the lowest instance id, so queued
+// requests land on the instances the policy ranks best.
 func (s *simulation) dispatchIdle() error {
 	for _, d := range s.deps {
-		if s.router == nil {
-			s.work.DispatchSteps += len(d.active)
-			for _, inst := range d.active {
-				if inst.ready && !inst.iterating {
-					if err := s.startIteration(inst); err != nil {
-						return err
-					}
-				}
+		if referenceLoop {
+			if err := s.checkIdle(d); err != nil {
+				return err
+			}
+		} else if d.idle == 0 {
+			continue
+		}
+		if s.router != nil {
+			if err := s.routeDispatch(d); err != nil {
+				return err
 			}
 			continue
 		}
-		if err := s.routeDispatch(d); err != nil {
-			return err
+		for _, inst := range d.active {
+			if !referenceLoop && (d.idle == 0 || (!d.batched && d.pending.Len() == 0)) {
+				break
+			}
+			s.work.DispatchSteps++
+			if inst.ready && !inst.iterating {
+				if err := s.startIteration(inst); err != nil {
+					return err
+				}
+			}
 		}
+	}
+	return nil
+}
+
+// checkIdle recounts the deployment's idle instances against its idle
+// count (referenceLoop only).
+func (s *simulation) checkIdle(d *depState) error {
+	n := 0
+	for _, inst := range d.active {
+		if inst.ready && !inst.iterating {
+			n++
+		}
+	}
+	if n != d.idle {
+		return fmt.Errorf("serverless: %s idle count %d, recount %d at %v", d.name, d.idle, n, s.now)
 	}
 	return nil
 }
@@ -1205,6 +1290,7 @@ func (s *simulation) routeDispatch(d *depState) error {
 		cands = append(cands, c)
 	}
 	s.scratchRoute, s.scratchCands = ready, cands
+	s.work.Scores += len(cands)
 	for _, i := range s.ranker.Rank(s.router, cands) {
 		if err := s.startIteration(ready[i]); err != nil {
 			return err
@@ -1335,7 +1421,7 @@ func (s *simulation) startIteration(inst *instState) error {
 		return err
 	}
 	dur += step
-	inst.iterating = true
+	s.setIterating(inst, true)
 	inst.runStart, inst.runFirst, inst.runStep = s.now, dur, step
 	inst.runLen, inst.runAdmitted = 1, len(admitted)
 	if len(admitted) == 0 && s.coalescible(d, inst) {
@@ -1451,7 +1537,16 @@ func (s *simulation) orderTies(t time.Duration, ev event) bool {
 		return false
 	}
 	last := inst.boundary(inst.runLen - 1)
-	if last <= inst.runPushed || s.events.Len() == 0 || s.events.PeekTime() != t {
+	if last <= inst.runPushed {
+		return false
+	}
+	if s.headHeld && s.head.Arrival == t {
+		// The held arrival ties too: queue it under its stamp, where a
+		// push would have put it, so it is ordered with the rest.
+		s.events.PushStamped(t, s.headSeq, event{kind: evArrival, req: s.head})
+		s.headHeld = false
+	}
+	if s.events.Len() == 0 || s.events.PeekTime() != t {
 		return false
 	}
 	inst.runOrdered = true
@@ -1529,7 +1624,7 @@ func (s *simulation) finishIteration(inst *instState) error {
 	}
 	steps := inst.runLen
 	s.settleRun(inst, steps)
-	inst.iterating = false
+	s.setIterating(inst, false)
 	keep := inst.running[:0]
 	for _, r := range inst.running {
 		r.emitted += steps
@@ -1640,7 +1735,7 @@ func (s *simulation) startIterationBatched(inst *instState) error {
 		}
 		dur += stepDur
 	}
-	inst.iterating = true
+	s.setIterating(inst, true)
 	d.cIterations.Inc()
 	s.work.Iterations++
 	if tr := d.cfg.Tracer; tr != nil {
@@ -1687,7 +1782,7 @@ func (s *simulation) startIterationBatched(inst *instState) error {
 // completion.
 func (s *simulation) finishIterationBatched(inst *instState) error {
 	d := s.deps[inst.dep]
-	inst.iterating = false
+	s.setIterating(inst, false)
 	inst.sch.Finish(
 		func(r *reqState, emitted int) {
 			r.emitted = emitted

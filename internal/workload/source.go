@@ -63,23 +63,35 @@ func NewPoisson(cfg TraceConfig) (Source, error) {
 }
 
 func (p *poissonSource) Next() (Request, bool) {
-	if p.done {
+	at, zPrompt, zOutput, ok := p.candidate()
+	if !ok {
 		return Request{}, false
+	}
+	r := Request{
+		ID:           p.id,
+		Arrival:      at,
+		PromptTokens: p.prompt.length(zPrompt),
+		OutputTokens: p.output.length(zOutput),
+	}
+	p.id++
+	return r, true
+}
+
+// candidate advances the stream by one request without shaping it: it
+// draws the gap and the two standard normals the prompt and output
+// lengths transform, in the order Next always has. ok is false once the
+// stream passes its duration.
+func (p *poissonSource) candidate() (at time.Duration, zPrompt, zOutput float64, ok bool) {
+	if p.done {
+		return 0, 0, 0, false
 	}
 	gap := time.Duration(p.rng.ExpFloat64() / p.cfg.RPS * float64(time.Second))
 	p.t += gap
 	if p.t >= p.cfg.Duration {
 		p.done = true
-		return Request{}, false
+		return 0, 0, 0, false
 	}
-	r := Request{
-		ID:           p.id,
-		Arrival:      p.t,
-		PromptTokens: p.prompt.draw(p.rng),
-		OutputTokens: p.output.draw(p.rng),
-	}
-	p.id++
-	return r, true
+	return p.t, p.rng.NormFloat64(), p.rng.NormFloat64(), true
 }
 
 func (p *poissonSource) Err() error { return nil }
@@ -114,19 +126,25 @@ func (s *SliceSource) Err() error { return nil }
 // practice and the merged order matches what sorting the concatenated
 // traces produces.
 type burstySource struct {
-	cfg       BurstConfig
-	base, ext Source
-	baseReq   Request
-	extReq    Request
-	baseOK    bool
-	extOK     bool
-	id        int
+	cfg  BurstConfig
+	base Source
+	// ext is the extra stream at the burst-minus-base rate (nil when the
+	// two rates are equal). Most of its candidates fall outside a burst
+	// window and are discarded before their lengths are computed.
+	ext     *poissonSource
+	baseReq Request
+	extReq  Request
+	baseOK  bool
+	extOK   bool
+	id      int
 }
 
 // NewBursty returns a streaming bursty source: a base Poisson rate with
 // periodic bursts, modelling the 10–20× fluctuations within 30-second
 // windows the paper cites from production LLM serving. Draining it
-// yields exactly what GenerateBursty returns for the same config.
+// yields exactly what GenerateBursty returns for the same config. With
+// equal burst and base rates there is no extra stream and the trace is
+// the flat base-rate one.
 func NewBursty(cfg BurstConfig) (Source, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -138,30 +156,42 @@ func NewBursty(cfg BurstConfig) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	ext, err := NewPoisson(TraceConfig{
-		Seed: cfg.Seed + 1, RPS: cfg.BurstRPS - cfg.BaseRPS, Duration: cfg.Duration,
-		MeanPrompt: cfg.MeanPrompt, MeanOutput: cfg.MeanOutput,
-	})
-	if err != nil {
-		return nil, err
+	b := &burstySource{cfg: cfg, base: base}
+	if extra := cfg.BurstRPS - cfg.BaseRPS; extra > 0 {
+		ext, err := NewPoisson(TraceConfig{
+			Seed: cfg.Seed + 1, RPS: extra, Duration: cfg.Duration,
+			MeanPrompt: cfg.MeanPrompt, MeanOutput: cfg.MeanOutput,
+		})
+		if err != nil {
+			return nil, err
+		}
+		b.ext = ext.(*poissonSource)
 	}
-	b := &burstySource{cfg: cfg, base: base, ext: ext}
 	b.baseReq, b.baseOK = b.base.Next()
 	b.advanceExt()
 	return b, nil
 }
 
 // advanceExt pulls the extra stream forward to its next request inside
-// a burst window.
+// a burst window. Only that request's lengths are computed; the
+// candidates before it advance the RNG alone.
 func (b *burstySource) advanceExt() {
+	b.extOK = false
+	if b.ext == nil {
+		return
+	}
 	for {
-		r, ok := b.ext.Next()
+		at, zPrompt, zOutput, ok := b.ext.candidate()
 		if !ok {
-			b.extOK = false
 			return
 		}
-		if r.Arrival%b.cfg.Period < b.cfg.BurstLen {
-			b.extReq, b.extOK = r, true
+		if at%b.cfg.Period < b.cfg.BurstLen {
+			b.extReq = Request{
+				Arrival:      at,
+				PromptTokens: b.ext.prompt.length(zPrompt),
+				OutputTokens: b.ext.output.length(zOutput),
+			}
+			b.extOK = true
 			return
 		}
 	}

@@ -83,8 +83,14 @@ func newLengthDist(mean, max int) lengthDist {
 }
 
 // draw samples one length.
-func (l lengthDist) draw(rng *rand.Rand) int {
-	v := int(math.Round(math.Exp(rng.NormFloat64()*lengthSigma + l.mu)))
+func (l lengthDist) draw(rng *rand.Rand) int { return l.length(rng.NormFloat64()) }
+
+// length transforms one standard normal draw into a length. Drawing
+// (rng.NormFloat64) and transforming are separate so that a candidate
+// the bursty source discards advances the RNG without paying for the
+// transform.
+func (l lengthDist) length(z float64) int {
+	v := int(math.Round(math.Exp(z*lengthSigma + l.mu)))
 	if v < 1 {
 		v = 1
 	}
