@@ -285,11 +285,15 @@ func (g *Graph) validate() ([]int, error) {
 // TopoOrder returns a topological ordering of node IDs (dependencies
 // first) or an error if the graph has a cycle.
 func (g *Graph) TopoOrder() ([]int, error) {
-	n := len(g.nodes)
-	indeg := make([]int, n)
-	// Successor lists in one flat array: node d's successors, in node
-	// order, are succ[start[d]:start[d+1]].
-	start := make([]int, n+1)
+	n, edges := len(g.nodes), 0
+	for _, node := range g.nodes {
+		edges += len(node.Deps)
+	}
+	// One scratch slab holds the in-degrees, the successor lists in one
+	// flat array (node d's successors, in node order, are
+	// succ[start[d]:start[d+1]]) and their fill cursors.
+	scratch := make([]int32, 3*n+1+edges)
+	indeg, start, fill, succ := scratch[:n], scratch[n:2*n+1], scratch[2*n+1:3*n+1], scratch[3*n+1:]
 	for _, node := range g.nodes {
 		for _, d := range node.Deps {
 			start[d+1]++
@@ -299,31 +303,28 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
-	succ := make([]int, start[n])
-	fill := append([]int(nil), start[:n]...)
+	copy(fill, start[:n])
 	for _, node := range g.nodes {
 		for _, d := range node.Deps {
-			succ[fill[d]] = node.ID
+			succ[fill[d]] = int32(node.ID)
 			fill[d]++
 		}
 	}
 	// Kahn's algorithm with a FIFO over node IDs keeps the order
-	// deterministic and close to capture order.
-	queue := make([]int, 0, n)
+	// deterministic and close to capture order. The order is the FIFO:
+	// order[head:] is still queued.
+	order := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, i)
+			order = append(order, i)
 		}
 	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
+	for head := 0; head < len(order); head++ {
+		id := order[head]
 		for _, s := range succ[start[id]:start[id+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				order = append(order, int(s))
 			}
 		}
 	}

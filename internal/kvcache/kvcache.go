@@ -67,9 +67,16 @@ type reservation struct {
 
 // Manager tracks block ownership. It is not safe for concurrent use;
 // the engine serializes access like vLLM's scheduler does.
+//
+// The free list is lazy, so a manager costs nothing per block until
+// blocks are returned: conceptually it is [numBlocks−1 … fresh] ++
+// returned, and every pop, rollback push and release acts on its tail.
+// Blocks below fresh have been handed out at least once since the last
+// reset; pops take from returned first, then issue fresh and raise it.
 type Manager struct {
 	numBlocks int
-	free      []int
+	fresh     int   // blocks [fresh, numBlocks) have never been popped
+	returned  []int // blocks pushed back since the last reset, in push order
 	seqs      map[uint64]*seqState
 	// spare holds released sequence states, tables emptied but with
 	// their capacity kept, for the next new sequence.
@@ -78,14 +85,10 @@ type Manager struct {
 }
 
 // NewManager creates a manager over numBlocks blocks.
+// A fresh manager pops blocks in order 0, 1, 2, ….
 func NewManager(numBlocks int) *Manager {
-	free := make([]int, numBlocks)
-	for i := range free {
-		free[i] = numBlocks - 1 - i // pop order 0,1,2,…
-	}
 	return &Manager{
 		numBlocks: numBlocks,
-		free:      free,
 		seqs:      make(map[uint64]*seqState),
 	}
 }
@@ -94,7 +97,7 @@ func NewManager(numBlocks int) *Manager {
 func (m *Manager) NumBlocks() int { return m.numBlocks }
 
 // NumFreeBlocks returns the free block count.
-func (m *Manager) NumFreeBlocks() int { return len(m.free) }
+func (m *Manager) NumFreeBlocks() int { return len(m.returned) + m.numBlocks - m.fresh }
 
 // SeqLen returns the cached token count of a sequence.
 func (m *Manager) SeqLen(seq uint64) int {
@@ -129,7 +132,7 @@ func blocksNeeded(st *seqState, n int) int {
 // CanAppend reports whether n more tokens fit without exhausting the
 // pool.
 func (m *Manager) CanAppend(seq uint64, n int) bool {
-	return blocksNeeded(m.seqs[seq], n) <= len(m.free)
+	return blocksNeeded(m.seqs[seq], n) <= m.NumFreeBlocks()
 }
 
 // Append extends a sequence by n tokens, allocating blocks as needed.
@@ -140,8 +143,8 @@ func (m *Manager) Append(seq uint64, n int) error {
 	}
 	st := m.seqs[seq]
 	need := blocksNeeded(st, n)
-	if need > len(m.free) {
-		return &OutOfBlocksError{Seq: seq, Needed: need, Free: len(m.free), Shortfall: need - len(m.free)}
+	if free := m.NumFreeBlocks(); need > free {
+		return &OutOfBlocksError{Seq: seq, Needed: need, Free: free, Shortfall: need - free}
 	}
 	if st == nil {
 		st = m.newSeq(seq)
@@ -176,11 +179,15 @@ func (m *Manager) dropSeq(seq uint64, st *seqState) {
 // grow pops need blocks from the free tail onto st's table and extends
 // its length by n tokens. Callers have already checked capacity.
 func (m *Manager) grow(st *seqState, n, need int) {
-	tail := len(m.free) - need
-	for i := len(m.free) - 1; i >= tail; i-- {
-		st.table = append(st.table, m.free[i])
+	k := min(need, len(m.returned))
+	for i := len(m.returned) - 1; i >= len(m.returned)-k; i-- {
+		st.table = append(st.table, m.returned[i])
 	}
-	m.free = m.free[:tail]
+	m.returned = m.returned[:len(m.returned)-k]
+	for ; k < need; k++ {
+		st.table = append(st.table, m.fresh)
+		m.fresh++
+	}
 	st.tokens += n
 }
 
@@ -190,14 +197,16 @@ func (m *Manager) grow(st *seqState, n, need int) {
 // OutOfBlocksError call Rollback to restore the manager byte-for-byte
 // (free-list order included) before choosing a preemption victim.
 // Commit closes the reservation and makes the allocations permanent.
+// Close an open reservation before any Append or Release: Rollback
+// undoes the most recent blocks of each reserved sequence.
 func (m *Manager) Reserve(seq uint64, n int) error {
 	if n < 0 {
 		return fmt.Errorf("kvcache: negative reserve %d", n)
 	}
 	st := m.seqs[seq]
 	need := blocksNeeded(st, n)
-	if need > len(m.free) {
-		return &OutOfBlocksError{Seq: seq, Needed: need, Free: len(m.free), Shortfall: need - len(m.free)}
+	if free := m.NumFreeBlocks(); need > free {
+		return &OutOfBlocksError{Seq: seq, Needed: need, Free: free, Shortfall: need - free}
 	}
 	existed := st != nil
 	if !existed {
@@ -219,7 +228,7 @@ func (m *Manager) Rollback() {
 		st := r.st
 		for j := 0; j < r.blocks; j++ {
 			last := len(st.table) - 1
-			m.free = append(m.free, st.table[last])
+			m.returned = append(m.returned, st.table[last])
 			st.table = st.table[:last]
 		}
 		st.tokens -= r.tokens
@@ -235,14 +244,12 @@ func (m *Manager) Commit() {
 	m.pending = m.pending[:0]
 }
 
-// Reset restores the manager to its freshly constructed state without
-// reallocating the free list, so pooled managers can be recycled
-// across instances.
+// Reset restores the manager to its freshly constructed state, keeping
+// the capacity of its returned blocks and spare sequence states, so
+// pooled managers can be recycled across instances.
 func (m *Manager) Reset() {
-	m.free = m.free[:0]
-	for i := 0; i < m.numBlocks; i++ {
-		m.free = append(m.free, m.numBlocks-1-i)
-	}
+	m.returned = m.returned[:0]
+	m.fresh = 0
 	clear(m.seqs)
 	m.pending = m.pending[:0]
 }
@@ -253,9 +260,9 @@ func (m *Manager) Release(seq uint64) {
 	if st == nil {
 		return
 	}
-	m.free = append(m.free, st.table...)
+	m.returned = append(m.returned, st.table...)
 	m.dropSeq(seq, st)
 }
 
 // UsedBlocks returns allocated block count.
-func (m *Manager) UsedBlocks() int { return m.numBlocks - len(m.free) }
+func (m *Manager) UsedBlocks() int { return m.numBlocks - m.NumFreeBlocks() }

@@ -2,11 +2,22 @@ package kvcache
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// freeList materializes the manager's lazy free list in pop-from-tail
+// order: the never-popped blocks high to low, then the returned ones.
+func freeList(m *Manager) []int {
+	free := make([]int, 0, m.NumFreeBlocks())
+	for b := m.numBlocks - 1; b >= m.fresh; b-- {
+		free = append(free, b)
+	}
+	return append(free, m.returned...)
+}
 
 func TestSizingHelpers(t *testing.T) {
 	if BlockBytes(4096, 2) != 16*4096*2*2 {
@@ -113,7 +124,7 @@ func TestReserveRollbackRestoresState(t *testing.T) {
 	if err := m.Append(1, 20); err != nil { // 2 blocks committed
 		t.Fatal(err)
 	}
-	freeBefore := append([]int(nil), m.free...)
+	freeBefore := freeList(m)
 	if err := m.Reserve(1, 13); err != nil { // extends into block 3
 		t.Fatal(err)
 	}
@@ -132,10 +143,8 @@ func TestReserveRollbackRestoresState(t *testing.T) {
 	if m.SeqLen(1) != 20 || m.SeqLen(2) != 0 || m.Sequences() != 1 {
 		t.Fatalf("rollback left len1=%d len2=%d seqs=%d", m.SeqLen(1), m.SeqLen(2), m.Sequences())
 	}
-	for i, b := range m.free {
-		if freeBefore[i] != b {
-			t.Fatalf("rollback reordered free list: %v != %v", m.free, freeBefore)
-		}
+	if free := freeList(m); !slices.Equal(free, freeBefore) {
+		t.Fatalf("rollback reordered free list: %v != %v", free, freeBefore)
 	}
 }
 
@@ -160,10 +169,8 @@ func TestResetRestoresFreshState(t *testing.T) {
 	if m.NumFreeBlocks() != 3 || m.Sequences() != 0 || len(m.pending) != 0 {
 		t.Fatalf("Reset left free=%d seqs=%d pending=%d", m.NumFreeBlocks(), m.Sequences(), len(m.pending))
 	}
-	for i := range fresh.free {
-		if m.free[i] != fresh.free[i] {
-			t.Fatalf("Reset free-list order %v != fresh %v", m.free, fresh.free)
-		}
+	if free, want := freeList(m), freeList(fresh); !slices.Equal(free, want) {
+		t.Fatalf("Reset free-list order %v != fresh %v", free, want)
 	}
 }
 
@@ -394,17 +401,103 @@ func TestManagerMatchesTwoMapOracle(t *testing.T) {
 					ref.rollback()
 				}
 			}
-			if !slices.Equal(m.free, ref.free) || m.Sequences() != len(ref.tables) {
-				t.Fatalf("trial %d step %d: free %v seqs %d, oracle free %v seqs %d",
-					trial, step, m.free, m.Sequences(), ref.free, len(ref.tables))
-			}
-			for s := uint64(0); s < 8; s++ {
-				if !slices.Equal(m.BlockTable(s), ref.tables[s]) || m.SeqLen(s) != ref.seqLens[s] {
-					t.Fatalf("trial %d step %d: seq %d table %v len %d, oracle %v len %d",
-						trial, step, s, m.BlockTable(s), m.SeqLen(s), ref.tables[s], ref.seqLens[s])
+			checkMatchesOracle(t, m, ref, "trial %d step %d", trial, step)
+		}
+	}
+}
+
+// checkMatchesOracle requires the manager and the oracle to agree on
+// the free list (order included), the live sequence count, and every
+// block table and token count of sequences 0–7. The oracle counts
+// sequences by their token counts: an empty Append registers a
+// sequence that owns no table.
+func checkMatchesOracle(t *testing.T, m *Manager, ref *refManager, format string, args ...any) {
+	t.Helper()
+	what := func() string { return fmt.Sprintf(format, args...) }
+	if free := freeList(m); !slices.Equal(free, ref.free) || m.Sequences() != len(ref.seqLens) {
+		t.Fatalf("%s: free %v seqs %d, oracle free %v seqs %d",
+			what(), free, m.Sequences(), ref.free, len(ref.seqLens))
+	}
+	for s := uint64(0); s < 8; s++ {
+		if !slices.Equal(m.BlockTable(s), ref.tables[s]) || m.SeqLen(s) != ref.seqLens[s] {
+			t.Fatalf("%s: seq %d table %v len %d, oracle %v len %d",
+				what(), s, m.BlockTable(s), m.SeqLen(s), ref.tables[s], ref.seqLens[s])
+		}
+	}
+}
+
+// FuzzManagerOps drives the lazy manager and the materialized-list
+// oracle through the same Append, Reserve, Commit, Rollback, Release
+// and Reset sequence, decoded from the input two bytes per operation,
+// and requires identical outcomes, free lists and block tables after
+// every step. As Reserve requires, an open reservation batch is closed
+// (committed or rolled back) before an Append or Release.
+func FuzzManagerOps(f *testing.F) {
+	f.Add(uint8(8), []byte{0x10, 20, 0x21, 13, 0x22, 10, 0x33, 1, 0x04, 0, 0x15, 40})
+	f.Add(uint8(3), []byte{0x00, 40, 0x51, 1, 0x12, 0, 0x06, 0, 0x10, 17})
+	f.Add(uint8(1), []byte{0x10, 16, 0x11, 1, 0x14, 0, 0x10, 1})
+	f.Fuzz(func(t *testing.T, blocks uint8, ops []byte) {
+		m, ref := NewManager(int(blocks)), newRefManager(int(blocks))
+		for i := 0; i+1 < len(ops); i += 2 {
+			seq, n := uint64(ops[i]>>4&7), int(ops[i+1])
+			op := ops[i] % 7
+			if (op < 2 || op == 6 && n%4 != 0) && len(ref.pending) > 0 {
+				if n%2 == 0 {
+					m.Commit()
+					ref.pending = ref.pending[:0]
+				} else {
+					m.Rollback()
+					ref.rollback()
 				}
 			}
+			switch op {
+			case 0, 1:
+				if (m.Append(seq, n) == nil) != ref.append(seq, n) {
+					t.Fatalf("op %d: Append(%d, %d) disagrees", i/2, seq, n)
+				}
+			case 2, 3:
+				if (m.Reserve(seq, n) == nil) != ref.reserve(seq, n) {
+					t.Fatalf("op %d: Reserve(%d, %d) disagrees", i/2, seq, n)
+				}
+			case 4:
+				m.Commit()
+				ref.pending = ref.pending[:0]
+			case 5:
+				m.Rollback()
+				ref.rollback()
+			default:
+				if n%4 == 0 {
+					m.Reset()
+					ref = newRefManager(int(blocks))
+				} else {
+					m.Release(seq)
+					ref.release(seq)
+				}
+			}
+			checkMatchesOracle(t, m, ref, "op %d (%#x, %d)", i/2, ops[i], n)
 		}
+	})
+}
+
+// TestNewManagerAllocatesLittle: a manager costs nothing per block
+// until blocks are returned, so even a million-block one allocates
+// under a KiB.
+func TestNewManagerAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	var sink *Manager
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = NewManager(1 << 20)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 1024 {
+		t.Fatalf("NewManager(1<<20) allocates %d bytes, want under 1024", got)
+	}
+	if sink.NumFreeBlocks() != 1<<20 {
+		t.Fatalf("NumFreeBlocks = %d, want %d", sink.NumFreeBlocks(), 1<<20)
 	}
 }
 

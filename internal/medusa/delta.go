@@ -43,21 +43,26 @@ const (
 	// cursor (offset zigzag costs more, and a spurious jump desyncs
 	// the aligned scan).
 	deltaMinSeed = 16
-	// deltaMaxCandidates caps positions indexed per seed value.
+	// deltaMaxCandidates caps the positions a lookup tries per seed
+	// value: the first ones in the source.
 	deltaMaxCandidates = 8
 )
 
 // deltaEncoder computes deltas. Its seed index over the source is a
 // chained hash table in flat arrays, kept between calls so one
 // EncodeDelta indexes every section and chained graph in the same
-// memory. Each chain lists positions in ascending order and holds at
-// most deltaMaxCandidates positions per exact seed value: the first
-// ones in src.
+// memory. Links store a position plus one, so 0 ends a chain and
+// clear resets the table. Each chain holds every source position in
+// its bucket, in ascending order: index builds it in one descending
+// pass, one random access per position. The candidate cap is applied
+// at lookup: appendDelta tries the first deltaMaxCandidates positions
+// whose seed equals the probe's, skipping the other seeds that share
+// the bucket — so a probe whose bucket also holds a heavily repeated
+// seed walks that seed's whole run of positions.
 type deltaEncoder struct {
-	head, tail []int32 // per bucket: first and last chained position, -1 if none
-	next       []int32 // per chained position: the next one in its bucket, -1 at the end
-	count      []uint8 // per chained position: chained positions with its seed, itself included
-	shift      uint    // 64 − log2(len(head)): bucket keeps the hash's top bits
+	head  []int32 // per bucket: its first position plus one, 0 if empty
+	next  []int32 // per position: the next one in its bucket plus one, 0 at the end
+	shift uint    // 64 − log2(len(head)): bucket keeps the hash's top bits
 }
 
 func seedAt(p []byte, i int) uint64 { return binary.LittleEndian.Uint64(p[i:]) }
@@ -74,48 +79,22 @@ func (e *deltaEncoder) index(src []byte) {
 		logBuckets++
 	}
 	e.shift = 64 - logBuckets
-	e.head = resetInt32(e.head, 1<<logBuckets)
-	e.tail = resetInt32(e.tail, 1<<logBuckets)
+	if cap(e.head) < 1<<logBuckets {
+		e.head = make([]int32, 1<<logBuckets)
+	} else {
+		e.head = e.head[:1<<logBuckets]
+		clear(e.head)
+	}
 	if cap(e.next) < n {
 		e.next = make([]int32, n)
-		e.count = make([]uint8, n)
 	}
-	for i := 0; i < n; i++ {
-		seed := seedAt(src, i)
-		b := e.bucket(seed)
-		last := e.tail[b]
-		var c uint8
-		if last >= 0 {
-			if seedAt(src, int(last)) == seed {
-				c = e.count[last] // the tail is the seed's latest position
-			} else {
-				for p := e.head[b]; p >= 0; p = e.next[p] {
-					if seedAt(src, int(p)) == seed {
-						c++
-					}
-				}
-			}
-			if c >= deltaMaxCandidates {
-				continue
-			}
-			e.next[last] = int32(i)
-		} else {
-			e.head[b] = int32(i)
-		}
-		e.next[i], e.count[i], e.tail[b] = -1, c+1, int32(i)
+	head, next := e.head, e.next[:n]
+	// Prepending in descending order leaves every chain ascending.
+	for i := n - 1; i >= 0; i-- {
+		b := e.bucket(seedAt(src, i))
+		next[i] = head[b]
+		head[b] = int32(i + 1)
 	}
-}
-
-// resetInt32 returns a length-n slice of -1, reusing s when it fits.
-func resetInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		s = make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = -1
-	}
-	return s
 }
 
 // matchLen returns the length of the common prefix of a and b,
@@ -159,17 +138,20 @@ func (e *deltaEncoder) appendDelta(out, src, tgt []byte) []byte {
 			}
 		}
 		// Seed resync: insertions, deletions, and reordered content.
-		// Candidates are tried in ascending source position and a later
+		// The candidates are the first deltaMaxCandidates positions with
+		// this exact seed, tried in ascending source position; a later
 		// one wins only with a strictly longer run.
 		if indexed && t+deltaSeedLen <= len(tgt) {
 			seed := seedAt(tgt, t)
-			bestPos, bestRun := -1, 0
-			for p := e.head[e.bucket(seed)]; p >= 0; p = e.next[p] {
-				if seedAt(src, int(p)) != seed {
+			bestPos, bestRun, cands := -1, 0, 0
+			for p := e.head[e.bucket(seed)]; p != 0 && cands < deltaMaxCandidates; p = e.next[p-1] {
+				pos := int(p - 1)
+				if seedAt(src, pos) != seed {
 					continue
 				}
-				if run := matchLen(src[p:], tgt[t:]); run > bestRun {
-					bestPos, bestRun = int(p), run
+				cands++
+				if run := matchLen(src[pos:], tgt[t:]); run > bestRun {
+					bestPos, bestRun = pos, run
 				}
 			}
 			if bestRun >= deltaMinSeed {

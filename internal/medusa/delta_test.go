@@ -102,12 +102,15 @@ func checkDeltaPair(t testing.TB, enc *deltaEncoder, what string, src, tgt []byt
 }
 
 // TestDeltaIndexSharedBucket forces two seeds into one bucket,
-// interleaved, so counting a seed's candidates has to walk a chain
-// whose tail holds the other seed. Only the eighth occurrence of the
-// first seed is followed by a long match, so a miscount that caps the
-// seed early changes the delta.
+// interleaved, so a lookup of the first seed has to skip the other's
+// positions while it counts candidates. Only the eighth occurrence of
+// the first seed is followed by a long match, so a miscount that stops
+// early changes the delta. A ninth occurrence has a longer match still,
+// and must not be tried: the cap is the first deltaMaxCandidates
+// positions per exact seed.
 func TestDeltaIndexSharedBucket(t *testing.T) {
 	const tail = "-a-long-tail-that-only-the-eighth-occurrence-has"
+	const more = "-and-a-longer-one-that-only-the-ninth-has"
 	seed := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	filler := func(i, j int) []byte { return bytes.Repeat([]byte{byte('a' + 2*i + j)}, 8) }
 	a := seed(0x0123456789abcdef)
@@ -116,7 +119,8 @@ func TestDeltaIndexSharedBucket(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			src = append(src, a...)
 			if i == 7 {
-				return append(src, tail...)
+				src = append(append(src, tail...), filler(8, 0)...)
+				return append(append(append(src, a...), tail...), more...)
 			}
 			src = append(append(append(src, filler(i, 0)...), b...), filler(i, 1)...)
 		}
@@ -132,11 +136,42 @@ func TestDeltaIndexSharedBucket(t *testing.T) {
 		}
 	}
 	src := build(b)
-	tgt := append(append([]byte("zzzz"), a...), tail...)
+	tgt := append(append(append([]byte("zzzz"), a...), tail...), more...)
 	checkDeltaPair(t, &enc, "shared bucket", src, tgt)
-	if d := enc.appendDelta(nil, src, tgt); len(d) > 12 {
-		t.Fatalf("delta of %d bytes: the eighth occurrence's long match was not found", len(d))
+	// The delta opens ADD(4 "zzzz"), then COPYs from the eighth
+	// occurrence exactly the bytes it shares with the target.
+	d := enc.appendDelta(nil, src, tgt)
+	if len(d) < 7 || d[0] != deltaOpAdd || d[6] != deltaOpCopy {
+		t.Fatalf("delta % x does not open with ADD(4) then COPY", d)
 	}
+	zz, n := binary.Uvarint(d[7:])
+	run, _ := binary.Uvarint(d[7+n:])
+	eighth := bytes.Index(src, append(append([]byte(nil), a...), tail...))
+	if pos := 4 + int(zz>>1); zz&1 != 0 || pos != eighth || run != uint64(len(a)+len(tail)) {
+		t.Fatalf("first COPY takes %d bytes at zigzag offset %d, want %d bytes from the eighth occurrence at %d",
+			run, zz, len(a)+len(tail), eighth)
+	}
+}
+
+// TestDeltaIndexZeroRunBucket puts a long zero run in the source and a
+// lookup seed in the zero seed's bucket, so the lookup walks past every
+// zero position before it reaches its one candidate; the target's own
+// zero run then probes the zero seed, whose lookup stops at the cap.
+func TestDeltaIndexZeroRunBucket(t *testing.T) {
+	const run = 4096
+	const tail = "-the-tail-after-the-forced-seed"
+	var enc deltaEncoder
+	enc.index(make([]byte, run+deltaSeedLen+len(tail)))
+	var s []byte
+	for v := uint64(1); s == nil; v++ {
+		if enc.bucket(v) == enc.bucket(0) {
+			s = binary.LittleEndian.AppendUint64(nil, v)
+		}
+	}
+	src := append(append(make([]byte, run), s...), tail...)
+	tgt := append(append(append([]byte("zzzz"), s...), tail...), make([]byte, 100)...)
+	checkDeltaPair(t, &enc, "zero run", src, tgt)
+	checkDeltaPair(t, &enc, "zero run, swapped", tgt, src)
 }
 
 // FuzzDeltaEncodeOracle checks the encoder against the oracle on
@@ -145,6 +180,8 @@ func FuzzDeltaEncodeOracle(f *testing.F) {
 	f.Add([]byte("toy_scale toy_scale toy_scale"), []byte("toy_scale toy_SCALE toy_scale toy_scale"))
 	f.Add(make([]byte, 100), make([]byte, 120))
 	f.Add([]byte{}, []byte("abc"))
+	f.Add(append(make([]byte, 300), "zero-run-then-text"...), append([]byte("x"), make([]byte, 200)...))
+	f.Add(bytes.Repeat([]byte("abcd"), 64), append([]byte("ab"), bytes.Repeat([]byte("cdab"), 70)...))
 	f.Fuzz(func(t *testing.T, src, tgt []byte) {
 		var enc deltaEncoder
 		checkDeltaPair(t, &enc, "fuzz", src, tgt)
