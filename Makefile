@@ -95,9 +95,11 @@ batch-smoke:
 # diurnal multi-tenant run under predictive autoscaling and score
 # routing, asserting SLO attainment and node-seconds stay inside
 # checked bounds, Desired calls/request under
-# internal/serverless/testdata/max_desired_calls_per_request_predictive
-# and routed dispatch steps/request under
-# max_dispatch_steps_per_request_routed.
+# internal/serverless/testdata/max_desired_calls_per_request_predictive,
+# routed dispatch steps/request under
+# max_dispatch_steps_per_request_routed and iteration-end events/request
+# (coalesced batched decode runs) under
+# max_iteration_ends_per_request_batched.
 fleet-smoke:
 	MEDUSA_FLEET_SMOKE=1 $(GO) test -run TestFleetSmoke100k -count=1 -v ./internal/serverless/
 
@@ -142,6 +144,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDeltaEncodeOracle -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzEncodeDecode -fuzztime 30s ./internal/tokenizer/
 	$(GO) test -run xxx -fuzz FuzzManagerOps -fuzztime 30s ./internal/kvcache/
+	$(GO) test -run xxx -fuzz FuzzDecodeRunMatchesSteps -fuzztime 30s ./internal/sched/
 
 cover:
 	$(GO) test -cover ./internal/...

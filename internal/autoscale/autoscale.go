@@ -94,15 +94,18 @@ type Retainer interface {
 // The simulator core reuses a deployment's last answer until the
 // deployment's outstanding or live count changes or the instant Until
 // returned is reached; a policy without Horizon is asked at every
-// control tick.
+// control tick. The core also runs decode steps between the earliest
+// of those instants over all deployments as one event, so horizons
+// must not move back.
 type Horizon interface {
 	// Until returns the first instant at or after now at which Desired
 	// may answer the deployment differently than it did at now,
 	// assuming the deployment's Outstanding and Live stay what they
 	// were (InstanceTarget and ProvisionLatency are fixed per
 	// deployment). Arrivals observed in between must not bring that
-	// instant forward. math.MaxInt64 means the answer depends on the
-	// counts alone.
+	// instant forward, and a later call for the same deployment must
+	// not return an earlier instant (the simulator reports an error).
+	// math.MaxInt64 means the answer depends on the counts alone.
 	Until(dep int, now time.Duration) time.Duration
 }
 

@@ -239,7 +239,8 @@ func TestPredictiveRejectsBadConfig(t *testing.T) {
 // Outstanding or Live changed or its last answer's Until instant was
 // reached answers exactly like an identically fed policy asked at
 // every instant. Arrivals land between the asks, as they do in the
-// simulator core.
+// simulator core. Each horizon must also be no earlier than the one
+// before it.
 func TestHorizonHoldsAnswer(t *testing.T) {
 	type policy interface {
 		Policy
@@ -288,11 +289,12 @@ func TestHorizonHoldsAnswer(t *testing.T) {
 				h := &last[pair][dep]
 				if !h.asked || h.outstanding != o.Outstanding || h.live != o.Live || now >= h.until {
 					h.answer = cached.Desired(dep, o)
-					h.until = cached.Until(dep, now)
-					h.outstanding, h.live, h.asked = o.Outstanding, o.Live, true
-					if h.until < now {
-						t.Fatalf("%s: Until(%v) = %v, before now", cached.Name(), now, h.until)
+					until := cached.Until(dep, now)
+					if until < now || until < h.until {
+						t.Fatalf("%s: Until(%v) = %v, before now or the previous horizon %v", cached.Name(), now, until, h.until)
 					}
+					h.until = until
+					h.outstanding, h.live, h.asked = o.Outstanding, o.Live, true
 				} else {
 					reused++
 				}

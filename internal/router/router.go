@@ -33,7 +33,9 @@ type Candidate struct {
 }
 
 // Policy scores candidates; higher is better. Implementations must be
-// pure functions of the Candidate.
+// pure functions of the Candidate. The simulator scores a deployment's
+// idle instances only when it has requests queued, so how often Score
+// is called is not part of any result.
 type Policy interface {
 	// Name identifies the policy in reports and renders.
 	Name() string

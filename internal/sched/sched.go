@@ -177,6 +177,9 @@ type Scheduler[T any] struct {
 	chunks   []Chunk[T]
 	decode   []*Seq[T]
 	admitted []*Seq[T]
+	// run is how many rounds the next FinishRun may apply at once: what
+	// DecodeRun reported for the last Plan (0 until it is asked).
+	run int
 }
 
 // New returns a scheduler over a fresh KV pool of p.KVBlocks blocks.
@@ -209,6 +212,7 @@ func (s *Scheduler[T]) Reset(p Params) {
 	s.chunks = s.chunks[:0]
 	s.decode = s.decode[:0]
 	s.admitted = s.admitted[:0]
+	s.run = 0
 }
 
 // Running reports the number of sequences in the Prefilling or
@@ -292,6 +296,7 @@ func (s *Scheduler[T]) maxFitTokens(q *Seq[T]) int {
 func (s *Scheduler[T]) Plan(peek func() (prompt, output int, ok bool), pop func() T) (Iteration[T], error) {
 	s.chunks = s.chunks[:0]
 	s.admitted = s.admitted[:0]
+	s.run = 0
 	preemptions := 0
 
 	// Phase 1 — decode reservations, atomically for the whole decode
@@ -494,6 +499,29 @@ func (s *Scheduler[T]) admissionChunk(target, budget int) (int, bool) {
 	return target, true
 }
 
+// DecodeRun reports how many rounds, counting the one Plan just
+// returned, would plan that same round again while the caller's queue
+// stays empty. That holds for a pure-decode round over every running
+// sequence with no preemption victim waiting: later rounds then decode
+// the same batch until the first completion, or until some sequence
+// needs a new KV block (only such a round can allocate or preempt), so
+// the run ends with the first completion or just before that block.
+// Any other round is a run of 1. FinishRun may apply up to the reported
+// number of rounds in one call.
+func (s *Scheduler[T]) DecodeRun() int {
+	s.run = 1
+	if len(s.chunks) > 0 || len(s.decode) == 0 || len(s.decode) != len(s.running) || s.preempted.Len() > 0 {
+		return 1
+	}
+	n := s.decode[0].output - s.decode[0].emitted
+	for _, q := range s.decode {
+		held := s.kv.SeqLen(q.id)
+		n = min(n, q.output-q.emitted, 1+kvcache.BlocksForTokens(held)*kvcache.TokensPerBlock-held)
+	}
+	s.run = n
+	return n
+}
+
 // Finish applies a planned round after the caller has priced and
 // elapsed it: prefilled chunks advance toward their targets, a
 // completed prefill emits the sequence's first token (recomputed
@@ -503,6 +531,22 @@ func (s *Scheduler[T]) admissionChunk(target, budget int) (int, bool) {
 // before its KV blocks release and its state recycles. Both callbacks
 // fire in running order — the deterministic metric-recording order.
 func (s *Scheduler[T]) Finish(emit func(data T, emitted int), done func(data T)) {
+	s.FinishRun(1, emit, done)
+}
+
+// FinishRun applies n rounds of a decode run at once: the planned round
+// and n−1 more that Plan would have planned identically, which n must
+// not exceed (see DecodeRun). Each sequence reserves the later rounds'
+// tokens inside the KV block it already holds and emits n tokens, so the
+// block tables, the free list and the emitted counts are those of n
+// Plan/Finish rounds. emit observes each sequence once, with its count
+// after the run; done observes the sequences the run's last round
+// completes. FinishRun(1, …) is Finish.
+func (s *Scheduler[T]) FinishRun(n int, emit func(data T, emitted int), done func(data T)) {
+	if n > 1 && n > s.run {
+		panic(fmt.Sprintf("sched: FinishRun(%d) exceeds the decode run of %d rounds", n, s.run))
+	}
+	s.run = 0
 	keep := s.running[:0]
 	for _, q := range s.running {
 		if q.planned == 0 { // stalled prefill: no work this round
@@ -519,8 +563,14 @@ func (s *Scheduler[T]) Finish(emit func(data T, emitted int), done func(data T))
 			q.state = StateDecoding
 		} else {
 			q.planned = 0
+			if n > 1 {
+				// Inside the last block (DecodeRun): no block moves.
+				if err := s.kv.Append(q.id, n-1); err != nil {
+					panic(err)
+				}
+			}
 		}
-		q.emitted++
+		q.emitted += n
 		emit(q.Data, q.emitted)
 		if q.emitted >= q.output {
 			q.state = StateFinished

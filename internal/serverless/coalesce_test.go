@@ -9,9 +9,12 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
+	"github.com/medusa-repro/medusa/internal/autoscale"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/obs"
+	"github.com/medusa-repro/medusa/internal/router"
+	"github.com/medusa-repro/medusa/internal/sched"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
@@ -67,11 +70,12 @@ func runTraced(t *testing.T, f Fleet, hook *bool) (*FleetResult, *obs.Tracer, st
 // checkCoalescedMatchesPerStep runs the fleet both ways and requires
 // identical outputs, Chrome trace included, and identical work except
 // iteration-end events (fewer when coalesced) and the heap high-water
-// mark.
-func checkCoalescedMatchesPerStep(t *testing.T, f Fleet) (coalesced, perStep *FleetResult) {
+// mark. Each run gets a fleet of its own from build, so stateful
+// policies start fresh.
+func checkCoalescedMatchesPerStep(t *testing.T, build func(t *testing.T) Fleet) (coalesced, perStep *FleetResult) {
 	t.Helper()
-	co, _, coTrace := runTraced(t, f, nil)
-	ps, _, psTrace := runTraced(t, f, &forcePerStep)
+	co, _, coTrace := runTraced(t, build(t), nil)
+	ps, _, psTrace := runTraced(t, build(t), &forcePerStep)
 	if got, want := fleetSummary(co), fleetSummary(ps); got != want {
 		t.Fatalf("coalesced runs diverge from per-step execution:\n--- coalesced\n%s\n--- per step\n%s", got, want)
 	}
@@ -118,10 +122,85 @@ func coalesceFleet(t *testing.T, tweak func(i int, c *Config)) Fleet {
 	return f
 }
 
+// batchParams is the continuous-batching configuration of the batched
+// oracle fleets.
+var batchParams = sched.Params{BatchTokens: 512, KVBlocks: 256, ChunkedPrefill: true}
+
+// batchedFleet is coalesceFleet in batched execution mode.
+func batchedFleet(t *testing.T, tweak func(i int, c *Config)) Fleet {
+	return coalesceFleet(t, func(i int, c *Config) {
+		c.Scheduler.Batch = batchParams
+		tweak(i, c)
+	})
+}
+
+// predictive returns a fresh predictive policy (it is stateful: one per
+// run) whose short window caps many decode runs.
+func predictive(t *testing.T) autoscale.Policy {
+	t.Helper()
+	scaler, err := autoscale.NewPredictive(autoscale.PredictiveConfig{Window: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scaler
+}
+
+// mixedHorizon states a different horizon per deployment. Deployment
+// 0 is reactive: its answer holds until its counts change. Every other
+// deployment's answer changes at each multiple of window, as a windowed
+// forecaster's would: the reactive count, plus one instance in odd
+// windows while work is outstanding. It logs every Desired call.
+type mixedHorizon struct {
+	autoscale.Reactive
+	window time.Duration
+	calls  []string
+}
+
+func (m *mixedHorizon) Desired(dep int, o autoscale.Observation) int {
+	m.calls = append(m.calls, fmt.Sprintf("%d@%v:%d/%d", dep, o.Now, o.Outstanding, o.Live))
+	n := m.Reactive.Desired(dep, o)
+	if dep > 0 && n > 0 {
+		n += int(o.Now/m.window) % 2
+	}
+	return n
+}
+
+func (m *mixedHorizon) Until(dep int, now time.Duration) time.Duration {
+	if dep == 0 {
+		return m.Reactive.Until(dep, now)
+	}
+	return now - now%m.window + m.window
+}
+
+// crashMidRun is a fleet of one instance per node, each decoding one
+// long request when node 1 dies: its request is requeued and cuts node
+// 0's run.
+func crashMidRun(t *testing.T) Fleet {
+	f := coalesceFleet(t, func(_ int, c *Config) { c.Scheduler.Prewarm = 1 })
+	f.GPUsPerNode = 1
+	f.Deployments = f.Deployments[:1]
+	f.Deployments[0].Requests = []workload.Request{
+		{ID: 0, PromptTokens: 32, OutputTokens: 1000},
+		{ID: 1, PromptTokens: 32, OutputTokens: 1000},
+	}
+	f.Deployments[0].Config.Scheduler.Prewarm = 2
+	f.Faults = FaultSpec{Plan: &faults.Plan{
+		NodeCrashes: []faults.NodeCrash{{Node: 1, At: faults.Duration(100 * time.Millisecond)}}}}
+	return f
+}
+
 // TestCoalescedDecodeMatchesPerStep is the oracle for coalesced decode
-// runs: forcing one event per iteration must change nothing but the
-// number of iteration-end events.
+// runs in both execution modes: forcing one event per iteration must
+// change nothing but the number of iteration-end events.
 func TestCoalescedDecodeMatchesPerStep(t *testing.T) {
+	crash := func(f Fleet) Fleet {
+		plan := faults.Presets()["crash"]
+		f.Faults = FaultSpec{Plan: &plan}
+		return f
+	}
+	followUps := func(_ int, c *Config) {
+		c.Workload.FollowUp = &FollowUpModel{Probability: 0.4, ThinkTime: 800 * time.Millisecond, MaxTurns: 3}
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  func(t *testing.T) Fleet
@@ -130,9 +209,7 @@ func TestCoalescedDecodeMatchesPerStep(t *testing.T) {
 			return coalesceFleet(t, func(int, *Config) {})
 		}},
 		{"follow-ups", func(t *testing.T) Fleet {
-			return coalesceFleet(t, func(_ int, c *Config) {
-				c.Workload.FollowUp = &FollowUpModel{Probability: 0.4, ThinkTime: 800 * time.Millisecond, MaxTurns: 3}
-			})
+			return coalesceFleet(t, followUps)
 		}},
 		{"prewarm", func(t *testing.T) Fleet {
 			return coalesceFleet(t, func(_ int, c *Config) { c.Scheduler.Prewarm = 1 })
@@ -152,26 +229,9 @@ func TestCoalescedDecodeMatchesPerStep(t *testing.T) {
 			return f
 		}},
 		{"crash", func(t *testing.T) Fleet {
-			f := coalesceFleet(t, func(int, *Config) {})
-			plan := faults.Presets()["crash"]
-			f.Faults = FaultSpec{Plan: &plan}
-			return f
+			return crash(coalesceFleet(t, func(int, *Config) {}))
 		}},
-		{"crash-mid-run", func(t *testing.T) Fleet {
-			// One instance per node, each decoding one long request when
-			// node 1 dies: its request is requeued and cuts node 0's run.
-			f := coalesceFleet(t, func(_ int, c *Config) { c.Scheduler.Prewarm = 1 })
-			f.GPUsPerNode = 1
-			f.Deployments = f.Deployments[:1]
-			f.Deployments[0].Requests = []workload.Request{
-				{ID: 0, PromptTokens: 32, OutputTokens: 1000},
-				{ID: 1, PromptTokens: 32, OutputTokens: 1000},
-			}
-			f.Deployments[0].Config.Scheduler.Prewarm = 2
-			f.Faults = FaultSpec{Plan: &faults.Plan{
-				NodeCrashes: []faults.NodeCrash{{Node: 1, At: faults.Duration(100 * time.Millisecond)}}}}
-			return f
-		}},
+		{"crash-mid-run", crashMidRun},
 		{"maxbatch-burst", func(t *testing.T) Fleet {
 			f := coalesceFleet(t, func(_ int, c *Config) {
 				c.Scheduler.MaxBatch = 2
@@ -188,16 +248,68 @@ func TestCoalescedDecodeMatchesPerStep(t *testing.T) {
 			}
 			return f
 		}},
+		{"predictive", func(t *testing.T) Fleet {
+			f := coalesceFleet(t, func(int, *Config) {})
+			f.Autoscaler = predictive(t)
+			return f
+		}},
+		{"batched", func(t *testing.T) Fleet {
+			return batchedFleet(t, func(int, *Config) {})
+		}},
+		{"batched-routed-predictive", func(t *testing.T) Fleet {
+			f := batchedFleet(t, func(int, *Config) {})
+			f.Autoscaler = predictive(t)
+			f.Router = &router.Scored{}
+			f.SLO = SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond}
+			return f
+		}},
+		{"batched-crash", func(t *testing.T) Fleet {
+			return crash(batchedFleet(t, func(int, *Config) {}))
+		}},
+		{"batched-crash-mid-run", func(t *testing.T) Fleet {
+			f := crashMidRun(t)
+			f.Deployments[0].Config.Scheduler.Batch = batchParams
+			return f
+		}},
+		{"batched-follow-ups", func(t *testing.T) Fleet {
+			return batchedFleet(t, followUps)
+		}},
+		{"batched-tight-kv", func(t *testing.T) Fleet {
+			// Short prompts in a pool of a few blocks: decode steps run
+			// out of blocks and preempt.
+			f := batchedFleet(t, func(_ int, c *Config) { c.Scheduler.Batch.KVBlocks = 12 })
+			for i := range f.Deployments {
+				reqs, err := workload.Generate(workload.TraceConfig{
+					Seed: int64(90 + i), RPS: 8, Duration: 10 * time.Second,
+					MeanPrompt: 48, MaxPrompt: 96, MeanOutput: 24, MaxOutput: 64,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Deployments[i].Requests = reqs
+			}
+			return f
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			co, ps := checkCoalescedMatchesPerStep(t, tc.cfg(t))
+			co, ps := checkCoalescedMatchesPerStep(t, tc.cfg)
 			if co.Work.IterationEnds >= ps.Work.IterationEnds {
 				t.Errorf("iteration-end events: coalesced %d, per step %d; want fewer", co.Work.IterationEnds, ps.Work.IterationEnds)
 			}
-			if strings.HasPrefix(tc.name, "crash") && co.NodeCrashes != 1 {
+			if strings.Contains(tc.name, "crash") && co.NodeCrashes != 1 {
 				t.Errorf("crash preset crashed %d nodes, want 1", co.NodeCrashes)
 			}
-			if tc.name == "crash-mid-run" && co.Requeued != 1 {
+			if tc.name == "batched-tight-kv" {
+				preempted := 0
+				for _, d := range co.PerDeployment {
+					preempted += d.Preemptions
+				}
+				if preempted == 0 {
+					t.Error("tight KV pool preempted nothing")
+				}
+				t.Logf("%d preemptions", preempted)
+			}
+			if strings.HasSuffix(tc.name, "crash-mid-run") && co.Requeued != 1 {
 				t.Errorf("requeued %d requests, want 1", co.Requeued)
 			}
 			t.Logf("iteration-end events: coalesced %d, per step %d (%d iterations, %d completed)",
@@ -206,15 +318,77 @@ func TestCoalescedDecodeMatchesPerStep(t *testing.T) {
 	}
 }
 
+// TestMixedHorizonsCapRuns checks that a coalesced run stops at the
+// first boundary at or after the earliest horizon of any deployment, not
+// only its own: under mixedHorizon, deployment 0's runs must not skip a
+// step boundary at which per-step code asks about deployment 1. The
+// policy's Desired calls, instants included, must match per-step
+// execution's one for one.
+func TestMixedHorizonsCapRuns(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			var policies []*mixedHorizon
+			co, ps := checkCoalescedMatchesPerStep(t, func(t *testing.T) Fleet {
+				f := coalesceFleet(t, func(_ int, c *Config) {
+					if batched {
+						c.Scheduler.Batch = batchParams
+					}
+				})
+				p := &mixedHorizon{window: 3 * time.Millisecond}
+				policies = append(policies, p)
+				f.Autoscaler = p
+				return f
+			})
+			if co.Work.IterationEnds >= ps.Work.IterationEnds {
+				t.Errorf("iteration-end events: coalesced %d, per step %d; want fewer", co.Work.IterationEnds, ps.Work.IterationEnds)
+			}
+			if got, want := strings.Join(policies[0].calls, " "), strings.Join(policies[1].calls, " "); got != want {
+				t.Fatalf("Desired calls differ from per-step execution (%d vs %d calls)", len(policies[0].calls), len(policies[1].calls))
+			}
+			t.Logf("%d Desired calls; iteration-end events: coalesced %d, per step %d", len(policies[0].calls), co.Work.IterationEnds, ps.Work.IterationEnds)
+		})
+	}
+}
+
+// shrinkingHorizon answers like the reactive baseline, but its first
+// horizon is an hour away and every later one a millisecond.
+type shrinkingHorizon struct {
+	autoscale.Reactive
+	asked bool
+}
+
+func (p *shrinkingHorizon) Until(_ int, now time.Duration) time.Duration {
+	if !p.asked {
+		p.asked = true
+		return now + time.Hour
+	}
+	return now + time.Millisecond
+}
+
+// TestBackwardHorizonIsAnError checks that the core refuses a horizon
+// earlier than the deployment's previous one: coalesced runs were
+// capped at the old one.
+func TestBackwardHorizonIsAnError(t *testing.T) {
+	f := coalesceFleet(t, func(int, *Config) {})
+	f.Autoscaler = &shrinkingHorizon{}
+	if _, err := RunFleet(f); err == nil || !strings.Contains(err.Error(), "horizon went backwards") {
+		t.Fatalf("RunFleet error = %v, want a backward-horizon error", err)
+	}
+}
+
 // tieFleet is a single pool with one prewarmed instance for each of
-// two deployments, "x" and "y", neither of which ever launches more.
-func tieFleet(t *testing.T, x, y []workload.Request) Fleet {
+// two deployments, "x" and "y", neither of which ever launches more,
+// in batched execution mode if batched is set.
+func tieFleet(t *testing.T, batched bool, x, y []workload.Request) Fleet {
 	t.Helper()
 	_, c := simFixture(t, "Qwen1.5-0.5B")
 	c.Strategy = engine.StrategyMedusa
 	c.Scheduler.Prewarm = 1
 	c.Scheduler.MaxBatch = 4
 	c.Scheduler.InstanceTarget = 100
+	if batched {
+		c.Scheduler.Batch = batchParams
+	}
 	return Fleet{Nodes: 1, GPUsPerNode: 2, Deployments: []Deployment{
 		{Name: "x", Config: c, Requests: x},
 		{Name: "y", Config: c, Requests: y},
@@ -222,21 +396,39 @@ func tieFleet(t *testing.T, x, y []workload.Request) Fleet {
 }
 
 // tieCase is one arrangement of TestCoalescedRunTies: the traces of
-// tieFleet's deployments x and y.
+// tieFleet's deployments x and y, and its execution mode.
 type tieCase struct {
-	name string
-	x, y []workload.Request
+	name    string
+	batched bool
+	x, y    []workload.Request
 }
 
+// fleet builds the case's tieFleet.
+func (tc tieCase) fleet(t *testing.T) Fleet { return tieFleet(t, tc.batched, tc.x, tc.y) }
+
 // tieCases places an arrival exactly on a step boundary of a coalesced
-// run. Deployment x serves a1 (4 tokens) and a2 (24 tokens), both at
-// time zero: a2 joins at the first boundary e1, and from e2 the two
-// decode as one run whose steps end at e3 and e4, where a1 completes.
-// Per-step code pushes a step's end when the step starts, so an arrival
-// due on a boundary precedes that boundary's end only if it was pushed
-// before the previous boundary. The y request's arrival, between e2 and
-// e3, is what pushes a later arrival after e2.
+// run, in both execution modes. Deployment x serves a1 (4 tokens) and
+// a2 (24 tokens), both at time zero, and a1 completes at the fourth
+// step boundary e4. In legacy mode a2 joins at the first boundary e1,
+// and from e2 the two decode as one run whose steps end at e3 and e4;
+// in batched mode both are admitted at time zero, and from e1 they
+// decode as one run whose steps end at e2, e3 and e4. Per-step code
+// pushes a step's end when the step starts, so an arrival due on a
+// boundary precedes that boundary's end only if it was pushed before
+// the previous boundary. The y request's arrival, between e2 and e3, is
+// what pushes a later arrival after e2.
 func tieCases(t *testing.T) []tieCase {
+	t.Helper()
+	var cases []tieCase
+	for _, batched := range []bool{false, true} {
+		cases = append(cases, tieCasesIn(t, batched)...)
+	}
+	return cases
+}
+
+// tieCasesIn builds tieCases for one execution mode; batched cases are
+// named with a "batched/" prefix.
+func tieCasesIn(t *testing.T, batched bool) []tieCase {
 	t.Helper()
 	req := func(at time.Duration, out int) workload.Request {
 		return workload.Request{Arrival: at, PromptTokens: 32, OutputTokens: out}
@@ -248,7 +440,7 @@ func tieCases(t *testing.T) []tieCase {
 		return reqs
 	}
 	base := numbered(req(0, 4), req(0, 24))
-	_, tr, _ := runTraced(t, tieFleet(t, base, numbered(req(time.Hour, 4))), &forcePerStep)
+	_, tr, _ := runTraced(t, tieFleet(t, batched, base, numbered(req(time.Hour, 4))), &forcePerStep)
 	var ends []time.Duration
 	for _, sp := range tr.Spans() {
 		if sp.Name == "iteration" && strings.HasPrefix(sp.Track, "x/") {
@@ -262,20 +454,27 @@ func tieCases(t *testing.T) []tieCase {
 	e2, e3, e4 := ends[1], ends[2], ends[3]
 	mid := e2 + (e3-e2)/2
 
-	return []tieCase{
+	cases := []tieCase{
 		// b is pushed at time zero, before e2: per-step code admits it
 		// at e3, so the run is cut back to e3.
-		{"pushed before the previous boundary", numbered(req(0, 4), req(0, 24), req(e3, 4)), numbered(req(time.Hour, 4))},
+		{"pushed before the previous boundary", false, numbered(req(0, 4), req(0, 24), req(e3, 4)), numbered(req(time.Hour, 4))},
 		// y's arrival pushes b after e2: b follows e3's end and waits
 		// for e4.
-		{"pushed after the previous boundary", numbered(req(0, 4), req(0, 24), req(e3, 4)), numbered(req(mid, 4))},
+		{"pushed after the previous boundary", false, numbered(req(0, 4), req(0, 24), req(e3, 4)), numbered(req(mid, 4))},
 		// b lands on the run's own end, pushed before its last step
 		// began: it is queued before a1 completes.
-		{"on the run's end", numbered(req(0, 4), req(0, 24), req(e4, 4)), numbered(req(mid, 4))},
+		{"on the run's end", false, numbered(req(0, 4), req(0, 24), req(e4, 4)), numbered(req(mid, 4))},
 		// c cuts the run back to e3 and pulls b, due at e3, before the
 		// cut end is pushed: b still follows that end.
-		{"pulled by the splitting arrival", numbered(req(0, 4), req(0, 24), req(mid, 4), req(e3, 4)), numbered(req(time.Hour, 4))},
+		{"pulled by the splitting arrival", false, numbered(req(0, 4), req(0, 24), req(mid, 4), req(e3, 4)), numbered(req(time.Hour, 4))},
 	}
+	for i := range cases {
+		cases[i].batched = batched
+		if batched {
+			cases[i].name = "batched/" + cases[i].name
+		}
+	}
+	return cases
 }
 
 // TestCoalescedRunTies checks each of tieCases against per-step
@@ -283,7 +482,7 @@ func tieCases(t *testing.T) []tieCase {
 func TestCoalescedRunTies(t *testing.T) {
 	for _, tc := range tieCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			co, _ := checkCoalescedMatchesPerStep(t, tieFleet(t, tc.x, tc.y))
+			co, _ := checkCoalescedMatchesPerStep(t, tc.fleet)
 			if co.Completed != len(tc.x)+len(tc.y) {
 				t.Fatalf("completed %d", co.Completed)
 			}
@@ -299,7 +498,7 @@ func TestCoalescedRunTies(t *testing.T) {
 // code does.
 func TestSynchronizedRunsCutTogether(t *testing.T) {
 	fleet := func(x []workload.Request) Fleet {
-		f := tieFleet(t, x, []workload.Request{{Arrival: time.Hour, PromptTokens: 32, OutputTokens: 4}})
+		f := tieFleet(t, false, x, []workload.Request{{Arrival: time.Hour, PromptTokens: 32, OutputTokens: 4}})
 		f.GPUsPerNode = 3
 		f.Deployments[0].Config.Scheduler.Prewarm = 2
 		return f
@@ -320,7 +519,7 @@ func TestSynchronizedRunsCutTogether(t *testing.T) {
 		t.Fatalf("fixture ran %d iterations", len(ends))
 	}
 	c := workload.Request{ID: 2, Arrival: ends[0] + (ends[1]-ends[0])/2, PromptTokens: 32, OutputTokens: 4}
-	co, _ := checkCoalescedMatchesPerStep(t, fleet(append(pair, c)))
+	co, _ := checkCoalescedMatchesPerStep(t, func(*testing.T) Fleet { return fleet(append(pair, c)) })
 	if co.Completed != 4 {
 		t.Fatalf("completed %d", co.Completed)
 	}

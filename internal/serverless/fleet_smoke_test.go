@@ -89,11 +89,16 @@ func TestFleetSmoke100k(t *testing.T) {
 	// than the reactive one; its own ceiling pins that cost.
 	desiredPerReq := float64(res.Work.Desired) / float64(res.Completed)
 	checkCeiling(t, "Desired calls/request", "max_desired_calls_per_request_predictive", desiredPerReq)
-	// Routed dispatch still walks a deployment with an idle instance in
-	// full, to score every candidate.
+	// Routed dispatch walks, and scores every idle instance of, only a
+	// deployment with a request queued.
 	dispatchPerReq := float64(res.Work.DispatchSteps) / float64(res.Completed)
 	checkCeiling(t, "dispatch steps/request", "max_dispatch_steps_per_request_routed", dispatchPerReq)
-	t.Logf("completed %d requests in %v (attainment %.4f, node-seconds %.1f, %.2f Desired calls/request, %.2f dispatch steps/request, %.2f scores/request, %d cold starts)",
+	// A batched run of pure-decode steps with nothing queued is one
+	// iteration-end event, capped at the policy's window boundaries.
+	endsPerReq := float64(res.Work.IterationEnds) / float64(res.Completed)
+	checkCeiling(t, "iteration-end events/request", "max_iteration_ends_per_request_batched", endsPerReq)
+	t.Logf("completed %d requests in %v (attainment %.4f, node-seconds %.1f, %.2f Desired calls/request, %.2f dispatch steps/request, %.2f scores/request, %.2f iteration-end events/request for %.2f iterations, %d cold starts)",
 		res.Completed, elapsed, res.SLOAttainment(), res.NodeSeconds, desiredPerReq, dispatchPerReq,
-		float64(res.Work.Scores)/float64(res.Completed), res.TotalColdStarts)
+		float64(res.Work.Scores)/float64(res.Completed), endsPerReq,
+		float64(res.Work.Iterations)/float64(res.Completed), res.TotalColdStarts)
 }

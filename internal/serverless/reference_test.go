@@ -7,15 +7,16 @@ import (
 	"github.com/medusa-repro/medusa/internal/autoscale"
 	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/router"
-	"github.com/medusa-repro/medusa/internal/sched"
 )
 
 // checkMatchesReference runs the fleet with the held arrival and the
-// idle-gated dispatch walk, then in the reference loop (referenceLoop:
-// every arrival in the heap, every active instance walked, idle counts
-// checked against a recount), and requires identical outputs, Chrome
-// trace included, and identical work except dispatch steps. Each run
-// gets a fleet of its own from build, so stateful policies start fresh.
+// gated dispatch walk, then in the reference loop (referenceLoop: every
+// arrival in the heap, every active instance of every deployment walked
+// and, with a router, scored whether or not anything is queued, idle
+// counts checked against a recount), and requires identical outputs,
+// Chrome trace included, and identical work except dispatch steps and
+// Score calls, which may only fall. Each run gets a fleet of its own
+// from build, so stateful policies start fresh.
 func checkMatchesReference(t *testing.T, build func(t *testing.T) Fleet) (fast, ref *FleetResult) {
 	t.Helper()
 	fast, _, fastTrace := runTraced(t, build(t), nil)
@@ -33,28 +34,29 @@ func checkMatchesReference(t *testing.T, build func(t *testing.T) Fleet) (fast, 
 	if fw.DispatchSteps > rw.DispatchSteps {
 		t.Errorf("dispatch steps: %d, reference loop %d", fw.DispatchSteps, rw.DispatchSteps)
 	}
+	if fw.Scores > rw.Scores {
+		t.Errorf("Score calls: %d, reference loop %d", fw.Scores, rw.Scores)
+	}
 	fw.DispatchSteps, rw.DispatchSteps = 0, 0
+	fw.Scores, rw.Scores = 0, 0
 	if fw != rw {
-		t.Errorf("work differs beyond dispatch steps:\n fast      %+v\n reference %+v", fw, rw)
+		t.Errorf("work differs beyond dispatch steps and Score calls:\n fast      %+v\n reference %+v", fw, rw)
 	}
 	return fast, ref
 }
 
 // TestHeldArrivalAndIdleDispatchMatchReference is the oracle for the
-// arrival held beside the event queue and the idle-gated dispatch walk:
-// the reference loop must reproduce every output byte on legacy,
-// follow-up, crash, exact-tie, batched and routed fleets.
+// arrival held beside the event queue and the dispatch walk gated on
+// idle instances and queued requests: the reference loop must reproduce
+// every output byte on legacy, follow-up, crash, exact-tie, batched and
+// routed fleets.
 func TestHeldArrivalAndIdleDispatchMatchReference(t *testing.T) {
 	type fleetCase struct {
 		name  string
 		build func(t *testing.T) Fleet
 	}
 	legacy := func(t *testing.T) Fleet { return coalesceFleet(t, func(int, *Config) {}) }
-	batched := func(t *testing.T) Fleet {
-		return coalesceFleet(t, func(_ int, c *Config) {
-			c.Scheduler.Batch = sched.Params{BatchTokens: 512, KVBlocks: 256, ChunkedPrefill: true}
-		})
-	}
+	batched := func(t *testing.T) Fleet { return batchedFleet(t, func(int, *Config) {}) }
 	cases := []fleetCase{
 		{"legacy", legacy},
 		{"follow-ups", func(t *testing.T) Fleet {
@@ -87,7 +89,7 @@ func TestHeldArrivalAndIdleDispatchMatchReference(t *testing.T) {
 		}},
 	}
 	for _, tc := range tieCases(t) {
-		cases = append(cases, fleetCase{"tie/" + tc.name, func(t *testing.T) Fleet { return tieFleet(t, tc.x, tc.y) }})
+		cases = append(cases, fleetCase{"tie/" + tc.name, tc.fleet})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,8 +103,8 @@ func TestHeldArrivalAndIdleDispatchMatchReference(t *testing.T) {
 			if tc.name == "batched-routed" && fast.Work.Scores == 0 {
 				t.Error("routed fleet counted no Score calls")
 			}
-			t.Logf("dispatch steps %d, reference loop %d (%d completed, %d scores)",
-				fast.Work.DispatchSteps, ref.Work.DispatchSteps, fast.Completed, fast.Work.Scores)
+			t.Logf("dispatch steps %d, reference loop %d; scores %d, reference loop %d (%d completed)",
+				fast.Work.DispatchSteps, ref.Work.DispatchSteps, fast.Work.Scores, ref.Work.Scores, fast.Completed)
 		})
 	}
 }

@@ -41,17 +41,19 @@ import (
 //   - GPU accounting, dispatch and outstanding counts are maintained
 //     incrementally via per-deployment live-instance lists and
 //     counters. Dispatch walks a deployment's instances only while one
-//     of them is idle (depState.idle).
+//     of them is idle (depState.idle) and a request is queued.
 //   - The autoscaler is asked for a deployment's desired count only
 //     when its outstanding or live count changed or the policy's
 //     stated horizon passed (see tick).
-//   - In legacy mode, while the policy's answer holds until the counts
-//     change, a run of decode steps that admit nothing is one event
-//     (see coalescible): the steps are identical, and no skipped
-//     boundary changes anything but token counts. A request queued
-//     mid-run cuts the run back to the boundary where per-step code
-//     would admit it (splitRuns), and exact-instant ties keep per-step
-//     order (orderTies, yieldToLateEnd).
+//   - In both execution modes a run of decode steps that admit nothing
+//     is one event (see coalescible and DecodeRun in internal/sched):
+//     the steps are identical, and no skipped boundary changes anything
+//     but token counts. A run ends at its first completion, before a
+//     batched step that needs a new KV block, and at the first boundary
+//     at or after the earliest policy horizon of any deployment. A
+//     request queued mid-run cuts the run back to the boundary where
+//     per-step code would admit it (splitRuns), and exact-instant ties
+//     keep per-step order (orderTies, yieldToLateEnd).
 //   - Each instance keeps at most one idle check queued.
 //
 // Every launch first picks a node (locality vs load), then charges
@@ -127,12 +129,12 @@ type instState struct {
 	// The in-flight iteration-end event closes a run of runLen steps
 	// begun at runStart: the first lasts runFirst (graph capture and
 	// prefill, if any, plus one decode step), every later one runStep.
-	// runLen > 1 only for a coalesced decode run (legacy mode; see
-	// startIteration). runAdmitted is how many requests the first step
-	// admitted. The end event carries runGen and was pushed at
-	// runPushed; runOrdered records that its tie order has been settled
-	// (orderTies), runLate that a split pushed it after its last step
-	// began (yieldToLateEnd).
+	// runLen > 1 only for a coalesced decode run (see startIteration and
+	// startIterationBatched). runAdmitted is how many requests the first
+	// step admitted (legacy mode). The end event carries runGen and was
+	// pushed at runPushed; runOrdered records that its tie order has
+	// been settled (orderTies), runLate that a split pushed it after its
+	// last step began (yieldToLateEnd).
 	runStart, runFirst, runStep, runPushed time.Duration
 	runLen, runAdmitted                    int
 	runGen                                 uint32
@@ -358,6 +360,10 @@ type simulation struct {
 	// horizon is the scaler's optional validity extension (nil when the
 	// scaler does not state one: it is asked at every tick).
 	horizon autoscale.Horizon
+	// validUntil is the earliest depState.validUntil, as of the last
+	// tick: no tick before it asks the policy anything unless a count
+	// changes, so coalesced runs are capped there (see runSteps).
+	validUntil time.Duration
 
 	deps []*depState
 
@@ -775,22 +781,30 @@ func (s *simulation) assemble() *FleetResult {
 // time. That skips only the policy call: a deployment blocked on
 // capacity still has live < desired and still tries a launch on every
 // tick, so launch order, event order and fault draws are those of a
-// full evaluation.
+// full evaluation. tick also keeps s.validUntil, the earliest horizon,
+// at which coalesced runs stop (runSteps); a horizon that moves back
+// would invalidate runs already capped, so it is an error.
 func (s *simulation) tick() error {
 	progress := true
 	for progress {
 		progress = false
+		horizon := time.Duration(math.MaxInt64)
 		for di, d := range s.deps {
 			want := d.desired
 			if d.askedOut != d.outstanding || d.askedLive != d.live || s.now >= d.validUntil {
 				s.work.Desired++
 				want = s.scaler.Desired(di, s.observe(di))
 				d.desired, d.askedOut, d.askedLive = want, d.outstanding, d.live
-				d.validUntil = s.now
+				until := s.now
 				if s.horizon != nil {
-					d.validUntil = s.horizon.Until(di, s.now)
+					until = s.horizon.Until(di, s.now)
 				}
+				if until < d.validUntil {
+					return fmt.Errorf("serverless: %s: autoscale horizon went backwards (%v after %v)", d.name, until, d.validUntil)
+				}
+				d.validUntil = until
 			}
+			horizon = min(horizon, d.validUntil)
 			// The check stays out of launchOne, whose large frame would
 			// otherwise be set up on every tick.
 			if d.live >= want {
@@ -804,6 +818,7 @@ func (s *simulation) tick() error {
 				progress = true
 			}
 		}
+		s.validUntil = horizon
 	}
 	return nil
 }
@@ -1170,12 +1185,12 @@ func (s *simulation) crashNode(id int) error {
 			d.reg.Counter("requeued").Inc()
 			s.reg.Counter("requeued").Inc()
 		}
+		if inst.iterating {
+			s.settleRun(inst, inst.stepsBegun(s.now))
+		}
 		if d.batched {
 			inst.sch.Drain(requeue)
 		} else {
-			if inst.iterating {
-				s.settleRun(inst, inst.stepsBegun(s.now))
-			}
 			for _, r := range inst.running {
 				requeue(r)
 			}
@@ -1217,21 +1232,23 @@ func (s *simulation) setIterating(inst *instState, on bool) {
 }
 
 // dispatchIdle starts iterations on ready instances that are idle and
-// have admissible work. A deployment with no idle instance is skipped.
-// Without a router each deployment's live instances are walked in
-// launch order (the historical behavior), until no idle instance is
-// left or, in legacy mode, no request is queued: a legacy instance that
-// is idle holds no requests, so without queued ones it has nothing to
-// start. With a router, dispatchable instances are offered work in
-// descending score order, ties to the lowest instance id, so queued
-// requests land on the instances the policy ranks best.
+// have admissible work. A deployment with no idle instance or nothing
+// queued is skipped: an idle instance holds no work (every iteration
+// end starts the next iteration, and a batched scheduler that holds
+// work always plans some), so without queued requests it has nothing
+// to start. Without a router each deployment's live instances are
+// walked in launch order (the historical behavior), until no idle
+// instance is left or nothing is queued. With a router, dispatchable
+// instances are offered work in descending score order, ties to the
+// lowest instance id, so queued requests land on the instances the
+// policy ranks best.
 func (s *simulation) dispatchIdle() error {
 	for _, d := range s.deps {
 		if referenceLoop {
 			if err := s.checkIdle(d); err != nil {
 				return err
 			}
-		} else if d.idle == 0 {
+		} else if d.idle == 0 || d.pending.Len() == 0 {
 			continue
 		}
 		if s.router != nil {
@@ -1241,7 +1258,7 @@ func (s *simulation) dispatchIdle() error {
 			continue
 		}
 		for _, inst := range d.active {
-			if !referenceLoop && (d.idle == 0 || (!d.batched && d.pending.Len() == 0)) {
+			if !referenceLoop && (d.idle == 0 || d.pending.Len() == 0) {
 				break
 			}
 			s.work.DispatchSteps++
@@ -1256,12 +1273,15 @@ func (s *simulation) dispatchIdle() error {
 }
 
 // checkIdle recounts the deployment's idle instances against its idle
-// count (referenceLoop only).
+// count and checks that none of them holds work (referenceLoop only).
 func (s *simulation) checkIdle(d *depState) error {
 	n := 0
 	for _, inst := range d.active {
 		if inst.ready && !inst.iterating {
 			n++
+			if !inst.idleNow(d.batched) {
+				return fmt.Errorf("serverless: %s inst-%d holds work while idle at %v", d.name, inst.id, s.now)
+			}
 		}
 	}
 	if n != d.idle {
@@ -1372,7 +1392,8 @@ func (s *simulation) admit(inst *instState) []*reqState {
 //
 // A step that admits nothing starts a coalesced decode run when
 // coalescible allows it: one end event covers every step up to the
-// first completion, all of them decodeStep(n) for the same batch.
+// first completion, capped by runSteps, all of them decodeStep(n) for
+// the same batch.
 func (s *simulation) startIteration(inst *instState) error {
 	d := s.deps[inst.dep]
 	if d.batched {
@@ -1427,33 +1448,46 @@ func (s *simulation) startIteration(inst *instState) error {
 	if len(admitted) == 0 && s.coalescible(d, inst) {
 		k := inst.running[0].OutputTokens - inst.running[0].emitted
 		for _, r := range inst.running[1:] {
-			if left := r.OutputTokens - r.emitted; left < k {
-				k = left
-			}
+			k = min(k, r.OutputTokens-r.emitted)
 		}
-		inst.runLen = k
+		inst.runLen = s.runSteps(inst, k)
 	}
 	s.scheduleEnd(inst)
 	return nil
 }
 
-// forcePerStep makes every legacy-mode iteration its own event. Tests
-// set it to check coalesced runs against per-step execution; it is
-// never set otherwise.
+// forcePerStep makes every iteration, in either execution mode, its
+// own event. Tests set it to check coalesced runs against per-step
+// execution; it is never set otherwise.
 var forcePerStep bool
 
 // coalescible reports whether a legacy-mode step that admitted nothing
-// may run on as a coalesced decode run. Every skipped boundary must be
-// one where per-step code would change nothing but token counts: the
-// tick there is a no-op because the deployment's answer holds until
-// its counts change (validUntil is math.MaxInt64) and no boundary
-// changes them, and the admit finds nothing because the queue is empty
-// or the batch is full (a request queued later splits the run; see
-// splitRuns). A deployment whose answer may lapse with time keeps one
-// event per step.
+// may run on as a coalesced decode run: the admit at every later
+// boundary finds nothing because the queue is empty or the batch is
+// full (a request queued later splits the run; see splitRuns). The
+// batched path asks its scheduler instead (DecodeRun), with the queue
+// empty. Either way runSteps caps the run where a tick may do more than
+// reuse its answers.
 func (s *simulation) coalescible(d *depState, inst *instState) bool {
-	return !forcePerStep && d.validUntil == math.MaxInt64 &&
-		(d.pending.Len() == 0 || len(inst.running) >= d.cfg.Scheduler.MaxBatch)
+	return !forcePerStep && (d.pending.Len() == 0 || len(inst.running) >= d.cfg.Scheduler.MaxBatch)
+}
+
+// runSteps caps a coalesced run of up to k steps, begun now, at the
+// first boundary at or after s.validUntil. Every skipped boundary must
+// be one where per-step code changes nothing but token counts; the tick
+// there is a no-op while no deployment's counts change (every change
+// ticks on its own event) and no deployment's horizon has passed, and
+// horizons never move back (see tick).
+func (s *simulation) runSteps(inst *instState, k int) int {
+	first := inst.runStart + inst.runFirst
+	switch left := s.validUntil - first; {
+	case k <= 1 || left <= 0:
+		return 1
+	case left <= time.Duration(k-1)*inst.runStep:
+		// boundary(j) >= validUntil for j-1 >= ceil(left/runStep).
+		return 1 + int((left+inst.runStep-1)/inst.runStep)
+	}
+	return k
 }
 
 // scheduleEnd pushes the end of the instance's current run, superseding
@@ -1466,17 +1500,19 @@ func (s *simulation) scheduleEnd(inst *instState) {
 		event{kind: evIterationEnd, gen: inst.runGen, inst: inst, epoch: inst.epoch})
 }
 
-// splitRuns cuts every coalesced run of the deployment that has room
-// for another request back to its next step boundary, once a request
+// splitRuns cuts every coalesced run of the deployment that may take
+// another request back to its next step boundary, once a request
 // pushed at pushedAt (an arrival, or -1 for a crash requeue) is left
-// queued: per-step code would admit it there. The queue grows nowhere
-// else, so a run is never cut for any other reason.
+// queued: per-step code would admit it there, or in batched mode plan
+// with it in view. A legacy run with a full batch has no room and runs
+// on. The queue grows nowhere else, so a run is never cut for any other
+// reason.
 func (s *simulation) splitRuns(d *depState, pushedAt time.Duration) {
-	if forcePerStep || d.batched || d.pending.Len() == 0 {
+	if forcePerStep || d.pending.Len() == 0 {
 		return
 	}
 	for _, inst := range d.active {
-		if !inst.iterating || inst.runLen == 1 || len(inst.running) >= d.cfg.Scheduler.MaxBatch {
+		if !inst.iterating || inst.runLen == 1 || (!d.batched && len(inst.running) >= d.cfg.Scheduler.MaxBatch) {
 			continue
 		}
 		if j := inst.nextBoundary(s.now, pushedAt); j < inst.runLen {
@@ -1595,16 +1631,36 @@ func (s *simulation) pushedAt(e event) time.Duration {
 
 // settleRun books the first steps of the instance's run as done: the
 // iteration counters and, under a tracer, one iteration span per step.
+// A batched run's first step was booked when it was planned, so only
+// its later steps, all pure decode, are booked here.
 func (s *simulation) settleRun(inst *instState, steps int) {
 	d := s.deps[inst.dep]
-	d.cIterations.Add(int64(steps))
-	s.work.Iterations += steps
+	from := 1
+	if d.batched {
+		from = 2
+	}
+	if steps < from {
+		return
+	}
+	d.cIterations.Add(int64(steps - from + 1))
+	s.work.Iterations += steps - from + 1
 	tr := d.cfg.Tracer
 	if tr == nil {
 		return
 	}
+	if d.batched {
+		track, batch := s.instTrack(inst), fmt.Sprint(inst.sch.Running())
+		for j := from; j <= steps; j++ {
+			start, end := inst.boundary(j-1), inst.boundary(j)
+			root := tr.StartSpan(track, "iteration", start).Tag("decode").
+				Attr("batch", batch).Attr("admitted", "0").Attr("preemptions", "0")
+			root.Child("decode", start).Tag("decode").End(end)
+			root.End(end)
+		}
+		return
+	}
 	track, batch := s.instTrack(inst), fmt.Sprint(len(inst.running))
-	for j := 1; j <= steps; j++ {
+	for j := from; j <= steps; j++ {
 		phase, admitted := "decode", 0
 		if j == 1 && inst.runAdmitted > 0 {
 			phase, admitted = "prefill+decode", inst.runAdmitted
@@ -1772,18 +1828,24 @@ func (s *simulation) startIterationBatched(inst *instState) error {
 		}
 		root.End(off)
 	}
-	inst.runStart, inst.runFirst, inst.runLen = s.now, dur, 1
+	inst.runStart, inst.runFirst, inst.runStep, inst.runLen = s.now, dur, stepDur, 1
+	if captureDur == 0 && d.pending.Len() == 0 && !forcePerStep {
+		// A pure-decode round with nothing queued: the scheduler says
+		// how many rounds repeat it (DecodeRun), all priced stepDur.
+		inst.runLen = s.runSteps(inst, inst.sch.DecodeRun())
+	}
 	s.scheduleEnd(inst)
 	return nil
 }
 
-// finishIterationBatched applies the elapsed round: per-token events
-// feed TTFT at the first emission and TPOT (mean inter-token gap) at
-// completion.
+// finishIterationBatched applies the elapsed round, or the elapsed
+// decode run: per-token events feed TTFT at the first emission and TPOT
+// (mean inter-token gap) at completion.
 func (s *simulation) finishIterationBatched(inst *instState) error {
 	d := s.deps[inst.dep]
+	s.settleRun(inst, inst.runLen)
 	s.setIterating(inst, false)
-	inst.sch.Finish(
+	inst.sch.FinishRun(inst.runLen,
 		func(r *reqState, emitted int) {
 			r.emitted = emitted
 			if !r.ttftSeen {
