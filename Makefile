@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build fmt vet lint docs linkcheck test test-race short bench bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
+.PHONY: all check build fmt vet lint docs linkcheck loc test test-race short bench bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
 
 all: build test
 
@@ -50,6 +50,14 @@ docs:
 linkcheck:
 	$(GO) run ./cmd/medusa-linkcheck README.md DESIGN.md EXPERIMENTS.md \
 		FAILURES.md ROADMAP.md CHANGES.md docs
+
+# Count the non-test Go lines outside the benchmark module (bench/) and
+# its build directory (.bench_build/): the code size that ROADMAP.md's
+# "least code" aim scores.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' \
+		-not -path './.bench_build/*' -not -path './.git/*' -print0 | \
+		xargs -0 cat | wc -l
 
 test:
 	$(GO) test ./...

@@ -122,7 +122,7 @@ func BenchmarkOfflineZooWallclock(b *testing.B) {
 	zoo := model.Zoo()
 	for i := 0; i < b.N; i++ {
 		c := experiments.NewContext()
-		if err := c.PrefetchArtifacts(zoo, 0); err != nil {
+		if err := c.PrefetchArtifacts(zoo); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,8 +10,9 @@
 // returns the Values the flags write into; RegisterBatch binds only
 // the batched-execution knobs (what medusa-bench forwards to the
 // ext-batching experiment), and RegisterFleet only the fleet
-// control-plane knobs (what medusa-bench forwards to ext-fleet). The
-// builder methods translate parsed values into the config sub-structs
+// control-plane policies and deadlines (what medusa-bench forwards to
+// ext-fleet, whose diurnal traffic is built in, so -diurnal stays a
+// medusa-simulate flag). The builder methods translate parsed values into the config sub-structs
 // the simulators consume.
 package cliconfig
 
@@ -139,6 +140,7 @@ func Register(fs *flag.FlagSet) *Values {
 	fs.BoolVar(&v.Stream, "stream", false, "stream arrivals instead of materializing the trace — memory stays O(active requests), enabling 10M+ request runs (cluster mode)")
 	fs.BoolVar(&v.Retain, "retain", false, "retain every per-request latency observation for exact quantiles (O(requests) memory; default uses a bounded deterministic reservoir)")
 	v.bindFleet(fs)
+	fs.DurationVar(&v.Diurnal, "diurnal", 0, "day/night cycle period; > 0 streams phase-staggered diurnal multi-tenant arrivals instead of the flat trace (cluster mode)")
 	return v
 }
 
@@ -176,7 +178,6 @@ func (v *Values) bindFleet(fs *flag.FlagSet) {
 	fs.DurationVar(&v.SLOTPOT, "slo-tpot", 0, "time-per-output-token deadline, checked in batched execution mode (cluster mode)")
 	fs.StringVar(&v.Autoscale, "autoscale", "reactive", "fleet autoscaling policy: reactive | predictive")
 	fs.StringVar(&v.Router, "router", "fifo", "fleet dispatch policy: fifo | leastloaded | score")
-	fs.DurationVar(&v.Diurnal, "diurnal", 0, "day/night cycle period; > 0 streams phase-staggered diurnal multi-tenant arrivals instead of the flat trace (cluster mode)")
 }
 
 // SLO assembles the per-request deadline sub-config (zero when neither
@@ -200,7 +201,7 @@ func (v *Values) RouterPolicy() (router.Policy, error) {
 
 // DiurnalConfig assembles the diurnal multi-tenant generator's base
 // configuration from the trace flags: the fleet splits -rps across
-// tenants with a -diurnal-period sinusoid and default burst modulation
+// tenants with a -diurnal period sinusoid and default burst modulation
 // (4× bursts, 5s mean burst, 30s mean calm — the 10–20× 30-second
 // fluctuation shape the paper cites, toned to the envelope).
 func (v *Values) DiurnalConfig() workload.DiurnalConfig {

@@ -136,19 +136,16 @@ func TestRegisterFleetSubset(t *testing.T) {
 	v := RegisterFleet(fs)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := []string{"autoscale", "diurnal", "router", "slo-tpot", "slo-ttft"}
+	want := []string{"autoscale", "router", "slo-tpot", "slo-ttft"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("RegisterFleet flags = %v, want %v", names, want)
 	}
 	if err := fs.Parse([]string{"-slo-ttft", "500ms", "-slo-tpot", "80ms",
-		"-autoscale", "predictive", "-router", "score", "-diurnal", "2m"}); err != nil {
+		"-autoscale", "predictive", "-router", "score"}); err != nil {
 		t.Fatal(err)
 	}
 	if slo := v.SLO(); slo.TTFT != 500*time.Millisecond || slo.TPOT != 80*time.Millisecond {
 		t.Errorf("SLO() = %+v", slo)
-	}
-	if v.Diurnal != 2*time.Minute {
-		t.Errorf("Diurnal = %v, want 2m", v.Diurnal)
 	}
 	scaler, err := v.AutoscalePolicy()
 	if err != nil {

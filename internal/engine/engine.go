@@ -26,7 +26,6 @@ import (
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/storage"
 	"github.com/medusa-repro/medusa/internal/tokenizer"
-	"github.com/medusa-repro/medusa/internal/trace"
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
@@ -372,7 +371,7 @@ type Instance struct {
 	proc     *cuda.Process
 	stream   *cuda.Stream
 	tok      *tokenizer.Tokenizer
-	timeline *trace.Timeline
+	timeline obs.Timeline
 
 	weights map[string]uint64
 	layers  []layerWeights // per-layer weight addresses, by layer
@@ -403,7 +402,7 @@ type Instance struct {
 func (inst *Instance) DegradedReason() string { return inst.degradedReason }
 
 // Timeline returns the cold start's stage timeline.
-func (inst *Instance) Timeline() *trace.Timeline { return inst.timeline }
+func (inst *Instance) Timeline() obs.Timeline { return inst.timeline }
 
 // LoadingDuration is the loading-phase latency (everything except
 // runtime init and first token).
@@ -534,7 +533,6 @@ func coldStartOnce(opts Options) (*Instance, time.Duration, error) {
 	inst := &Instance{
 		opts:       opts,
 		proc:       proc,
-		timeline:   &trace.Timeline{},
 		weights:    make(map[string]uint64),
 		graphs:     make(map[int]*cuda.GraphExec),
 		ws:         make(map[int]wsPair),
@@ -607,18 +605,18 @@ func (inst *Instance) markDegraded(reason string, wasted time.Duration) {
 		return
 	}
 	old := inst.timeline
-	nt := &trace.Timeline{}
+	var nt obs.Timeline
 	shiftFrom := time.Duration(0)
 	if d := old.StageDuration(StageRuntimeInit); d > 0 {
 		nt.Record(StageRuntimeInit, 0, d)
 		shiftFrom = d
 	}
 	nt.Record(StageRestoreFailed, shiftFrom, shiftFrom+wasted)
-	for _, st := range old.Stages() {
-		if st.Name == StageRuntimeInit {
+	for _, st := range old {
+		if st.Phase == StageRuntimeInit {
 			continue
 		}
-		nt.Record(st.Name, st.Start+wasted, st.End+wasted)
+		nt.Record(st.Phase, st.Start+wasted, st.End+wasted)
 	}
 	inst.timeline = nt
 }
@@ -639,8 +637,8 @@ func (inst *Instance) emitTimelineSpans(base time.Duration) {
 	if inst.degradedReason != "" {
 		root.Attr("degraded_reason", inst.degradedReason)
 	}
-	for _, st := range inst.timeline.Stages() {
-		root.Child(st.Name, base+st.Start).Tag(st.Name).End(base + st.End)
+	for _, st := range inst.timeline {
+		root.Child(st.Phase, base+st.Start).Tag(st.Phase).End(base + st.End)
 	}
 	root.AttrDuration("total", inst.timeline.Total())
 	root.End(base + inst.timeline.Total())
@@ -668,7 +666,7 @@ func (inst *Instance) stageSpan(name string) func(attrs ...obs.Attr) {
 // compose lays the measured stage durations onto the externally
 // observable timeline according to the strategy.
 func (inst *Instance) compose(dStruct, dWeights, dTok, dKV, dCapture time.Duration) {
-	tl := inst.timeline
+	tl := &inst.timeline
 	t := time.Duration(0)
 	if inst.opts.IncludeRuntimeInit {
 		tl.Record(StageRuntimeInit, 0, runtimeInitDuration)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/medusa-repro/medusa/internal/faults"
@@ -99,7 +100,7 @@ func TestColdStartDegradationDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return inst.Timeline().String() + "|" + inst.DegradedReason()
+		return fmt.Sprint(inst.Timeline()) + "|" + inst.DegradedReason()
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("degraded timelines diverge:\n%s\n%s", a, b)
@@ -125,7 +126,7 @@ func TestColdStartCleanPlanUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Timeline().String() != again.Timeline().String() {
+	if fmt.Sprint(clean.Timeline()) != fmt.Sprint(again.Timeline()) {
 		t.Fatal("empty plan changed the cold-start timeline")
 	}
 	if again.DegradedReason() != "" {

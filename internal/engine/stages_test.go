@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/model"
+	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/storage"
 )
 
@@ -257,5 +259,61 @@ func TestOfflineReportTotal(t *testing.T) {
 	r := &OfflineReport{CaptureStageDuration: 2 * time.Second, AnalysisDuration: 3 * time.Second}
 	if r.Total() != 5*time.Second {
 		t.Fatalf("Total = %v", r.Total())
+	}
+}
+
+// TestColdStartRecordsEachPhaseOnce backs Timeline.Stage's lookup by
+// start order: no cold start records a phase twice — not any
+// strategy's, not one degraded by a restore mismatch, not a
+// tensor-parallel rank's — so the first match is the only one.
+func TestColdStartRecordsEachPhaseOnce(t *testing.T) {
+	check := func(what string, tl obs.Timeline) {
+		t.Helper()
+		seen := map[string]bool{}
+		for _, st := range tl {
+			if seen[st.Phase] {
+				t.Errorf("%s: phase %s recorded twice in %v", what, st.Phase, tl)
+			}
+			seen[st.Phase] = true
+		}
+	}
+	store := storage.NewStore(storage.DefaultArray())
+	cfg := model.TestTiny("tiny")
+	_, _, medusaOpts := offlineTiny(t, cfg, store, 30)
+	base := mustColdStart(t, tinyOptions(StrategyVLLM, 31))
+	ckptBytes, err := TakeCheckpoint(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range AllStrategies() {
+		opts := tinyOptions(s, int64(40+i))
+		switch s {
+		case StrategyMedusa:
+			opts = medusaOpts
+		case StrategyCheckpoint:
+			opts.Store, opts.CheckpointBytes = store, ckptBytes
+		}
+		opts.IncludeRuntimeInit = true
+		check(s.String(), mustColdStart(t, opts).Timeline())
+	}
+
+	mismatch := medusaOpts
+	mismatch.IncludeRuntimeInit = true
+	mismatch.Faults = mustInjector(t, faults.Plan{RestoreMismatch: faults.SiteSpec{Every: 1}})
+	inst := mustColdStart(t, mismatch)
+	if inst.DegradedReason() != faults.ReasonRestoreMismatch {
+		t.Fatalf("DegradedReason = %q, want %q", inst.DegradedReason(), faults.ReasonRestoreMismatch)
+	}
+	check("restore mismatch", inst.Timeline())
+
+	tp, err := TPColdStart(TPOptions{
+		Model: model.TestTiny("tp-tiny"), Degree: 2, Strategy: StrategyMedusa,
+		Store: store, Seed: 50, CaptureSizes: tinySizes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rank := range tp.Ranks {
+		check("TP rank", rank.Timeline())
 	}
 }

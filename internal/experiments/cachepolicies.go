@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
-	"github.com/medusa-repro/medusa/internal/engine"
-	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/workload"
@@ -31,57 +29,9 @@ var cachePolicyModels = []string{
 // the cache tiers are sized so artifacts contend for space. The table
 // compares hit rate, cold-start latency and fleet TTFT per policy.
 func runExtCachePolicies(c *Context) (*Report, error) {
-	cfgs := make([]model.Config, 0, len(cachePolicyModels))
-	for _, name := range cachePolicyModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	if err := c.PrefetchArtifacts(cfgs, 0); err != nil {
+	cfgs, err := c.fleetConfigs(cachePolicyModels)
+	if err != nil {
 		return nil, err
-	}
-
-	mkDeps := func() ([]serverless.Deployment, error) {
-		deps := make([]serverless.Deployment, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			art, size, _, err := c.Artifact(cfg)
-			if err != nil {
-				return nil, err
-			}
-			deps = append(deps, serverless.Deployment{
-				Name: cfg.Name,
-				Config: serverless.Config{
-					Model: cfg, Strategy: engine.StrategyMedusa,
-					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
-					Seed: int64(i + 1),
-					// churn: idle instances die between bursts
-					Scheduler: serverless.Scheduler{IdleTimeout: 150 * time.Millisecond},
-				},
-			})
-		}
-		trace, err := workload.Generate(workload.TraceConfig{
-			Seed: 41, RPS: 4, Duration: 40 * time.Second,
-			MeanOutput: 16, MaxOutput: 32,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return serverless.ZipfDeployments(deps, trace, 43, 1.2)
-	}
-
-	// Tight tiers: SSD holds two small artifacts or one large one, so
-	// the eviction policy decides which models stay local while the
-	// Zipf tail streams one-shot artifacts through.
-	params := artifactcache.DefaultParams()
-	params.RAMBytes = 2 << 20
-	params.SSDBytes = 6 << 20
-	base := serverless.Fleet{
-		Nodes: 2, GPUsPerNode: 4,
-		Cache:          params,
-		LocalityWeight: 0.8,
-		Seed:           7,
 	}
 	r := &Report{
 		ID:    "ext-cache-policies",
@@ -90,25 +40,17 @@ func runExtCachePolicies(c *Context) (*Report, error) {
 			"cold start p50(s)", "cold start p99(s)", "TTFT p99(s)", "fetched MB"},
 	}
 	for _, kind := range artifactcache.PolicyKinds() {
-		// Each policy's run regenerates its deployments, so it starts
-		// from a fresh trace and profile (runs must not share mutable
-		// state).
-		deps, err := mkDeps()
+		deps, err := c.zipfChurn(cfgs)
 		if err != nil {
 			return nil, err
 		}
-		cfg := base
+		cfg := tightFleet(deps)
 		cfg.Cache.Policy = kind
-		cfg.Deployments = deps
 		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("ext-cache-policies: policy %v: %w", kind, err)
 		}
-		cs, ttft := &metrics.Sample{}, &metrics.Sample{}
-		for _, d := range res.PerDeployment {
-			cs.AddAll(d.ColdStart)
-			ttft.AddAll(d.TTFT)
-		}
+		cs, ttft := pooled(res, coldStartOf), pooled(res, ttftOf)
 		st := res.Cache
 		r.AddRow(kind.String(),
 			pct(st.HitRate()),
@@ -119,4 +61,43 @@ func runExtCachePolicies(c *Context) (*Report, error) {
 	}
 	r.AddNote("same seeded trace per policy; popularity rank maps to ascending artifact size, so cost-aware (GDSF) eviction retains the hot small artifacts LRU's recency churns out")
 	return r, nil
+}
+
+// tightFleet is the two-node fleet the cache and fault sweeps share.
+// Its tiers are tight: SSD holds two small artifacts or one large one,
+// so the eviction policy decides which models stay local while the
+// Zipf tail streams one-shot artifacts through.
+func tightFleet(deps []serverless.Deployment) serverless.Fleet {
+	params := artifactcache.DefaultParams()
+	params.RAMBytes = 2 << 20
+	params.SSDBytes = 6 << 20
+	return serverless.Fleet{
+		Nodes: 2, GPUsPerNode: 4,
+		Cache:          params,
+		LocalityWeight: 0.8,
+		Seed:           7,
+		Deployments:    deps,
+	}
+}
+
+// churn retires instances idle for 150 ms, so they die between bursts
+// and every sweep point sees many launches.
+var churn = serverless.Scheduler{IdleTimeout: 150 * time.Millisecond}
+
+// zipfChurn builds the models' Medusa deployments under churn and
+// splits one seeded trace across them by Zipf popularity. Each run
+// calls it afresh, so runs share no mutable state.
+func (c *Context) zipfChurn(cfgs []model.Config) ([]serverless.Deployment, error) {
+	deps, err := c.medusaDeployments(cfgs, churn)
+	if err != nil {
+		return nil, err
+	}
+	trace, err := workload.Generate(workload.TraceConfig{
+		Seed: 41, RPS: 4, Duration: 40 * time.Second,
+		MeanOutput: 16, MaxOutput: 32,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return serverless.ZipfDeployments(deps, trace, 43, 1.2)
 }

@@ -7,8 +7,8 @@ import (
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
+	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/plot"
-	"github.com/medusa-repro/medusa/internal/trace"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
@@ -80,11 +80,11 @@ func runFigure1(c *Context) (*Report, error) {
 	r.AddRow("initializing runtime", secs(runtime), pct(float64(runtime)/float64(total)), "22%")
 	r.AddRow("loading phase", secs(loading), pct(float64(loading)/float64(total)), "76%")
 	r.AddRow("generating first token", secs(first), pct(float64(first)/float64(total)), "2%")
-	for _, st := range inst.Timeline().Stages() {
-		if st.Name == engine.StageRuntimeInit {
+	for _, st := range inst.Timeline() {
+		if st.Phase == engine.StageRuntimeInit {
 			continue
 		}
-		r.AddNote("loading stage %-24s %ss", st.Name, secs(st.Duration()))
+		r.AddNote("loading stage %-24s %ss", st.Phase, secs(st.Duration()))
 	}
 	return r, nil
 }
@@ -264,7 +264,7 @@ func runFigure8(c *Context) (*Report, error) {
 		Title:  "Breakdown of different strategies (Qwen1.5-4B)",
 		Header: []string{"strategy", "stage", "start(s)", "end(s)", "dur(s)"},
 	}
-	timelines := map[engine.Strategy]*trace.Timeline{}
+	timelines := map[engine.Strategy]obs.Timeline{}
 	for _, s := range []engine.Strategy{engine.StrategyVLLM, engine.StrategyVLLMAsync, engine.StrategyMedusa} {
 		var inst *engine.Instance
 		if s == engine.StrategyVLLM {
@@ -277,9 +277,9 @@ func runFigure8(c *Context) (*Report, error) {
 		}
 		timelines[s] = inst.Timeline()
 		var rows []plot.GanttRow
-		for _, st := range inst.Timeline().Stages() {
-			r.AddRow(s.String(), st.Name, secs(st.Start), secs(st.End), secs(st.Duration()))
-			rows = append(rows, plot.GanttRow{Label: st.Name, Start: st.Start.Seconds(), End: st.End.Seconds()})
+		for _, st := range inst.Timeline() {
+			r.AddRow(s.String(), st.Phase, secs(st.Start), secs(st.End), secs(st.Duration()))
+			rows = append(rows, plot.GanttRow{Label: st.Phase, Start: st.Start.Seconds(), End: st.End.Seconds()})
 		}
 		r.AddRow(s.String(), "TOTAL", "", "", secs(inst.LoadingDuration()))
 		r.AddChart(plot.Gantt(s.String(), rows, 58))
@@ -306,7 +306,7 @@ func runFigure9(c *Context) (*Report, error) {
 	// The per-model offline phases are independent: fan them out before
 	// tabulating (the seeds, and hence the artifacts, match a sequential
 	// run).
-	if err := c.PrefetchArtifacts(model.Zoo(), 0); err != nil {
+	if err := c.PrefetchArtifacts(model.Zoo()); err != nil {
 		return nil, err
 	}
 	var capSum, totalSum time.Duration

@@ -10,6 +10,7 @@ import (
 
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/medusa"
+	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/sched"
@@ -101,37 +102,23 @@ func (c *Context) nextSeedLocked() int64 {
 
 // Artifact runs (or reuses) the offline phase for a model.
 func (c *Context) Artifact(cfg model.Config) (*medusa.Artifact, uint64, *engine.OfflineReport, error) {
-	c.mu.Lock()
-	e, ok := c.artifacts[cfg.Name]
-	c.mu.Unlock()
-	if ok {
-		return e.art, e.bytes, e.report, nil
+	if err := c.PrefetchArtifacts([]model.Config{cfg}); err != nil {
+		return nil, 0, nil, err
 	}
-	art, report, err := engine.RunOffline(engine.OfflineOptions{
-		Model:  cfg,
-		Store:  c.Store,
-		Seed:   c.NextSeed(),
-		Clock:  vclock.New(),
-		Tracer: c.Tracer,
-	})
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("offline phase for %s: %w", cfg.Name, err)
-	}
-	e = &artifactEntry{art: art, bytes: report.ArtifactBytes, report: report}
 	c.mu.Lock()
-	c.artifacts[cfg.Name] = e
+	e := c.artifacts[cfg.Name]
 	c.mu.Unlock()
 	return e.art, e.bytes, e.report, nil
 }
 
 // PrefetchArtifacts runs the offline phase for every not-yet-cached
-// model in parallel — the models are independent, and the paper's
-// deployment pays the offline cost once per model, so fleet-style
-// sweeps (Figure 9, Table 1) fan it out. Seeds are assigned in
-// configuration order before the fan-out, so the produced artifacts
-// are bit-identical to a sequential run of Artifact over the same
-// configs. workers <= 0 uses GOMAXPROCS.
-func (c *Context) PrefetchArtifacts(cfgs []model.Config, workers int) error {
+// model in parallel, one worker per GOMAXPROCS — the models are
+// independent, and the paper's deployment pays the offline cost once
+// per model, so fleet-style sweeps (Figure 9, Table 1) fan it out.
+// Seeds are assigned in configuration order before the fan-out, so the
+// produced artifacts are bit-identical to a sequential run of Artifact
+// over the same configs.
+func (c *Context) PrefetchArtifacts(cfgs []model.Config) error {
 	type job struct {
 		cfg  model.Config
 		seed int64
@@ -150,12 +137,7 @@ func (c *Context) PrefetchArtifacts(cfgs []model.Config, workers int) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	errs := make([]error, len(jobs))
 	run := func(ji int) {
 		j := jobs[ji]
@@ -174,28 +156,22 @@ func (c *Context) PrefetchArtifacts(cfgs []model.Config, workers int) error {
 		c.artifacts[j.cfg.Name] = &artifactEntry{art: art, bytes: report.ArtifactBytes, report: report}
 		c.mu.Unlock()
 	}
-	if workers > 1 {
-		ch := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ji := range ch {
-					run(ji)
-				}
-			}()
-		}
-		for ji := range jobs {
-			ch <- ji
-		}
-		close(ch)
-		wg.Wait()
-	} else {
-		for ji := range jobs {
-			run(ji)
-		}
+	ch := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ji := range ch {
+				run(ji)
+			}
+		}()
 	}
+	for ji := range jobs {
+		ch <- ji
+	}
+	close(ch)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -203,6 +179,58 @@ func (c *Context) PrefetchArtifacts(cfgs []model.Config, workers int) error {
 	}
 	return nil
 }
+
+// fleetConfigs resolves the named models and runs their offline
+// phases up front, as PrefetchArtifacts does.
+func (c *Context) fleetConfigs(names []string) ([]model.Config, error) {
+	cfgs := make([]model.Config, 0, len(names))
+	for _, name := range names {
+		cfg, err := model.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	if err := c.PrefetchArtifacts(cfgs); err != nil {
+		return nil, err
+	}
+	return cfgs, nil
+}
+
+// medusaDeployments builds one Medusa deployment per model, seeded
+// i+1, restoring from the context's artifact under scheduler sc.
+func (c *Context) medusaDeployments(cfgs []model.Config, sc serverless.Scheduler) ([]serverless.Deployment, error) {
+	deps := make([]serverless.Deployment, 0, len(cfgs))
+	for i, cfg := range cfgs {
+		art, size, _, err := c.Artifact(cfg)
+		if err != nil {
+			return nil, err
+		}
+		deps = append(deps, serverless.Deployment{
+			Name: cfg.Name,
+			Config: serverless.Config{
+				Model: cfg, Strategy: engine.StrategyMedusa,
+				Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
+				Seed:      int64(i + 1),
+				Scheduler: sc,
+			},
+		})
+	}
+	return deps, nil
+}
+
+// pooled merges one per-deployment sample fleet-wide, in deployment
+// order (the reservoir merge is deterministic).
+func pooled(res *serverless.FleetResult, pick func(*serverless.FleetDeployment) *metrics.Sample) *metrics.Sample {
+	s := &metrics.Sample{}
+	for _, d := range res.PerDeployment {
+		s.AddAll(pick(d))
+	}
+	return s
+}
+
+func ttftOf(d *serverless.FleetDeployment) *metrics.Sample      { return d.TTFT }
+func coldStartOf(d *serverless.FleetDeployment) *metrics.Sample { return d.ColdStart }
 
 // ColdStart launches an instance with the strategy, resolving the
 // artifact when Medusa is requested.
@@ -242,7 +270,7 @@ func (c *Context) recordPhases(strategy engine.Strategy, inst *engine.Instance) 
 		pb = obs.NewPhaseBreakdown()
 		c.phases[key] = pb
 	}
-	pb.AddExclusive(obs.TimelineIntervals(inst.Timeline(), 0))
+	pb.AddExclusive(inst.Timeline())
 	c.phaseTot[key] += inst.ColdStartDuration()
 }
 

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
-	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/metrics"
-	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/sched"
 	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/workload"
@@ -34,15 +32,8 @@ const batchingSLO = time.Second
 // SLO. With -batch-tokens set on the medusa-bench command line the
 // built-in grid is replaced by that single cell.
 func runExtBatching(c *Context) (*Report, error) {
-	cfgs := make([]model.Config, 0, len(batchingModels))
-	for _, name := range batchingModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	if err := c.PrefetchArtifacts(cfgs, 0); err != nil {
+	cfgs, err := c.fleetConfigs(batchingModels)
+	if err != nil {
 		return nil, err
 	}
 
@@ -74,21 +65,9 @@ func runExtBatching(c *Context) (*Report, error) {
 	// blocks: the 48-block cells fit barely one worst-case sequence and
 	// preempt under concurrency, while 256 blocks decode unhindered.
 	mkDeps := func(batch sched.Params, zipf float64) ([]serverless.Deployment, error) {
-		deps := make([]serverless.Deployment, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			art, size, _, err := c.Artifact(cfg)
-			if err != nil {
-				return nil, err
-			}
-			deps = append(deps, serverless.Deployment{
-				Name: cfg.Name,
-				Config: serverless.Config{
-					Model: cfg, Strategy: engine.StrategyMedusa,
-					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
-					Seed:      int64(i + 1),
-					Scheduler: serverless.Scheduler{Batch: batch},
-				},
-			})
+		deps, err := c.medusaDeployments(cfgs, serverless.Scheduler{Batch: batch})
+		if err != nil {
+			return nil, err
 		}
 		trace, err := workload.Generate(workload.TraceConfig{
 			Seed: 61, RPS: 12, Duration: 40 * time.Second,
@@ -121,19 +100,15 @@ func runExtBatching(c *Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		ttft, tpot := &metrics.Sample{}, &metrics.Sample{}
-		completed, preempted := 0, 0
+		ttft := pooled(res, ttftOf)
+		tpot := pooled(res, func(d *serverless.FleetDeployment) *metrics.Sample { return d.TPOT })
+		preempted := 0
 		for _, d := range res.PerDeployment {
-			ttft.AddAll(d.TTFT)
-			if d.TPOT != nil {
-				tpot.AddAll(d.TPOT)
-			}
-			completed += d.Completed
 			preempted += d.Preemptions
 		}
 		goodput := 0.0
 		if res.Makespan > 0 {
-			goodput = ttft.FractionBelow(batchingSLO) * float64(completed) / res.Makespan.Seconds()
+			goodput = ttft.FractionBelow(batchingSLO) * float64(res.Completed) / res.Makespan.Seconds()
 		}
 		r.AddRow(
 			fmt.Sprintf("%d", cl.batch.BatchTokens),
@@ -143,7 +118,7 @@ func runExtBatching(c *Context) (*Report, error) {
 			fmt.Sprintf("%.2f", float64(tpot.P50().Microseconds())/1000),
 			fmt.Sprintf("%d", preempted),
 			fmt.Sprintf("%.2f", goodput),
-			fmt.Sprintf("%d", completed))
+			fmt.Sprintf("%d", res.Completed))
 	}
 	r.AddNote("goodput counts only requests with TTFT ≤ %v; preemptions release a victim's KV blocks and recompute its prefix on resume, so tight pools (48 blocks ≈ 1.2 worst-case sequences) trade TPOT and preemption churn for admission", batchingSLO)
 	return r, nil

@@ -6,10 +6,7 @@ import (
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
 	"github.com/medusa-repro/medusa/internal/autoscale"
-	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/faults"
-	"github.com/medusa-repro/medusa/internal/metrics"
-	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/router"
 	"github.com/medusa-repro/medusa/internal/sched"
 	"github.com/medusa-repro/medusa/internal/serverless"
@@ -43,15 +40,8 @@ var fleetSLO = serverless.SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond}
 // -slo-ttft set on the medusa-bench command line the built-in policy
 // grid is replaced by that single pair.
 func runExtFleet(c *Context) (*Report, error) {
-	cfgs := make([]model.Config, 0, len(fleetModels))
-	for _, name := range fleetModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	if err := c.PrefetchArtifacts(cfgs, 0); err != nil {
+	cfgs, err := c.fleetConfigs(fleetModels)
+	if err != nil {
 		return nil, err
 	}
 
@@ -95,31 +85,20 @@ func runExtFleet(c *Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		deps := make([]serverless.Deployment, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			art, size, _, err := c.Artifact(cfg)
-			if err != nil {
-				return nil, err
-			}
-			deps = append(deps, serverless.Deployment{
-				Name:   cfg.Name,
-				Source: srcs[i],
-				Config: serverless.Config{
-					Model: cfg, Strategy: engine.StrategyMedusa,
-					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
-					Seed: int64(i + 1),
-					Scheduler: serverless.Scheduler{
-						// A small per-instance target and a short idle
-						// timeout make the autoscaler the bottleneck:
-						// every diurnal trough drains capacity, so the
-						// next ramp pays cold starts unless the policy
-						// provisions ahead of it.
-						InstanceTarget: 2,
-						IdleTimeout:    2 * time.Second,
-						Batch:          sched.Params{BatchTokens: 512, KVBlocks: 512, ChunkedPrefill: true},
-					},
-				},
-			})
+		// A small per-instance target and a short idle timeout make the
+		// autoscaler the bottleneck: every diurnal trough drains
+		// capacity, so the next ramp pays cold starts unless the policy
+		// provisions ahead of it.
+		deps, err := c.medusaDeployments(cfgs, serverless.Scheduler{
+			InstanceTarget: 2,
+			IdleTimeout:    2 * time.Second,
+			Batch:          sched.Params{BatchTokens: 512, KVBlocks: 512, ChunkedPrefill: true},
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i := range deps {
+			deps[i].Source = srcs[i]
 		}
 		return deps, nil
 	}
@@ -143,7 +122,6 @@ func runExtFleet(c *Context) (*Report, error) {
 		// forecast expects traffic beyond, so burst fronts land on warm
 		// capacity instead of a multi-second fetch.
 		var scaler autoscale.Policy
-		var err error
 		if cl.scaler == "predictive" {
 			scaler, err = autoscale.NewPredictive(autoscale.PredictiveConfig{
 				Window: 2 * time.Second, MaxStep: -1, KeepWarm: 2,
@@ -199,20 +177,14 @@ func runExtFleet(c *Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		ttft := &metrics.Sample{}
-		cold := 0
-		for _, d := range res.PerDeployment {
-			ttft.AddAll(d.TTFT)
-			cold += d.ColdStarts
-		}
 		r.AddRow(
 			cl.scaler, cl.route,
 			fmt.Sprintf("%.1f", cl.skew),
 			fmt.Sprintf("%d", res.Completed),
 			fmt.Sprintf("%.2f", res.SLOAttainment()*100),
 			fmt.Sprintf("%.1f", res.NodeSeconds),
-			secs(ttft.P99()),
-			fmt.Sprintf("%d", cold))
+			secs(pooled(res, ttftOf).P99()),
+			fmt.Sprintf("%d", res.TotalColdStarts))
 	}
 	r.AddNote("SLO: ttft ≤ %v, tpot ≤ %v; node-seconds integrate wall time each node holds ≥1 live instance, so a row dominates when attainment rises at equal or lower node-seconds", slo.TTFT, slo.TPOT)
 	r.AddNote("fixed seed: every cell is byte-identical across reruns and GOMAXPROCS — diff results/ext-fleet.txt against a fresh run to verify")

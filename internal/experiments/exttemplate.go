@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"github.com/medusa-repro/medusa/internal/artifactcache"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/medusa"
-	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/vclock"
-	"github.com/medusa-repro/medusa/internal/workload"
 )
 
 func init() {
@@ -29,15 +25,8 @@ func init() {
 // it (see docs/ARTIFACT_FORMAT.md for why sibling graphs delta so
 // small).
 func runExtTemplate(c *Context) (*Report, error) {
-	cfgs := make([]model.Config, 0, len(cachePolicyModels))
-	for _, name := range cachePolicyModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	if err := c.PrefetchArtifacts(cfgs, 0); err != nil {
+	cfgs, err := c.fleetConfigs(cachePolicyModels)
+	if err != nil {
 		return nil, err
 	}
 
@@ -95,43 +84,6 @@ func runExtTemplate(c *Context) (*Report, error) {
 	// self-contained v2 artifacts, then template-factored — on the
 	// cache-policy fleet geometry (tight tiers, so smaller objects also
 	// mean fewer evictions, not just cheaper misses).
-	mkDeps := func(withTemplates bool) ([]serverless.Deployment, error) {
-		deps := make([]serverless.Deployment, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			spec := serverless.CacheSpec{Artifact: arts[i], ArtifactBytes: fullSizes[i]}
-			if withTemplates {
-				spec.Template = templates[cfg.Family]
-				spec.ArtifactBytes = deltaSizes[i]
-			}
-			deps = append(deps, serverless.Deployment{
-				Name: cfg.Name,
-				Config: serverless.Config{
-					Model: cfg, Strategy: engine.StrategyMedusa,
-					Store: c.Store, Cache: spec,
-					Seed:      int64(i + 1),
-					Scheduler: serverless.Scheduler{IdleTimeout: 150 * time.Millisecond},
-				},
-			})
-		}
-		trace, err := workload.Generate(workload.TraceConfig{
-			Seed: 41, RPS: 4, Duration: 40 * time.Second,
-			MeanOutput: 16, MaxOutput: 32,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return serverless.ZipfDeployments(deps, trace, 43, 1.2)
-	}
-	params := artifactcache.DefaultParams()
-	params.RAMBytes = 2 << 20
-	params.SSDBytes = 6 << 20
-	base := serverless.Fleet{
-		Nodes: 2, GPUsPerNode: 4,
-		Cache:          params,
-		LocalityWeight: 0.8,
-		Seed:           7,
-	}
-
 	r2 := &Report{
 		ID:    "ext-template/fleet",
 		Title: "same seeded Zipf trace, self-contained vs template-factored registry",
@@ -140,21 +92,21 @@ func runExtTemplate(c *Context) (*Report, error) {
 	}
 	var fetched [2]uint64
 	for mode, withTemplates := range []bool{false, true} {
-		deps, err := mkDeps(withTemplates)
+		deps, err := c.zipfChurn(cfgs)
 		if err != nil {
 			return nil, err
 		}
-		cfg := base
-		cfg.Deployments = deps
-		res, err := serverless.RunFleet(cfg)
+		if withTemplates {
+			for i, cfg := range cfgs {
+				deps[i].Config.Cache.Template = templates[cfg.Family]
+				deps[i].Config.Cache.ArtifactBytes = deltaSizes[i]
+			}
+		}
+		res, err := serverless.RunFleet(tightFleet(deps))
 		if err != nil {
 			return nil, err
 		}
-		cs, ttft := &metrics.Sample{}, &metrics.Sample{}
-		for _, d := range res.PerDeployment {
-			cs.AddAll(d.ColdStart)
-			ttft.AddAll(d.TTFT)
-		}
+		cs, ttft := pooled(res, coldStartOf), pooled(res, ttftOf)
 		st := res.Cache
 		fetched[mode] = st.BytesFetched
 		label := "self-contained v2"

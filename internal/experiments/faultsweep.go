@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/medusa-repro/medusa/internal/artifactcache"
-	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/faults"
-	"github.com/medusa-repro/medusa/internal/metrics"
-	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
@@ -31,36 +27,15 @@ var faultSweepModels = []string{"Qwen1.5-0.5B", "Qwen1.5-1.8B", "Llama2-7B"}
 // degradation costs: TTFT percentiles and the degradation rate as a
 // function of fault probability.
 func runExtFaultSweep(c *Context) (*Report, error) {
-	cfgs := make([]model.Config, 0, len(faultSweepModels))
-	for _, name := range faultSweepModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	if err := c.PrefetchArtifacts(cfgs, 0); err != nil {
+	cfgs, err := c.fleetConfigs(faultSweepModels)
+	if err != nil {
 		return nil, err
 	}
 
 	mkDeps := func() ([]serverless.Deployment, error) {
-		deps := make([]serverless.Deployment, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			art, size, _, err := c.Artifact(cfg)
-			if err != nil {
-				return nil, err
-			}
-			deps = append(deps, serverless.Deployment{
-				Name: cfg.Name,
-				Config: serverless.Config{
-					Model: cfg, Strategy: engine.StrategyMedusa,
-					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
-					Seed: int64(i + 1),
-					// churn: idle instances die between bursts, so each
-					// fault-probability point sees many launches
-					Scheduler: serverless.Scheduler{IdleTimeout: 150 * time.Millisecond},
-				},
-			})
+		deps, err := c.medusaDeployments(cfgs, churn)
+		if err != nil {
+			return nil, err
 		}
 		// Long-ish generations keep batches busy so the crash row's node
 		// death lands on running requests (they requeue, not vanish).
@@ -94,10 +69,6 @@ func runExtFaultSweep(c *Context) (*Report, error) {
 	crash.NodeCrashes = []faults.NodeCrash{{Node: 1, At: faults.Duration(12 * time.Second)}}
 	points = append(points, point{label: "0.02+crash", plan: crash})
 
-	params := artifactcache.DefaultParams()
-	params.RAMBytes = 2 << 20
-	params.SSDBytes = 6 << 20
-
 	r := &Report{
 		ID:    "ext-fault-sweep",
 		Title: "Extension: fault-injection sweep (2 nodes, 3 models, all sites at probability p)",
@@ -110,31 +81,19 @@ func runExtFaultSweep(c *Context) (*Report, error) {
 			return nil, err
 		}
 		plan := pt.plan
-		ccfg := serverless.Fleet{
-			Nodes: 2, GPUsPerNode: 4,
-			Cache:          params,
-			LocalityWeight: 0.8,
-			Seed:           7,
-			Deployments:    deps,
-			Faults:         serverless.FaultSpec{Plan: &plan},
-		}
+		ccfg := tightFleet(deps)
+		ccfg.Faults = serverless.FaultSpec{Plan: &plan}
 		res, err := serverless.RunFleet(ccfg)
 		if err != nil {
 			return nil, fmt.Errorf("fault sweep p=%s: %w", pt.label, err)
 		}
-		completed := 0
-		cs, ttft := &metrics.Sample{}, &metrics.Sample{}
-		for _, d := range res.PerDeployment {
-			completed += d.Completed
-			cs.AddAll(d.ColdStart)
-			ttft.AddAll(d.TTFT)
-		}
+		cs, ttft := pooled(res, coldStartOf), pooled(res, ttftOf)
 		rate := 0.0
 		if res.TotalColdStarts > 0 {
 			rate = float64(res.Degraded) / float64(res.TotalColdStarts)
 		}
 		r.AddRow(pt.label,
-			fmt.Sprintf("%d", completed),
+			fmt.Sprintf("%d", res.Completed),
 			fmt.Sprintf("%d", res.TotalColdStarts),
 			fmt.Sprintf("%d", res.Degraded),
 			pct(rate),

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/metrics"
-	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/replicate"
 	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/workload"
@@ -44,34 +42,15 @@ type scaleRepStats struct {
 // so the table — and the mean ± 95% CI summary — is byte-identical
 // however many workers the pool uses.
 func runExtScale(c *Context) (*Report, error) {
-	cfgs := make([]model.Config, 0, len(scaleModels))
-	for _, name := range scaleModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	if err := c.PrefetchArtifacts(cfgs, 0); err != nil {
+	cfgs, err := c.fleetConfigs(scaleModels)
+	if err != nil {
 		return nil, err
 	}
 
 	runRep := func(rep int) (scaleRepStats, error) {
-		deps := make([]serverless.Deployment, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			art, size, _, err := c.Artifact(cfg)
-			if err != nil {
-				return scaleRepStats{}, err
-			}
-			deps = append(deps, serverless.Deployment{
-				Name: cfg.Name,
-				Config: serverless.Config{
-					Model: cfg, Strategy: engine.StrategyMedusa,
-					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
-					Seed:      int64(i + 1),
-					Scheduler: serverless.Scheduler{IdleTimeout: 200 * time.Millisecond},
-				},
-			})
+		deps, err := c.medusaDeployments(cfgs, serverless.Scheduler{IdleTimeout: 200 * time.Millisecond})
+		if err != nil {
+			return scaleRepStats{}, err
 		}
 		src, err := workload.NewPoisson(workload.TraceConfig{
 			Seed: 1000 + int64(rep), RPS: 30, Duration: 40 * time.Second,
@@ -92,16 +71,10 @@ func runExtScale(c *Context) (*Report, error) {
 		if err != nil {
 			return scaleRepStats{}, err
 		}
-		// Fleet-wide TTFT: merge the per-deployment samples (the merge
-		// is deterministic — reservoir offers in deployment order).
-		fleet := &metrics.Sample{}
-		st := scaleRepStats{makespan: res.Makespan, gpuSeconds: res.GPUSeconds, coldStarts: res.TotalColdStarts}
-		for _, d := range res.PerDeployment {
-			st.completed += d.Completed
-			fleet.AddAll(d.TTFT)
-		}
-		st.p99TTFT = fleet.P99()
-		return st, nil
+		return scaleRepStats{
+			completed: res.Completed, coldStarts: res.TotalColdStarts,
+			p99TTFT: pooled(res, ttftOf).P99(), makespan: res.Makespan, gpuSeconds: res.GPUSeconds,
+		}, nil
 	}
 
 	// workers=0: one worker per core. Determinism does not depend on

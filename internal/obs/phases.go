@@ -2,11 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
-
-	"github.com/medusa-repro/medusa/internal/trace"
 )
 
 // GapPhase is the synthetic phase that absorbs instants of a breakdown
@@ -21,21 +20,56 @@ type Interval struct {
 	Start, End time.Duration
 }
 
-// TimelineIntervals converts a cold-start stage timeline into
-// intervals, shifting every stage by offset.
-func TimelineIntervals(tl *trace.Timeline, offset time.Duration) []Interval {
-	return AppendTimelineIntervals(nil, tl, offset)
+// Duration returns the interval's length.
+func (iv Interval) Duration() time.Duration { return iv.End - iv.Start }
+
+// Timeline is a cold start's stage layout, kept in start order with
+// ties in record order. The paper's breakdown figures (Figures 1, 2
+// and 8) are rendered from it, and AddExclusive attributes it as is;
+// overlapping stages (asynchronous weight loading) are first-class.
+type Timeline []Interval
+
+// Record inserts a stage after every stage that starts no later.
+// Zero-length stages are kept: they document eliminated work, e.g.
+// Medusa's 0.02 s KV restore.
+func (t *Timeline) Record(phase string, start, end time.Duration) {
+	if end < start {
+		panic(fmt.Sprintf("obs: stage %q ends (%v) before it starts (%v)", phase, end, start))
+	}
+	i := len(*t)
+	for i > 0 && (*t)[i-1].Start > start {
+		i--
+	}
+	*t = slices.Insert(*t, i, Interval{Phase: phase, Start: start, End: end})
 }
 
-// AppendTimelineIntervals is TimelineIntervals into a caller-provided
-// buffer — the allocation-free form for hot loops that convert one
-// timeline per cold start. AddExclusive does not retain its input, so
-// callers may reuse the buffer across calls.
-func AppendTimelineIntervals(dst []Interval, tl *trace.Timeline, offset time.Duration) []Interval {
-	for _, st := range tl.Stages() {
-		dst = append(dst, Interval{Phase: st.Name, Start: offset + st.Start, End: offset + st.End})
+// Stage returns the first stage, in start order, with the given phase.
+func (t Timeline) Stage(phase string) (Interval, bool) {
+	for _, iv := range t {
+		if iv.Phase == phase {
+			return iv, true
+		}
 	}
-	return dst
+	return Interval{}, false
+}
+
+// StageDuration returns the duration of the named stage, or zero.
+func (t Timeline) StageDuration(phase string) time.Duration {
+	iv, _ := t.Stage(phase)
+	return iv.Duration()
+}
+
+// Total returns the length of the extent from the first start to the
+// latest end: wall time, counting overlaps once.
+func (t Timeline) Total() time.Duration {
+	if len(t) == 0 {
+		return 0
+	}
+	hi := t[0].End
+	for _, iv := range t[1:] {
+		hi = max(hi, iv.End)
+	}
+	return hi - t[0].Start
 }
 
 // PhaseBreakdown accumulates exclusive per-phase durations — the

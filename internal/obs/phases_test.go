@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/medusa-repro/medusa/internal/trace"
 )
 
 func TestAddExclusiveZeroDriftWithOverlap(t *testing.T) {
@@ -49,15 +47,86 @@ func TestAddExclusiveChargesGaps(t *testing.T) {
 }
 
 func TestTimelineIntervalsRoundTrip(t *testing.T) {
-	tl := &trace.Timeline{}
+	var tl Timeline
 	tl.Record("struct", 0, 100*time.Millisecond)
 	tl.Record("weights", 100*time.Millisecond, 400*time.Millisecond)
 	tl.Record("tok", 150*time.Millisecond, 250*time.Millisecond)
 	b := NewPhaseBreakdown()
-	b.AddExclusive(TimelineIntervals(tl, 2*time.Second))
+	b.AddExclusive(tl)
 	if got, want := b.Total(), tl.Total(); got != want {
 		t.Fatalf("attributed %v, timeline extent %v — drift %v", got, want, got-want)
 	}
+}
+
+func TestTimelineRecordAndLookup(t *testing.T) {
+	var tl Timeline
+	tl.Record("weights", 1*time.Second, 2*time.Second)
+	tl.Record("tokenizer", 1*time.Second, 1500*time.Millisecond)
+	s, ok := tl.Stage("weights")
+	if !ok || s.Duration() != time.Second {
+		t.Fatalf("Stage(weights) = %+v, %v", s, ok)
+	}
+	if tl.StageDuration("missing") != 0 {
+		t.Fatal("missing stage has nonzero duration")
+	}
+	if _, ok := tl.Stage("missing"); ok {
+		t.Fatal("missing stage found")
+	}
+}
+
+func TestTimelineStartOrderStableTies(t *testing.T) {
+	var tl Timeline
+	tl.Record("late", 5*time.Second, 6*time.Second)
+	tl.Record("early", 1*time.Second, 2*time.Second)
+	tl.Record("tie-a", 3*time.Second, 4*time.Second)
+	tl.Record("tie-b", 3*time.Second, 3*time.Second)
+	tl.Record("tie-c", 3*time.Second, 7*time.Second)
+	var got []string
+	for _, iv := range tl {
+		got = append(got, iv.Phase)
+	}
+	want := []string{"early", "tie-a", "tie-b", "tie-c", "late"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+func TestTimelineEmpty(t *testing.T) {
+	var tl Timeline
+	if tl.Total() != 0 {
+		t.Fatal("empty total nonzero")
+	}
+	if len(tl) != 0 {
+		t.Fatal("empty timeline has stages")
+	}
+}
+
+func TestTimelineTotalWithOverlap(t *testing.T) {
+	var tl Timeline
+	tl.Record("a", time.Second, 4*time.Second)
+	tl.Record("b", 2*time.Second, 3*time.Second) // nested in a
+	tl.Record("c", 3*time.Second, 6*time.Second)
+	if got := tl.Total(); got != 5*time.Second {
+		t.Fatalf("Total = %v, want 5s", got)
+	}
+}
+
+func TestTimelineZeroLengthStageKept(t *testing.T) {
+	var tl Timeline
+	tl.Record("kv_init", time.Second, time.Second)
+	if _, ok := tl.Stage("kv_init"); !ok {
+		t.Fatal("zero-length stage dropped")
+	}
+}
+
+func TestTimelineBackwardsStagePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("backwards stage did not panic")
+		}
+	}()
+	var tl Timeline
+	tl.Record("bad", 2*time.Second, time.Second)
 }
 
 func TestTableListsPhasesInFirstChargedOrder(t *testing.T) {

@@ -16,6 +16,7 @@ package serverless
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/engine"
@@ -26,7 +27,6 @@ import (
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/sched"
 	"github.com/medusa-repro/medusa/internal/storage"
-	"github.com/medusa-repro/medusa/internal/trace"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
@@ -427,7 +427,7 @@ type profile struct {
 	// timeline is the template cold start's observable stage layout;
 	// its extent equals coldStart, which is what keeps the per-launch
 	// phase attribution drift-free.
-	timeline *trace.Timeline
+	timeline obs.Timeline
 	prefill  func(int) (time.Duration, error)
 	decode   func(int) (time.Duration, error)
 	kvPerTok time.Duration // extra decode time per running sequence (KV reads)
@@ -537,17 +537,14 @@ func buildProfile(cfg Config) (*profile, error) {
 // cold start: the slowest rank's stage layout with the collective
 // bootstrap appended, so the extent equals TPResult.LoadingDuration
 // exactly and phase attribution stays drift-free.
-func tpTimeline(tp *engine.TPResult) *trace.Timeline {
+func tpTimeline(tp *engine.TPResult) obs.Timeline {
 	slowest := 0
 	for i, d := range tp.RankLoading {
 		if d > tp.RankLoading[slowest] {
 			slowest = i
 		}
 	}
-	tl := &trace.Timeline{}
-	for _, st := range tp.Ranks[slowest].Timeline().Stages() {
-		tl.Record(st.Name, st.Start, st.End)
-	}
+	tl := slices.Clone(tp.Ranks[slowest].Timeline())
 	base := tp.RankLoading[slowest]
 	tl.Record("tp_sync_setup", base, base+tp.SyncSetup)
 	return tl

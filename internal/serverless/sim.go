@@ -101,8 +101,8 @@ type reqState struct {
 	// sloViolated latches the first missed deadline; checked once at
 	// completion so each request counts toward attainment exactly once.
 	sloViolated bool
-	// firstTok is when the first token was emitted (batched mode; the
-	// TPOT denominator interval starts here).
+	// firstTok is when the first token was emitted (the TPOT
+	// denominator interval starts here).
 	firstTok time.Duration
 	// turn is the request's position in its conversation (1-based).
 	turn int
@@ -1044,7 +1044,9 @@ func (s *simulation) launchOne(di int) (bool, error) {
 			prof = d.fallback
 		}
 	}
-	intervals = obs.AppendTimelineIntervals(intervals, prof.timeline, loadStart)
+	for _, st := range prof.timeline {
+		intervals = append(intervals, obs.Interval{Phase: st.Phase, Start: loadStart + st.Start, End: loadStart + st.End})
+	}
 	d.phases.AddExclusive(intervals)
 	ready := loadStart + prof.coldStart
 	d.csTotal += ready - s.now
@@ -1400,14 +1402,9 @@ func (s *simulation) startIteration(inst *instState) error {
 		return s.startIterationBatched(inst)
 	}
 	admitted := s.admit(inst)
-	if tr := d.cfg.Tracer; tr != nil {
-		// A request's queueing span closes when it is admitted into an
-		// instance's running batch.
+	if d.cfg.Tracer != nil {
 		for _, r := range admitted {
-			tr.RecordSpan(d.name+"/queue", fmt.Sprintf("req-%d", r.ID), "queued",
-				r.Arrival, s.now,
-				obs.Attr{Key: "prompt_tokens", Value: fmt.Sprint(r.PromptTokens)},
-				obs.Attr{Key: "turn", Value: fmt.Sprint(r.turn)})
+			s.traceQueued(d, r)
 		}
 	}
 	if len(inst.running) == 0 {
@@ -1416,19 +1413,11 @@ func (s *simulation) startIteration(inst *instState) error {
 	var dur time.Duration
 	prof := s.profOf(inst)
 	if prof.deferred {
-		// §2.4: the capture latency lands on the first request that
-		// needs each graph size, inside its serving path.
-		gb, c, err := prof.captureCost(len(inst.running))
+		c, err := inst.captureOnce(prof, len(inst.running))
 		if err != nil {
 			return err
 		}
-		if inst.captured == nil {
-			inst.captured = make(map[int]bool)
-		}
-		if !inst.captured[gb] {
-			inst.captured[gb] = true
-			dur += c
-		}
+		dur += c
 	}
 	for _, r := range admitted {
 		p, err := prof.prefillDur(r.PromptTokens)
@@ -1454,6 +1443,31 @@ func (s *simulation) startIteration(inst *instState) error {
 	}
 	s.scheduleEnd(inst)
 	return nil
+}
+
+// traceQueued closes a request's queueing span: it ends when the
+// request is admitted into an instance's running batch.
+func (s *simulation) traceQueued(d *depState, r *reqState) {
+	d.cfg.Tracer.RecordSpan(d.name+"/queue", fmt.Sprintf("req-%d", r.ID), "queued",
+		r.Arrival, s.now,
+		obs.Attr{Key: "prompt_tokens", Value: fmt.Sprint(r.PromptTokens)},
+		obs.Attr{Key: "turn", Value: fmt.Sprint(r.turn)})
+}
+
+// captureOnce returns the deferred-capture cost (§2.4) of a decode
+// batch of n: the graph size's one-time capture latency the first time
+// this instance serves it, inside that request's serving path, and
+// zero after.
+func (inst *instState) captureOnce(prof *profile, n int) (time.Duration, error) {
+	gb, c, err := prof.captureCost(n)
+	if err != nil || inst.captured[gb] {
+		return 0, err
+	}
+	if inst.captured == nil {
+		inst.captured = make(map[int]bool)
+	}
+	inst.captured[gb] = true
+	return c, nil
 }
 
 // forcePerStep makes every iteration, in either execution mode, its
@@ -1683,31 +1697,10 @@ func (s *simulation) finishIteration(inst *instState) error {
 	s.setIterating(inst, false)
 	keep := inst.running[:0]
 	for _, r := range inst.running {
-		r.emitted += steps
-		if !r.ttftSeen {
-			r.ttftSeen = true
-			d.sTTFT.Add(s.now - r.Arrival)
-			if d.cSLOMet != nil && s.cfg.SLO.TTFT > 0 && s.now-r.Arrival > s.cfg.SLO.TTFT {
-				r.sloViolated = true
-			}
-		}
+		s.emit(d, r, r.emitted+steps)
 		if r.emitted >= r.OutputTokens {
-			d.sE2E.Add(s.now - r.Arrival)
-			if d.cSLOMet != nil && !r.sloViolated {
-				d.cSLOMet.Inc()
-			}
-			d.cCompleted.Inc()
-			s.completed++
-			d.outstanding--
 			inst.kvTokens -= r.PromptTokens + r.OutputTokens
-			if s.now > d.lastDone {
-				d.lastDone = s.now
-			}
-			if s.now > s.lastDone {
-				s.lastDone = s.now
-			}
-			s.maybeFollowUp(r)
-			s.freeReq(r)
+			s.complete(d, r)
 			continue
 		}
 		keep = append(keep, r)
@@ -1745,34 +1738,22 @@ func (s *simulation) startIterationBatched(inst *instState) error {
 	if it.Preemptions > 0 {
 		d.cPreempt.Add(int64(it.Preemptions))
 	}
-	if tr := d.cfg.Tracer; tr != nil {
+	if d.cfg.Tracer != nil {
 		for _, q := range it.Admitted {
-			r := q.Data
-			tr.RecordSpan(d.name+"/queue", fmt.Sprintf("req-%d", r.ID), "queued",
-				r.Arrival, s.now,
-				obs.Attr{Key: "prompt_tokens", Value: fmt.Sprint(r.PromptTokens)},
-				obs.Attr{Key: "turn", Value: fmt.Sprint(r.turn)})
+			s.traceQueued(d, q.Data)
 		}
 	}
 	if it.Empty() {
 		return nil
 	}
 	prof := s.profOf(inst)
-	var dur, captureDur time.Duration
+	var captureDur time.Duration
 	if prof.deferred && len(it.Decode) > 0 {
-		gb, c, err := prof.captureCost(len(it.Decode))
-		if err != nil {
+		if captureDur, err = inst.captureOnce(prof, len(it.Decode)); err != nil {
 			return err
 		}
-		if inst.captured == nil {
-			inst.captured = make(map[int]bool)
-		}
-		if !inst.captured[gb] {
-			inst.captured[gb] = true
-			captureDur = c
-			dur += c
-		}
 	}
+	dur := captureDur
 	chunkDur := s.scratchChunkDur[:0]
 	for _, ch := range it.Chunks {
 		p, err := prof.prefillDur(ch.Tokens)
@@ -1846,41 +1827,8 @@ func (s *simulation) finishIterationBatched(inst *instState) error {
 	s.settleRun(inst, inst.runLen)
 	s.setIterating(inst, false)
 	inst.sch.FinishRun(inst.runLen,
-		func(r *reqState, emitted int) {
-			r.emitted = emitted
-			if !r.ttftSeen {
-				r.ttftSeen = true
-				r.firstTok = s.now
-				d.sTTFT.Add(s.now - r.Arrival)
-				if d.cSLOMet != nil && s.cfg.SLO.TTFT > 0 && s.now-r.Arrival > s.cfg.SLO.TTFT {
-					r.sloViolated = true
-				}
-			}
-		},
-		func(r *reqState) {
-			d.sE2E.Add(s.now - r.Arrival)
-			if r.OutputTokens > 1 {
-				tpot := (s.now - r.firstTok) / time.Duration(r.OutputTokens-1)
-				d.sTPOT.Add(tpot)
-				if d.cSLOMet != nil && s.cfg.SLO.TPOT > 0 && tpot > s.cfg.SLO.TPOT {
-					r.sloViolated = true
-				}
-			}
-			if d.cSLOMet != nil && !r.sloViolated {
-				d.cSLOMet.Inc()
-			}
-			d.cCompleted.Inc()
-			s.completed++
-			d.outstanding--
-			if s.now > d.lastDone {
-				d.lastDone = s.now
-			}
-			if s.now > s.lastDone {
-				s.lastDone = s.now
-			}
-			s.maybeFollowUp(r)
-			s.freeReq(r)
-		})
+		func(r *reqState, emitted int) { s.emit(d, r, emitted) },
+		func(r *reqState) { s.complete(d, r) })
 	if inst.sch.Idle() {
 		s.markIdle(inst)
 	}
@@ -1888,6 +1836,49 @@ func (s *simulation) finishIterationBatched(inst *instState) error {
 		return err
 	}
 	return s.startIteration(inst)
+}
+
+// emit books a request's emitted-token count. It stays small enough
+// to inline on the per-token path; only a first emission calls out.
+func (s *simulation) emit(d *depState, r *reqState, emitted int) {
+	r.emitted = emitted
+	if !r.ttftSeen {
+		s.firstToken(d, r)
+	}
+}
+
+// firstToken records a request's TTFT and checks the TTFT deadline.
+func (s *simulation) firstToken(d *depState, r *reqState) {
+	r.ttftSeen = true
+	r.firstTok = s.now
+	d.sTTFT.Add(s.now - r.Arrival)
+	if d.cSLOMet != nil && s.cfg.SLO.TTFT > 0 && s.now-r.Arrival > s.cfg.SLO.TTFT {
+		r.sloViolated = true
+	}
+}
+
+// complete books a finished request — E2E, TPOT (batched deployments
+// only), SLO attainment and the completion counters — then spawns its
+// follow-up turn and frees it.
+func (s *simulation) complete(d *depState, r *reqState) {
+	d.sE2E.Add(s.now - r.Arrival)
+	if d.sTPOT != nil && r.OutputTokens > 1 {
+		tpot := (s.now - r.firstTok) / time.Duration(r.OutputTokens-1)
+		d.sTPOT.Add(tpot)
+		if d.cSLOMet != nil && s.cfg.SLO.TPOT > 0 && tpot > s.cfg.SLO.TPOT {
+			r.sloViolated = true
+		}
+	}
+	if d.cSLOMet != nil && !r.sloViolated {
+		d.cSLOMet.Inc()
+	}
+	d.cCompleted.Inc()
+	s.completed++
+	d.outstanding--
+	d.lastDone = max(d.lastDone, s.now)
+	s.lastDone = max(s.lastDone, s.now)
+	s.maybeFollowUp(r)
+	s.freeReq(r)
 }
 
 // maybeFollowUp spawns the next conversation turn after a completion:
