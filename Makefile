@@ -153,6 +153,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzEncodeDecode -fuzztime 30s ./internal/tokenizer/
 	$(GO) test -run xxx -fuzz FuzzManagerOps -fuzztime 30s ./internal/kvcache/
 	$(GO) test -run xxx -fuzz FuzzDecodeRunMatchesSteps -fuzztime 30s ./internal/sched/
+	$(GO) test -run xxx -fuzz FuzzSourceConfigs -fuzztime 30s ./internal/workload/
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -11,9 +11,19 @@ import (
 // ArrivalSource streams (deployment, request) arrivals across a whole
 // multi-deployment simulation in nondecreasing arrival order — the form
 // the event loop consumes traffic in. Pull-based delivery is what lets
-// a 10M-request run hold O(active) request state: the simulator keeps
-// exactly one undelivered arrival, held beside its event queue rather
-// than in it, and pulls the next only when that one fires.
+// a 10M-request run hold O(active) request state: a run reads its
+// source on a producer goroutine into a fixed ring of 4 blocks of 512
+// arrivals, so however long the trace, at most 2048 arrivals wait
+// there, plus the one the loop has pulled and not yet fired.
+//
+// Concurrency: a run calls Next and Err from one goroutine that the run
+// owns, never the caller's, and stops and joins it before RunFleet or
+// RunMulti returns; from then on the caller may read any state the
+// source keeps. During the run a source must not share unsynchronized
+// state with the run's policies, tracer or anything else the event loop
+// touches. The loop sees the source's arrivals, its Err after the last
+// of them, and a panic raised by Next (re-raised on the caller's
+// goroutine) exactly as if it pulled the source directly.
 type ArrivalSource interface {
 	// Next returns the next arrival's deployment index and request, or
 	// ok == false once the stream is exhausted (or failed — check Err).

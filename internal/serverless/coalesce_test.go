@@ -39,15 +39,10 @@ func fleetSummary(res *FleetResult) string {
 	return b.String()
 }
 
-// runTraced runs the fleet with every span going to one tracer and
-// returns the result and the tracer's Chrome export. A non-nil hook
-// (&forcePerStep, &referenceLoop) is set for the run.
-func runTraced(t *testing.T, f Fleet, hook *bool) (*FleetResult, *obs.Tracer, string) {
+// runTraced runs the fleet under opts with every span going to one
+// tracer and returns the result and the tracer's Chrome export.
+func runTraced(t *testing.T, f Fleet, opts runOptions) (*FleetResult, *obs.Tracer, string) {
 	t.Helper()
-	if hook != nil {
-		*hook = true
-		defer func() { *hook = false }()
-	}
 	tr := obs.NewTracer()
 	f.Tracer = tr
 	deps := make([]Deployment, len(f.Deployments))
@@ -56,7 +51,7 @@ func runTraced(t *testing.T, f Fleet, hook *bool) (*FleetResult, *obs.Tracer, st
 		deps[i].Config.Tracer = tr
 	}
 	f.Deployments = deps
-	res, err := RunFleet(f)
+	res, err := runFleet(f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +69,8 @@ func runTraced(t *testing.T, f Fleet, hook *bool) (*FleetResult, *obs.Tracer, st
 // policies start fresh.
 func checkCoalescedMatchesPerStep(t *testing.T, build func(t *testing.T) Fleet) (coalesced, perStep *FleetResult) {
 	t.Helper()
-	co, _, coTrace := runTraced(t, build(t), nil)
-	ps, _, psTrace := runTraced(t, build(t), &forcePerStep)
+	co, _, coTrace := runTraced(t, build(t), runOptions{})
+	ps, _, psTrace := runTraced(t, build(t), runOptions{forcePerStep: true})
 	if got, want := fleetSummary(co), fleetSummary(ps); got != want {
 		t.Fatalf("coalesced runs diverge from per-step execution:\n--- coalesced\n%s\n--- per step\n%s", got, want)
 	}
@@ -193,6 +188,7 @@ func crashMidRun(t *testing.T) Fleet {
 // runs in both execution modes: forcing one event per iteration must
 // change nothing but the number of iteration-end events.
 func TestCoalescedDecodeMatchesPerStep(t *testing.T) {
+	t.Parallel()
 	crash := func(f Fleet) Fleet {
 		plan := faults.Presets()["crash"]
 		f.Faults = FaultSpec{Plan: &plan}
@@ -325,6 +321,7 @@ func TestCoalescedDecodeMatchesPerStep(t *testing.T) {
 // policy's Desired calls, instants included, must match per-step
 // execution's one for one.
 func TestMixedHorizonsCapRuns(t *testing.T) {
+	t.Parallel()
 	for _, batched := range []bool{false, true} {
 		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
 			var policies []*mixedHorizon
@@ -440,7 +437,7 @@ func tieCasesIn(t *testing.T, batched bool) []tieCase {
 		return reqs
 	}
 	base := numbered(req(0, 4), req(0, 24))
-	_, tr, _ := runTraced(t, tieFleet(t, batched, base, numbered(req(time.Hour, 4))), &forcePerStep)
+	_, tr, _ := runTraced(t, tieFleet(t, batched, base, numbered(req(time.Hour, 4))), runOptions{forcePerStep: true})
 	var ends []time.Duration
 	for _, sp := range tr.Spans() {
 		if sp.Name == "iteration" && strings.HasPrefix(sp.Track, "x/") {
@@ -480,6 +477,7 @@ func tieCasesIn(t *testing.T, batched bool) []tieCase {
 // TestCoalescedRunTies checks each of tieCases against per-step
 // execution.
 func TestCoalescedRunTies(t *testing.T) {
+	t.Parallel()
 	for _, tc := range tieCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			co, _ := checkCoalescedMatchesPerStep(t, tc.fleet)
@@ -497,6 +495,7 @@ func TestCoalescedRunTies(t *testing.T) {
 // yield to the other, and the first instance admits c, as per-step
 // code does.
 func TestSynchronizedRunsCutTogether(t *testing.T) {
+	t.Parallel()
 	fleet := func(x []workload.Request) Fleet {
 		f := tieFleet(t, false, x, []workload.Request{{Arrival: time.Hour, PromptTokens: 32, OutputTokens: 4}})
 		f.GPUsPerNode = 3
@@ -507,7 +506,7 @@ func TestSynchronizedRunsCutTogether(t *testing.T) {
 		{ID: 0, PromptTokens: 32, OutputTokens: 24},
 		{ID: 1, PromptTokens: 32, OutputTokens: 24},
 	}
-	_, tr, _ := runTraced(t, fleet(pair), &forcePerStep)
+	_, tr, _ := runTraced(t, fleet(pair), runOptions{forcePerStep: true})
 	var ends []time.Duration
 	for _, sp := range tr.Spans() {
 		if sp.Name == "iteration" && strings.HasSuffix(sp.Track, "inst-0") {

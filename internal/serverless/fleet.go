@@ -63,9 +63,11 @@ type Fleet struct {
 	// iteration and queueing spans go to its Config.Tracer.
 	Tracer *obs.Tracer
 	// Arrivals, when set, streams the whole fleet's traffic instead of
-	// per-deployment Requests slices: the simulator pulls one arrival at
-	// a time, so memory stays O(active requests) however long the trace.
-	// Each emitted deployment index must be valid and arrivals must be
+	// per-deployment Requests slices: the run reads it ahead of the event
+	// loop into a fixed ring, on a goroutine of its own (see
+	// ArrivalSource for the bound and the concurrency contract), so
+	// memory stays O(active requests) however long the trace. Each
+	// emitted deployment index must be valid and arrivals must be
 	// nondecreasing. Deployments' Requests/Source fields are ignored
 	// when set.
 	Arrivals ArrivalSource
@@ -296,12 +298,15 @@ func artifactCacheKey(modelName string, strategy engine.Strategy) string {
 // RunFleet runs the simulator core on a fleet whose nodes front the
 // shared artifact registry with tiered caches. It fills the fleet
 // defaults and rejects configurations the fleet cannot run.
-func RunFleet(f Fleet) (*FleetResult, error) {
+func RunFleet(f Fleet) (*FleetResult, error) { return runFleet(f, runOptions{}) }
+
+// runFleet is RunFleet with the loop's reference forms selectable.
+func runFleet(f Fleet, opts runOptions) (*FleetResult, error) {
 	f, err := f.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	return simulate(f, artifactcache.NewRegistry(f.Network))
+	return simulate(f, artifactcache.NewRegistry(f.Network), opts)
 }
 
 // simulate runs the simulator core. A nil registry gives the nodes no
@@ -310,12 +315,14 @@ func RunFleet(f Fleet) (*FleetResult, error) {
 // entries are ignored — the single pool. It prepares every deployment
 // once — defaults, the profile and the vanilla fallback profile, the
 // artifact's registry entry or storage-read cost, batched-mode KV
-// sizing, instruments — merges the traffic, and runs the event loop.
-func simulate(f Fleet, registry *artifactcache.Registry) (*FleetResult, error) {
+// sizing, instruments — merges the traffic, and runs the event loop
+// with the arrival source read ahead on a goroutine of its own, which
+// it stops and joins before returning.
+func simulate(f Fleet, registry *artifactcache.Registry, opts runOptions) (*FleetResult, error) {
 	if len(f.Deployments) == 0 {
 		return nil, fmt.Errorf("serverless: no deployments")
 	}
-	sim := &simulation{cfg: f, reg: obs.NewRegistry(), registry: registry, scaler: f.Autoscaler, router: f.Router}
+	sim := &simulation{cfg: f, opts: opts, reg: obs.NewRegistry(), registry: registry, scaler: f.Autoscaler, router: f.Router}
 	if sim.scaler == nil {
 		sim.scaler = autoscale.NewReactive()
 	}
@@ -365,10 +372,11 @@ func simulate(f Fleet, registry *artifactcache.Registry) (*FleetResult, error) {
 		sim.deps = append(sim.deps, d)
 	}
 
+	var src ArrivalSource
 	if streaming {
 		sim.renumber = true
 		if f.Arrivals != nil {
-			sim.src = f.Arrivals
+			src = f.Arrivals
 		} else {
 			perDep := make([]workload.Source, len(f.Deployments))
 			for di, dep := range f.Deployments {
@@ -378,7 +386,7 @@ func simulate(f Fleet, registry *artifactcache.Registry) (*FleetResult, error) {
 					perDep[di] = workload.NewSlice(dep.Requests)
 				}
 			}
-			sim.src = MergeArrivals(perDep)
+			src = MergeArrivals(perDep)
 		}
 	} else {
 		// Pre-assign concatenation-order global IDs (the historical
@@ -395,9 +403,11 @@ func simulate(f Fleet, registry *artifactcache.Registry) (*FleetResult, error) {
 			}
 			perDep[di] = workload.NewSlice(reqs)
 		}
-		sim.src = MergeArrivals(perDep)
+		src = MergeArrivals(perDep)
 		sim.nextID = nextID
 	}
+	sim.src = startReadAhead(src)
+	defer sim.src.close()
 
 	if sim.registry != nil && f.PrewarmSSD {
 		// Sorted keys: Preload order must not depend on map iteration.

@@ -11,16 +11,16 @@ import (
 
 // checkMatchesReference runs the fleet with the held arrival and the
 // gated dispatch walk, then in the reference loop (referenceLoop: every
-// arrival in the heap, every active instance of every deployment walked
-// and, with a router, scored whether or not anything is queued, idle
-// counts checked against a recount), and requires identical outputs,
+// arrival in the heap, every active instance of every deployment
+// walked and, with a router, scored whether or not anything is queued,
+// idle counts checked against a recount), and requires identical outputs,
 // Chrome trace included, and identical work except dispatch steps and
 // Score calls, which may only fall. Each run gets a fleet of its own
 // from build, so stateful policies start fresh.
 func checkMatchesReference(t *testing.T, build func(t *testing.T) Fleet) (fast, ref *FleetResult) {
 	t.Helper()
-	fast, _, fastTrace := runTraced(t, build(t), nil)
-	ref, _, refTrace := runTraced(t, build(t), &referenceLoop)
+	fast, _, fastTrace := runTraced(t, build(t), runOptions{})
+	ref, _, refTrace := runTraced(t, build(t), runOptions{referenceLoop: true})
 	if got, want := fast.Render(), ref.Render(); got != want {
 		t.Fatalf("Render differs from the reference loop:\n--- fast\n%s\n--- reference\n%s", got, want)
 	}
@@ -51,6 +51,7 @@ func checkMatchesReference(t *testing.T, build func(t *testing.T) Fleet) (fast, 
 // every output byte on legacy, follow-up, crash, exact-tie, batched and
 // routed fleets.
 func TestHeldArrivalAndIdleDispatchMatchReference(t *testing.T) {
+	t.Parallel()
 	type fleetCase struct {
 		name  string
 		build func(t *testing.T) Fleet

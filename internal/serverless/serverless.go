@@ -595,7 +595,9 @@ type Deployment struct {
 	// Source, when set, streams the deployment's arrivals instead of
 	// Requests — the scale path, under which the trace never exists in
 	// memory at once. Requests in nondecreasing arrival order; IDs are
-	// reassigned in cluster-wide delivery order.
+	// reassigned in cluster-wide delivery order. The run merges every
+	// deployment's stream and reads it ahead on a goroutine of its own,
+	// so Source is bound by ArrivalSource's concurrency contract.
 	Source workload.Source
 }
 
@@ -613,7 +615,8 @@ type MultiConfig struct {
 	// Arrivals, when set, supplies every deployment's traffic as one
 	// pre-merged stream (nondecreasing arrival order, deployment indices
 	// into Deployments); the per-deployment Requests/Source fields are
-	// then ignored and request IDs are assigned in delivery order.
+	// then ignored and request IDs are assigned in delivery order. It is
+	// read ahead like Fleet.Arrivals.
 	Arrivals ArrivalSource
 	// Faults applies one fault plan to every deployment's launches (see
 	// FaultSpec for which sites the single-pool simulator honors).
@@ -635,7 +638,7 @@ func RunMulti(cfg MultiConfig) (*FleetResult, error) {
 		Deployments:           cfg.Deployments,
 		Arrivals:              cfg.Arrivals,
 		Faults:                cfg.Faults,
-	}, nil)
+	}, nil, runOptions{})
 }
 
 // Run simulates serving one deployment's trace and returns its latency

@@ -29,12 +29,14 @@ import (
 //
 //   - Events live in an eventq.Queue (monomorphized 4-ary heap, no
 //     interface boxing) with the (time, push-sequence) tie-break.
-//   - Arrivals are pulled lazily from an ArrivalSource — exactly one
-//     undelivered arrival is in flight at any time, so neither the
-//     trace nor its events are ever materialized in full. That arrival
-//     waits beside the queue under the sequence number a push would
-//     have given it (eventq.Queue.Stamp), so it costs no heap push or
-//     pop and still pops in (time, sequence) order.
+//   - Arrivals are generated on a second goroutine that reads the
+//     ArrivalSource into a fixed ring of blocks (readAhead), at most
+//     readAheadBlocks·readAheadBlock arrivals ahead of the loop, so
+//     neither the trace nor its events are ever materialized in full.
+//     The loop pulls one arrival at a time from the ring; the pulled,
+//     unfired arrival waits beside the queue under the sequence number
+//     a push would have given it (eventq.Queue.Stamp), so it costs no
+//     heap push or pop and still pops in (time, sequence) order.
 //   - Request and instance state recycle through free-lists, and the
 //     queues, scratch buffers and registry instruments are reused, so
 //     steady-state allocation is O(active requests), not O(total).
@@ -341,11 +343,25 @@ func (d *depState) removeActive(inst *instState) {
 	}
 }
 
+// runOptions switch the loop into the reference forms tests check it
+// against. The zero value is the loop every exported entry point runs.
+type runOptions struct {
+	// referenceLoop restores the loop's reference form: the sourced
+	// arrival is pushed into the event queue and dispatch walks every
+	// active instance, checking each deployment's idle count against a
+	// recount.
+	referenceLoop bool
+	// forcePerStep makes every iteration, in either execution mode, its
+	// own event, to check coalesced runs against per-step execution.
+	forcePerStep bool
+}
+
 // simulation is the discrete-event state.
 type simulation struct {
-	cfg Fleet
-	reg *obs.Registry // fleet-wide (cache, crash and requeue counters)
-	inj *faults.Injector
+	cfg  Fleet
+	opts runOptions
+	reg  *obs.Registry // fleet-wide (cache, crash and requeue counters)
+	inj  *faults.Injector
 	// registry is the shared artifact registry the node caches front
 	// (nil when the nodes have no cache).
 	registry *artifactcache.Registry
@@ -367,11 +383,11 @@ type simulation struct {
 
 	deps []*depState
 
-	// src streams arrivals; head is the one pulled-but-unfired arrival.
-	// While headHeld, its event waits outside the queue under the
-	// sequence number headSeq (see pullArrival); orderTies and
-	// yieldToLateEnd move it into the queue.
-	src      ArrivalSource
+	// src reads arrivals ahead of the loop; head is the one
+	// pulled-but-unfired arrival. While headHeld, its event waits
+	// outside the queue under the sequence number headSeq (see
+	// pullArrival); orderTies and yieldToLateEnd move it into the queue.
+	src      *readAhead
 	head     *reqState
 	headSeq  uint64
 	headHeld bool
@@ -466,17 +482,11 @@ func (s *simulation) freeInst(inst *instState) {
 	s.instPool = append(s.instPool, inst)
 }
 
-// referenceLoop restores the loop's reference form: the sourced
-// arrival is pushed into the event queue and dispatch walks every
-// active instance, checking each deployment's idle count against a
-// recount. Tests set it to check the held arrival and the idle-gated
-// walk against that form; it is never set otherwise.
-var referenceLoop bool
-
-// pullArrival draws the next arrival from the source and holds it
-// beside the event queue under the sequence number a push would give
-// it, so the loop pops it in exactly the pushed order without a heap
-// push and pop. Exactly one sourced arrival is undelivered at a time.
+// pullArrival takes the next arrival from the read-ahead ring and
+// holds it beside the event queue under the sequence number a push
+// would give it, so the loop pops it in exactly the pushed order
+// without a heap push and pop. Exactly one pulled arrival is
+// undelivered at a time; the ring holds the ones read ahead of it.
 func (s *simulation) pullArrival() error {
 	di, req, ok := s.src.Next()
 	if !ok {
@@ -501,7 +511,7 @@ func (s *simulation) pullArrival() error {
 	}
 	s.created++
 	s.head = r
-	if referenceLoop {
+	if s.opts.referenceLoop {
 		s.schedule(req.Arrival, event{kind: evArrival, req: r})
 		return nil
 	}
@@ -1246,7 +1256,7 @@ func (s *simulation) setIterating(inst *instState, on bool) {
 // policy ranks best.
 func (s *simulation) dispatchIdle() error {
 	for _, d := range s.deps {
-		if referenceLoop {
+		if s.opts.referenceLoop {
 			if err := s.checkIdle(d); err != nil {
 				return err
 			}
@@ -1260,7 +1270,7 @@ func (s *simulation) dispatchIdle() error {
 			continue
 		}
 		for _, inst := range d.active {
-			if !referenceLoop && (d.idle == 0 || d.pending.Len() == 0) {
+			if !s.opts.referenceLoop && (d.idle == 0 || d.pending.Len() == 0) {
 				break
 			}
 			s.work.DispatchSteps++
@@ -1275,7 +1285,7 @@ func (s *simulation) dispatchIdle() error {
 }
 
 // checkIdle recounts the deployment's idle instances against its idle
-// count and checks that none of them holds work (referenceLoop only).
+// count and checks that none of them holds work (reference loop only).
 func (s *simulation) checkIdle(d *depState) error {
 	n := 0
 	for _, inst := range d.active {
@@ -1470,11 +1480,6 @@ func (inst *instState) captureOnce(prof *profile, n int) (time.Duration, error) 
 	return c, nil
 }
 
-// forcePerStep makes every iteration, in either execution mode, its
-// own event. Tests set it to check coalesced runs against per-step
-// execution; it is never set otherwise.
-var forcePerStep bool
-
 // coalescible reports whether a legacy-mode step that admitted nothing
 // may run on as a coalesced decode run: the admit at every later
 // boundary finds nothing because the queue is empty or the batch is
@@ -1483,7 +1488,7 @@ var forcePerStep bool
 // empty. Either way runSteps caps the run where a tick may do more than
 // reuse its answers.
 func (s *simulation) coalescible(d *depState, inst *instState) bool {
-	return !forcePerStep && (d.pending.Len() == 0 || len(inst.running) >= d.cfg.Scheduler.MaxBatch)
+	return !s.opts.forcePerStep && (d.pending.Len() == 0 || len(inst.running) >= d.cfg.Scheduler.MaxBatch)
 }
 
 // runSteps caps a coalesced run of up to k steps, begun now, at the
@@ -1522,7 +1527,7 @@ func (s *simulation) scheduleEnd(inst *instState) {
 // on. The queue grows nowhere else, so a run is never cut for any other
 // reason.
 func (s *simulation) splitRuns(d *depState, pushedAt time.Duration) {
-	if forcePerStep || d.pending.Len() == 0 {
+	if s.opts.forcePerStep || d.pending.Len() == 0 {
 		return
 	}
 	for _, inst := range d.active {
@@ -1810,7 +1815,7 @@ func (s *simulation) startIterationBatched(inst *instState) error {
 		root.End(off)
 	}
 	inst.runStart, inst.runFirst, inst.runStep, inst.runLen = s.now, dur, stepDur, 1
-	if captureDur == 0 && d.pending.Len() == 0 && !forcePerStep {
+	if captureDur == 0 && d.pending.Len() == 0 && !s.opts.forcePerStep {
 		// A pure-decode round with nothing queued: the scheduler says
 		// how many rounds repeat it (DecodeRun), all priced stepDur.
 		inst.runLen = s.runSteps(inst, inst.sch.DecodeRun())

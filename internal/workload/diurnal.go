@@ -21,7 +21,8 @@ type DiurnalConfig struct {
 	// Seed makes the trace reproducible. The burst chain uses Seed+1 so
 	// arrival thinning and state sojourns draw from independent streams.
 	Seed int64
-	// BaseRPS is the mean request rate of the sinusoidal envelope.
+	// BaseRPS is the mean request rate of the sinusoidal envelope. The
+	// peak rate BaseRPS·(1+Amplitude)·BurstFactor must be at most 1e9.
 	BaseRPS float64
 	// Amplitude in [0, 1) scales the sinusoidal swing: the envelope
 	// ranges over BaseRPS·(1±Amplitude).
@@ -51,11 +52,20 @@ type DiurnalConfig struct {
 }
 
 func (c DiurnalConfig) withDefaults() (DiurnalConfig, error) {
-	if c.BaseRPS <= 0 || c.Duration <= 0 {
-		return c, fmt.Errorf("workload: diurnal BaseRPS %v and Duration %v must be positive", c.BaseRPS, c.Duration)
+	if err := checkRate("diurnal BaseRPS", c.BaseRPS); err != nil {
+		return c, err
 	}
-	if c.Amplitude < 0 || c.Amplitude >= 1 {
-		return c, fmt.Errorf("workload: diurnal amplitude %v must be in [0,1)", c.Amplitude)
+	if c.Duration <= 0 {
+		return c, fmt.Errorf("workload: diurnal Duration %v must be positive", c.Duration)
+	}
+	if !(c.Amplitude >= 0 && c.Amplitude < 1) {
+		return c, fmt.Errorf("workload: diurnal Amplitude %v must be in [0,1)", c.Amplitude)
+	}
+	if math.IsNaN(c.Phase) || math.IsInf(c.Phase, 0) {
+		return c, fmt.Errorf("workload: diurnal Phase %v must be finite", c.Phase)
+	}
+	if err := checkLengths(c.MeanPrompt, c.MeanOutput, c.MaxPrompt, c.MaxOutput); err != nil {
+		return c, err
 	}
 	if c.Period <= 0 {
 		return c, fmt.Errorf("workload: diurnal period %v must be positive", c.Period)
@@ -63,8 +73,13 @@ func (c DiurnalConfig) withDefaults() (DiurnalConfig, error) {
 	if c.BurstFactor == 0 {
 		c.BurstFactor = 1
 	}
-	if c.BurstFactor < 1 {
-		return c, fmt.Errorf("workload: burst factor %v must be >= 1", c.BurstFactor)
+	if !(c.BurstFactor >= 1) || math.IsInf(c.BurstFactor, 1) {
+		return c, fmt.Errorf("workload: diurnal BurstFactor %v must be finite and >= 1", c.BurstFactor)
+	}
+	// Candidates are drawn at the peak rate, which must be a valid rate
+	// itself.
+	if err := checkRate("diurnal peak rate BaseRPS·(1+Amplitude)·BurstFactor", c.BaseRPS*(1+c.Amplitude)*c.BurstFactor); err != nil {
+		return c, err
 	}
 	if c.BurstFactor > 1 && (c.MeanBurst <= 0 || c.MeanCalm <= 0) {
 		return c, fmt.Errorf("workload: burst factor %v needs positive MeanBurst/MeanCalm, got %v/%v",
@@ -131,13 +146,19 @@ func NewDiurnal(cfg DiurnalConfig) (Source, error) {
 }
 
 // drawSojourn draws the length of the next sojourn given the state just
-// entered, added onto the current sojourn end.
+// entered, added onto the current sojourn end. A sojourn that outlasts
+// the window ends at Duration, which no candidate reaches, rather than
+// overflowing a time.Duration.
 func (d *diurnalSource) drawSojourn(burst bool) time.Duration {
 	mean := d.cfg.MeanCalm
 	if burst {
 		mean = d.cfg.MeanBurst
 	}
-	return d.sojournEnd + time.Duration(d.chain.ExpFloat64()*float64(mean))
+	sojourn := d.chain.ExpFloat64() * float64(mean)
+	if sojourn >= float64(d.cfg.Duration-d.sojournEnd) {
+		return d.cfg.Duration
+	}
+	return d.sojournEnd + time.Duration(sojourn)
 }
 
 // multiplierAt advances the burst chain to instant t and returns its
@@ -164,9 +185,7 @@ func (d *diurnalSource) Next() (Request, bool) {
 		return Request{}, false
 	}
 	for {
-		gap := time.Duration(d.rng.ExpFloat64() / d.lamMax * float64(time.Second))
-		d.t += gap
-		if d.t >= d.cfg.Duration {
+		if !advance(&d.t, d.rng.ExpFloat64()/d.lamMax*float64(time.Second), d.cfg.Duration) {
 			d.done = true
 			return Request{}, false
 		}
@@ -208,8 +227,8 @@ func DiurnalFleet(cfg DiurnalConfig, n int, skew float64) ([]Source, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: fleet size %d must be positive", n)
 	}
-	if skew < 0 {
-		return nil, fmt.Errorf("workload: zipf skew %v must be >= 0", skew)
+	if !(skew >= 0) || math.IsInf(skew, 1) {
+		return nil, fmt.Errorf("workload: zipf skew %v must be finite and >= 0", skew)
 	}
 	weights := make([]float64, n)
 	var total float64

@@ -85,13 +85,24 @@ func (p *poissonSource) candidate() (at time.Duration, zPrompt, zOutput float64,
 	if p.done {
 		return 0, 0, 0, false
 	}
-	gap := time.Duration(p.rng.ExpFloat64() / p.cfg.RPS * float64(time.Second))
-	p.t += gap
-	if p.t >= p.cfg.Duration {
+	if !advance(&p.t, p.rng.ExpFloat64()/p.cfg.RPS*float64(time.Second), p.cfg.Duration) {
 		p.done = true
 		return 0, 0, 0, false
 	}
 	return p.t, p.rng.NormFloat64(), p.rng.NormFloat64(), true
+}
+
+// advance moves a stream's clock t by a gap of gapNS nanoseconds and
+// reports true, or reports false, leaving t alone, when the gap reaches
+// the window's end. The float gap is compared before it is converted,
+// so a gap too large for a time.Duration (a tiny rate) ends the stream
+// instead of overflowing into a negative arrival.
+func advance(t *time.Duration, gapNS float64, end time.Duration) bool {
+	if gapNS >= float64(end-*t) {
+		return false
+	}
+	*t += time.Duration(gapNS)
+	return true
 }
 
 func (p *poissonSource) Err() error { return nil }

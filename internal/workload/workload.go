@@ -33,7 +33,8 @@ type Request struct {
 type TraceConfig struct {
 	// Seed makes the trace reproducible.
 	Seed int64
-	// RPS is the mean request rate (Poisson).
+	// RPS is the mean request rate (Poisson): finite, positive and at
+	// most 1e9 (one request per nanosecond), like every rate here.
 	RPS float64
 	// Duration is the arrival window.
 	Duration time.Duration
@@ -48,8 +49,14 @@ type TraceConfig struct {
 }
 
 func (c TraceConfig) withDefaults() (TraceConfig, error) {
-	if c.RPS <= 0 || c.Duration <= 0 {
-		return c, fmt.Errorf("workload: RPS %v and Duration %v must be positive", c.RPS, c.Duration)
+	if err := checkRate("RPS", c.RPS); err != nil {
+		return c, err
+	}
+	if c.Duration <= 0 {
+		return c, fmt.Errorf("workload: Duration %v must be positive", c.Duration)
+	}
+	if err := checkLengths(c.MeanPrompt, c.MeanOutput, c.MaxPrompt, c.MaxOutput); err != nil {
+		return c, err
 	}
 	if c.MeanPrompt == 0 {
 		c.MeanPrompt = ShareGPTMeanPrompt
@@ -64,6 +71,30 @@ func (c TraceConfig) withDefaults() (TraceConfig, error) {
 		c.MaxOutput = 1024
 	}
 	return c, nil
+}
+
+// maxRate is the highest request rate a generator accepts: one arrival
+// per nanosecond, the resolution of time.Duration. Faster rates draw
+// gaps that truncate to zero, so the stream's clock would stall.
+const maxRate = 1e9
+
+// checkRate rejects a rate that is not a finite number in (0, maxRate],
+// naming the field: a NaN or infinite rate would stream forever.
+func checkRate(field string, v float64) error {
+	if !(v > 0 && v <= maxRate) {
+		return fmt.Errorf("workload: %s must be finite, positive and at most %g, got %v", field, maxRate, v)
+	}
+	return nil
+}
+
+// checkLengths rejects negative length means and clamps (0 selects the
+// default).
+func checkLengths(meanPrompt, meanOutput, maxPrompt, maxOutput int) error {
+	if meanPrompt < 0 || meanOutput < 0 || maxPrompt < 0 || maxOutput < 0 {
+		return fmt.Errorf("workload: MeanPrompt %d, MeanOutput %d, MaxPrompt %d and MaxOutput %d must be ≥ 0",
+			meanPrompt, meanOutput, maxPrompt, maxOutput)
+	}
+	return nil
 }
 
 // lengthSigma is the log-normal shape parameter for both length
@@ -134,6 +165,12 @@ type BurstConfig struct {
 }
 
 func (c BurstConfig) validate() error {
+	if err := checkRate("BaseRPS", c.BaseRPS); err != nil {
+		return err
+	}
+	if err := checkRate("BurstRPS", c.BurstRPS); err != nil {
+		return err
+	}
 	if c.Period <= 0 || c.BurstLen <= 0 || c.BurstLen >= c.Period {
 		return fmt.Errorf("workload: burst length %v must be within period %v", c.BurstLen, c.Period)
 	}
