@@ -118,6 +118,7 @@ faults-smoke:
 	$(GO) run ./cmd/medusa-bench -exp ext-fault-sweep
 	$(GO) run ./cmd/medusa-simulate -faults crash -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" \
 		-cache-ram 3 -cache-ssd 6 -idle 250ms -rps 3 -duration 15
+	$(GO) run ./cmd/medusa-simulate -model Qwen1.5-0.5B -faults heavy -idle 300ms -rps 0.5 -duration 120
 
 # Regenerate every table/figure into results/, mirroring the original
 # artifact's `python scripts/<exp>.py > results/<Figure>` workflow.

@@ -24,7 +24,6 @@ import (
 	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/storage"
-	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
 // Tier identifies where a fetch was served from.
@@ -80,13 +79,13 @@ func DefaultParams() Params {
 }
 
 // Registry is the shared remote tier: the cluster-wide artifact store
-// every node cache falls back to, reached over a network link.
+// every node cache falls back to, reached over a network link. It
+// holds artifact sizes, not bytes: fetches are timing-only.
 type Registry struct {
 	net storage.Array
 
-	mu      sync.Mutex
-	sizes   map[string]uint64
-	content map[string][]byte
+	mu    sync.Mutex
+	sizes map[string]uint64
 }
 
 // DefaultNetwork returns the calibrated registry link: 25 GbE at
@@ -97,22 +96,13 @@ func DefaultNetwork() storage.Array {
 
 // NewRegistry creates an empty registry behind the given network link.
 func NewRegistry(net storage.Array) *Registry {
-	return &Registry{net: net, sizes: make(map[string]uint64), content: make(map[string][]byte)}
-}
-
-// Register publishes an artifact's bytes.
-func (r *Registry) Register(name string, data []byte) {
-	r.mu.Lock()
-	r.content[name] = append([]byte(nil), data...)
-	r.sizes[name] = uint64(len(data))
-	r.mu.Unlock()
+	return &Registry{net: net, sizes: make(map[string]uint64)}
 }
 
 // RegisterSized publishes a content-free artifact of a declared size —
 // enough for timing-only simulation.
 func (r *Registry) RegisterSized(name string, size uint64) {
 	r.mu.Lock()
-	r.content[name] = nil
 	r.sizes[name] = size
 	r.mu.Unlock()
 }
@@ -123,24 +113,6 @@ func (r *Registry) Size(name string) (uint64, bool) {
 	defer r.mu.Unlock()
 	sz, ok := r.sizes[name]
 	return sz, ok
-}
-
-// Peek returns a registered artifact's bytes without charging time
-// (nil for content-free registrations).
-func (r *Registry) Peek(name string) ([]byte, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	data, ok := r.content[name]
-	if !ok {
-		if _, sized := r.sizes[name]; !sized {
-			return nil, false
-		}
-		return nil, true
-	}
-	if data == nil {
-		return nil, true
-	}
-	return append([]byte(nil), data...), true
 }
 
 // Names lists registered artifacts in sorted order.
@@ -400,8 +372,13 @@ func (c *NodeCache) Fetch(now time.Duration, key string) (FetchResult, error) {
 	}
 	if e, ok := c.entries[key]; ok && e.inSSD {
 		c.touch(e)
-		delay, served := c.ssdReadFaults(key, e.size)
-		if served {
+		var delay time.Duration
+		if c.inj.Retry(faults.SiteSSDRead, key, func(backoff time.Duration) {
+			c.stats.SSDReadErrors++
+			c.count("cache_ssd_read_errors")
+			delay += c.params.SSD.ReadDuration(e.size) + backoff
+			c.retried(backoff)
+		}) {
 			c.stats.SSDHits++
 			c.count("cache_ssd_hits")
 			ready := now + delay + c.params.SSD.ReadDuration(e.size)
@@ -423,7 +400,12 @@ func (c *NodeCache) Fetch(now time.Duration, key string) (FetchResult, error) {
 		return FetchResult{}, fmt.Errorf("artifactcache: artifact %q not in registry", key)
 	}
 	cost := c.remote.FetchDuration(size)
-	if delay, served := c.remoteTimeouts(key, cost); !served {
+	var delay time.Duration
+	if !c.inj.Retry(faults.SiteRegistryTimeout, key, func(backoff time.Duration) {
+		c.count("cache_fetch_timeouts")
+		delay += c.inj.TimeoutDelay(cost) + backoff
+		c.retried(backoff)
+	}) {
 		// Retry budget exhausted: report when the failure was known so
 		// callers can charge the wasted time, and leave tiers untouched.
 		c.stats.TimedOut++
@@ -432,9 +414,8 @@ func (c *NodeCache) Fetch(now time.Duration, key string) (FetchResult, error) {
 		c.span(key, now, ready, TierNone, false, 0)
 		return FetchResult{Ready: ready, Tier: TierRemote, Bytes: size},
 			&faults.FetchTimeoutError{Key: key, Attempts: c.inj.MaxAttempts()}
-	} else { //nolint:revive // keep the happy path inside the else to scope delay
-		now += delay
 	}
+	now += delay
 	e, ok := c.entries[key]
 	if !ok {
 		e = &entry{key: key, size: size, cost: cost}
@@ -487,53 +468,13 @@ func (c *NodeCache) FetchPair(now time.Duration, key, tmplKey string) (FetchResu
 	return dres, nil
 }
 
-// ssdReadFaults rolls the SSD-tier read fault per attempt, returning
-// the accumulated failed-read and backoff time and whether any attempt
-// finally served. Callers hold c.mu.
-func (c *NodeCache) ssdReadFaults(key string, size uint64) (time.Duration, bool) {
-	if c.inj == nil {
-		return 0, true
+// retried counts one more attempt after a failed one (backoff > 0; a
+// zero backoff marks the budget's last failure). Callers hold c.mu.
+func (c *NodeCache) retried(backoff time.Duration) {
+	if backoff > 0 {
+		c.stats.Retries++
+		c.count("cache_fetch_retries")
 	}
-	attempts := c.inj.MaxAttempts()
-	var delay time.Duration
-	for attempt := 0; attempt < attempts; attempt++ {
-		if !c.inj.Inject(faults.SiteSSDRead, key) {
-			return delay, true
-		}
-		c.stats.SSDReadErrors++
-		c.count("cache_ssd_read_errors")
-		delay += c.params.SSD.ReadDuration(size)
-		if attempt+1 < attempts {
-			c.stats.Retries++
-			c.count("cache_fetch_retries")
-			delay += c.inj.Backoff(faults.SiteSSDRead, key, attempt)
-		}
-	}
-	return delay, false
-}
-
-// remoteTimeouts rolls the registry-timeout fault per transfer
-// attempt, returning the accumulated timeout and backoff time and
-// whether any attempt finally went through. Callers hold c.mu.
-func (c *NodeCache) remoteTimeouts(key string, cost time.Duration) (time.Duration, bool) {
-	if c.inj == nil {
-		return 0, true
-	}
-	attempts := c.inj.MaxAttempts()
-	var delay time.Duration
-	for attempt := 0; attempt < attempts; attempt++ {
-		if !c.inj.Inject(faults.SiteRegistryTimeout, key) {
-			return delay, true
-		}
-		c.count("cache_fetch_timeouts")
-		delay += c.inj.TimeoutDelay(cost)
-		if attempt+1 < attempts {
-			c.stats.Retries++
-			c.count("cache_fetch_retries")
-			delay += c.inj.Backoff(faults.SiteRegistryTimeout, key, attempt)
-		}
-	}
-	return delay, false
 }
 
 // Discard drops any local copies of an artifact and forgets in-flight
@@ -606,31 +547,6 @@ func (c *NodeCache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Get implements engine.ArtifactSource: it charges the tier-dependent
-// fetch latency on the clock and returns the artifact's bytes from the
-// registry. Content-free (sized-only) registrations return an error —
-// timing-only simulation should use Fetch directly.
-func (c *NodeCache) Get(clock *vclock.Clock, name string) ([]byte, error) {
-	res, err := c.Fetch(clock.Now(), name)
-	if err != nil {
-		// A timed-out fetch still burned its attempts: charge that time
-		// before surfacing the typed error.
-		if res.Ready > clock.Now() {
-			clock.AdvanceTo(res.Ready)
-		}
-		return nil, err
-	}
-	clock.AdvanceTo(res.Ready)
-	data, ok := c.remote.Peek(name)
-	if !ok {
-		return nil, fmt.Errorf("artifactcache: artifact %q vanished from registry", name)
-	}
-	if data == nil {
-		return nil, fmt.Errorf("artifactcache: artifact %q registered without contents", name)
-	}
-	return data, nil
 }
 
 // insertRAM / insertSSD install an entry into a tier, evicting by

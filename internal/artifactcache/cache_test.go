@@ -9,7 +9,6 @@ import (
 
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/storage"
-	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
 func testParams(ram, ssd uint64, kind PolicyKind) Params {
@@ -86,6 +85,9 @@ func TestFetchTiers(t *testing.T) {
 	}
 	if st.BytesFetched != 50*MiB {
 		t.Fatalf("BytesFetched = %d", st.BytesFetched)
+	}
+	if _, err := c.Fetch(later, "missing"); err == nil {
+		t.Fatal("Fetch of unregistered artifact should fail")
 	}
 }
 
@@ -289,37 +291,6 @@ func TestPreload(t *testing.T) {
 	}
 	if err := c.Preload("nope"); err == nil {
 		t.Fatal("Preload of unregistered artifact should fail")
-	}
-}
-
-func TestGetChargesClock(t *testing.T) {
-	reg := NewRegistry(DefaultNetwork())
-	payload := []byte("artifact-bytes")
-	reg.Register("a", payload)
-	c := NewNodeCache("n0", DefaultParams(), reg)
-
-	clock := vclock.New()
-	data, err := c.Get(clock, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(payload) {
-		t.Fatalf("Get returned %q", data)
-	}
-	if want := reg.FetchDuration(uint64(len(payload))); clock.Now() != want {
-		t.Fatalf("clock advanced %v, want network fetch %v", clock.Now(), want)
-	}
-
-	before := clock.Now()
-	if _, err := c.Get(clock, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := clock.Now()-before, c.params.RAM.ReadDuration(uint64(len(payload))); got != want {
-		t.Fatalf("warm Get advanced %v, want RAM read %v", got, want)
-	}
-
-	if _, err := c.Get(clock, "missing"); err == nil {
-		t.Fatal("Get of unregistered artifact should fail")
 	}
 }
 

@@ -289,42 +289,14 @@ func validateArtifact(offline *Instance, art *medusa.Artifact, opts OfflineOptio
 	return res, nil
 }
 
-// ArtifactSource abstracts where encoded artifacts are fetched from: a
-// plain storage.Store, or the cluster's tiered artifact cache, which
-// charges tier-dependent fetch time (RAM, node-local SSD, or remote
-// registry) and deduplicates concurrent cold-start fetches.
-type ArtifactSource interface {
-	// Get returns the named object's bytes, advancing the clock by the
-	// fetch latency.
-	Get(clock *vclock.Clock, name string) ([]byte, error)
-}
-
-// LoadArtifact fetches and decodes a model's artifact from the source,
+// LoadArtifact reads and decodes a model's artifact from the store,
 // charging read time on the clock.
-func LoadArtifact(src ArtifactSource, clock *vclock.Clock, modelName string) (*medusa.Artifact, uint64, error) {
-	raw, err := src.Get(clock, ArtifactKey(modelName))
+func LoadArtifact(store *storage.Store, clock *vclock.Clock, modelName string) (*medusa.Artifact, uint64, error) {
+	raw, err := store.Get(clock, ArtifactKey(modelName))
 	if err != nil {
 		return nil, 0, err
 	}
 	art, err := medusa.Decode(raw)
-	if err != nil {
-		return nil, 0, err
-	}
-	return art, uint64(len(raw)), nil
-}
-
-// LoadArtifactResolved fetches and decodes a model's artifact like
-// LoadArtifact, additionally resolving v3 (template+delta) containers
-// through resolve. The returned size covers only the artifact object's
-// own bytes — for a v3 container, the delta; the template's transfer is
-// charged by whoever resolved it (StoreResolver charges it once per
-// store). Self-contained v1/v2 artifacts never invoke the resolver.
-func LoadArtifactResolved(src ArtifactSource, clock *vclock.Clock, modelName string, resolve medusa.TemplateResolver) (*medusa.Artifact, uint64, error) {
-	raw, err := src.Get(clock, ArtifactKey(modelName))
-	if err != nil {
-		return nil, 0, err
-	}
-	art, err := medusa.DecodeResolved(raw, resolve)
 	if err != nil {
 		return nil, 0, err
 	}

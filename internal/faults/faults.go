@@ -428,6 +428,31 @@ func (in *Injector) Backoff(site Site, key string, attempt int) time.Duration {
 	return d
 }
 
+// Retry runs the attempt loop of one operation at (site, key) within
+// the plan's retry budget, drawing the site once per attempt, and
+// reports whether some attempt succeeded. Each failed attempt calls
+// failed with the backoff to wait before the next one —
+// Backoff(site, key, attempt) — or with zero when the budget is spent;
+// callers charge their own per-attempt cost and counters there. A nil
+// injector succeeds at once without calling failed.
+func (in *Injector) Retry(site Site, key string, failed func(backoff time.Duration)) bool {
+	if in == nil {
+		return true
+	}
+	attempts := in.MaxAttempts()
+	for attempt := 0; attempt < attempts; attempt++ {
+		if !in.Inject(site, key) {
+			return true
+		}
+		var backoff time.Duration
+		if attempt+1 < attempts {
+			backoff = in.Backoff(site, key, attempt)
+		}
+		failed(backoff)
+	}
+	return false
+}
+
 // CrashSchedule returns the plan's node crashes ordered by (instant,
 // node) so schedulers enqueue them deterministically.
 func (in *Injector) CrashSchedule() []NodeCrash {

@@ -172,6 +172,51 @@ func TestBackoff(t *testing.T) {
 	}
 }
 
+func TestRetry(t *testing.T) {
+	var none *Injector
+	if !none.Retry(SiteSSDRead, "k", func(time.Duration) { t.Fatal("nil injector called failed") }) {
+		t.Fatal("nil injector must succeed at once")
+	}
+
+	// Every: 1 fails every attempt: the budget is exhausted after
+	// MaxAttempts draws, with a backoff between consecutive attempts
+	// and zero after the last.
+	inj, _ := NewInjector(Plan{SSDRead: SiteSpec{Every: 1}})
+	var backoffs []time.Duration
+	if inj.Retry(SiteSSDRead, "k", func(b time.Duration) { backoffs = append(backoffs, b) }) {
+		t.Fatal("Every: 1 must exhaust the retry budget")
+	}
+	n := inj.MaxAttempts()
+	if got := inj.Fired(SiteSSDRead); got != n {
+		t.Fatalf("fired %d draws, want MaxAttempts = %d", got, n)
+	}
+	if len(backoffs) != n {
+		t.Fatalf("failed called %d times, want %d", len(backoffs), n)
+	}
+	for attempt, b := range backoffs[:n-1] {
+		if want := inj.Backoff(SiteSSDRead, "k", attempt); b != want {
+			t.Fatalf("backoff after attempt %d = %v, want Backoff = %v", attempt, b, want)
+		}
+	}
+	if last := backoffs[n-1]; last != 0 {
+		t.Fatalf("backoff after the last attempt = %v, want 0", last)
+	}
+
+	// Every: 2 fires on even draws: the first operation succeeds on
+	// draw 1, the second fails draw 2 and recovers on draw 3.
+	inj, _ = NewInjector(Plan{SSDRead: SiteSpec{Every: 2}})
+	if !inj.Retry(SiteSSDRead, "k", func(time.Duration) { t.Fatal("draw 1 must pass") }) {
+		t.Fatal("Every: 2 must pass the first draw")
+	}
+	backoffs = nil
+	if !inj.Retry(SiteSSDRead, "k", func(b time.Duration) { backoffs = append(backoffs, b) }) {
+		t.Fatal("Every: 2 must recover on the second attempt")
+	}
+	if len(backoffs) != 1 || backoffs[0] != inj.Backoff(SiteSSDRead, "k", 0) {
+		t.Fatalf("backoffs = %v, want one Backoff(attempt 0)", backoffs)
+	}
+}
+
 func TestTimeoutDelay(t *testing.T) {
 	inj, _ := NewInjector(Plan{SSDRead: SiteSpec{Probability: 1}})
 	if got := inj.TimeoutDelay(time.Second); got != time.Second {

@@ -143,9 +143,6 @@ func (d *Device) UsedMemory() uint64 { return d.alloc.used }
 // residual free memory available for KV blocks.
 func (d *Device) PeakUsedMemory() uint64 { return d.peakUsed }
 
-// FreeMemory reports bytes not currently allocated.
-func (d *Device) FreeMemory() uint64 { return d.cfg.TotalMemory - d.alloc.used }
-
 // Buffer returns the live buffer starting exactly at addr.
 func (d *Device) Buffer(addr uint64) (*Buffer, bool) {
 	b, ok := d.alloc.live[addr]

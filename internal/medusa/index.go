@@ -147,9 +147,6 @@ func (ix *TraceIndex) LocateLive(eventPos int, p uint64) (allocIndex int, ok boo
 	return a.allocIndex, true
 }
 
-// AllocLen reports how many allocations the index covers.
-func (ix *TraceIndex) AllocLen() int { return len(ix.allocs) }
-
 // Index returns the interval index over the recorder's current event
 // stream, building (and caching) it on first use. Appending further
 // events invalidates the cache; the index itself is immutable and safe

@@ -155,9 +155,6 @@ func (r *Recorder) RecordKV(kv KVRecord) {
 	r.kvSet = true
 }
 
-// EventCount reports recorded allocation events.
-func (r *Recorder) EventCount() int { return len(r.events) }
-
 // GraphCount reports attached graphs.
 func (r *Recorder) GraphCount() int { return len(r.graphs) }
 

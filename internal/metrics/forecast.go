@@ -189,6 +189,3 @@ func (w *RateWindow) ForecastAt(t, horizon time.Duration) float64 {
 	}
 	return f
 }
-
-// Windows reports how many complete windows have been folded in.
-func (w *RateWindow) Windows() int { return w.holt.Count() }

@@ -185,9 +185,6 @@ func (c Config) TotalGraphNodes(captureSizes []int) int {
 	return total
 }
 
-// ApproxParams returns the approximate parameter count (fp16).
-func (c Config) ApproxParams() float64 { return float64(c.ParamBytes) / 2 }
-
 // CaptureBatchSizes returns vLLM's default 35 CUDA-graph capture batch
 // sizes: 1, 2, 4, then multiples of 8 up to 256.
 func CaptureBatchSizes() []int {

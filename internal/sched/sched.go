@@ -111,9 +111,6 @@ func (q *Seq[T]) ID() uint64 { return q.id }
 // State reports the sequence's lifecycle state.
 func (q *Seq[T]) State() State { return q.state }
 
-// Emitted reports how many tokens the sequence has emitted.
-func (q *Seq[T]) Emitted() int { return q.emitted }
-
 // Preemptions reports how many times the sequence was preempted.
 func (q *Seq[T]) Preemptions() int { return q.preemptions }
 

@@ -84,11 +84,10 @@ func (m *mergeArrivals) Next() (int, workload.Request, bool) {
 	if best < 0 {
 		return 0, workload.Request{}, false
 	}
+	// A failing pull from best still delivers the request already
+	// pulled from it; the stream stops with the error on the next call.
 	req := m.heads[best]
 	m.advance(best)
-	if m.err != nil {
-		return 0, workload.Request{}, false
-	}
 	return best, req, true
 }
 

@@ -965,94 +965,69 @@ func (s *simulation) launchOne(di int) (bool, error) {
 	loadStart := riEnd
 	prof := d.prof
 	var fetch artifactcache.FetchResult
+	// reason is set when the Medusa restore is abandoned; wasted is
+	// failed-read and verification time charged from loadStart, labelled
+	// restore_failed on a degraded launch and artifact_fetch otherwise
+	// (transient read errors retried into a late but successful restore).
+	reason := ""
+	var wasted time.Duration
 	switch {
 	case node.cache == nil:
-		if d.fallback != nil {
-			wasted, reason := s.rollLaunchFaults(d)
-			if reason != "" {
-				// The failed Medusa attempt's time is charged up front,
-				// then the vanilla stages start over (§4's fallback).
-				intervals = append(intervals, obs.Interval{
-					Phase: engine.StageRestoreFailed, Start: loadStart, End: loadStart + wasted})
-				loadStart += wasted
-				s.degradeLaunch(d, inst, reason)
-				prof = d.fallback
-			} else if wasted > 0 {
-				// Transient read errors retried into a success: the launch
-				// is late but still restores from the artifact.
-				intervals = append(intervals, obs.Interval{
-					Phase: engine.StageArtifactFetch, Start: loadStart, End: loadStart + wasted})
-				loadStart += wasted
+		// The launch reads its artifact from storage after runtime init;
+		// each failed attempt costs the full read.
+		if d.fallback != nil && !s.inj.Retry(faults.SiteSSDRead, d.key, func(backoff time.Duration) {
+			wasted += d.artRead + backoff
+			d.reg.Counter("faults_ssd_read").Inc()
+			if backoff > 0 {
+				d.reg.Counter("fetch_retries").Inc()
 			}
+		}) {
+			reason = faults.ReasonSSDReadFailed
 		}
-	case d.key != "" && s.inj != nil && d.tmplKey != "" && d.fallback != nil &&
-		s.inj.Inject(faults.SiteTemplateMissing, d.tmplKey):
-		// The registry lost the shared template (operator error, partial
-		// GC): the delta is undecodable without it, so after one registry
-		// round trip (the 404) the launch degrades to the vanilla stages.
-		known := s.now + s.registry.FetchDuration(0)
-		intervals = append(intervals, obs.Interval{
-			Phase: engine.StageRestoreFailed, Start: s.now, End: known})
-		if known > loadStart {
-			loadStart = known
-		}
-		s.degradeLaunch(d, inst, faults.ReasonTemplateMissing)
-		prof = d.fallback
 	case d.key != "":
+		phase := engine.StageArtifactFetch
 		var err error
-		fetch, err = node.cache.FetchPair(s.now, d.key, d.tmplKey)
-		if err != nil {
-			// The registry fetch exhausted its retry budget. The failed
-			// attempts still burned virtual time (fetch.Ready marks the
-			// instant failure was known); the launch degrades to the
-			// vanilla stages, which read weights from the model store
-			// rather than the artifact registry.
-			reason, degradable := faults.DegradeReason(err)
-			if !degradable || d.fallback == nil {
+		if d.tmplKey != "" && d.fallback != nil && s.inj.Inject(faults.SiteTemplateMissing, d.tmplKey) {
+			// The registry lost the shared template (operator error,
+			// partial GC): the delta is undecodable without it, so the
+			// fetch fails after one registry round trip (the 404).
+			fetch.Ready = s.now + s.registry.FetchDuration(0)
+			reason = faults.ReasonTemplateMissing
+		} else if fetch, err = node.cache.FetchPair(s.now, d.key, d.tmplKey); err != nil {
+			// The registry fetch failed (retry budget exhausted, or the
+			// template is absent). The failed attempts still burned
+			// virtual time up to fetch.Ready, the instant failure was
+			// known; the vanilla stages then read weights from the
+			// model store rather than the artifact registry.
+			var degradable bool
+			if reason, degradable = faults.DegradeReason(err); !degradable || d.fallback == nil {
 				return false, err
 			}
-			intervals = append(intervals, obs.Interval{
-				Phase: engine.StageRestoreFailed, Start: s.now, End: fetch.Ready})
-			if fetch.Ready > loadStart {
-				loadStart = fetch.Ready
-			}
-			s.degradeLaunch(d, inst, reason)
-			prof = d.fallback
-			break
 		}
-		intervals = append(intervals, obs.Interval{
-			Phase: engine.StageArtifactFetch, Start: s.now, End: fetch.Ready})
+		if reason != "" {
+			phase = engine.StageRestoreFailed
+		}
+		intervals = append(intervals, obs.Interval{Phase: phase, Start: s.now, End: fetch.Ready})
 		if fetch.Ready > loadStart {
 			loadStart = fetch.Ready
 		}
-		if s.inj == nil || d.fallback == nil {
-			break
+	}
+	if reason == "" && d.fallback != nil {
+		var w time.Duration
+		w, reason = s.verifyRestore(d, node.cache)
+		wasted += w
+	}
+	if reason != "" {
+		s.degradeLaunch(d, inst, reason)
+		prof = d.fallback
+	}
+	if wasted > 0 {
+		phase := engine.StageArtifactFetch
+		if reason != "" {
+			phase = engine.StageRestoreFailed
 		}
-		if d.tmplKey != "" && s.inj.Inject(faults.SiteArtifactCorrupt, d.tmplKey) {
-			// The shared template failed its envelope checksum: the
-			// delta cannot resolve against it, and the cached copy
-			// would poison every sibling launch on this node.
-			node.cache.Discard(d.tmplKey)
-			s.degradeLaunch(d, inst, faults.ReasonCorruptTemplate)
-			prof = d.fallback
-		} else if s.inj.Inject(faults.SiteArtifactCorrupt, d.key) {
-			// Checksum verification fails right after the read and
-			// decode: nothing beyond the fetch is wasted, but the
-			// untrusted cached copy must go.
-			node.cache.Discard(d.key)
-			s.degradeLaunch(d, inst, faults.ReasonCorruptArtifact)
-			prof = d.fallback
-		} else if s.inj.Inject(faults.SiteRestoreMismatch, d.key) {
-			// Validation rejects the restore only after the whole
-			// restore pipeline ran: the full Medusa loading phase is
-			// wasted before the vanilla stages start over.
-			wasted := d.prof.coldStart
-			intervals = append(intervals, obs.Interval{
-				Phase: engine.StageRestoreFailed, Start: loadStart, End: loadStart + wasted})
-			loadStart += wasted
-			s.degradeLaunch(d, inst, faults.ReasonRestoreMismatch)
-			prof = d.fallback
-		}
+		intervals = append(intervals, obs.Interval{Phase: phase, Start: loadStart, End: loadStart + wasted})
+		loadStart += wasted
 	}
 	for _, st := range prof.timeline {
 		intervals = append(intervals, obs.Interval{Phase: st.Phase, Start: loadStart + st.Start, End: loadStart + st.End})
@@ -1087,42 +1062,31 @@ func (s *simulation) launchOne(di int) (bool, error) {
 	return true, nil
 }
 
-// rollLaunchFaults draws the fault outcomes of a launch that reads its
-// artifact from storage (a node without a cache). It returns the
-// wasted virtual time and a non-empty degradation reason when the
-// Medusa restore must be abandoned; with reason == "" the returned
-// delay is transient read-retry time before a successful restore. The
-// read is SiteSSDRead (retried with backoff up to the plan's budget); a
-// read that succeeds can still hand over corrupt bytes
-// (SiteArtifactCorrupt, caught by checksum right after the read) or a
-// restore that fails validation (SiteRestoreMismatch, caught only after
-// the whole restore ran).
-func (s *simulation) rollLaunchFaults(d *depState) (time.Duration, string) {
-	var delay time.Duration
-	attempts := s.inj.MaxAttempts()
-	for attempt := 0; ; attempt++ {
-		if !s.inj.Inject(faults.SiteSSDRead, d.key) {
-			break
-		}
-		delay += d.artRead
-		d.reg.Counter("faults_ssd_read").Inc()
-		if attempt >= attempts-1 {
-			return delay, faults.ReasonSSDReadFailed
-		}
-		delay += s.inj.Backoff(faults.SiteSSDRead, d.key, attempt)
-		d.reg.Counter("fetch_retries").Inc()
+// verifyRestore draws the faults a launch meets after its artifact
+// read succeeded, in pipeline order: the shared template fails its
+// checksum (the delta cannot resolve against it), the artifact fails
+// its checksum, or the restore fails validation. It returns the wasted
+// time and the degradation reason ("" when the restore is trusted). A
+// checksum failure wastes the read itself — d.artRead, zero on a node
+// with a cache, whose fetch is charged separately — and discards the
+// untrusted cached copy, which would otherwise poison the next launch
+// on the node; a mismatch is caught only after the whole Medusa
+// loading phase ran.
+func (s *simulation) verifyRestore(d *depState, cache *artifactcache.NodeCache) (time.Duration, string) {
+	if d.tmplKey != "" && s.inj.Inject(faults.SiteArtifactCorrupt, d.tmplKey) {
+		cache.Discard(d.tmplKey)
+		return 0, faults.ReasonCorruptTemplate
 	}
 	if s.inj.Inject(faults.SiteArtifactCorrupt, d.key) {
-		// The read completed before the checksum failed; its time is
-		// wasted along with any retries before it.
-		return delay + d.artRead, faults.ReasonCorruptArtifact
+		if cache != nil {
+			cache.Discard(d.key)
+		}
+		return d.artRead, faults.ReasonCorruptArtifact
 	}
 	if s.inj.Inject(faults.SiteRestoreMismatch, d.key) {
-		// Validation rejects the restore only after the whole Medusa
-		// loading phase ran.
-		return delay + d.prof.coldStart, faults.ReasonRestoreMismatch
+		return d.prof.coldStart, faults.ReasonRestoreMismatch
 	}
-	return delay, ""
+	return 0, ""
 }
 
 // instTrack names an instance's tracer lane; instances on a node with

@@ -3,6 +3,7 @@ package serverless
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,5 +124,47 @@ func TestStreamingDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	runtime.GOMAXPROCS(prev)
 	if first != second {
 		t.Fatalf("streaming output differs under GOMAXPROCS=1:\n--- default\n%s\n--- gomaxprocs=1\n%s", first, second)
+	}
+}
+
+// TestMergeDeliversArrivalsBeforeSourceFailure merges a slice with a
+// trace reader that fails after k requests: every arrival pulled before
+// the failure is delivered in order, then the stream stops with the
+// reader's error.
+func TestMergeDeliversArrivalsBeforeSourceFailure(t *testing.T) {
+	const k = 3
+	var slice []workload.Request
+	var lines strings.Builder
+	for i := 0; i < 10; i++ {
+		slice = append(slice, workload.Request{ID: i, Arrival: time.Duration(2*i) * time.Millisecond, PromptTokens: 8, OutputTokens: 4})
+		if i < k {
+			fmt.Fprintf(&lines, `{"arrival_ms": %d, "prompt_tokens": 8, "output_tokens": 4}`+"\n", 2*i+1)
+		}
+	}
+	lines.WriteString("not json\n")
+	m := MergeArrivals([]workload.Source{workload.NewSlice(slice), workload.NewTraceReader(strings.NewReader(lines.String()))})
+	var got []time.Duration
+	for {
+		dep, req, ok := m.Next()
+		if !ok {
+			break
+		}
+		if want := int(req.Arrival/time.Millisecond) % 2; dep != want {
+			t.Errorf("arrival %v from deployment %d, want %d", req.Arrival, dep, want)
+		}
+		got = append(got, req.Arrival)
+	}
+	// Slice arrivals 0, 2, 4 interleave with the reader's 1, 3, 5; the
+	// reader fails on its next pull, after handing over 5 ms.
+	if len(got) != 2*k {
+		t.Fatalf("delivered %v, want the %d arrivals up to the reader's last", got, 2*k)
+	}
+	for i, at := range got {
+		if at != time.Duration(i)*time.Millisecond {
+			t.Fatalf("delivered %v, want 0ms..%dms in order", got, 2*k-1)
+		}
+	}
+	if m.Err() == nil {
+		t.Fatal("stream stopped without the reader's error")
 	}
 }

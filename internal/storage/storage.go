@@ -153,27 +153,22 @@ func (s *Store) Get(clock *vclock.Clock, name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("storage: object %q not found", name)
 	}
-	attempts := 1
-	if inj != nil {
-		attempts = inj.MaxAttempts()
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
+	read := s.arr.ReadDuration(size)
+	if !inj.Retry(faults.SiteSSDRead, name, func(backoff time.Duration) {
 		start := clock.Now()
-		if inj != nil && inj.Inject(faults.SiteSSDRead, name) {
-			clock.Advance(s.arr.ReadDuration(size))
-			s.ioSpan(clock, "get_fault", name, start, size)
-			s.count(reg, "storage_read_faults")
-			if attempt+1 < attempts {
-				clock.Advance(inj.Backoff(faults.SiteSSDRead, name, attempt))
-				s.count(reg, "storage_read_retries")
-				continue
-			}
-			return nil, &faults.ReadError{Object: name, Attempts: attempts}
+		clock.Advance(read)
+		s.ioSpan(clock, "get_fault", name, start, size)
+		s.count(reg, "storage_read_faults")
+		if backoff > 0 {
+			clock.Advance(backoff)
+			s.count(reg, "storage_read_retries")
 		}
-		clock.Advance(s.arr.ReadDuration(size))
-		s.ioSpan(clock, "get", name, start, size)
-		break
+	}) {
+		return nil, &faults.ReadError{Object: name, Attempts: inj.MaxAttempts()}
 	}
+	start := clock.Now()
+	clock.Advance(read)
+	s.ioSpan(clock, "get", name, start, size)
 	if data == nil {
 		return nil, nil
 	}
@@ -214,9 +209,8 @@ func (s *Store) GetOnce(clock *vclock.Clock, name string) ([]byte, error) {
 
 // Peek returns an object's contents without charging I/O time or
 // recording a span — for callers that have already paid the transfer
-// elsewhere (the tiered artifact cache charges tier-dependent fetch
-// time and then reads the bytes out-of-band). Returns nil contents for
-// content-free (PutSized) objects.
+// (GetOnce's repeat reads). Returns nil contents for content-free
+// (PutSized) objects.
 func (s *Store) Peek(name string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
