@@ -966,9 +966,7 @@ func (s *simulation) launchOne(di int) (bool, error) {
 	prof := d.prof
 	var fetch artifactcache.FetchResult
 	// reason is set when the Medusa restore is abandoned; wasted is
-	// failed-read and verification time charged from loadStart, labelled
-	// restore_failed on a degraded launch and artifact_fetch otherwise
-	// (transient read errors retried into a late but successful restore).
+	// failed-read and verification time charged from loadStart.
 	reason := ""
 	var wasted time.Duration
 	switch {
@@ -985,7 +983,6 @@ func (s *simulation) launchOne(di int) (bool, error) {
 			reason = faults.ReasonSSDReadFailed
 		}
 	case d.key != "":
-		phase := engine.StageArtifactFetch
 		var err error
 		if d.tmplKey != "" && d.fallback != nil && s.inj.Inject(faults.SiteTemplateMissing, d.tmplKey) {
 			// The registry lost the shared template (operator error,
@@ -1004,10 +1001,7 @@ func (s *simulation) launchOne(di int) (bool, error) {
 				return false, err
 			}
 		}
-		if reason != "" {
-			phase = engine.StageRestoreFailed
-		}
-		intervals = append(intervals, obs.Interval{Phase: phase, Start: s.now, End: fetch.Ready})
+		intervals = append(intervals, obs.Interval{Phase: fetchPhase(reason), Start: s.now, End: fetch.Ready})
 		if fetch.Ready > loadStart {
 			loadStart = fetch.Ready
 		}
@@ -1022,11 +1016,7 @@ func (s *simulation) launchOne(di int) (bool, error) {
 		prof = d.fallback
 	}
 	if wasted > 0 {
-		phase := engine.StageArtifactFetch
-		if reason != "" {
-			phase = engine.StageRestoreFailed
-		}
-		intervals = append(intervals, obs.Interval{Phase: phase, Start: loadStart, End: loadStart + wasted})
+		intervals = append(intervals, obs.Interval{Phase: fetchPhase(reason), Start: loadStart, End: loadStart + wasted})
 		loadStart += wasted
 	}
 	for _, st := range prof.timeline {
@@ -1060,6 +1050,17 @@ func (s *simulation) launchOne(di int) (bool, error) {
 	s.scratchIntervals = intervals[:0]
 	s.schedule(ready, event{kind: evInstanceReady, inst: inst, epoch: inst.epoch})
 	return true, nil
+}
+
+// fetchPhase labels artifact-fetch time: restore_failed when the
+// launch degraded (the failed Medusa attempt, charged before the
+// vanilla stages start over), artifact_fetch otherwise — including
+// transient read errors retried into a late but successful restore.
+func fetchPhase(reason string) string {
+	if reason != "" {
+		return engine.StageRestoreFailed
+	}
+	return engine.StageArtifactFetch
 }
 
 // verifyRestore draws the faults a launch meets after its artifact
