@@ -154,7 +154,7 @@ func TestDecodeArgsSizeMismatch(t *testing.T) {
 	if _, err := DecodeValue(Ptr, []byte{1, 2, 3, 4}); err == nil {
 		t.Fatal("DecodeValue accepted 4 bytes for Ptr")
 	}
-	if _, err := DecodeArgs([]ParamKind{U32}, [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}); err == nil {
+	if _, err := DecodeArgs(nil, []ParamKind{U32}, [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}); err == nil {
 		t.Fatal("DecodeArgs accepted wrong arity")
 	}
 }
@@ -712,7 +712,7 @@ func TestEncodeArgsImagesIsolated(t *testing.T) {
 		}
 	}
 	_ = append(raw[1], 0xAA, 0xBB, 0xCC, 0xDD)
-	if got, err := DecodeArgs([]ParamKind{Ptr, U32, F32, U64}, raw); err != nil || got[2] != args[2] {
+	if got, err := DecodeArgs(nil, []ParamKind{Ptr, U32, F32, U64}, raw); err != nil || got[2] != args[2] {
 		t.Fatalf("appending to image 1 changed image 2: %v, %v", got, err)
 	}
 }

@@ -389,10 +389,11 @@ func (ge *GraphExec) Launch(s *Stream) error {
 		if !ok {
 			return &UnknownKernelError{Addr: n.KernelAddr}
 		}
-		args, err := DecodeArgs(k.impl.Params, n.Params)
+		args, err := DecodeArgs(p.graphArgs[:0], k.impl.Params, n.Params)
 		if err != nil {
 			return &ParamMismatchError{Kernel: k.Name(), Detail: err.Error()}
 		}
+		p.graphArgs = args
 		p.clock.Advance(p.kernelCost(k.impl, args))
 		if p.dev.Functional() && k.impl.Func != nil {
 			if err := k.impl.Func(p.dev, args); err != nil {

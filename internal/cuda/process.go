@@ -57,6 +57,8 @@ type Config struct {
 	MemcpyLatency time.Duration
 	// KernelCost models per-kernel GPU time; nil selects a 2µs floor
 	// plus memory traffic at HBM bandwidth when Traffic is available.
+	// It must not retain args: graph launches reuse their storage for
+	// the next node.
 	KernelCost KernelCostFunc
 }
 
@@ -144,6 +146,9 @@ type Process struct {
 	hooks       Hooks
 	allocSeq    int            // next allocation index
 	liveAlloc   map[uint64]int // live addr -> allocation index
+	// graphArgs holds one graph node's decoded arguments at a time
+	// during GraphExec.Launch, reused across nodes and launches.
+	graphArgs []Value
 }
 
 // Kernel is a loaded kernel function in one process: the pair of a

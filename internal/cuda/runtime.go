@@ -14,7 +14,9 @@ type KernelFunc func(dev *gpu.Device, args []Value) error
 
 // KernelImpl describes one installed kernel: its mangled name, where it
 // lives (library and module), whether its symbol is exported, its
-// parameter schema, and its behaviour.
+// parameter schema, and its behaviour. Func, Traffic and Flops must not
+// retain their args slice: launches pass buffers they reuse for the
+// next kernel.
 type KernelImpl struct {
 	// Name is the kernel's mangled name, globally unique.
 	Name string

@@ -157,18 +157,18 @@ func encodeArgs(slab []byte, images [][]byte, args []Value) {
 }
 
 // DecodeArgs parses raw parameter images against a kernel's declared
-// parameter schema.
-func DecodeArgs(kinds []ParamKind, raw [][]byte) ([]Value, error) {
+// parameter schema and appends the values to dst, so a caller can reuse
+// one buffer across launches.
+func DecodeArgs(dst []Value, kinds []ParamKind, raw [][]byte) ([]Value, error) {
 	if len(kinds) != len(raw) {
 		return nil, fmt.Errorf("cuda: %d param images for %d declared params", len(raw), len(kinds))
 	}
-	out := make([]Value, len(raw))
 	for i := range raw {
 		v, err := DecodeValue(kinds[i], raw[i])
 		if err != nil {
 			return nil, fmt.Errorf("param %d: %w", i, err)
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }

@@ -388,7 +388,6 @@ type Instance struct {
 
 	restorer   *medusa.Restorer
 	sampleSeed uint64
-	seqCounter uint64
 
 	decodeDur  map[int]time.Duration
 	prefillDur map[int]time.Duration

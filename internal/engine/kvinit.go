@@ -116,18 +116,20 @@ func (inst *Instance) runProfilingForward() error {
 // temporary activation buffers; serving-time prefills reuse it.
 func (inst *Instance) prefillLaunches(T int) error {
 	cfg := inst.opts.Model
-	p, s := inst.proc, inst.stream
+	p := inst.proc
 	h, f, v := cfg.Hidden, cfg.FFN, cfg.Vocab
 	tp := cfg.TP()
 	hd, fd, vd := h/tp, f/tp, v/tp
 
-	var temps []uint64
+	var temps [6]uint64
+	nTemps := 0
 	alloc := func(elems int) (uint64, error) {
 		a, err := p.Malloc(uint64(elems) * 4)
 		if err != nil {
 			return 0, err
 		}
-		temps = append(temps, a)
+		temps[nTemps] = a
+		nTemps++
 		return a, nil
 	}
 	tIn, err := alloc(T * h)
@@ -157,15 +159,15 @@ func (inst *Instance) prefillLaunches(T int) error {
 
 	m := uint32(T)
 	gemm := func(dst, src, w uint64, n, k int) error {
-		return p.Launch(s, kernels.PrefillGemm, []cuda.Value{
+		return inst.launch(kernels.PrefillGemm,
 			cuda.PtrValue(dst), cuda.PtrValue(src), cuda.PtrValue(w),
-			cuda.U32Value(m), cuda.U32Value(uint32(n)), cuda.U32Value(uint32(k))})
+			cuda.U32Value(m), cuda.U32Value(uint32(n)), cuda.U32Value(uint32(k)))
 	}
 	for l := range inst.layers {
 		w := &inst.layers[l]
-		if err := p.Launch(s, kernels.RMSNorm, []cuda.Value{
+		if err := inst.launch(kernels.RMSNorm,
 			cuda.PtrValue(tNorm), cuda.PtrValue(tIn), cuda.PtrValue(w.inputNorm),
-			cuda.U32Value(m), cuda.U32Value(uint32(h))}); err != nil {
+			cuda.U32Value(m), cuda.U32Value(uint32(h))); err != nil {
 			return err
 		}
 		if err := gemm(tQKV, tNorm, w.wqkv, 3*hd, h); err != nil {
@@ -174,28 +176,28 @@ func (inst *Instance) prefillLaunches(T int) error {
 		// Prefill attention stands in as a bandwidth-bound pass over the
 		// projections; the profiling result only depends on memory
 		// footprint and compute volume, not attention semantics.
-		if err := p.Launch(s, kernels.ElemCopy, []cuda.Value{
-			cuda.PtrValue(tIn), cuda.PtrValue(tQKV), cuda.U32Value(m * uint32(h))}); err != nil {
+		if err := inst.launch(kernels.ElemCopy,
+			cuda.PtrValue(tIn), cuda.PtrValue(tQKV), cuda.U32Value(m*uint32(h))); err != nil {
 			return err
 		}
 		if err := gemm(tGU, tNorm, w.wgateup, 2*fd, h); err != nil {
 			return err
 		}
-		if err := p.Launch(s, kernels.SiluMul, []cuda.Value{
+		if err := inst.launch(kernels.SiluMul,
 			cuda.PtrValue(tMLP), cuda.PtrValue(tGU),
-			cuda.U32Value(m), cuda.U32Value(uint32(fd))}); err != nil {
+			cuda.U32Value(m), cuda.U32Value(uint32(fd))); err != nil {
 			return err
 		}
 		if err := gemm(tIn, tMLP, w.wdown, h, fd); err != nil {
 			return err
 		}
 	}
-	if err := p.Launch(s, kernels.LMHeadGemm, []cuda.Value{
+	if err := inst.launch(kernels.LMHeadGemm,
 		cuda.PtrValue(tLogits), cuda.PtrValue(tIn), cuda.PtrValue(inst.weights["lm_head"]),
-		cuda.U32Value(m), cuda.U32Value(uint32(vd)), cuda.U32Value(uint32(h))}); err != nil {
+		cuda.U32Value(m), cuda.U32Value(uint32(vd)), cuda.U32Value(uint32(h))); err != nil {
 		return err
 	}
-	for _, a := range temps {
+	for _, a := range temps[:nTemps] {
 		if err := p.Free(a); err != nil {
 			return err
 		}

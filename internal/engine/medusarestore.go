@@ -92,11 +92,10 @@ func (inst *Instance) handwrittenTrigger(batch int) error {
 	if err != nil {
 		return err
 	}
-	err = inst.proc.Launch(inst.stream, name, []cuda.Value{
-		cuda.PtrValue(scratch), cuda.PtrValue(scratch + 4), cuda.PtrValue(scratch + 8),
+	err = inst.launch(name,
+		cuda.PtrValue(scratch), cuda.PtrValue(scratch+4), cuda.PtrValue(scratch+8),
 		cuda.PtrValue(ws.a), cuda.PtrValue(ws.b),
-		cuda.U32Value(1), cuda.U32Value(1), cuda.U32Value(1),
-	})
+		cuda.U32Value(1), cuda.U32Value(1), cuda.U32Value(1))
 	if err != nil {
 		return fmt.Errorf("engine: handwritten trigger %s: %w", name, err)
 	}

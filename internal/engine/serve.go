@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"time"
+
+	"github.com/medusa-repro/medusa/internal/kvcache"
 )
 
 // EnsureGraphCaptured lazily captures the graph covering `n` sequences
@@ -165,14 +167,13 @@ func (inst *Instance) Generate(prompt string, maxNew int) (string, error) {
 	if len(ids) == 0 {
 		ids = []uint32{0}
 	}
-	inst.seqCounter++
-	seq := inst.seqCounter
-	defer inst.kvMgr.Release(seq)
+	var seq kvcache.Seq
+	defer inst.kvMgr.Release(&seq)
 
 	var next uint32
 	var err error
 	for _, id := range ids {
-		next, err = inst.stepToken(seq, id)
+		next, err = inst.stepToken(&seq, id)
 		if err != nil {
 			return "", err
 		}
@@ -180,11 +181,11 @@ func (inst *Instance) Generate(prompt string, maxNew int) (string, error) {
 	out := make([]uint32, 0, maxNew)
 	for i := 0; i < maxNew; i++ {
 		out = append(out, next)
-		if inst.kvMgr.SeqLen(seq)+1 > inst.opts.Model.MaxSeqLen {
+		if seq.Len()+1 > inst.opts.Model.MaxSeqLen {
 			break
 		}
 		if i+1 < maxNew {
-			next, err = inst.stepToken(seq, next)
+			next, err = inst.stepToken(&seq, next)
 			if err != nil {
 				return "", err
 			}
@@ -195,7 +196,7 @@ func (inst *Instance) Generate(prompt string, maxNew int) (string, error) {
 
 // stepToken feeds one token through a batch-1 decode iteration and
 // returns the greedily sampled next token.
-func (inst *Instance) stepToken(seq uint64, token uint32) (uint32, error) {
+func (inst *Instance) stepToken(seq *kvcache.Seq, token uint32) (uint32, error) {
 	if err := inst.kvMgr.Append(seq, 1); err != nil {
 		return 0, err
 	}
@@ -210,16 +211,16 @@ func (inst *Instance) stepToken(seq uint64, token uint32) (uint32, error) {
 		return 0, err
 	}
 	mb := maxBlocksPerSeq(cfg)
-	bt := inst.kvMgr.BlockTable(seq)
+	bt := seq.Table()
 	if len(bt) > mb {
-		return 0, fmt.Errorf("engine: sequence %d exceeds %d blocks", seq, mb)
+		return 0, fmt.Errorf("engine: sequence exceeds %d blocks", mb)
 	}
 	for i, blk := range bt {
 		if err := meta.SetUint32(i, uint32(blk)); err != nil {
 			return 0, err
 		}
 	}
-	if err := meta.SetUint32(metaSeqlenOffset(cfg, 1), uint32(inst.kvMgr.SeqLen(seq))); err != nil {
+	if err := meta.SetUint32(metaSeqlenOffset(cfg, 1), uint32(seq.Len())); err != nil {
 		return 0, err
 	}
 	if ge, ok := inst.graphs[inst.GraphBatch(1)]; ok {

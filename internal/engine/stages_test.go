@@ -138,8 +138,8 @@ func TestGenerateRespectsContextLimit(t *testing.T) {
 		t.Fatalf("generated %d tokens, want a context-limited amount", n)
 	}
 	// KV blocks released after generation.
-	if inst.kvMgr.Sequences() != 0 {
-		t.Fatal("generation leaked sequences")
+	if used := inst.kvMgr.UsedBlocks(); used != 0 {
+		t.Fatalf("generation leaked %d KV blocks", used)
 	}
 }
 

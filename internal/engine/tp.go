@@ -145,6 +145,9 @@ func (r *TPResult) DecodeStepDuration(n int) (time.Duration, error) {
 // PrefillDuration for a TP instance: the slowest rank's prefill plus
 // per-layer all-reduces over the prompt's activations.
 func (r *TPResult) PrefillDuration(tokens int) (time.Duration, error) {
+	// Each rank prices a prompt longer than MaxSeqLen as MaxSeqLen
+	// tokens; the all-reduces carry no more activations than that.
+	tokens = min(tokens, r.Ranks[0].Model().MaxSeqLen)
 	var max time.Duration
 	for _, inst := range r.Ranks {
 		d, err := inst.PrefillDuration(tokens)

@@ -1,9 +1,11 @@
 // Package kvcache implements vLLM-style paged KV cache management: the
 // cache is one contiguous device reservation carved into fixed-size
-// blocks, sequences hold per-sequence block tables, and blocks recycle
-// through a free list. Sizing the reservation requires knowing the
-// residual free GPU memory after a worst-case forwarding — the quantity
-// the paper's §6 materializes to skip profiling at cold start.
+// blocks, each sequence's block table lives in a Seq its caller owns
+// (the Manager keeps no per-sequence state and knows no sequence ids),
+// and blocks recycle through a free list. Sizing the reservation
+// requires knowing the residual free GPU memory after a worst-case
+// forwarding — the quantity the paper's §6 materializes to skip
+// profiling at cold start.
 package kvcache
 
 import (
@@ -32,41 +34,55 @@ func BlocksForTokens(n int) int {
 	return (n + TokensPerBlock - 1) / TokensPerBlock
 }
 
-// OutOfBlocksError reports block exhaustion: the requesting sequence,
-// how many blocks the operation needed, how many were free, and the
-// shortfall (Needed − Free) — the quantity a preemption policy must
-// reclaim before retrying.
+// OutOfBlocksError reports block exhaustion: how many blocks the
+// operation needed, how many were free, and the shortfall
+// (Needed − Free) — the quantity a preemption policy must reclaim
+// before retrying.
 type OutOfBlocksError struct {
-	Seq       uint64
 	Needed    int
 	Free      int
 	Shortfall int
 }
 
 func (e *OutOfBlocksError) Error() string {
-	return fmt.Sprintf("kvcache: sequence %d needs %d blocks, %d free (short %d)",
-		e.Seq, e.Needed, e.Free, e.Shortfall)
+	return fmt.Sprintf("kvcache: sequence needs %d blocks, %d free (short %d)",
+		e.Needed, e.Free, e.Shortfall)
 }
 
-// seqState is one live sequence: its block table and token count.
-type seqState struct {
+// Seq is one sequence's KV state: its block table and cached token
+// count. The caller owns it and passes it to the Manager by pointer;
+// the zero value is a sequence that holds no blocks, and Release
+// returns a Seq to that state with its table capacity kept for reuse.
+type Seq struct {
 	table  []int
 	tokens int
 }
 
+// Len returns the sequence's cached token count.
+func (q *Seq) Len() int { return q.tokens }
+
+// Table returns the sequence's block table. Callers must not mutate
+// it; the Manager reuses its storage after Release.
+func (q *Seq) Table() []int { return q.table }
+
+// blocksNeeded computes the additional blocks to extend q by n tokens.
+func (q *Seq) blocksNeeded(n int) int {
+	return BlocksForTokens(q.tokens+n) - len(q.table)
+}
+
 // reservation records one uncommitted Reserve so Rollback can restore
-// the manager byte-for-byte: the tokens added, the number of blocks
-// popped from the free tail, and whether the sequence existed before.
+// the manager byte-for-byte: the sequence, the tokens added and the
+// number of blocks popped from the free tail.
 type reservation struct {
-	seq     uint64
-	st      *seqState
-	tokens  int
-	blocks  int
-	existed bool
+	seq    *Seq
+	tokens int
+	blocks int
 }
 
 // Manager tracks block ownership. It is not safe for concurrent use;
-// the engine serializes access like vLLM's scheduler does.
+// the engine serializes access like vLLM's scheduler does. The block
+// tables live in the callers' Seqs, so the manager itself holds only
+// the free list and the open reservation.
 //
 // The free list is lazy, so a manager costs nothing per block until
 // blocks are returned: conceptually it is [numBlocks−1 … fresh] ++
@@ -77,20 +93,13 @@ type Manager struct {
 	numBlocks int
 	fresh     int   // blocks [fresh, numBlocks) have never been popped
 	returned  []int // blocks pushed back since the last reset, in push order
-	seqs      map[uint64]*seqState
-	// spare holds released sequence states, tables emptied but with
-	// their capacity kept, for the next new sequence.
-	spare   []*seqState
-	pending []reservation
+	pending   []reservation
 }
 
 // NewManager creates a manager over numBlocks blocks.
 // A fresh manager pops blocks in order 0, 1, 2, ….
 func NewManager(numBlocks int) *Manager {
-	return &Manager{
-		numBlocks: numBlocks,
-		seqs:      make(map[uint64]*seqState),
-	}
+	return &Manager{numBlocks: numBlocks}
 }
 
 // NumBlocks returns the total block count.
@@ -99,121 +108,61 @@ func (m *Manager) NumBlocks() int { return m.numBlocks }
 // NumFreeBlocks returns the free block count.
 func (m *Manager) NumFreeBlocks() int { return len(m.returned) + m.numBlocks - m.fresh }
 
-// SeqLen returns the cached token count of a sequence.
-func (m *Manager) SeqLen(seq uint64) int {
-	if st := m.seqs[seq]; st != nil {
-		return st.tokens
+// needed returns the blocks q needs to grow by n tokens, or an error
+// when n is negative or those blocks are not free.
+func (m *Manager) needed(q *Seq, n int) (int, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("kvcache: negative token count %d", n)
 	}
-	return 0
-}
-
-// Sequences returns the number of live sequences.
-func (m *Manager) Sequences() int { return len(m.seqs) }
-
-// BlockTable returns the sequence's block table. The slice is the
-// manager's own: callers must not mutate it, and it is valid only until
-// the next Release or Reset, which recycle its storage.
-func (m *Manager) BlockTable(seq uint64) []int {
-	if st := m.seqs[seq]; st != nil {
-		return st.table
+	need := q.blocksNeeded(n)
+	if free := m.NumFreeBlocks(); need > free {
+		return 0, &OutOfBlocksError{Needed: need, Free: free, Shortfall: need - free}
 	}
-	return nil
-}
-
-// blocksNeeded computes additional blocks to extend st (nil for an
-// unknown sequence) by n tokens.
-func blocksNeeded(st *seqState, n int) int {
-	if st == nil {
-		return BlocksForTokens(n)
-	}
-	return BlocksForTokens(st.tokens+n) - len(st.table)
-}
-
-// CanAppend reports whether n more tokens fit without exhausting the
-// pool.
-func (m *Manager) CanAppend(seq uint64, n int) bool {
-	return blocksNeeded(m.seqs[seq], n) <= m.NumFreeBlocks()
+	return need, nil
 }
 
 // Append extends a sequence by n tokens, allocating blocks as needed.
 // On exhaustion it returns OutOfBlocksError and changes nothing.
-func (m *Manager) Append(seq uint64, n int) error {
-	if n < 0 {
-		return fmt.Errorf("kvcache: negative append %d", n)
+func (m *Manager) Append(q *Seq, n int) error {
+	need, err := m.needed(q, n)
+	if err != nil {
+		return err
 	}
-	st := m.seqs[seq]
-	need := blocksNeeded(st, n)
-	if free := m.NumFreeBlocks(); need > free {
-		return &OutOfBlocksError{Seq: seq, Needed: need, Free: free, Shortfall: need - free}
-	}
-	if st == nil {
-		st = m.newSeq(seq)
-	}
-	m.grow(st, n, need)
+	m.grow(q, n, need)
 	return nil
 }
 
-// newSeq registers a sequence, recycling a released state if one is
-// spare.
-func (m *Manager) newSeq(seq uint64) *seqState {
-	var st *seqState
-	if k := len(m.spare); k > 0 {
-		st = m.spare[k-1]
-		m.spare = m.spare[:k-1]
-	} else {
-		st = &seqState{}
-	}
-	m.seqs[seq] = st
-	return st
-}
-
-// dropSeq unregisters a sequence whose blocks are already back on the
-// free list and keeps its state for reuse.
-func (m *Manager) dropSeq(seq uint64, st *seqState) {
-	delete(m.seqs, seq)
-	st.table = st.table[:0]
-	st.tokens = 0
-	m.spare = append(m.spare, st)
-}
-
-// grow pops need blocks from the free tail onto st's table and extends
+// grow pops need blocks from the free tail onto q's table and extends
 // its length by n tokens. Callers have already checked capacity.
-func (m *Manager) grow(st *seqState, n, need int) {
+func (m *Manager) grow(q *Seq, n, need int) {
 	k := min(need, len(m.returned))
 	for i := len(m.returned) - 1; i >= len(m.returned)-k; i-- {
-		st.table = append(st.table, m.returned[i])
+		q.table = append(q.table, m.returned[i])
 	}
 	m.returned = m.returned[:len(m.returned)-k]
 	for ; k < need; k++ {
-		st.table = append(st.table, m.fresh)
+		q.table = append(q.table, m.fresh)
 		m.fresh++
 	}
-	st.tokens += n
+	q.tokens += n
 }
 
 // Reserve extends a sequence like Append but logs the allocation in an
 // open reservation, so a batch of per-sequence admissions can be
 // checked atomically: reserve each member in turn, and on the first
-// OutOfBlocksError call Rollback to restore the manager byte-for-byte
-// (free-list order included) before choosing a preemption victim.
-// Commit closes the reservation and makes the allocations permanent.
-// Close an open reservation before any Append or Release: Rollback
-// undoes the most recent blocks of each reserved sequence.
-func (m *Manager) Reserve(seq uint64, n int) error {
-	if n < 0 {
-		return fmt.Errorf("kvcache: negative reserve %d", n)
+// OutOfBlocksError call Rollback to restore the manager and every
+// reserved Seq byte-for-byte (free-list order included) before
+// choosing a preemption victim. Commit closes the reservation and makes
+// the allocations permanent. Close an open reservation before any
+// Append or Release: Rollback undoes the most recent blocks of each
+// reserved sequence, and each reserved Seq must stay live until then.
+func (m *Manager) Reserve(q *Seq, n int) error {
+	need, err := m.needed(q, n)
+	if err != nil {
+		return err
 	}
-	st := m.seqs[seq]
-	need := blocksNeeded(st, n)
-	if free := m.NumFreeBlocks(); need > free {
-		return &OutOfBlocksError{Seq: seq, Needed: need, Free: free, Shortfall: need - free}
-	}
-	existed := st != nil
-	if !existed {
-		st = m.newSeq(seq)
-	}
-	m.pending = append(m.pending, reservation{seq: seq, st: st, tokens: n, blocks: need, existed: existed})
-	m.grow(st, n, need)
+	m.pending = append(m.pending, reservation{seq: q, tokens: n, blocks: need})
+	m.grow(q, n, need)
 	return nil
 }
 
@@ -225,16 +174,13 @@ func (m *Manager) Reserve(seq uint64, n int) error {
 func (m *Manager) Rollback() {
 	for i := len(m.pending) - 1; i >= 0; i-- {
 		r := m.pending[i]
-		st := r.st
+		q := r.seq
 		for j := 0; j < r.blocks; j++ {
-			last := len(st.table) - 1
-			m.returned = append(m.returned, st.table[last])
-			st.table = st.table[:last]
+			last := len(q.table) - 1
+			m.returned = append(m.returned, q.table[last])
+			q.table = q.table[:last]
 		}
-		st.tokens -= r.tokens
-		if !r.existed && len(st.table) == 0 {
-			m.dropSeq(r.seq, st)
-		}
+		q.tokens -= r.tokens
 	}
 	m.pending = m.pending[:0]
 }
@@ -245,23 +191,22 @@ func (m *Manager) Commit() {
 }
 
 // Reset restores the manager to its freshly constructed state, keeping
-// the capacity of its returned blocks and spare sequence states, so
-// pooled managers can be recycled across instances.
+// the capacity of its returned blocks, so pooled managers can be
+// recycled across instances. It takes back every block without touching
+// the Seqs that held them: Release those first, or drop them, since
+// their tables name blocks the manager now hands out afresh.
 func (m *Manager) Reset() {
 	m.returned = m.returned[:0]
 	m.fresh = 0
-	clear(m.seqs)
 	m.pending = m.pending[:0]
 }
 
-// Release frees all blocks of a sequence.
-func (m *Manager) Release(seq uint64) {
-	st := m.seqs[seq]
-	if st == nil {
-		return
-	}
-	m.returned = append(m.returned, st.table...)
-	m.dropSeq(seq, st)
+// Release frees all blocks of a sequence and empties it, keeping its
+// table's capacity. Releasing an empty Seq does nothing.
+func (m *Manager) Release(q *Seq) {
+	m.returned = append(m.returned, q.table...)
+	q.table = q.table[:0]
+	q.tokens = 0
 }
 
 // UsedBlocks returns allocated block count.

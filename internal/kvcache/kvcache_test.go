@@ -39,109 +39,121 @@ func TestSizingHelpers(t *testing.T) {
 
 func TestAppendAllocatesLazily(t *testing.T) {
 	m := NewManager(4)
-	if err := m.Append(1, 10); err != nil {
+	var q Seq
+	if err := m.Append(&q, 10); err != nil {
 		t.Fatal(err)
 	}
-	if m.UsedBlocks() != 1 || m.SeqLen(1) != 10 {
-		t.Fatalf("after 10 tokens: used=%d len=%d", m.UsedBlocks(), m.SeqLen(1))
+	if m.UsedBlocks() != 1 || q.Len() != 10 {
+		t.Fatalf("after 10 tokens: used=%d len=%d", m.UsedBlocks(), q.Len())
 	}
-	if err := m.Append(1, 6); err != nil { // fills block 0 exactly
+	if err := m.Append(&q, 6); err != nil { // fills block 0 exactly
 		t.Fatal(err)
 	}
 	if m.UsedBlocks() != 1 {
 		t.Fatalf("16 tokens should still use 1 block, used=%d", m.UsedBlocks())
 	}
-	if err := m.Append(1, 1); err != nil {
+	if err := m.Append(&q, 1); err != nil {
 		t.Fatal(err)
 	}
 	if m.UsedBlocks() != 2 {
 		t.Fatalf("17th token should open block 2, used=%d", m.UsedBlocks())
 	}
-	if bt := m.BlockTable(1); len(bt) != 2 || bt[0] == bt[1] {
+	if bt := q.Table(); len(bt) != 2 || bt[0] == bt[1] {
 		t.Fatalf("block table = %v", bt)
 	}
 }
 
 func TestExhaustionAtomic(t *testing.T) {
 	m := NewManager(2)
-	if err := m.Append(1, 32); err != nil { // exactly 2 blocks
+	var a, b Seq
+	if err := m.Append(&a, 32); err != nil { // exactly 2 blocks
 		t.Fatal(err)
 	}
-	if m.CanAppend(2, 1) {
-		t.Fatal("CanAppend with empty pool")
-	}
-	err := m.Append(2, 1)
+	err := m.Append(&b, 1)
 	var oob *OutOfBlocksError
-	if !errors.As(err, &oob) {
+	if !errors.As(err, &oob) || oob.Needed != 1 || oob.Free != 0 || oob.Shortfall != 1 {
 		t.Fatalf("Append on empty pool = %v", err)
 	}
-	if m.SeqLen(2) != 0 || len(m.BlockTable(2)) != 0 {
+	if b.Len() != 0 || len(b.Table()) != 0 {
 		t.Fatal("failed Append mutated state")
 	}
 	// A multi-block request that cannot be fully served must not
 	// partially allocate.
 	m2 := NewManager(2)
-	if err := m2.Append(7, 100); err == nil {
+	var c Seq
+	if err := m2.Append(&c, 100); err == nil {
 		t.Fatal("oversized Append succeeded")
 	}
-	if m2.NumFreeBlocks() != 2 {
+	if m2.NumFreeBlocks() != 2 || len(c.Table()) != 0 {
 		t.Fatal("failed multi-block Append leaked blocks")
 	}
 }
 
 func TestReleaseRecyclesBlocks(t *testing.T) {
 	m := NewManager(3)
-	m.Append(1, 40) // 3 blocks
+	var a, b Seq
+	m.Append(&a, 40) // 3 blocks
 	if m.NumFreeBlocks() != 0 {
 		t.Fatal("pool should be empty")
 	}
-	m.Release(1)
-	if m.NumFreeBlocks() != 3 || m.Sequences() != 0 {
-		t.Fatalf("after release: free=%d seqs=%d", m.NumFreeBlocks(), m.Sequences())
+	m.Release(&a)
+	if m.NumFreeBlocks() != 3 || a.Len() != 0 || len(a.Table()) != 0 {
+		t.Fatalf("after release: free=%d len=%d table=%v", m.NumFreeBlocks(), a.Len(), a.Table())
 	}
-	if err := m.Append(2, 48); err != nil {
+	if cap(a.Table()) < 3 {
+		t.Fatalf("Release dropped the table's capacity: cap %d", cap(a.Table()))
+	}
+	if err := m.Append(&b, 48); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestReleaseUnknownSeqIsNoop releases a sequence the manager never saw.
 func TestReleaseUnknownSeqIsNoop(t *testing.T) {
 	m := NewManager(2)
-	m.Release(99)
+	var q Seq
+	m.Release(&q)
 	if m.NumFreeBlocks() != 2 {
-		t.Fatal("Release of unknown sequence changed pool")
+		t.Fatal("Release of an empty sequence changed pool")
 	}
 }
 
 func TestNegativeAppendRejected(t *testing.T) {
 	m := NewManager(2)
-	if err := m.Append(1, -1); err == nil {
+	var q Seq
+	if err := m.Append(&q, -1); err == nil {
 		t.Fatal("negative append succeeded")
+	}
+	if err := m.Reserve(&q, -1); err == nil {
+		t.Fatal("negative reserve succeeded")
 	}
 }
 
 func TestReserveRollbackRestoresState(t *testing.T) {
 	m := NewManager(4)
-	if err := m.Append(1, 20); err != nil { // 2 blocks committed
+	var a, b, c Seq
+	if err := m.Append(&a, 20); err != nil { // 2 blocks committed
 		t.Fatal(err)
 	}
+	tableBefore := slices.Clone(a.Table())
 	freeBefore := freeList(m)
-	if err := m.Reserve(1, 13); err != nil { // extends into block 3
+	if err := m.Reserve(&a, 13); err != nil { // extends into block 3
 		t.Fatal(err)
 	}
-	if err := m.Reserve(2, 10); err != nil { // new sequence, block 4
+	if err := m.Reserve(&b, 10); err != nil { // new sequence, block 4
 		t.Fatal(err)
 	}
-	err := m.Reserve(3, 1)
+	err := m.Reserve(&c, 1)
 	var oob *OutOfBlocksError
 	if !errors.As(err, &oob) {
 		t.Fatalf("Reserve on empty pool = %v", err)
 	}
-	if oob.Seq != 3 || oob.Shortfall != 1 {
-		t.Fatalf("OutOfBlocksError = %+v, want seq 3 shortfall 1", oob)
+	if oob.Needed != 1 || oob.Free != 0 || oob.Shortfall != 1 {
+		t.Fatalf("OutOfBlocksError = %+v, want needed 1, free 0, shortfall 1", oob)
 	}
 	m.Rollback()
-	if m.SeqLen(1) != 20 || m.SeqLen(2) != 0 || m.Sequences() != 1 {
-		t.Fatalf("rollback left len1=%d len2=%d seqs=%d", m.SeqLen(1), m.SeqLen(2), m.Sequences())
+	if a.Len() != 20 || !slices.Equal(a.Table(), tableBefore) || b.Len() != 0 || len(b.Table()) != 0 {
+		t.Fatalf("rollback left a=%d %v, b=%d %v", a.Len(), a.Table(), b.Len(), b.Table())
 	}
 	if free := freeList(m); !slices.Equal(free, freeBefore) {
 		t.Fatalf("rollback reordered free list: %v != %v", free, freeBefore)
@@ -150,28 +162,52 @@ func TestReserveRollbackRestoresState(t *testing.T) {
 
 func TestReserveCommitIsPermanent(t *testing.T) {
 	m := NewManager(4)
-	if err := m.Reserve(1, 20); err != nil {
+	var q Seq
+	if err := m.Reserve(&q, 20); err != nil {
 		t.Fatal(err)
 	}
 	m.Commit()
 	m.Rollback() // must be a no-op after Commit
-	if m.SeqLen(1) != 20 || m.UsedBlocks() != 2 {
-		t.Fatalf("commit not permanent: len=%d used=%d", m.SeqLen(1), m.UsedBlocks())
+	if q.Len() != 20 || m.UsedBlocks() != 2 {
+		t.Fatalf("commit not permanent: len=%d used=%d", q.Len(), m.UsedBlocks())
 	}
 }
 
 func TestResetRestoresFreshState(t *testing.T) {
 	m := NewManager(3)
-	m.Append(1, 40)
-	m.Reserve(2, 1)
+	var a, b Seq
+	m.Append(&a, 40)
+	m.Reserve(&b, 1)
 	m.Reset()
 	fresh := NewManager(3)
-	if m.NumFreeBlocks() != 3 || m.Sequences() != 0 || len(m.pending) != 0 {
-		t.Fatalf("Reset left free=%d seqs=%d pending=%d", m.NumFreeBlocks(), m.Sequences(), len(m.pending))
+	if m.NumFreeBlocks() != 3 || len(m.pending) != 0 {
+		t.Fatalf("Reset left free=%d pending=%d", m.NumFreeBlocks(), len(m.pending))
 	}
 	if free, want := freeList(m), freeList(fresh); !slices.Equal(free, want) {
 		t.Fatalf("Reset free-list order %v != fresh %v", free, want)
 	}
+}
+
+// checkOwnership requires every block to have at most one owner among
+// seqs, every table length to match BlocksForTokens of its sequence
+// length, and the owned and free blocks to add up to the pool.
+func checkOwnership(m *Manager, seqs []Seq) bool {
+	owned := map[int]int{}
+	total := 0
+	for s := range seqs {
+		bt := seqs[s].Table()
+		if len(bt) != BlocksForTokens(seqs[s].Len()) {
+			return false
+		}
+		for _, b := range bt {
+			if prev, dup := owned[b]; dup && prev != s {
+				return false
+			}
+			owned[b] = s
+		}
+		total += len(bt)
+	}
+	return total+m.NumFreeBlocks() == m.NumBlocks()
 }
 
 // Property: under admit/preempt/resume churn expressed through the
@@ -181,25 +217,23 @@ func TestResetRestoresFreshState(t *testing.T) {
 // table length matches BlocksForTokens of its sequence length.
 func TestReserveConservationProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		const blocks = 24
-		m := NewManager(blocks)
+		m := NewManager(24)
+		var seqs [6]Seq
 		for _, op := range ops {
-			seq := uint64(op % 6)
+			seq := int(op % 6)
 			switch op % 5 {
 			case 0: // preempt: recompute-on-resume drops all blocks
-				m.Release(seq)
+				m.Release(&seqs[seq])
 			case 1: // resume: re-append the recomputed prefix
-				n := int(op%17) + 1
-				if m.CanAppend(seq, n) {
-					if m.Append(seq, n) != nil {
-						return false
-					}
+				var oob *OutOfBlocksError
+				if err := m.Append(&seqs[seq], int(op%17)+1); err != nil && !errors.As(err, &oob) {
+					return false
 				}
 			default: // admission batch of 1–3 sequences, commit or roll back
 				batch := int(op%3) + 1
 				ok := true
 				for i := 0; i < batch; i++ {
-					if m.Reserve((seq+uint64(i))%6, int(op%13)+1) != nil {
+					if m.Reserve(&seqs[(seq+i)%6], int(op%13)+1) != nil {
 						ok = false
 						break
 					}
@@ -210,22 +244,7 @@ func TestReserveConservationProperty(t *testing.T) {
 					m.Rollback()
 				}
 			}
-			owned := map[int]uint64{}
-			total := 0
-			for s := uint64(0); s < 8; s++ {
-				bt := m.BlockTable(s)
-				if len(bt) != BlocksForTokens(m.SeqLen(s)) {
-					return false
-				}
-				for _, b := range bt {
-					if prev, dup := owned[b]; dup && prev != s {
-						return false
-					}
-					owned[b] = s
-				}
-				total += len(bt)
-			}
-			if total+m.NumFreeBlocks() != blocks {
+			if !checkOwnership(m, seqs[:]) {
 				return false
 			}
 		}
@@ -237,42 +256,24 @@ func TestReserveConservationProperty(t *testing.T) {
 }
 
 // Property: under any interleaving of appends and releases, block
-// accounting is exact and no block is owned by two sequences.
+// accounting is exact, no block is owned by two sequences, and an
+// Append succeeds exactly when the blocks it needs are free.
 func TestBlockAccountingProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		const blocks = 32
-		m := NewManager(blocks)
+		m := NewManager(32)
+		var seqs [5]Seq
 		for _, op := range ops {
-			seq := uint64(op % 5)
+			q := &seqs[op%5]
 			if op%7 == 0 {
-				m.Release(seq)
+				m.Release(q)
 			} else {
 				n := int(op%20) + 1
-				if m.CanAppend(seq, n) {
-					if m.Append(seq, n) != nil {
-						return false
-					}
-				} else if m.Append(seq, n) == nil {
-					return false // CanAppend said no but Append worked
-				}
-			}
-			// Invariants.
-			owned := map[int]uint64{}
-			total := 0
-			for s := uint64(0); s < 5; s++ {
-				bt := m.BlockTable(s)
-				if len(bt) != BlocksForTokens(m.SeqLen(s)) {
+				fits := BlocksForTokens(q.Len()+n)-len(q.Table()) <= m.NumFreeBlocks()
+				if (m.Append(q, n) == nil) != fits {
 					return false
 				}
-				for _, b := range bt {
-					if prev, dup := owned[b]; dup && prev != s {
-						return false
-					}
-					owned[b] = s
-				}
-				total += len(bt)
 			}
-			if total+m.NumFreeBlocks() != blocks {
+			if !checkOwnership(m, seqs[:]) {
 				return false
 			}
 		}
@@ -283,14 +284,21 @@ func TestBlockAccountingProperty(t *testing.T) {
 	}
 }
 
-// refManager is the two-map manager Manager replaced (block tables and
-// token counts in separate maps, tables regrown from nil), kept as the
-// oracle for byte-exact free-list order.
+// refManager is the two-map manager keyed by sequence id that the
+// handle-based Manager replaced (block tables and token counts in
+// separate maps, tables regrown from nil), kept as the oracle for
+// byte-exact free-list order.
 type refManager struct {
 	free    []int
 	tables  map[uint64][]int
 	seqLens map[uint64]int
-	pending []reservation
+	pending []refReservation
+}
+
+// refReservation is one uncommitted reserve of the oracle.
+type refReservation struct {
+	seq            uint64
+	tokens, blocks int
 }
 
 func newRefManager(numBlocks int) *refManager {
@@ -328,8 +336,7 @@ func (r *refManager) reserve(seq uint64, n int) bool {
 	if need > len(r.free) {
 		return false
 	}
-	_, existed := r.seqLens[seq]
-	r.pending = append(r.pending, reservation{seq: seq, tokens: n, blocks: need, existed: existed})
+	r.pending = append(r.pending, refReservation{seq: seq, tokens: n, blocks: need})
 	r.grow(seq, n, need)
 	return true
 }
@@ -341,11 +348,6 @@ func (r *refManager) rollback() {
 		for j := 0; j < p.blocks; j++ {
 			r.free = append(r.free, table[len(table)-1])
 			table = table[:len(table)-1]
-		}
-		if len(table) == 0 && !p.existed {
-			delete(r.tables, p.seq)
-			delete(r.seqLens, p.seq)
-			continue
 		}
 		r.tables[p.seq] = table
 		r.seqLens[p.seq] -= p.tokens
@@ -359,35 +361,38 @@ func (r *refManager) release(seq uint64) {
 	delete(r.seqLens, seq)
 }
 
-// TestManagerMatchesTwoMapOracle drives the manager and the two-map
-// oracle through the same random appends, reservation batches that
-// commit or roll back, releases and resets, and requires the free list
-// (order included), every block table and token count, and every
-// success or failure to agree after each step.
+// TestManagerMatchesTwoMapOracle drives the manager, through one handle
+// per sequence id, and the id-keyed two-map oracle through the same
+// random appends, reservation batches that commit or roll back,
+// releases and resets, and requires the free list (order included),
+// every block table and token count, and every success or failure to
+// agree after each step.
 func TestManagerMatchesTwoMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		blocks := 4 + rng.Intn(40)
 		m, ref := NewManager(blocks), newRefManager(blocks)
+		var seqs [8]Seq
 		for step := 0; step < 400; step++ {
 			seq := uint64(rng.Intn(8))
 			n := 1 + rng.Intn(40)
 			switch op := rng.Intn(20); {
 			case op < 3:
-				m.Release(seq)
+				m.Release(&seqs[seq])
 				ref.release(seq)
 			case op < 6:
-				if (m.Append(seq, n) == nil) != ref.append(seq, n) {
+				if (m.Append(&seqs[seq], n) == nil) != ref.append(seq, n) {
 					t.Fatalf("trial %d step %d: Append(%d, %d) disagrees", trial, step, seq, n)
 				}
 			case op == 6:
 				m.Reset()
+				seqs = [8]Seq{}
 				ref = newRefManager(blocks)
 			default:
 				ok := true
 				for i := 0; i < 1+rng.Intn(4) && ok; i++ {
 					s, k := uint64(rng.Intn(8)), 1+rng.Intn(20)
-					got := m.Reserve(s, k) == nil
+					got := m.Reserve(&seqs[s], k) == nil
 					if got != ref.reserve(s, k) {
 						t.Fatalf("trial %d step %d: Reserve(%d, %d) disagrees", trial, step, s, k)
 					}
@@ -401,43 +406,43 @@ func TestManagerMatchesTwoMapOracle(t *testing.T) {
 					ref.rollback()
 				}
 			}
-			checkMatchesOracle(t, m, ref, "trial %d step %d", trial, step)
+			checkMatchesOracle(t, m, &seqs, ref, "trial %d step %d", trial, step)
 		}
 	}
 }
 
 // checkMatchesOracle requires the manager and the oracle to agree on
-// the free list (order included), the live sequence count, and every
-// block table and token count of sequences 0–7. The oracle counts
-// sequences by their token counts: an empty Append registers a
-// sequence that owns no table.
-func checkMatchesOracle(t *testing.T, m *Manager, ref *refManager, format string, args ...any) {
+// the free list (order included) and on the block table and token
+// count of every sequence id 0–7, seqs[id] being that id's handle.
+func checkMatchesOracle(t *testing.T, m *Manager, seqs *[8]Seq, ref *refManager, format string, args ...any) {
 	t.Helper()
 	what := func() string { return fmt.Sprintf(format, args...) }
-	if free := freeList(m); !slices.Equal(free, ref.free) || m.Sequences() != len(ref.seqLens) {
-		t.Fatalf("%s: free %v seqs %d, oracle free %v seqs %d",
-			what(), free, m.Sequences(), ref.free, len(ref.seqLens))
+	if free := freeList(m); !slices.Equal(free, ref.free) {
+		t.Fatalf("%s: free %v, oracle free %v", what(), free, ref.free)
 	}
-	for s := uint64(0); s < 8; s++ {
-		if !slices.Equal(m.BlockTable(s), ref.tables[s]) || m.SeqLen(s) != ref.seqLens[s] {
+	for s := range seqs {
+		q := &seqs[s]
+		if !slices.Equal(q.Table(), ref.tables[uint64(s)]) || q.Len() != ref.seqLens[uint64(s)] {
 			t.Fatalf("%s: seq %d table %v len %d, oracle %v len %d",
-				what(), s, m.BlockTable(s), m.SeqLen(s), ref.tables[s], ref.seqLens[s])
+				what(), s, q.Table(), q.Len(), ref.tables[uint64(s)], ref.seqLens[uint64(s)])
 		}
 	}
 }
 
-// FuzzManagerOps drives the lazy manager and the materialized-list
-// oracle through the same Append, Reserve, Commit, Rollback, Release
-// and Reset sequence, decoded from the input two bytes per operation,
-// and requires identical outcomes, free lists and block tables after
-// every step. As Reserve requires, an open reservation batch is closed
-// (committed or rolled back) before an Append or Release.
+// FuzzManagerOps drives the lazy manager, through one handle per
+// sequence id, and the id-keyed materialized-list oracle through the
+// same Append, Reserve, Commit, Rollback, Release and Reset sequence,
+// decoded from the input two bytes per operation, and requires
+// identical outcomes, free lists and block tables after every step. As
+// Reserve requires, an open reservation batch is closed (committed or
+// rolled back) before an Append or Release.
 func FuzzManagerOps(f *testing.F) {
 	f.Add(uint8(8), []byte{0x10, 20, 0x21, 13, 0x22, 10, 0x33, 1, 0x04, 0, 0x15, 40})
 	f.Add(uint8(3), []byte{0x00, 40, 0x51, 1, 0x12, 0, 0x06, 0, 0x10, 17})
 	f.Add(uint8(1), []byte{0x10, 16, 0x11, 1, 0x14, 0, 0x10, 1})
 	f.Fuzz(func(t *testing.T, blocks uint8, ops []byte) {
 		m, ref := NewManager(int(blocks)), newRefManager(int(blocks))
+		var seqs [8]Seq
 		for i := 0; i+1 < len(ops); i += 2 {
 			seq, n := uint64(ops[i]>>4&7), int(ops[i+1])
 			op := ops[i] % 7
@@ -452,11 +457,11 @@ func FuzzManagerOps(f *testing.F) {
 			}
 			switch op {
 			case 0, 1:
-				if (m.Append(seq, n) == nil) != ref.append(seq, n) {
+				if (m.Append(&seqs[seq], n) == nil) != ref.append(seq, n) {
 					t.Fatalf("op %d: Append(%d, %d) disagrees", i/2, seq, n)
 				}
 			case 2, 3:
-				if (m.Reserve(seq, n) == nil) != ref.reserve(seq, n) {
+				if (m.Reserve(&seqs[seq], n) == nil) != ref.reserve(seq, n) {
 					t.Fatalf("op %d: Reserve(%d, %d) disagrees", i/2, seq, n)
 				}
 			case 4:
@@ -468,13 +473,14 @@ func FuzzManagerOps(f *testing.F) {
 			default:
 				if n%4 == 0 {
 					m.Reset()
+					seqs = [8]Seq{}
 					ref = newRefManager(int(blocks))
 				} else {
-					m.Release(seq)
+					m.Release(&seqs[seq])
 					ref.release(seq)
 				}
 			}
-			checkMatchesOracle(t, m, ref, "op %d (%#x, %d)", i/2, ops[i], n)
+			checkMatchesOracle(t, m, &seqs, ref, "op %d (%#x, %d)", i/2, ops[i], n)
 		}
 	})
 }
@@ -501,34 +507,35 @@ func TestNewManagerAllocatesLittle(t *testing.T) {
 	}
 }
 
-// TestSteadyStateCycleAllocatesNothing: once a sequence's state and
-// table capacity have been recycled, admitting it (Reserve + Commit),
+// TestSteadyStateCycleAllocatesNothing: once a sequence's table
+// capacity has been kept by Release, admitting it (Reserve + Commit),
 // decoding it one token at a time and releasing it allocates nothing.
 func TestSteadyStateCycleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	m := NewManager(64)
-	var next uint64
+	var live [6]Seq
+	next := 0
 	cycle := func() {
-		seqs := [3]uint64{next, next + 1, next + 2}
-		next = (next + 3) % 6 // a few live IDs, as a small batch
-		for _, s := range seqs {
-			if m.Reserve(s, 20) != nil {
+		seqs := live[next : next+3]
+		next = (next + 3) % 6 // a few live handles, as a small batch
+		for i := range seqs {
+			if m.Reserve(&seqs[i], 20) != nil {
 				t.Fatal("prompt reservation failed")
 			}
 		}
 		m.Commit()
 		for step := 0; step < 40; step++ {
-			for _, s := range seqs {
-				if m.Reserve(s, 1) != nil {
+			for i := range seqs {
+				if m.Reserve(&seqs[i], 1) != nil {
 					t.Fatal("decode reservation failed")
 				}
 			}
 			m.Commit()
 		}
-		for _, s := range seqs {
-			m.Release(s)
+		for i := range seqs {
+			m.Release(&seqs[i])
 		}
 	}
 	cycle()

@@ -1,15 +1,19 @@
 // Package kvpair's testdata mirrors the kvcache.Manager reservation
-// API by shape: Reserve opens a speculative allocation that Commit
-// publishes or Rollback abandons. Queue mimics eventq.Queue.Reserve
-// (capacity pre-sizing) and must NOT be matched.
+// API by shape: Reserve opens a speculative allocation on a
+// caller-owned sequence handle that Commit publishes or Rollback
+// abandons. Queue mimics eventq.Queue.Reserve (capacity pre-sizing)
+// and must NOT be matched.
 package kvpair
+
+// Seq mimics kvcache.Seq: the caller-owned handle a Reserve extends.
+type Seq struct{ tokens int }
 
 // Manager mimics kvcache.Manager: Reserve/Commit/Rollback triple.
 type Manager struct{}
 
-func (m *Manager) Reserve(id string, n int) error { return nil }
-func (m *Manager) Commit()                        {}
-func (m *Manager) Rollback()                      {}
+func (m *Manager) Reserve(q *Seq, n int) error { return nil }
+func (m *Manager) Commit()                     {}
+func (m *Manager) Rollback()                   {}
 
 // Queue mimics eventq.Queue: Reserve alone, no transaction to pair.
 type Queue struct{}
@@ -21,8 +25,8 @@ func work()      {}
 
 // GoodPairedBothBranches pairs the reservation on every path: the
 // error branch rolls back, the success path commits.
-func GoodPairedBothBranches(m *Manager) error {
-	if err := m.Reserve("r1", 4); err != nil {
+func GoodPairedBothBranches(m *Manager, q *Seq) error {
+	if err := m.Reserve(q, 4); err != nil {
 		m.Rollback()
 		return err
 	}
@@ -32,8 +36,8 @@ func GoodPairedBothBranches(m *Manager) error {
 
 // GoodDeferRollback registers the rollback before any branching; every
 // downstream return is paired by the defer.
-func GoodDeferRollback(m *Manager) error {
-	err := m.Reserve("r2", 4)
+func GoodDeferRollback(m *Manager, q *Seq) error {
+	err := m.Reserve(q, 4)
 	defer m.Rollback()
 	if err != nil {
 		return err
@@ -47,9 +51,9 @@ func GoodDeferRollback(m *Manager) error {
 
 // GoodLoopPaired reserves per iteration and pairs before both the
 // continue back edge and the fallthrough to the next iteration.
-func GoodLoopPaired(m *Manager, ids []string) {
-	for _, id := range ids {
-		if err := m.Reserve(id, 1); err != nil {
+func GoodLoopPaired(m *Manager, seqs []Seq) {
+	for i := range seqs {
+		if err := m.Reserve(&seqs[i], 1); err != nil {
 			m.Rollback()
 			continue
 		}
@@ -59,8 +63,8 @@ func GoodLoopPaired(m *Manager, ids []string) {
 
 // GoodPanicPath never returns after the reservation; panic paths are
 // not returns, so nothing escapes.
-func GoodPanicPath(m *Manager) {
-	if err := m.Reserve("r3", 2); err != nil {
+func GoodPanicPath(m *Manager, q *Seq) {
+	if err := m.Reserve(q, 2); err != nil {
 		m.Rollback()
 		panic("reserve failed")
 	}
@@ -74,8 +78,8 @@ func GoodQueueReserve(q *Queue) {
 }
 
 // BadNoPairing never commits or rolls back.
-func BadNoPairing(m *Manager) error {
-	if err := m.Reserve("r4", 4); err != nil { // want `Reserve can reach return without Commit or Rollback`
+func BadNoPairing(m *Manager, q *Seq) error {
+	if err := m.Reserve(q, 4); err != nil { // want `Reserve can reach return without Commit or Rollback`
 		return err
 	}
 	work()
@@ -84,8 +88,8 @@ func BadNoPairing(m *Manager) error {
 
 // BadErrorBranchLeaks pairs the success path but returns the error
 // with the reservation still open.
-func BadErrorBranchLeaks(m *Manager) error {
-	if err := m.Reserve("r5", 4); err != nil { // want `Reserve can reach return without Commit or Rollback`
+func BadErrorBranchLeaks(m *Manager, q *Seq) error {
+	if err := m.Reserve(q, 4); err != nil { // want `Reserve can reach return without Commit or Rollback`
 		return err
 	}
 	m.Commit()
@@ -93,9 +97,9 @@ func BadErrorBranchLeaks(m *Manager) error {
 }
 
 // BadBreakLeaks escapes the loop between Reserve and Commit.
-func BadBreakLeaks(m *Manager, ids []string) {
-	for _, id := range ids {
-		if err := m.Reserve(id, 1); err != nil { // want `Reserve can reach return without Commit or Rollback`
+func BadBreakLeaks(m *Manager, seqs []Seq) {
+	for i := range seqs {
+		if err := m.Reserve(&seqs[i], 1); err != nil { // want `Reserve can reach return without Commit or Rollback`
 			break
 		}
 		m.Commit()
@@ -104,7 +108,7 @@ func BadBreakLeaks(m *Manager, ids []string) {
 
 // AllowedHandoff demonstrates the escape hatch for deliberate
 // cross-function handoff, which the intraprocedural pass cannot see.
-func AllowedHandoff(m *Manager) error {
-	err := m.Reserve("r6", 8) //medusalint:allow kvpair(reservation ownership transfers to the caller, which commits after planning)
+func AllowedHandoff(m *Manager, q *Seq) error {
+	err := m.Reserve(q, 8) //medusalint:allow kvpair(reservation ownership transfers to the caller, which commits after planning)
 	return err
 }

@@ -30,8 +30,8 @@ func TestDecodeRunStopsAtBlockAndCompletion(t *testing.T) {
 	}
 	var emitted int
 	s.FinishRun(6, func(_ req, n int) { emitted = n }, func(req) { t.Fatal("early done") })
-	if emitted != 7 || s.KVFreeBlocks() != 3 || s.kv.SeqLen(0) != kvcache.TokensPerBlock {
-		t.Fatalf("after the first run: emitted %d, %d free blocks, %d tokens held", emitted, s.KVFreeBlocks(), s.kv.SeqLen(0))
+	if held := s.running[0].Len(); emitted != 7 || s.KVFreeBlocks() != 3 || held != kvcache.TokensPerBlock {
+		t.Fatalf("after the first run: emitted %d, %d free blocks, %d tokens held", emitted, s.KVFreeBlocks(), held)
 	}
 
 	// The next round opens a second block; the run then ends with the
@@ -80,9 +80,9 @@ func checkSameState(t *testing.T, round int, a, b *Scheduler[req]) {
 			qa.filled != qb.filled || qa.target != qb.target {
 			t.Fatalf("round %d: running[%d] differs: %+v vs %+v", round, i, *qa, *qb)
 		}
-		if a.kv.SeqLen(qa.id) != b.kv.SeqLen(qb.id) || !slices.Equal(a.kv.BlockTable(qa.id), b.kv.BlockTable(qb.id)) {
+		if qa.Len() != qb.Len() || !slices.Equal(qa.Table(), qb.Table()) {
 			t.Fatalf("round %d: seq %d holds %d tokens in %v, per step %d tokens in %v", round, qa.id,
-				a.kv.SeqLen(qa.id), a.kv.BlockTable(qa.id), b.kv.SeqLen(qb.id), b.kv.BlockTable(qb.id))
+				qa.Len(), qa.Table(), qb.Len(), qb.Table())
 		}
 	}
 }

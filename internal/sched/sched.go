@@ -86,11 +86,14 @@ func (s State) String() string {
 }
 
 // Seq is one sequence under scheduler management. Data carries the
-// caller's request state; everything else is scheduler-owned.
+// caller's request state; everything else is scheduler-owned. The
+// embedded kvcache.Seq is the sequence's KV handle: Len and Table
+// report its cached tokens and block table.
 type Seq[T any] struct {
 	// Data is the caller's payload (the simulators store their
 	// per-request state here).
 	Data T
+	kvcache.Seq
 
 	id      uint64
 	prompt  int // original prompt length in tokens
@@ -193,16 +196,19 @@ func New[T any](p Params) *Scheduler[T] {
 // state.
 func (s *Scheduler[T]) Reset(p Params) {
 	s.params = p
+	// Release while the old manager still owns the blocks: its Reset
+	// takes them back without emptying the sequences' tables.
+	for _, q := range s.running {
+		s.kv.Release(&q.Seq)
+		s.recycle(q)
+	}
+	s.running = s.running[:0]
 	if s.kv == nil || s.kv.NumBlocks() != p.KVBlocks {
 		s.kv = kvcache.NewManager(p.KVBlocks)
 	} else {
 		s.kv.Reset()
 	}
 	s.nextID = 0
-	for _, q := range s.running {
-		s.recycle(q)
-	}
-	s.running = s.running[:0]
 	for s.preempted.Len() > 0 {
 		s.recycle(s.preempted.PopFront())
 	}
@@ -237,9 +243,10 @@ func (s *Scheduler[T]) newSeq() *Seq[T] {
 }
 
 // recycle zeroes a sequence (releasing the Data pointer promptly) and
-// returns it to the free-list.
+// returns it to the free-list. Its KV blocks are already released, and
+// its emptied block table keeps its capacity for the next sequence.
 func (s *Scheduler[T]) recycle(q *Seq[T]) {
-	*q = Seq[T]{}
+	*q = Seq[T]{Seq: q.Seq}
 	s.freeSeqs = append(s.freeSeqs, q)
 }
 
@@ -259,7 +266,7 @@ func (s *Scheduler[T]) lowestRunning() *Seq[T] {
 // prefill target grows to cover recomputing the tokens it had already
 // generated, and it queues for resume ahead of new admissions.
 func (s *Scheduler[T]) preempt(victim *Seq[T]) {
-	s.kv.Release(victim.id)
+	s.kv.Release(&victim.Seq)
 	victim.state = StateWaiting
 	victim.target = victim.prompt + victim.emitted
 	victim.filled = 0
@@ -278,7 +285,7 @@ func (s *Scheduler[T]) preempt(victim *Seq[T]) {
 // without exhausting the KV pool: the slack in its last block plus
 // every free block.
 func (s *Scheduler[T]) maxFitTokens(q *Seq[T]) int {
-	held := s.kv.SeqLen(q.id)
+	held := q.Len()
 	slack := kvcache.BlocksForTokens(held)*kvcache.TokensPerBlock - held
 	return slack + s.kv.NumFreeBlocks()*kvcache.TokensPerBlock
 }
@@ -309,7 +316,7 @@ func (s *Scheduler[T]) Plan(peek func() (prompt, output int, ok bool), pop func(
 			if q.state != StateDecoding {
 				continue
 			}
-			if err := s.kv.Reserve(q.id, 1); err != nil {
+			if err := s.kv.Reserve(&q.Seq, 1); err != nil {
 				s.kv.Rollback()
 				s.preempt(s.lowestRunning())
 				preemptions++
@@ -376,7 +383,7 @@ func (s *Scheduler[T]) continuePrefills(budget int) int {
 		if chunk <= 0 || (!s.params.ChunkedPrefill && chunk > budget) {
 			continue
 		}
-		if s.kv.Reserve(q.id, chunk) != nil {
+		if s.kv.Reserve(&q.Seq, chunk) != nil {
 			s.kv.Rollback()
 			continue
 		}
@@ -395,7 +402,7 @@ func (s *Scheduler[T]) admitWaiting(budget int, peek func() (int, int, bool), po
 	for s.preempted.Len() > 0 && budget > 0 && s.roomForSeq() {
 		q := s.preempted.Front()
 		chunk, ok := s.admissionChunk(q.target, budget)
-		if !ok || s.kv.Reserve(q.id, chunk) != nil {
+		if !ok || s.kv.Reserve(&q.Seq, chunk) != nil {
 			s.kv.Rollback()
 			break // head-of-line: wait for completions to free blocks
 		}
@@ -420,7 +427,7 @@ func (s *Scheduler[T]) admitWaiting(budget int, peek func() (int, int, bool), po
 		q := s.newSeq()
 		q.id = s.nextID
 		chunk, ok := s.admissionChunk(prompt, budget)
-		if !ok || s.kv.Reserve(q.id, chunk) != nil {
+		if !ok || s.kv.Reserve(&q.Seq, chunk) != nil {
 			s.kv.Rollback()
 			s.recycle(q)
 			break
@@ -450,7 +457,7 @@ func (s *Scheduler[T]) admitWaiting(budget int, peek func() (int, int, bool), po
 // deployment's pending queue for surviving instances to re-admit.
 func (s *Scheduler[T]) Drain(fn func(data T)) {
 	for _, q := range s.running {
-		s.kv.Release(q.id)
+		s.kv.Release(&q.Seq)
 		fn(q.Data)
 		s.recycle(q)
 	}
@@ -512,7 +519,7 @@ func (s *Scheduler[T]) DecodeRun() int {
 	}
 	n := s.decode[0].output - s.decode[0].emitted
 	for _, q := range s.decode {
-		held := s.kv.SeqLen(q.id)
+		held := q.Len()
 		n = min(n, q.output-q.emitted, 1+kvcache.BlocksForTokens(held)*kvcache.TokensPerBlock-held)
 	}
 	s.run = n
@@ -562,7 +569,7 @@ func (s *Scheduler[T]) FinishRun(n int, emit func(data T, emitted int), done fun
 			q.planned = 0
 			if n > 1 {
 				// Inside the last block (DecodeRun): no block moves.
-				if err := s.kv.Append(q.id, n-1); err != nil {
+				if err := s.kv.Append(&q.Seq, n-1); err != nil {
 					panic(err)
 				}
 			}
@@ -571,7 +578,7 @@ func (s *Scheduler[T]) FinishRun(n int, emit func(data T, emitted int), done fun
 		emit(q.Data, q.emitted)
 		if q.emitted >= q.output {
 			q.state = StateFinished
-			s.kv.Release(q.id)
+			s.kv.Release(&q.Seq)
 			done(q.Data)
 			s.recycle(q)
 			continue

@@ -324,6 +324,11 @@ func TestResetRecyclesCleanly(t *testing.T) {
 	if !s.Idle() || s.KVFreeBlocks() != 8 {
 		t.Fatalf("after Reset: idle=%v free=%d", s.Idle(), s.KVFreeBlocks())
 	}
+	for _, q := range s.freeSeqs {
+		if q.Len() != 0 || len(q.Table()) != 0 {
+			t.Fatalf("after Reset: a recycled sequence holds %d tokens in %v", q.Len(), q.Table())
+		}
+	}
 	// A fresh workload on the recycled scheduler behaves like new.
 	w2 := &queue{reqs: []req{{id: 9, prompt: 16, output: 2}}}
 	tokens, done := drive(t, s, w2, 50)
@@ -353,7 +358,7 @@ func TestBlockConservationUnderChurn(t *testing.T) {
 		s.Finish(func(req, int) {}, func(req) { completed++ })
 		held := 0
 		for _, q := range s.running {
-			held += kvcache.BlocksForTokens(s.kv.SeqLen(q.id))
+			held += kvcache.BlocksForTokens(q.Len())
 		}
 		if held+s.kv.NumFreeBlocks() != 5 {
 			t.Fatalf("round %d: %d held + %d free != 5", round, held, s.kv.NumFreeBlocks())
@@ -361,5 +366,38 @@ func TestBlockConservationUnderChurn(t *testing.T) {
 	}
 	if completed != 12 {
 		t.Fatalf("completed %d of 12", completed)
+	}
+}
+
+// TestSteadyCycleAllocatesNothing: once the scheduler's free-list holds
+// recycled sequences whose KV tables kept their capacity, a batch that
+// is admitted, decoded to completion and released (Reserve, Commit and
+// Release on every round) allocates nothing.
+func TestSteadyCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	s := New[req](Params{BatchTokens: 64, KVBlocks: 32})
+	batch := []req{{id: 1, prompt: 20, output: 40}, {id: 2, prompt: 9, output: 33}, {id: 3, prompt: 30, output: 18}}
+	w := &queue{}
+	emit := func(req, int) {}
+	done := func(req) {}
+	cycle := func() {
+		w.reqs = batch
+		for {
+			it, err := s.Plan(w.peek, w.pop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if it.Empty() {
+				return
+			}
+			s.FinishRun(s.DecodeRun(), emit, done)
+		}
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Fatalf("steady admit/decode/release cycle allocated %v times, want 0", n)
 	}
 }

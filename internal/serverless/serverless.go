@@ -432,6 +432,9 @@ type profile struct {
 	decode   func(int) (time.Duration, error)
 	kvPerTok time.Duration // extra decode time per running sequence (KV reads)
 	maxKVTok int
+	// maxSeqLen is the model's MaxSeqLen: the engine prices a longer
+	// prompt as one of this length.
+	maxSeqLen int
 
 	// Deferred-capture support (§2.4 strawman): graphBatch maps a
 	// batch to its capture size, ensure lazily captures on the template
@@ -448,26 +451,28 @@ type profile struct {
 	// stable: the engine's one-time lazy loads are absorbed before
 	// first use (cold start or, for deferred capture, the ensure that
 	// startIteration always runs before the first decode of a size).
-	// Prompt lengths are unbounded, so prefill memoizes in a map; decode
-	// batch sizes are bounded by MaxBatch/MaxSeqs, so stepCache is a
-	// slice indexed by batch size (0 = not yet computed).
-	prefillCache map[int]time.Duration
+	// Both are slices grown on demand (0 = not yet computed):
+	// prefillCache is indexed by prompt length clamped at maxSeqLen,
+	// stepCache by decode batch size, which MaxBatch/MaxSeqs bound.
+	prefillCache []time.Duration
 	stepCache    []time.Duration
 }
 
-// prefillDur memoizes prefill by exact prompt length.
+// prefillDur memoizes prefill by prompt length, clamped at maxSeqLen
+// as the engine clamps it.
 func (p *profile) prefillDur(tokens int) (time.Duration, error) {
-	if d, ok := p.prefillCache[tokens]; ok {
-		return d, nil
+	t := min(max(tokens, 0), p.maxSeqLen)
+	if t < len(p.prefillCache) && p.prefillCache[t] != 0 {
+		return p.prefillCache[t], nil
 	}
-	d, err := p.prefill(tokens)
+	d, err := p.prefill(t)
 	if err != nil {
 		return 0, err
 	}
-	if p.prefillCache == nil {
-		p.prefillCache = make(map[int]time.Duration)
+	if t >= len(p.prefillCache) {
+		p.prefillCache = append(p.prefillCache, make([]time.Duration, t+1-len(p.prefillCache))...)
 	}
-	p.prefillCache[tokens] = d
+	p.prefillCache[t] = d
 	return d, nil
 }
 
@@ -500,6 +505,7 @@ func buildProfile(cfg Config) (*profile, error) {
 			decode:    tp.DecodeStepDuration,
 			kvPerTok:  time.Duration(bytesPerSeq / bw * float64(time.Second)),
 			maxKVTok:  tp.KVRecord().NumBlocks * 16,
+			maxSeqLen: m.MaxSeqLen,
 			// Deferred capture is not modeled for TP instances.
 			graphBatch: tp.Ranks[0].GraphBatch,
 			capCost:    make(map[int]time.Duration),
@@ -526,6 +532,7 @@ func buildProfile(cfg Config) (*profile, error) {
 		decode:     inst.DecodeStepDuration,
 		kvPerTok:   kvPerTok,
 		maxKVTok:   inst.KVRecord().NumBlocks * 16,
+		maxSeqLen:  m.MaxSeqLen,
 		deferred:   cfg.Strategy.Info().DeferredCapture,
 		graphBatch: inst.GraphBatch,
 		ensure:     inst.EnsureGraphCaptured,
