@@ -92,9 +92,10 @@ bench-smoke:
 	MEDUSA_SCALE_SMOKE=1 $(GO) test -run TestScaleSmoke1M -count=1 -v ./internal/serverless/
 
 # Seconds-scale continuous-batching gate: a seeded 100k-request fleet
-# run in batched execution mode under a wall-clock budget and an
+# run in batched execution mode under a wall-clock budget, an
 # allocs/request ceiling checked in at
-# internal/serverless/testdata/max_allocs_per_request_batched, plus the
+# internal/serverless/testdata/max_allocs_per_request_batched and a
+# bytes/request ceiling at max_bytes_per_request_batched, plus the
 # autoscale Desired-calls/request ceiling.
 batch-smoke:
 	MEDUSA_BATCH_SMOKE=1 $(GO) test -run TestBatchSmoke100k -count=1 -v ./internal/serverless/

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -419,6 +420,38 @@ func TestCrossStreamEventDependencies(t *testing.T) {
 	}
 	if order[0] != 0 {
 		t.Fatalf("topo order = %v, node 0 must come first", order)
+	}
+}
+
+// TestStreamMadeDuringCapture: a stream created after BeginCapture
+// joins the capture's per-stream state, in stream order and through
+// events, like one created before it.
+func TestStreamMadeDuringCapture(t *testing.T) {
+	p := newProc(t, 14)
+	s1 := p.NewStream()
+	d := mustMalloc(t, p, 16)
+	args := []Value{PtrValue(d), PtrValue(d), PtrValue(d), U32Value(4)}
+	if err := p.Launch(s1, "vec_add_f32", args); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	if err := s1.BeginCapture(); err != nil {
+		t.Fatal(err)
+	}
+	p.Launch(s1, "vec_add_f32", args) // node 0
+	s2 := p.NewStream()
+	ev := p.NewEvent()
+	s1.RecordEvent(ev)
+	s2.WaitEvent(ev)
+	p.Launch(s2, "vec_add_f32", args) // node 1, depends on 0 via event
+	p.Launch(s2, "vec_add_f32", args) // node 2, depends on 1 via stream order
+	g, err := s1.EndCapture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range [][]int{nil, {0}, {1}} {
+		if got := g.Nodes()[id].Deps; !slices.Equal(got, want) {
+			t.Fatalf("node %d deps = %v, want %v", id, got, want)
+		}
 	}
 }
 

@@ -42,16 +42,18 @@ func (p *Process) NewEvent() *Event { return &Event{node: -1} }
 // captureState holds an in-progress stream capture. Nodes live in one
 // backing array, and their parameter images, image headers, sizes and
 // dependency lists in per-capture slabs, so recording a launch
-// allocates nothing per node once the slabs are sized.
+// allocates nothing per node once the slabs are sized. Per-stream
+// state is indexed by stream id, which Process.NewStream assigns
+// densely and extends here for a stream made during the capture.
 type captureState struct {
-	origin       *Stream
-	nodes        []Node
-	images       slab[byte]
-	params       slab[[]byte]
-	ints         slab[int]   // param sizes and deps
-	lastInStream map[int]int // stream id -> last node id
-	pendingDeps  map[int][]int
-	invalidated  error
+	origin      *Stream
+	nodes       []Node
+	images      slab[byte]
+	params      slab[[]byte]
+	ints        slab[int] // param sizes and deps
+	last        []int     // stream id -> last node id + 1; 0 when none
+	pending     [][]int   // stream id -> event deps for its next node
+	invalidated error
 }
 
 // captureSize is what one capture handed out of each slab. The next
@@ -109,13 +111,13 @@ func (s *Stream) BeginCapture() error {
 	}
 	last := s.p.lastCapture
 	s.p.capture = &captureState{
-		origin:       s,
-		nodes:        make([]Node, 0, last.nodes),
-		images:       sized[byte](last.images),
-		params:       sized[[]byte](last.params),
-		ints:         sized[int](last.ints),
-		lastInStream: make(map[int]int),
-		pendingDeps:  make(map[int][]int),
+		origin:  s,
+		nodes:   make([]Node, 0, last.nodes),
+		images:  sized[byte](last.images),
+		params:  sized[[]byte](last.params),
+		ints:    sized[int](last.ints),
+		last:    make([]int, len(s.p.streams)),
+		pending: make([][]int, len(s.p.streams)),
 	}
 	return nil
 }
@@ -152,20 +154,17 @@ func (p *Process) Capturing() bool { return p.capture != nil }
 // record appends a launch as a graph node, encoding its arguments once
 // into the capture's slabs, and returns the node.
 func (c *captureState) record(s *Stream, k *Kernel, args []Value) Node {
-	last, hasLast := c.lastInStream[s.id]
-	pend := c.pendingDeps[s.id]
+	last, pend := c.last[s.id], c.pending[s.id]
 	nDeps := len(pend)
-	if hasLast {
+	if last > 0 {
 		nDeps++
 	}
 	deps := c.ints.take(nDeps)
-	if hasLast {
-		deps[0] = last
+	if last > 0 {
+		deps[0] = last - 1
 	}
 	copy(deps[nDeps-len(pend):], pend)
-	if len(pend) > 0 {
-		delete(c.pendingDeps, s.id)
-	}
+	c.pending[s.id] = pend[:0]
 
 	params := c.params.take(len(args))
 	encodeArgs(c.images.take(argBytes(args)), params, args)
@@ -181,7 +180,7 @@ func (c *captureState) record(s *Stream, k *Kernel, args []Value) Node {
 		Deps:       deps,
 	}
 	c.nodes = append(c.nodes, n)
-	c.lastInStream[s.id] = n.ID
+	c.last[s.id] = n.ID + 1
 	return n
 }
 
@@ -190,11 +189,7 @@ func (c *captureState) record(s *Stream, k *Kernel, args []Value) Node {
 func (s *Stream) RecordEvent(e *Event) error {
 	e.recorded = true
 	if c := s.p.capture; c != nil {
-		if last, ok := c.lastInStream[s.id]; ok {
-			e.node = last
-		} else {
-			e.node = -1
-		}
+		e.node = c.last[s.id] - 1
 	}
 	return nil
 }
@@ -205,7 +200,7 @@ func (s *Stream) WaitEvent(e *Event) error {
 		return fmt.Errorf("cuda: wait on unrecorded event")
 	}
 	if c := s.p.capture; c != nil && e.node >= 0 {
-		c.pendingDeps[s.id] = append(c.pendingDeps[s.id], e.node)
+		c.pending[s.id] = append(c.pending[s.id], e.node)
 	}
 	return nil
 }
@@ -240,9 +235,8 @@ type Graph struct {
 	nodes []*Node
 }
 
-// NewGraph builds a graph from explicit nodes — the path Medusa's
-// restoration uses (the explicit-construction analogue of
-// cudaGraphAddKernelNode).
+// NewGraph builds a graph from explicit nodes (the explicit-construction
+// analogue of cudaGraphAddKernelNode).
 func NewGraph(nodes []*Node) *Graph { return &Graph{nodes: nodes} }
 
 // Nodes returns the graph's nodes indexed by ID.
@@ -251,8 +245,10 @@ func (g *Graph) Nodes() []*Node { return g.nodes }
 // NodeCount reports the number of kernel nodes.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
 
-// Validate checks IDs are dense, dependencies reference earlier valid
-// nodes, and the graph is acyclic.
+// Validate checks that node IDs are dense (node i has ID i), that each
+// parameter image is as long as its declared size, that every
+// dependency names a node of the graph, and that the dependencies are
+// acyclic. A dependency may name a later node; only a cycle fails.
 func (g *Graph) Validate() error {
 	_, err := g.validate()
 	return err
@@ -283,37 +279,70 @@ func (g *Graph) validate() ([]int, error) {
 }
 
 // TopoOrder returns a topological ordering of node IDs (dependencies
-// first) or an error if the graph has a cycle.
+// first), or an error if a dependency names no node of the graph or
+// the graph has a cycle.
 func (g *Graph) TopoOrder() ([]int, error) {
-	n, edges := len(g.nodes), 0
-	for _, node := range g.nodes {
-		edges += len(node.Deps)
+	var ts TopoSorter
+	return ts.Order(len(g.nodes), func(i int) []int { return g.nodes[i].Deps })
+}
+
+// TopoSorter orders graph nodes with Kahn's algorithm. It keeps its
+// scratch for the next Order call, so one sorter orders many graphs
+// with no allocation once it has grown to the largest.
+type TopoSorter struct {
+	scratch []int32
+	order   []int
+}
+
+// Order returns a topological ordering of nodes 0..n-1, dependencies
+// first, where deps(i) lists node i's dependencies. A FIFO over node
+// IDs keeps the order deterministic and close to capture order. It
+// fails on a dependency outside [0, n) and on a cycle. The returned
+// order belongs to the sorter: the next call overwrites it.
+func (t *TopoSorter) Order(n int, deps func(int) []int) ([]int, error) {
+	edges := 0
+	for i := 0; i < n; i++ {
+		ds := deps(i)
+		for _, d := range ds {
+			if d < 0 || d >= n {
+				return nil, fmt.Errorf("node %d depends on invalid node %d", i, d)
+			}
+		}
+		edges += len(ds)
 	}
 	// One scratch slab holds the in-degrees, the successor lists in one
 	// flat array (node d's successors, in node order, are
 	// succ[start[d]:start[d+1]]) and their fill cursors.
-	scratch := make([]int32, 3*n+1+edges)
+	need := 3*n + 1 + edges
+	if cap(t.scratch) < need {
+		t.scratch = make([]int32, need)
+	} else {
+		t.scratch = t.scratch[:need]
+		clear(t.scratch)
+	}
+	scratch := t.scratch
 	indeg, start, fill, succ := scratch[:n], scratch[n:2*n+1], scratch[2*n+1:3*n+1], scratch[3*n+1:]
-	for _, node := range g.nodes {
-		for _, d := range node.Deps {
+	for i := 0; i < n; i++ {
+		for _, d := range deps(i) {
 			start[d+1]++
-			indeg[node.ID]++
+			indeg[i]++
 		}
 	}
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
 	copy(fill, start[:n])
-	for _, node := range g.nodes {
-		for _, d := range node.Deps {
-			succ[fill[d]] = int32(node.ID)
+	for i := 0; i < n; i++ {
+		for _, d := range deps(i) {
+			succ[fill[d]] = int32(i)
 			fill[d]++
 		}
 	}
-	// Kahn's algorithm with a FIFO over node IDs keeps the order
-	// deterministic and close to capture order. The order is the FIFO:
-	// order[head:] is still queued.
-	order := make([]int, 0, n)
+	// The order is the FIFO: order[head:] is still queued.
+	if cap(t.order) < n {
+		t.order = make([]int, 0, n)
+	}
+	order := t.order[:0]
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			order = append(order, i)
@@ -334,11 +363,14 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	return order, nil
 }
 
-// GraphExec is an instantiated, ready-to-launch graph.
+// GraphExec is an instantiated, ready-to-launch graph. One made by
+// InstantiateDeferred builds its graph and topological order on its
+// first Launch or Graph call.
 type GraphExec struct {
-	g    *Graph
-	p    *Process
-	topo []int
+	g     *Graph
+	p     *Process
+	topo  []int
+	build func() []*Node // set until a deferred graph is built
 }
 
 // Instantiate validates the graph against the process — every node's
@@ -350,27 +382,59 @@ func (g *Graph) Instantiate(p *Process) (*GraphExec, error) {
 		return nil, err
 	}
 	for _, n := range g.nodes {
-		k, ok := p.KernelByAddr(n.KernelAddr)
-		if !ok {
-			return nil, &UnknownKernelError{Addr: n.KernelAddr}
-		}
-		if len(n.Params) != len(k.impl.Params) {
-			return nil, &ParamMismatchError{Kernel: k.Name(),
-				Detail: fmt.Sprintf("node %d has %d params, kernel wants %d", n.ID, len(n.Params), len(k.impl.Params))}
-		}
-		for i, kind := range k.impl.Params {
-			if n.ParamSizes[i] != kind.Size() {
-				return nil, &ParamMismatchError{Kernel: k.Name(),
-					Detail: fmt.Sprintf("node %d param %d is %d bytes, kernel wants %d", n.ID, i, n.ParamSizes[i], kind.Size())}
-			}
+		if err := p.CheckNode(n.ID, n.KernelAddr, n.ParamSizes); err != nil {
+			return nil, err
 		}
 	}
 	p.clock.Advance(time.Duration(len(g.nodes)) * p.cfg.InstantiateNodeCost)
 	return &GraphExec{g: g, p: p, topo: topo}, nil
 }
 
-// Graph returns the underlying graph.
-func (ge *GraphExec) Graph() *Graph { return ge.g }
+// CheckNode checks one graph node against the process as Instantiate
+// does for each: addr must be a loaded kernel, and sizes (one image
+// size per parameter) must match the kernel's parameter layout.
+func (p *Process) CheckNode(id int, addr uint64, sizes []int) error {
+	k, ok := p.KernelByAddr(addr)
+	if !ok {
+		return &UnknownKernelError{Addr: addr}
+	}
+	if len(sizes) != len(k.impl.Params) {
+		return &ParamMismatchError{Kernel: k.Name(),
+			Detail: fmt.Sprintf("node %d has %d params, kernel wants %d", id, len(sizes), len(k.impl.Params))}
+	}
+	for i, kind := range k.impl.Params {
+		if sizes[i] != kind.Size() {
+			return &ParamMismatchError{Kernel: k.Name(),
+				Detail: fmt.Sprintf("node %d param %d is %d bytes, kernel wants %d", id, i, sizes[i], kind.Size())}
+		}
+	}
+	return nil
+}
+
+// InstantiateDeferred instantiates a graph of the given node count
+// that its caller has checked but not yet built. The caller has run
+// Instantiate's checks, in Instantiate's order — the dependencies
+// through a TopoSorter, then every node through CheckNode — so nothing
+// is left to fail. It charges Instantiate's cost now; build makes the
+// nodes on the first Launch or Graph call, once, and must make the
+// graph that was checked.
+func InstantiateDeferred(p *Process, nodes int, build func() []*Node) *GraphExec {
+	p.clock.Advance(time.Duration(nodes) * p.cfg.InstantiateNodeCost)
+	return &GraphExec{p: p, build: build}
+}
+
+// Graph returns the underlying graph, building a deferred one first.
+func (ge *GraphExec) Graph() *Graph {
+	if ge.build != nil {
+		g := &Graph{nodes: ge.build()}
+		topo, err := g.TopoOrder()
+		if err != nil {
+			panic("cuda: deferred graph differs from the graph checked at instantiation: " + err.Error())
+		}
+		ge.g, ge.topo, ge.build = g, topo, nil
+	}
+	return ge.g
+}
 
 // Launch replays the graph (cudaGraphLaunch): one CPU submission, then
 // every node executes in dependency order with the parameters recorded
@@ -382,9 +446,10 @@ func (ge *GraphExec) Launch(s *Stream) error {
 		p.capture.invalidated = err
 		return err
 	}
+	nodes := ge.Graph().nodes
 	p.clock.Advance(p.cfg.GraphLaunchOverhead)
 	for _, id := range ge.topo {
-		n := ge.g.nodes[id]
+		n := nodes[id]
 		k, ok := p.KernelByAddr(n.KernelAddr)
 		if !ok {
 			return &UnknownKernelError{Addr: n.KernelAddr}

@@ -414,6 +414,9 @@ func (p *Process) kernelCost(impl *KernelImpl, args []Value) time.Duration {
 func (p *Process) NewStream() *Stream {
 	s := &Stream{p: p, id: len(p.streams)}
 	p.streams = append(p.streams, s)
+	if c := p.capture; c != nil {
+		c.last, c.pending = append(c.last, 0), append(c.pending, nil)
+	}
 	return s
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,6 +48,52 @@ func TestCaptureAllocCeiling(t *testing.T) {
 	if perNode > limit {
 		t.Errorf("%.3f allocs per captured node exceeds checked-in ceiling %g (testdata/max_allocs_capture_per_node); "+
 			"if the regression is intentional, update the ceiling deliberately", perNode, limit)
+	}
+}
+
+// TestMedusaColdStartBytesCeiling holds one zoo model's Medusa cold
+// start, which launches no graph, under the checked-in ceiling of heap
+// bytes in testdata/max_bytes_coldstart_medusa: the restore checks and
+// charges every graph but builds none.
+func TestMedusaColdStartBytesCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	cfg, err := model.ByName("Qwen1.5-0.5B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, report, err := RunOffline(OfflineOptions{Model: cfg, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	coldStart := func() {
+		if _, err := ColdStart(Options{
+			Model: cfg, Strategy: StrategyMedusa, Seed: 5,
+			Artifact: art, ArtifactBytes: report.ArtifactBytes,
+		}); err != nil {
+			runErr = err
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	coldStart()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		coldStart()
+	}
+	runtime.ReadMemStats(&after)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	perColdStart := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	limit := readCeiling(t, "max_bytes_coldstart_medusa")
+	t.Logf("Medusa cold start of %s: %.0f bytes (ceiling %g)", cfg.Name, perColdStart, limit)
+	if perColdStart > limit {
+		t.Errorf("%.0f bytes per Medusa cold start exceeds checked-in ceiling %g (testdata/max_bytes_coldstart_medusa); "+
+			"if the regression is intentional, update the ceiling deliberately", perColdStart, limit)
 	}
 }
 

@@ -47,6 +47,35 @@ func BenchmarkColdStartMedusa(b *testing.B) {
 	}
 }
 
+// BenchmarkColdStartMedusaFirstDecode is BenchmarkColdStartMedusa plus
+// the first decode step, which builds the batch-1 graph the restore
+// left unbuilt: the cold-start work Medusa defers, measured where it
+// lands.
+func BenchmarkColdStartMedusaFirstDecode(b *testing.B) {
+	cfg, err := model.ByName("Qwen1.5-4B")
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := storage.NewStore(storage.DefaultArray())
+	art, report, err := RunOffline(OfflineOptions{Model: cfg, Store: store, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst, err := ColdStart(Options{
+			Model: cfg, Strategy: StrategyMedusa, Seed: int64(i + 100), Store: store,
+			Artifact: art, ArtifactBytes: report.ArtifactBytes,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := inst.DecodeStepDuration(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkOfflinePhase(b *testing.B) {
 	cfg, err := model.ByName("Qwen1.5-0.5B")
 	if err != nil {

@@ -13,7 +13,8 @@ import (
 // stageGraphRestore is Medusa's replacement for the capture stage: load
 // the artifact, replay the capture-stage allocation events, restore
 // permanent buffer contents, run first-layer triggering-kernels per
-// batch size, resolve kernel addresses, and instantiate every graph.
+// batch size, resolve kernel addresses, and instantiate every graph
+// (each is built on its first launch).
 func (inst *Instance) stageGraphRestore() error {
 	art := inst.opts.Artifact
 	clock := inst.proc.Clock()

@@ -2,6 +2,7 @@ package medusa
 
 import (
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -310,9 +311,11 @@ func restoreOnce(art *Artifact) error {
 
 // TestCodecAllocCeilings holds the codec's and the restore path's
 // allocations per call on the 1k-node fixture under the checked-in
-// ceilings in testdata/max_allocs_<op>_1k: the wire writer appends
-// without boxing, and decode and restore keep each graph's deps,
-// params and parameter images in per-graph slabs.
+// ceilings in testdata/max_allocs_<op>_1k, and the restore's bytes per
+// call under testdata/max_bytes_restore_1k: the wire writer appends
+// without boxing, decode keeps each graph's deps, params and parameter
+// images in per-graph slabs, and restore builds no node until a graph
+// is launched.
 func TestCodecAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -328,37 +331,62 @@ func TestCodecAllocCeilings(t *testing.T) {
 	}
 	resolve := func(string) (*Template, bool) { return tmpl, true }
 	ops := []struct {
-		file string
-		run  func() error
+		file      string
+		bytesFile string // optional bytes-per-call ceiling
+		run       func() error
 	}{
-		{"max_allocs_encode_1k", func() error { _, err := art.Encode(); return err }},
-		{"max_allocs_encode_delta_1k", func() error { _, err := art.EncodeDelta(tmpl); return err }},
-		{"max_allocs_decode_1k", func() error { _, err := Decode(v2); return err }},
-		{"max_allocs_decode_resolved_1k", func() error { _, err := DecodeResolved(v3, resolve); return err }},
-		{"max_allocs_restore_1k", func() error { return restoreOnce(art) }},
+		{"max_allocs_encode_1k", "", func() error { _, err := art.Encode(); return err }},
+		{"max_allocs_encode_delta_1k", "", func() error { _, err := art.EncodeDelta(tmpl); return err }},
+		{"max_allocs_decode_1k", "", func() error { _, err := Decode(v2); return err }},
+		{"max_allocs_decode_resolved_1k", "", func() error { _, err := DecodeResolved(v3, resolve); return err }},
+		{"max_allocs_restore_1k", "max_bytes_restore_1k", func() error { return restoreOnce(art) }},
 	}
 	for _, op := range ops {
-		raw, err := os.ReadFile("testdata/" + op.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		limit, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
-		if err != nil {
-			t.Fatalf("testdata/%s: %v", op.file, err)
-		}
 		var runErr error
-		got := testing.AllocsPerRun(5, func() {
+		run := func() {
 			if err := op.run(); err != nil {
 				runErr = err
 			}
-		})
+		}
+		checkCeiling(t, op.file, "allocs/op", testing.AllocsPerRun(5, run))
+		if op.bytesFile != "" {
+			checkCeiling(t, op.bytesFile, "bytes/op", bytesPerRun(5, run))
+		}
 		if runErr != nil {
 			t.Fatalf("%s: %v", op.file, runErr)
 		}
-		t.Logf("%s: %.0f allocs/op (ceiling %.0f)", op.file, got, limit)
-		if got > limit {
-			t.Errorf("%.0f allocs/op exceeds checked-in ceiling %.0f (testdata/%s); "+
-				"if the regression is intentional, update the ceiling deliberately", got, limit, op.file)
-		}
 	}
+}
+
+// checkCeiling fails the test when got exceeds the ceiling checked in
+// at testdata/file.
+func checkCeiling(t *testing.T, file, unit string, got float64) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/" + file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
+	if err != nil {
+		t.Fatalf("testdata/%s: %v", file, err)
+	}
+	t.Logf("%s: %.0f %s (ceiling %.0f)", file, got, unit, limit)
+	if got > limit {
+		t.Errorf("%.0f %s exceeds checked-in ceiling %.0f (testdata/%s); "+
+			"if the regression is intentional, update the ceiling deliberately", got, unit, limit, file)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the average
+// bytes one call of f allocates, after one warm-up call, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

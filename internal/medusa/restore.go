@@ -9,9 +9,10 @@ import (
 )
 
 // perNodeFillCost is the CPU cost of filling one restored node's
-// parameters and dependencies (pointer arithmetic plus table lookups).
-// Graph instantiation (charged by the cuda layer) dominates restore
-// time; this is the small remainder.
+// parameters and dependencies (pointer arithmetic plus table lookups),
+// charged at cold start, where a real restore fills them. Graph
+// instantiation (charged by the cuda layer) dominates restore time;
+// this is the small remainder.
 const perNodeFillCost = 2 * time.Microsecond
 
 // TriggerFunc runs the online triggering-kernel step for one batch
@@ -163,19 +164,31 @@ func (r *Restorer) AddrOfLabel(label string) (uint64, bool) {
 // KV returns the materialized KV cache initialization record.
 func (r *Restorer) KV() KVRecord { return r.art.KV }
 
-// RestoreGraphs rebuilds every materialized graph into a ready-to-
+// RestoreGraphs restores every materialized graph into a ready-to-
 // launch executable. For each batch size it first invokes the trigger
 // (first-layer warm-up and capture) so the CUDA driver loads all
 // modules the graph needs, then resolves kernel addresses — via
 // dlsym/cudaGetFuncBySymbol for exported kernels, via module
-// enumeration for hidden ones (§5) — fills parameters from the indirect
-// index pointer table, and instantiates.
+// enumeration for hidden ones (§5) — checks every indirect index
+// pointer against the replayed allocations, charges the parameter
+// fill, and instantiates. Everything that can fail or advance the
+// virtual clock happens here, graph by graph. Each graph's nodes and
+// parameter images are built from the resolved addresses on its first
+// Launch or Graph call, so a graph that is never launched costs no
+// node memory, and the build cannot fail.
+//
+// The executables read the artifact when they build, so the artifact
+// must not change while an instance restored from it is live.
+// ValidateAndCorrect mutates one only between validation rounds, whose
+// instances are discarded.
 func (r *Restorer) RestoreGraphs(trigger TriggerFunc) (map[int]*cuda.GraphExec, error) {
 	if r.cursor != len(r.art.AllocSeq) {
 		return nil, fmt.Errorf("medusa: RestoreGraphs before replay finished (%d of %d events)",
 			r.cursor, len(r.art.AllocSeq))
 	}
 	out := make(map[int]*cuda.GraphExec, len(r.art.Graphs))
+	kernels := make([]uint64, r.art.TotalNodes()) // every node's kernel address, graph by graph
+	var topo cuda.TopoSorter
 	for gi := range r.art.Graphs {
 		g := &r.art.Graphs[gi]
 		if trigger != nil {
@@ -183,39 +196,78 @@ func (r *Restorer) RestoreGraphs(trigger TriggerFunc) (map[int]*cuda.GraphExec, 
 				return nil, fmt.Errorf("medusa: triggering-kernels for batch %d: %w", g.Batch, err)
 			}
 		}
-		nodes, err := r.buildNodes(g)
-		if err != nil {
+		addrs := cut(&kernels, len(g.Nodes))
+		if err := r.checkGraph(g, addrs, &topo); err != nil {
 			return nil, err
 		}
-		r.p.Clock().Advance(time.Duration(len(nodes)) * perNodeFillCost)
-		ge, err := cuda.NewGraph(nodes).Instantiate(r.p)
-		if err != nil {
-			return nil, fmt.Errorf("medusa: instantiate restored graph %d: %w", g.Batch, err)
-		}
-		out[g.Batch] = ge
+		out[g.Batch] = cuda.InstantiateDeferred(r.p, len(g.Nodes), func() []*cuda.Node {
+			return r.buildNodes(g, addrs)
+		})
 	}
 	return out, nil
 }
 
-// buildNodes materializes one graph's nodes: kernel addresses plus
-// parameter images. The nodes live in one backing array and their
+// checkGraph runs every check that building and instantiating the
+// graph would run, in this order and with their virtual-time charges:
+// it resolves each node's kernel into addrs and checks its indirect
+// index pointers, charges the parameter fill, then checks the
+// dependencies and each node's parameter layout as
+// cuda.Graph.Instantiate does.
+func (r *Restorer) checkGraph(g *GraphRecord, addrs []uint64, topo *cuda.TopoSorter) error {
+	for ni := range g.Nodes {
+		nr := &g.Nodes[ni]
+		addr, err := r.resolveKernel(nr.KernelName)
+		if err != nil {
+			return fmt.Errorf("medusa: graph %d node %d: %w", g.Batch, ni, err)
+		}
+		addrs[ni] = addr
+		for pi, p := range nr.Params {
+			if p.Pointer && !r.have[p.AllocIndex] {
+				return fmt.Errorf("medusa: graph %d node %d: param %d: indirect index %d was never allocated",
+					g.Batch, ni, pi, p.AllocIndex)
+			}
+		}
+	}
+	r.p.Clock().Advance(time.Duration(len(g.Nodes)) * perNodeFillCost)
+	if _, err := topo.Order(len(g.Nodes), func(i int) []int { return g.Nodes[i].Deps }); err != nil {
+		return fmt.Errorf("medusa: instantiate restored graph %d: %w", g.Batch, err)
+	}
+	sizes := make([]int, 0, 16)
+	for ni := range g.Nodes {
+		sizes = sizes[:0]
+		for _, p := range g.Nodes[ni].Params {
+			sizes = append(sizes, paramSize(p))
+		}
+		if err := r.p.CheckNode(ni, addrs[ni], sizes); err != nil {
+			return fmt.Errorf("medusa: instantiate restored graph %d: %w", g.Batch, err)
+		}
+	}
+	return nil
+}
+
+// paramSize is the size of a restored parameter's image.
+func paramSize(p ParamRecord) int {
+	if p.Pointer {
+		return 8
+	}
+	return len(p.Raw)
+}
+
+// buildNodes materializes one checked graph's nodes from its resolved
+// kernel addresses. The nodes live in one backing array and their
 // images, image headers, sizes and dependency lists in per-graph slabs
 // sized exactly from the graph record. Images are copied (never
 // aliased) from the artifact; each node's share of a slab is a
 // full-slice-expression sub-slice, so appending to one can never
 // overwrite its neighbour.
-func (r *Restorer) buildNodes(g *GraphRecord) ([]*cuda.Node, error) {
+func (r *Restorer) buildNodes(g *GraphRecord, addrs []uint64) []*cuda.Node {
 	var nInts, nParams, nBytes int
 	for ni := range g.Nodes {
 		nr := &g.Nodes[ni]
 		nInts += len(nr.Deps) + len(nr.Params)
 		nParams += len(nr.Params)
 		for _, p := range nr.Params {
-			if p.Pointer {
-				nBytes += 8
-			} else {
-				nBytes += len(p.Raw)
-			}
+			nBytes += paramSize(p)
 		}
 	}
 	backing := make([]cuda.Node, len(g.Nodes))
@@ -225,13 +277,9 @@ func (r *Restorer) buildNodes(g *GraphRecord) ([]*cuda.Node, error) {
 	images := make([]byte, nBytes)
 	for ni := range g.Nodes {
 		nr := &g.Nodes[ni]
-		addr, err := r.resolveKernel(nr.KernelName)
-		if err != nil {
-			return nil, fmt.Errorf("medusa: graph %d node %d: %w", g.Batch, ni, err)
-		}
 		node := &backing[ni]
 		node.ID = ni
-		node.KernelAddr = addr
+		node.KernelAddr = addrs[ni]
 		if len(nr.Deps) > 0 {
 			node.Deps = cut(&ints, len(nr.Deps))
 			copy(node.Deps, nr.Deps)
@@ -239,22 +287,18 @@ func (r *Restorer) buildNodes(g *GraphRecord) ([]*cuda.Node, error) {
 		node.Params = cut(&params, len(nr.Params))
 		node.ParamSizes = cut(&ints, len(nr.Params))
 		for pi, p := range nr.Params {
+			img := cut(&images, paramSize(p))
 			if p.Pointer {
-				if !r.have[p.AllocIndex] {
-					return nil, fmt.Errorf("medusa: graph %d node %d: param %d: indirect index %d was never allocated",
-						g.Batch, ni, pi, p.AllocIndex)
-				}
-				node.Params[pi] = cut(&images, 8)
-				binary.LittleEndian.PutUint64(node.Params[pi], r.addr[p.AllocIndex]+p.Offset)
+				binary.LittleEndian.PutUint64(img, r.addr[p.AllocIndex]+p.Offset)
 			} else {
-				node.Params[pi] = cut(&images, len(p.Raw))
-				copy(node.Params[pi], p.Raw)
+				copy(img, p.Raw)
 			}
-			node.ParamSizes[pi] = len(node.Params[pi])
+			node.Params[pi] = img
+			node.ParamSizes[pi] = len(img)
 		}
 		nodes[ni] = node
 	}
-	return nodes, nil
+	return nodes
 }
 
 // resolveKernel finds the process-local address of a kernel by name.

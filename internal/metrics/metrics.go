@@ -16,7 +16,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -141,10 +141,20 @@ func (s *Sample) Quantile(p float64) (time.Duration, bool) {
 	if len(s.vals) == 0 || p <= 0 || p > 1 {
 		return 0, false
 	}
-	sorted := append([]time.Duration(nil), s.vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	return sorted[rank-1], true
+	return nearestRank(s.sorted(), p), true
+}
+
+// sorted returns a sorted copy of the retained values.
+func (s *Sample) sorted() []time.Duration {
+	sorted := slices.Clone(s.vals)
+	slices.Sort(sorted)
+	return sorted
+}
+
+// nearestRank returns the nearest-rank p-quantile (0 < p ≤ 1) of a
+// sorted, non-empty slice.
+func nearestRank(sorted []time.Duration, p float64) time.Duration {
+	return sorted[int(math.Ceil(p*float64(len(sorted))))-1]
 }
 
 // Percentile returns the p-th percentile (0 < p ≤ 100) using the
@@ -182,17 +192,14 @@ func (s *Sample) Summary() (Summary, bool) {
 	if s.count == 0 {
 		return Summary{}, false
 	}
-	p50, _ := s.Quantile(0.50)
-	p90, _ := s.Quantile(0.90)
-	p99, _ := s.Quantile(0.99)
-	return Summary{
-		Count: int(s.count),
-		Mean:  s.Mean(),
-		P50:   p50,
-		P90:   p90,
-		P99:   p99,
-		Max:   s.Max(),
-	}, true
+	sum := Summary{Count: int(s.count), Mean: s.Mean(), Max: s.Max()}
+	if len(s.vals) > 0 {
+		sorted := s.sorted()
+		sum.P50 = nearestRank(sorted, 0.50)
+		sum.P90 = nearestRank(sorted, 0.90)
+		sum.P99 = nearestRank(sorted, 0.99)
+	}
+	return sum, true
 }
 
 // Mean returns the arithmetic mean. It is exact at any run length (the

@@ -18,9 +18,10 @@ const batchSmokeBudget = 90 * time.Second
 
 // TestBatchSmoke100k streams one hundred thousand requests through a
 // two-node Zipf fleet in batched execution mode under a wall-clock
-// budget, an allocs/request ceiling and the reactive autoscaler's
-// Desired-calls/request ceiling — the pooled per-request and
-// per-sequence state must hold at scale exactly like the legacy path.
+// budget, an allocs/request ceiling, a bytes/request ceiling and the
+// reactive autoscaler's Desired-calls/request ceiling — the pooled
+// per-request and per-sequence state must hold at scale exactly like
+// the legacy path.
 // It runs from `make batch-smoke` (gated on MEDUSA_BATCH_SMOKE so
 // ordinary `go test ./...` stays fast).
 func TestBatchSmoke100k(t *testing.T) {
@@ -78,8 +79,10 @@ func TestBatchSmoke100k(t *testing.T) {
 	}
 	allocsPerReq := float64(after.Mallocs-before.Mallocs) / float64(completed)
 	checkCeiling(t, "allocs/request", "max_allocs_per_request_batched", allocsPerReq)
+	bytesPerReq := float64(after.TotalAlloc-before.TotalAlloc) / float64(completed)
+	checkCeiling(t, "bytes/request", "max_bytes_per_request_batched", bytesPerReq)
 	desiredPerReq := float64(res.Work.Desired) / float64(completed)
 	checkCeiling(t, "Desired calls/request", "max_desired_calls_per_request", desiredPerReq)
-	t.Logf("completed %d requests in %v (%.2f allocs/request, %.2f Desired calls/request, %d preemptions, %d cold starts)",
-		completed, elapsed, allocsPerReq, desiredPerReq, preempted, res.TotalColdStarts)
+	t.Logf("completed %d requests in %v (%.2f allocs/request, %.1f bytes/request, %.2f Desired calls/request, %d preemptions, %d cold starts)",
+		completed, elapsed, allocsPerReq, bytesPerReq, desiredPerReq, preempted, res.TotalColdStarts)
 }
