@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build fmt vet lint docs linkcheck loc test test-race short bench bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
+.PHONY: all check build fmt vet lint docs linkcheck loc test test-race short bench bench-layers bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
 
 all: build test
 
@@ -75,6 +75,16 @@ short:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Per-layer benchmarks of the cold-start and serving paths whose
+# zero-allocation tests pin them (ROADMAP direction 7): AddExclusive on
+# a Medusa launch, FetchPair by tier, a sized KV sequence's lifetime,
+# Plan/FinishRun at a mean and a full batch, and a device Malloc/Free
+# cycle. Ten counts each, for benchstat.
+LAYER_BENCH = BenchmarkAddExclusive|BenchmarkFetchPair|BenchmarkSizedSeqLifetime|BenchmarkPlanFinishRun|BenchmarkMallocFree$$
+bench-layers:
+	$(GO) test -run xxx -bench '$(LAYER_BENCH)' -count 10 -benchmem \
+		./internal/obs ./internal/artifactcache ./internal/kvcache ./internal/sched ./internal/gpu
 
 # Seconds-scale benchmark gate for CI: the seeded eviction-policy sweep
 # (lru/lfu/costaware on one 2-node Zipf workload), a two-node fleet
@@ -154,6 +164,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDeltaEncodeOracle -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzEncodeDecode -fuzztime 30s ./internal/tokenizer/
 	$(GO) test -run xxx -fuzz FuzzManagerOps -fuzztime 30s ./internal/kvcache/
+	$(GO) test -run xxx -fuzz FuzzAddExclusive -fuzztime 30s ./internal/obs/
 	$(GO) test -run xxx -fuzz FuzzDecodeRunMatchesSteps -fuzztime 30s ./internal/sched/
 	$(GO) test -run xxx -fuzz FuzzSourceConfigs -fuzztime 30s ./internal/workload/
 

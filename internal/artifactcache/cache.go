@@ -17,7 +17,9 @@ package artifactcache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -231,6 +233,7 @@ type NodeCache struct {
 	mu        sync.Mutex
 	seq       int
 	entries   map[string]*entry
+	byKey     []*entry // every entry, in key order: evictOne's scan order
 	ramUsed   uint64
 	ssdUsed   uint64
 	ramPolicy Policy
@@ -418,8 +421,7 @@ func (c *NodeCache) Fetch(now time.Duration, key string) (FetchResult, error) {
 	now += delay
 	e, ok := c.entries[key]
 	if !ok {
-		e = &entry{key: key, size: size, cost: cost}
-		c.entries[key] = e
+		e = c.newEntry(key, size)
 	}
 	c.touch(e)
 	c.stats.Misses++
@@ -533,8 +535,7 @@ func (c *NodeCache) Preload(key string) error {
 	}
 	e, ok := c.entries[key]
 	if !ok {
-		e = &entry{key: key, size: size, cost: c.remote.FetchDuration(size)}
-		c.entries[key] = e
+		e = c.newEntry(key, size)
 	}
 	c.touch(e)
 	c.insertSSD(e)
@@ -595,21 +596,27 @@ func (c *NodeCache) gauge(name string, v uint64) {
 	}
 }
 
+// newEntry creates an artifact's entry and files it in key order.
+// Entries are never deleted, so byKey only ever grows here. Callers
+// hold c.mu.
+func (c *NodeCache) newEntry(key string, size uint64) *entry {
+	e := &entry{key: key, size: size, cost: c.remote.FetchDuration(size)}
+	c.entries[key] = e
+	i, _ := slices.BinarySearchFunc(c.byKey, key, func(x *entry, k string) int { return strings.Compare(x.key, k) })
+	c.byKey = slices.Insert(c.byKey, i, e)
+	return e
+}
+
 // evictOne removes the lowest-scored resident entry from a tier,
 // returning false if nothing is evictable OR the lowest-scored
 // resident still outranks the entry being inserted (admission denied).
-// Candidates are scanned in sorted key order, so equal scores break
-// deterministically on the smaller key.
+// Candidates are scanned in key order (byKey, kept sorted as entries
+// are created), so equal scores break deterministically on the
+// smaller key and an eviction allocates nothing.
 func (c *NodeCache) evictOne(pol Policy, inserting *entry, resident func(*entry) *bool, used *uint64) bool {
-	keys := make([]string, 0, len(c.entries))
-	for k := range c.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var victim *entry
 	var victimScore float64
-	for _, k := range keys {
-		e := c.entries[k]
+	for _, e := range c.byKey {
 		if e == inserting || !*resident(e) {
 			continue
 		}

@@ -52,9 +52,10 @@ func TestCaptureAllocCeiling(t *testing.T) {
 }
 
 // TestMedusaColdStartBytesCeiling holds one zoo model's Medusa cold
-// start, which launches no graph, under the checked-in ceiling of heap
-// bytes in testdata/max_bytes_coldstart_medusa: the restore checks and
-// charges every graph but builds none.
+// start, which launches no graph, under the checked-in ceilings of heap
+// bytes in testdata/max_bytes_coldstart_medusa and of allocations in
+// testdata/max_allocs_coldstart_medusa: the restore checks and charges
+// every graph but builds none, and device buffers come from chunks.
 func TestMedusaColdStartBytesCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -88,12 +89,19 @@ func TestMedusaColdStartBytesCeiling(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	perColdStart := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	limit := readCeiling(t, "max_bytes_coldstart_medusa")
-	t.Logf("Medusa cold start of %s: %.0f bytes (ceiling %g)", cfg.Name, perColdStart, limit)
-	if perColdStart > limit {
-		t.Errorf("%.0f bytes per Medusa cold start exceeds checked-in ceiling %g (testdata/max_bytes_coldstart_medusa); "+
-			"if the regression is intentional, update the ceiling deliberately", perColdStart, limit)
+	for _, c := range []struct {
+		what, file string
+		got        float64
+	}{
+		{"bytes", "max_bytes_coldstart_medusa", float64(after.TotalAlloc-before.TotalAlloc) / runs},
+		{"allocs", "max_allocs_coldstart_medusa", float64(after.Mallocs-before.Mallocs) / runs},
+	} {
+		limit := readCeiling(t, c.file)
+		t.Logf("Medusa cold start of %s: %.0f %s (ceiling %g)", cfg.Name, c.got, c.what, limit)
+		if c.got > limit {
+			t.Errorf("%.0f %s per Medusa cold start exceeds checked-in ceiling %g (testdata/%s); "+
+				"if the regression is intentional, update the ceiling deliberately", c.got, c.what, limit, c.file)
+		}
 	}
 }
 

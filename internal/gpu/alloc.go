@@ -34,6 +34,14 @@ func (e *BadFreeError) Error() string {
 // base, while freed blocks go to per-size LIFO free lists and are reused
 // by later allocations of the same (aligned) size. The reuse is what
 // creates the aliasing the paper's trace-based analysis must resolve.
+//
+// Buffers are carved from pointer-stable chunks rather than allocated
+// one by one: a device's first chunk holds minChunk Buffers and each
+// next one twice as many, up to maxChunk. A freed Buffer's slot is
+// never reused, since callers may still hold the Buffer and must see
+// Freed. A chunk therefore stays reachable while any Buffer in it is,
+// so free drops the freed Buffer's functional contents at once rather
+// than pinning them for the chunk's lifetime.
 type Allocator struct {
 	total uint64
 	used  uint64
@@ -44,7 +52,16 @@ type Allocator struct {
 	freeBySize map[uint64][]uint64 // aligned size -> LIFO of reusable addresses
 	live       map[uint64]*Buffer  // start address -> buffer
 	sorted     []uint64            // sorted live start addresses, for interior lookups
+	chunk      []Buffer            // the chunk new Buffers are carved from
 }
+
+// Buffer chunk sizes: a device with a handful of allocations (a tiny
+// functional model) keeps a small chunk, while a zoo model's hundreds
+// of tensors cost one allocation per maxChunk Buffers.
+const (
+	minChunk = 8
+	maxChunk = 512
+)
 
 func newAllocator(total uint64, rng *rand.Rand) *Allocator {
 	// Randomize the arena base the way virtual address space layout
@@ -84,7 +101,8 @@ func (a *Allocator) alloc(size uint64, functional bool) (uint64, error) {
 		addr = a.next
 		a.next += aligned
 	}
-	b := &Buffer{addr: addr, size: size, alignedSize: aligned, functional: functional}
+	b := a.newBuffer()
+	*b = Buffer{addr: addr, size: size, alignedSize: aligned, functional: functional}
 	a.live[addr] = b
 	a.insertSorted(addr)
 	a.used += aligned
@@ -100,8 +118,19 @@ func (a *Allocator) free(addr uint64) error {
 	a.removeSorted(addr)
 	a.used -= b.alignedSize
 	b.freed = true
+	b.data = nil // the chunk outlives b: do not pin its contents
 	a.freeBySize[b.alignedSize] = append(a.freeBySize[b.alignedSize], addr)
 	return nil
+}
+
+// newBuffer returns the next unused Buffer of the current chunk,
+// starting a new chunk when it is full.
+func (a *Allocator) newBuffer() *Buffer {
+	if len(a.chunk) == cap(a.chunk) {
+		a.chunk = make([]Buffer, 0, min(max(2*cap(a.chunk), minChunk), maxChunk))
+	}
+	a.chunk = a.chunk[:len(a.chunk)+1]
+	return &a.chunk[len(a.chunk)-1]
 }
 
 func (a *Allocator) insertSorted(addr uint64) {

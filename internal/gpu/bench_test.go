@@ -8,6 +8,7 @@ import (
 
 func BenchmarkMallocFree(b *testing.B) {
 	d := NewDevice(A100(1, CostOnly), vclock.New())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := d.Malloc(4096)

@@ -298,3 +298,90 @@ func TestFindBufferProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFreeDropsContentsAndReportsUseAfterFree: a freed buffer's chunk
+// may outlive it, so free drops its contents; the buffer still reports
+// Freed, rejects access, and a second free is a BadFreeError.
+func TestFreeDropsContentsAndReportsUseAfterFree(t *testing.T) {
+	d := testDevice(12)
+	a, _ := d.Malloc(64)
+	buf, _ := d.Buffer(a)
+	if err := buf.WriteAt(0, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if buf.data != nil {
+		t.Fatal("freed buffer still holds its contents")
+	}
+	if !buf.Freed() {
+		t.Fatal("Freed() = false after Free")
+	}
+	if _, err := buf.Snapshot(); err == nil {
+		t.Fatal("snapshot of freed buffer succeeded")
+	}
+	if err := buf.ReadAt(0, make([]byte, 1)); err == nil {
+		t.Fatal("read of freed buffer succeeded")
+	}
+	var bad *BadFreeError
+	if err := d.Free(a); !errors.As(err, &bad) || bad.Addr != a {
+		t.Fatalf("double free = %v, want BadFreeError at %#x", err, a)
+	}
+	// The address comes back to a new buffer; the old one stays freed.
+	b, _ := d.Malloc(64)
+	if b != a {
+		t.Fatalf("reallocation = %#x, want reuse of %#x", b, a)
+	}
+	if !buf.Freed() {
+		t.Fatal("reallocating the address revived the freed buffer")
+	}
+}
+
+// TestBuffersSurviveChunkGrowth: buffers carved from successive chunks
+// keep their identity and contents as later chunks are made.
+func TestBuffersSurviveChunkGrowth(t *testing.T) {
+	d := testDevice(13)
+	var bufs []*Buffer
+	for i := 0; i < 3*maxChunk; i++ {
+		a, err := d.Malloc(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := d.Buffer(a)
+		if err := b.SetUint32(0, uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+		bufs = append(bufs, b)
+	}
+	for i, b := range bufs {
+		if got, ok := d.Buffer(b.Addr()); !ok || got != b {
+			t.Fatalf("buffer %d: lookup returned a different Buffer", i)
+		}
+		if v, err := b.Uint32(0); err != nil || v != uint32(i) {
+			t.Fatalf("buffer %d holds %d (%v), want %d", i, v, err, i)
+		}
+	}
+}
+
+// TestMallocFreeCycleAllocatesLittle: a Malloc/Free cycle carves one
+// Buffer from a chunk, so it averages well under one heap allocation.
+func TestMallocFreeCycleAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	d := NewDevice(A100(14, CostOnly), vclock.New())
+	cycle := func() {
+		a, err := d.Malloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Free(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n >= 1 {
+		t.Fatalf("Malloc/Free cycle allocated %v times, want under 1", n)
+	}
+}

@@ -65,6 +65,21 @@ func (q *Seq) Len() int { return q.tokens }
 // it; the Manager reuses its storage after Release.
 func (q *Seq) Table() []int { return q.table }
 
+// SizeFor makes q's block table hold a lifetime of tokens tokens
+// without growing again: callers that know a sequence's prompt and
+// output lengths size it once at admission, instead of letting the
+// table grow by append as blocks arrive. A recycled Seq whose kept
+// capacity already suffices is left alone, so a steady stream of
+// sequences through recycled handles allocates nothing. Size to the
+// sequence, not the pool: a pool-sized table per handle wastes bytes.
+func (q *Seq) SizeFor(tokens int) {
+	if need := BlocksForTokens(tokens); need > cap(q.table) {
+		table := make([]int, len(q.table), need)
+		copy(table, q.table)
+		q.table = table
+	}
+}
+
 // blocksNeeded computes the additional blocks to extend q by n tokens.
 func (q *Seq) blocksNeeded(n int) int {
 	return BlocksForTokens(q.tokens+n) - len(q.table)

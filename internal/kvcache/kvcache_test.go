@@ -544,3 +544,81 @@ func TestSteadyStateCycleAllocatesNothing(t *testing.T) {
 		t.Fatalf("steady-state Reserve/Commit/Release cycle allocated %v times, want 0", n)
 	}
 }
+
+// lifetime admits q with a prompt, decodes it one token at a time to
+// its output length and releases it: one sequence's whole life.
+func lifetime(tb testing.TB, m *Manager, q *Seq, prompt, output int) {
+	if err := m.Reserve(q, prompt); err != nil {
+		tb.Fatal(err)
+	}
+	m.Commit()
+	for i := 1; i < output; i++ {
+		if err := m.Reserve(q, 1); err != nil {
+			tb.Fatal(err)
+		}
+		m.Commit()
+	}
+	m.Release(q)
+}
+
+// TestSizedSeqAllocatesNothing: a Seq sized by SizeFor for its prompt
+// and output lives through Reserve/Commit/Release without allocating,
+// even on its first use; an unsized one grows its table by append.
+func TestSizedSeqAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	const prompt, output, runs = 70, 90, 20
+	m := NewManager(64)
+	seqs := make([]Seq, runs+1) // AllocsPerRun makes one extra, warm-up, call
+	for i := range seqs {
+		seqs[i].SizeFor(prompt + output)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		lifetime(t, m, &seqs[i], prompt, output)
+		i++
+	}); n != 0 {
+		t.Fatalf("a sized Seq's lifetime allocated %v times, want 0", n)
+	}
+	if got, want := cap(seqs[0].Table()), BlocksForTokens(prompt+output); got != want {
+		t.Fatalf("sized table capacity = %d, want %d", got, want)
+	}
+	var unsized Seq
+	if n := testing.AllocsPerRun(1, func() {
+		unsized = Seq{}
+		lifetime(t, m, &unsized, prompt, output)
+	}); n == 0 {
+		t.Fatal("an unsized Seq's lifetime allocated nothing; the sized gate proves nothing")
+	}
+}
+
+// TestSizeForKeepsLargerTable: SizeFor never shrinks a table or drops
+// the blocks it holds.
+func TestSizeForKeepsLargerTable(t *testing.T) {
+	m := NewManager(16)
+	var q Seq
+	q.SizeFor(100)
+	if err := m.Append(&q, 40); err != nil {
+		t.Fatal(err)
+	}
+	before := q.Table()
+	q.SizeFor(10)
+	if cap(q.Table()) != BlocksForTokens(100) || &q.Table()[0] != &before[0] {
+		t.Fatal("SizeFor for fewer tokens reallocated the table")
+	}
+	q.SizeFor(400)
+	if cap(q.Table()) != BlocksForTokens(400) || !slices.Equal(q.Table(), before) {
+		t.Fatalf("SizeFor(400) = %v (cap %d), want %v kept", q.Table(), cap(q.Table()), before)
+	}
+}
+
+func BenchmarkSizedSeqLifetime(b *testing.B) {
+	m := NewManager(64)
+	var q Seq
+	q.SizeFor(160)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		lifetime(b, m, &q, 70, 90)
+	}
+}

@@ -2,6 +2,8 @@ package model
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -267,6 +269,37 @@ func TestShardTensorsConsistency(t *testing.T) {
 			if shard, _ := cfg.Shard(0, degree); shard.LoadBytes() != cfg.ParamBytes/uint64(degree) {
 				t.Fatalf("%s tp%d: rank streams %d bytes, want %d", name, degree, shard.LoadBytes(), cfg.ParamBytes/uint64(degree))
 			}
+		}
+	}
+}
+
+// TestTensorNamesMatchFormatted pins the concatenated tensor names to
+// the "layers.<l>.<suffix>" format, with exact capacity, for every zoo
+// model and both tiny families.
+func TestTensorNamesMatchFormatted(t *testing.T) {
+	suffixes := []string{"input_norm", "wqkv", "wo", "post_norm", "wgateup", "wdown"}
+	for _, c := range append(Zoo(), TestTiny("tiny"), TestTinyParallel("tinyp")) {
+		layer := suffixes
+		if c.Family == FamilyParallel {
+			layer = append(slices.Clone(suffixes), "attn_bias")
+		}
+		want := []string{"embed_tokens"}
+		for l := 0; l < c.Layers; l++ {
+			for _, s := range layer {
+				want = append(want, fmt.Sprintf("layers.%d.%s", l, s))
+			}
+		}
+		want = append(want, "final_norm", "lm_head")
+		specs := c.Tensors()
+		if len(specs) != cap(specs) {
+			t.Errorf("%s: %d tensors in a slice of capacity %d", c.Name, len(specs), cap(specs))
+		}
+		var got []string
+		for _, s := range specs {
+			got = append(got, s.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: tensor names = %v, want %v", c.Name, got, want)
 		}
 	}
 }

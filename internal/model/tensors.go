@@ -2,8 +2,8 @@ package model
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // TensorSpec describes one weight tensor of the model structure.
@@ -36,38 +36,44 @@ func (c Config) TensorBytes(s TensorSpec) uint64 {
 // (column-parallel for QKV/gate-up/LM head, row-parallel for O/down),
 // while embeddings and norms are replicated — the Megatron layout.
 func (c Config) Tensors() []TensorSpec {
+	n := 0
+	c.eachTensor(func(TensorSpec) { n++ })
+	specs := make([]TensorSpec, 0, n)
+	c.eachTensor(func(s TensorSpec) {
+		if s.Layer >= 0 {
+			s.Name = "layers." + strconv.Itoa(s.Layer) + "." + s.Name
+		}
+		specs = append(specs, s)
+	})
+	return specs
+}
+
+// eachTensor calls fn with every weight tensor in initialization
+// order. Layer tensors carry only their name's suffix ("wqkv");
+// Tensors prefixes the layer.
+func (c Config) eachTensor(fn func(TensorSpec)) {
 	h, f, v := c.Hidden, c.FFN, c.Vocab
 	tp := c.TP()
-	specs := []TensorSpec{
-		{Name: "embed_tokens", Layer: -1, Elems: v * h},
-	}
+	fn(TensorSpec{Name: "embed_tokens", Layer: -1, Elems: v * h})
 	for l := 0; l < c.Layers; l++ {
-		p := func(n string) string { return fmt.Sprintf("layers.%d.%s", l, n) }
-		specs = append(specs,
-			TensorSpec{Name: p("input_norm"), Layer: l, Elems: h, Norm: true},
-			TensorSpec{Name: p("wqkv"), Layer: l, Elems: h * 3 * h / tp},
-			TensorSpec{Name: p("wo"), Layer: l, Elems: h * h / tp},
-			TensorSpec{Name: p("post_norm"), Layer: l, Elems: h, Norm: true},
-			TensorSpec{Name: p("wgateup"), Layer: l, Elems: h * 2 * f / tp},
-			TensorSpec{Name: p("wdown"), Layer: l, Elems: f * h / tp},
-		)
+		fn(TensorSpec{Name: "input_norm", Layer: l, Elems: h, Norm: true})
+		fn(TensorSpec{Name: "wqkv", Layer: l, Elems: h * 3 * h / tp})
+		fn(TensorSpec{Name: "wo", Layer: l, Elems: h * h / tp})
+		fn(TensorSpec{Name: "post_norm", Layer: l, Elems: h, Norm: true})
+		fn(TensorSpec{Name: "wgateup", Layer: l, Elems: h * 2 * f / tp})
+		fn(TensorSpec{Name: "wdown", Layer: l, Elems: f * h / tp})
 		if c.Family == FamilyParallel {
-			specs = append(specs, TensorSpec{Name: p("attn_bias"), Layer: l, Elems: h})
+			fn(TensorSpec{Name: "attn_bias", Layer: l, Elems: h})
 		}
 	}
-	specs = append(specs,
-		TensorSpec{Name: "final_norm", Layer: -1, Elems: h, Norm: true},
-		TensorSpec{Name: "lm_head", Layer: -1, Elems: v * h / tp},
-	)
-	return specs
+	fn(TensorSpec{Name: "final_norm", Layer: -1, Elems: h, Norm: true})
+	fn(TensorSpec{Name: "lm_head", Layer: -1, Elems: v * h / tp})
 }
 
 // WeightBytesTotal sums the device bytes of all tensors.
 func (c Config) WeightBytesTotal() uint64 {
 	var total uint64
-	for _, s := range c.Tensors() {
-		total += c.TensorBytes(s)
-	}
+	c.eachTensor(func(s TensorSpec) { total += c.TensorBytes(s) })
 	return total
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 )
@@ -77,11 +76,15 @@ func (t Timeline) Total() time.Duration {
 // attributed extent is charged to exactly one phase, so the per-phase
 // sums equal the end-to-end durations with zero drift even when the
 // underlying stages overlap (async weight streaming, Medusa's restore
-// next to the weight copy).
+// next to the weight copy). It is not safe for concurrent use.
 type PhaseBreakdown struct {
 	order  []string
 	totals map[string]time.Duration
 	counts map[string]int
+
+	// AddExclusive scratch, reused across calls.
+	bounds  []time.Duration
+	charged []string
 }
 
 // NewPhaseBreakdown returns an empty breakdown.
@@ -103,26 +106,29 @@ func (b *PhaseBreakdown) Add(phase string, d time.Duration) {
 // interval owns the time (ties broken by later end, then by phase
 // name, so attribution is independent of input order); instants inside
 // the extent covered by nothing are charged to GapPhase. The total
-// charged equals exactly hull(intervals).End - hull(intervals).Start.
+// charged equals exactly hull(intervals).End - hull(intervals).Start,
+// and each phase charged counts once per call. An interval that ends
+// before it starts panics, as in Timeline.Record, before anything is
+// charged. Once the breakdown has seen as many intervals and phases,
+// a call allocates nothing: its sort and owner scratch live on the
+// breakdown.
 func (b *PhaseBreakdown) AddExclusive(intervals []Interval) {
 	if len(intervals) == 0 {
 		return
 	}
 	// Elementary slices between sorted unique boundaries.
-	bounds := make([]time.Duration, 0, 2*len(intervals))
+	bounds := b.bounds[:0]
 	for _, iv := range intervals {
+		if iv.End < iv.Start {
+			panic(fmt.Sprintf("obs: interval %q ends (%v) before it starts (%v)", iv.Phase, iv.End, iv.Start))
+		}
 		bounds = append(bounds, iv.Start, iv.End)
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	uniq := bounds[:1]
-	for _, t := range bounds[1:] {
-		if t != uniq[len(uniq)-1] {
-			uniq = append(uniq, t)
-		}
-	}
-	charged := make(map[string]bool, len(intervals))
-	for i := 0; i+1 < len(uniq); i++ {
-		lo, hi := uniq[i], uniq[i+1]
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	charged := b.charged[:0]
+	for i := 0; i+1 < len(bounds); i++ {
+		lo, hi := bounds[i], bounds[i+1]
 		owner := GapPhase
 		var ownerIv *Interval
 		for j := range intervals {
@@ -142,11 +148,12 @@ func (b *PhaseBreakdown) AddExclusive(intervals []Interval) {
 			b.order = append(b.order, owner)
 		}
 		b.totals[owner] += hi - lo
-		if !charged[owner] {
-			charged[owner] = true
+		if !slices.Contains(charged, owner) {
+			charged = append(charged, owner)
 			b.counts[owner]++
 		}
 	}
+	b.bounds, b.charged = bounds, charged
 }
 
 // Phases lists the phases in first-charged order.

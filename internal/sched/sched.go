@@ -426,6 +426,7 @@ func (s *Scheduler[T]) admitWaiting(budget int, peek func() (int, int, bool), po
 		}
 		q := s.newSeq()
 		q.id = s.nextID
+		q.SizeFor(prompt + output)
 		chunk, ok := s.admissionChunk(prompt, budget)
 		if !ok || s.kv.Reserve(&q.Seq, chunk) != nil {
 			s.kv.Rollback()

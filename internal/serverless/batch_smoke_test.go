@@ -83,6 +83,6 @@ func TestBatchSmoke100k(t *testing.T) {
 	checkCeiling(t, "bytes/request", "max_bytes_per_request_batched", bytesPerReq)
 	desiredPerReq := float64(res.Work.Desired) / float64(completed)
 	checkCeiling(t, "Desired calls/request", "max_desired_calls_per_request", desiredPerReq)
-	t.Logf("completed %d requests in %v (%.2f allocs/request, %.1f bytes/request, %.2f Desired calls/request, %d preemptions, %d cold starts)",
+	t.Logf("completed %d requests in %v (%.4f allocs/request, %.1f bytes/request, %.2f Desired calls/request, %d preemptions, %d cold starts)",
 		completed, elapsed, allocsPerReq, bytesPerReq, desiredPerReq, preempted, res.TotalColdStarts)
 }

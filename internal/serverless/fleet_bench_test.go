@@ -1,6 +1,7 @@
 package serverless
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 // popularity churning through two nodes with tight caches and short
 // idle timeouts, so the run exercises placement, cache contention,
 // continual relaunching and the full event-loop hot path.
-func benchZipfFleet(b *testing.B, rps float64, seconds int) Fleet {
+func benchZipfFleet(b testing.TB, rps float64, seconds int) Fleet {
 	b.Helper()
 	cfg := churnConfig(artifactcache.PolicyCostAware)
 	cfg.Nodes = 4
@@ -84,4 +85,34 @@ func BenchmarkClusterSimWallclock(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestFleetAllocCeiling holds the churn-shaped zipf-6k fleet of
+// BenchmarkClusterSimWallclock (ten models on four nodes with tight
+// caches, so every run relaunches, fetches and evicts thousands of
+// times) under the checked-in ceiling of heap allocations per
+// completed request in testdata/max_allocs_per_request_fleet. The
+// count covers a whole run: building each deployment's profile, every
+// cold start and every request.
+func TestFleetAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	cfg := benchZipfFleet(t, 50, 120)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := RunFleet(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := 0
+	for _, d := range res.PerDeployment {
+		completed += d.Completed
+	}
+	allocsPerReq := float64(after.Mallocs-before.Mallocs) / float64(completed)
+	t.Logf("zipf-6k: %d requests, %d cold starts, %.3f allocs/request", completed, res.TotalColdStarts, allocsPerReq)
+	checkCeiling(t, "allocs/request", "max_allocs_per_request_fleet", allocsPerReq)
 }

@@ -102,6 +102,6 @@ func TestScaleSmoke1M(t *testing.T) {
 	checkCeiling(t, "events/request", "max_events_per_request", eventsPerReq)
 	dispatchPerReq := float64(res.Work.DispatchSteps) / float64(completed)
 	checkCeiling(t, "dispatch steps/request", "max_dispatch_steps_per_request", dispatchPerReq)
-	t.Logf("completed %d requests in %v (%.2f allocs/request, %.2f Desired calls/request, %.2f events/request, %.2f dispatch steps/request, heap max %d, %d cold starts)",
+	t.Logf("completed %d requests in %v (%.4f allocs/request, %.2f Desired calls/request, %.2f events/request, %.2f dispatch steps/request, heap max %d, %d cold starts)",
 		completed, elapsed, allocsPerReq, desiredPerReq, eventsPerReq, dispatchPerReq, res.Work.HeapMax, res.TotalColdStarts)
 }
