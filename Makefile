@@ -76,15 +76,20 @@ short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Per-layer benchmarks of the cold-start and serving paths whose
-# zero-allocation tests pin them (ROADMAP direction 7): AddExclusive on
-# a Medusa launch, FetchPair by tier, a sized KV sequence's lifetime,
-# Plan/FinishRun at a mean and a full batch, and a device Malloc/Free
-# cycle. Ten counts each, for benchstat.
-LAYER_BENCH = BenchmarkAddExclusive|BenchmarkFetchPair|BenchmarkSizedSeqLifetime|BenchmarkPlanFinishRun|BenchmarkMallocFree$$
+# Per-layer benchmarks of the cold-start, serving and control-plane
+# paths whose zero-allocation tests pin them (ROADMAP direction 7):
+# AddExclusive on a Medusa launch, FetchPair by tier, a sized KV
+# sequence's lifetime, Plan/FinishRun at a mean and a full batch, a
+# device Malloc/Free cycle, Ranker.Rank over a fleet-diurnal slate,
+# reactive and predictive Desired, and Next on the Poisson, bursty and
+# diurnal sources; plus the 1k-node artifact decode and analysis, whose
+# allocations and bytes TestCodecAllocCeilings bounds. Ten counts each,
+# for benchstat.
+LAYER_BENCH = BenchmarkAddExclusive|BenchmarkFetchPair|BenchmarkSizedSeqLifetime|BenchmarkPlanFinishRun|BenchmarkMallocFree$$|BenchmarkRankDiurnalSlate|BenchmarkReactiveDesired|BenchmarkPredictiveDesired|BenchmarkSourceNext|BenchmarkDecode1kNodes|BenchmarkAnalyze1kNodes
 bench-layers:
 	$(GO) test -run xxx -bench '$(LAYER_BENCH)' -count 10 -benchmem \
-		./internal/obs ./internal/artifactcache ./internal/kvcache ./internal/sched ./internal/gpu
+		./internal/obs ./internal/artifactcache ./internal/kvcache ./internal/sched ./internal/gpu \
+		./internal/router ./internal/autoscale ./internal/workload ./internal/medusa
 
 # Seconds-scale benchmark gate for CI: the seeded eviction-policy sweep
 # (lru/lfu/costaware on one 2-node Zipf workload), a two-node fleet

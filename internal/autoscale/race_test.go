@@ -1,0 +1,7 @@
+//go:build race
+
+package autoscale
+
+// raceEnabled reports a -race build, whose instrumentation moves values
+// to the heap and so changes allocation counts.
+const raceEnabled = true

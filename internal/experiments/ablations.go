@@ -101,9 +101,9 @@ func runAblationCopyFree(c *Context) (*Report, error) {
 		for _, g := range art.Graphs {
 			for _, n := range g.Nodes {
 				for _, p := range n.Params {
-					if p.Pointer && !referenced[p.AllocIndex] {
-						referenced[p.AllocIndex] = true
-						dumpBytes += sizeByIndex[p.AllocIndex]
+					if p.Pointer && !referenced[int(p.AllocIndex)] {
+						referenced[int(p.AllocIndex)] = true
+						dumpBytes += sizeByIndex[int(p.AllocIndex)]
 					}
 				}
 			}

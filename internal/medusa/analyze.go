@@ -188,21 +188,19 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 		}
 	}
 	// Per-graph slabs, sized exactly from the captured nodes: one for
-	// the node records, one each for every node's dependencies, param
-	// records and param images. Each node's share is a full-slice-
-	// expression sub-slice, so appending to one never overwrites its
-	// neighbour.
+	// the node records, one each for every node's dependencies and
+	// param records (images are held inline in the records). Each
+	// node's share is a full-slice-expression sub-slice, so appending
+	// to one never overwrites its neighbour.
 	nodes := cg.graph.Nodes()
-	var nDeps, nParams, nBytes int
+	var nDeps, nParams int
 	for _, node := range nodes {
 		nDeps += len(node.Deps)
 		nParams += len(node.Params)
-		nBytes += paramBytes(node.Params)
 	}
 	out.gr.Nodes = make([]NodeRecord, len(nodes))
 	deps := make([]int, nDeps)
 	params := make([]ParamRecord, nParams)
-	images := make([]byte, nBytes)
 	for ni, node := range nodes {
 		l := cg.launches[ni]
 		nr := &out.gr.Nodes[ni]
@@ -230,13 +228,17 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 			nr.Params = cut(&params, len(node.Params))
 		}
 		for pi, raw := range node.Params {
+			if len(raw) > maxParamImage {
+				out.err = fmt.Errorf("medusa: graph %d node %d param %d: %d-byte image exceeds limit %d",
+					cg.batch, ni, pi, len(raw), maxParamImage)
+				return out
+			}
 			pr := &nr.Params[pi]
-			pr.Raw = cut(&images, len(raw))
-			copy(pr.Raw, raw)
+			pr.Size = uint8(copy(pr.Image[:], raw))
 			if p, isPtr := looksLikePointer(raw); isPtr {
 				if idx, off, found := match(l.eventPos, p); found {
 					pr.Pointer = true
-					pr.AllocIndex = idx
+					pr.AllocIndex = int32(idx)
 					pr.Offset = off
 					out.referenced[idx] = true
 				}
@@ -257,15 +259,6 @@ func cut[T any](slab *[]T, n int) []T {
 	s := (*slab)[:n:n]
 	*slab = (*slab)[n:]
 	return s
-}
-
-// paramBytes sums the sizes of a node's parameter images.
-func paramBytes(params [][]byte) int {
-	n := 0
-	for _, p := range params {
-		n += len(p)
-	}
-	return n
 }
 
 // locateKernel records how the online phase can find a kernel: its

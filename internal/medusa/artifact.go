@@ -34,21 +34,34 @@ type AllocRecord struct {
 }
 
 // ParamRecord is one kernel parameter of a materialized graph node.
+// The image is held inline: kernel parameters are scalars or device
+// pointers of at most 8 bytes, so a fixed array beside the image's
+// width costs less than a slice header pointing into a slab, and the
+// record is 24 bytes with no pointer for the GC to trace.
 type ParamRecord struct {
-	// Raw is the parameter image as captured. Constants restore from it
-	// directly; for pointers it is retained so a validation correction
-	// can demote the parameter back to a constant (§4).
-	Raw []byte
+	// Image holds the parameter image as captured in its first Size
+	// bytes; the rest stay zero. Constants restore from it directly;
+	// for pointers it is retained so a validation correction can demote
+	// the parameter back to a constant (§4).
+	Image [maxParamImage]byte
+	// Offset is the pointer's offset within the AllocIndex-th
+	// allocation — pointers may reference buffer interiors.
+	Offset uint64
+	// AllocIndex is the indirect index pointer: which allocation of the
+	// sequence the pointer referenced (§4.1). It has the wire's 32-bit
+	// width: a wire value of 2^31 or more decodes negative, which
+	// validation rejects for a pointer.
+	AllocIndex int32
+	// Size is the image's width in bytes (4 or 8 in a valid artifact).
+	Size uint8
 	// Pointer marks a data pointer to be restored through the indirect
 	// index pointer table.
 	Pointer bool
-	// AllocIndex is the indirect index pointer: which allocation of the
-	// sequence the pointer referenced (§4.1).
-	AllocIndex int
-	// Offset is the pointer's offset within that allocation — pointers
-	// may reference buffer interiors.
-	Offset uint64
 }
+
+// Raw returns the parameter image, Image[:Size]. The slice aliases the
+// record, and its capacity ends at Size, so appending to it copies.
+func (p *ParamRecord) Raw() []byte { return p.Image[:p.Size:p.Size] }
 
 // NodeRecord is one materialized CUDA graph node.
 type NodeRecord struct {
@@ -227,12 +240,12 @@ func (a *Artifact) validate() error {
 				return fmt.Errorf("medusa: graph %d node %d references unknown kernel %q", g.Batch, ni, n.KernelName)
 			}
 			for pi, p := range n.Params {
-				if p.Pointer && (p.AllocIndex < 0 || p.AllocIndex >= a.AllocCount) {
+				if p.Pointer && (p.AllocIndex < 0 || int(p.AllocIndex) >= a.AllocCount) {
 					return fmt.Errorf("medusa: graph %d node %d param %d indexes allocation %d of %d",
 						g.Batch, ni, pi, p.AllocIndex, a.AllocCount)
 				}
-				if len(p.Raw) != 4 && len(p.Raw) != 8 {
-					return fmt.Errorf("medusa: graph %d node %d param %d has %d-byte image", g.Batch, ni, pi, len(p.Raw))
+				if p.Size != 4 && p.Size != 8 {
+					return fmt.Errorf("medusa: graph %d node %d param %d has %d-byte image", g.Batch, ni, pi, p.Size)
 				}
 			}
 			for _, d := range n.Deps {

@@ -309,13 +309,13 @@ func restoreOnce(art *Artifact) error {
 	return err
 }
 
-// TestCodecAllocCeilings holds the codec's and the restore path's
-// allocations per call on the 1k-node fixture under the checked-in
-// ceilings in testdata/max_allocs_<op>_1k, and the restore's bytes per
-// call under testdata/max_bytes_restore_1k: the wire writer appends
-// without boxing, decode keeps each graph's deps, params and parameter
-// images in per-graph slabs, and restore builds no node until a graph
-// is launched.
+// TestCodecAllocCeilings holds the codec's, the analysis's and the
+// restore path's allocations per call on the 1k-node fixture under the
+// checked-in ceilings in testdata/max_allocs_<op>_1k, and their heap
+// bytes per call under testdata/max_bytes_<op>_1k: the wire writer
+// appends without boxing, analysis and decode keep each graph's deps
+// and param records (images inline) in per-graph slabs, and restore
+// builds no node until a graph is launched.
 func TestCodecAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -330,6 +330,8 @@ func TestCodecAllocCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	resolve := func(string) (*Template, bool) { return tmpl, true }
+	proc, rec := offlineBenchFixture(t, 1000)
+	analyzeOpts := AnalyzeOptions{ModelName: "bench", SkipContents: true}
 	ops := []struct {
 		file      string
 		bytesFile string // optional bytes-per-call ceiling
@@ -337,8 +339,9 @@ func TestCodecAllocCeilings(t *testing.T) {
 	}{
 		{"max_allocs_encode_1k", "", func() error { _, err := art.Encode(); return err }},
 		{"max_allocs_encode_delta_1k", "", func() error { _, err := art.EncodeDelta(tmpl); return err }},
-		{"max_allocs_decode_1k", "", func() error { _, err := Decode(v2); return err }},
-		{"max_allocs_decode_resolved_1k", "", func() error { _, err := DecodeResolved(v3, resolve); return err }},
+		{"max_allocs_decode_1k", "max_bytes_decode_1k", func() error { _, err := Decode(v2); return err }},
+		{"max_allocs_decode_resolved_1k", "max_bytes_decode_resolved_1k", func() error { _, err := DecodeResolved(v3, resolve); return err }},
+		{"max_allocs_analyze_1k", "max_bytes_analyze_1k", func() error { _, err := Analyze(rec, proc, analyzeOpts); return err }},
 		{"max_allocs_restore_1k", "max_bytes_restore_1k", func() error { return restoreOnce(art) }},
 	}
 	for _, op := range ops {

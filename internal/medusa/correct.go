@@ -66,7 +66,7 @@ func (a *Artifact) setGroupPointer(pg ParamGroup, v bool) int {
 				continue
 			}
 			p := &n.Params[pg.ParamIndex]
-			if p.Pointer != v && len(p.Raw) == 8 {
+			if p.Pointer != v && p.Size == 8 {
 				p.Pointer = v
 				changed++
 			}

@@ -9,7 +9,7 @@ import (
 // groups for correction-logic tests.
 func artifactWithGroups() *Artifact {
 	mkPtr := func() ParamRecord {
-		return ParamRecord{Raw: []byte{0, 0, 0, 0, 0, 0x40, 0x7f, 0}, Pointer: true, AllocIndex: 0}
+		return ParamRecord{Image: [8]byte{0, 0, 0, 0, 0, 0x40, 0x7f, 0}, Size: 8, Pointer: true, AllocIndex: 0}
 	}
 	return &Artifact{
 		FormatVersion: CurrentFormatVersion,
@@ -19,11 +19,11 @@ func artifactWithGroups() *Artifact {
 		PrefixLen:     1,
 		Graphs: []GraphRecord{
 			{Batch: 1, Nodes: []NodeRecord{
-				{KernelName: "alpha", Params: []ParamRecord{mkPtr(), {Raw: []byte{1, 0, 0, 0}}}},
+				{KernelName: "alpha", Params: []ParamRecord{mkPtr(), {Image: [8]byte{1}, Size: 4}}},
 				{KernelName: "beta", Params: []ParamRecord{mkPtr()}, Deps: []int{0}},
 			}},
 			{Batch: 2, Nodes: []NodeRecord{
-				{KernelName: "alpha", Params: []ParamRecord{mkPtr(), {Raw: []byte{2, 0, 0, 0}}}},
+				{KernelName: "alpha", Params: []ParamRecord{mkPtr(), {Image: [8]byte{2}, Size: 4}}},
 			}},
 		},
 		Kernels: map[string]KernelLoc{
@@ -141,7 +141,7 @@ func TestArtifactValidateRejectsMalformed(t *testing.T) {
 		"bad alloc index":   func(a *Artifact) { a.Graphs[0].Nodes[0].Params[0].AllocIndex = 5 },
 		"dangling dep":      func(a *Artifact) { a.Graphs[0].Nodes[1].Deps = []int{7} },
 		"unknown kernel":    func(a *Artifact) { a.Graphs[0].Nodes[0].KernelName = "ghost" },
-		"bad param width":   func(a *Artifact) { a.Graphs[0].Nodes[0].Params[0].Raw = []byte{1, 2} },
+		"bad param width":   func(a *Artifact) { a.Graphs[0].Nodes[0].Params[0].Size = 2 },
 		"free out of range": func(a *Artifact) { a.AllocSeq = append(a.AllocSeq, AllocRecord{Free: true, AllocIndex: 9}) },
 		"perm size lie": func(a *Artifact) {
 			a.Permanent = []PermRecord{{AllocIndex: 0, Size: 8, Contents: []byte{1}}}

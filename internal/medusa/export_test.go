@@ -97,7 +97,7 @@ func (r *Restorer) buildNodesEager(g *GraphRecord) ([]*cuda.Node, error) {
 				}
 				img = binary.LittleEndian.AppendUint64(nil, r.addr[p.AllocIndex]+p.Offset)
 			} else {
-				img = append([]byte{}, p.Raw...)
+				img = append([]byte{}, p.Raw()...)
 			}
 			node.Params = append(node.Params, img)
 			node.ParamSizes = append(node.ParamSizes, len(img))

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/medusa-repro/medusa/internal/faults"
@@ -25,8 +27,8 @@ func FuzzDecode(f *testing.F) {
 		Graphs: []GraphRecord{{Batch: 1, Nodes: []NodeRecord{{
 			KernelName: "k",
 			Params: []ParamRecord{
-				{Raw: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Pointer: true, AllocIndex: 0, Offset: 8},
-				{Raw: []byte{9, 9, 9, 9}},
+				{Image: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}, Size: 8, Pointer: true, AllocIndex: 0, Offset: 8},
+				{Image: [8]byte{9, 9, 9, 9}, Size: 4},
 			},
 		}}}},
 		Kernels:   map[string]KernelLoc{"k": {Library: "lib.so", Exported: true}},
@@ -43,6 +45,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	trunc := append([]byte(nil), raw[:len(raw)/2]...)
 	f.Add(trunc)
+	f.Add(imageArtifact(0))
+	f.Add(imageArtifact(9))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := Decode(data)
@@ -65,6 +69,93 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("encode → decode → encode is not a fixed point")
 		}
 	})
+}
+
+// imageArtifact returns the v2 encoding of a one-node artifact whose
+// only parameter is a constant image width bytes wide. It writes the
+// wire format directly, so widths no ParamRecord can hold (over the
+// 8-byte limit) and widths validation rejects are both reachable.
+func imageArtifact(width int) []byte {
+	w := newEnvelopeWriter()
+	var crcs []uint32
+	last := len(w.buf)
+	mark := func() {
+		crcs = append(crcs, crc32.ChecksumIEEE(w.buf[last:]))
+		last = len(w.buf)
+	}
+	w.str("image")
+	w.u32(0) // alloc count
+	w.u32(0) // prefix
+	mark()
+	w.u32(0) // no alloc events
+	mark()
+	w.u32(1) // one graph
+	w.u32(1) // batch 1
+	w.u32(1) // one node
+	w.str("k")
+	w.u32(0) // no deps
+	w.u32(1) // one param
+	w.bytes(bytes.Repeat([]byte{7}, width))
+	w.boolean(false)
+	w.u32(0)
+	w.u64(0)
+	mark()
+	w.u32(1)
+	w.str("k")
+	w.str("lib.so")
+	w.boolean(true)
+	mark()
+	w.u32(0) // no permanent records
+	mark()
+	w.u64(0)
+	w.u32(0)
+	w.u64(0)
+	mark()
+	w.u8(uint8(len(crcs)))
+	for _, c := range crcs {
+		w.u32(c)
+	}
+	return w.seal(wireMagic, CurrentFormatVersion)
+}
+
+// checkImageWidth decodes imageArtifact(width): 4- and 8-byte images
+// decode and re-encode to the same bytes, a wider one fails the
+// decoder's own limit check, and any other width fails validation.
+func checkImageWidth(t *testing.T, width int) {
+	t.Helper()
+	raw := imageArtifact(width)
+	a, err := Decode(raw)
+	switch {
+	case width == 4 || width == 8:
+		if err != nil {
+			t.Fatalf("%d-byte image: %v", width, err)
+		}
+		re, err := a.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re, raw) {
+			t.Fatalf("%d-byte image does not re-encode to its bytes", width)
+		}
+	case width > maxParamImage:
+		want := fmt.Sprintf("param image of %d bytes exceeds limit %d", width, maxParamImage)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%d-byte image: error %v, want %q", width, err, want)
+		}
+	default:
+		want := fmt.Sprintf("has %d-byte image", width)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%d-byte image: error %v, want %q", width, err, want)
+		}
+	}
+}
+
+// TestDecodeImageWidths pins the image-width rules at the wire level,
+// for every width up to one past the limit.
+func TestDecodeImageWidths(t *testing.T) {
+	for width := 0; width <= maxParamImage+1; width++ {
+		checkImageWidth(t, width)
+	}
 }
 
 // buildFuzzArtifact derives a structurally valid artifact from a seeded
@@ -101,12 +192,11 @@ func buildFuzzArtifact(rng *rand.Rand, nAlloc, nGraphs, nKernels int, omitConten
 			for ni := 0; ni < nNodes; ni++ {
 				n := NodeRecord{KernelName: names[rng.Intn(nKernels)]}
 				for pi := rng.Intn(3); pi > 0; pi-- {
-					raw := make([]byte, 4+4*rng.Intn(2))
-					rng.Read(raw)
-					p := ParamRecord{Raw: raw}
+					p := ParamRecord{Size: uint8(4 + 4*rng.Intn(2))}
+					rng.Read(p.Raw())
 					if nAlloc > 0 && rng.Intn(2) == 0 {
 						p.Pointer = true
-						p.AllocIndex = rng.Intn(nAlloc)
+						p.AllocIndex = int32(rng.Intn(nAlloc))
 						p.Offset = uint64(rng.Intn(1 << 20))
 					}
 					n.Params = append(n.Params, p)
@@ -376,14 +466,20 @@ func FuzzDecodeTemplate(f *testing.F) {
 // FuzzArtifactRoundTrip is the structure-aware complement to FuzzDecode:
 // it constructs valid artifacts from fuzzed shape parameters and
 // asserts the wire format is lossless (decode returns a deeply equal
-// artifact) and canonical (re-encoding is byte-identical).
+// artifact) and canonical (re-encoding is byte-identical). It also
+// decodes a one-parameter artifact with a fuzzed image width
+// (imageWidth mod 10) under checkImageWidth's rules.
 func FuzzArtifactRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(2), uint8(4), false)
-	f.Add(int64(2), uint8(0), uint8(0), uint8(0), true)
-	f.Add(int64(3), uint8(7), uint8(3), uint8(1), true)
-	f.Add(int64(-12345), uint8(1), uint8(1), uint8(9), false)
+	f.Add(int64(1), uint8(3), uint8(2), uint8(4), false, uint8(4))
+	f.Add(int64(2), uint8(0), uint8(0), uint8(0), true, uint8(8))
+	f.Add(int64(3), uint8(7), uint8(3), uint8(1), true, uint8(4))
+	f.Add(int64(-12345), uint8(1), uint8(1), uint8(9), false, uint8(8))
+	f.Add(int64(4), uint8(2), uint8(1), uint8(2), false, uint8(0))
+	f.Add(int64(5), uint8(2), uint8(1), uint8(2), true, uint8(9))
 
-	f.Fuzz(func(t *testing.T, seed int64, nAlloc, nGraphs, nKernels uint8, omitContents bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nAlloc, nGraphs, nKernels uint8, omitContents bool, imageWidth uint8) {
+		checkImageWidth(t, int(imageWidth%10))
+
 		rng := rand.New(rand.NewSource(seed))
 		art := buildFuzzArtifact(rng, int(nAlloc%9), int(nGraphs%4), int(nKernels%6), omitContents)
 		raw, err := art.Encode()

@@ -95,7 +95,7 @@ func ScanIndirectPointers(rec *Recorder, proc *cuda.Process, art *Artifact) ([]I
 		for _, n := range g.Nodes {
 			for _, p := range n.Params {
 				if p.Pointer {
-					referenced[p.AllocIndex] = true
+					referenced[int(p.AllocIndex)] = true
 				}
 			}
 		}

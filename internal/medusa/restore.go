@@ -250,7 +250,7 @@ func paramSize(p ParamRecord) int {
 	if p.Pointer {
 		return 8
 	}
-	return len(p.Raw)
+	return int(p.Size)
 }
 
 // buildNodes materializes one checked graph's nodes from its resolved
@@ -291,7 +291,7 @@ func (r *Restorer) buildNodes(g *GraphRecord, addrs []uint64) []*cuda.Node {
 			if p.Pointer {
 				binary.LittleEndian.PutUint64(img, r.addr[p.AllocIndex]+p.Offset)
 			} else {
-				copy(img, p.Raw)
+				copy(img, p.Raw())
 			}
 			node.Params[pi] = img
 			node.ParamSizes[pi] = len(img)

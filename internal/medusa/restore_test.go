@@ -87,7 +87,7 @@ func TestRestoreGraphsErrorsMatchEager(t *testing.T) {
 		{"parameter count mismatch", "instantiate restored graph 1: cuda: kernel \"toy_seedmix\" parameter mismatch: node 2 has 1 params, kernel wants 2", false,
 			func(a *Artifact) { a.Graphs[0].Nodes[2].Params = a.Graphs[0].Nodes[2].Params[:1] }},
 		{"parameter size mismatch", "node 0 param 2 is 8 bytes, kernel wants 4", false,
-			func(a *Artifact) { a.Graphs[0].Nodes[0].Params[2].Raw = make([]byte, 8) }},
+			func(a *Artifact) { a.Graphs[0].Nodes[0].Params[2].Size = 8 }},
 		{"dependency out of range", "instantiate restored graph 1: node 1 depends on invalid node 3", false,
 			func(a *Artifact) { a.Graphs[0].Nodes[1].Deps = []int{3} }},
 		{"dependency cycle", "instantiate restored graph 1: cuda: graph has a dependency cycle (0 of 3 nodes ordered)", false,
@@ -95,7 +95,7 @@ func TestRestoreGraphsErrorsMatchEager(t *testing.T) {
 		{"cycle before a parameter mismatch", "dependency cycle", false,
 			func(a *Artifact) {
 				a.Graphs[0].Nodes[0].Deps = []int{2}
-				a.Graphs[0].Nodes[0].Params[2].Raw = make([]byte, 8)
+				a.Graphs[0].Nodes[0].Params[2].Size = 8
 			}},
 	}
 	for _, c := range cases {
@@ -125,7 +125,7 @@ func TestRestoreGraphsErrorsMatchEager(t *testing.T) {
 func TestRestoreGraphsKeepsCudaErrorTypes(t *testing.T) {
 	rt := toyRuntime()
 	art, _ := offlineRun(t, rt, 7000, false)
-	art.Graphs[0].Nodes[0].Params[2].Raw = make([]byte, 8)
+	art.Graphs[0].Nodes[0].Params[2].Size = 8
 	_, err := restoreToy(t, rt, art, (*Restorer).RestoreGraphs, true)
 	if !errors.As(err, new(*cuda.ParamMismatchError)) {
 		t.Fatalf("RestoreGraphs error %v does not unwrap to *cuda.ParamMismatchError", err)

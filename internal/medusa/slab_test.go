@@ -4,69 +4,47 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/medusa-repro/medusa/internal/cuda"
 	"github.com/medusa-repro/medusa/internal/gpu"
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
-// checkImagesIsolated requires every image to end at its capacity and
-// appending to any one to leave all the others unchanged: the images
+// TestParamRecordSize pins the inline image layout: an 8-byte image
+// array, its width, the pointer flag, a 32-bit indirect index and the
+// offset fit in 24 bytes, half a slice-backed record.
+func TestParamRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(ParamRecord{}); got > 24 {
+		t.Fatalf("ParamRecord is %d bytes, want at most 24", got)
+	}
+}
+
+// TestAnalyzeRejectsOversizedImage: a captured parameter wider than
+// the 8-byte inline image fails analysis itself, naming the graph,
+// node and param, instead of reaching the artifact's validation.
+func TestAnalyzeRejectsOversizedImage(t *testing.T) {
+	p, rec := offlineBenchFixture(t, 4)
+	rec.graphs[0].graph.Nodes()[2].Params[1] = make([]byte, 9)
+	_, err := Analyze(rec, p, AnalyzeOptions{ModelName: "oversized", SkipContents: true})
+	const want = "medusa: graph 1 node 2 param 1: 9-byte image exceeds limit 8"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Analyze error = %v, want %q", err, want)
+	}
+	if strings.Contains(err.Error(), "inconsistent artifact") {
+		t.Fatalf("oversized image reached validation: %v", err)
+	}
+}
+
+// checkIsolated requires every list to end at its capacity and
+// appending to any one to leave all the others unchanged: the lists
 // share a slab, so a sub-slice with spare capacity would let an append
 // overwrite its neighbour.
-func checkImagesIsolated(t *testing.T, what string, images [][]byte) {
+func checkIsolated[T comparable](t *testing.T, what string, lists [][]T, fill T) {
 	t.Helper()
-	before := make([][]byte, len(images))
-	for i, img := range images {
-		if len(img) != cap(img) {
-			t.Fatalf("%s: image %d has len %d, cap %d", what, i, len(img), cap(img))
-		}
-		before[i] = append([]byte(nil), img...)
-	}
-	for i := range images {
-		_ = append(images[i], 0xAA, 0xBB, 0xCC, 0xDD)
-		for j, img := range images {
-			if !bytes.Equal(img, before[j]) {
-				t.Fatalf("%s: appending to image %d changed image %d", what, i, j)
-			}
-		}
-	}
-}
-
-func paramImages(n *NodeRecord) [][]byte {
-	out := make([][]byte, len(n.Params))
-	for i, p := range n.Params {
-		out[i] = p.Raw
-	}
-	return out
-}
-
-// checkGraphSlabsIsolated checks a whole graph record: its nodes share
-// per-graph slabs, so every image, param list and dependency list must
-// be a len == cap share that no append can reach past.
-func checkGraphSlabsIsolated(t *testing.T, what string, g *GraphRecord) {
-	t.Helper()
-	var images [][]byte
-	var deps [][]int
-	for ni := range g.Nodes {
-		n := &g.Nodes[ni]
-		images = append(images, paramImages(n)...)
-		if cap(n.Params) != len(n.Params) {
-			t.Fatalf("%s: node %d params have len %d, cap %d", what, ni, len(n.Params), cap(n.Params))
-		}
-		if n.Deps != nil {
-			deps = append(deps, n.Deps)
-		}
-	}
-	checkImagesIsolated(t, what+" images", images)
-	checkIntsIsolated(t, what+" deps", deps)
-}
-
-// checkIntsIsolated is checkImagesIsolated for int lists.
-func checkIntsIsolated(t *testing.T, what string, lists [][]int) {
-	t.Helper()
-	before := make([][]int, len(lists))
+	before := make([][]T, len(lists))
 	for i, l := range lists {
 		if len(l) != cap(l) {
 			t.Fatalf("%s: list %d has len %d, cap %d", what, i, len(l), cap(l))
@@ -74,13 +52,48 @@ func checkIntsIsolated(t *testing.T, what string, lists [][]int) {
 		before[i] = slices.Clone(l)
 	}
 	for i := range lists {
-		_ = append(lists[i], -1, -1)
+		_ = append(lists[i], fill, fill, fill, fill)
 		for j, l := range lists {
 			if !slices.Equal(l, before[j]) {
 				t.Fatalf("%s: appending to list %d changed list %d", what, i, j)
 			}
 		}
 	}
+}
+
+// checkGraphSlabsIsolated checks a whole graph record: its nodes share
+// per-graph slabs, so every param list and dependency list must be a
+// len == cap share that no append can reach past. Images are inline:
+// each Raw() ends at its capacity, so an append copies instead of
+// writing into the record's unused image bytes.
+func checkGraphSlabsIsolated(t *testing.T, what string, g *GraphRecord) {
+	t.Helper()
+	var params [][]ParamRecord
+	var deps [][]int
+	for ni := range g.Nodes {
+		n := &g.Nodes[ni]
+		params = append(params, n.Params)
+		if n.Deps != nil {
+			deps = append(deps, n.Deps)
+		}
+		for pi := range n.Params {
+			p := &n.Params[pi]
+			before := *p
+			img := p.Raw()
+			if len(img) != int(p.Size) || cap(img) != int(p.Size) {
+				t.Fatalf("%s: node %d param %d image has len %d, cap %d, size %d", what, ni, pi, len(img), cap(img), p.Size)
+			}
+			_ = append(img, 0xAA, 0xBB, 0xCC, 0xDD)
+			if *p != before {
+				t.Fatalf("%s: appending to node %d param %d's image changed the record", what, ni, pi)
+			}
+			if tail := p.Image[p.Size:]; !bytes.Equal(tail, make([]byte, len(tail))) {
+				t.Fatalf("%s: node %d param %d has non-zero bytes %v past its %d-byte image", what, ni, pi, tail, p.Size)
+			}
+		}
+	}
+	checkIsolated(t, what+" params", params, ParamRecord{Size: 8})
+	checkIsolated(t, what+" deps", deps, -1)
 }
 
 func TestParamSlabsIsolateImages(t *testing.T) {
@@ -126,8 +139,8 @@ func TestParamSlabsIsolateImages(t *testing.T) {
 			ints = append(ints, node.Deps)
 		}
 	}
-	checkImagesIsolated(t, "restored images", images)
-	checkIntsIsolated(t, "restored sizes and deps", ints)
+	checkIsolated(t, "restored images", images, 0xAA)
+	checkIsolated(t, "restored sizes and deps", ints, -1)
 	for ni, node := range nodes {
 
 		// Restored images are copies: mutating one must not reach the
@@ -135,7 +148,7 @@ func TestParamSlabsIsolateImages(t *testing.T) {
 		nr := &back.Graphs[0].Nodes[ni]
 		want := make([][]byte, len(nr.Params))
 		for pi, pr := range nr.Params {
-			want[pi] = append([]byte(nil), pr.Raw...)
+			want[pi] = append([]byte(nil), pr.Raw()...)
 		}
 		for _, img := range node.Params {
 			for i := range img {
@@ -143,22 +156,23 @@ func TestParamSlabsIsolateImages(t *testing.T) {
 			}
 		}
 		for pi, pr := range nr.Params {
-			if !bytes.Equal(pr.Raw, want[pi]) {
-				t.Fatalf("restored node %d: mutating its params changed ParamRecord %d's Raw", ni, pi)
+			if !bytes.Equal(pr.Raw(), want[pi]) {
+				t.Fatalf("restored node %d: mutating its params changed ParamRecord %d's image", ni, pi)
 			}
 		}
 	}
 }
 
-// TestEmptyParamImageDecodesNonNil pins the presence rule blob
-// documents for the slab path: an image written with zero bytes must
-// decode as a non-nil empty slice, not nil.
+// TestEmptyParamImageDecodesNonNil pins the presence rule for images:
+// an image written with zero bytes decodes as a zero-size record
+// whose Raw() is a non-nil empty slice, beside its neighbours' images,
+// and re-encodes to the same bytes.
 func TestEmptyParamImageDecodesNonNil(t *testing.T) {
 	a := &Artifact{
 		ModelName: "empty-image",
 		Graphs: []GraphRecord{{Batch: 1, Nodes: []NodeRecord{{
 			KernelName: "k",
-			Params:     []ParamRecord{{Raw: []byte{}}, {Raw: []byte{1, 2, 3, 4}}, {Raw: []byte{}}},
+			Params:     []ParamRecord{{}, {Image: [8]byte{1, 2, 3, 4}, Size: 4}, {}},
 		}}}},
 		Kernels: map[string]KernelLoc{"k": {Library: "lib.so"}},
 	}
@@ -170,18 +184,23 @@ func TestEmptyParamImageDecodesNonNil(t *testing.T) {
 	}
 	params := back.Graphs[0].Nodes[0].Params
 	for _, pi := range []int{0, 2} {
-		if params[pi].Raw == nil || len(params[pi].Raw) != 0 {
-			t.Fatalf("empty image %d decoded as %#v, want a non-nil empty slice", pi, params[pi].Raw)
+		if img := params[pi].Raw(); img == nil || len(img) != 0 || params[pi] != (ParamRecord{}) {
+			t.Fatalf("empty image %d decoded as %#v (Raw %#v), want a zero record with a non-nil empty image", pi, params[pi], img)
 		}
 	}
-	if !bytes.Equal(params[1].Raw, []byte{1, 2, 3, 4}) {
-		t.Fatalf("image 1 decoded as %v", params[1].Raw)
+	if !bytes.Equal(params[1].Raw(), []byte{1, 2, 3, 4}) {
+		t.Fatalf("image 1 decoded as %v", params[1].Raw())
 	}
-	checkImagesIsolated(t, "decoded with empty images", paramImages(&back.Graphs[0].Nodes[0]))
+	var again wireWriter
+	back.encodeBodyChecksummed(&again, func(string) {})
+	if !bytes.Equal(again.buf, w.buf) {
+		t.Fatal("re-encoding the decoded empty images changed the bytes")
+	}
+	checkGraphSlabsIsolated(t, "decoded with empty images", &back.Graphs[0])
 }
 
 // TestScanGraphBoundedByInput pins parseBody's pre-scan: on a valid
-// graph it counts exactly the graph's deps, params and image bytes;
+// graph it counts exactly the graph's deps and params;
 // on any truncation or corruption it never counts more records than
 // the remaining input bytes could hold, so the slabs it sizes stay
 // bounded by the input.
@@ -198,29 +217,25 @@ func TestScanGraphBoundedByInput(t *testing.T) {
 	body := w.buf[8:] // after batch and node count
 	nNodes := uint32(len(g.Nodes))
 
-	var wantDeps, wantParams, wantImages int
+	var wantDeps, wantParams int
 	for _, n := range g.Nodes {
 		wantDeps += len(n.Deps)
 		wantParams += len(n.Params)
-		for _, pr := range n.Params {
-			wantImages += len(pr.Raw)
-		}
 	}
-	deps, params, images := scanGraph(body, nNodes)
-	if deps != wantDeps || params != wantParams || images != wantImages {
-		t.Fatalf("scan of a valid graph = (%d, %d, %d), want (%d, %d, %d)",
-			deps, params, images, wantDeps, wantParams, wantImages)
+	deps, params := scanGraph(body, nNodes)
+	if deps != wantDeps || params != wantParams {
+		t.Fatalf("scan of a valid graph = (%d, %d), want (%d, %d)", deps, params, wantDeps, wantParams)
 	}
 
 	bounded := func(what string, in []byte, n uint32) {
 		t.Helper()
-		deps, params, images := scanGraph(in, n)
-		if deps < 0 || params < 0 || images < 0 {
-			t.Fatalf("%s: negative counts (%d, %d, %d)", what, deps, params, images)
+		deps, params := scanGraph(in, n)
+		if deps < 0 || params < 0 {
+			t.Fatalf("%s: negative counts (%d, %d)", what, deps, params)
 		}
-		if need := 4*deps + minParamWire*params + images; need > len(in) {
-			t.Fatalf("%s: counts (%d, %d, %d) describe %d bytes, input has %d",
-				what, deps, params, images, need, len(in))
+		if need := 4*deps + minParamWire*params; need > len(in) {
+			t.Fatalf("%s: counts (%d, %d) describe %d bytes, input has %d",
+				what, deps, params, need, len(in))
 		}
 	}
 	for k := 0; k <= len(body); k++ {

@@ -185,25 +185,6 @@ func (r *wireReader) blob(what string, limit uint32) []byte {
 
 func (r *wireReader) str(what string) string { return string(r.view(what, 1<<20)) }
 
-// image reads one parameter image into slab and returns it as a
-// full-slice-expression sub-slice (len == cap), so appending to one
-// image reallocates it instead of overwriting its neighbour. An empty
-// image still comes back non-nil, as blob's do.
-func (r *wireReader) image(slab []byte) (img, rest []byte) {
-	n := r.u32()
-	if n > maxParamImage {
-		r.fail("param image of %d bytes exceeds limit %d", n, maxParamImage)
-		return nil, slab
-	}
-	b := r.take(int(n))
-	if r.err != nil {
-		return nil, slab
-	}
-	start := len(slab)
-	slab = append(slab, b...)
-	return slab[start:len(slab):len(slab)], slab
-}
-
 // capFor bounds a decoded element count by the bytes left in the
 // input, given each element's minimum wire size, so pre-sizing from a
 // corrupt count cannot allocate more than the input could describe.
@@ -216,11 +197,11 @@ func (r *wireReader) capFor(n uint32, minWire int) int {
 
 // scanGraph pre-scans the node encodings of one graph at the front of
 // p, without allocating, and returns the totals its decode slabs need:
-// dependencies, param records and param image bytes. It stops at the
+// dependencies and param records. It stops at the
 // first truncated or out-of-limit node, so it counts only records the
 // bytes of p actually hold and can never size a slab beyond what the
 // input could describe.
-func scanGraph(p []byte, nNodes uint32) (deps, params, images int) {
+func scanGraph(p []byte, nNodes uint32) (deps, params int) {
 	off := 0
 	u32 := func() (uint32, bool) {
 		if len(p)-off < 4 {
@@ -257,7 +238,6 @@ func scanGraph(p []byte, nNodes uint32) (deps, params, images int) {
 				return
 			}
 			params++
-			images += int(img)
 		}
 	}
 	return
@@ -357,7 +337,7 @@ func encodeGraph(w *wireWriter, g *GraphRecord) {
 		}
 		w.u32(uint32(len(n.Params)))
 		for _, p := range n.Params {
-			w.bytes(p.Raw)
+			w.bytes(p.Raw())
 			w.boolean(p.Pointer)
 			w.u32(uint32(p.AllocIndex))
 			w.u64(p.Offset)
@@ -595,15 +575,14 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 		if nNodes > 0 && r.err == nil {
 			g.Nodes = make([]NodeRecord, 0, r.capFor(nNodes, minNodeWire))
 		}
-		// Per-graph slabs for every node's deps, param records and
-		// param images, sized by a pre-scan. Each node's share is a
-		// full-slice-expression sub-slice (len == cap); should a
-		// corrupt graph outgrow the scan, append reallocates and the
-		// shares already cut keep the old backing.
-		nDepsTotal, nParamsTotal, nImageBytes := scanGraph(r.p[r.off:], nNodes)
+		// Per-graph slabs for every node's deps and param records
+		// (images are inline in the records), sized by a pre-scan.
+		// Each node's share is a full-slice-expression sub-slice
+		// (len == cap); should a corrupt graph outgrow the scan, append
+		// reallocates and the shares already cut keep the old backing.
+		nDepsTotal, nParamsTotal := scanGraph(r.p[r.off:], nNodes)
 		deps := make([]int, 0, nDepsTotal)
 		params := make([]ParamRecord, 0, nParamsTotal)
-		images := make([]byte, 0, nImageBytes)
 		for ni := uint32(0); ni < nNodes && r.err == nil; ni++ {
 			var n NodeRecord
 			name := r.view("kernel name", 1<<20)
@@ -631,9 +610,13 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 				start := len(params)
 				for pi := uint32(0); pi < nParams && r.err == nil; pi++ {
 					var p ParamRecord
-					p.Raw, images = r.image(images)
+					if size := r.u32(); size > maxParamImage {
+						r.fail("param image of %d bytes exceeds limit %d", size, maxParamImage)
+					} else {
+						p.Size = uint8(copy(p.Image[:], r.take(int(size))))
+					}
 					p.Pointer = r.boolean()
-					p.AllocIndex = int(r.u32())
+					p.AllocIndex = int32(r.u32())
 					p.Offset = r.u64()
 					params = append(params, p)
 				}
