@@ -155,7 +155,7 @@ func TestDecodeArgsSizeMismatch(t *testing.T) {
 	if _, err := DecodeValue(Ptr, []byte{1, 2, 3, 4}); err == nil {
 		t.Fatal("DecodeValue accepted 4 bytes for Ptr")
 	}
-	if _, err := DecodeArgs(nil, []ParamKind{U32}, [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}); err == nil {
+	if _, err := DecodeArgs(nil, []ParamKind{U32}, EncodeArgs([]Value{U32Value(1), U32Value(2)})); err == nil {
 		t.Fatal("DecodeArgs accepted wrong arity")
 	}
 }
@@ -330,11 +330,11 @@ func TestCaptureBuildsLinearGraph(t *testing.T) {
 		if i == 0 && len(n.Deps) != 0 {
 			t.Fatalf("node 0 deps = %v", n.Deps)
 		}
-		if i > 0 && (len(n.Deps) != 1 || n.Deps[0] != i-1) {
+		if i > 0 && (len(n.Deps) != 1 || int(n.Deps[0]) != i-1) {
 			t.Fatalf("node %d deps = %v", i, n.Deps)
 		}
-		if len(n.Params) != 4 || n.ParamSizes[0] != 8 || n.ParamSizes[3] != 4 {
-			t.Fatalf("node %d params malformed: sizes %v", i, n.ParamSizes)
+		if len(n.Params) != 4 || n.Params[0].Size != 8 || n.Params[3].Size != 4 {
+			t.Fatalf("node %d params malformed: %v", i, n.Params)
 		}
 	}
 }
@@ -448,7 +448,7 @@ func TestStreamMadeDuringCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, want := range [][]int{nil, {0}, {1}} {
+	for id, want := range [][]int32{nil, {0}, {1}} {
 		if got := g.Nodes()[id].Deps; !slices.Equal(got, want) {
 			t.Fatalf("node %d deps = %v, want %v", id, got, want)
 		}
@@ -533,24 +533,24 @@ func TestInstantiateRejectsStaleKernelAddress(t *testing.T) {
 }
 
 func TestGraphValidateCatchesCycles(t *testing.T) {
-	n0 := &Node{ID: 0, Deps: []int{1}}
-	n1 := &Node{ID: 1, Deps: []int{0}}
+	n0 := &Node{ID: 0, Deps: []int32{1}}
+	n1 := &Node{ID: 1, Deps: []int32{0}}
 	g := NewGraph([]*Node{n0, n1})
 	if err := g.Validate(); err == nil {
 		t.Fatal("cyclic graph validated")
 	}
-	bad := NewGraph([]*Node{{ID: 0, Deps: []int{5}}})
+	bad := NewGraph([]*Node{{ID: 0, Deps: []int32{5}}})
 	if err := bad.Validate(); err == nil {
 		t.Fatal("dangling dependency validated")
 	}
 }
 
 func TestNodeClone(t *testing.T) {
-	n := &Node{ID: 3, KernelAddr: 0x99, Params: [][]byte{{1, 2}}, ParamSizes: []int{2}, Deps: []int{1}}
+	n := &Node{ID: 3, KernelAddr: 0x99, Params: []Param{{Image: [8]byte{1, 2}, Size: 2}}, Deps: []int32{1}}
 	c := n.Clone()
-	c.Params[0][0] = 9
+	c.Params[0].Image[0] = 9
 	c.Deps[0] = 7
-	if n.Params[0][0] != 1 || n.Deps[0] != 1 {
+	if n.Params[0].Image[0] != 1 || n.Deps[0] != 1 {
 		t.Fatal("Clone shares backing storage")
 	}
 }
@@ -595,8 +595,8 @@ func TestAllocAndLaunchHooks(t *testing.T) {
 	if launches[0].Captured || !launches[1].Captured || launches[1].NodeID != 0 {
 		t.Fatalf("launch capture flags = %+v", launches)
 	}
-	if len(launches[1].RawParams) != 4 || len(launches[1].RawParams[0]) != 8 {
-		t.Fatalf("raw params malformed: %+v", launches[1].RawParams)
+	if len(launches[1].Params) != 4 || len(launches[1].Params[0].Raw()) != 8 {
+		t.Fatalf("raw params malformed: %+v", launches[1].Params)
 	}
 }
 
@@ -721,7 +721,7 @@ func TestCaptureAlwaysValidProperty(t *testing.T) {
 		}
 		for _, n := range g.Nodes() {
 			for _, dep := range n.Deps {
-				if pos[dep] >= pos[n.ID] {
+				if pos[int(dep)] >= pos[n.ID] {
 					return false
 				}
 			}
@@ -733,19 +733,31 @@ func TestCaptureAlwaysValidProperty(t *testing.T) {
 	}
 }
 
+// TestEncodeArgsImagesIsolated: each encoded param holds its image
+// inline, zero past its width, and Raw() ends at its capacity, so
+// appending to one image copies instead of writing into the param.
 func TestEncodeArgsImagesIsolated(t *testing.T) {
 	args := []Value{PtrValue(0x7f00_0000_1000), U32Value(7), F32Value(2), U64Value(9)}
-	raw := EncodeArgs(args)
-	for i, img := range raw {
+	params := EncodeArgs(args)
+	for i := range params {
+		p := &params[i]
+		img := p.Raw()
 		if len(img) != args[i].Kind.Size() || cap(img) != len(img) {
 			t.Fatalf("image %d: len %d cap %d, want both %d", i, len(img), cap(img), args[i].Kind.Size())
 		}
 		if !bytes.Equal(img, args[i].Encode()) {
 			t.Fatalf("image %d = %x, want %x", i, img, args[i].Encode())
 		}
+		if tail := p.Image[p.Size:]; !bytes.Equal(tail, make([]byte, len(tail))) {
+			t.Fatalf("image %d has non-zero bytes %x past its width", i, tail)
+		}
 	}
-	_ = append(raw[1], 0xAA, 0xBB, 0xCC, 0xDD)
-	if got, err := DecodeArgs(nil, []ParamKind{Ptr, U32, F32, U64}, raw); err != nil || got[2] != args[2] {
-		t.Fatalf("appending to image 1 changed image 2: %v, %v", got, err)
+	before := slices.Clone(params)
+	_ = append(params[1].Raw(), 0xAA, 0xBB, 0xCC, 0xDD)
+	if !slices.Equal(params, before) {
+		t.Fatal("appending to image 1 changed the params")
+	}
+	if got, err := DecodeArgs(nil, []ParamKind{Ptr, U32, F32, U64}, params); err != nil || !slices.Equal(got, args) {
+		t.Fatalf("DecodeArgs = %v, %v; want %v", got, err, args)
 	}
 }

@@ -66,8 +66,7 @@ func TestInstantiateDeferredMatchesInstantiate(t *testing.T) {
 	}
 	for i, n := range lazy.Graph().Nodes() {
 		w := g.Nodes()[i]
-		if n.ID != w.ID || n.KernelAddr != w.KernelAddr || !slices.Equal(n.Deps, w.Deps) ||
-			!slices.Equal(n.ParamSizes, w.ParamSizes) || !slices.EqualFunc(n.Params, w.Params, slices.Equal) {
+		if n.ID != w.ID || n.KernelAddr != w.KernelAddr || !slices.Equal(n.Deps, w.Deps) || !slices.Equal(n.Params, w.Params) {
 			t.Fatalf("node %d: deferred %+v, instantiated %+v", i, n, w)
 		}
 	}
@@ -82,7 +81,7 @@ func TestTopoSorterReuse(t *testing.T) {
 	var graphs []*Graph
 	for trial := 0; trial < 200; trial++ {
 		g := randomGraph(rng, rng.Intn(60), trial%4 == 0)
-		deps := func(i int) []int { return g.nodes[i].Deps }
+		deps := func(i int) []int32 { return g.nodes[i].Deps }
 		got, err := ts.Order(len(g.nodes), deps)
 		want, wantErr := g.TopoOrder()
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) || !slices.Equal(got, want) {
@@ -97,7 +96,7 @@ func TestTopoSorterReuse(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		for _, g := range graphs {
-			ts.Order(len(g.nodes), func(i int) []int { return g.nodes[i].Deps })
+			ts.Order(len(g.nodes), func(i int) []int32 { return g.nodes[i].Deps })
 		}
 	})
 	if allocs != 0 {
@@ -109,7 +108,7 @@ func TestTopoSorterReuse(t *testing.T) {
 // outside the graph with Validate's message instead of indexing past
 // its tables.
 func TestTopoOrderRejectsDanglingDep(t *testing.T) {
-	g := NewGraph([]*Node{{ID: 0}, {ID: 1, Deps: []int{0, 7}}})
+	g := NewGraph([]*Node{{ID: 0}, {ID: 1, Deps: []int32{0, 7}}})
 	_, err := g.TopoOrder()
 	if err == nil || err.Error() != "node 1 depends on invalid node 7" {
 		t.Fatalf("TopoOrder = %v", err)

@@ -27,7 +27,7 @@ func (g *Graph) DOT(name string, resolve func(addr uint64) (string, bool)) strin
 	var edges []edge
 	for _, n := range g.nodes {
 		for _, d := range n.Deps {
-			edges = append(edges, edge{from: d, to: n.ID})
+			edges = append(edges, edge{from: int(d), to: n.ID})
 		}
 	}
 	sort.Slice(edges, func(i, j int) bool {

@@ -2,6 +2,7 @@ package cuda
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -40,19 +41,18 @@ type Event struct {
 func (p *Process) NewEvent() *Event { return &Event{node: -1} }
 
 // captureState holds an in-progress stream capture. Nodes live in one
-// backing array, and their parameter images, image headers, sizes and
-// dependency lists in per-capture slabs, so recording a launch
-// allocates nothing per node once the slabs are sized. Per-stream
-// state is indexed by stream id, which Process.NewStream assigns
-// densely and extends here for a stream made during the capture.
+// backing array, and their parameters (images inline) and dependency
+// lists in per-capture slabs, so recording a launch allocates nothing
+// per node once the slabs are sized. Per-stream state is indexed by
+// stream id, which Process.NewStream assigns densely and extends here
+// for a stream made during the capture.
 type captureState struct {
 	origin      *Stream
 	nodes       []Node
-	images      slab[byte]
-	params      slab[[]byte]
-	ints        slab[int] // param sizes and deps
+	params      slab[Param]
+	deps        slab[int32]
 	last        []int     // stream id -> last node id + 1; 0 when none
-	pending     [][]int   // stream id -> event deps for its next node
+	pending     [][]int32 // stream id -> event deps for its next node
 	invalidated error
 }
 
@@ -61,7 +61,7 @@ type captureState struct {
 // per-batch graphs (and its per-batch first-layer triggers) share a
 // topology, so after the first capture the slabs are exactly sized.
 type captureSize struct {
-	nodes, images, params, ints int
+	nodes, params, deps int
 }
 
 // minSlabChunk is the smallest chunk a slab starts when it runs out,
@@ -113,11 +113,10 @@ func (s *Stream) BeginCapture() error {
 	s.p.capture = &captureState{
 		origin:  s,
 		nodes:   make([]Node, 0, last.nodes),
-		images:  sized[byte](last.images),
-		params:  sized[[]byte](last.params),
-		ints:    sized[int](last.ints),
+		params:  sized[Param](last.params),
+		deps:    sized[int32](last.deps),
 		last:    make([]int, len(s.p.streams)),
-		pending: make([][]int, len(s.p.streams)),
+		pending: make([][]int32, len(s.p.streams)),
 	}
 	return nil
 }
@@ -135,7 +134,7 @@ func (s *Stream) EndCapture() (*Graph, error) {
 		return nil, c.invalidated
 	}
 	s.p.lastCapture = captureSize{
-		nodes: len(c.nodes), images: c.images.used, params: c.params.used, ints: c.ints.used,
+		nodes: len(c.nodes), params: c.params.used, deps: c.deps.used,
 	}
 	nodes := make([]*Node, len(c.nodes))
 	for i := range c.nodes {
@@ -152,31 +151,28 @@ func (s *Stream) EndCapture() (*Graph, error) {
 func (p *Process) Capturing() bool { return p.capture != nil }
 
 // record appends a launch as a graph node, encoding its arguments once
-// into the capture's slabs, and returns the node.
+// into the capture's param slab, and returns the node.
 func (c *captureState) record(s *Stream, k *Kernel, args []Value) Node {
 	last, pend := c.last[s.id], c.pending[s.id]
 	nDeps := len(pend)
 	if last > 0 {
 		nDeps++
 	}
-	deps := c.ints.take(nDeps)
+	deps := c.deps.take(nDeps)
 	if last > 0 {
-		deps[0] = last - 1
+		deps[0] = int32(last - 1)
 	}
 	copy(deps[nDeps-len(pend):], pend)
 	c.pending[s.id] = pend[:0]
 
 	params := c.params.take(len(args))
-	encodeArgs(c.images.take(argBytes(args)), params, args)
-	sizes := c.ints.take(len(args))
-	for i, img := range params {
-		sizes[i] = len(img)
+	for i, a := range args {
+		params[i] = a.Param()
 	}
 	n := Node{
 		ID:         len(c.nodes),
 		KernelAddr: k.Addr(),
 		Params:     params,
-		ParamSizes: sizes,
 		Deps:       deps,
 	}
 	c.nodes = append(c.nodes, n)
@@ -200,34 +196,25 @@ func (s *Stream) WaitEvent(e *Event) error {
 		return fmt.Errorf("cuda: wait on unrecorded event")
 	}
 	if c := s.p.capture; c != nil && e.node >= 0 {
-		c.pending[s.id] = append(c.pending[s.id], e.node)
+		c.pending[s.id] = append(c.pending[s.id], int32(e.node))
 	}
 	return nil
 }
 
 // Node is one kernel node of a CUDA graph, carrying exactly the
-// information of Figure 4(d): the kernel's address, the array of raw
-// parameter images, the number of parameters and the size of each, plus
-// the dependency edges. Nothing identifies which parameters are
-// pointers.
+// information of Figure 4(d): the kernel's address and the array of
+// parameters, each a raw image and its size, plus the dependency edges
+// (node IDs). Nothing identifies which parameters are pointers.
 type Node struct {
 	ID         int
 	KernelAddr uint64
-	Params     [][]byte
-	ParamSizes []int
-	Deps       []int
+	Params     []Param
+	Deps       []int32
 }
 
 // Clone returns a deep copy of the node.
 func (n *Node) Clone() *Node {
-	cp := &Node{ID: n.ID, KernelAddr: n.KernelAddr}
-	cp.Params = make([][]byte, len(n.Params))
-	for i, p := range n.Params {
-		cp.Params[i] = append([]byte(nil), p...)
-	}
-	cp.ParamSizes = append([]int(nil), n.ParamSizes...)
-	cp.Deps = append([]int(nil), n.Deps...)
-	return cp
+	return &Node{ID: n.ID, KernelAddr: n.KernelAddr, Params: slices.Clone(n.Params), Deps: slices.Clone(n.Deps)}
 }
 
 // Graph is a CUDA graph: kernels plus execution dependencies.
@@ -245,10 +232,10 @@ func (g *Graph) Nodes() []*Node { return g.nodes }
 // NodeCount reports the number of kernel nodes.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
 
-// Validate checks that node IDs are dense (node i has ID i), that each
-// parameter image is as long as its declared size, that every
-// dependency names a node of the graph, and that the dependencies are
-// acyclic. A dependency may name a later node; only a cycle fails.
+// Validate checks that node IDs are dense (node i has ID i), that no
+// parameter image is wider than 8 bytes, that every dependency names a
+// node of the graph, and that the dependencies are acyclic. A
+// dependency may name a later node; only a cycle fails.
 func (g *Graph) Validate() error {
 	_, err := g.validate()
 	return err
@@ -261,16 +248,13 @@ func (g *Graph) validate() ([]int, error) {
 		if n.ID != i {
 			return nil, fmt.Errorf("node %d has ID %d", i, n.ID)
 		}
-		if len(n.Params) != len(n.ParamSizes) {
-			return nil, fmt.Errorf("node %d: %d params, %d sizes", i, len(n.Params), len(n.ParamSizes))
-		}
 		for j, p := range n.Params {
-			if len(p) != n.ParamSizes[j] {
-				return nil, fmt.Errorf("node %d param %d: image %d bytes, declared %d", i, j, len(p), n.ParamSizes[j])
+			if p.Size > maxParamImage {
+				return nil, fmt.Errorf("node %d param %d: %d-byte image exceeds limit %d", i, j, p.Size, maxParamImage)
 			}
 		}
 		for _, d := range n.Deps {
-			if d < 0 || d >= len(g.nodes) {
+			if d < 0 || int(d) >= len(g.nodes) {
 				return nil, fmt.Errorf("node %d depends on invalid node %d", i, d)
 			}
 		}
@@ -283,7 +267,7 @@ func (g *Graph) validate() ([]int, error) {
 // the graph has a cycle.
 func (g *Graph) TopoOrder() ([]int, error) {
 	var ts TopoSorter
-	return ts.Order(len(g.nodes), func(i int) []int { return g.nodes[i].Deps })
+	return ts.Order(len(g.nodes), func(i int) []int32 { return g.nodes[i].Deps })
 }
 
 // TopoSorter orders graph nodes with Kahn's algorithm. It keeps its
@@ -299,12 +283,12 @@ type TopoSorter struct {
 // IDs keeps the order deterministic and close to capture order. It
 // fails on a dependency outside [0, n) and on a cycle. The returned
 // order belongs to the sorter: the next call overwrites it.
-func (t *TopoSorter) Order(n int, deps func(int) []int) ([]int, error) {
+func (t *TopoSorter) Order(n int, deps func(int) []int32) ([]int, error) {
 	edges := 0
 	for i := 0; i < n; i++ {
 		ds := deps(i)
 		for _, d := range ds {
-			if d < 0 || d >= n {
+			if d < 0 || int(d) >= n {
 				return nil, fmt.Errorf("node %d depends on invalid node %d", i, d)
 			}
 		}
@@ -382,7 +366,7 @@ func (g *Graph) Instantiate(p *Process) (*GraphExec, error) {
 		return nil, err
 	}
 	for _, n := range g.nodes {
-		if err := p.CheckNode(n.ID, n.KernelAddr, n.ParamSizes); err != nil {
+		if err := p.CheckNode(n.ID, n.KernelAddr, n.Params); err != nil {
 			return nil, err
 		}
 	}
@@ -391,21 +375,22 @@ func (g *Graph) Instantiate(p *Process) (*GraphExec, error) {
 }
 
 // CheckNode checks one graph node against the process as Instantiate
-// does for each: addr must be a loaded kernel, and sizes (one image
-// size per parameter) must match the kernel's parameter layout.
-func (p *Process) CheckNode(id int, addr uint64, sizes []int) error {
+// does for each: addr must be a loaded kernel, and params must match
+// the kernel's parameter layout, one parameter per declared kind, each
+// as wide as its kind. Only the params' sizes are read.
+func (p *Process) CheckNode(id int, addr uint64, params []Param) error {
 	k, ok := p.KernelByAddr(addr)
 	if !ok {
 		return &UnknownKernelError{Addr: addr}
 	}
-	if len(sizes) != len(k.impl.Params) {
+	if len(params) != len(k.impl.Params) {
 		return &ParamMismatchError{Kernel: k.Name(),
-			Detail: fmt.Sprintf("node %d has %d params, kernel wants %d", id, len(sizes), len(k.impl.Params))}
+			Detail: fmt.Sprintf("node %d has %d params, kernel wants %d", id, len(params), len(k.impl.Params))}
 	}
 	for i, kind := range k.impl.Params {
-		if sizes[i] != kind.Size() {
+		if int(params[i].Size) != kind.Size() {
 			return &ParamMismatchError{Kernel: k.Name(),
-				Detail: fmt.Sprintf("node %d param %d is %d bytes, kernel wants %d", id, i, sizes[i], kind.Size())}
+				Detail: fmt.Sprintf("node %d param %d is %d bytes, kernel wants %d", id, i, params[i].Size, kind.Size())}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package cuda
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/medusa-repro/medusa/internal/gpu"
@@ -66,7 +67,7 @@ func TestWarmGraphLaunchAllocatesNothing(t *testing.T) {
 func TestGraphLaunchMisSizedParam(t *testing.T) {
 	s, ge := captureVecPipeline(t, gpu.Functional)
 	node := ge.g.nodes[ge.topo[1]]
-	node.Params[2] = node.Params[2][:4]
+	node.Params[2].Size = 4
 	err := ge.Launch(s)
 	var pm *ParamMismatchError
 	if !errors.As(err, &pm) {
@@ -75,5 +76,47 @@ func TestGraphLaunchMisSizedParam(t *testing.T) {
 	want := `cuda: kernel "vec_add_f32" parameter mismatch: param 2: cuda: param image of 4 bytes, kind ptr wants 8`
 	if err.Error() != want {
 		t.Fatalf("error text\n got %q\nwant %q", err.Error(), want)
+	}
+}
+
+// TestBadParamWidthsFailInstantiate: a hand-built node whose param
+// claims an image of 0, 3 or 9 bytes, or a valid width that is not the
+// kernel's, fails Instantiate with an error naming the node and param
+// (Validate already rejects the 9-byte image), and decoding its params
+// fails without slicing past the inline image.
+func TestBadParamWidthsFailInstantiate(t *testing.T) {
+	_, ge := captureVecPipeline(t, gpu.CostOnly)
+	p, base := ge.p, ge.Graph().Nodes()[0] // vec_scale_f32(ptr, ptr, f32, u32)
+	k, ok := p.KernelByAddr(base.KernelAddr)
+	if !ok {
+		t.Fatal("captured kernel not loaded")
+	}
+	cases := []struct {
+		name  string
+		param int
+		size  uint8
+		want  string
+	}{
+		{"empty image", 3, 0, "node 0 param 3 is 0 bytes, kernel wants 4"},
+		{"3-byte image", 2, 3, "node 0 param 2 is 3 bytes, kernel wants 4"},
+		{"9-byte image", 0, 9, "node 0 param 0: 9-byte image exceeds limit 8"},
+		{"scalar width for a pointer", 1, 4, "node 0 param 1 is 4 bytes, kernel wants 8"},
+		{"pointer width for a scalar", 3, 8, "node 0 param 3 is 8 bytes, kernel wants 4"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := base.Clone()
+			n.Params[c.param].Size = c.size
+			g := NewGraph([]*Node{n})
+			if err := g.Validate(); (err != nil) != (c.size > 8) {
+				t.Fatalf("Validate = %v", err)
+			}
+			if _, err := g.Instantiate(p); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Instantiate error = %v, want it to contain %q", err, c.want)
+			}
+			if _, err := DecodeArgs(nil, k.Impl().Params, n.Params); err == nil {
+				t.Fatal("DecodeArgs accepted the mis-sized param")
+			}
+		})
 	}
 }

@@ -104,14 +104,12 @@ type AllocEvent struct {
 type LaunchRecord struct {
 	KernelName string
 	KernelAddr uint64
-	// RawParams and ParamSizes are a captured launch's parameter images
-	// and their sizes: the very slices of the graph node the capture
-	// recorded, encoded once. Hooks must treat them as read-only. An
-	// eager launch is never encoded and carries neither. Offline
-	// analysis works from the images (plus sizes), never from typed
-	// values.
-	RawParams  [][]byte
-	ParamSizes []int
+	// Params are a captured launch's parameters: the very slice of the
+	// graph node the capture recorded, encoded once. Hooks must treat
+	// it as read-only. An eager launch is never encoded and carries
+	// none. Offline analysis works from the images (and their sizes),
+	// never from typed values.
+	Params []Param
 	// Captured reports whether the launch was recorded into an active
 	// capture; NodeID is its node id when so, and -1 otherwise.
 	Captured bool
@@ -442,8 +440,7 @@ func (p *Process) Launch(s *Stream, name string, args []Value) error {
 		p.emitLaunch(LaunchRecord{
 			KernelName: k.Name(),
 			KernelAddr: k.Addr(),
-			RawParams:  node.Params,
-			ParamSizes: node.ParamSizes,
+			Params:     node.Params,
 			Captured:   true,
 			NodeID:     node.ID,
 		})

@@ -1,10 +1,22 @@
 package cuda
 
 import (
-	"bytes"
 	"slices"
 	"testing"
+	"unsafe"
 )
+
+// TestNodeSize pins the inline parameter layout: a Param is its 8-byte
+// image and a width byte, and a Node is its ID, kernel address and two
+// slice headers, with no per-parameter pointer.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Param{}); got > 9 {
+		t.Fatalf("Param is %d bytes, want at most 9", got)
+	}
+	if got := unsafe.Sizeof(Node{}); got > 64 {
+		t.Fatalf("Node is %d bytes, want at most 64", got)
+	}
+}
 
 // checkIsolated requires every slice to end at its capacity and
 // appending to any one to leave all the others unchanged: the slices
@@ -69,9 +81,9 @@ func captureTwoStreams(t *testing.T, p *Process, s, side *Stream, n int) *Graph 
 
 // TestCaptureSlabsIsolateNodes checks the per-capture slabs across a
 // first capture, an equal one sized from it, and a larger one that
-// outgrows its first chunks: every image, size list and dependency
-// list is a len == cap share no append can reach past, launch records
-// hand out the node's own images, and Clone stays deep.
+// outgrows its first chunks: every param list and dependency list is a
+// len == cap share no append can reach past, launch records hand out
+// the node's own params, and Clone stays deep.
 func TestCaptureSlabsIsolateNodes(t *testing.T) {
 	p := newProc(t, 31)
 	s, side := p.NewStream(), p.NewStream()
@@ -82,39 +94,32 @@ func TestCaptureSlabsIsolateNodes(t *testing.T) {
 	if err := p.Launch(s, "vec_scale_f32", eager); err != nil {
 		t.Fatal(err)
 	}
-	if rec := launches[0]; rec.Captured || rec.RawParams != nil || rec.ParamSizes != nil || rec.NodeID != -1 {
-		t.Fatalf("eager launch record = %+v, want no images and node -1", rec)
+	if rec := launches[0]; rec.Captured || rec.Params != nil || rec.NodeID != -1 {
+		t.Fatalf("eager launch record = %+v, want no params and node -1", rec)
 	}
 
 	for _, n := range []int{40, 40, 300} {
 		launches = launches[:0]
 		g := captureTwoStreams(t, p, s, side, n)
-		var images [][]byte
-		var sizes, deps [][]int
+		var params [][]Param
+		var deps [][]int32
 		for i, node := range g.Nodes() {
-			images = append(images, node.Params...)
-			sizes = append(sizes, node.ParamSizes)
+			params = append(params, node.Params)
 			if node.Deps != nil {
 				deps = append(deps, node.Deps)
 			}
 			rec := launches[i]
-			if !rec.Captured || rec.NodeID != i || len(rec.RawParams) != len(node.Params) {
+			if !rec.Captured || rec.NodeID != i || len(rec.Params) != len(node.Params) {
 				t.Fatalf("capture of %d: launch %d record = %+v", n, i, rec)
 			}
-			for pi, img := range rec.RawParams {
-				if &img[0] != &node.Params[pi][0] {
-					t.Fatalf("capture of %d: launch %d image %d is a copy, not the node's own", n, i, pi)
-				}
-			}
-			if &rec.ParamSizes[0] != &node.ParamSizes[0] {
-				t.Fatalf("capture of %d: launch %d sizes are a copy, not the node's own", n, i)
+			if &rec.Params[0] != &node.Params[0] {
+				t.Fatalf("capture of %d: launch %d params are a copy, not the node's own", n, i)
 			}
 		}
 		if len(deps) < n/2 {
 			t.Fatalf("capture of %d: only %d nodes have deps", n, len(deps))
 		}
-		checkIsolated(t, "image", images)
-		checkIsolated(t, "param sizes", sizes)
+		checkIsolated(t, "params", params)
 		checkIsolated(t, "deps", deps)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("capture of %d after appends: %v", n, err)
@@ -124,22 +129,20 @@ func TestCaptureSlabsIsolateNodes(t *testing.T) {
 		// neither it nor its slab neighbours.
 		nodes := g.Nodes()
 		orig, next := nodes[2], nodes[3]
-		wantNext := next.Clone()
+		wantOrig, wantNext := slices.Clone(orig.Params), next.Clone()
 		c := orig.Clone()
-		for _, img := range c.Params {
-			for i := range img {
-				img[i] ^= 0xFF
+		for i := range c.Params {
+			for j := range c.Params[i].Image {
+				c.Params[i].Image[j] ^= 0xFF
 			}
+			c.Params[i].Size = 99
 		}
-		c.ParamSizes[0] = 99
 		c.Deps[0] = 99
-		if bytes.Equal(c.Params[0], orig.Params[0]) || orig.ParamSizes[0] == 99 || orig.Deps[0] == 99 {
+		if !slices.Equal(orig.Params, wantOrig) || orig.Deps[0] == 99 {
 			t.Fatalf("capture of %d: Clone shares storage with the node", n)
 		}
-		for pi := range next.Params {
-			if !bytes.Equal(next.Params[pi], wantNext.Params[pi]) {
-				t.Fatalf("capture of %d: mutating a clone changed the next node", n)
-			}
+		if !slices.Equal(next.Params, wantNext.Params) || !slices.Equal(next.Deps, wantNext.Deps) {
+			t.Fatalf("capture of %d: mutating a clone changed the next node", n)
 		}
 	}
 }

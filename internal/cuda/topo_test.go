@@ -50,10 +50,10 @@ func randomGraph(rng *rand.Rand, n int, cyclic bool) *Graph {
 	for i := range nodes {
 		nodes[i] = &Node{ID: i}
 		for k := rng.Intn(4); k > 0 && i > 0; k-- {
-			nodes[i].Deps = append(nodes[i].Deps, rng.Intn(i))
+			nodes[i].Deps = append(nodes[i].Deps, int32(rng.Intn(i)))
 		}
 		if cyclic && rng.Intn(8) == 0 {
-			nodes[i].Deps = append(nodes[i].Deps, rng.Intn(n))
+			nodes[i].Deps = append(nodes[i].Deps, int32(rng.Intn(n)))
 		}
 	}
 	return NewGraph(nodes)

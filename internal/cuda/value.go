@@ -90,8 +90,7 @@ func (v Value) U32() uint32 { return uint32(v.Bits) }
 // F32 returns the argument as a float scalar.
 func (v Value) F32() float32 { return math.Float32frombits(uint32(v.Bits)) }
 
-// Encode serializes the argument to its little-endian raw image — the
-// representation stored in a captured graph node.
+// Encode serializes the argument to its little-endian raw image.
 func (v Value) Encode() []byte {
 	p := make([]byte, v.Kind.Size())
 	v.put(p)
@@ -113,62 +112,80 @@ func (v Value) put(p []byte) int {
 	}
 }
 
+// sizeMismatch reports an image of size bytes for a param of kind.
+func sizeMismatch(size int, kind ParamKind) error {
+	return fmt.Errorf("cuda: param image of %d bytes, kind %v wants %d", size, kind, kind.Size())
+}
+
 // DecodeValue parses a raw parameter image using the declared kind.
 func DecodeValue(kind ParamKind, raw []byte) (Value, error) {
 	if len(raw) != kind.Size() {
-		return Value{}, fmt.Errorf("cuda: param image of %d bytes, kind %v wants %d", len(raw), kind, kind.Size())
+		return Value{}, sizeMismatch(len(raw), kind)
 	}
-	switch kind.Size() {
-	case 8:
-		return Value{Kind: kind, Bits: binary.LittleEndian.Uint64(raw)}, nil
-	default:
-		return Value{Kind: kind, Bits: uint64(binary.LittleEndian.Uint32(raw))}, nil
-	}
+	return decodeValue(kind, raw), nil
 }
 
-// EncodeArgs serializes an argument list into raw parameter images.
-// The images share one slab; each is a full-slice-expression sub-slice
-// (len == cap), so appending to one can never overwrite its neighbour.
-func EncodeArgs(args []Value) [][]byte {
-	out := make([][]byte, len(args))
-	encodeArgs(make([]byte, argBytes(args)), out, args)
+// decodeValue parses an image already known to be kind's width.
+func decodeValue(kind ParamKind, raw []byte) Value {
+	if len(raw) == 8 {
+		return Value{Kind: kind, Bits: binary.LittleEndian.Uint64(raw)}
+	}
+	return Value{Kind: kind, Bits: uint64(binary.LittleEndian.Uint32(raw))}
+}
+
+// Param is one kernel parameter of a graph node, its raw image held
+// inline. Kernel parameters are scalars or device pointers of at most
+// 8 bytes, so a fixed array beside the image's width costs less than
+// a slice header pointing into a slab, and a node's parameters are one
+// pointer-free array the GC never scans.
+type Param struct {
+	// Image holds the parameter image in its first Size bytes; the rest
+	// stay zero, so params with equal images compare equal.
+	Image [maxParamImage]byte
+	// Size is the image's width in bytes. Graph.Validate rejects a
+	// width over maxParamImage and Instantiate one that is not the
+	// kernel's, so a checked graph's Raw never slices past Image.
+	Size uint8
+}
+
+// maxParamImage is the widest parameter image: a device pointer or an
+// 8-byte scalar.
+const maxParamImage = 8
+
+// Raw returns the parameter image, Image[:Size]. The slice aliases the
+// param, and its capacity ends at Size, so appending to it copies.
+func (p *Param) Raw() []byte { return p.Image[:p.Size:p.Size] }
+
+// Param returns the argument as a graph node stores it.
+func (v Value) Param() Param {
+	var p Param
+	p.Size = uint8(v.put(p.Image[:]))
+	return p
+}
+
+// EncodeArgs serializes an argument list into graph node parameters.
+func EncodeArgs(args []Value) []Param {
+	out := make([]Param, len(args))
+	for i, a := range args {
+		out[i] = a.Param()
+	}
 	return out
 }
 
-// argBytes sums the raw image sizes of an argument list.
-func argBytes(args []Value) int {
-	n := 0
-	for _, a := range args {
-		n += a.Kind.Size()
-	}
-	return n
-}
-
-// encodeArgs writes the arguments' raw images into slab, which holds
-// exactly argBytes(args), and cuts each image out of it into images[i]
-// as a full-slice-expression sub-slice.
-func encodeArgs(slab []byte, images [][]byte, args []Value) {
-	off := 0
-	for i, a := range args {
-		n := a.put(slab[off:])
-		images[i] = slab[off : off+n : off+n]
-		off += n
-	}
-}
-
-// DecodeArgs parses raw parameter images against a kernel's declared
+// DecodeArgs parses graph node parameters against a kernel's declared
 // parameter schema and appends the values to dst, so a caller can reuse
-// one buffer across launches.
-func DecodeArgs(dst []Value, kinds []ParamKind, raw [][]byte) ([]Value, error) {
-	if len(kinds) != len(raw) {
-		return nil, fmt.Errorf("cuda: %d param images for %d declared params", len(raw), len(kinds))
+// one buffer across launches. A parameter whose width is not its
+// kind's fails before its image is read.
+func DecodeArgs(dst []Value, kinds []ParamKind, params []Param) ([]Value, error) {
+	if len(kinds) != len(params) {
+		return nil, fmt.Errorf("cuda: %d param images for %d declared params", len(params), len(kinds))
 	}
-	for i := range raw {
-		v, err := DecodeValue(kinds[i], raw[i])
-		if err != nil {
-			return nil, fmt.Errorf("param %d: %w", i, err)
+	for i := range params {
+		p := &params[i]
+		if int(p.Size) != kinds[i].Size() {
+			return nil, fmt.Errorf("param %d: %w", i, sizeMismatch(int(p.Size), kinds[i]))
 		}
-		dst = append(dst, v)
+		dst = append(dst, decodeValue(kinds[i], p.Raw()))
 	}
 	return dst, nil
 }

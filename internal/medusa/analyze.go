@@ -199,7 +199,7 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 		nParams += len(node.Params)
 	}
 	out.gr.Nodes = make([]NodeRecord, len(nodes))
-	deps := make([]int, nDeps)
+	deps := make([]int32, nDeps)
 	params := make([]ParamRecord, nParams)
 	for ni, node := range nodes {
 		l := cg.launches[ni]
@@ -227,15 +227,16 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 		if len(node.Params) > 0 {
 			nr.Params = cut(&params, len(node.Params))
 		}
-		for pi, raw := range node.Params {
-			if len(raw) > maxParamImage {
+		for pi := range node.Params {
+			cp := &node.Params[pi]
+			if cp.Size > maxParamImage {
 				out.err = fmt.Errorf("medusa: graph %d node %d param %d: %d-byte image exceeds limit %d",
-					cg.batch, ni, pi, len(raw), maxParamImage)
+					cg.batch, ni, pi, cp.Size, maxParamImage)
 				return out
 			}
 			pr := &nr.Params[pi]
-			pr.Size = uint8(copy(pr.Image[:], raw))
-			if p, isPtr := looksLikePointer(raw); isPtr {
+			pr.Image, pr.Size = cp.Image, cp.Size
+			if p, isPtr := looksLikePointer(cp.Raw()); isPtr {
 				if idx, off, found := match(l.eventPos, p); found {
 					pr.Pointer = true
 					pr.AllocIndex = int32(idx)

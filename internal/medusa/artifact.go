@@ -70,8 +70,9 @@ type NodeRecord struct {
 	KernelName string
 	// Params are the node's parameters in order.
 	Params []ParamRecord
-	// Deps are dependency node IDs.
-	Deps []int
+	// Deps are dependency node IDs, at the wire's 32-bit width: a wire
+	// value of 2^31 or more decodes negative, which validation rejects.
+	Deps []int32
 }
 
 // GraphRecord is one materialized CUDA graph.
@@ -249,7 +250,7 @@ func (a *Artifact) validate() error {
 				}
 			}
 			for _, d := range n.Deps {
-				if d < 0 || d >= len(g.Nodes) {
+				if d < 0 || int(d) >= len(g.Nodes) {
 					return fmt.Errorf("medusa: graph %d node %d has dangling dep %d", g.Batch, ni, d)
 				}
 			}

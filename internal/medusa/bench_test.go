@@ -281,7 +281,24 @@ func BenchmarkRestore1kNodes(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := restoreOnce(art); err != nil {
+		if _, err := restoreOnce(art); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(1000, "nodes/restore")
+}
+
+// BenchmarkFirstLaunch1kNodes is BenchmarkRestore1kNodes plus the
+// build the graph's first launch pays: its nodes, params and order.
+func BenchmarkFirstLaunch1kNodes(b *testing.B) {
+	p, rec := offlineBenchFixture(b, 1000)
+	art, err := Analyze(rec, p, AnalyzeOptions{ModelName: "bench", SkipContents: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := firstLaunchOnce(art); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,20 +309,30 @@ func BenchmarkRestore1kNodes(b *testing.B) {
 var restoreRuntime = toyRuntime()
 
 // restoreOnce restores art into a fresh process: replay, permanent
-// contents, and every graph rebuilt and instantiated.
-func restoreOnce(art *Artifact) error {
+// contents, and every graph checked and instantiated, to be built on
+// its first launch.
+func restoreOnce(art *Artifact) (map[int]*cuda.GraphExec, error) {
 	fresh := cuda.NewProcess(restoreRuntime, vclock.New(), cuda.Config{Seed: 2, Mode: gpu.CostOnly})
 	rest, err := NewRestorer(fresh, art)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := rest.ReplayPrefix(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := rest.ReplayCaptureStage(); err != nil {
-		return err
+		return nil, err
 	}
-	_, err = rest.RestoreGraphs(nil)
+	return rest.RestoreGraphs(nil)
+}
+
+// firstLaunchOnce is restoreOnce plus the build every graph's first
+// launch pays: its nodes and topological order.
+func firstLaunchOnce(art *Artifact) error {
+	execs, err := restoreOnce(art)
+	for _, ge := range execs {
+		ge.Graph()
+	}
 	return err
 }
 
@@ -314,8 +341,9 @@ func restoreOnce(art *Artifact) error {
 // checked-in ceilings in testdata/max_allocs_<op>_1k, and their heap
 // bytes per call under testdata/max_bytes_<op>_1k: the wire writer
 // appends without boxing, analysis and decode keep each graph's deps
-// and param records (images inline) in per-graph slabs, and restore
-// builds no node until a graph is launched.
+// and param records (images inline) in per-graph slabs, restore builds
+// no node until a graph is launched, and the first launch builds a
+// graph's nodes, params (images inline) and deps in one slab each.
 func TestCodecAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -342,7 +370,8 @@ func TestCodecAllocCeilings(t *testing.T) {
 		{"max_allocs_decode_1k", "max_bytes_decode_1k", func() error { _, err := Decode(v2); return err }},
 		{"max_allocs_decode_resolved_1k", "max_bytes_decode_resolved_1k", func() error { _, err := DecodeResolved(v3, resolve); return err }},
 		{"max_allocs_analyze_1k", "max_bytes_analyze_1k", func() error { _, err := Analyze(rec, proc, analyzeOpts); return err }},
-		{"max_allocs_restore_1k", "max_bytes_restore_1k", func() error { return restoreOnce(art) }},
+		{"max_allocs_restore_1k", "max_bytes_restore_1k", func() error { _, err := restoreOnce(art); return err }},
+		{"max_allocs_first_launch_1k", "max_bytes_first_launch_1k", func() error { return firstLaunchOnce(art) }},
 	}
 	for _, op := range ops {
 		var runErr error

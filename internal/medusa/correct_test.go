@@ -2,6 +2,9 @@ package medusa
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -20,7 +23,7 @@ func artifactWithGroups() *Artifact {
 		Graphs: []GraphRecord{
 			{Batch: 1, Nodes: []NodeRecord{
 				{KernelName: "alpha", Params: []ParamRecord{mkPtr(), {Image: [8]byte{1}, Size: 4}}},
-				{KernelName: "beta", Params: []ParamRecord{mkPtr()}, Deps: []int{0}},
+				{KernelName: "beta", Params: []ParamRecord{mkPtr()}, Deps: []int32{0}},
 			}},
 			{Batch: 2, Nodes: []NodeRecord{
 				{KernelName: "alpha", Params: []ParamRecord{mkPtr(), {Image: [8]byte{2}, Size: 4}}},
@@ -139,7 +142,7 @@ func TestArtifactValidateRejectsMalformed(t *testing.T) {
 	cases := map[string]func(*Artifact){
 		"bad prefix":        func(a *Artifact) { a.PrefixLen = 99 },
 		"bad alloc index":   func(a *Artifact) { a.Graphs[0].Nodes[0].Params[0].AllocIndex = 5 },
-		"dangling dep":      func(a *Artifact) { a.Graphs[0].Nodes[1].Deps = []int{7} },
+		"dangling dep":      func(a *Artifact) { a.Graphs[0].Nodes[1].Deps = []int32{7} },
 		"unknown kernel":    func(a *Artifact) { a.Graphs[0].Nodes[0].KernelName = "ghost" },
 		"bad param width":   func(a *Artifact) { a.Graphs[0].Nodes[0].Params[0].Size = 2 },
 		"free out of range": func(a *Artifact) { a.AllocSeq = append(a.AllocSeq, AllocRecord{Free: true, AllocIndex: 9}) },
@@ -152,6 +155,24 @@ func TestArtifactValidateRejectsMalformed(t *testing.T) {
 		corrupt(a)
 		if _, err := a.Encode(); err == nil {
 			t.Errorf("%s: Encode accepted malformed artifact", name)
+		}
+	}
+}
+
+// TestDecodeRejectsBadDeps: a dependency that names no node of its
+// graph fails Decode's validation. Deps travel as u32 and decode as
+// int32, so a wire value of 2^31 or more comes back negative and is
+// rejected like one past the graph's last node.
+func TestDecodeRejectsBadDeps(t *testing.T) {
+	for _, dep := range []int32{2, 7, -1, math.MinInt32} {
+		a := artifactWithGroups()
+		a.Graphs[0].Nodes[1].Deps = []int32{0, dep}
+		w := newEnvelopeWriter() // Encode itself would refuse the artifact
+		a.encodeBodyChecksummed(&w, func(string) {})
+		_, err := Decode(w.seal(wireMagic, CurrentFormatVersion))
+		want := fmt.Sprintf("graph 1 node 1 has dangling dep %d", dep)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("wire dep %#x: Decode error = %v, want %q", uint32(dep), err, want)
 		}
 	}
 }

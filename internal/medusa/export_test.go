@@ -87,20 +87,20 @@ func (r *Restorer) buildNodesEager(g *GraphRecord) ([]*cuda.Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("medusa: graph %d node %d: %w", g.Batch, ni, err)
 		}
-		node := &cuda.Node{ID: ni, KernelAddr: addr, Deps: append([]int(nil), nr.Deps...)}
+		node := &cuda.Node{ID: ni, KernelAddr: addr, Deps: append([]int32(nil), nr.Deps...)}
 		for pi, p := range nr.Params {
-			var img []byte
+			var cp cuda.Param
 			if p.Pointer {
 				if !r.have[p.AllocIndex] {
 					return nil, fmt.Errorf("medusa: graph %d node %d: param %d: indirect index %d was never allocated",
 						g.Batch, ni, pi, p.AllocIndex)
 				}
-				img = binary.LittleEndian.AppendUint64(nil, r.addr[p.AllocIndex]+p.Offset)
+				binary.LittleEndian.PutUint64(cp.Image[:], r.addr[p.AllocIndex]+p.Offset)
+				cp.Size = 8
 			} else {
-				img = append([]byte{}, p.Raw()...)
+				cp.Size = uint8(copy(cp.Image[:], p.Raw()))
 			}
-			node.Params = append(node.Params, img)
-			node.ParamSizes = append(node.ParamSizes, len(img))
+			node.Params = append(node.Params, cp)
 		}
 		nodes[ni] = node
 	}

@@ -202,7 +202,7 @@ func buildFuzzArtifact(rng *rand.Rand, nAlloc, nGraphs, nKernels int, omitConten
 					n.Params = append(n.Params, p)
 				}
 				for di := rng.Intn(2); di > 0 && nNodes > 0; di-- {
-					n.Deps = append(n.Deps, rng.Intn(nNodes))
+					n.Deps = append(n.Deps, int32(rng.Intn(nNodes)))
 				}
 				g.Nodes = append(g.Nodes, n)
 			}

@@ -93,11 +93,11 @@ func TestLazyRestoreMatchesEager(t *testing.T) {
 			var buffers []uint64 // every buffer a node parameter points into
 			for _, ge := range eager {
 				for _, n := range ge.Graph().Nodes() {
-					for _, img := range n.Params {
-						if len(img) != 8 {
+					for _, p := range n.Params {
+						if p.Size != 8 {
 							continue
 						}
-						if buf, _, ok := ep.Device().FindBuffer(binary.LittleEndian.Uint64(img)); ok {
+						if buf, _, ok := ep.Device().FindBuffer(binary.LittleEndian.Uint64(p.Image[:])); ok {
 							buffers = append(buffers, buf.Addr())
 						}
 					}
@@ -180,8 +180,7 @@ func sameGraph(t *testing.T, batch int, got, want *cuda.Graph) {
 	}
 	for i, n := range got.Nodes() {
 		w := want.Nodes()[i]
-		if n.ID != w.ID || n.KernelAddr != w.KernelAddr || !slices.Equal(n.ParamSizes, w.ParamSizes) ||
-			!slices.Equal(n.Deps, w.Deps) || !slices.EqualFunc(n.Params, w.Params, bytes.Equal) {
+		if n.ID != w.ID || n.KernelAddr != w.KernelAddr || !slices.Equal(n.Params, w.Params) || !slices.Equal(n.Deps, w.Deps) {
 			t.Fatalf("batch %d node %d: %+v, eager %+v", batch, i, n, w)
 		}
 	}

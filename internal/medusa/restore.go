@@ -229,16 +229,17 @@ func (r *Restorer) checkGraph(g *GraphRecord, addrs []uint64, topo *cuda.TopoSor
 		}
 	}
 	r.p.Clock().Advance(time.Duration(len(g.Nodes)) * perNodeFillCost)
-	if _, err := topo.Order(len(g.Nodes), func(i int) []int { return g.Nodes[i].Deps }); err != nil {
+	if _, err := topo.Order(len(g.Nodes), func(i int) []int32 { return g.Nodes[i].Deps }); err != nil {
 		return fmt.Errorf("medusa: instantiate restored graph %d: %w", g.Batch, err)
 	}
-	sizes := make([]int, 0, 16)
+	// CheckNode reads only the params' sizes, so the images stay zero.
+	params := make([]cuda.Param, 0, 16)
 	for ni := range g.Nodes {
-		sizes = sizes[:0]
+		params = params[:0]
 		for _, p := range g.Nodes[ni].Params {
-			sizes = append(sizes, paramSize(p))
+			params = append(params, cuda.Param{Size: paramSize(p)})
 		}
-		if err := r.p.CheckNode(ni, addrs[ni], sizes); err != nil {
+		if err := r.p.CheckNode(ni, addrs[ni], params); err != nil {
 			return fmt.Errorf("medusa: instantiate restored graph %d: %w", g.Batch, err)
 		}
 	}
@@ -246,55 +247,47 @@ func (r *Restorer) checkGraph(g *GraphRecord, addrs []uint64, topo *cuda.TopoSor
 }
 
 // paramSize is the size of a restored parameter's image.
-func paramSize(p ParamRecord) int {
+func paramSize(p ParamRecord) uint8 {
 	if p.Pointer {
 		return 8
 	}
-	return int(p.Size)
+	return p.Size
 }
 
 // buildNodes materializes one checked graph's nodes from its resolved
 // kernel addresses. The nodes live in one backing array and their
-// images, image headers, sizes and dependency lists in per-graph slabs
-// sized exactly from the graph record. Images are copied (never
-// aliased) from the artifact; each node's share of a slab is a
-// full-slice-expression sub-slice, so appending to one can never
-// overwrite its neighbour.
+// params (images inline) and dependency lists in per-graph slabs sized
+// exactly from the graph record; neither slab holds a pointer. Each
+// node's share of a slab is a full-slice-expression sub-slice, so
+// appending to one can never overwrite its neighbour.
 func (r *Restorer) buildNodes(g *GraphRecord, addrs []uint64) []*cuda.Node {
-	var nInts, nParams, nBytes int
+	var nDeps, nParams int
 	for ni := range g.Nodes {
-		nr := &g.Nodes[ni]
-		nInts += len(nr.Deps) + len(nr.Params)
-		nParams += len(nr.Params)
-		for _, p := range nr.Params {
-			nBytes += paramSize(p)
-		}
+		nDeps += len(g.Nodes[ni].Deps)
+		nParams += len(g.Nodes[ni].Params)
 	}
 	backing := make([]cuda.Node, len(g.Nodes))
 	nodes := make([]*cuda.Node, len(g.Nodes))
-	ints := make([]int, nInts)
-	params := make([][]byte, nParams)
-	images := make([]byte, nBytes)
+	deps := make([]int32, nDeps)
+	params := make([]cuda.Param, nParams)
 	for ni := range g.Nodes {
 		nr := &g.Nodes[ni]
 		node := &backing[ni]
 		node.ID = ni
 		node.KernelAddr = addrs[ni]
 		if len(nr.Deps) > 0 {
-			node.Deps = cut(&ints, len(nr.Deps))
+			node.Deps = cut(&deps, len(nr.Deps))
 			copy(node.Deps, nr.Deps)
 		}
 		node.Params = cut(&params, len(nr.Params))
-		node.ParamSizes = cut(&ints, len(nr.Params))
-		for pi, p := range nr.Params {
-			img := cut(&images, paramSize(p))
+		for pi := range nr.Params {
+			p, cp := &nr.Params[pi], &node.Params[pi]
 			if p.Pointer {
-				binary.LittleEndian.PutUint64(img, r.addr[p.AllocIndex]+p.Offset)
+				binary.LittleEndian.PutUint64(cp.Image[:], r.addr[p.AllocIndex]+p.Offset)
+				cp.Size = 8
 			} else {
-				copy(img, p.Raw())
+				cp.Image, cp.Size = p.Image, p.Size
 			}
-			node.Params[pi] = img
-			node.ParamSizes[pi] = len(img)
 		}
 		nodes[ni] = node
 	}

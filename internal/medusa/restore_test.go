@@ -89,12 +89,12 @@ func TestRestoreGraphsErrorsMatchEager(t *testing.T) {
 		{"parameter size mismatch", "node 0 param 2 is 8 bytes, kernel wants 4", false,
 			func(a *Artifact) { a.Graphs[0].Nodes[0].Params[2].Size = 8 }},
 		{"dependency out of range", "instantiate restored graph 1: node 1 depends on invalid node 3", false,
-			func(a *Artifact) { a.Graphs[0].Nodes[1].Deps = []int{3} }},
+			func(a *Artifact) { a.Graphs[0].Nodes[1].Deps = []int32{3} }},
 		{"dependency cycle", "instantiate restored graph 1: cuda: graph has a dependency cycle (0 of 3 nodes ordered)", false,
-			func(a *Artifact) { a.Graphs[0].Nodes[0].Deps = []int{2} }},
+			func(a *Artifact) { a.Graphs[0].Nodes[0].Deps = []int32{2} }},
 		{"cycle before a parameter mismatch", "dependency cycle", false,
 			func(a *Artifact) {
-				a.Graphs[0].Nodes[0].Deps = []int{2}
+				a.Graphs[0].Nodes[0].Deps = []int32{2}
 				a.Graphs[0].Nodes[0].Params[2].Size = 8
 			}},
 	}

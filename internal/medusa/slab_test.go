@@ -22,12 +22,13 @@ func TestParamRecordSize(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRejectsOversizedImage: a captured parameter wider than
-// the 8-byte inline image fails analysis itself, naming the graph,
-// node and param, instead of reaching the artifact's validation.
+// TestAnalyzeRejectsOversizedImage: a captured parameter claiming a
+// width over the 8-byte inline image fails analysis itself, naming the
+// graph, node and param, instead of reaching the artifact's validation
+// (or slicing past the image).
 func TestAnalyzeRejectsOversizedImage(t *testing.T) {
 	p, rec := offlineBenchFixture(t, 4)
-	rec.graphs[0].graph.Nodes()[2].Params[1] = make([]byte, 9)
+	rec.graphs[0].graph.Nodes()[2].Params[1].Size = 9
 	_, err := Analyze(rec, p, AnalyzeOptions{ModelName: "oversized", SkipContents: true})
 	const want = "medusa: graph 1 node 2 param 1: 9-byte image exceeds limit 8"
 	if err == nil || err.Error() != want {
@@ -69,7 +70,7 @@ func checkIsolated[T comparable](t *testing.T, what string, lists [][]T, fill T)
 func checkGraphSlabsIsolated(t *testing.T, what string, g *GraphRecord) {
 	t.Helper()
 	var params [][]ParamRecord
-	var deps [][]int
+	var deps [][]int32
 	for ni := range g.Nodes {
 		n := &g.Nodes[ni]
 		params = append(params, n.Params)
@@ -130,17 +131,16 @@ func TestParamSlabsIsolateImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := execs[back.Graphs[0].Batch].Graph().Nodes()
-	var images [][]byte
-	var ints [][]int
+	var params [][]cuda.Param
+	var deps [][]int32
 	for _, node := range nodes {
-		images = append(images, node.Params...)
-		ints = append(ints, node.ParamSizes)
+		params = append(params, node.Params)
 		if node.Deps != nil {
-			ints = append(ints, node.Deps)
+			deps = append(deps, node.Deps)
 		}
 	}
-	checkIsolated(t, "restored images", images, 0xAA)
-	checkIsolated(t, "restored sizes and deps", ints, -1)
+	checkIsolated(t, "restored params", params, cuda.Param{Size: 8})
+	checkIsolated(t, "restored deps", deps, -1)
 	for ni, node := range nodes {
 
 		// Restored images are copies: mutating one must not reach the
@@ -150,9 +150,9 @@ func TestParamSlabsIsolateImages(t *testing.T) {
 		for pi, pr := range nr.Params {
 			want[pi] = append([]byte(nil), pr.Raw()...)
 		}
-		for _, img := range node.Params {
-			for i := range img {
-				img[i] ^= 0xFF
+		for pi := range node.Params {
+			for i := range node.Params[pi].Image {
+				node.Params[pi].Image[i] ^= 0xFF
 			}
 		}
 		for pi, pr := range nr.Params {
@@ -211,7 +211,7 @@ func TestScanGraphBoundedByInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := &art.Graphs[0]
-	g.Nodes[5].Deps = []int{0, 2, 4} // vary the dep counts
+	g.Nodes[5].Deps = []int32{0, 2, 4} // vary the dep counts
 	var w wireWriter
 	encodeGraph(&w, g)
 	body := w.buf[8:] // after batch and node count

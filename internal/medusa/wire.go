@@ -581,7 +581,7 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 		// (len == cap); should a corrupt graph outgrow the scan, append
 		// reallocates and the shares already cut keep the old backing.
 		nDepsTotal, nParamsTotal := scanGraph(r.p[r.off:], nNodes)
-		deps := make([]int, 0, nDepsTotal)
+		deps := make([]int32, 0, nDepsTotal)
 		params := make([]ParamRecord, 0, nParamsTotal)
 		for ni := uint32(0); ni < nNodes && r.err == nil; ni++ {
 			var n NodeRecord
@@ -598,7 +598,7 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 			if nDeps > 0 && r.err == nil {
 				start := len(deps)
 				for di := uint32(0); di < nDeps && r.err == nil; di++ {
-					deps = append(deps, int(r.u32()))
+					deps = append(deps, int32(r.u32()))
 				}
 				n.Deps = deps[start:len(deps):len(deps)]
 			}

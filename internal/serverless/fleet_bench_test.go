@@ -90,10 +90,11 @@ func BenchmarkClusterSimWallclock(b *testing.B) {
 // TestFleetAllocCeiling holds the churn-shaped zipf-6k fleet of
 // BenchmarkClusterSimWallclock (ten models on four nodes with tight
 // caches, so every run relaunches, fetches and evicts thousands of
-// times) under the checked-in ceiling of heap allocations per
-// completed request in testdata/max_allocs_per_request_fleet. The
-// count covers a whole run: building each deployment's profile, every
-// cold start and every request.
+// times) under the checked-in ceilings of heap allocations and heap
+// bytes per completed request in testdata/max_allocs_per_request_fleet
+// and testdata/max_bytes_per_request_fleet. The counts cover a whole
+// run: building each deployment's profile, every cold start, every
+// restored graph's first-launch build and every request.
 func TestFleetAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -113,6 +114,9 @@ func TestFleetAllocCeiling(t *testing.T) {
 		completed += d.Completed
 	}
 	allocsPerReq := float64(after.Mallocs-before.Mallocs) / float64(completed)
-	t.Logf("zipf-6k: %d requests, %d cold starts, %.3f allocs/request", completed, res.TotalColdStarts, allocsPerReq)
+	bytesPerReq := float64(after.TotalAlloc-before.TotalAlloc) / float64(completed)
+	t.Logf("zipf-6k: %d requests, %d cold starts, %.3f allocs/request, %.0f bytes/request",
+		completed, res.TotalColdStarts, allocsPerReq, bytesPerReq)
 	checkCeiling(t, "allocs/request", "max_allocs_per_request_fleet", allocsPerReq)
+	checkCeiling(t, "bytes/request", "max_bytes_per_request_fleet", bytesPerReq)
 }
