@@ -166,6 +166,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzArtifactRoundTrip -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzTemplateRoundTrip -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzDeltaCorrupted -fuzztime 30s ./internal/medusa/
+	$(GO) test -run xxx -fuzz FuzzDecodeResolved -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzDecodeTemplate -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzDeltaApply -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzDeltaEncodeOracle -fuzztime 30s ./internal/medusa/

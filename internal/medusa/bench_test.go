@@ -14,6 +14,13 @@ import (
 
 // offlineBenchFixture builds a recorder + graphs without test assertions.
 func offlineBenchFixture(b testing.TB, nodes int) (*cuda.Process, *Recorder) {
+	return offlineBatchFixture(b, nodes, 1)
+}
+
+// offlineBatchFixture captures the nodes-node graph once per batch
+// 1..batches, each batch's graph differing from the others only in its
+// element-count scalar, as a model's per-batch graphs do.
+func offlineBatchFixture(b testing.TB, nodes, batches int) (*cuda.Process, *Recorder) {
 	b.Helper()
 	rt := toyRuntime()
 	p := cuda.NewProcess(rt, vclock.New(), cuda.Config{Seed: 1, Mode: gpu.CostOnly})
@@ -33,20 +40,23 @@ func offlineBenchFixture(b testing.TB, nodes int) (*cuda.Process, *Recorder) {
 	if err := p.Launch(s, "toy_scale", args); err != nil {
 		b.Fatal(err)
 	}
-	if err := s.BeginCapture(); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < nodes; i++ {
-		if err := p.Launch(s, "toy_scale", args); err != nil {
+	for batch := 1; batch <= batches; batch++ {
+		args[3] = cuda.U32Value(uint32(64 * batch))
+		if err := s.BeginCapture(); err != nil {
 			b.Fatal(err)
 		}
-	}
-	g, err := s.EndCapture()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := rec.AttachGraph(1, g); err != nil {
-		b.Fatal(err)
+		for i := 0; i < nodes; i++ {
+			if err := p.Launch(s, "toy_scale", args); err != nil {
+				b.Fatal(err)
+			}
+		}
+		g, err := s.EndCapture()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rec.AttachGraph(batch, g); err != nil {
+			b.Fatal(err)
+		}
 	}
 	rec.MarkCaptureStageEnd()
 	rec.RecordKV(KVRecord{NumBlocks: 1, BlockBytes: 1})
@@ -80,28 +90,37 @@ func BenchmarkEncode1kNodes(b *testing.B) {
 	}
 }
 
-// deltaBenchFixture returns the 1k-node artifact and a template built
-// from a 900-node sibling: the graph delta needs both the aligned scan
-// and the seed index, as a real sibling-model delta does.
-func deltaBenchFixture(b testing.TB) (*Artifact, *Template) {
+// deltaBenchFixture returns the 1k-node artifact with the given number
+// of batches and a template built from a one-batch 900-node sibling:
+// the graph delta needs both the aligned scan and the seed index, as a
+// real sibling-model delta does, and further batches chain off the
+// first.
+func deltaBenchFixture(b testing.TB, batches int) (*Artifact, *Template) {
 	b.Helper()
-	analyze := func(nodes int) *Artifact {
-		p, rec := offlineBenchFixture(b, nodes)
+	analyze := func(nodes, batches int) *Artifact {
+		p, rec := offlineBatchFixture(b, nodes, batches)
 		art, err := Analyze(rec, p, AnalyzeOptions{ModelName: "bench", SkipContents: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 		return art
 	}
-	tmpl, err := BuildTemplate("medusa/templates/bench", analyze(900))
+	tmpl, err := BuildTemplate("medusa/templates/bench", analyze(900, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return analyze(1000), tmpl
+	return analyze(1000, batches), tmpl
 }
 
-func BenchmarkEncodeDelta1kNodes(b *testing.B) {
-	art, tmpl := deltaBenchFixture(b)
+// chainBatches is the batch count of the chained-graph fixture: the
+// 35 graphs a zoo model captures.
+const chainBatches = 35
+
+func BenchmarkEncodeDelta1kNodes(b *testing.B)    { benchEncodeDelta(b, 1) }
+func BenchmarkEncodeDelta35x1kNodes(b *testing.B) { benchEncodeDelta(b, chainBatches) }
+
+func benchEncodeDelta(b *testing.B, batches int) {
+	art, tmpl := deltaBenchFixture(b, batches)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		raw, err := art.EncodeDelta(tmpl)
@@ -112,8 +131,11 @@ func BenchmarkEncodeDelta1kNodes(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeResolved1kNodes(b *testing.B) {
-	art, tmpl := deltaBenchFixture(b)
+func BenchmarkDecodeResolved1kNodes(b *testing.B)    { benchDecodeResolved(b, 1) }
+func BenchmarkDecodeResolved35x1kNodes(b *testing.B) { benchDecodeResolved(b, chainBatches) }
+
+func benchDecodeResolved(b *testing.B, batches int) {
+	art, tmpl := deltaBenchFixture(b, batches)
 	raw, err := art.EncodeDelta(tmpl)
 	if err != nil {
 		b.Fatal(err)
@@ -344,16 +366,24 @@ func firstLaunchOnce(art *Artifact) error {
 // and param records (images inline) in per-graph slabs, restore builds
 // no node until a graph is launched, and the first launch builds a
 // graph's nodes, params (images inline) and deps in one slab each.
+// The _35x1k ops run the v3 codec on the same graph captured at 35
+// batches, where the graphs chain: it streams them one at a time, so
+// its bytes grow with the graphs decoded, not with the v2 body.
 func TestCodecAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	art, tmpl := deltaBenchFixture(t)
+	art, tmpl := deltaBenchFixture(t, 1)
 	v2, err := art.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	v3, err := art.EncodeDelta(tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, _ := deltaBenchFixture(t, chainBatches)
+	chainV3, err := chain.EncodeDelta(tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,9 +396,11 @@ func TestCodecAllocCeilings(t *testing.T) {
 		run       func() error
 	}{
 		{"max_allocs_encode_1k", "", func() error { _, err := art.Encode(); return err }},
-		{"max_allocs_encode_delta_1k", "", func() error { _, err := art.EncodeDelta(tmpl); return err }},
+		{"max_allocs_encode_delta_1k", "max_bytes_encode_delta_1k", func() error { _, err := art.EncodeDelta(tmpl); return err }},
 		{"max_allocs_decode_1k", "max_bytes_decode_1k", func() error { _, err := Decode(v2); return err }},
 		{"max_allocs_decode_resolved_1k", "max_bytes_decode_resolved_1k", func() error { _, err := DecodeResolved(v3, resolve); return err }},
+		{"max_allocs_encode_delta_35x1k", "max_bytes_encode_delta_35x1k", func() error { _, err := chain.EncodeDelta(tmpl); return err }},
+		{"max_allocs_decode_resolved_35x1k", "max_bytes_decode_resolved_35x1k", func() error { _, err := DecodeResolved(chainV3, resolve); return err }},
 		{"max_allocs_analyze_1k", "max_bytes_analyze_1k", func() error { _, err := Analyze(rec, proc, analyzeOpts); return err }},
 		{"max_allocs_restore_1k", "max_bytes_restore_1k", func() error { _, err := restoreOnce(art); return err }},
 		{"max_allocs_first_launch_1k", "max_bytes_first_launch_1k", func() error { return firstLaunchOnce(art) }},

@@ -24,24 +24,25 @@ func (c *DeltaChecker) Check(t testing.TB, what string, src, tgt []byte) {
 // CheckDeltaOracle checks every (source, target) pair EncodeDelta
 // encodes for a against tmpl — the six template sections and the graph
 // chain — against the oracle encoder, through one reused encoder as
-// EncodeDelta does.
+// EncodeDelta does. The targets come from the same per-section and
+// per-graph encoding steps EncodeDelta uses.
 func CheckDeltaOracle(t testing.TB, a *Artifact, tmpl *Template) {
 	t.Helper()
-	body, ends, graphEnds := a.bodySections()
 	var enc deltaEncoder
-	start := 0
 	for i, name := range bodySectionNames {
-		if name == "graphs" {
-			src := tmpl.sections[2]
-			for gi := range graphEnds {
-				gb := graphBody(body, start, graphEnds, gi)
-				checkDeltaPair(t, &enc, a.ModelName+" graph chain", src, gb)
-				src = gb
+		if i == secGraphs {
+			src := tmpl.sections[secGraphs]
+			for gi := range a.Graphs {
+				var w wireWriter
+				encodeGraph(&w, &a.Graphs[gi])
+				checkDeltaPair(t, &enc, a.ModelName+" graph chain", src, w.buf)
+				src = w.buf
 			}
-		} else {
-			checkDeltaPair(t, &enc, a.ModelName+" "+name, tmpl.sections[i], body[start:ends[i]])
+			continue
 		}
-		start = ends[i]
+		var w wireWriter
+		a.encodeSection(&w, i)
+		checkDeltaPair(t, &enc, a.ModelName+" "+name, tmpl.sections[i], w.buf)
 	}
 }
 

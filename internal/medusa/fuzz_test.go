@@ -430,6 +430,56 @@ func FuzzDeltaCorrupted(f *testing.F) {
 	})
 }
 
+// FuzzDecodeResolved hardens the v3 decoder the way FuzzDecode hardens
+// the v2 one: arbitrary bytes resolved against a fixed template never
+// panic, a v3 input that decodes re-encodes through EncodeDelta to
+// exactly its bytes, and every decoded artifact's Encode is a v2 fixed
+// point. The seeds include the container whose header section claims
+// alloc_seq's first 4 bytes, which must not decode.
+func FuzzDecodeResolved(f *testing.F) {
+	tmpl, _, sections, graphs := boundaryFixture(f)
+	for seed := int64(1); seed <= 3; seed++ {
+		art := buildFuzzArtifact(rand.New(rand.NewSource(seed)), 3, int(seed), 2, seed == 2)
+		raw, err := art.EncodeDelta(tmpl)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		f.Add(raw[:len(raw)/2])
+	}
+	f.Add(handDelta(tmpl, sections, graphs, -1))
+	f.Add(shiftedHeaderDelta(tmpl, sections, graphs, -1))
+	f.Add([]byte("MDSA"))
+	resolve := resolverOf(tmpl)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeResolved(data, resolve)
+		if err != nil {
+			return // rejected input is fine; panics are not
+		}
+		if _, _, v3 := TemplateRef(data); v3 {
+			re, err := a.EncodeDelta(tmpl)
+			if err != nil {
+				t.Fatalf("decoded artifact fails to delta-encode: %v", err)
+			}
+			if !bytes.Equal(re, data) {
+				t.Fatalf("EncodeDelta(DecodeResolved(p)) is %d bytes, p is %d: not a fixed point", len(re), len(data))
+			}
+		}
+		v2, err := a.Encode()
+		if err != nil {
+			t.Fatalf("decoded artifact fails to encode: %v", err)
+		}
+		again, err := Decode(v2)
+		if err != nil {
+			t.Fatalf("v2 encoding fails to decode: %v", err)
+		}
+		if re, err := again.Encode(); err != nil || !bytes.Equal(re, v2) {
+			t.Fatalf("v2 encode → decode → encode is not a fixed point (err %v)", err)
+		}
+	})
+}
+
 // FuzzDecodeTemplate hardens the template parser the way FuzzDecode
 // hardens the artifact parser: arbitrary bytes never panic, and
 // anything that decodes must re-encode canonically.

@@ -199,7 +199,7 @@ func TestEmptyParamImageDecodesNonNil(t *testing.T) {
 	checkGraphSlabsIsolated(t, "decoded with empty images", &back.Graphs[0])
 }
 
-// TestScanGraphBoundedByInput pins parseBody's pre-scan: on a valid
+// TestScanGraphBoundedByInput pins parseGraph's pre-scan: on a valid
 // graph it counts exactly the graph's deps and params;
 // on any truncation or corruption it never counts more records than
 // the remaining input bytes could hold, so the slabs it sizes stay

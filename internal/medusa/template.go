@@ -63,19 +63,14 @@ type Template struct {
 // convention is engine.TemplateKey's "medusa/templates/<arch>"); the
 // artifact's sections become the delta sources, with the canonical
 // graph chosen deterministically (most nodes, larger batch on ties).
+// Each section, and the canonical graph, is encoded straight into the
+// template's encoding, which its sections then point into.
 func BuildTemplate(id string, a *Artifact) (*Template, error) {
 	if id == "" {
 		return nil, fmt.Errorf("medusa: template needs a non-empty id")
 	}
 	if err := a.validate(); err != nil {
 		return nil, fmt.Errorf("medusa: refusing to build template from inconsistent artifact: %w", err)
-	}
-	body, ends, graphEnds := a.bodySections()
-	t := &Template{id: id} // seal copies the sections out of body
-	start := 0
-	for i, end := range ends {
-		t.sections[i] = body[start:end]
-		start = end
 	}
 	canonical := -1
 	for i := range a.Graphs {
@@ -86,33 +81,28 @@ func BuildTemplate(id string, a *Artifact) (*Template, error) {
 			canonical = i
 		}
 	}
-	if canonical >= 0 {
-		t.sections[2] = graphBody(body, ends[1], graphEnds, canonical)
-	} else {
-		t.sections[2] = []byte{}
-	}
-	t.seal()
-	return t, nil
-}
-
-// seal computes the canonical encoding and body CRC from the sections,
-// then points the sections at their copies inside the encoding, so a
-// template holds exactly one buffer.
-func (t *Template) seal() {
 	w := newEnvelopeWriter()
-	w.str(t.id)
+	w.str(id)
 	w.u8(numBodySections)
 	var starts [numBodySections]int
-	for i, s := range t.sections {
-		w.bytes(s)
-		starts[i] = len(w.buf) - len(s)
+	for i := range starts {
+		at := w.beginBlob()
+		switch {
+		case i != secGraphs:
+			a.encodeSection(&w, i)
+		case canonical >= 0:
+			encodeGraph(&w, &a.Graphs[canonical])
+		}
+		w.endBlob(at)
+		starts[i] = at + 4
 	}
-	t.encoded = w.seal(templateMagic, TemplateFormatVersion)
+	t := &Template{id: id, encoded: w.seal(templateMagic, TemplateFormatVersion)}
 	t.bodyCRC = binary.LittleEndian.Uint32(t.encoded[12:16])
-	for i, s := range t.sections {
-		end := starts[i] + len(s)
-		t.sections[i] = t.encoded[starts[i]:end:end]
+	for i, start := range starts {
+		end := start + int(binary.LittleEndian.Uint32(t.encoded[start-4:]))
+		t.sections[i] = t.encoded[start:end:end]
 	}
+	return t, nil
 }
 
 // ID returns the template's registry identity.
@@ -169,13 +159,17 @@ func DecodeTemplate(p []byte) (*Template, error) {
 			Detail:  fmt.Sprintf("template checksum mismatch: %#x != %#x", got, wantCRC),
 		}
 	}
-	r := &wireReader{p: body}
-	t := &Template{id: r.str("template id")}
+	// A template that parses re-encodes to exactly these bytes, so it
+	// keeps a copy of them as its encoding, its sections pointing in.
+	enc := bytes.Clone(p)
+	r := &wireReader{p: enc[envelopeLen:]}
+	t := &Template{id: r.str("template id"), encoded: enc, bodyCRC: wantCRC}
 	if n := r.u8(); n != numBodySections && r.err == nil {
 		r.fail("template lists %d sections, want %d", n, numBodySections)
 	}
 	for i := 0; i < numBodySections && r.err == nil; i++ {
-		t.sections[i] = r.view(bodySectionNames[i]+" template section", 1<<26) // seal copies
+		s := r.view(bodySectionNames[i]+" template section", 1<<26)
+		t.sections[i] = s[:len(s):len(s)]
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -183,7 +177,6 @@ func DecodeTemplate(p []byte) (*Template, error) {
 	if r.off != len(body) {
 		return nil, fmt.Errorf("medusa: %d trailing bytes after template body", len(body)-r.off)
 	}
-	t.seal()
 	return t, nil
 }
 
@@ -229,14 +222,17 @@ func (a *Artifact) DeltaSectionSizes(t *Template) ([]Section, error) {
 // encodeDeltaBody writes the v3 body — template_ref, six delta
 // sections, checksum trailer — calling mark after each wire section
 // (and once more for the trailer, "section_crcs") so EncodeDelta and
-// DeltaSectionSizes share one format walk, exactly as encodeBody does
-// for v2.
+// DeltaSectionSizes share one format walk, exactly as
+// encodeBodyChecksummed does for v2.
+//
+// It encodes one section, and one graph, at a time: each small section
+// into one scratch writer, the graphs alternately into two writers, so
+// graph i deltas against graph i−1 while it is still intact. No whole
+// v2 body is ever built.
 func (a *Artifact) encodeDeltaBody(t *Template, w *wireWriter, mark func(section string)) error {
 	if t == nil {
 		return fmt.Errorf("medusa: EncodeDelta needs a template")
 	}
-	body, ends, graphEnds := a.bodySections()
-
 	var crcs [len(deltaSectionNames)]uint32
 	sec := 0
 	lastW := len(w.buf)
@@ -251,25 +247,52 @@ func (a *Artifact) encodeDeltaBody(t *Template, w *wireWriter, mark func(section
 	w.u32(t.bodyCRC)
 	endSection("template_ref")
 
-	var enc deltaEncoder
-	start := 0
-	for i, name := range bodySectionNames {
-		raw := body[start:ends[i]]
-		w.u32(uint32(len(raw)))
-		w.u32(crc32.ChecksumIEEE(raw))
-		if name == "graphs" {
-			w.u32(uint32(len(graphEnds)))
-			src := t.sections[2]
-			for gi := range graphEnds {
-				gb := graphBody(body, start, graphEnds, gi)
-				w.u32(uint32(len(gb)))
-				w.delta(&enc, src, gb)
-				src = gb
-			}
-		} else {
-			w.delta(&enc, t.sections[i], raw)
+	// The scratch writers are sized from the template's sections with
+	// an eighth to spare: a sibling's sections are about as large. A
+	// section that outgrows its share reallocates only its own writer.
+	small := 0
+	for i, s := range t.sections {
+		if i != secGraphs {
+			small = max(small, len(s))
 		}
-		start = ends[i]
+	}
+	graph := len(t.sections[secGraphs])
+	sbuf, gbufs := scratchBuffers(small+small/8, graph+graph/8, len(a.Graphs))
+	scratch := wireWriter{buf: sbuf}
+	graphs := [2]wireWriter{{buf: gbufs[0]}, {buf: gbufs[1]}}
+
+	var enc deltaEncoder
+	for i, name := range bodySectionNames {
+		if i != secGraphs {
+			scratch.buf = scratch.buf[:0]
+			a.encodeSection(&scratch, i)
+			w.u32(uint32(len(scratch.buf)))
+			w.u32(crc32.ChecksumIEEE(scratch.buf))
+			w.delta(&enc, t.sections[i], scratch.buf)
+			endSection(name)
+			continue
+		}
+		// The graphs section's resolved length and checksum cover its
+		// count and every graph: back-patched once the chain is written.
+		at := len(w.buf)
+		w.u32(0)
+		w.u32(0)
+		w.u32(uint32(len(a.Graphs)))
+		scratch.buf = binary.LittleEndian.AppendUint32(scratch.buf[:0], uint32(len(a.Graphs)))
+		rawLen, rawCRC := len(scratch.buf), crc32.ChecksumIEEE(scratch.buf)
+		src := t.sections[secGraphs]
+		for gi := range a.Graphs {
+			g := &graphs[gi%2]
+			g.buf = g.buf[:0]
+			encodeGraph(g, &a.Graphs[gi])
+			w.u32(uint32(len(g.buf)))
+			w.delta(&enc, src, g.buf)
+			rawLen += len(g.buf)
+			rawCRC = crc32.Update(rawCRC, crc32.IEEETable, g.buf)
+			src = g.buf
+		}
+		binary.LittleEndian.PutUint32(w.buf[at:], uint32(rawLen))
+		binary.LittleEndian.PutUint32(w.buf[at+4:], rawCRC)
 		endSection(name)
 	}
 
@@ -281,38 +304,27 @@ func (a *Artifact) encodeDeltaBody(t *Template, w *wireWriter, mark func(section
 	return nil
 }
 
-// bodySections encodes the artifact body once and returns it with each
-// section's end offset and each graph's end offset: the split
-// BuildTemplate and the v3 encoder cut sections and graph bodies from.
-func (a *Artifact) bodySections() (body []byte, ends [numBodySections]int, graphEnds []int) {
-	var w wireWriter
-	graphEnds = make([]int, len(a.Graphs))
-	sec := 0
-	a.encodeBody(&w, func(string) {
-		ends[sec] = len(w.buf)
-		sec++
-	}, graphEnds)
-	return w.buf, ends, graphEnds
-}
-
-// graphBody returns graph gi's encoding out of a bodySections body:
-// the graphs section starts at sectionStart with its u32 count, and
-// graphEnds holds each graph's end offset.
-func graphBody(body []byte, sectionStart int, graphEnds []int, gi int) []byte {
-	start := sectionStart + 4
-	if gi > 0 {
-		start = graphEnds[gi-1]
+// scratchBuffers carves one allocation into the empty buffers the v3
+// codec streams through: a scratch of capacity small for one section,
+// and, for a chain of nGraphs graphs, up to two of capacity graph that
+// the chain alternates between. Each is capped at its own capacity, so
+// appending past it reallocates that buffer alone.
+func scratchBuffers(small, graph, nGraphs int) (scratch []byte, graphs [2][]byte) {
+	nGraphs = min(nGraphs, 2)
+	buf := make([]byte, small+nGraphs*graph)
+	for i := range nGraphs {
+		at := small + i*graph
+		graphs[i] = buf[at : at : at+graph]
 	}
-	return body[start:graphEnds[gi]:graphEnds[gi]]
+	return buf[:0:small], graphs
 }
 
 // delta writes the delta rewriting tgt in terms of src as a blob,
 // encoding it straight into the buffer behind a back-patched length.
 func (w *wireWriter) delta(e *deltaEncoder, src, tgt []byte) {
-	at := len(w.buf)
-	w.u32(0)
+	at := w.beginBlob()
 	w.buf = e.appendDelta(w.buf, src, tgt)
-	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
+	w.endBlob(at)
 }
 
 // deltaWire is the parsed (not yet resolved) structure of a v3 body.
@@ -350,7 +362,7 @@ func parseDeltaBody(body []byte) (*deltaWire, error) {
 			r.fail("%s section of %d resolved bytes exceeds limit", name, d.rawLen[i])
 		}
 		d.rawCRC[i] = r.u32()
-		if name == "graphs" {
+		if i == secGraphs {
 			nGraphs := r.u32()
 			if nGraphs > 1<<16 {
 				r.fail("%d graph deltas", nGraphs)
@@ -414,10 +426,16 @@ func corruptDeltaError(body []byte, detail string) error {
 
 // decodeDeltaBody resolves a (envelope-verified) v3 body into an
 // artifact: structural parse, per-section trailer verification,
-// template resolution with the typed missing/mismatch errors, delta
-// application with resolved-section checksum verification, and finally
-// the ordinary v2 body parse plus semantic validation over the
-// reconstructed bytes.
+// template resolution with the typed missing/mismatch errors, then,
+// section by section and graph by graph, delta application with
+// resolved-length and checksum verification and the v2 parse step of
+// what was resolved, and finally semantic validation.
+//
+// Each section, and each graph, must parse to exactly its declared
+// length; one that does not is a typed corruption error naming its
+// section. Every delta, length or checksum failure wins over such a
+// parse error: the first parse error is held until every section has
+// resolved.
 func decodeDeltaBody(body []byte, resolve TemplateResolver) (*Artifact, error) {
 	d, err := parseDeltaBody(body)
 	if err != nil {
@@ -440,71 +458,114 @@ func decodeDeltaBody(body []byte, resolve TemplateResolver) (*Artifact, error) {
 		}
 	}
 
-	// Resolve every section straight into one v2 body buffer, sized
-	// from the declared lengths up to the limit one section may claim.
-	total := 1 + 4*numBodySections
-	for _, n := range d.rawLen {
-		total += int(n)
+	// The scratch each small section resolves into and the buffers the
+	// graph chain alternates between are sized by the largest length the
+	// container declares for them.
+	small, graph := 0, 0
+	for i, n := range d.rawLen {
+		if i != secGraphs {
+			small = max(small, int(n))
+		}
 	}
-	resolved := wireWriter{buf: make([]byte, 0, min(total, 1<<28))}
-	lastR := 0
+	for _, n := range d.graphLens {
+		graph = max(graph, int(n))
+	}
+	scratch, graphs := scratchBuffers(small, graph, len(d.graphLens))
+
+	a := newDecodedArtifact()
+	names := make(map[string]string)
+	var parseErr error
 	for i, name := range bodySectionNames {
-		if name == "graphs" {
-			resolved.u32(uint32(len(d.graphDeltas)))
-			src := t.sections[2]
-			for gi, gd := range d.graphDeltas {
-				at := len(resolved.buf)
-				out, err := deltaApply(resolved.buf, src, gd, int(d.graphLens[gi]))
-				if err == nil && len(out)-at != int(d.graphLens[gi]) {
-					err = fmt.Errorf("resolved %d bytes, want %d", len(out)-at, d.graphLens[gi])
-				}
-				if err != nil {
-					return nil, &faults.ArtifactCorruptError{
-						Section: "graphs",
-						Detail:  fmt.Sprintf("graph %d delta: %v", gi, err),
-					}
-				}
-				resolved.buf, src = out, out[at:]
-			}
-		} else {
-			out, err := deltaApply(resolved.buf, t.sections[i], d.deltas[i], int(d.rawLen[i]))
+		if i != secGraphs {
+			sec, err := deltaApply(scratch, t.sections[i], d.deltas[i], int(d.rawLen[i]))
 			if err != nil {
 				return nil, &faults.ArtifactCorruptError{
 					Section: name,
 					Detail:  fmt.Sprintf("section delta: %v", err),
 				}
 			}
-			resolved.buf = out
-		}
-		sec := resolved.buf[lastR:]
-		if len(sec) != int(d.rawLen[i]) {
-			return nil, &faults.ArtifactCorruptError{
-				Section: name,
-				Detail:  fmt.Sprintf("resolved %d bytes, want %d", len(sec), d.rawLen[i]),
+			if err := checkResolved(name, len(sec), crc32.ChecksumIEEE(sec), d.rawLen[i], d.rawCRC[i]); err != nil {
+				return nil, err
 			}
-		}
-		if got := crc32.ChecksumIEEE(sec); got != d.rawCRC[i] {
-			return nil, &faults.ArtifactCorruptError{
-				Section: name,
-				Detail:  fmt.Sprintf("resolved section checksum mismatch: %#x != %#x", got, d.rawCRC[i]),
+			if parseErr == nil {
+				r := wireReader{p: sec}
+				a.parseSection(&r, i, names)
+				parseErr = r.exact(name, -1)
 			}
+			continue
 		}
-		lastR = len(resolved.buf)
+		if n := len(d.graphLens); n > 0 {
+			a.Graphs = make([]GraphRecord, 0, n)
+		}
+		count := binary.LittleEndian.AppendUint32(scratch, uint32(len(d.graphLens)))
+		rawLen, rawCRC := len(count), crc32.ChecksumIEEE(count)
+		src := t.sections[secGraphs]
+		for gi, gd := range d.graphLens {
+			g, err := deltaApply(graphs[gi%2], src, d.graphDeltas[gi], int(gd))
+			if err == nil && len(g) != int(gd) {
+				err = fmt.Errorf("resolved %d bytes, want %d", len(g), gd)
+			}
+			if err != nil {
+				return nil, &faults.ArtifactCorruptError{
+					Section: name,
+					Detail:  fmt.Sprintf("graph %d delta: %v", gi, err),
+				}
+			}
+			rawLen += len(g)
+			rawCRC = crc32.Update(rawCRC, crc32.IEEETable, g)
+			if parseErr == nil {
+				r := wireReader{p: g}
+				a.Graphs = append(a.Graphs, parseGraph(&r, names))
+				parseErr = r.exact(name, gi)
+			}
+			src = g
+		}
+		if err := checkResolved(name, rawLen, rawCRC, d.rawLen[i], d.rawCRC[i]); err != nil {
+			return nil, err
+		}
 	}
-	// Append the v2 trailer the resolved sections imply and reuse the
-	// ordinary parser — the reconstruction is bit-exact v2 by design.
-	resolved.u8(numBodySections)
-	for i := range bodySectionNames {
-		resolved.u32(d.rawCRC[i])
-	}
-	a, _, _, err := parseBody(resolved.buf, true)
-	if err != nil {
-		return nil, err
+	if parseErr != nil {
+		return nil, parseErr
 	}
 	if err := a.validate(); err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// checkResolved compares a resolved section's length and checksum with
+// the ones its v3 section declares.
+func checkResolved(section string, n int, crc, wantLen, wantCRC uint32) error {
+	if n != int(wantLen) {
+		return &faults.ArtifactCorruptError{
+			Section: section,
+			Detail:  fmt.Sprintf("resolved %d bytes, want %d", n, wantLen),
+		}
+	}
+	if crc != wantCRC {
+		return &faults.ArtifactCorruptError{
+			Section: section,
+			Detail:  fmt.Sprintf("resolved section checksum mismatch: %#x != %#x", crc, wantCRC),
+		}
+	}
+	return nil
+}
+
+// exact returns the typed corruption error for a resolved v3 section,
+// or for its graph gi when gi ≥ 0, that r did not parse to exactly its
+// bytes: a parse failure, or bytes left over.
+func (r *wireReader) exact(section string, gi int) error {
+	if r.err == nil && r.off != len(r.p) {
+		r.fail("parses to %d of its %d bytes", r.off, len(r.p))
+	}
+	if r.err == nil {
+		return nil
+	}
+	detail := r.err.Error()
+	if gi >= 0 {
+		detail = fmt.Sprintf("graph %d: %s", gi, detail)
+	}
+	return &faults.ArtifactCorruptError{Section: section, Detail: detail}
 }
 
 // TemplateRef peeks a v3 container's template reference without

@@ -34,8 +34,17 @@ import (
 // rather than an opaque checksum failure.
 var wireMagic = [4]byte{'M', 'D', 'S', 'A'}
 
-// numBodySections is the fixed count of checksummed body sections.
-const numBodySections = 6
+// Body section indices, in wire order; numBodySections is the fixed
+// count of checksummed body sections.
+const (
+	secHeader = iota
+	secAllocSeq
+	secGraphs
+	secKernelTable
+	secPermanent
+	secKVRecord
+	numBodySections
+)
 
 // bodySectionNames lists the checksummed body sections in wire order.
 var bodySectionNames = [numBodySections]string{
@@ -97,6 +106,16 @@ func (w *wireWriter) str(s string) {
 	w.u32(uint32(len(s)))
 	w.reserve(len(s))
 	w.buf = append(w.buf, s...)
+}
+
+// beginBlob writes a placeholder blob length and returns its offset;
+// endBlob back-patches it once the blob's bytes have been written.
+func (w *wireWriter) beginBlob() int {
+	w.u32(0)
+	return len(w.buf) - 4
+}
+func (w *wireWriter) endBlob(at int) {
+	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 }
 
 // seal writes the envelope into the space newEnvelopeWriter reserved
@@ -252,80 +271,70 @@ const (
 	minPermWire   = 4 + 8 + 1     // index, size, presence
 )
 
-// encodeBody writes the artifact body, calling mark after each wire
-// section so callers can attribute bytes to sections without a second
-// format definition (Encode and SectionSizes share this one walk). A
-// non-nil graphEnds (one slot per graph) receives each graph's end
-// offset in w, so the v3 encoder and BuildTemplate cut per-graph
-// bodies out of this one encoding instead of encoding graphs twice.
-func (a *Artifact) encodeBody(w *wireWriter, mark func(section string), graphEnds []int) {
-	w.str(a.ModelName)
-	w.u32(uint32(a.AllocCount))
-	w.u32(uint32(a.PrefixLen))
-	mark("header")
-
-	w.u32(uint32(len(a.AllocSeq)))
-	for _, ev := range a.AllocSeq {
-		w.boolean(ev.Free)
-		w.u32(uint32(ev.AllocIndex))
-		w.u64(ev.Size)
-		w.str(ev.Label)
-	}
-	mark("alloc_seq")
-
-	w.u32(uint32(len(a.Graphs)))
-	for i := range a.Graphs {
-		start := len(w.buf)
-		encodeGraph(w, &a.Graphs[i])
-		if i == 0 {
-			// The per-batch graphs of one model share a topology, so
-			// the first one sizes the rest of the section, with an
-			// eighth of a graph to spare for the small sections after.
-			g := len(w.buf) - start
-			w.reserve(g*(len(a.Graphs)-1) + g/8)
+// encodeSection writes body section i (secHeader … secKVRecord). The
+// v2 encoders write every section in order; the v3 encoder and
+// BuildTemplate write one at a time, so one format definition serves
+// them all.
+func (a *Artifact) encodeSection(w *wireWriter, i int) {
+	switch i {
+	case secHeader:
+		w.str(a.ModelName)
+		w.u32(uint32(a.AllocCount))
+		w.u32(uint32(a.PrefixLen))
+	case secAllocSeq:
+		w.u32(uint32(len(a.AllocSeq)))
+		for _, ev := range a.AllocSeq {
+			w.boolean(ev.Free)
+			w.u32(uint32(ev.AllocIndex))
+			w.u64(ev.Size)
+			w.str(ev.Label)
 		}
-		if graphEnds != nil {
-			graphEnds[i] = len(w.buf)
+	case secGraphs:
+		w.u32(uint32(len(a.Graphs)))
+		for i := range a.Graphs {
+			start := len(w.buf)
+			encodeGraph(w, &a.Graphs[i])
+			if i == 0 {
+				// The per-batch graphs of one model share a topology, so
+				// the first one sizes the rest of the section, with an
+				// eighth of a graph to spare for the small sections after.
+				g := len(w.buf) - start
+				w.reserve(g*(len(a.Graphs)-1) + g/8)
+			}
 		}
-	}
-	mark("graphs")
-
-	names := make([]string, 0, len(a.Kernels))
-	for name := range a.Kernels {
-		names = append(names, name)
-	}
-	sort.Strings(names) // deterministic encoding
-	w.u32(uint32(len(names)))
-	for _, name := range names {
-		loc := a.Kernels[name]
-		w.str(name)
-		w.str(loc.Library)
-		w.boolean(loc.Exported)
-	}
-	mark("kernel_table")
-
-	w.u32(uint32(len(a.Permanent)))
-	for _, pr := range a.Permanent {
-		w.u32(uint32(pr.AllocIndex))
-		w.u64(pr.Size)
-		w.boolean(pr.Contents != nil)
-		if pr.Contents != nil {
-			w.bytes(pr.Contents)
+	case secKernelTable:
+		names := make([]string, 0, len(a.Kernels))
+		for name := range a.Kernels {
+			names = append(names, name)
 		}
+		sort.Strings(names) // deterministic encoding
+		w.u32(uint32(len(names)))
+		for _, name := range names {
+			loc := a.Kernels[name]
+			w.str(name)
+			w.str(loc.Library)
+			w.boolean(loc.Exported)
+		}
+	case secPermanent:
+		w.u32(uint32(len(a.Permanent)))
+		for _, pr := range a.Permanent {
+			w.u32(uint32(pr.AllocIndex))
+			w.u64(pr.Size)
+			w.boolean(pr.Contents != nil)
+			if pr.Contents != nil {
+				w.bytes(pr.Contents)
+			}
+		}
+	case secKVRecord:
+		w.u64(a.KV.FreeMemBytes)
+		w.u32(uint32(a.KV.NumBlocks))
+		w.u64(a.KV.BlockBytes)
 	}
-	mark("permanent")
-
-	w.u64(a.KV.FreeMemBytes)
-	w.u32(uint32(a.KV.NumBlocks))
-	w.u64(a.KV.BlockBytes)
-	mark("kv_record")
 }
 
 // encodeGraph writes one materialized graph. The graphs section body
 // is exactly u32 count followed by these graph encodings, so the v3
-// encoder takes per-graph bodies as sub-slices of the section and the
-// v3 decoder splices resolved graph bodies back into a bit-exact v2
-// section.
+// codec chains graph deltas one graph encoding at a time.
 func encodeGraph(w *wireWriter, g *GraphRecord) {
 	w.u32(uint32(g.Batch))
 	w.u32(uint32(len(g.Nodes)))
@@ -345,19 +354,18 @@ func encodeGraph(w *wireWriter, g *GraphRecord) {
 	}
 }
 
-// encodeBodyChecksummed writes the body sections via encodeBody, then
-// appends the v2 per-section checksum trailer. mark fires after each
-// section and once more for the trailer itself ("section_crcs").
+// encodeBodyChecksummed writes the body sections, then appends the v2
+// per-section checksum trailer. mark fires after each section and once
+// more for the trailer itself ("section_crcs"), so Encode and
+// SectionSizes share this one walk.
 func (a *Artifact) encodeBodyChecksummed(w *wireWriter, mark func(section string)) {
 	var crcs [numBodySections]uint32
-	sec := 0
-	last := len(w.buf)
-	a.encodeBody(w, func(section string) {
-		crcs[sec] = crc32.ChecksumIEEE(w.buf[last:])
-		sec++
-		last = len(w.buf)
-		mark(section)
-	}, nil)
+	for i, name := range bodySectionNames {
+		start := len(w.buf)
+		a.encodeSection(w, i)
+		crcs[i] = crc32.ChecksumIEEE(w.buf[start:])
+		mark(name)
+	}
 	w.u8(uint8(len(crcs)))
 	for _, c := range crcs {
 		w.u32(c)
@@ -410,7 +418,9 @@ func EncodeLegacyV1(a *Artifact) ([]byte, error) {
 		return nil, fmt.Errorf("medusa: refusing to encode inconsistent artifact: %w", err)
 	}
 	w := newEnvelopeWriter()
-	a.encodeBody(&w, func(string) {}, nil)
+	for i := range numBodySections {
+		a.encodeSection(&w, i)
+	}
 	return w.seal(wireMagic, legacyFormatVersion), nil
 }
 
@@ -523,151 +533,18 @@ func verifySectionCRCs(body []byte, ends [numBodySections]int, crcs [numBodySect
 func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [numBodySections]uint32, error) {
 	var ends [numBodySections]int
 	var crcs [numBodySections]uint32
-	sec := 0
-	endSection := func(r *wireReader) {
-		if r.err == nil && sec < numBodySections {
-			ends[sec] = r.off
-			sec++
-		}
-	}
-
 	r := &wireReader{p: body}
-	a := &Artifact{FormatVersion: CurrentFormatVersion, Kernels: make(map[string]KernelLoc)}
-	a.ModelName = r.str("model name")
-	a.AllocCount = int(r.u32())
-	a.PrefixLen = int(r.u32())
-	endSection(r)
-
-	nEvents := r.u32()
-	if nEvents > 1<<24 {
-		r.fail("%d allocation events", nEvents)
+	a := newDecodedArtifact()
+	names := make(map[string]string)
+	for i := range ends {
+		a.parseSection(r, i, names)
+		ends[i] = r.off
 	}
-	if nEvents > 0 && r.err == nil {
-		a.AllocSeq = make([]AllocRecord, 0, r.capFor(nEvents, minAllocWire))
-	}
-	for i := uint32(0); i < nEvents && r.err == nil; i++ {
-		var ev AllocRecord
-		ev.Free = r.boolean()
-		ev.AllocIndex = int(r.u32())
-		ev.Size = r.u64()
-		ev.Label = r.str("alloc label")
-		a.AllocSeq = append(a.AllocSeq, ev)
-	}
-	endSection(r)
-
-	// Every node of every graph names one of a few kernels; sharing one
-	// string per distinct name saves an allocation per node.
-	kernelNames := make(map[string]string)
-	nGraphs := r.u32()
-	if nGraphs > 1<<16 {
-		r.fail("%d graphs", nGraphs)
-	}
-	if nGraphs > 0 && r.err == nil {
-		a.Graphs = make([]GraphRecord, 0, r.capFor(nGraphs, 8))
-	}
-	for gi := uint32(0); gi < nGraphs && r.err == nil; gi++ {
-		var g GraphRecord
-		g.Batch = int(r.u32())
-		nNodes := r.u32()
-		if nNodes > 1<<22 {
-			r.fail("graph with %d nodes", nNodes)
-		}
-		if nNodes > 0 && r.err == nil {
-			g.Nodes = make([]NodeRecord, 0, r.capFor(nNodes, minNodeWire))
-		}
-		// Per-graph slabs for every node's deps and param records
-		// (images are inline in the records), sized by a pre-scan.
-		// Each node's share is a full-slice-expression sub-slice
-		// (len == cap); should a corrupt graph outgrow the scan, append
-		// reallocates and the shares already cut keep the old backing.
-		nDepsTotal, nParamsTotal := scanGraph(r.p[r.off:], nNodes)
-		deps := make([]int32, 0, nDepsTotal)
-		params := make([]ParamRecord, 0, nParamsTotal)
-		for ni := uint32(0); ni < nNodes && r.err == nil; ni++ {
-			var n NodeRecord
-			name := r.view("kernel name", 1<<20)
-			var ok bool
-			if n.KernelName, ok = kernelNames[string(name)]; !ok {
-				n.KernelName = string(name)
-				kernelNames[n.KernelName] = n.KernelName
-			}
-			nDeps := r.u32()
-			if nDeps > nNodes {
-				r.fail("node with %d deps", nDeps)
-			}
-			if nDeps > 0 && r.err == nil {
-				start := len(deps)
-				for di := uint32(0); di < nDeps && r.err == nil; di++ {
-					deps = append(deps, int32(r.u32()))
-				}
-				n.Deps = deps[start:len(deps):len(deps)]
-			}
-			nParams := r.u32()
-			if nParams > 1<<12 {
-				r.fail("node with %d params", nParams)
-			}
-			if nParams > 0 && r.err == nil {
-				start := len(params)
-				for pi := uint32(0); pi < nParams && r.err == nil; pi++ {
-					var p ParamRecord
-					if size := r.u32(); size > maxParamImage {
-						r.fail("param image of %d bytes exceeds limit %d", size, maxParamImage)
-					} else {
-						p.Size = uint8(copy(p.Image[:], r.take(int(size))))
-					}
-					p.Pointer = r.boolean()
-					p.AllocIndex = int32(r.u32())
-					p.Offset = r.u64()
-					params = append(params, p)
-				}
-				n.Params = params[start:len(params):len(params)]
-			}
-			g.Nodes = append(g.Nodes, n)
-		}
-		a.Graphs = append(a.Graphs, g)
-	}
-	endSection(r)
-
-	nKernels := r.u32()
-	if nKernels > 1<<20 {
-		r.fail("%d kernel entries", nKernels)
-	}
-	for i := uint32(0); i < nKernels && r.err == nil; i++ {
-		name := r.str("kernel name")
-		lib := r.str("library name")
-		exported := r.boolean()
-		a.Kernels[name] = KernelLoc{Library: lib, Exported: exported}
-	}
-	endSection(r)
-
-	nPerm := r.u32()
-	if nPerm > 1<<22 {
-		r.fail("%d permanent records", nPerm)
-	}
-	if nPerm > 0 && r.err == nil {
-		a.Permanent = make([]PermRecord, 0, r.capFor(nPerm, minPermWire))
-	}
-	for i := uint32(0); i < nPerm && r.err == nil; i++ {
-		var pr PermRecord
-		pr.AllocIndex = int(r.u32())
-		pr.Size = r.u64()
-		if r.boolean() {
-			pr.Contents = r.blob("permanent contents", 1<<26)
-		}
-		a.Permanent = append(a.Permanent, pr)
-	}
-	endSection(r)
-
-	a.KV.FreeMemBytes = r.u64()
-	a.KV.NumBlocks = int(r.u32())
-	a.KV.BlockBytes = r.u64()
-	endSection(r)
-
 	if trailer {
 		if n := r.u8(); n != numBodySections && r.err == nil {
 			r.fail("checksum trailer lists %d sections, want %d", n, numBodySections)
 		}
-		for i := 0; i < numBodySections; i++ {
+		for i := range crcs {
 			crcs[i] = r.u32()
 		}
 	}
@@ -679,4 +556,145 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 		return nil, ends, crcs, fmt.Errorf("medusa: %d trailing bytes after artifact body", len(body)-r.off)
 	}
 	return a, ends, crcs, nil
+}
+
+// newDecodedArtifact returns the empty artifact the parse steps fill:
+// decoding normalizes every input version to the current one.
+func newDecodedArtifact() *Artifact {
+	return &Artifact{FormatVersion: CurrentFormatVersion, Kernels: make(map[string]KernelLoc)}
+}
+
+// parseSection decodes body section i from r into a, the inverse of
+// encodeSection. Every node of every graph names one of a few kernels;
+// names interns them, one string per distinct name, across graphs.
+func (a *Artifact) parseSection(r *wireReader, i int, names map[string]string) {
+	switch i {
+	case secHeader:
+		a.ModelName = r.str("model name")
+		a.AllocCount = int(r.u32())
+		a.PrefixLen = int(r.u32())
+	case secAllocSeq:
+		nEvents := r.u32()
+		if nEvents > 1<<24 {
+			r.fail("%d allocation events", nEvents)
+		}
+		if nEvents > 0 && r.err == nil {
+			a.AllocSeq = make([]AllocRecord, 0, r.capFor(nEvents, minAllocWire))
+		}
+		for i := uint32(0); i < nEvents && r.err == nil; i++ {
+			var ev AllocRecord
+			ev.Free = r.boolean()
+			ev.AllocIndex = int(r.u32())
+			ev.Size = r.u64()
+			ev.Label = r.str("alloc label")
+			a.AllocSeq = append(a.AllocSeq, ev)
+		}
+	case secGraphs:
+		nGraphs := r.u32()
+		if nGraphs > 1<<16 {
+			r.fail("%d graphs", nGraphs)
+		}
+		if nGraphs > 0 && r.err == nil {
+			a.Graphs = make([]GraphRecord, 0, r.capFor(nGraphs, 8))
+		}
+		for gi := uint32(0); gi < nGraphs && r.err == nil; gi++ {
+			a.Graphs = append(a.Graphs, parseGraph(r, names))
+		}
+	case secKernelTable:
+		nKernels := r.u32()
+		if nKernels > 1<<20 {
+			r.fail("%d kernel entries", nKernels)
+		}
+		for i := uint32(0); i < nKernels && r.err == nil; i++ {
+			name := r.str("kernel name")
+			lib := r.str("library name")
+			exported := r.boolean()
+			a.Kernels[name] = KernelLoc{Library: lib, Exported: exported}
+		}
+	case secPermanent:
+		nPerm := r.u32()
+		if nPerm > 1<<22 {
+			r.fail("%d permanent records", nPerm)
+		}
+		if nPerm > 0 && r.err == nil {
+			a.Permanent = make([]PermRecord, 0, r.capFor(nPerm, minPermWire))
+		}
+		for i := uint32(0); i < nPerm && r.err == nil; i++ {
+			var pr PermRecord
+			pr.AllocIndex = int(r.u32())
+			pr.Size = r.u64()
+			if r.boolean() {
+				pr.Contents = r.blob("permanent contents", 1<<26)
+			}
+			a.Permanent = append(a.Permanent, pr)
+		}
+	case secKVRecord:
+		a.KV.FreeMemBytes = r.u64()
+		a.KV.NumBlocks = int(r.u32())
+		a.KV.BlockBytes = r.u64()
+	}
+}
+
+// parseGraph decodes one encodeGraph encoding from r, interning kernel
+// names through names.
+func parseGraph(r *wireReader, names map[string]string) GraphRecord {
+	var g GraphRecord
+	g.Batch = int(r.u32())
+	nNodes := r.u32()
+	if nNodes > 1<<22 {
+		r.fail("graph with %d nodes", nNodes)
+	}
+	if nNodes > 0 && r.err == nil {
+		g.Nodes = make([]NodeRecord, 0, r.capFor(nNodes, minNodeWire))
+	}
+	// Per-graph slabs for every node's deps and param records (images
+	// are inline in the records), sized by a pre-scan. Each node's
+	// share is a full-slice-expression sub-slice (len == cap); should a
+	// corrupt graph outgrow the scan, append reallocates and the shares
+	// already cut keep the old backing.
+	nDepsTotal, nParamsTotal := scanGraph(r.p[r.off:], nNodes)
+	deps := make([]int32, 0, nDepsTotal)
+	params := make([]ParamRecord, 0, nParamsTotal)
+	for ni := uint32(0); ni < nNodes && r.err == nil; ni++ {
+		var n NodeRecord
+		name := r.view("kernel name", 1<<20)
+		var ok bool
+		if n.KernelName, ok = names[string(name)]; !ok {
+			n.KernelName = string(name)
+			names[n.KernelName] = n.KernelName
+		}
+		nDeps := r.u32()
+		if nDeps > nNodes {
+			r.fail("node with %d deps", nDeps)
+		}
+		if nDeps > 0 && r.err == nil {
+			start := len(deps)
+			for di := uint32(0); di < nDeps && r.err == nil; di++ {
+				deps = append(deps, int32(r.u32()))
+			}
+			n.Deps = deps[start:len(deps):len(deps)]
+		}
+		nParams := r.u32()
+		if nParams > 1<<12 {
+			r.fail("node with %d params", nParams)
+		}
+		if nParams > 0 && r.err == nil {
+			start := len(params)
+			for pi := uint32(0); pi < nParams && r.err == nil; pi++ {
+				var p ParamRecord
+				if size := r.u32(); size > maxParamImage {
+					r.fail("param image of %d bytes exceeds limit %d", size, maxParamImage)
+				} else {
+					p.Size = uint8(copy(p.Image[:], r.take(int(size))))
+				}
+				p.Pointer = r.boolean()
+				p.AllocIndex = int32(r.u32())
+				p.Offset = r.u64()
+				params = append(params, p)
+			}
+			n.Params = params[start:len(params):len(params)]
+		}
+		g.Nodes = append(g.Nodes, n)
+	}
+	return g
 }

@@ -112,15 +112,16 @@ func NewStore(arr Array) *Store {
 // Array returns the underlying array timing model.
 func (s *Store) Array() Array { return s.arr }
 
-// Put writes an object, charging write time on the clock.
+// Put writes an object, charging write time on the clock. The store
+// takes ownership of data, without copying it: callers must not modify
+// the slice afterwards. Get and Peek return copies.
 func (s *Store) Put(clock *vclock.Clock, name string, data []byte) {
 	start := clock.Now()
 	clock.Advance(s.arr.WriteDuration(uint64(len(data))))
 	s.ioSpan(clock, "put", name, start, uint64(len(data)))
-	cp := append([]byte(nil), data...)
 	s.mu.Lock()
-	s.objects[name] = cp
-	s.sizes[name] = uint64(len(cp))
+	s.objects[name] = data
+	s.sizes[name] = uint64(len(data))
 	delete(s.fetched, name) // rewritten contents must be re-read
 	s.mu.Unlock()
 }
