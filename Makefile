@@ -26,7 +26,7 @@ vet:
 # medusalint enforces the simulator's determinism, capture-safety, and
 # pooled-state invariants: the syntactic passes (wallclock, seededrand,
 # maporder, capturesync) plus the flow-aware CFG passes (kvpair,
-# epochguard, poolescape, spanpair); see DESIGN.md §8 for the
+# poolescape, spanpair); see DESIGN.md §8 for the
 # invariant-to-analyzer mapping. The generous wall-clock budget is a
 # tripwire so the CFG passes can't silently blow up CI time (timeout
 # exits 124 on breach).
@@ -78,16 +78,17 @@ bench:
 
 # Per-layer benchmarks of the cold-start, serving and control-plane
 # paths whose zero-allocation tests pin them (ROADMAP direction 7):
-# the event queue's push/pop, AddExclusive on a Medusa launch, FetchPair
-# by tier, a sized KV sequence's lifetime, Plan/FinishRun at a mean and
-# a full batch, a device Malloc/Free cycle, Ranker.Rank over a
-# fleet-diurnal slate, reactive and predictive Desired, and Next on the
-# Poisson, bursty and diurnal sources; plus capture recording and a
+# the event queue's push/pop and handle reschedule/cancel, AddExclusive
+# on a Medusa launch, FetchPair by tier, a sized KV sequence's
+# lifetime, Plan/FinishRun at a mean and a full batch, a device
+# Malloc/Free cycle, Ranker.Rank over a fleet-diurnal slate, reactive
+# and predictive Desired, and Next on the Poisson, bursty and diurnal
+# sources; plus capture recording and a
 # 512-node graph replay, and the 1k-node artifact decode (plain and
 # template-resolved), analysis, restore and first-launch build, whose
 # allocations and bytes TestCodecAllocCeilings bounds. Ten counts each,
 # for benchstat.
-LAYER_BENCH = BenchmarkQueuePushPop|BenchmarkAddExclusive|BenchmarkFetchPair|BenchmarkSizedSeqLifetime|BenchmarkPlanFinishRun|BenchmarkMallocFree$$|BenchmarkRankDiurnalSlate|BenchmarkReactiveDesired|BenchmarkPredictiveDesired|BenchmarkSourceNext|BenchmarkCaptureRecord|BenchmarkGraphReplay512Nodes|BenchmarkDecode1kNodes|BenchmarkDecodeResolved1kNodes|BenchmarkAnalyze1kNodes|BenchmarkRestore1kNodes|BenchmarkFirstLaunch1kNodes
+LAYER_BENCH = BenchmarkQueuePushPop|BenchmarkQueueSchedule|BenchmarkAddExclusive|BenchmarkFetchPair|BenchmarkSizedSeqLifetime|BenchmarkPlanFinishRun|BenchmarkMallocFree$$|BenchmarkRankDiurnalSlate|BenchmarkReactiveDesired|BenchmarkPredictiveDesired|BenchmarkSourceNext|BenchmarkCaptureRecord|BenchmarkGraphReplay512Nodes|BenchmarkDecode1kNodes|BenchmarkDecodeResolved1kNodes|BenchmarkAnalyze1kNodes|BenchmarkRestore1kNodes|BenchmarkFirstLaunch1kNodes
 bench-layers:
 	$(GO) test -run xxx -bench '$(LAYER_BENCH)' -count 10 -benchmem \
 		./internal/eventq ./internal/obs ./internal/artifactcache ./internal/kvcache ./internal/sched ./internal/gpu \
@@ -172,6 +173,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDeltaEncodeOracle -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzEncodeDecode -fuzztime 30s ./internal/tokenizer/
 	$(GO) test -run xxx -fuzz FuzzManagerOps -fuzztime 30s ./internal/kvcache/
+	$(GO) test -run xxx -fuzz FuzzQueueOps -fuzztime 30s ./internal/eventq/
 	$(GO) test -run xxx -fuzz FuzzAddExclusive -fuzztime 30s ./internal/obs/
 	$(GO) test -run xxx -fuzz FuzzDecodeRunMatchesSteps -fuzztime 30s ./internal/sched/
 	$(GO) test -run xxx -fuzz FuzzSourceConfigs -fuzztime 30s ./internal/workload/

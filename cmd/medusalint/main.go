@@ -7,11 +7,10 @@
 //	maporder    — no order-dependent map iteration on serialization paths
 //	capturesync — no sync / module loading between BeginCapture and EndCapture
 //
-// and four are flow-aware, built on the intraprocedural CFG and
+// and three are flow-aware, built on the intraprocedural CFG and
 // path-sensitive pairing engine under internal/lint/analysis:
 //
 //	kvpair      — every kvcache Reserve reaches Commit or Rollback on all paths
-//	epochguard  — epoch comparison dominates every mutation of pooled event state
 //	poolescape  — no use of a free-listed pointer after freeReq/freeInst/recycle
 //	spanpair    — every obs span begun is Ended (or handed off) on all paths
 //
@@ -47,7 +46,6 @@ import (
 
 	"github.com/medusa-repro/medusa/internal/lint/analysis"
 	"github.com/medusa-repro/medusa/internal/lint/capturesync"
-	"github.com/medusa-repro/medusa/internal/lint/epochguard"
 	"github.com/medusa-repro/medusa/internal/lint/kvpair"
 	"github.com/medusa-repro/medusa/internal/lint/loader"
 	"github.com/medusa-repro/medusa/internal/lint/maporder"
@@ -61,7 +59,6 @@ import (
 // suite is every analyzer medusalint ships, in report order.
 var suite = []*analysis.Analyzer{
 	capturesync.Analyzer,
-	epochguard.Analyzer,
 	kvpair.Analyzer,
 	maporder.Analyzer,
 	poolescape.Analyzer,

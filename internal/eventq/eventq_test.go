@@ -8,12 +8,15 @@ import (
 )
 
 // refEvent / refHeap reimplement the container/heap event queue the
-// simulators used before the 4-ary migration — the oracle the generic
-// queue must match pop-for-pop.
+// simulator used before the 4-ary migration — the oracle the generic
+// queue must match pop-for-pop. h and gen tag an event scheduled on a
+// handle (h > 0) for staleRef.
 type refEvent struct {
 	t   time.Duration
 	seq int
 	v   int
+	h   int
+	gen int
 }
 
 type refHeap []refEvent
@@ -139,6 +142,129 @@ func TestStampedHoldMatchesPush(t *testing.T) {
 	}
 }
 
+// staleRef is the lazy-invalidation scheme handles replace: scheduling
+// on a handle pushes a new event and leaves the one it supersedes in
+// the heap under an older generation, cancelling only forgets the
+// live generation, and Pop skips every event whose generation is no
+// longer live.
+type staleRef struct {
+	heap refHeap
+	seq  int
+	gens int
+	live []int // live generation per handle; 0 = not queued
+	n    int   // live events
+}
+
+func (r *staleRef) push(h int, t time.Duration, seq, v int) {
+	e := refEvent{t: t, seq: seq, v: v, h: h}
+	if h > 0 {
+		if r.live[h] == 0 {
+			r.n++
+		}
+		r.gens++
+		e.gen, r.live[h] = r.gens, r.gens
+	} else {
+		r.n++
+	}
+	heap.Push(&r.heap, e)
+}
+
+func (r *staleRef) schedule(h int, t time.Duration, v int) {
+	r.push(h, t, r.stamp(), v)
+}
+
+func (r *staleRef) stamp() int {
+	r.seq++
+	return r.seq - 1
+}
+
+func (r *staleRef) cancel(h int) {
+	if r.live[h] != 0 {
+		r.live[h] = 0
+		r.n--
+	}
+}
+
+func (r *staleRef) pop() refEvent {
+	for {
+		e := heap.Pop(&r.heap).(refEvent)
+		if e.h == 0 || r.live[e.h] == e.gen {
+			if e.h > 0 {
+				r.live[e.h] = 0
+			}
+			r.n--
+			return e
+		}
+	}
+}
+
+// FuzzQueueOps drives the queue, with a handful of handles, and
+// staleRef through the same Push, Schedule, Cancel, Stamp, PushStamped
+// and Pop sequence, decoded from the input two bytes per operation.
+// Every pop must agree in time and payload, and Len and every handle's
+// Queued must agree after every operation.
+func FuzzQueueOps(f *testing.F) {
+	f.Add([]byte{0, 3, 1, 0x13, 1, 0x23, 2, 0x11, 5, 0, 5, 0, 5, 0})
+	f.Add([]byte{1, 0x05, 1, 0x02, 1, 0x07, 3, 0x00, 4, 0, 4, 1, 5, 0, 2, 0x31, 5, 0})
+	f.Add([]byte{4, 0, 0, 4, 4, 5, 1, 0x24, 3, 0x20, 5, 0, 5, 0, 5, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const handles = 4
+		var q Queue[int]
+		var hs [handles + 1]Handle // hs[0] unused: refEvent.h 0 means none
+		ref := staleRef{live: make([]int, handles+1)}
+		var stamps []uint64
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i]%6, ops[i+1]
+			at := time.Duration(arg&15) * time.Millisecond // coarse: ties are common
+			h := 1 + int(arg>>4)%handles
+			switch {
+			case op == 0:
+				q.Push(at, i)
+				ref.schedule(0, at, i)
+			case op <= 2:
+				q.Schedule(&hs[h], at, i)
+				ref.schedule(h, at, i)
+			case op == 3:
+				q.Cancel(&hs[h])
+				ref.cancel(h)
+			case op == 4 && (len(stamps) == 0 || arg&1 == 0):
+				stamps = append(stamps, q.Stamp())
+				if seq := ref.stamp(); uint64(seq) != stamps[len(stamps)-1] {
+					t.Fatalf("op %d: Stamp %d, reference %d", i/2, stamps[len(stamps)-1], seq)
+				}
+			case op == 4:
+				seq := stamps[0]
+				stamps = stamps[1:]
+				q.PushStamped(at, seq, i)
+				ref.push(0, at, int(seq), i)
+			case ref.n > 0:
+				gt, gv := q.Pop()
+				want := ref.pop()
+				if gt != want.t || gv != want.v {
+					t.Fatalf("op %d: popped (%v, %d), reference (%v, %d)", i/2, gt, gv, want.t, want.v)
+				}
+			}
+			if q.Len() != ref.n {
+				t.Fatalf("op %d: Len %d, reference %d", i/2, q.Len(), ref.n)
+			}
+			for j := 1; j <= handles; j++ {
+				if hs[j].Queued() != (ref.live[j] != 0) {
+					t.Fatalf("op %d: handle %d Queued %v, reference %v", i/2, j, hs[j].Queued(), ref.live[j] != 0)
+				}
+			}
+		}
+		for ref.n > 0 {
+			gt, gv := q.Pop()
+			if want := ref.pop(); gt != want.t || gv != want.v {
+				t.Fatalf("drain: popped (%v, %d), reference (%v, %d)", gt, gv, want.t, want.v)
+			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("queue holds %d events after the reference drained", q.Len())
+		}
+	})
+}
+
 func TestQueueFIFOAtEqualTime(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 100; i++ {
@@ -227,5 +353,29 @@ func BenchmarkQueuePushPop(b *testing.B) {
 		if q.Len() > 512 {
 			q.Pop()
 		}
+	}
+}
+
+// BenchmarkQueueSchedule moves one of 512 handle-bound events to a new
+// instant and cancels another, then re-queues it, at 512 live events.
+func BenchmarkQueueSchedule(b *testing.B) {
+	var q Queue[int]
+	hs := make([]Handle, 512)
+	rng := rand.New(rand.NewSource(1))
+	at := make([]time.Duration, 1024)
+	for i := range at {
+		at[i] = time.Duration(rng.Int63n(int64(time.Hour)))
+	}
+	for i := range hs {
+		q.Schedule(&hs[i], at[i], i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := &hs[i%len(hs)]
+		q.Schedule(h, at[i%len(at)], i)
+		c := &hs[(i*7+3)%len(hs)]
+		q.Cancel(c)
+		q.Schedule(c, at[(i+1)%len(at)], i)
 	}
 }

@@ -11,10 +11,7 @@
 //
 //   - Unkilled: starting from a point, which "use" nodes are reachable
 //     on SOME path that has not passed a "kill" node? (poolescape: uses
-//     of a pointer after freeReq with no reassignment in between;
-//     epochguard: mutations of pooled state with no epoch comparison
-//     dominating them, by starting at function entry with guards as
-//     kills.)
+//     of a pointer after freeReq with no reassignment in between.)
 //
 // Both queries are exists-path, not all-paths: they deliberately ignore
 // branch conditions (path feasibility), which makes them conservative —

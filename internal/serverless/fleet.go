@@ -203,8 +203,8 @@ func (r *FleetResult) SLOAttainment() float64 {
 // tallies that, unlike wall time, do not depend on the host. They sit
 // outside Metrics, so rendered results do not change with them.
 //
-// The event counts are popped events by kind, stale ones (whose
-// instance was recycled before they fired) included.
+// The event counts are popped events by kind. Every popped event is
+// live: a moved or cancelled instance event never pops.
 type Work struct {
 	// Arrivals counts arrival events (initial requests and follow-ups).
 	Arrivals int

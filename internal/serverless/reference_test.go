@@ -1,6 +1,8 @@
 package serverless
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,11 +18,13 @@ import (
 // idle counts checked against a recount), and requires identical outputs,
 // Chrome trace included, and identical work except dispatch steps and
 // Score calls, which may only fall. Each run gets a fleet of its own
-// from build, so stateful policies start fresh.
+// from build, so stateful policies start fresh. The reference loop runs
+// first: its checks report a broken invariant as an error before the
+// fast loop can run on with it.
 func checkMatchesReference(t *testing.T, build func(t *testing.T) Fleet) (fast, ref *FleetResult) {
 	t.Helper()
-	fast, _, fastTrace := runTraced(t, build(t), runOptions{})
 	ref, _, refTrace := runTraced(t, build(t), runOptions{referenceLoop: true})
+	fast, _, fastTrace := runTraced(t, build(t), runOptions{})
 	if got, want := fast.Render(), ref.Render(); got != want {
 		t.Fatalf("Render differs from the reference loop:\n--- fast\n%s\n--- reference\n%s", got, want)
 	}
@@ -92,13 +96,26 @@ func TestHeldArrivalAndIdleDispatchMatchReference(t *testing.T) {
 	for _, tc := range tieCases(t) {
 		cases = append(cases, fleetCase{"tie/" + tc.name, tc.fleet})
 	}
+	// Crashes spread over the run find instances provisioning, mid-run
+	// and idle with a check queued; retiring them must cancel every
+	// queued event.
+	for at := 2 * time.Second; at <= 20*time.Second; at += 1500 * time.Millisecond {
+		for _, mode := range []fleetCase{{"legacy", legacy}, {"batched", batched}} {
+			cases = append(cases, fleetCase{fmt.Sprintf("crash/%s/at=%v", mode.name, at), func(t *testing.T) Fleet {
+				f := mode.build(t)
+				plan := faults.Plan{NodeCrashes: []faults.NodeCrash{{Node: int(at/time.Second) % 2, At: faults.Duration(at)}}}
+				f.Faults = FaultSpec{Plan: &plan}
+				return f
+			}})
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fast, ref := checkMatchesReference(t, tc.build)
 			if fast.Completed == 0 {
 				t.Fatal("fixture completed nothing")
 			}
-			if tc.name == "crash" && fast.NodeCrashes != 1 {
+			if strings.HasPrefix(tc.name, "crash") && fast.NodeCrashes != 1 {
 				t.Errorf("crash preset crashed %d nodes, want 1", fast.NodeCrashes)
 			}
 			if tc.name == "batched-routed" && fast.Work.Scores == 0 {

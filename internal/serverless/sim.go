@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
@@ -56,7 +57,10 @@ import (
 //     request queued mid-run cuts the run back to the boundary where
 //     per-step code would admit it (splitRuns), and exact-instant ties
 //     keep per-step order (orderTies, yieldToLateEnd).
-//   - Each instance keeps at most one idle check queued.
+//   - Each instance has at most one event of each kind (ready,
+//     iteration end, idle check) queued, bound to an eventq.Handle in
+//     its state: rescheduling moves the queued event in place and
+//     retiring the instance cancels it, so every popped event is live.
 //
 // Every launch first picks a node (locality vs load), then charges
 // runtime init and the artifact read. A node with a cache overlaps its
@@ -74,20 +78,15 @@ const (
 	evNodeCrash
 )
 
-// event is one scheduled occurrence. Instance events carry the epoch
-// the instance state had when scheduled; recycled instances bump their
-// epoch, which invalidates events still queued against the previous
-// incarnation (idle checks after retirement, ready/iteration-end
-// events after a node crash). An iteration-end event also carries its
-// run's generation (instState.runGen): splitting a coalesced decode run
-// bumps it, which invalidates the superseded end. A node-crash event
-// carries the node id in epoch, which keeps every event at four words.
+// event is one scheduled occurrence. Instance events are bound to
+// their instance's handles (see schedule), so an instance that is
+// retired, crashed or recycled has none left queued. A node-crash
+// event carries its node.
 type event struct {
-	kind  eventKind
-	gen   uint32
-	req   *reqState
-	inst  *instState
-	epoch uint64
+	kind eventKind
+	node int32
+	req  *reqState
+	inst *instState
 }
 
 // runtimeInitDuration mirrors the engine's runtime-initialization
@@ -117,14 +116,10 @@ type reqState struct {
 
 // instState is one provisioned instance, pinned to a node.
 type instState struct {
-	id   int
-	dep  int
-	node int
-	// epoch distinguishes incarnations of a recycled state object;
-	// events carry the epoch they were scheduled against.
-	epoch   uint64
+	id      int
+	dep     int
+	node    int
 	ready   bool
-	retired bool
 	running []*reqState
 	// iterating reports whether an iteration-end event is in flight.
 	iterating bool
@@ -133,22 +128,21 @@ type instState struct {
 	// prefill, if any, plus one decode step), every later one runStep.
 	// runLen > 1 only for a coalesced decode run (see startIteration and
 	// startIterationBatched). runAdmitted is how many requests the first
-	// step admitted (legacy mode). The end event carries runGen and was
-	// pushed at runPushed; runOrdered records that its tie order has
-	// been settled (orderTies), runLate that a split pushed it after its
-	// last step began (yieldToLateEnd).
+	// step admitted (legacy mode). The end event was pushed at
+	// runPushed; runOrdered records that its tie order has been settled
+	// (orderTies), runLate that a split pushed it after its last step
+	// began (yieldToLateEnd).
 	runStart, runFirst, runStep, runPushed time.Duration
 	runLen, runAdmitted                    int
-	runGen                                 uint32
 	runOrdered, runLate                    bool
-	// checkArmed reports whether this incarnation has an idle check
-	// queued; checkAt is when it was pushed.
-	checkArmed bool
-	checkAt    time.Duration
-	idleSince  time.Duration
-	launchedAt time.Duration
-	retiredAt  time.Duration
-	kvTokens   int
+	// readyEv, endEv and checkEv hold the instance's queued ready,
+	// iteration-end and idle-check events. checkAt is when the idle
+	// check was pushed.
+	readyEv, endEv, checkEv eventq.Handle
+	checkAt                 time.Duration
+	idleSince               time.Duration
+	launchedAt              time.Duration
+	kvTokens                int
 	// captured tracks graph sizes this instance has lazily captured
 	// (deferred-capture strategy only).
 	captured map[int]bool
@@ -426,8 +420,19 @@ type simulation struct {
 	work Work
 }
 
+// schedule queues ev at t. An instance event replaces the instance's
+// queued event of its kind, if any.
 func (s *simulation) schedule(t time.Duration, ev event) {
-	s.events.Push(t, ev)
+	var h *eventq.Handle
+	switch ev.kind {
+	case evInstanceReady:
+		h = &ev.inst.readyEv
+	case evIterationEnd:
+		h = &ev.inst.endEv
+	case evIdleCheck:
+		h = &ev.inst.checkEv
+	}
+	s.events.Schedule(h, t, ev)
 }
 
 // newReq returns a zeroed request state from the free-list.
@@ -447,8 +452,7 @@ func (s *simulation) freeReq(r *reqState) {
 }
 
 // newInst returns a fresh instance state, recycling a retired one if
-// available. The epoch survives recycling (freeInst bumped it), so
-// events scheduled against the previous incarnation no longer match.
+// available.
 func (s *simulation) newInst(dep, node int) *instState {
 	var inst *instState
 	if n := len(s.instPool); n > 0 {
@@ -471,14 +475,16 @@ func (s *simulation) newInst(dep, node int) *instState {
 	return inst
 }
 
-// freeInst recycles an instance state, invalidating any events still
-// referencing this incarnation (stale idle checks; after a crash, the
-// in-flight ready or iteration-end event).
+// freeInst recycles an instance state, cancelling its queued events
+// (an idle check; after a crash, the in-flight ready or iteration-end
+// event).
 func (s *simulation) freeInst(inst *instState) {
-	epoch := inst.epoch + 1
+	s.events.Cancel(&inst.readyEv)
+	s.events.Cancel(&inst.endEv)
+	s.events.Cancel(&inst.checkEv)
 	running := inst.running[:0]
 	// The scheduler recycles with the instance (newInst resets it).
-	*inst = instState{epoch: epoch, running: running, sch: inst.sch}
+	*inst = instState{running: running, sch: inst.sch}
 	s.instPool = append(s.instPool, inst)
 }
 
@@ -546,7 +552,7 @@ func (s *simulation) run() (*FleetResult, error) {
 	// plan's NodeCrashes entries.
 	if s.inj != nil && s.registry != nil {
 		for _, nc := range s.inj.CrashSchedule() {
-			s.schedule(nc.At.D(), event{kind: evNodeCrash, epoch: uint64(nc.Node)})
+			s.schedule(nc.At.D(), event{kind: evNodeCrash, node: int32(nc.Node)})
 		}
 	}
 
@@ -567,6 +573,11 @@ func (s *simulation) run() (*FleetResult, error) {
 			s.headHeld = false
 		} else {
 			t, ev = s.events.Pop()
+		}
+		if s.opts.referenceLoop && ev.inst != nil {
+			if err := s.checkLive(t, ev); err != nil {
+				return nil, err
+			}
 		}
 		if len(s.lateEnds) > 0 && s.yieldToLateEnd(t, ev) {
 			continue
@@ -599,11 +610,6 @@ func (s *simulation) run() (*FleetResult, error) {
 		case evInstanceReady:
 			s.work.Readies++
 			inst := ev.inst
-			if inst.epoch != ev.epoch {
-				// The instance's node crashed mid-provisioning; the
-				// launch was already written off as lost.
-				break
-			}
 			inst.ready = true
 			s.deps[inst.dep].idle++
 			s.markIdle(inst)
@@ -615,29 +621,20 @@ func (s *simulation) run() (*FleetResult, error) {
 				continue
 			}
 			s.work.IterationEnds++
-			if ev.inst.epoch != ev.epoch || ev.inst.runGen != ev.gen {
-				// The node crashed mid-iteration (the batch was requeued),
-				// or a split superseded this end: the event means nothing.
-				break
-			}
 			ev.inst.runLate = false
 			if err := s.finishIteration(ev.inst); err != nil {
 				return nil, err
 			}
 		case evNodeCrash:
 			s.work.Crashes++
-			if err := s.crashNode(int(ev.epoch)); err != nil {
+			if err := s.crashNode(int(ev.node)); err != nil {
 				return nil, err
 			}
 		case evIdleCheck:
 			s.work.IdleChecks++
 			inst := ev.inst
-			if inst.epoch != ev.epoch {
-				break
-			}
-			inst.checkArmed = false
 			d := s.deps[inst.dep]
-			if inst.retired || !inst.ready || !inst.idleNow(d.batched) {
+			if !inst.idleNow(d.batched) {
 				// Busy: the next markIdle arms a fresh check.
 				break
 			}
@@ -701,14 +698,12 @@ func (s *simulation) retire(inst *instState) {
 	if inst.ready && !inst.iterating {
 		d.idle--
 	}
-	inst.retired = true
-	inst.retiredAt = s.now
 	s.nodes[inst.node].gpusUsed -= d.cfg.TPDegree
 	s.nodeDown(s.nodes[inst.node])
 	d.live--
 	d.liveChanged()
-	if inst.retiredAt > inst.launchedAt {
-		s.gpuSeconds += (inst.retiredAt - inst.launchedAt).Seconds() * float64(d.cfg.TPDegree)
+	if s.now > inst.launchedAt {
+		s.gpuSeconds += (s.now - inst.launchedAt).Seconds() * float64(d.cfg.TPDegree)
 	}
 	d.removeActive(inst)
 	s.freeInst(inst)
@@ -896,7 +891,7 @@ func (s *simulation) observe(di int) autoscale.Observation {
 func (s *simulation) nodeAnchored(node int, except *instState) bool {
 	for _, d := range s.deps {
 		for _, inst := range d.active {
-			if inst == except || inst.node != node || inst.retired {
+			if inst == except || inst.node != node {
 				continue
 			}
 			if !inst.idleNow(d.batched) || s.now-inst.idleSince < d.cfg.Scheduler.IdleTimeout {
@@ -1048,7 +1043,7 @@ func (s *simulation) launchOne(di int) (bool, error) {
 		root.End(ready)
 	}
 	s.scratchIntervals = intervals[:0]
-	s.schedule(ready, event{kind: evInstanceReady, inst: inst, epoch: inst.epoch})
+	s.schedule(ready, event{kind: evInstanceReady, inst: inst})
 	return true, nil
 }
 
@@ -1148,9 +1143,8 @@ func (s *simulation) crashNode(id int) error {
 	for _, inst := range doomed {
 		d := s.deps[inst.dep]
 		if !inst.ready {
-			// Mid-provisioning: the cold start is lost with the node. Its
-			// evInstanceReady event still fires and is ignored (stale
-			// epoch).
+			// Mid-provisioning: the cold start is lost with the node, and
+			// retiring it cancels its evInstanceReady event.
 			d.reg.Counter("lost_cold_starts").Inc()
 			s.reg.Counter("lost_cold_starts").Inc()
 		}
@@ -1250,10 +1244,18 @@ func (s *simulation) dispatchIdle() error {
 }
 
 // checkIdle recounts the deployment's idle instances against its idle
-// count and checks that none of them holds work (reference loop only).
+// count, checks that none of them holds work, and checks that every
+// instance has exactly the events queued that its state implies: an
+// iteration end while iterating, a ready event until ready, and an idle
+// check only once ready (reference loop only).
 func (s *simulation) checkIdle(d *depState) error {
 	n := 0
 	for _, inst := range d.active {
+		if inst.endEv.Queued() != inst.iterating || inst.readyEv.Queued() == inst.ready ||
+			inst.checkEv.Queued() && !inst.ready {
+			return fmt.Errorf("serverless: %s inst-%d queued events (end %v, ready %v, idle check %v) disagree with iterating %v, ready %v at %v",
+				d.name, inst.id, inst.endEv.Queued(), inst.readyEv.Queued(), inst.checkEv.Queued(), inst.iterating, inst.ready, s.now)
+		}
 		if inst.ready && !inst.iterating {
 			n++
 			if !inst.idleNow(d.batched) {
@@ -1263,6 +1265,28 @@ func (s *simulation) checkIdle(d *depState) error {
 	}
 	if n != d.idle {
 		return fmt.Errorf("serverless: %s idle count %d, recount %d at %v", d.name, d.idle, n, s.now)
+	}
+	return nil
+}
+
+// checkLive checks that the instance event ev, popped at t, belongs to
+// an active instance whose state expects it: a ready event before the
+// instance is ready, an iteration end while it iterates, an idle check
+// once it is ready (reference loop only).
+func (s *simulation) checkLive(t time.Duration, ev event) error {
+	inst := ev.inst
+	live := slices.Contains(s.deps[inst.dep].active, inst)
+	switch ev.kind {
+	case evInstanceReady:
+		live = live && !inst.ready
+	case evIterationEnd:
+		live = live && inst.iterating
+	case evIdleCheck:
+		live = live && inst.ready
+	}
+	if !live {
+		return fmt.Errorf("serverless: %s event for inst-%d popped at %v, which does not expect it",
+			[...]string{evInstanceReady: "ready", evIterationEnd: "iteration-end", evIdleCheck: "idle-check"}[ev.kind], inst.id, t)
 	}
 	return nil
 }
@@ -1474,14 +1498,12 @@ func (s *simulation) runSteps(inst *instState, k int) int {
 	return k
 }
 
-// scheduleEnd pushes the end of the instance's current run, superseding
-// any end already queued for it.
+// scheduleEnd queues the end of the instance's current run, moving any
+// end already queued for it.
 func (s *simulation) scheduleEnd(inst *instState) {
-	inst.runGen++
 	inst.runPushed = s.now
 	inst.runOrdered, inst.runLate = false, false
-	s.schedule(inst.boundary(inst.runLen),
-		event{kind: evIterationEnd, gen: inst.runGen, inst: inst, epoch: inst.epoch})
+	s.schedule(inst.boundary(inst.runLen), event{kind: evIterationEnd, inst: inst})
 }
 
 // splitRuns cuts every coalesced run of the deployment that may take
@@ -1553,7 +1575,7 @@ func (s *simulation) yieldToLateEnd(t time.Duration, ev event) bool {
 // step began (see pushedAt), ahead of the rest.
 func (s *simulation) orderTies(t time.Duration, ev event) bool {
 	inst := ev.inst
-	if inst.epoch != ev.epoch || inst.runGen != ev.gen || inst.runOrdered {
+	if inst.runOrdered {
 		return false
 	}
 	last := inst.boundary(inst.runLen - 1)
@@ -1591,24 +1613,17 @@ func (s *simulation) orderTies(t time.Duration, ev event) bool {
 }
 
 // pushedAt is the instant per-step code pushes the event. Node crashes
-// are queued before the loop starts, and stale events do nothing
-// wherever they pop: both report -1.
+// are queued before the loop starts and report -1.
 func (s *simulation) pushedAt(e event) time.Duration {
 	switch e.kind {
 	case evArrival:
 		return e.req.pushedAt
 	case evInstanceReady:
-		if e.inst.epoch == e.epoch {
-			return e.inst.launchedAt
-		}
+		return e.inst.launchedAt
 	case evIterationEnd:
-		if e.inst.epoch == e.epoch && e.inst.runGen == e.gen {
-			return e.inst.boundary(e.inst.runLen - 1)
-		}
+		return e.inst.boundary(e.inst.runLen - 1)
 	case evIdleCheck:
-		if e.inst.epoch == e.epoch {
-			return e.inst.checkAt
-		}
+		return e.inst.checkAt
 	}
 	return -1
 }
@@ -1891,14 +1906,13 @@ func (s *simulation) maybeFollowUp(r *reqState) {
 // spell's deadline and re-arms itself for it.
 func (s *simulation) markIdle(inst *instState) {
 	inst.idleSince = s.now
-	if t := s.deps[inst.dep].cfg.Scheduler.IdleTimeout; t > 0 && !inst.checkArmed {
+	if t := s.deps[inst.dep].cfg.Scheduler.IdleTimeout; t > 0 && !inst.checkEv.Queued() {
 		s.armIdleCheck(inst, s.now+t)
 	}
 }
 
 // armIdleCheck queues the instance's one idle check at at.
 func (s *simulation) armIdleCheck(inst *instState, at time.Duration) {
-	inst.checkArmed = true
 	inst.checkAt = s.now
-	s.schedule(at, event{kind: evIdleCheck, inst: inst, epoch: inst.epoch})
+	s.schedule(at, event{kind: evIdleCheck, inst: inst})
 }
