@@ -10,8 +10,8 @@
 // fixtures (and any future manager) are covered: a call is a
 // reservation when the callee is a method named Reserve whose receiver
 // type also declares Commit and Rollback methods. This deliberately
-// excludes eventq.Queue.Reserve (capacity pre-sizing, no transaction
-// to pair).
+// excludes a Reserve that only pre-sizes capacity (no transaction to
+// pair).
 //
 // The check is an exists-path query over the intraprocedural CFG
 // (pairing.EscapesToExit): a diagnostic means some branch/loop/return

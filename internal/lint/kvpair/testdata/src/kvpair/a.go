@@ -1,8 +1,8 @@
 // Package kvpair's testdata mirrors the kvcache.Manager reservation
 // API by shape: Reserve opens a speculative allocation on a
 // caller-owned sequence handle that Commit publishes or Rollback
-// abandons. Queue mimics eventq.Queue.Reserve (capacity pre-sizing)
-// and must NOT be matched.
+// abandons. Queue's Reserve only pre-sizes capacity and must NOT be
+// matched.
 package kvpair
 
 // Seq mimics kvcache.Seq: the caller-owned handle a Reserve extends.
@@ -15,7 +15,8 @@ func (m *Manager) Reserve(q *Seq, n int) error { return nil }
 func (m *Manager) Commit()                     {}
 func (m *Manager) Rollback()                   {}
 
-// Queue mimics eventq.Queue: Reserve alone, no transaction to pair.
+// Queue is a container whose Reserve pre-sizes capacity: Reserve
+// alone, no transaction to pair.
 type Queue struct{}
 
 func (q *Queue) Reserve(n int) {}
