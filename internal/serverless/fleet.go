@@ -323,6 +323,7 @@ func simulate(f Fleet, registry *artifactcache.Registry, opts runOptions) (*Flee
 		return nil, fmt.Errorf("serverless: no deployments")
 	}
 	sim := &simulation{cfg: f, opts: opts, reg: obs.NewRegistry(), registry: registry, scaler: f.Autoscaler, router: f.Router}
+	sim.events.Tie = pushOrder
 	if sim.scaler == nil {
 		sim.scaler = autoscale.NewReactive()
 	}
