@@ -84,15 +84,17 @@ bench:
 # Malloc/Free cycle, Ranker.Rank over a fleet-diurnal slate, reactive
 # and predictive Desired, and Next on the Poisson, bursty and diurnal
 # sources; plus capture recording and a
-# 512-node graph replay, and the 1k-node artifact decode (plain and
+# 512-node graph replay, the 1k-node artifact encode, decode (plain and
 # template-resolved), analysis, restore and first-launch build, whose
-# allocations and bytes TestCodecAllocCeilings bounds. Ten counts each,
-# for benchstat.
-LAYER_BENCH = BenchmarkQueuePushPop|BenchmarkQueueSchedule|BenchmarkAddExclusive|BenchmarkFetchPair|BenchmarkSizedSeqLifetime|BenchmarkPlanFinishRun|BenchmarkMallocFree$$|BenchmarkRankDiurnalSlate|BenchmarkReactiveDesired|BenchmarkPredictiveDesired|BenchmarkSourceNext|BenchmarkCaptureRecord|BenchmarkGraphReplay512Nodes|BenchmarkDecode1kNodes|BenchmarkDecodeResolved1kNodes|BenchmarkAnalyze1kNodes|BenchmarkRestore1kNodes|BenchmarkFirstLaunch1kNodes
+# allocations and bytes TestCodecAllocCeilings bounds, the v3 codec on
+# the 1k-node graph captured at 35 batches, and the codec on two zoo
+# artifacts (BenchmarkCodecZoo: many kernel names, real delta-index
+# load). Ten counts each, for benchstat.
+LAYER_BENCH = BenchmarkQueuePushPop|BenchmarkQueueSchedule|BenchmarkAddExclusive|BenchmarkFetchPair|BenchmarkSizedSeqLifetime|BenchmarkPlanFinishRun|BenchmarkMallocFree$$|BenchmarkRankDiurnalSlate|BenchmarkReactiveDesired|BenchmarkPredictiveDesired|BenchmarkSourceNext|BenchmarkCaptureRecord|BenchmarkGraphReplay512Nodes|BenchmarkEncode1kNodes|BenchmarkDecode1kNodes|BenchmarkDecodeResolved1kNodes|BenchmarkEncodeDelta35x1kNodes|BenchmarkDecodeResolved35x1kNodes|BenchmarkAnalyze1kNodes|BenchmarkRestore1kNodes|BenchmarkFirstLaunch1kNodes|BenchmarkCodecZoo
 bench-layers:
 	$(GO) test -run xxx -bench '$(LAYER_BENCH)' -count 10 -benchmem \
 		./internal/eventq ./internal/obs ./internal/artifactcache ./internal/kvcache ./internal/sched ./internal/gpu \
-		./internal/router ./internal/autoscale ./internal/workload ./internal/cuda ./internal/medusa
+		./internal/router ./internal/autoscale ./internal/workload ./internal/cuda ./internal/medusa ./internal/engine
 
 # Seconds-scale benchmark gate for CI: the seeded eviction-policy sweep
 # (lru/lfu/costaware on one 2-node Zipf workload), a two-node fleet
@@ -171,6 +173,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeTemplate -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzDeltaApply -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzDeltaEncodeOracle -fuzztime 30s ./internal/medusa/
+	$(GO) test -run xxx -fuzz FuzzParseGraphOracle -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzEncodeDecode -fuzztime 30s ./internal/tokenizer/
 	$(GO) test -run xxx -fuzz FuzzManagerOps -fuzztime 30s ./internal/kvcache/
 	$(GO) test -run xxx -fuzz FuzzQueueOps -fuzztime 30s ./internal/eventq/

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"github.com/medusa-repro/medusa/internal/cuda"
@@ -127,15 +126,15 @@ func Analyze(rec *Recorder, proc *cuda.Process, opts AnalyzeOptions) (*Artifact,
 	// a map (sorted at encode time) and referenced indices only feed the
 	// permanent-buffer set, so merge order cannot leak into the bytes;
 	// errors surface in graph order so failures are stable too.
-	referenced := make(map[int]bool) // alloc indices referenced by pointers
+	referenced := make([]bool, rec.allocs) // by alloc index: referenced by a pointer
 	for gi := range outs {
 		o := &outs[gi]
 		if o.err != nil {
 			return nil, o.err
 		}
 		art.Graphs = append(art.Graphs, o.gr)
-		for idx := range o.referenced {
-			referenced[idx] = true
+		for idx, ref := range o.referenced {
+			referenced[idx] = referenced[idx] || ref
 		}
 		for name, loc := range o.kernels {
 			art.Kernels[name] = loc
@@ -158,7 +157,7 @@ func Analyze(rec *Recorder, proc *cuda.Process, opts AnalyzeOptions) (*Artifact,
 // graphAnalysis is one worker's output for one captured graph.
 type graphAnalysis struct {
 	gr         GraphRecord
-	referenced map[int]bool
+	referenced []bool // by alloc index: referenced by one of gr's pointers
 	kernels    map[string]KernelLoc
 	err        error
 }
@@ -172,7 +171,7 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 	cg := rec.graphs[gi]
 	out := graphAnalysis{
 		gr:         GraphRecord{Batch: cg.batch},
-		referenced: make(map[int]bool),
+		referenced: make([]bool, rec.allocs),
 		kernels:    make(map[string]KernelLoc),
 	}
 	match := func(eventPos int, p uint64) (int, uint64, bool) {
@@ -312,24 +311,27 @@ func (r *Recorder) firstMatch(p uint64) (allocIndex int, offset uint64, ok bool)
 // those freed before the stage ends are temporaries (replayed but
 // content-free); those still live and referenced by a graph are
 // permanent and have their contents saved.
-func classifyPermanent(rec *Recorder, proc *cuda.Process, art *Artifact, referenced map[int]bool, skipContents bool) error {
+// Walking allocations in index order keeps Permanent in index order.
+func classifyPermanent(rec *Recorder, proc *cuda.Process, art *Artifact, referenced []bool, skipContents bool) error {
 	type allocState struct {
 		addr  uint64
 		size  uint64
-		pos   int // event position of the allocation
+		pos   int // event position of the allocation; -1 if none
 		freed bool
 	}
-	states := make(map[int]*allocState)
+	states := make([]allocState, rec.allocs)
+	for idx := range states {
+		states[idx].pos = -1
+	}
 	for pos, ev := range rec.events[:rec.captureStageEnd] {
 		if ev.free {
-			if st := states[ev.allocIndex]; st != nil {
-				st.freed = true
-			}
+			states[ev.allocIndex].freed = true
 			continue
 		}
-		states[ev.allocIndex] = &allocState{addr: ev.addr, size: ev.size, pos: pos}
+		states[ev.allocIndex] = allocState{addr: ev.addr, size: ev.size, pos: pos}
 	}
-	for idx, st := range states {
+	for idx := range states {
+		st := &states[idx]
 		if st.pos < rec.captureStageBegin || st.freed || !referenced[idx] {
 			continue
 		}
@@ -347,9 +349,5 @@ func classifyPermanent(rec *Recorder, proc *cuda.Process, art *Artifact, referen
 		}
 		art.Permanent = append(art.Permanent, pr)
 	}
-	// Deterministic artifact: order by allocation index.
-	sort.Slice(art.Permanent, func(i, j int) bool {
-		return art.Permanent[i].AllocIndex < art.Permanent[j].AllocIndex
-	})
 	return nil
 }

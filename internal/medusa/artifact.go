@@ -235,10 +235,15 @@ func (a *Artifact) validate() error {
 	if allocs != a.AllocCount {
 		return fmt.Errorf("medusa: %d allocations in sequence, header says %d", allocs, a.AllocCount)
 	}
+	var prev []NodeRecord // the previous graph's nodes, every kernel checked
 	for _, g := range a.Graphs {
-		for ni, n := range g.Nodes {
-			if _, ok := a.Kernels[n.KernelName]; !ok {
-				return fmt.Errorf("medusa: graph %d node %d references unknown kernel %q", g.Batch, ni, n.KernelName)
+		for ni := range g.Nodes {
+			n := &g.Nodes[ni]
+			// Per-batch graphs mostly share a topology, so kernel names.
+			if ni >= len(prev) || n.KernelName != prev[ni].KernelName {
+				if _, ok := a.Kernels[n.KernelName]; !ok {
+					return fmt.Errorf("medusa: graph %d node %d references unknown kernel %q", g.Batch, ni, n.KernelName)
+				}
 			}
 			for pi, p := range n.Params {
 				if p.Pointer && (p.AllocIndex < 0 || int(p.AllocIndex) >= a.AllocCount) {
@@ -255,6 +260,7 @@ func (a *Artifact) validate() error {
 				}
 			}
 		}
+		prev = g.Nodes
 	}
 	for _, pr := range a.Permanent {
 		if pr.AllocIndex < 0 || pr.AllocIndex >= a.AllocCount {

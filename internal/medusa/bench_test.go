@@ -361,8 +361,10 @@ func firstLaunchOnce(art *Artifact) error {
 // TestCodecAllocCeilings holds the codec's, the analysis's and the
 // restore path's allocations per call on the 1k-node fixture under the
 // checked-in ceilings in testdata/max_allocs_<op>_1k, and their heap
-// bytes per call under testdata/max_bytes_<op>_1k: the wire writer
-// appends without boxing, analysis and decode keep each graph's deps
+// bytes per call under testdata/max_bytes_<op>_1k: Encode allocates its
+// output once, at its exact length (the bytes ceiling is that length
+// rounded up to its size class, plus the kernel table's 16-byte name
+// slice), analysis and decode keep each graph's deps
 // and param records (images inline) in per-graph slabs, restore builds
 // no node until a graph is launched, and the first launch builds a
 // graph's nodes, params (images inline) and deps in one slab each.
@@ -395,7 +397,7 @@ func TestCodecAllocCeilings(t *testing.T) {
 		bytesFile string // optional bytes-per-call ceiling
 		run       func() error
 	}{
-		{"max_allocs_encode_1k", "", func() error { _, err := art.Encode(); return err }},
+		{"max_allocs_encode_1k", "max_bytes_encode_1k", func() error { _, err := art.Encode(); return err }},
 		{"max_allocs_encode_delta_1k", "max_bytes_encode_delta_1k", func() error { _, err := art.EncodeDelta(tmpl); return err }},
 		{"max_allocs_decode_1k", "max_bytes_decode_1k", func() error { _, err := Decode(v2); return err }},
 		{"max_allocs_decode_resolved_1k", "max_bytes_decode_resolved_1k", func() error { _, err := DecodeResolved(v3, resolve); return err }},
@@ -453,4 +455,30 @@ func bytesPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestEncodeExactSize runs checkExactSize on the 1k-node artifact and
+// on the 1k-node graph captured at 35 batches.
+func TestEncodeExactSize(t *testing.T) {
+	for _, batches := range []int{1, chainBatches} {
+		art, _ := deltaBenchFixture(t, batches)
+		raw, err := art.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkExactSize(t, art, raw)
+	}
+}
+
+// checkExactSize requires raw, a's Encode, to be one buffer of exactly
+// the length sectionLen finds: len and cap both.
+func checkExactSize(t *testing.T, a *Artifact, raw []byte) {
+	t.Helper()
+	want := envelopeLen + trailerLen
+	for i := range numBodySections {
+		want += a.sectionLen(i)
+	}
+	if len(raw) != want || cap(raw) != want {
+		t.Fatalf("Encode returned len %d cap %d, sectionLen found %d", len(raw), cap(raw), want)
+	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // resolvedSections returns a's resolved v3 sections, cut out of its v2
-// encoding by SectionSizes, and its graph bodies, one encodeGraph each.
+// encoding by SectionSizes, and its graph bodies, one appendGraph each.
 func resolvedSections(t testing.TB, a *Artifact) (sections [numBodySections][]byte, graphs [][]byte) {
 	t.Helper()
 	raw, err := a.Encode()
@@ -34,9 +34,7 @@ func resolvedSections(t testing.TB, a *Artifact) (sections [numBodySections][]by
 		off += int(s.Bytes)
 	}
 	for gi := range a.Graphs {
-		var w wireWriter
-		encodeGraph(&w, &a.Graphs[gi])
-		graphs = append(graphs, w.buf)
+		graphs = append(graphs, appendGraph(nil, &a.Graphs[gi]))
 	}
 	return sections, graphs
 }
@@ -49,15 +47,14 @@ func resolvedSections(t testing.TB, a *Artifact) (sections [numBodySections][]by
 // ≥ 0) names a section whose rawCRC is written wrong. Every wire
 // checksum is valid.
 func handDelta(tmpl *Template, sections [numBodySections][]byte, graphs [][]byte, badCRC int) []byte {
-	w := newEnvelopeWriter()
+	b := make([]byte, envelopeLen)
 	var crcs []uint32
-	last := len(w.buf)
+	last := len(b)
 	mark := func() {
-		crcs = append(crcs, crc32.ChecksumIEEE(w.buf[last:]))
-		last = len(w.buf)
+		crcs = append(crcs, crc32.ChecksumIEEE(b[last:]))
+		last = len(b)
 	}
-	w.str(tmpl.ID())
-	w.u32(tmpl.BodyCRC())
+	b = appendU32(appendStr(b, tmpl.ID()), tmpl.BodyCRC())
 	mark()
 	var enc deltaEncoder
 	for i := range sections {
@@ -72,26 +69,24 @@ func handDelta(tmpl *Template, sections [numBodySections][]byte, graphs [][]byte
 		if i == badCRC {
 			crc ^= 1
 		}
-		w.u32(uint32(len(raw)))
-		w.u32(crc)
+		b = appendU32(appendU32(b, uint32(len(raw))), crc)
 		if i == secGraphs {
-			w.u32(uint32(len(graphs)))
+			b = appendU32(b, uint32(len(graphs)))
 			src := tmpl.sections[secGraphs]
 			for _, g := range graphs {
-				w.u32(uint32(len(g)))
-				w.delta(&enc, src, g)
+				b = appendDeltaBlob(appendU32(b, uint32(len(g))), &enc, src, g)
 				src = g
 			}
 		} else {
-			w.delta(&enc, tmpl.sections[i], raw)
+			b = appendDeltaBlob(b, &enc, tmpl.sections[i], raw)
 		}
 		mark()
 	}
-	w.u8(uint8(len(crcs)))
+	b = append(b, uint8(len(crcs)))
 	for _, c := range crcs {
-		w.u32(c)
+		b = appendU32(b, c)
 	}
-	return w.seal(wireMagic, DeltaFormatVersion)
+	return seal(b, wireMagic, DeltaFormatVersion)
 }
 
 // boundaryFixture returns a template and an artifact with two graphs

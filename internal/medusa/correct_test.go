@@ -140,12 +140,14 @@ func TestValidateAndCorrectValidationError(t *testing.T) {
 
 func TestArtifactValidateRejectsMalformed(t *testing.T) {
 	cases := map[string]func(*Artifact){
-		"bad prefix":        func(a *Artifact) { a.PrefixLen = 99 },
-		"bad alloc index":   func(a *Artifact) { a.Graphs[0].Nodes[0].Params[0].AllocIndex = 5 },
-		"dangling dep":      func(a *Artifact) { a.Graphs[0].Nodes[1].Deps = []int32{7} },
-		"unknown kernel":    func(a *Artifact) { a.Graphs[0].Nodes[0].KernelName = "ghost" },
-		"bad param width":   func(a *Artifact) { a.Graphs[0].Nodes[0].Params[0].Size = 2 },
-		"free out of range": func(a *Artifact) { a.AllocSeq = append(a.AllocSeq, AllocRecord{Free: true, AllocIndex: 9}) },
+		"bad prefix":      func(a *Artifact) { a.PrefixLen = 99 },
+		"bad alloc index": func(a *Artifact) { a.Graphs[0].Nodes[0].Params[0].AllocIndex = 5 },
+		"dangling dep":    func(a *Artifact) { a.Graphs[0].Nodes[1].Deps = []int32{7} },
+		"unknown kernel":  func(a *Artifact) { a.Graphs[0].Nodes[0].KernelName = "ghost" },
+		// validate skips a node naming its kernel one graph before.
+		"unknown kernel in a later graph": func(a *Artifact) { a.Graphs[1].Nodes[0].KernelName = "ghost" },
+		"bad param width":                 func(a *Artifact) { a.Graphs[0].Nodes[0].Params[0].Size = 2 },
+		"free out of range":               func(a *Artifact) { a.AllocSeq = append(a.AllocSeq, AllocRecord{Free: true, AllocIndex: 9}) },
 		"perm size lie": func(a *Artifact) {
 			a.Permanent = []PermRecord{{AllocIndex: 0, Size: 8, Contents: []byte{1}}}
 		},
@@ -167,9 +169,9 @@ func TestDecodeRejectsBadDeps(t *testing.T) {
 	for _, dep := range []int32{2, 7, -1, math.MinInt32} {
 		a := artifactWithGroups()
 		a.Graphs[0].Nodes[1].Deps = []int32{0, dep}
-		w := newEnvelopeWriter() // Encode itself would refuse the artifact
-		a.encodeBodyChecksummed(&w, func(string) {})
-		_, err := Decode(w.seal(wireMagic, CurrentFormatVersion))
+		// Encode itself would refuse the artifact.
+		raw := seal(a.appendBody(make([]byte, envelopeLen), true), wireMagic, CurrentFormatVersion)
+		_, err := Decode(raw)
 		want := fmt.Sprintf("graph 1 node 1 has dangling dep %d", dep)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("wire dep %#x: Decode error = %v, want %q", uint32(dep), err, want)

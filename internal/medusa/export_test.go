@@ -33,16 +33,13 @@ func CheckDeltaOracle(t testing.TB, a *Artifact, tmpl *Template) {
 		if i == secGraphs {
 			src := tmpl.sections[secGraphs]
 			for gi := range a.Graphs {
-				var w wireWriter
-				encodeGraph(&w, &a.Graphs[gi])
-				checkDeltaPair(t, &enc, a.ModelName+" graph chain", src, w.buf)
-				src = w.buf
+				g := appendGraph(nil, &a.Graphs[gi])
+				checkDeltaPair(t, &enc, a.ModelName+" graph chain", src, g)
+				src = g
 			}
 			continue
 		}
-		var w wireWriter
-		a.encodeSection(&w, i)
-		checkDeltaPair(t, &enc, a.ModelName+" "+name, tmpl.sections[i], w.buf)
+		checkDeltaPair(t, &enc, a.ModelName+" "+name, tmpl.sections[i], a.appendSection(nil, i))
 	}
 }
 

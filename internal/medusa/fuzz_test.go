@@ -76,46 +76,46 @@ func FuzzDecode(f *testing.F) {
 // wire format directly, so widths no ParamRecord can hold (over the
 // 8-byte limit) and widths validation rejects are both reachable.
 func imageArtifact(width int) []byte {
-	w := newEnvelopeWriter()
+	b := make([]byte, envelopeLen)
 	var crcs []uint32
-	last := len(w.buf)
+	last := len(b)
 	mark := func() {
-		crcs = append(crcs, crc32.ChecksumIEEE(w.buf[last:]))
-		last = len(w.buf)
+		crcs = append(crcs, crc32.ChecksumIEEE(b[last:]))
+		last = len(b)
 	}
-	w.str("image")
-	w.u32(0) // alloc count
-	w.u32(0) // prefix
+	b = appendStr(b, "image")
+	b = appendU32(b, 0) // alloc count
+	b = appendU32(b, 0) // prefix
 	mark()
-	w.u32(0) // no alloc events
+	b = appendU32(b, 0) // no alloc events
 	mark()
-	w.u32(1) // one graph
-	w.u32(1) // batch 1
-	w.u32(1) // one node
-	w.str("k")
-	w.u32(0) // no deps
-	w.u32(1) // one param
-	w.bytes(bytes.Repeat([]byte{7}, width))
-	w.boolean(false)
-	w.u32(0)
-	w.u64(0)
+	b = appendU32(b, 1) // one graph
+	b = appendU32(b, 1) // batch 1
+	b = appendU32(b, 1) // one node
+	b = appendStr(b, "k")
+	b = appendU32(b, 0) // no deps
+	b = appendU32(b, 1) // one param
+	b = appendBlob(b, bytes.Repeat([]byte{7}, width))
+	b = appendBool(b, false)
+	b = appendU32(b, 0)
+	b = appendU64(b, 0)
 	mark()
-	w.u32(1)
-	w.str("k")
-	w.str("lib.so")
-	w.boolean(true)
+	b = appendU32(b, 1)
+	b = appendStr(b, "k")
+	b = appendStr(b, "lib.so")
+	b = appendBool(b, true)
 	mark()
-	w.u32(0) // no permanent records
+	b = appendU32(b, 0) // no permanent records
 	mark()
-	w.u64(0)
-	w.u32(0)
-	w.u64(0)
+	b = appendU64(b, 0)
+	b = appendU32(b, 0)
+	b = appendU64(b, 0)
 	mark()
-	w.u8(uint8(len(crcs)))
+	b = append(b, uint8(len(crcs)))
 	for _, c := range crcs {
-		w.u32(c)
+		b = appendU32(b, c)
 	}
-	return w.seal(wireMagic, CurrentFormatVersion)
+	return seal(b, wireMagic, CurrentFormatVersion)
 }
 
 // checkImageWidth decodes imageArtifact(width): 4- and 8-byte images
@@ -536,6 +536,7 @@ func FuzzArtifactRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("constructed artifact refuses to encode: %v", err)
 		}
+		checkExactSize(t, art, raw)
 		decoded, err := Decode(raw)
 		if err != nil {
 			t.Fatalf("encoded artifact refuses to decode: %v", err)

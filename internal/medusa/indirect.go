@@ -89,24 +89,24 @@ func ScanIndirectPointers(rec *Recorder, proc *cuda.Process, art *Artifact) ([]I
 	}
 
 	// Buffers referenced by any graph pointer parameter, in index order
-	// so the scan output is deterministic.
-	referenced := make(map[int]bool)
+	// so the scan output is deterministic. An index the recorder never
+	// allocated names no buffer to scan.
+	referenced := make([]bool, rec.allocs)
 	for _, g := range art.Graphs {
 		for _, n := range g.Nodes {
 			for _, p := range n.Params {
-				if p.Pointer {
-					referenced[int(p.AllocIndex)] = true
+				if p.Pointer && p.AllocIndex >= 0 && int(p.AllocIndex) < len(referenced) {
+					referenced[p.AllocIndex] = true
 				}
 			}
 		}
 	}
 	var targets []int
-	for idx := range referenced {
-		if !freed[idx] {
+	for idx, ref := range referenced {
+		if ref && !freed[idx] {
 			targets = append(targets, idx)
 		}
 	}
-	sort.Ints(targets)
 
 	perBuffer := make([][]IndirectPointerWarning, len(targets))
 	errs := make([]error, len(targets))

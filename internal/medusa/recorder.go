@@ -55,6 +55,8 @@ type Recorder struct {
 	events  []event
 	pending []launch // captured launches awaiting AttachGraph
 	graphs  []capturedGraph
+	// allocs, one past the largest allocation index, sizes analysis's sets.
+	allocs int
 
 	labels            map[string]int // label -> alloc index
 	captureStageBegin int            // event position; -1 until marked
@@ -77,6 +79,7 @@ func NewRecorder() *Recorder {
 func (r *Recorder) Hooks() cuda.Hooks {
 	return cuda.Hooks{
 		OnAlloc: func(ev cuda.AllocEvent) {
+			r.allocs = max(r.allocs, ev.AllocIndex+1)
 			r.events = append(r.events, event{
 				free:       ev.Free,
 				allocIndex: ev.AllocIndex,

@@ -176,9 +176,8 @@ func TestEmptyParamImageDecodesNonNil(t *testing.T) {
 		}}}},
 		Kernels: map[string]KernelLoc{"k": {Library: "lib.so"}},
 	}
-	var w wireWriter
-	a.encodeBodyChecksummed(&w, func(string) {})
-	back, _, _, err := parseBody(w.buf, true)
+	body := a.appendBody(nil, true)
+	back, _, _, err := parseBody(body, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,19 +190,18 @@ func TestEmptyParamImageDecodesNonNil(t *testing.T) {
 	if !bytes.Equal(params[1].Raw(), []byte{1, 2, 3, 4}) {
 		t.Fatalf("image 1 decoded as %v", params[1].Raw())
 	}
-	var again wireWriter
-	back.encodeBodyChecksummed(&again, func(string) {})
-	if !bytes.Equal(again.buf, w.buf) {
+	if !bytes.Equal(back.appendBody(nil, true), body) {
 		t.Fatal("re-encoding the decoded empty images changed the bytes")
 	}
 	checkGraphSlabsIsolated(t, "decoded with empty images", &back.Graphs[0])
 }
 
 // TestScanGraphBoundedByInput pins parseGraph's pre-scan: on a valid
-// graph it counts exactly the graph's deps and params;
-// on any truncation or corruption it never counts more records than
-// the remaining input bytes could hold, so the slabs it sizes stay
-// bounded by the input.
+// graph it counts exactly the graph's nodes, deps and params and ends
+// at its last byte; on any truncation or corruption it never counts
+// more records than the input bytes it passed could hold, so the slabs
+// it sizes stay bounded by the input, and it stops short only with an
+// error.
 func TestScanGraphBoundedByInput(t *testing.T) {
 	p, rec := offlineBenchFixture(t, 12)
 	art, err := Analyze(rec, p, AnalyzeOptions{ModelName: "scan", SkipContents: true})
@@ -212,9 +210,7 @@ func TestScanGraphBoundedByInput(t *testing.T) {
 	}
 	g := &art.Graphs[0]
 	g.Nodes[5].Deps = []int32{0, 2, 4} // vary the dep counts
-	var w wireWriter
-	encodeGraph(&w, g)
-	body := w.buf[8:] // after batch and node count
+	body := appendGraph(nil, g)[8:]    // after batch and node count
 	nNodes := uint32(len(g.Nodes))
 
 	var wantDeps, wantParams int
@@ -222,20 +218,23 @@ func TestScanGraphBoundedByInput(t *testing.T) {
 		wantDeps += len(n.Deps)
 		wantParams += len(n.Params)
 	}
-	deps, params := scanGraph(body, nNodes)
-	if deps != wantDeps || params != wantParams {
-		t.Fatalf("scan of a valid graph = (%d, %d), want (%d, %d)", deps, params, wantDeps, wantParams)
+	s := scanGraph(body, 0, nNodes)
+	if s.nodes != len(g.Nodes) || s.deps != wantDeps || s.params != wantParams || s.end != len(body) || s.err != nil {
+		t.Fatalf("scan of a valid graph = %+v, want (%d, %d, %d) ending at %d",
+			s, len(g.Nodes), wantDeps, wantParams, len(body))
 	}
 
 	bounded := func(what string, in []byte, n uint32) {
 		t.Helper()
-		deps, params := scanGraph(in, n)
-		if deps < 0 || params < 0 {
-			t.Fatalf("%s: negative counts (%d, %d)", what, deps, params)
+		s := scanGraph(in, 0, n)
+		if s.nodes < 0 || s.deps < 0 || s.params < 0 {
+			t.Fatalf("%s: negative counts %+v", what, s)
 		}
-		if need := 4*deps + minParamWire*params; need > len(in) {
-			t.Fatalf("%s: counts (%d, %d) describe %d bytes, input has %d",
-				what, deps, params, need, len(in))
+		if need := minNodeWire*s.nodes + 4*s.deps + minParamWire*s.params; need > s.end || s.end > len(in) {
+			t.Fatalf("%s: counts %+v describe %d bytes, input has %d", what, s, need, len(in))
+		}
+		if s.nodes < int(n) && s.err == nil {
+			t.Fatalf("%s: scan stopped at node %d of %d with no error", what, s.nodes, n)
 		}
 	}
 	for k := 0; k <= len(body); k++ {

@@ -81,22 +81,33 @@ func BuildTemplate(id string, a *Artifact) (*Template, error) {
 			canonical = i
 		}
 	}
-	w := newEnvelopeWriter()
-	w.str(id)
-	w.u8(numBodySections)
+	// The envelope, id and section count, then each small section and
+	// the canonical graph behind its length.
+	size := envelopeLen + 4 + len(id) + 1 + 4*numBodySections
+	for i := range numBodySections {
+		if i != secGraphs {
+			size += a.sectionLen(i)
+		} else if canonical >= 0 {
+			size += graphLen(&a.Graphs[canonical])
+		}
+	}
+	b := make([]byte, envelopeLen, size)
+	b = appendStr(b, id)
+	b = append(b, numBodySections)
 	var starts [numBodySections]int
 	for i := range starts {
-		at := w.beginBlob()
+		at := len(b)
+		b = appendU32(b, 0)
 		switch {
 		case i != secGraphs:
-			a.encodeSection(&w, i)
+			b = a.appendSection(b, i)
 		case canonical >= 0:
-			encodeGraph(&w, &a.Graphs[canonical])
+			b = appendGraph(b, &a.Graphs[canonical])
 		}
-		w.endBlob(at)
+		binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 		starts[i] = at + 4
 	}
-	t := &Template{id: id, encoded: w.seal(templateMagic, TemplateFormatVersion)}
+	t := &Template{id: id, encoded: seal(b, templateMagic, TemplateFormatVersion)}
 	t.bodyCRC = binary.LittleEndian.Uint32(t.encoded[12:16])
 	for i, start := range starts {
 		end := start + int(binary.LittleEndian.Uint32(t.encoded[start-4:]))
@@ -191,11 +202,17 @@ func (a *Artifact) EncodeDelta(t *Template) ([]byte, error) {
 	if err := a.validate(); err != nil {
 		return nil, fmt.Errorf("medusa: refusing to encode inconsistent artifact: %w", err)
 	}
-	w := newEnvelopeWriter()
-	if err := a.encodeDeltaBody(t, &w, func(string) {}); err != nil {
+	if t == nil {
+		return nil, fmt.Errorf("medusa: EncodeDelta needs a template")
+	}
+	// A container's size is known only once its deltas are written; it
+	// starts at one graph's worth (the template's).
+	b := make([]byte, envelopeLen, envelopeLen+len(t.sections[secGraphs]))
+	b, err := a.appendDeltaBody(b, t, func(string, int) {})
+	if err != nil {
 		return nil, err
 	}
-	return w.seal(wireMagic, DeltaFormatVersion), nil
+	return seal(b, wireMagic, DeltaFormatVersion), nil
 }
 
 // DeltaSectionSizes attributes an EncodeDelta encoding to wire
@@ -206,12 +223,14 @@ func (a *Artifact) DeltaSectionSizes(t *Template) ([]Section, error) {
 	if err := a.validate(); err != nil {
 		return nil, fmt.Errorf("medusa: refusing to size inconsistent artifact: %w", err)
 	}
-	var w wireWriter
-	out := []Section{{Name: "envelope", Bytes: 16}}
+	if t == nil {
+		return nil, fmt.Errorf("medusa: EncodeDelta needs a template")
+	}
+	out := []Section{{Name: "envelope", Bytes: envelopeLen}}
 	last := 0
-	err := a.encodeDeltaBody(t, &w, func(section string) {
-		out = append(out, Section{Name: section, Bytes: uint64(len(w.buf) - last)})
-		last = len(w.buf)
+	_, err := a.appendDeltaBody(nil, t, func(section string, end int) {
+		out = append(out, Section{Name: section, Bytes: uint64(end - last)})
+		last = end
 	})
 	if err != nil {
 		return nil, err
@@ -219,89 +238,79 @@ func (a *Artifact) DeltaSectionSizes(t *Template) ([]Section, error) {
 	return out, nil
 }
 
-// encodeDeltaBody writes the v3 body — template_ref, six delta
-// sections, checksum trailer — calling mark after each wire section
-// (and once more for the trailer, "section_crcs") so EncodeDelta and
-// DeltaSectionSizes share one format walk, exactly as
-// encodeBodyChecksummed does for v2.
+// appendDeltaBody appends the v3 body — template_ref, six delta
+// sections, checksum trailer — calling mark with each wire section's
+// end offset in b (and once more for the trailer, "section_crcs"), so
+// EncodeDelta and DeltaSectionSizes share one format walk.
 //
 // It encodes one section, and one graph, at a time: each small section
-// into one scratch writer, the graphs alternately into two writers, so
-// graph i deltas against graph i−1 while it is still intact. No whole
-// v2 body is ever built.
-func (a *Artifact) encodeDeltaBody(t *Template, w *wireWriter, mark func(section string)) error {
-	if t == nil {
-		return fmt.Errorf("medusa: EncodeDelta needs a template")
-	}
+// into one scratch buffer, the graphs alternately into two, so graph i
+// deltas against graph i−1 while it is still intact. No whole v2 body
+// is ever built.
+func (a *Artifact) appendDeltaBody(b []byte, t *Template, mark func(section string, end int)) ([]byte, error) {
 	var crcs [len(deltaSectionNames)]uint32
-	sec := 0
-	lastW := len(w.buf)
+	sec, last := 0, len(b)
 	endSection := func(name string) {
-		crcs[sec] = crc32.ChecksumIEEE(w.buf[lastW:])
+		crcs[sec] = crc32.ChecksumIEEE(b[last:])
 		sec++
-		lastW = len(w.buf)
-		mark(name)
+		last = len(b)
+		mark(name, last)
 	}
 
-	w.str(t.id)
-	w.u32(t.bodyCRC)
+	b = appendStr(b, t.id)
+	b = appendU32(b, t.bodyCRC)
 	endSection("template_ref")
 
-	// The scratch writers are sized from the template's sections with
-	// an eighth to spare: a sibling's sections are about as large. A
-	// section that outgrows its share reallocates only its own writer.
-	small := 0
-	for i, s := range t.sections {
+	// The scratch buffers hold exactly this artifact's longest small
+	// section and its longest graph.
+	small, graph := 0, 0
+	for i := range numBodySections {
 		if i != secGraphs {
-			small = max(small, len(s))
+			small = max(small, a.sectionLen(i))
 		}
 	}
-	graph := len(t.sections[secGraphs])
-	sbuf, gbufs := scratchBuffers(small+small/8, graph+graph/8, len(a.Graphs))
-	scratch := wireWriter{buf: sbuf}
-	graphs := [2]wireWriter{{buf: gbufs[0]}, {buf: gbufs[1]}}
+	for i := range a.Graphs {
+		graph = max(graph, graphLen(&a.Graphs[i]))
+	}
+	scratch, graphs := scratchBuffers(small, graph, len(a.Graphs))
 
 	var enc deltaEncoder
 	for i, name := range bodySectionNames {
 		if i != secGraphs {
-			scratch.buf = scratch.buf[:0]
-			a.encodeSection(&scratch, i)
-			w.u32(uint32(len(scratch.buf)))
-			w.u32(crc32.ChecksumIEEE(scratch.buf))
-			w.delta(&enc, t.sections[i], scratch.buf)
+			scratch = a.appendSection(scratch[:0], i)
+			b = appendU32(b, uint32(len(scratch)))
+			b = appendU32(b, crc32.ChecksumIEEE(scratch))
+			b = appendDeltaBlob(b, &enc, t.sections[i], scratch)
 			endSection(name)
 			continue
 		}
 		// The graphs section's resolved length and checksum cover its
 		// count and every graph: back-patched once the chain is written.
-		at := len(w.buf)
-		w.u32(0)
-		w.u32(0)
-		w.u32(uint32(len(a.Graphs)))
-		scratch.buf = binary.LittleEndian.AppendUint32(scratch.buf[:0], uint32(len(a.Graphs)))
-		rawLen, rawCRC := len(scratch.buf), crc32.ChecksumIEEE(scratch.buf)
+		at := len(b)
+		b = appendU32(appendU32(b, 0), 0)
+		b = appendU32(b, uint32(len(a.Graphs)))
+		scratch = appendU32(scratch[:0], uint32(len(a.Graphs)))
+		rawLen, rawCRC := len(scratch), crc32.ChecksumIEEE(scratch)
 		src := t.sections[secGraphs]
 		for gi := range a.Graphs {
-			g := &graphs[gi%2]
-			g.buf = g.buf[:0]
-			encodeGraph(g, &a.Graphs[gi])
-			w.u32(uint32(len(g.buf)))
-			w.delta(&enc, src, g.buf)
-			rawLen += len(g.buf)
-			rawCRC = crc32.Update(rawCRC, crc32.IEEETable, g.buf)
-			src = g.buf
+			g := appendGraph(graphs[gi%2][:0], &a.Graphs[gi])
+			b = appendU32(b, uint32(len(g)))
+			b = appendDeltaBlob(b, &enc, src, g)
+			rawLen += len(g)
+			rawCRC = crc32.Update(rawCRC, crc32.IEEETable, g)
+			src = g
 		}
-		binary.LittleEndian.PutUint32(w.buf[at:], uint32(rawLen))
-		binary.LittleEndian.PutUint32(w.buf[at+4:], rawCRC)
+		binary.LittleEndian.PutUint32(b[at:], uint32(rawLen))
+		binary.LittleEndian.PutUint32(b[at+4:], rawCRC)
 		endSection(name)
 	}
 
-	w.u8(uint8(len(crcs)))
+	b = append(b, uint8(len(crcs)))
 	for _, c := range crcs {
-		w.u32(c)
+		b = appendU32(b, c)
 	}
-	mark("section_crcs")
-	return nil
+	mark("section_crcs", len(b))
+	return b, nil
 }
 
 // scratchBuffers carves one allocation into the empty buffers the v3
@@ -319,12 +328,13 @@ func scratchBuffers(small, graph, nGraphs int) (scratch []byte, graphs [2][]byte
 	return buf[:0:small], graphs
 }
 
-// delta writes the delta rewriting tgt in terms of src as a blob,
-// encoding it straight into the buffer behind a back-patched length.
-func (w *wireWriter) delta(e *deltaEncoder, src, tgt []byte) {
-	at := w.beginBlob()
-	w.buf = e.appendDelta(w.buf, src, tgt)
-	w.endBlob(at)
+// appendDeltaBlob appends the delta rewriting tgt in terms of src as a
+// blob, encoding it straight into b behind a back-patched length.
+func appendDeltaBlob(b []byte, e *deltaEncoder, src, tgt []byte) []byte {
+	at := len(b)
+	b = e.appendDelta(appendU32(b, 0), src, tgt)
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
 }
 
 // deltaWire is the parsed (not yet resolved) structure of a v3 body.
@@ -499,7 +509,7 @@ func decodeDeltaBody(body []byte, resolve TemplateResolver) (*Artifact, error) {
 		}
 		count := binary.LittleEndian.AppendUint32(scratch, uint32(len(d.graphLens)))
 		rawLen, rawCRC := len(count), crc32.ChecksumIEEE(count)
-		src := t.sections[secGraphs]
+		src, prev := t.sections[secGraphs], []NodeRecord(nil)
 		for gi, gd := range d.graphLens {
 			g, err := deltaApply(graphs[gi%2], src, d.graphDeltas[gi], int(gd))
 			if err == nil && len(g) != int(gd) {
@@ -515,7 +525,8 @@ func decodeDeltaBody(body []byte, resolve TemplateResolver) (*Artifact, error) {
 			rawCRC = crc32.Update(rawCRC, crc32.IEEETable, g)
 			if parseErr == nil {
 				r := wireReader{p: g}
-				a.Graphs = append(a.Graphs, parseGraph(&r, names))
+				pg := parseGraph(&r, names, prev)
+				a.Graphs, prev = append(a.Graphs, pg), pg.Nodes
 				parseErr = r.exact(name, gi)
 			}
 			src = g

@@ -143,6 +143,13 @@ func TestTemplateTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Encoding against no template is an error, not a panic.
+	if _, err := art.EncodeDelta(nil); err == nil {
+		t.Fatal("EncodeDelta(nil) succeeded")
+	}
+	if _, err := art.DeltaSectionSizes(nil); err == nil {
+		t.Fatal("DeltaSectionSizes(nil) succeeded")
+	}
 
 	// Missing template: nil resolver and resolver without the ID.
 	var missing *faults.TemplateMissingError

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"sort"
 
 	"github.com/medusa-repro/medusa/internal/faults"
@@ -55,78 +54,31 @@ var bodySectionNames = [numBodySections]string{
 // u32 crc32(body)" envelope that fronts artifacts and templates.
 const envelopeLen = 16
 
-// wireWriter appends little-endian fields to buf. Whole artifacts and
-// templates start from newEnvelopeWriter, which reserves the envelope
-// in front of the body so seal fills it in place instead of copying
-// the body behind a fresh header.
-type wireWriter struct {
-	buf []byte
-}
+// trailerLen is the size of the v2 per-section checksum trailer.
+const trailerLen = 1 + 4*numBodySections
 
-// newEnvelopeWriter returns a writer whose buffer starts with the
-// reserved envelope; the body follows at offset envelopeLen.
-func newEnvelopeWriter() wireWriter {
-	return wireWriter{buf: make([]byte, envelopeLen, 4<<10)}
-}
+func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-// reserve makes room for n more bytes, at least doubling the buffer
-// when it is full: append alone grows a large slice by about 1.25x,
-// which would copy a multi-megabyte body several times over.
-func (w *wireWriter) reserve(n int) {
-	if cap(w.buf)-len(w.buf) < n {
-		w.buf = slices.Grow(w.buf, max(n, cap(w.buf)))
-	}
-}
-
-func (w *wireWriter) u8(v uint8) {
-	w.reserve(1)
-	w.buf = append(w.buf, v)
-}
-func (w *wireWriter) u32(v uint32) {
-	w.reserve(4)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
-func (w *wireWriter) u64(v uint64) {
-	w.reserve(8)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-func (w *wireWriter) boolean(v bool) {
+func appendBool(b []byte, v bool) []byte {
 	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
+		return append(b, 1)
 	}
-}
-func (w *wireWriter) bytes(p []byte) {
-	w.u32(uint32(len(p)))
-	w.reserve(len(p))
-	w.buf = append(w.buf, p...)
-}
-func (w *wireWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.reserve(len(s))
-	w.buf = append(w.buf, s...)
+	return append(b, 0)
 }
 
-// beginBlob writes a placeholder blob length and returns its offset;
-// endBlob back-patches it once the blob's bytes have been written.
-func (w *wireWriter) beginBlob() int {
-	w.u32(0)
-	return len(w.buf) - 4
-}
-func (w *wireWriter) endBlob(at int) {
-	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
-}
+func appendBlob(b, p []byte) []byte       { return append(appendU32(b, uint32(len(p))), p...) }
+func appendStr(b []byte, s string) []byte { return append(appendU32(b, uint32(len(s))), s...) }
 
-// seal writes the envelope into the space newEnvelopeWriter reserved
-// and returns the complete encoding.
-func (w *wireWriter) seal(magic [4]byte, version uint32) []byte {
-	body := w.buf[envelopeLen:]
-	copy(w.buf, magic[:])
-	binary.LittleEndian.PutUint32(w.buf[4:], version)
-	binary.LittleEndian.PutUint32(w.buf[8:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(w.buf[12:], crc32.ChecksumIEEE(body))
-	return w.buf
+// seal fills in the envelope reserved at the front of b (its first
+// envelopeLen bytes) for the body that follows, and returns b.
+func seal(b []byte, magic [4]byte, version uint32) []byte {
+	body := b[envelopeLen:]
+	copy(b, magic[:])
+	binary.LittleEndian.PutUint32(b[4:], version)
+	binary.LittleEndian.PutUint32(b[8:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[12:], crc32.ChecksumIEEE(body))
+	return b
 }
 
 type wireReader struct {
@@ -137,8 +89,13 @@ type wireReader struct {
 
 func (r *wireReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("medusa: artifact decode: "+format, args...)
+		r.err = decodeError(format, args...)
 	}
+}
+
+// decodeError is the error of a structurally invalid encoding.
+func decodeError(format string, args ...any) error {
+	return fmt.Errorf("medusa: artifact decode: "+format, args...)
 }
 
 func (r *wireReader) take(n int) []byte {
@@ -202,7 +159,7 @@ func (r *wireReader) blob(what string, limit uint32) []byte {
 	return append([]byte{}, b...)
 }
 
-func (r *wireReader) str(what string) string { return string(r.view(what, 1<<20)) }
+func (r *wireReader) str(what string) string { return string(r.view(what, maxNameLen)) }
 
 // capFor bounds a decoded element count by the bytes left in the
 // input, given each element's minimum wire size, so pre-sizing from a
@@ -214,56 +171,91 @@ func (r *wireReader) capFor(n uint32, minWire int) int {
 	return int(n)
 }
 
-// scanGraph pre-scans the node encodings of one graph at the front of
-// p, without allocating, and returns the totals its decode slabs need:
-// dependencies and param records. It stops at the
-// first truncated or out-of-limit node, so it counts only records the
-// bytes of p actually hold and can never size a slab beyond what the
-// input could describe.
-func scanGraph(p []byte, nNodes uint32) (deps, params int) {
-	off := 0
-	u32 := func() (uint32, bool) {
-		if len(p)-off < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(p[off:])
-		off += 4
-		return v, true
-	}
-	skip := func(n uint64) bool {
-		if uint64(len(p)-off) < n {
-			return false
-		}
-		off += int(n)
-		return true
-	}
-	for ni := uint32(0); ni < nNodes; ni++ {
-		name, ok := u32()
-		if !ok || name > 1<<20 || !skip(uint64(name)) {
-			return
-		}
-		nd, ok := u32()
-		if !ok || nd > nNodes || !skip(4*uint64(nd)) {
-			return
-		}
-		deps += int(nd)
-		np, ok := u32()
-		if !ok || np > 1<<12 {
-			return
-		}
-		for pi := uint32(0); pi < np; pi++ {
-			img, ok := u32()
-			if !ok || img > maxParamImage || !skip(uint64(img)+1+4+8) {
-				return
-			}
-			params++
-		}
-	}
-	return
+// graphScan is scanGraph's account of one graph: its complete nodes,
+// their deps and params, where it ended, and the field-by-field read's
+// error (message and offset) if it stopped short of the node count.
+type graphScan struct {
+	nodes, deps, params, end int
+	err                      error
 }
 
-// Minimum wire sizes of the repeated records, for wireReader.capFor.
+// scanGraph bounds-checks the node encodings of one graph, starting at
+// offset off of p, field by field and without allocating. It stops at
+// the first truncated or out-of-limit field, so the slabs its counts
+// size never exceed what the input could describe, and parseGraph reads
+// every node it passed with no check of its own.
+func scanGraph(p []byte, off int, nNodes uint32) (s graphScan) {
+	need := 0 // the width of the field that did not fit
+	field := func(n int) bool {
+		if len(p)-off < n {
+			need = n
+			return false
+		}
+		off += n
+		return true
+	}
+	u32 := func() (uint32, bool) {
+		if !field(4) {
+			return 0, false
+		}
+		return binary.LittleEndian.Uint32(p[off-4:]), true
+	}
+	over := func(format string, args ...any) graphScan {
+		s.end, s.err = off, decodeError(format, args...)
+		return s
+	}
+nodes:
+	for s.nodes < int(nNodes) {
+		name, ok := u32()
+		if ok && name > maxNameLen {
+			return over("kernel name of %d bytes exceeds limit %d", name, maxNameLen)
+		}
+		if !ok || !field(int(name)) {
+			break
+		}
+		nd, ok := u32()
+		if !ok {
+			break
+		}
+		if nd > nNodes {
+			return over("node with %d deps", nd)
+		}
+		for range nd {
+			if !field(4) {
+				break nodes
+			}
+		}
+		np, ok := u32()
+		if !ok {
+			break
+		}
+		if np > 1<<12 {
+			return over("node with %d params", np)
+		}
+		for range np {
+			img, ok := u32()
+			if ok && img > maxParamImage {
+				return over("param image of %d bytes exceeds limit %d", img, maxParamImage)
+			}
+			if !ok || !field(int(img)) || !field(1) || !field(4) || !field(8) { // image, pointer, index, offset
+				break nodes
+			}
+		}
+		s.nodes++
+		s.deps += int(nd)
+		s.params += int(np)
+	}
+	s.end = off
+	if s.nodes < int(nNodes) {
+		s.err = decodeError("truncated at offset %d (need %d bytes)", off, need)
+	}
+	return s
+}
+
+// Limits and minimum wire sizes of the repeated records, for the
+// parse (wireReader.capFor, scanGraph) and for sectionLen.
 const (
+	maxNameLen    = 1 << 20
 	maxParamImage = 8
 	minAllocWire  = 1 + 4 + 8 + 4 // free, index, size, empty label
 	minNodeWire   = 4 + 4 + 4     // empty kernel name, dep and param counts
@@ -271,36 +263,76 @@ const (
 	minPermWire   = 4 + 8 + 1     // index, size, presence
 )
 
-// encodeSection writes body section i (secHeader … secKVRecord). The
-// v2 encoders write every section in order; the v3 encoder and
-// BuildTemplate write one at a time, so one format definition serves
-// them all.
-func (a *Artifact) encodeSection(w *wireWriter, i int) {
+// sectionLen is the length appendSection(b, i) appends for a
+// validated artifact, field for field.
+func (a *Artifact) sectionLen(i int) int {
+	n := 0
 	switch i {
 	case secHeader:
-		w.str(a.ModelName)
-		w.u32(uint32(a.AllocCount))
-		w.u32(uint32(a.PrefixLen))
+		n = 4 + len(a.ModelName) + 4 + 4
 	case secAllocSeq:
-		w.u32(uint32(len(a.AllocSeq)))
-		for _, ev := range a.AllocSeq {
-			w.boolean(ev.Free)
-			w.u32(uint32(ev.AllocIndex))
-			w.u64(ev.Size)
-			w.str(ev.Label)
+		n = 4 + minAllocWire*len(a.AllocSeq)
+		for j := range a.AllocSeq {
+			n += len(a.AllocSeq[j].Label)
 		}
 	case secGraphs:
-		w.u32(uint32(len(a.Graphs)))
-		for i := range a.Graphs {
-			start := len(w.buf)
-			encodeGraph(w, &a.Graphs[i])
-			if i == 0 {
-				// The per-batch graphs of one model share a topology, so
-				// the first one sizes the rest of the section, with an
-				// eighth of a graph to spare for the small sections after.
-				g := len(w.buf) - start
-				w.reserve(g*(len(a.Graphs)-1) + g/8)
+		n = 4
+		for j := range a.Graphs {
+			n += graphLen(&a.Graphs[j])
+		}
+	case secKernelTable:
+		n = 4 + (4+4+1)*len(a.Kernels) // name, library, exported
+		for name, loc := range a.Kernels {
+			n += len(name) + len(loc.Library)
+		}
+	case secPermanent:
+		n = 4 + minPermWire*len(a.Permanent)
+		for _, pr := range a.Permanent {
+			if pr.Contents != nil {
+				n += 4 + len(pr.Contents)
 			}
+		}
+	case secKVRecord:
+		n = 8 + 4 + 8
+	}
+	return n
+}
+
+// graphLen is the length appendGraph appends for g.
+func graphLen(g *GraphRecord) int {
+	n := 8 + minNodeWire*len(g.Nodes)
+	for _, nr := range g.Nodes {
+		n += len(nr.KernelName) + 4*len(nr.Deps) + minParamWire*len(nr.Params)
+		for _, p := range nr.Params {
+			n += int(p.Size)
+		}
+	}
+	return n
+}
+
+// appendSection appends body section i (secHeader … secKVRecord). The
+// v2 encoders append every section in order; the v3 encoder and
+// BuildTemplate one at a time, so one format definition serves them
+// all.
+func (a *Artifact) appendSection(b []byte, i int) []byte {
+	switch i {
+	case secHeader:
+		b = appendStr(b, a.ModelName)
+		b = appendU32(b, uint32(a.AllocCount))
+		b = appendU32(b, uint32(a.PrefixLen))
+	case secAllocSeq:
+		b = appendU32(b, uint32(len(a.AllocSeq)))
+		for i := range a.AllocSeq {
+			ev := &a.AllocSeq[i]
+			b = appendBool(b, ev.Free)
+			b = appendU32(b, uint32(ev.AllocIndex))
+			b = appendU64(b, ev.Size)
+			b = appendStr(b, ev.Label)
+		}
+	case secGraphs:
+		b = appendU32(b, uint32(len(a.Graphs)))
+		for i := range a.Graphs {
+			b = appendGraph(b, &a.Graphs[i])
 		}
 	case secKernelTable:
 		names := make([]string, 0, len(a.Kernels))
@@ -308,69 +340,74 @@ func (a *Artifact) encodeSection(w *wireWriter, i int) {
 			names = append(names, name)
 		}
 		sort.Strings(names) // deterministic encoding
-		w.u32(uint32(len(names)))
+		b = appendU32(b, uint32(len(names)))
 		for _, name := range names {
 			loc := a.Kernels[name]
-			w.str(name)
-			w.str(loc.Library)
-			w.boolean(loc.Exported)
+			b = appendStr(b, name)
+			b = appendStr(b, loc.Library)
+			b = appendBool(b, loc.Exported)
 		}
 	case secPermanent:
-		w.u32(uint32(len(a.Permanent)))
+		b = appendU32(b, uint32(len(a.Permanent)))
 		for _, pr := range a.Permanent {
-			w.u32(uint32(pr.AllocIndex))
-			w.u64(pr.Size)
-			w.boolean(pr.Contents != nil)
+			b = appendU32(b, uint32(pr.AllocIndex))
+			b = appendU64(b, pr.Size)
+			b = appendBool(b, pr.Contents != nil)
 			if pr.Contents != nil {
-				w.bytes(pr.Contents)
+				b = appendBlob(b, pr.Contents)
 			}
 		}
 	case secKVRecord:
-		w.u64(a.KV.FreeMemBytes)
-		w.u32(uint32(a.KV.NumBlocks))
-		w.u64(a.KV.BlockBytes)
+		b = appendU64(b, a.KV.FreeMemBytes)
+		b = appendU32(b, uint32(a.KV.NumBlocks))
+		b = appendU64(b, a.KV.BlockBytes)
 	}
+	return b
 }
 
-// encodeGraph writes one materialized graph. The graphs section body
+// appendGraph appends one materialized graph. The graphs section body
 // is exactly u32 count followed by these graph encodings, so the v3
 // codec chains graph deltas one graph encoding at a time.
-func encodeGraph(w *wireWriter, g *GraphRecord) {
-	w.u32(uint32(g.Batch))
-	w.u32(uint32(len(g.Nodes)))
-	for _, n := range g.Nodes {
-		w.str(n.KernelName)
-		w.u32(uint32(len(n.Deps)))
+func appendGraph(b []byte, g *GraphRecord) []byte {
+	b = appendU32(b, uint32(g.Batch))
+	b = appendU32(b, uint32(len(g.Nodes)))
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		b = appendStr(b, n.KernelName)
+		b = appendU32(b, uint32(len(n.Deps)))
 		for _, d := range n.Deps {
-			w.u32(uint32(d))
+			b = appendU32(b, uint32(d))
 		}
-		w.u32(uint32(len(n.Params)))
-		for _, p := range n.Params {
-			w.bytes(p.Raw())
-			w.boolean(p.Pointer)
-			w.u32(uint32(p.AllocIndex))
-			w.u64(p.Offset)
+		b = appendU32(b, uint32(len(n.Params)))
+		for j := range n.Params {
+			p := &n.Params[j]
+			end := len(b) + 4 + int(p.Size) // append all 8 image bytes, keep Size
+			b = appendU64(appendU32(b, uint32(p.Size)), binary.LittleEndian.Uint64(p.Image[:]))[:end]
+			b = appendBool(b, p.Pointer)
+			b = appendU32(b, uint32(p.AllocIndex))
+			b = appendU64(b, p.Offset)
 		}
 	}
+	return b
 }
 
-// encodeBodyChecksummed writes the body sections, then appends the v2
-// per-section checksum trailer. mark fires after each section and once
-// more for the trailer itself ("section_crcs"), so Encode and
-// SectionSizes share this one walk.
-func (a *Artifact) encodeBodyChecksummed(w *wireWriter, mark func(section string)) {
+// appendBody appends the six body sections and, with trailer (v2), the
+// per-section checksum trailer.
+func (a *Artifact) appendBody(b []byte, trailer bool) []byte {
 	var crcs [numBodySections]uint32
-	for i, name := range bodySectionNames {
-		start := len(w.buf)
-		a.encodeSection(w, i)
-		crcs[i] = crc32.ChecksumIEEE(w.buf[start:])
-		mark(name)
+	for i := range crcs {
+		start := len(b)
+		b = a.appendSection(b, i)
+		crcs[i] = crc32.ChecksumIEEE(b[start:])
 	}
-	w.u8(uint8(len(crcs)))
+	if !trailer {
+		return b
+	}
+	b = append(b, numBodySections)
 	for _, c := range crcs {
-		w.u32(c)
+		b = appendU32(b, c)
 	}
-	mark("section_crcs")
+	return b
 }
 
 // Section is one wire-format section's share of an encoded artifact.
@@ -389,39 +426,36 @@ func (a *Artifact) SectionSizes() ([]Section, error) {
 	if err := a.validate(); err != nil {
 		return nil, fmt.Errorf("medusa: refusing to size inconsistent artifact: %w", err)
 	}
-	var w wireWriter
-	out := []Section{{Name: "envelope", Bytes: 16}}
-	last := 0
-	a.encodeBodyChecksummed(&w, func(section string) {
-		out = append(out, Section{Name: section, Bytes: uint64(len(w.buf) - last)})
-		last = len(w.buf)
-	})
-	return out, nil
+	out := []Section{{Name: "envelope", Bytes: envelopeLen}}
+	for i, name := range bodySectionNames {
+		out = append(out, Section{Name: name, Bytes: uint64(a.sectionLen(i))})
+	}
+	return append(out, Section{Name: "section_crcs", Bytes: trailerLen}), nil
 }
 
-// Encode serializes the artifact.
-func (a *Artifact) Encode() ([]byte, error) {
-	if err := a.validate(); err != nil {
-		return nil, fmt.Errorf("medusa: refusing to encode inconsistent artifact: %w", err)
-	}
-	w := newEnvelopeWriter()
-	a.encodeBodyChecksummed(&w, func(string) {})
-	return w.seal(wireMagic, a.FormatVersion), nil
-}
+// Encode serializes the artifact into one buffer of exactly its
+// encoded length.
+func (a *Artifact) Encode() ([]byte, error) { return a.encode(a.FormatVersion, true) }
 
 // EncodeLegacyV1 serializes the artifact in the original trailer-less
 // v1 layout. Kept (and exercised by the cross-version tests and
 // fuzzers) so registries written before the v2 per-section trailer
 // remain readable; new artifacts always encode as v2 or v3.
-func EncodeLegacyV1(a *Artifact) ([]byte, error) {
+func EncodeLegacyV1(a *Artifact) ([]byte, error) { return a.encode(legacyFormatVersion, false) }
+
+func (a *Artifact) encode(version uint32, trailer bool) ([]byte, error) {
 	if err := a.validate(); err != nil {
 		return nil, fmt.Errorf("medusa: refusing to encode inconsistent artifact: %w", err)
 	}
-	w := newEnvelopeWriter()
+	n := envelopeLen
 	for i := range numBodySections {
-		a.encodeSection(&w, i)
+		n += a.sectionLen(i)
 	}
-	return w.seal(wireMagic, legacyFormatVersion), nil
+	if trailer {
+		n += trailerLen
+	}
+	b := make([]byte, envelopeLen, n)
+	return seal(a.appendBody(b, trailer), wireMagic, version), nil
 }
 
 // Decode parses a self-contained (v1 or v2) artifact, verifying magic,
@@ -565,7 +599,7 @@ func newDecodedArtifact() *Artifact {
 }
 
 // parseSection decodes body section i from r into a, the inverse of
-// encodeSection. Every node of every graph names one of a few kernels;
+// appendSection. Every node of every graph names one of a few kernels;
 // names interns them, one string per distinct name, across graphs.
 func (a *Artifact) parseSection(r *wireReader, i int, names map[string]string) {
 	switch i {
@@ -597,8 +631,10 @@ func (a *Artifact) parseSection(r *wireReader, i int, names map[string]string) {
 		if nGraphs > 0 && r.err == nil {
 			a.Graphs = make([]GraphRecord, 0, r.capFor(nGraphs, 8))
 		}
+		var prev []NodeRecord
 		for gi := uint32(0); gi < nGraphs && r.err == nil; gi++ {
-			a.Graphs = append(a.Graphs, parseGraph(r, names))
+			g := parseGraph(r, names, prev)
+			a.Graphs, prev = append(a.Graphs, g), g.Nodes
 		}
 	case secKernelTable:
 		nKernels := r.u32()
@@ -635,66 +671,68 @@ func (a *Artifact) parseSection(r *wireReader, i int, names map[string]string) {
 	}
 }
 
-// parseGraph decodes one encodeGraph encoding from r, interning kernel
-// names through names.
-func parseGraph(r *wireReader, names map[string]string) GraphRecord {
+// parseGraph decodes one appendGraph encoding from r, interning kernel
+// names through prev, the nodes of the graph before it, and names. It
+// reads the nodes scanGraph passed, with no check of its own, into one
+// slab each for nodes, deps and params; each node's share of a slab is
+// a full-slice-expression sub-slice (len == cap). When the scan stopped
+// early, r takes its error.
+func parseGraph(r *wireReader, names map[string]string, prev []NodeRecord) GraphRecord {
 	var g GraphRecord
 	g.Batch = int(r.u32())
 	nNodes := r.u32()
 	if nNodes > 1<<22 {
 		r.fail("graph with %d nodes", nNodes)
 	}
-	if nNodes > 0 && r.err == nil {
-		g.Nodes = make([]NodeRecord, 0, r.capFor(nNodes, minNodeWire))
+	if nNodes == 0 || r.err != nil {
+		return g
 	}
-	// Per-graph slabs for every node's deps and param records (images
-	// are inline in the records), sized by a pre-scan. Each node's
-	// share is a full-slice-expression sub-slice (len == cap); should a
-	// corrupt graph outgrow the scan, append reallocates and the shares
-	// already cut keep the old backing.
-	nDepsTotal, nParamsTotal := scanGraph(r.p[r.off:], nNodes)
-	deps := make([]int32, 0, nDepsTotal)
-	params := make([]ParamRecord, 0, nParamsTotal)
-	for ni := uint32(0); ni < nNodes && r.err == nil; ni++ {
-		var n NodeRecord
-		name := r.view("kernel name", 1<<20)
-		var ok bool
-		if n.KernelName, ok = names[string(name)]; !ok {
+	s := scanGraph(r.p, r.off, nNodes)
+	g.Nodes = make([]NodeRecord, s.nodes)
+	deps := make([]int32, s.deps)
+	params := make([]ParamRecord, s.params)
+	le := binary.LittleEndian
+	p, off := r.p, r.off
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		l := int(le.Uint32(p[off:]))
+		name := p[off+4 : off+4+l]
+		off += 4 + l
+		// Per-batch graphs mostly share a topology, so kernel names.
+		if i < len(prev) && string(name) == prev[i].KernelName {
+			n.KernelName = prev[i].KernelName
+		} else if interned, ok := names[string(name)]; ok {
+			n.KernelName = interned
+		} else {
 			n.KernelName = string(name)
 			names[n.KernelName] = n.KernelName
 		}
-		nDeps := r.u32()
-		if nDeps > nNodes {
-			r.fail("node with %d deps", nDeps)
+		nd := int(le.Uint32(p[off:]))
+		off += 4
+		if nd > 0 {
+			n.Deps = cut(&deps, nd)
 		}
-		if nDeps > 0 && r.err == nil {
-			start := len(deps)
-			for di := uint32(0); di < nDeps && r.err == nil; di++ {
-				deps = append(deps, int32(r.u32()))
-			}
-			n.Deps = deps[start:len(deps):len(deps)]
+		for j := range n.Deps {
+			n.Deps[j] = int32(le.Uint32(p[off:]))
+			off += 4
 		}
-		nParams := r.u32()
-		if nParams > 1<<12 {
-			r.fail("node with %d params", nParams)
+		np := int(le.Uint32(p[off:]))
+		off += 4
+		if np > 0 {
+			n.Params = cut(&params, np)
 		}
-		if nParams > 0 && r.err == nil {
-			start := len(params)
-			for pi := uint32(0); pi < nParams && r.err == nil; pi++ {
-				var p ParamRecord
-				if size := r.u32(); size > maxParamImage {
-					r.fail("param image of %d bytes exceeds limit %d", size, maxParamImage)
-				} else {
-					p.Size = uint8(copy(p.Image[:], r.take(int(size))))
-				}
-				p.Pointer = r.boolean()
-				p.AllocIndex = int32(r.u32())
-				p.Offset = r.u64()
-				params = append(params, p)
-			}
-			n.Params = params[start:len(params):len(params)]
+		for j := range n.Params {
+			pr := &n.Params[j]
+			size := le.Uint32(p[off:]) // 13 bytes follow the image: read 8, keep size
+			le.PutUint64(pr.Image[:], le.Uint64(p[off+4:])&(1<<(8*size)-1))
+			pr.Size = uint8(size)
+			off += 4 + int(size)
+			pr.Pointer = p[off] != 0
+			pr.AllocIndex = int32(le.Uint32(p[off+1:]))
+			pr.Offset = le.Uint64(p[off+5:])
+			off += 1 + 4 + 8
 		}
-		g.Nodes = append(g.Nodes, n)
 	}
+	r.off, r.err = s.end, s.err
 	return g
 }
