@@ -26,8 +26,9 @@ vet:
 # medusalint enforces the simulator's determinism, capture-safety, and
 # pooled-state invariants: the syntactic passes (wallclock, seededrand,
 # maporder, capturesync) plus the flow-aware CFG passes (kvpair,
-# poolescape, spanpair); see DESIGN.md §8 for the
-# invariant-to-analyzer mapping. The generous wall-clock budget is a
+# poolescape, spanpair), and the module-wide testonly check (no
+# function only tests call, unless a //medusalint:allow testonly(reason)
+# directive keeps it); see DESIGN.md §8 for the invariant-to-analyzer mapping. The generous wall-clock budget is a
 # tripwire so the CFG passes can't silently blow up CI time (timeout
 # exits 124 on breach).
 LINT_BUDGET ?= 180s

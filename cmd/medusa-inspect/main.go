@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"github.com/medusa-repro/medusa/internal/engine"
+	"github.com/medusa-repro/medusa/internal/medusa"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/storage"
 )
@@ -53,7 +54,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("artifact for %s (format v%d)\n", art.ModelName, art.FormatVersion)
+	raw, _ := store.Peek(report.ArtifactKey)
+	version, err := medusa.EnvelopeVersion(raw)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("artifact for %s (format v%d)\n", art.ModelName, version)
 	fmt.Printf("  encoded size:     %.2f MB\n", float64(report.ArtifactBytes)/(1<<20))
 	fmt.Printf("  graphs:           %d (batch sizes %v ... )\n", len(art.Graphs), art.Batches()[:min(6, len(art.Graphs))])
 	fmt.Printf("  total nodes:      %d\n", art.TotalNodes())

@@ -14,6 +14,13 @@
 //	poolescape  — no use of a free-listed pointer after freeReq/freeInst/recycle
 //	spanpair    — every obs span begun is Ended (or handed off) on all paths
 //
+// One more check, testonly, is module-wide rather than per package:
+// it fails on any function or method that no non-test file of the
+// loaded packages, or of the bench/ module under the working
+// directory, references (internal/lint/testonly). Only references
+// among what is loaded count, so run it from the module root over
+// ./..., as make lint does. It does not run in vet mode.
+//
 // Standalone use (what `make lint` runs):
 //
 //	medusalint [-run wallclock,maporder] [-json] [packages]
@@ -53,6 +60,7 @@ import (
 	"github.com/medusa-repro/medusa/internal/lint/runner"
 	"github.com/medusa-repro/medusa/internal/lint/seededrand"
 	"github.com/medusa-repro/medusa/internal/lint/spanpair"
+	"github.com/medusa-repro/medusa/internal/lint/testonly"
 	"github.com/medusa-repro/medusa/internal/lint/wallclock"
 )
 
@@ -118,10 +126,11 @@ func main() {
 		for _, a := range suite {
 			fmt.Printf("%-12s %s\n", a.Name, firstLine(a.Doc))
 		}
+		fmt.Printf("%-12s %s\n", testonly.Name, testonly.Doc)
 		return
 	}
 
-	selected, err := selectAnalyzers(*flagRun)
+	selected, withTestonly, err := selectAnalyzers(*flagRun)
 	if err != nil {
 		fatal(err)
 	}
@@ -141,6 +150,16 @@ func main() {
 	findings, err := runner.Run(pkgs, selected)
 	if err != nil {
 		fatal(err)
+	}
+	if withTestonly {
+		if _, err := os.Stat(filepath.Join("bench", "go.mod")); err == nil {
+			bench, err := loader.Load("bench", "./...")
+			if err != nil {
+				fatal(err)
+			}
+			pkgs = append(pkgs, bench...)
+		}
+		findings = append(findings, testonly.Check(pkgs)...)
 	}
 	if *flagJSON {
 		printJSON(findings)
@@ -181,23 +200,31 @@ func printVersion() {
 	fmt.Printf("medusalint version devel buildID=%s\n", id)
 }
 
-func selectAnalyzers(runList string) ([]*analysis.Analyzer, error) {
+// selectAnalyzers resolves -run to the per-package analyzers and
+// whether the module-wide testonly check runs too.
+func selectAnalyzers(runList string) ([]*analysis.Analyzer, bool, error) {
 	if runList == "" {
-		return suite, nil
+		return suite, true, nil
 	}
 	byName := make(map[string]*analysis.Analyzer, len(suite))
 	for _, a := range suite {
 		byName[a.Name] = a
 	}
 	var out []*analysis.Analyzer
+	withTestonly := false
 	for _, name := range strings.Split(runList, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
+		name = strings.TrimSpace(name)
+		if name == testonly.Name {
+			withTestonly = true
+			continue
+		}
+		a, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
+			return nil, false, fmt.Errorf("unknown analyzer %q", name)
 		}
 		out = append(out, a)
 	}
-	return out, nil
+	return out, withTestonly, nil
 }
 
 // vetConfig is the subset of the go command's vet.cfg the driver needs

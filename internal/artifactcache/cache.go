@@ -261,9 +261,6 @@ func NewNodeCache(name string, params Params, remote *Registry) *NodeCache {
 	}
 }
 
-// Name returns the node cache's label.
-func (c *NodeCache) Name() string { return c.name }
-
 // SetObs attaches observability: fetch spans land on the
 // "storage/cache/<name>" track of the tracer, and per-tier hit / miss /
 // eviction counters increment in the registry (prefix "cache_").

@@ -2,6 +2,7 @@ package cuda
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"slices"
@@ -62,7 +63,7 @@ func testRuntime(t testing.TB) *Runtime {
 			}
 			out := make([]float32, n)
 			for i := range out {
-				out[i] = sv[i] * args[2].F32()
+				out[i] = sv[i] * math.Float32frombits(uint32(args[2].Bits))
 			}
 			return dst.SetFloat32s(int(dOff/4), out)
 		},
@@ -87,7 +88,7 @@ func testRuntime(t testing.TB) *Runtime {
 			for _, v := range sv {
 				sum += v
 			}
-			return dst.SetFloat32(int(dOff/4), sum)
+			return dst.SetFloat32s(int(dOff/4), []float32{sum})
 		},
 	})
 	// A public companion in the same module, usable as a
@@ -114,6 +115,8 @@ func mustMalloc(t testing.TB, p *Process, size uint64) uint64 {
 	return a
 }
 
+// TestValueEncodeDecodeRoundTrip: a value encoded as a graph node
+// param decodes back to itself through DecodeArgs.
 func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(bits uint64, kindRaw uint8) bool {
 		kind := ParamKind(kindRaw % 4)
@@ -121,12 +124,12 @@ func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 		if kind.Size() == 4 {
 			v.Bits = bits & 0xffffffff
 		}
-		raw := v.Encode()
-		if len(raw) != kind.Size() {
+		p := v.Param()
+		if int(p.Size) != kind.Size() {
 			return false
 		}
-		got, err := DecodeValue(kind, raw)
-		return err == nil && got == v
+		got, err := DecodeArgs(nil, []ParamKind{kind}, []Param{p})
+		return err == nil && len(got) == 1 && got[0] == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -143,27 +146,24 @@ func TestValueAccessors(t *testing.T) {
 	if U64Value(1<<40).U64() != 1<<40 {
 		t.Fatal("U64Value round trip")
 	}
-	if F32Value(1.5).F32() != 1.5 {
+	if math.Float32frombits(uint32(F32Value(-0.25).Bits)) != -0.25 {
 		t.Fatal("F32Value round trip")
-	}
-	if math.Float32bits(F32Value(-0.25).F32()) != math.Float32bits(float32(-0.25)) {
-		t.Fatal("F32 bit preservation")
 	}
 }
 
 func TestDecodeArgsSizeMismatch(t *testing.T) {
-	if _, err := DecodeValue(Ptr, []byte{1, 2, 3, 4}); err == nil {
-		t.Fatal("DecodeValue accepted 4 bytes for Ptr")
+	if _, err := DecodeArgs(nil, []ParamKind{Ptr}, []Param{U32Value(1).Param()}); err == nil {
+		t.Fatal("DecodeArgs accepted 4 bytes for Ptr")
 	}
-	if _, err := DecodeArgs(nil, []ParamKind{U32}, EncodeArgs([]Value{U32Value(1), U32Value(2)})); err == nil {
+	if _, err := DecodeArgs(nil, []ParamKind{U32}, []Param{U32Value(1).Param(), U32Value(2).Param()}); err == nil {
 		t.Fatal("DecodeArgs accepted wrong arity")
 	}
 }
 
 func TestRuntimeRegistration(t *testing.T) {
 	rt := testRuntime(t)
-	if rt.KernelCount() != 4 {
-		t.Fatalf("KernelCount = %d, want 4", rt.KernelCount())
+	if len(rt.impls) != 4 {
+		t.Fatalf("%d kernels registered, want 4", len(rt.impls))
 	}
 	if err := rt.Register(KernelImpl{Name: "vec_add_f32", Library: "x", Module: "y"}); err == nil {
 		t.Fatal("duplicate kernel registration succeeded")
@@ -183,8 +183,8 @@ func TestLaunchExecutesFunctionally(t *testing.T) {
 	ab, _ := p.Device().Buffer(a)
 	bb, _ := p.Device().Buffer(b)
 	for i := 0; i < n; i++ {
-		ab.SetFloat32(i, float32(i))
-		bb.SetFloat32(i, 10)
+		ab.SetFloat32s(i, []float32{float32(i)})
+		bb.SetFloat32s(i, []float32{10})
 	}
 	if err := p.Launch(s, "vec_add_f32", []Value{PtrValue(dst), PtrValue(a), PtrValue(b), U32Value(n)}); err != nil {
 		t.Fatal(err)
@@ -310,8 +310,8 @@ func TestCaptureBuildsLinearGraph(t *testing.T) {
 	if err := s.BeginCapture(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Capturing() {
-		t.Fatal("Capturing() = false during capture")
+	if p.capture == nil {
+		t.Fatal("no capture state during capture")
 	}
 	for i := 0; i < 3; i++ {
 		if err := p.Launch(s, "vec_add_f32", args); err != nil {
@@ -733,20 +733,24 @@ func TestCaptureAlwaysValidProperty(t *testing.T) {
 	}
 }
 
-// TestEncodeArgsImagesIsolated: each encoded param holds its image
-// inline, zero past its width, and Raw() ends at its capacity, so
-// appending to one image copies instead of writing into the param.
+// TestEncodeArgsImagesIsolated: each param an argument encodes to
+// holds its image inline, zero past its width, and Raw() ends at its
+// capacity, so appending to one image copies instead of writing into
+// the param.
 func TestEncodeArgsImagesIsolated(t *testing.T) {
 	args := []Value{PtrValue(0x7f00_0000_1000), U32Value(7), F32Value(2), U64Value(9)}
-	params := EncodeArgs(args)
+	params := make([]Param, len(args))
+	for i, a := range args {
+		params[i] = a.Param()
+	}
 	for i := range params {
 		p := &params[i]
 		img := p.Raw()
 		if len(img) != args[i].Kind.Size() || cap(img) != len(img) {
 			t.Fatalf("image %d: len %d cap %d, want both %d", i, len(img), cap(img), args[i].Kind.Size())
 		}
-		if !bytes.Equal(img, args[i].Encode()) {
-			t.Fatalf("image %d = %x, want %x", i, img, args[i].Encode())
+		if want := binary.LittleEndian.AppendUint64(nil, args[i].Bits)[:len(img)]; !bytes.Equal(img, want) {
+			t.Fatalf("image %d = %x, want %x", i, img, want)
 		}
 		if tail := p.Image[p.Size:]; !bytes.Equal(tail, make([]byte, len(tail))) {
 			t.Fatalf("image %d has non-zero bytes %x past its width", i, tail)
@@ -760,4 +764,10 @@ func TestEncodeArgsImagesIsolated(t *testing.T) {
 	if got, err := DecodeArgs(nil, []ParamKind{Ptr, U32, F32, U64}, params); err != nil || !slices.Equal(got, args) {
 		t.Fatalf("DecodeArgs = %v, %v; want %v", got, err, args)
 	}
+}
+
+// Clone returns a deep copy of the node: tests snapshot nodes with it
+// before comparing them against a later state or another build path.
+func (n *Node) Clone() *Node {
+	return &Node{ID: n.ID, KernelAddr: n.KernelAddr, Params: slices.Clone(n.Params), Deps: slices.Clone(n.Deps)}
 }

@@ -2,7 +2,6 @@ package cuda
 
 import (
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -15,12 +14,11 @@ type Stream struct {
 	id int
 }
 
-// ID returns the stream's process-local id.
-func (s *Stream) ID() int { return s.id }
-
 // Synchronize waits for the stream's work (cudaStreamSynchronize).
 // Like device synchronization, it is prohibited during capture — the
 // paper's §2.3 lists both as the reason warm-up must precede capture.
+//
+//medusalint:allow testonly(cudaStreamSynchronize: capture must fail on it, and capturesync flags calls to it)
 func (s *Stream) Synchronize() error {
 	if s.p.capture != nil {
 		err := &CaptureInvalidatedError{Op: "cudaStreamSynchronize"}
@@ -38,6 +36,8 @@ type Event struct {
 }
 
 // NewEvent creates an event.
+//
+//medusalint:allow testonly(cudaEventCreate: events are the capture's cross-stream dependency edges)
 func (p *Process) NewEvent() *Event { return &Event{node: -1} }
 
 // captureState holds an in-progress stream capture. Nodes live in one
@@ -147,9 +147,6 @@ func (s *Stream) EndCapture() (*Graph, error) {
 	return g, nil
 }
 
-// Capturing reports whether a capture is active on the process.
-func (p *Process) Capturing() bool { return p.capture != nil }
-
 // record appends a launch as a graph node, encoding its arguments once
 // into the capture's param slab, and returns the node.
 func (c *captureState) record(s *Stream, k *Kernel, args []Value) Node {
@@ -182,6 +179,8 @@ func (c *captureState) record(s *Stream, k *Kernel, args []Value) Node {
 
 // RecordEvent records the event on the stream. During capture it marks
 // the stream's last node as the event's dependency source.
+//
+//medusalint:allow testonly(cudaEventRecord: marks a stream's last captured node as an edge source)
 func (s *Stream) RecordEvent(e *Event) error {
 	e.recorded = true
 	if c := s.p.capture; c != nil {
@@ -191,6 +190,8 @@ func (s *Stream) RecordEvent(e *Event) error {
 }
 
 // WaitEvent makes subsequent work on the stream depend on the event.
+//
+//medusalint:allow testonly(cudaStreamWaitEvent: adds the recorded edge to the stream's next captured node)
 func (s *Stream) WaitEvent(e *Event) error {
 	if !e.recorded {
 		return fmt.Errorf("cuda: wait on unrecorded event")
@@ -212,11 +213,6 @@ type Node struct {
 	Deps       []int32
 }
 
-// Clone returns a deep copy of the node.
-func (n *Node) Clone() *Node {
-	return &Node{ID: n.ID, KernelAddr: n.KernelAddr, Params: slices.Clone(n.Params), Deps: slices.Clone(n.Deps)}
-}
-
 // Graph is a CUDA graph: kernels plus execution dependencies.
 type Graph struct {
 	nodes []*Node
@@ -224,6 +220,8 @@ type Graph struct {
 
 // NewGraph builds a graph from explicit nodes (the explicit-construction
 // analogue of cudaGraphAddKernelNode).
+//
+//medusalint:allow testonly(cudaGraphAddKernelNode analogue; internal/medusa's eager-restore oracle builds graphs with it)
 func NewGraph(nodes []*Node) *Graph { return &Graph{nodes: nodes} }
 
 // Nodes returns the graph's nodes indexed by ID.

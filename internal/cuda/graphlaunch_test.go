@@ -114,7 +114,7 @@ func TestBadParamWidthsFailInstantiate(t *testing.T) {
 			if _, err := g.Instantiate(p); err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Instantiate error = %v, want it to contain %q", err, c.want)
 			}
-			if _, err := DecodeArgs(nil, k.Impl().Params, n.Params); err == nil {
+			if _, err := DecodeArgs(nil, k.impl.Params, n.Params); err == nil {
 				t.Fatal("DecodeArgs accepted the mis-sized param")
 			}
 		})

@@ -152,9 +152,8 @@ type Process struct {
 // Kernel is a loaded kernel function in one process: the pair of a
 // process-specific address and the installed implementation.
 type Kernel struct {
-	impl   *KernelImpl
-	addr   uint64
-	module *LoadedModule
+	impl *KernelImpl
+	addr uint64
 }
 
 // Name returns the kernel's mangled name (cuFuncGetName).
@@ -162,12 +161,6 @@ func (k *Kernel) Name() string { return k.impl.Name }
 
 // Addr returns the kernel's process-specific address.
 func (k *Kernel) Addr() uint64 { return k.addr }
-
-// Impl exposes the installed implementation.
-func (k *Kernel) Impl() *KernelImpl { return k.impl }
-
-// Module returns the loaded module that carries the kernel.
-func (k *Kernel) Module() *LoadedModule { return k.module }
 
 // LoadedModule is a CUDA module mapped into the process. Loading any
 // kernel of a module loads the whole module — the property
@@ -198,7 +191,7 @@ func NewProcess(rt *Runtime, clock *vclock.Clock, cfg Config) *Process {
 		rt:        rt,
 		cfg:       cfg,
 		clock:     clock,
-		dev:       gpu.NewDevice(devCfg, clock),
+		dev:       gpu.NewDevice(devCfg),
 		linker:    dl.NewLinker(rt.DL(), cfg.Seed),
 		byAddr:    make(map[uint64]*Kernel),
 		byName:    make(map[string]*Kernel),
@@ -283,6 +276,8 @@ func (p *Process) chargeHtoD(nbytes uint64) {
 // DeviceSynchronize waits for the device. During an active capture this
 // is a prohibited operation and invalidates the capture, mirroring
 // cudaErrorStreamCaptureUnsupported.
+//
+//medusalint:allow testonly(cudaDeviceSynchronize: capture must fail on it, and capturesync flags calls to it)
 func (p *Process) DeviceSynchronize() error {
 	if p.capture != nil {
 		err := &CaptureInvalidatedError{Op: "cudaDeviceSynchronize"}
@@ -333,7 +328,7 @@ func (p *Process) ensureModuleLoaded(impl *KernelImpl) (*Kernel, error) {
 		if !ok {
 			return nil, fmt.Errorf("cuda: symbol %q has no installed implementation", s.Name)
 		}
-		k := &Kernel{impl: si, addr: ll.AddrOf(s), module: lm}
+		k := &Kernel{impl: si, addr: ll.AddrOf(s)}
 		lm.kernels = append(lm.kernels, k)
 		p.byAddr[k.addr] = k
 		p.byName[k.Name()] = k

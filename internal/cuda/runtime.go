@@ -88,6 +88,3 @@ func (rt *Runtime) Impl(name string) (*KernelImpl, bool) {
 
 // DL exposes the linker registry (the "filesystem" of shared objects).
 func (rt *Runtime) DL() *dl.Registry { return rt.reg }
-
-// KernelCount reports how many kernels are installed.
-func (rt *Runtime) KernelCount() int { return len(rt.impls) }

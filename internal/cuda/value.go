@@ -87,16 +87,6 @@ func (v Value) U64() uint64 { return v.Bits }
 // U32 returns the argument as a 4-byte scalar.
 func (v Value) U32() uint32 { return uint32(v.Bits) }
 
-// F32 returns the argument as a float scalar.
-func (v Value) F32() float32 { return math.Float32frombits(uint32(v.Bits)) }
-
-// Encode serializes the argument to its little-endian raw image.
-func (v Value) Encode() []byte {
-	p := make([]byte, v.Kind.Size())
-	v.put(p)
-	return p
-}
-
 // put writes the argument's raw image to the front of p and returns
 // its size.
 func (v Value) put(p []byte) int {
@@ -115,14 +105,6 @@ func (v Value) put(p []byte) int {
 // sizeMismatch reports an image of size bytes for a param of kind.
 func sizeMismatch(size int, kind ParamKind) error {
 	return fmt.Errorf("cuda: param image of %d bytes, kind %v wants %d", size, kind, kind.Size())
-}
-
-// DecodeValue parses a raw parameter image using the declared kind.
-func DecodeValue(kind ParamKind, raw []byte) (Value, error) {
-	if len(raw) != kind.Size() {
-		return Value{}, sizeMismatch(len(raw), kind)
-	}
-	return decodeValue(kind, raw), nil
 }
 
 // decodeValue parses an image already known to be kind's width.
@@ -161,15 +143,6 @@ func (v Value) Param() Param {
 	var p Param
 	p.Size = uint8(v.put(p.Image[:]))
 	return p
-}
-
-// EncodeArgs serializes an argument list into graph node parameters.
-func EncodeArgs(args []Value) []Param {
-	out := make([]Param, len(args))
-	for i, a := range args {
-		out[i] = a.Param()
-	}
-	return out
 }
 
 // DecodeArgs parses graph node parameters against a kernel's declared

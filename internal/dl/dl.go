@@ -17,7 +17,6 @@ package dl
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Symbol is one kernel symbol inside a library image.
@@ -56,16 +55,6 @@ func (l *Library) Symbol(name string) (*Symbol, bool) {
 func (l *Library) Module(name string) ([]*Symbol, bool) {
 	m, ok := l.modules[name]
 	return m, ok
-}
-
-// ModuleNames returns the library's module names, sorted.
-func (l *Library) ModuleNames() []string {
-	names := make([]string, 0, len(l.modules))
-	for n := range l.modules {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Registry is the set of installed libraries, analogous to the dynamic

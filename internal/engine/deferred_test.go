@@ -10,7 +10,7 @@ import (
 
 func TestDeferredStrategySkipsColdStartCapture(t *testing.T) {
 	inst := mustColdStart(t, tinyOptions(StrategyDeferred, 800))
-	if inst.GraphCount() != 0 {
+	if len(inst.graphs) != 0 {
 		t.Fatal("deferred instance captured at cold start")
 	}
 	if _, ok := inst.Timeline().Stage(StageCapture); ok {
@@ -28,8 +28,8 @@ func TestDeferredCaptureOnFirstUse(t *testing.T) {
 	if d1 == 0 {
 		t.Fatal("first EnsureGraphCaptured charged nothing")
 	}
-	if inst.GraphCount() != 1 {
-		t.Fatalf("graphs = %d after first capture", inst.GraphCount())
+	if len(inst.graphs) != 1 {
+		t.Fatalf("graphs = %d after first capture", len(inst.graphs))
 	}
 	// …and subsequent uses are free.
 	d2, err := inst.EnsureGraphCaptured(2)

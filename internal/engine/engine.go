@@ -137,10 +137,6 @@ func (s Strategy) Valid() bool {
 	return ok
 }
 
-// Stages lists the strategy's observable cold-start stage names in
-// timeline order (a copy; mutate freely).
-func (s Strategy) Stages() []string { return append([]string(nil), strategyInfos[s].Stages...) }
-
 // NeedsArtifact reports whether cold starts with this strategy require
 // a materialized artifact.
 func (s Strategy) NeedsArtifact() bool { return strategyInfos[s].NeedsArtifact }
@@ -418,15 +414,6 @@ func (inst *Instance) Process() *cuda.Process { return inst.proc }
 
 // Model returns the model configuration.
 func (inst *Instance) Model() model.Config { return inst.opts.Model }
-
-// Strategy returns the loading strategy used.
-func (inst *Instance) Strategy() Strategy { return inst.opts.Strategy }
-
-// Tokenizer returns the loaded tokenizer.
-func (inst *Instance) Tokenizer() *tokenizer.Tokenizer { return inst.tok }
-
-// GraphCount reports how many CUDA graphs the instance holds.
-func (inst *Instance) GraphCount() int { return len(inst.graphs) }
 
 // GraphByBatch returns the captured (or restored) CUDA graph for an
 // exact batch size, for inspection tooling.

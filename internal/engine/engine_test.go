@@ -41,14 +41,11 @@ func TestColdStartVLLMFunctional(t *testing.T) {
 			t.Errorf("timeline missing stage %s", stage)
 		}
 	}
-	if inst.GraphCount() != len(tinySizes) {
-		t.Fatalf("graphs = %d, want %d", inst.GraphCount(), len(tinySizes))
+	if len(inst.graphs) != len(tinySizes) {
+		t.Fatalf("graphs = %d, want %d", len(inst.graphs), len(tinySizes))
 	}
 	if inst.KVRecord().NumBlocks == 0 {
 		t.Fatal("KV cache not sized")
-	}
-	if !inst.UsesGraphs() {
-		t.Fatal("UsesGraphs = false")
 	}
 }
 
@@ -66,7 +63,7 @@ func TestCapturedNodeCountsMatchModel(t *testing.T) {
 
 func TestColdStartAllFamilies(t *testing.T) {
 	for _, cfg := range []model.Config{
-		model.TestTiny("std"), model.TestTinyFused("fused"), model.TestTinyParallel("par"),
+		model.TestTiny("std"), tinyOf("fused", model.FamilyFused), tinyOf("par", model.FamilyParallel),
 	} {
 		inst, err := ColdStart(Options{Model: cfg, Strategy: StrategyVLLM, Seed: 3, CaptureSizes: tinySizes})
 		if err != nil {
@@ -81,7 +78,7 @@ func TestColdStartAllFamilies(t *testing.T) {
 
 func TestNoGraphStrategySkipsCapture(t *testing.T) {
 	inst := mustColdStart(t, tinyOptions(StrategyNoGraph, 4))
-	if inst.GraphCount() != 0 || inst.UsesGraphs() {
+	if len(inst.graphs) != 0 {
 		t.Fatal("NoGraph instance has graphs")
 	}
 	if _, ok := inst.Timeline().Stage(StageCapture); ok {
@@ -197,7 +194,7 @@ func TestTrickySeedCorrectedByValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst.GraphCount() != len(tinySizes) {
+	if len(inst.graphs) != len(tinySizes) {
 		t.Fatal("corrected artifact restored wrong graph count")
 	}
 }

@@ -40,7 +40,7 @@ func TestColdStartDegradesOnCorruptArtifact(t *testing.T) {
 	if _, ok := inst.Timeline().Stage(StageCapture); !ok {
 		t.Fatal("vanilla fallback timeline missing capture stage")
 	}
-	if inst.GraphCount() == 0 {
+	if len(inst.graphs) == 0 {
 		t.Fatal("fallback instance has no graphs")
 	}
 	if _, err := inst.DecodeStepDuration(1); err != nil {

@@ -7,6 +7,13 @@ import (
 	"github.com/medusa-repro/medusa/internal/storage"
 )
 
+// tinyOf is model.TestTiny with the layer family f.
+func tinyOf(name string, f model.Family) model.Config {
+	c := model.TestTiny(name)
+	c.Family = f
+	return c
+}
+
 // TestGenerationMatrix runs end-to-end generation on every functional
 // model family under every strategy that serves with CUDA graphs, and
 // checks all of them produce the family's reference output. This is
@@ -15,8 +22,8 @@ import (
 func TestGenerationMatrix(t *testing.T) {
 	families := []model.Config{
 		model.TestTiny("matrix-std"),
-		model.TestTinyFused("matrix-fused"),
-		model.TestTinyParallel("matrix-par"),
+		tinyOf("matrix-fused", model.FamilyFused),
+		tinyOf("matrix-par", model.FamilyParallel),
 	}
 	const prompt = "tok2 tok17 tok9"
 	const maxNew = 6

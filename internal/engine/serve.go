@@ -41,12 +41,6 @@ func (inst *Instance) GraphBatch(n int) int {
 	return best
 }
 
-// MaxBatch is the largest decode batch the instance serves.
-func (inst *Instance) MaxBatch() int { return maxInt(inst.opts.CaptureSizes) }
-
-// UsesGraphs reports whether decode runs through CUDA graphs.
-func (inst *Instance) UsesGraphs() bool { return len(inst.graphs) > 0 }
-
 // DecodeStepDuration measures (and memoizes) one decode iteration for
 // `n` concurrent sequences: a single graph replay when graphs exist,
 // per-kernel launches otherwise. This is the quantity Figure 3's

@@ -133,12 +133,12 @@ func TestGenerateRespectsContextLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(inst.Tokenizer().Encode(out))
+	n := len(inst.tok.Encode(out))
 	if n == 0 || n >= 500 {
 		t.Fatalf("generated %d tokens, want a context-limited amount", n)
 	}
 	// KV blocks released after generation.
-	if used := inst.kvMgr.UsedBlocks(); used != 0 {
+	if used := inst.kvMgr.NumBlocks() - inst.kvMgr.NumFreeBlocks(); used != 0 {
 		t.Fatalf("generation leaked %d KV blocks", used)
 	}
 }
@@ -227,11 +227,11 @@ func TestIndirectWarningsZeroOnCleanModel(t *testing.T) {
 
 func TestInstanceAccessors(t *testing.T) {
 	inst := mustColdStart(t, tinyOptions(StrategyVLLM, 913))
-	if inst.Strategy() != StrategyVLLM {
+	if inst.opts.Strategy != StrategyVLLM {
 		t.Fatal("Strategy accessor wrong")
 	}
-	if inst.MaxBatch() != 8 {
-		t.Fatalf("MaxBatch = %d (capture sizes %v)", inst.MaxBatch(), tinySizes)
+	if maxInt(inst.opts.CaptureSizes) != 8 {
+		t.Fatalf("MaxBatch = %d (capture sizes %v)", maxInt(inst.opts.CaptureSizes), tinySizes)
 	}
 	want := 0
 	for _, b := range tinySizes {

@@ -36,20 +36,6 @@ func (e *FetchTimeoutError) Error() string {
 	return fmt.Sprintf("faults: fetch of %q timed out after %d attempts", e.Key, e.Attempts)
 }
 
-// ReadError reports that a local (SSD) read exhausted its retry
-// budget.
-type ReadError struct {
-	// Object identifies what was being read.
-	Object string
-	// Attempts is how many reads were tried before giving up.
-	Attempts int
-}
-
-// Error implements error.
-func (e *ReadError) Error() string {
-	return fmt.Sprintf("faults: read of %q failed after %d attempts", e.Object, e.Attempts)
-}
-
 // RestoreMismatchError reports that a Medusa restore's validation
 // diverged: the replayed allocation sequence no longer matches the
 // artifact, so the materialized state cannot be trusted (§4's trigger
@@ -114,10 +100,6 @@ func DegradeReason(err error) (string, bool) {
 	var timeout *FetchTimeoutError
 	if errors.As(err, &timeout) {
 		return ReasonFetchTimeout, true
-	}
-	var read *ReadError
-	if errors.As(err, &read) {
-		return ReasonSSDReadFailed, true
 	}
 	var mismatch *RestoreMismatchError
 	if errors.As(err, &mismatch) {

@@ -45,8 +45,9 @@ const (
 	// the virtual clock; exhausting them yields a FetchTimeoutError and
 	// the launch degrades to the vanilla cold start.
 	SiteRegistryTimeout Site = "registry_timeout"
-	// SiteSSDRead fails a local SSD read (storage.Store.Get, or the
-	// SSD tier of a node cache, which falls through to the registry).
+	// SiteSSDRead fails a local SSD read (a cacheless launch's artifact
+	// read, or the SSD tier of a node cache, which falls through to the
+	// registry).
 	SiteSSDRead Site = "ssd_read"
 	// SiteRestoreMismatch makes a Medusa restore's validation diverge
 	// (a RestoreMismatchError): the replayed allocation sequence no
@@ -327,7 +328,6 @@ type Injector struct {
 
 	mu     sync.Mutex
 	counts map[string]uint64
-	fired  map[Site]int
 }
 
 // NewInjector validates the plan, applies retry defaults, and returns
@@ -344,12 +344,8 @@ func NewInjector(plan Plan) (*Injector, error) {
 	return &Injector{
 		plan:   plan.withDefaults(),
 		counts: make(map[string]uint64),
-		fired:  make(map[Site]int),
 	}, nil
 }
-
-// Plan returns the injector's (defaults-applied) plan.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Inject decides whether the site's fault fires for this draw. Each
 // (site, key) pair has its own draw counter, so repeated draws at one
@@ -371,28 +367,7 @@ func (in *Injector) Inject(site Site, key string) bool {
 	if !fire && spec.Probability > 0 {
 		fire = in.unit(site, key, n) < spec.Probability
 	}
-	if fire {
-		in.fired[site]++
-	}
 	return fire
-}
-
-// Fired reports how many times the site has injected so far.
-func (in *Injector) Fired(site Site) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.fired[site]
-}
-
-// FiredTotal sums injections across sites.
-func (in *Injector) FiredTotal() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	total := 0
-	for _, s := range Sites() {
-		total += in.fired[s]
-	}
-	return total
 }
 
 // MaxAttempts is the plan's per-operation retry budget.

@@ -2,12 +2,10 @@ package gpu
 
 import (
 	"testing"
-
-	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
 func BenchmarkMallocFree(b *testing.B) {
-	d := NewDevice(A100(1, CostOnly), vclock.New())
+	d := NewDevice(A100(1, CostOnly))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -22,7 +20,7 @@ func BenchmarkMallocFree(b *testing.B) {
 }
 
 func BenchmarkFindBufferInterior(b *testing.B) {
-	d := NewDevice(A100(2, CostOnly), vclock.New())
+	d := NewDevice(A100(2, CostOnly))
 	var addrs []uint64
 	for i := 0; i < 1024; i++ {
 		a, err := d.Malloc(4096)

@@ -21,16 +21,6 @@ type Buffer struct {
 	data        []byte // lazily materialized in functional mode
 }
 
-// Addr returns the device address of the start of the buffer.
-func (b *Buffer) Addr() uint64 { return b.addr }
-
-// Size returns the requested (unaligned) size in bytes.
-func (b *Buffer) Size() uint64 { return b.size }
-
-// Freed reports whether the buffer has been released. Accessing a freed
-// buffer is the simulated equivalent of an illegal memory access.
-func (b *Buffer) Freed() bool { return b.freed }
-
 func (b *Buffer) materialize() error {
 	if b.data != nil {
 		return nil
@@ -86,13 +76,6 @@ func (b *Buffer) Float32(i int) (float32, error) {
 		return 0, err
 	}
 	return math.Float32frombits(binary.LittleEndian.Uint32(p[:])), nil
-}
-
-// SetFloat32 stores v at element index i.
-func (b *Buffer) SetFloat32(i int, v float32) error {
-	var p [4]byte
-	binary.LittleEndian.PutUint32(p[:], math.Float32bits(v))
-	return b.WriteAt(uint64(i)*4, p[:])
 }
 
 // Float32s reads n float32 elements starting at element index off.

@@ -24,9 +24,6 @@ package gpu
 import (
 	"fmt"
 	"math/rand"
-	"time"
-
-	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
 // ExecMode selects whether kernels actually compute on buffer contents.
@@ -88,7 +85,6 @@ func A100(seed int64, mode ExecMode) DeviceConfig {
 // Device is one simulated GPU owned by one simulated process.
 type Device struct {
 	cfg   DeviceConfig
-	clock *vclock.Clock
 	alloc *Allocator
 
 	// peakUsed tracks the high-water mark of allocated bytes; the KV
@@ -97,23 +93,17 @@ type Device struct {
 }
 
 // NewDevice creates a device with a fresh randomized allocator.
-func NewDevice(cfg DeviceConfig, clock *vclock.Clock) *Device {
+func NewDevice(cfg DeviceConfig) *Device {
 	if cfg.TotalMemory == 0 {
 		cfg = A100(cfg.Seed, cfg.Mode)
 	}
-	if clock == nil {
-		clock = vclock.New()
-	}
-	d := &Device{cfg: cfg, clock: clock}
+	d := &Device{cfg: cfg}
 	d.alloc = newAllocator(cfg.TotalMemory, rand.New(rand.NewSource(cfg.Seed)))
 	return d
 }
 
 // Config returns the device configuration.
 func (d *Device) Config() DeviceConfig { return d.cfg }
-
-// Clock returns the virtual clock the device charges time against.
-func (d *Device) Clock() *vclock.Clock { return d.clock }
 
 // Functional reports whether kernels execute on real buffer contents.
 func (d *Device) Functional() bool { return d.cfg.Mode == Functional }
@@ -158,27 +148,4 @@ func (d *Device) FindBuffer(addr uint64) (*Buffer, uint64, bool) {
 		return nil, 0, false
 	}
 	return b, addr - b.addr, true
-}
-
-// LiveBuffers returns the number of live allocations.
-func (d *Device) LiveBuffers() int { return len(d.alloc.live) }
-
-// ChargeMemBound advances the clock by the time a memory-bound operation
-// over nbytes takes at HBM bandwidth, with a floor for tiny kernels.
-func (d *Device) ChargeMemBound(nbytes uint64, floor time.Duration) {
-	t := time.Duration(float64(nbytes) / d.cfg.MemBandwidth * float64(time.Second))
-	if t < floor {
-		t = floor
-	}
-	d.clock.Advance(t)
-}
-
-// ChargeComputeBound advances the clock by the time a compute-bound
-// operation of the given FLOP count takes, assuming 50% of peak.
-func (d *Device) ChargeComputeBound(flops float64, floor time.Duration) {
-	t := time.Duration(flops / (0.5 * d.cfg.PeakFLOPS) * float64(time.Second))
-	if t < floor {
-		t = floor
-	}
-	d.clock.Advance(t)
 }

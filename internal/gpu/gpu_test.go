@@ -6,13 +6,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
 func testDevice(seed int64) *Device {
-	return NewDevice(A100(seed, Functional), vclock.New())
+	return NewDevice(A100(seed, Functional))
 }
 
 func TestMallocFreeBasics(t *testing.T) {
@@ -28,8 +25,8 @@ func TestMallocFreeBasics(t *testing.T) {
 	if a1 == a2 {
 		t.Fatalf("two live allocations share address %#x", a1)
 	}
-	if d.LiveBuffers() != 2 {
-		t.Fatalf("LiveBuffers = %d, want 2", d.LiveBuffers())
+	if len(d.alloc.live) != 2 {
+		t.Fatalf("%d live buffers, want 2", len(d.alloc.live))
 	}
 	if err := d.Free(a1); err != nil {
 		t.Fatal(err)
@@ -84,7 +81,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 }
 
 func TestOutOfMemory(t *testing.T) {
-	d := NewDevice(DeviceConfig{Name: "tiny", TotalMemory: 1 << 20, MemBandwidth: 1e9, PeakFLOPS: 1e9, Mode: Functional, Seed: 3}, vclock.New())
+	d := NewDevice(DeviceConfig{Name: "tiny", TotalMemory: 1 << 20, MemBandwidth: 1e9, PeakFLOPS: 1e9, Mode: Functional, Seed: 3})
 	if _, err := d.Malloc(2 << 20); !errors.As(err, new(*OutOfMemoryError)) {
 		t.Fatalf("oversized Malloc returned %v, want OutOfMemoryError", err)
 	}
@@ -125,7 +122,7 @@ func TestFindBufferInterior(t *testing.T) {
 	d := testDevice(5)
 	a, _ := d.Malloc(1000)
 	b, off, ok := d.FindBuffer(a + 500)
-	if !ok || b.Addr() != a || off != 500 {
+	if !ok || b.addr != a || off != 500 {
 		t.Fatalf("FindBuffer(a+500) = (%v, %d, %v)", b, off, ok)
 	}
 	if _, _, ok := d.FindBuffer(a + 4096); ok {
@@ -190,7 +187,7 @@ func TestFreedBufferAccessFails(t *testing.T) {
 	a, _ := d.Malloc(16)
 	buf, _ := d.Buffer(a)
 	d.Free(a)
-	if !buf.Freed() {
+	if !buf.freed {
 		t.Fatal("Freed() = false after Free")
 	}
 	if err := buf.WriteAt(0, []byte{1}); err == nil {
@@ -199,30 +196,11 @@ func TestFreedBufferAccessFails(t *testing.T) {
 }
 
 func TestCostOnlyRejectsDataAccess(t *testing.T) {
-	d := NewDevice(A100(10, CostOnly), vclock.New())
+	d := NewDevice(A100(10, CostOnly))
 	a, _ := d.Malloc(16)
 	buf, _ := d.Buffer(a)
 	if err := buf.WriteAt(0, []byte{1}); err == nil {
 		t.Fatal("cost-only device allowed data access")
-	}
-}
-
-func TestChargeTiming(t *testing.T) {
-	clk := vclock.New()
-	d := NewDevice(A100(11, CostOnly), clk)
-	d.ChargeMemBound(1555_000_000_000, 0) // exactly one second of HBM traffic
-	if got := clk.Now(); got < 999*time.Millisecond || got > 1001*time.Millisecond {
-		t.Fatalf("mem-bound charge advanced %v, want ~1s", got)
-	}
-	before := clk.Now()
-	d.ChargeMemBound(1, 5*time.Microsecond) // floor applies
-	if got := clk.Now() - before; got != 5*time.Microsecond {
-		t.Fatalf("floor charge = %v, want 5µs", got)
-	}
-	before = clk.Now()
-	d.ChargeComputeBound(0.5*312e12, 0) // one second at 50% of peak
-	if got := clk.Now() - before; got < 999*time.Millisecond || got > 1001*time.Millisecond {
-		t.Fatalf("compute-bound charge advanced %v, want ~1s", got)
 	}
 }
 
@@ -257,7 +235,7 @@ func TestNoOverlapProperty(t *testing.T) {
 			if !ok {
 				return false
 			}
-			spans = append(spans, span{b.Addr(), b.Addr() + b.Size()})
+			spans = append(spans, span{b.addr, b.addr + b.size})
 		}
 		for i := range spans {
 			for j := i + 1; j < len(spans); j++ {
@@ -288,7 +266,7 @@ func TestFindBufferProperty(t *testing.T) {
 			}
 			off := uint64(rng.Int63n(int64(size)))
 			b, gotOff, ok := d.FindBuffer(a + off)
-			if !ok || b.Addr() != a || gotOff != off {
+			if !ok || b.addr != a || gotOff != off {
 				return false
 			}
 		}
@@ -315,7 +293,7 @@ func TestFreeDropsContentsAndReportsUseAfterFree(t *testing.T) {
 	if buf.data != nil {
 		t.Fatal("freed buffer still holds its contents")
 	}
-	if !buf.Freed() {
+	if !buf.freed {
 		t.Fatal("Freed() = false after Free")
 	}
 	if _, err := buf.Snapshot(); err == nil {
@@ -333,7 +311,7 @@ func TestFreeDropsContentsAndReportsUseAfterFree(t *testing.T) {
 	if b != a {
 		t.Fatalf("reallocation = %#x, want reuse of %#x", b, a)
 	}
-	if !buf.Freed() {
+	if !buf.freed {
 		t.Fatal("reallocating the address revived the freed buffer")
 	}
 }
@@ -355,7 +333,7 @@ func TestBuffersSurviveChunkGrowth(t *testing.T) {
 		bufs = append(bufs, b)
 	}
 	for i, b := range bufs {
-		if got, ok := d.Buffer(b.Addr()); !ok || got != b {
+		if got, ok := d.Buffer(b.addr); !ok || got != b {
 			t.Fatalf("buffer %d: lookup returned a different Buffer", i)
 		}
 		if v, err := b.Uint32(0); err != nil || v != uint32(i) {
@@ -370,7 +348,7 @@ func TestMallocFreeCycleAllocatesLittle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	d := NewDevice(A100(14, CostOnly), vclock.New())
+	d := NewDevice(A100(14, CostOnly))
 	cycle := func() {
 		a, err := d.Malloc(4096)
 		if err != nil {

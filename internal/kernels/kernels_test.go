@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -37,32 +38,72 @@ func TestGemmBucketSelection(t *testing.T) {
 
 func TestRegistrationInventory(t *testing.T) {
 	rt := NewRuntime()
-	// 11 exported ops + 9 buckets × 3 hidden kernels.
-	if got, want := rt.KernelCount(), 12+len(GemmBuckets)*3; got != want {
-		t.Fatalf("KernelCount = %d, want %d", got, want)
+	// Each module holds exactly these kernels: the 12 ops kernels are
+	// exported, and each of the 9 GEMM buckets' 3 variants is hidden, so
+	// libcublas_sim.so exports nothing (§5).
+	type module struct {
+		exported bool
+		names    []string
 	}
-	// The cuBLAS library must expose no dlsym-visible symbols at all.
-	lib, ok := rt.DL().Library(LibCublas)
-	if !ok {
-		t.Fatal("libcublas_sim.so missing")
+	libs := map[string]map[string]module{
+		LibOps: {
+			opsModule("embed"):   {true, []string{EmbedLookup}},
+			opsModule("norm"):    {true, []string{RMSNorm}},
+			opsModule("attn"):    {true, []string{RopeCache, PagedAttn}},
+			opsModule("elem"):    {true, []string{ResidualAdd, SiluMul, BiasAdd, ElemCopy, PadBatch}},
+			opsModule("head"):    {true, []string{LMHeadGemm}},
+			opsModule("sample"):  {true, []string{SampleArgmax}},
+			opsModule("prefill"): {true, []string{PrefillGemm}},
+		},
+		LibCublas: {},
 	}
-	for _, mod := range lib.ModuleNames() {
-		syms, _ := lib.Module(mod)
-		for _, s := range syms {
-			if s.Exported {
-				t.Fatalf("cublas symbol %q is exported", s.Name)
-			}
+	for _, b := range GemmBuckets {
+		k := GemmKernelName(b)
+		libs[LibCublas][GemmModuleName(b)] = module{false, []string{k, k + "_splitk", k + "_batched"}}
+	}
+	reg := rt.DL()
+	// dl lays a library's symbols out from a fixed base at a fixed
+	// stride, in registration order, so a probe symbol added last
+	// counts the symbols already there. Measure base and stride on a
+	// fresh library.
+	probe := func(lib, name string) uint64 {
+		t.Helper()
+		s, err := reg.AddSymbol(lib, "probe_mod", name, false)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return s.Offset
 	}
-	// Every ops kernel must be exported.
-	ops, _ := rt.DL().Library(LibOps)
-	for _, mod := range ops.ModuleNames() {
-		syms, _ := ops.Module(mod)
-		for _, s := range syms {
-			if !s.Exported {
-				t.Fatalf("ops symbol %q is hidden", s.Name)
-			}
+	base := probe("probe.so", "first")
+	stride := probe("probe.so", "second") - base
+	total := 0
+	for libName, mods := range libs {
+		lib, ok := reg.Library(libName)
+		if !ok {
+			t.Fatalf("%s missing", libName)
 		}
+		n := 0
+		for modName, want := range mods {
+			syms, _ := lib.Module(modName)
+			var got []string
+			for _, s := range syms {
+				got = append(got, s.Name)
+				if s.Exported != want.exported {
+					t.Errorf("%s: %s exported=%v, want %v", libName, s.Name, s.Exported, want.exported)
+				}
+			}
+			if !slices.Equal(got, want.names) {
+				t.Errorf("%s module %s = %v, want %v", libName, modName, got, want.names)
+			}
+			n += len(want.names)
+		}
+		if got := (probe(libName, "probe") - base) / stride; got != uint64(n) {
+			t.Errorf("%s holds %d symbols, want %d", libName, got, n)
+		}
+		total += n
+	}
+	if want := 12 + len(GemmBuckets)*3; total != want {
+		t.Errorf("inventory lists %d kernels, want %d", total, want)
 	}
 }
 
@@ -77,7 +118,7 @@ func TestGemmWorkspaceMagicEnforced(t *testing.T) {
 	ws2A, ws2 := alloc(t, p, 4)
 	src.SetFloat32s(0, []float32{1, 0, 0, 0, 0, 1, 0, 0})
 	for i := 0; i < k*n; i++ {
-		w.SetFloat32(i, float32(i))
+		w.SetFloat32s(i, []float32{float32(i)})
 	}
 	name := GemmKernelName(GemmBucket(m))
 	args := []cuda.Value{

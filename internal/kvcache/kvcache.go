@@ -223,6 +223,3 @@ func (m *Manager) Release(q *Seq) {
 	q.table = q.table[:0]
 	q.tokens = 0
 }
-
-// UsedBlocks returns allocated block count.
-func (m *Manager) UsedBlocks() int { return m.numBlocks - m.NumFreeBlocks() }

@@ -19,6 +19,9 @@ func freeList(m *Manager) []int {
 	return append(free, m.returned...)
 }
 
+// usedBlocks counts the blocks allocated from m.
+func usedBlocks(m *Manager) int { return m.numBlocks - m.NumFreeBlocks() }
+
 func TestSizingHelpers(t *testing.T) {
 	if BlockBytes(4096, 2) != 16*4096*2*2 {
 		t.Fatalf("BlockBytes = %d", BlockBytes(4096, 2))
@@ -43,20 +46,20 @@ func TestAppendAllocatesLazily(t *testing.T) {
 	if err := m.Append(&q, 10); err != nil {
 		t.Fatal(err)
 	}
-	if m.UsedBlocks() != 1 || q.Len() != 10 {
-		t.Fatalf("after 10 tokens: used=%d len=%d", m.UsedBlocks(), q.Len())
+	if usedBlocks(m) != 1 || q.Len() != 10 {
+		t.Fatalf("after 10 tokens: used=%d len=%d", usedBlocks(m), q.Len())
 	}
 	if err := m.Append(&q, 6); err != nil { // fills block 0 exactly
 		t.Fatal(err)
 	}
-	if m.UsedBlocks() != 1 {
-		t.Fatalf("16 tokens should still use 1 block, used=%d", m.UsedBlocks())
+	if usedBlocks(m) != 1 {
+		t.Fatalf("16 tokens should still use 1 block, used=%d", usedBlocks(m))
 	}
 	if err := m.Append(&q, 1); err != nil {
 		t.Fatal(err)
 	}
-	if m.UsedBlocks() != 2 {
-		t.Fatalf("17th token should open block 2, used=%d", m.UsedBlocks())
+	if usedBlocks(m) != 2 {
+		t.Fatalf("17th token should open block 2, used=%d", usedBlocks(m))
 	}
 	if bt := q.Table(); len(bt) != 2 || bt[0] == bt[1] {
 		t.Fatalf("block table = %v", bt)
@@ -168,8 +171,8 @@ func TestReserveCommitIsPermanent(t *testing.T) {
 	}
 	m.Commit()
 	m.Rollback() // must be a no-op after Commit
-	if q.Len() != 20 || m.UsedBlocks() != 2 {
-		t.Fatalf("commit not permanent: len=%d used=%d", q.Len(), m.UsedBlocks())
+	if q.Len() != 20 || usedBlocks(m) != 2 {
+		t.Fatalf("commit not permanent: len=%d used=%d", q.Len(), usedBlocks(m))
 	}
 }
 

@@ -74,11 +74,6 @@ func Find(g *cfg.Graph, target ast.Node) (Pos, bool) {
 	return best, bestSpan >= 0
 }
 
-// Entry returns the position before the first node of the entry block.
-func Entry(g *cfg.Graph) Pos {
-	return Pos{Block: g.Entry, Index: -1}
-}
-
 // EscapesToExit reports whether some path starting just AFTER start
 // reaches the function exit without passing a ClassKill node.
 // A DeferStmt classified ClassKill counts as a kill immediately: the

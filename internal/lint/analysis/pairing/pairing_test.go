@@ -210,7 +210,7 @@ if cond() {
 	guard()
 }
 use()`)
-	uses := Unkilled(g, Entry(g), classifier("guard", "use"))
+	uses := Unkilled(g, Pos{Block: g.Entry, Index: -1}, classifier("guard", "use"))
 	if len(uses) != 0 {
 		t.Fatalf("got %d uses with guards on all paths, want 0", len(uses))
 	}
@@ -222,7 +222,7 @@ if cond() {
 	guard()
 }
 use()`)
-	uses := Unkilled(g, Entry(g), classifier("guard", "use"))
+	uses := Unkilled(g, Pos{Block: g.Entry, Index: -1}, classifier("guard", "use"))
 	if len(uses) != 1 {
 		t.Fatalf("got %d uses with guard on one branch, want 1", len(uses))
 	}

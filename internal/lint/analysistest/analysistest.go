@@ -91,6 +91,8 @@ func collectWants(t *testing.T, pkg *loader.Package) []*want {
 // Run loads testdata/src/<pkgname> relative to the calling test's
 // working directory, applies the analyzer through the production
 // runner, and diffs diagnostics against `// want` comments.
+//
+//medusalint:allow testonly(the analyzers' shared test harness; every analyzer's test calls it)
 func Run(t *testing.T, a *analysis.Analyzer, pkgname string) {
 	t.Helper()
 	cwd, err := os.Getwd()

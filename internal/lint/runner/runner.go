@@ -15,6 +15,8 @@ package runner
 import (
 	"fmt"
 	"go/token"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,6 +95,20 @@ func collectAllows(pkg *loader.Package) (map[allowKey]bool, []Finding) {
 		}
 	}
 	return allows, bad
+}
+
+// Filter drops the findings that a //medusalint:allow directive in
+// pkgs silences. Module-wide checks, which report outside Run, use it;
+// Run reports the malformed directives.
+func Filter(pkgs []*loader.Package, findings []Finding) []Finding {
+	allows := make(map[allowKey]bool)
+	for _, pkg := range pkgs {
+		a, _ := collectAllows(pkg)
+		maps.Copy(allows, a)
+	}
+	return slices.DeleteFunc(findings, func(f Finding) bool {
+		return allows[allowKey{f.Pos.Filename, f.Pos.Line, f.Analyzer}]
+	})
 }
 
 // Run applies every analyzer to every package and returns the findings

@@ -59,11 +59,10 @@ func Analyze(rec *Recorder, proc *cuda.Process, opts AnalyzeOptions) (*Artifact,
 		return nil, err
 	}
 	art := &Artifact{
-		FormatVersion: CurrentFormatVersion,
-		ModelName:     opts.ModelName,
-		PrefixLen:     rec.captureStageBegin,
-		Kernels:       make(map[string]KernelLoc),
-		KV:            rec.kv,
+		ModelName: opts.ModelName,
+		PrefixLen: rec.captureStageBegin,
+		Kernels:   make(map[string]KernelLoc),
+		KV:        rec.kv,
 	}
 
 	// Materialize the (de)allocation sequence up to the capture stage

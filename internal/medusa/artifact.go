@@ -59,10 +59,6 @@ type ParamRecord struct {
 	Pointer bool
 }
 
-// Raw returns the parameter image, Image[:Size]. The slice aliases the
-// record, and its capacity ends at Size, so appending to it copies.
-func (p *ParamRecord) Raw() []byte { return p.Image[:p.Size:p.Size] }
-
 // NodeRecord is one materialized CUDA graph node.
 type NodeRecord struct {
 	// KernelName is the kernel's mangled name — the stable identity
@@ -109,8 +105,6 @@ type PermRecord struct {
 // combination. It is built once offline and restored on every cold
 // start.
 type Artifact struct {
-	// FormatVersion guards the wire encoding.
-	FormatVersion uint32
 	// ModelName identifies the model.
 	ModelName string
 	// AllocSeq is the buffer (de)allocation sequence of the offline
@@ -134,31 +128,17 @@ type Artifact struct {
 }
 
 // CurrentFormatVersion is the self-contained artifact wire version
-// this build writes (Encode). v2 added the per-section checksum
-// trailer that lets the decoder name the first damaged section of a
-// corrupt artifact (see wire.go). Decode also accepts v1 (no trailer;
-// re-encodes as v2) and, through DecodeResolved, the v3 template+delta
-// container. docs/ARTIFACT_FORMAT.md is the normative spec.
+// Encode writes: six body sections and a per-section checksum trailer
+// that lets the decoder name the first damaged section of a corrupt
+// artifact (see wire.go). DecodeResolved also reads the v3
+// template+delta container. docs/ARTIFACT_FORMAT.md is the normative
+// spec.
 const CurrentFormatVersion = 2
 
 // DeltaFormatVersion is the v3 template+delta container version
 // written by EncodeDelta: section payloads are delta-encoded against a
 // shared per-architecture Template referenced by ID and body CRC.
 const DeltaFormatVersion = 3
-
-// legacyFormatVersion is the original trailer-less encoding, kept
-// decodable for old registries; decoded artifacts normalize to v2.
-const legacyFormatVersion = 1
-
-// Graph returns the record for a batch size.
-func (a *Artifact) Graph(batch int) (*GraphRecord, bool) {
-	for i := range a.Graphs {
-		if a.Graphs[i].Batch == batch {
-			return &a.Graphs[i], true
-		}
-	}
-	return nil, false
-}
 
 // Batches returns the materialized batch sizes in artifact order.
 func (a *Artifact) Batches() []int {

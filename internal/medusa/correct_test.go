@@ -15,11 +15,10 @@ func artifactWithGroups() *Artifact {
 		return ParamRecord{Image: [8]byte{0, 0, 0, 0, 0, 0x40, 0x7f, 0}, Size: 8, Pointer: true, AllocIndex: 0}
 	}
 	return &Artifact{
-		FormatVersion: CurrentFormatVersion,
-		ModelName:     "synthetic",
-		AllocCount:    1,
-		AllocSeq:      []AllocRecord{{AllocIndex: 0, Size: 4096}},
-		PrefixLen:     1,
+		ModelName:  "synthetic",
+		AllocCount: 1,
+		AllocSeq:   []AllocRecord{{AllocIndex: 0, Size: 4096}},
+		PrefixLen:  1,
 		Graphs: []GraphRecord{
 			{Batch: 1, Nodes: []NodeRecord{
 				{KernelName: "alpha", Params: []ParamRecord{mkPtr(), {Image: [8]byte{1}, Size: 4}}},
@@ -170,7 +169,7 @@ func TestDecodeRejectsBadDeps(t *testing.T) {
 		a := artifactWithGroups()
 		a.Graphs[0].Nodes[1].Deps = []int32{0, dep}
 		// Encode itself would refuse the artifact.
-		raw := seal(a.appendBody(make([]byte, envelopeLen), true), wireMagic, CurrentFormatVersion)
+		raw := seal(a.appendBody(make([]byte, envelopeLen)), wireMagic, CurrentFormatVersion)
 		_, err := Decode(raw)
 		want := fmt.Sprintf("graph 1 node 1 has dangling dep %d", dep)
 		if err == nil || !strings.Contains(err.Error(), want) {

@@ -104,3 +104,10 @@ func (r *Restorer) buildNodesEager(g *GraphRecord) ([]*cuda.Node, error) {
 	}
 	return nodes, nil
 }
+
+// Raw returns the parameter image, Image[:Size]. The slice aliases the
+// record, and its capacity ends at Size, so appending to it copies.
+func (p *ParamRecord) Raw() []byte { return p.Image[:p.Size:p.Size] }
+
+// BodyCRC returns the checksum v3 artifacts pin their template by.
+func (t *Template) BodyCRC() uint32 { return t.bodyCRC }

@@ -2,6 +2,7 @@ package medusa
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -19,11 +20,10 @@ import (
 func FuzzDecode(f *testing.F) {
 	// Seed with a small hand-built artifact and corruptions of it.
 	art := &Artifact{
-		FormatVersion: CurrentFormatVersion,
-		ModelName:     "fuzz",
-		AllocCount:    1,
-		AllocSeq:      []AllocRecord{{AllocIndex: 0, Size: 64, Label: "weights"}},
-		PrefixLen:     1,
+		ModelName:  "fuzz",
+		AllocCount: 1,
+		AllocSeq:   []AllocRecord{{AllocIndex: 0, Size: 64, Label: "weights"}},
+		PrefixLen:  1,
 		Graphs: []GraphRecord{{Batch: 1, Nodes: []NodeRecord{{
 			KernelName: "k",
 			Params: []ParamRecord{
@@ -163,10 +163,9 @@ func TestDecodeImageWidths(t *testing.T) {
 // input space (not just what byte-level mutation of one seed reaches).
 func buildFuzzArtifact(rng *rand.Rand, nAlloc, nGraphs, nKernels int, omitContents bool) *Artifact {
 	a := &Artifact{
-		FormatVersion: CurrentFormatVersion,
-		ModelName:     fmt.Sprintf("fuzz-%x", rng.Int63()),
-		AllocCount:    nAlloc,
-		Kernels:       make(map[string]KernelLoc),
+		ModelName:  fmt.Sprintf("fuzz-%x", rng.Int63()),
+		AllocCount: nAlloc,
+		Kernels:    make(map[string]KernelLoc),
 	}
 	for i := 0; i < nAlloc; i++ {
 		label := ""
@@ -457,7 +456,7 @@ func FuzzDecodeResolved(f *testing.F) {
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
-		if _, _, v3 := TemplateRef(data); v3 {
+		if binary.LittleEndian.Uint32(data[4:8]) == DeltaFormatVersion {
 			re, err := a.EncodeDelta(tmpl)
 			if err != nil {
 				t.Fatalf("decoded artifact fails to delta-encode: %v", err)

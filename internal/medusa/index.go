@@ -1,9 +1,6 @@
 package medusa
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // The linear walkers in analyze.go (backwardMatch, firstMatch) and the
 // live-span scan in indirect.go are O(events) per query; the analysis
@@ -11,17 +8,16 @@ import (
 // offline phase O(launches × params × events) — the dominant wall-clock
 // cost at Table-1 scale (139,364 nodes). TraceIndex precomputes, from
 // the recorder's event stream, a per-address-range index of allocation
-// live intervals so every query becomes two binary searches. The linear
+// event positions so every query becomes two binary searches. The linear
 // walkers are kept as reference oracles; the property tests in
 // index_test.go assert exact agreement on randomized and crafted
 // address-reuse traces.
 
-// ixAlloc is one allocation's live interval in event-position space,
-// plus its (transient) address range.
+// ixAlloc is one allocation's event position and (transient) address
+// range.
 type ixAlloc struct {
 	allocIndex int
 	pos        int // event position of the allocation
-	freePos    int // event position of its free; math.MaxInt if never freed
 	addr       uint64
 	size       uint64
 }
@@ -42,19 +38,13 @@ type TraceIndex struct {
 // newTraceIndex indexes the given event stream.
 func newTraceIndex(events []event) *TraceIndex {
 	ix := &TraceIndex{}
-	slotOf := make(map[int]int32) // allocIndex -> slot
 	for pos, ev := range events {
 		if ev.free {
-			if slot, ok := slotOf[ev.allocIndex]; ok {
-				ix.allocs[slot].freePos = pos
-			}
 			continue
 		}
-		slotOf[ev.allocIndex] = int32(len(ix.allocs))
 		ix.allocs = append(ix.allocs, ixAlloc{
 			allocIndex: ev.allocIndex,
 			pos:        pos,
-			freePos:    math.MaxInt,
 			addr:       ev.addr,
 			size:       ev.size,
 		})
@@ -127,24 +117,6 @@ func (ix *TraceIndex) FirstMatch(p uint64) (allocIndex int, offset uint64, ok bo
 	}
 	a := &ix.allocs[seg[0]]
 	return a.allocIndex, p - a.addr, true
-}
-
-// LocateLive returns the allocation containing p that is live at
-// eventPos (allocated before it, not yet freed). At any instant live
-// ranges are disjoint, so the nearest preceding allocation containing p
-// is the only candidate: if it was already freed, no live allocation
-// contains p.
-func (ix *TraceIndex) LocateLive(eventPos int, p uint64) (allocIndex int, ok bool) {
-	seg := ix.segment(p)
-	i := sort.Search(len(seg), func(i int) bool { return ix.allocs[seg[i]].pos >= eventPos }) - 1
-	if i < 0 {
-		return 0, false
-	}
-	a := &ix.allocs[seg[i]]
-	if a.freePos < eventPos {
-		return 0, false
-	}
-	return a.allocIndex, true
 }
 
 // Index returns the interval index over the recorder's current event

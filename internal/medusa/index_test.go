@@ -10,36 +10,12 @@ import (
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
-// linearLocateLive is the reference oracle for TraceIndex.LocateLive:
-// the allocation containing p among those live at eventPos, found by a
-// full replay of the event prefix (the pre-index implementation of
-// ScanIndirectPointers' locate).
-func linearLocateLive(events []event, eventPos int, p uint64) (int, bool) {
-	type span struct{ addr, size uint64 }
-	freed := make(map[int]bool)
-	spans := make(map[int]span)
-	for _, ev := range events[:eventPos] {
-		if ev.free {
-			freed[ev.allocIndex] = true
-			continue
-		}
-		freed[ev.allocIndex] = false
-		spans[ev.allocIndex] = span{addr: ev.addr, size: ev.size}
-	}
-	for idx, sp := range spans {
-		if !freed[idx] && p >= sp.addr && p < sp.addr+sp.size {
-			return idx, true
-		}
-	}
-	return 0, false
-}
-
 // TestIndexMatchesLinearOracles is the property test: on randomized
 // alloc/free traces with heavy address reuse (freed ranges carved into
 // smaller re-allocations, the allocator behaviour behind Figure 6), the
 // indexed matcher must return identical (allocIndex, offset, ok) to the
 // linear backwardMatch/firstMatch oracles for every probe address and
-// event position, and LocateLive must agree with a full liveness replay.
+// event position.
 func TestIndexMatchesLinearOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const base = uint64(0x7f40_0000_0000)
@@ -119,12 +95,6 @@ func TestIndexMatchesLinearOracles(t *testing.T) {
 				t.Fatalf("trial %d: FirstMatch(%#x) = (%d,%d,%v), oracle (%d,%d,%v)",
 					trial, p, fi, fOff, fOK, li, lOff, lOK)
 			}
-			ii, iOK := ix.LocateLive(pos, p)
-			oi, oOK := linearLocateLive(rec.events, pos, p)
-			if ii != oi || iOK != oOK {
-				t.Fatalf("trial %d: LocateLive(%d, %#x) = (%d,%v), oracle (%d,%v)",
-					trial, pos, p, ii, iOK, oi, oOK)
-			}
 		}
 	}
 }
@@ -160,16 +130,6 @@ func TestIndexResolvesAddressReuse(t *testing.T) {
 	// positive validation forwarding exists to catch).
 	if idx, _, ok := ix.FirstMatch(x + 8); !ok || idx != 0 {
 		t.Fatalf("FirstMatch = (%d,_,%v), want (0,true)", idx, ok)
-	}
-	// Liveness: at position 5 only allocation 2 is live; x+4 is dead space.
-	if idx, ok := ix.LocateLive(5, x+8); !ok || idx != 2 {
-		t.Fatalf("LocateLive(5, x+8) = (%d,%v), want (2,true)", idx, ok)
-	}
-	if _, ok := ix.LocateLive(5, x+4); ok {
-		t.Fatal("LocateLive(5, x+4) found a live allocation in freed space")
-	}
-	if _, ok := ix.LocateLive(2, x); ok {
-		t.Fatal("LocateLive(2, x) found allocation 0 after its free")
 	}
 }
 

@@ -37,8 +37,8 @@ func handRestore(t *testing.T, art *medusa.Artifact, mode gpu.ExecMode,
 		t.Fatal(err)
 	}
 	trigger := func(batch int) error {
-		g, _ := art.Graph(batch)
-		for _, n := range g.Nodes {
+		gi := slices.IndexFunc(art.Graphs, func(g medusa.GraphRecord) bool { return g.Batch == batch })
+		for _, n := range art.Graphs[gi].Nodes {
 			loc := art.Kernels[n.KernelName]
 			if _, loaded := p.KernelByName(n.KernelName); loaded || loc.Exported {
 				continue
@@ -97,8 +97,9 @@ func TestLazyRestoreMatchesEager(t *testing.T) {
 						if p.Size != 8 {
 							continue
 						}
-						if buf, _, ok := ep.Device().FindBuffer(binary.LittleEndian.Uint64(p.Image[:])); ok {
-							buffers = append(buffers, buf.Addr())
+						ptr := binary.LittleEndian.Uint64(p.Image[:])
+						if _, off, ok := ep.Device().FindBuffer(ptr); ok {
+							buffers = append(buffers, ptr-off)
 						}
 					}
 				}
@@ -160,10 +161,11 @@ func primeBuffers(t *testing.T, p *cuda.Process, addrs []uint64) {
 	t.Helper()
 	for _, addr := range addrs {
 		buf, _, _ := p.Device().FindBuffer(addr)
-		if slices.ContainsFunc(contents(t, p, addr), func(b byte) bool { return b != 0 }) {
+		c := contents(t, p, addr)
+		if slices.ContainsFunc(c, func(b byte) bool { return b != 0 }) {
 			continue
 		}
-		for i := 0; i < int(buf.Size()/4); i++ {
+		for i := 0; i < len(c)/4; i++ {
 			if err := buf.SetUint32(i, 1); err != nil {
 				t.Fatal(err)
 			}

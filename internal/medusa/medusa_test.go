@@ -2,6 +2,8 @@ package medusa
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -34,7 +36,7 @@ func toyRuntime() *cuda.Runtime {
 			}
 			out := make([]float32, n)
 			for i := range out {
-				out[i] = v[i] * a[2].F32()
+				out[i] = v[i] * math.Float32frombits(uint32(a[2].Bits))
 			}
 			return dst.SetFloat32s(int(dOff/4), out)
 		},
@@ -68,7 +70,7 @@ func toyRuntime() *cuda.Runtime {
 			for _, x := range v {
 				sum += x
 			}
-			return dst.SetFloat32(int(dOff/4), sum)
+			return dst.SetFloat32s(int(dOff/4), []float32{sum})
 		},
 	})
 	// A hidden sibling to make module enumeration non-trivial.
@@ -292,8 +294,11 @@ func clearBuffer(t *testing.T, p *cuda.Process, addr uint64) {
 	if !ok {
 		t.Fatalf("clearBuffer: no buffer at %#x", addr)
 	}
-	zero := make([]byte, b.Size())
-	if err := b.WriteAt(0, zero); err != nil {
+	snap, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WriteAt(0, make([]byte, len(snap))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -382,6 +387,19 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Decode(raw[:len(raw)-3]); err == nil {
 		t.Fatal("Decode accepted torn artifact")
+	}
+	// A v1 container (the six body sections, no checksum trailer) and
+	// unknown versions fail on the version alone.
+	v1 := make([]byte, envelopeLen)
+	for i := range numBodySections {
+		v1 = art.appendSection(v1, i)
+	}
+	for _, v := range []uint32{0, 1, 9} {
+		_, err := Decode(seal(v1, wireMagic, v))
+		want := fmt.Sprintf("artifact format v%d not supported (reads v2 and v3)", v)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("format v%d: Decode error = %v, want %q", v, err, want)
+		}
 	}
 }
 
@@ -602,7 +620,7 @@ func TestRestorerDetectsControlFlowDivergence(t *testing.T) {
 	if _, err := p.Malloc(bufBytes + 64); err != nil {
 		t.Fatal(err)
 	}
-	if rest.Err() == nil {
+	if rest.verifyErr == nil {
 		t.Fatal("size divergence undetected")
 	}
 	if err := rest.ReplayPrefix(); err == nil || !strings.Contains(err.Error(), "size") {
@@ -679,12 +697,6 @@ func TestArtifactAccessors(t *testing.T) {
 	if b := art.Batches(); len(b) != 1 || b[0] != 1 {
 		t.Fatalf("Batches = %v", b)
 	}
-	if _, ok := art.Graph(1); !ok {
-		t.Fatal("Graph(1) missing")
-	}
-	if _, ok := art.Graph(2); ok {
-		t.Fatal("Graph(2) present")
-	}
 	if idx, ok := art.LabelIndex("weights"); !ok || idx != 0 {
 		t.Fatalf("LabelIndex(weights) = %d, %v", idx, ok)
 	}
@@ -701,13 +713,12 @@ func TestReplayOutOfMemory(t *testing.T) {
 	// An artifact demanding more device memory than exists must fail
 	// replay with the allocator's error, not corrupt state.
 	art := &Artifact{
-		FormatVersion: CurrentFormatVersion,
-		ModelName:     "oom",
-		AllocCount:    1,
-		AllocSeq:      []AllocRecord{{AllocIndex: 0, Size: 1 << 60}},
-		PrefixLen:     1,
-		Kernels:       map[string]KernelLoc{},
-		KV:            KVRecord{NumBlocks: 1, BlockBytes: 1},
+		ModelName:  "oom",
+		AllocCount: 1,
+		AllocSeq:   []AllocRecord{{AllocIndex: 0, Size: 1 << 60}},
+		PrefixLen:  1,
+		Kernels:    map[string]KernelLoc{},
+		KV:         KVRecord{NumBlocks: 1, BlockBytes: 1},
 	}
 	p := cuda.NewProcess(toyRuntime(), vclock.New(), cuda.Config{Seed: 1, Mode: gpu.Functional})
 	rest, err := NewRestorer(p, art)
@@ -727,15 +738,15 @@ func TestRestorerPositionTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rest.Position() != 0 {
-		t.Fatalf("initial position = %d", rest.Position())
+	if rest.cursor != 0 {
+		t.Fatalf("initial position = %d", rest.cursor)
 	}
 	mustMalloc(t, p, bufBytes)
-	if rest.Position() != 1 {
-		t.Fatalf("position after one natural alloc = %d", rest.Position())
+	if rest.cursor != 1 {
+		t.Fatalf("position after one natural alloc = %d", rest.cursor)
 	}
-	if rest.Err() != nil {
-		t.Fatalf("unexpected verify error: %v", rest.Err())
+	if rest.verifyErr != nil {
+		t.Fatalf("unexpected verify error: %v", rest.verifyErr)
 	}
 	// AddrOfLabel before the relevant replay: unknown.
 	if _, ok := rest.AddrOfLabel("io.dst"); ok {

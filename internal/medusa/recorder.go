@@ -158,9 +158,6 @@ func (r *Recorder) RecordKV(kv KVRecord) {
 	r.kvSet = true
 }
 
-// GraphCount reports attached graphs.
-func (r *Recorder) GraphCount() int { return len(r.graphs) }
-
 // check verifies the recorder is in an analyzable state.
 func (r *Recorder) check() error {
 	if r.broken != nil {

@@ -85,13 +85,6 @@ func (r *Restorer) onAlloc(ev cuda.AllocEvent) {
 	r.cursor++
 }
 
-// Err surfaces any divergence detected so far.
-func (r *Restorer) Err() error { return r.verifyErr }
-
-// Position reports how many events of the materialized sequence have
-// been consumed.
-func (r *Restorer) Position() int { return r.cursor }
-
 // replayThrough issues Malloc/Free for artifact events [cursor, end):
 // the §4.2 replay of stages the online control flow skips (profiling
 // forwarding, capture-time temporaries and permanents).

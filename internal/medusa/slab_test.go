@@ -176,8 +176,8 @@ func TestEmptyParamImageDecodesNonNil(t *testing.T) {
 		}}}},
 		Kernels: map[string]KernelLoc{"k": {Library: "lib.so"}},
 	}
-	body := a.appendBody(nil, true)
-	back, _, _, err := parseBody(body, true)
+	body := a.appendBody(nil)
+	back, _, _, err := parseBody(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestEmptyParamImageDecodesNonNil(t *testing.T) {
 	if !bytes.Equal(params[1].Raw(), []byte{1, 2, 3, 4}) {
 		t.Fatalf("image 1 decoded as %v", params[1].Raw())
 	}
-	if !bytes.Equal(back.appendBody(nil, true), body) {
+	if !bytes.Equal(back.appendBody(nil), body) {
 		t.Fatal("re-encoding the decoded empty images changed the bytes")
 	}
 	checkGraphSlabsIsolated(t, "decoded with empty images", &back.Graphs[0])

@@ -119,26 +119,10 @@ func BuildTemplate(id string, a *Artifact) (*Template, error) {
 // ID returns the template's registry identity.
 func (t *Template) ID() string { return t.id }
 
-// BodyCRC returns the checksum v3 artifacts pin their template by.
-func (t *Template) BodyCRC() uint32 { return t.bodyCRC }
-
 // Encode serializes the template. The encoding is canonical: for any
 // template, Encode∘DecodeTemplate∘Encode is a byte-level fixed point.
 func (t *Template) Encode() []byte {
 	return append([]byte(nil), t.encoded...)
-}
-
-// SectionSizes attributes the template's encoded size to wire
-// sections, mirroring Artifact.SectionSizes (the graphs entry covers
-// the single canonical graph body).
-func (t *Template) SectionSizes() []Section {
-	out := []Section{{Name: "envelope", Bytes: 16}}
-	idLen := uint64(4 + len(t.id) + 1) // str + sectionCount byte
-	out = append(out, Section{Name: "template_id", Bytes: idLen})
-	for i, s := range t.sections {
-		out = append(out, Section{Name: bodySectionNames[i], Bytes: uint64(4 + len(s))})
-	}
-	return out
 }
 
 // DecodeTemplate parses a template object, verifying magic, version
@@ -577,24 +561,4 @@ func (r *wireReader) exact(section string, gi int) error {
 		detail = fmt.Sprintf("graph %d: %s", gi, detail)
 	}
 	return &faults.ArtifactCorruptError{Section: section, Detail: detail}
-}
-
-// TemplateRef peeks a v3 container's template reference without
-// decoding it: the template ID and the pinned template body CRC.
-// ok is false for self-contained (v1/v2) artifacts and anything
-// structurally unreadable — callers then need no template.
-func TemplateRef(p []byte) (id string, bodyCRC uint32, ok bool) {
-	if len(p) < 16 || !bytes.Equal(p[:4], wireMagic[:]) {
-		return "", 0, false
-	}
-	if binary.LittleEndian.Uint32(p[4:8]) != DeltaFormatVersion {
-		return "", 0, false
-	}
-	r := &wireReader{p: p[16:]}
-	id = r.str("template id")
-	bodyCRC = r.u32()
-	if r.err != nil {
-		return "", 0, false
-	}
-	return id, bodyCRC, true
 }

@@ -105,15 +105,6 @@ func TestTemplateRoundTrip(t *testing.T) {
 		t.Fatal("v3 encode→decode→encode is not a fixed point")
 	}
 
-	// TemplateRef peeks without resolving.
-	id, crc, ok := TemplateRefOf(deltaWire)
-	if !ok || id != tmpl.ID() || crc != tmpl.BodyCRC() {
-		t.Fatalf("TemplateRef = %q/%#x/%v, want %q/%#x/true", id, crc, ok, tmpl.ID(), tmpl.BodyCRC())
-	}
-	if _, _, ok := TemplateRefOf(wantV2); ok {
-		t.Fatal("TemplateRef claimed a v2 artifact references a template")
-	}
-
 	// Self-delta: a template built from the same artifact shrinks it
 	// the most.
 	selfTmpl, err := medusa.BuildTemplate("medusa/templates/self", other)
@@ -129,9 +120,6 @@ func TestTemplateRoundTrip(t *testing.T) {
 			len(selfDelta), len(deltaWire))
 	}
 }
-
-// TemplateRefOf adapts medusa.TemplateRef for tests.
-func TemplateRefOf(p []byte) (string, uint32, bool) { return medusa.TemplateRef(p) }
 
 func TestTemplateTypedErrors(t *testing.T) {
 	art := offlineArtifact(t, "Qwen1.5-0.5B")
@@ -347,37 +335,6 @@ func TestDeltaSectionSizesSum(t *testing.T) {
 	}
 	if sum != uint64(len(wire)) {
 		t.Fatalf("DeltaSectionSizes sum %d != wire length %d", sum, len(wire))
-	}
-	tSecs := tmpl.SectionSizes()
-	sum = 0
-	for _, s := range tSecs {
-		sum += s.Bytes
-	}
-	if sum != uint64(len(tmpl.Encode())) {
-		t.Fatalf("Template.SectionSizes sum %d != encoded length %d", sum, len(tmpl.Encode()))
-	}
-}
-
-func TestLegacyV1Decodes(t *testing.T) {
-	art := offlineArtifact(t, "Qwen1.5-0.5B")
-	v2, err := art.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := medusa.EncodeLegacyV1(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := medusa.Decode(v1)
-	if err != nil {
-		t.Fatalf("Decode(v1): %v", err)
-	}
-	reEnc, err := back.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reEnc, v2) {
-		t.Fatal("v1 decode does not normalize to the v2 encoding")
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 //
 //	"MDSA" | u32 version | u32 bodyLen | u32 crc32(body) | body
 //
-// For the self-contained versions (v1, v2) the body is a flat
-// little-endian encoding of the artifact's six sections, followed in
-// v2 by a checksum trailer:
+// For the self-contained version (v2) the body is a flat little-endian
+// encoding of the artifact's six sections, followed by a checksum
+// trailer:
 //
 //	header | alloc_seq | graphs | kernel_table | permanent | kv_record
 //	| u8 sectionCount | sectionCount × u32 crc32(section)
@@ -27,10 +27,10 @@ import (
 //
 // The envelope CRC guards against torn or corrupted artifact files:
 // restoring from a damaged artifact must fail loudly, never silently
-// build wrong graphs. The per-section trailer (new in v2) lets the
-// decoder name the first damaged section, so a corrupt restore
-// surfaces a *faults.ArtifactCorruptError pinpointing what was lost
-// rather than an opaque checksum failure.
+// build wrong graphs. The per-section trailer lets the decoder name
+// the first damaged section, so a corrupt restore surfaces a
+// *faults.ArtifactCorruptError pinpointing what was lost rather than
+// an opaque checksum failure.
 var wireMagic = [4]byte{'M', 'D', 'S', 'A'}
 
 // Body section indices, in wire order; numBodySections is the fixed
@@ -391,17 +391,14 @@ func appendGraph(b []byte, g *GraphRecord) []byte {
 	return b
 }
 
-// appendBody appends the six body sections and, with trailer (v2), the
-// per-section checksum trailer.
-func (a *Artifact) appendBody(b []byte, trailer bool) []byte {
+// appendBody appends the six body sections and the per-section
+// checksum trailer.
+func (a *Artifact) appendBody(b []byte) []byte {
 	var crcs [numBodySections]uint32
 	for i := range crcs {
 		start := len(b)
 		b = a.appendSection(b, i)
 		crcs[i] = crc32.ChecksumIEEE(b[start:])
-	}
-	if !trailer {
-		return b
 	}
 	b = append(b, numBodySections)
 	for _, c := range crcs {
@@ -433,33 +430,34 @@ func (a *Artifact) SectionSizes() ([]Section, error) {
 	return append(out, Section{Name: "section_crcs", Bytes: trailerLen}), nil
 }
 
-// Encode serializes the artifact into one buffer of exactly its
-// encoded length.
-func (a *Artifact) Encode() ([]byte, error) { return a.encode(a.FormatVersion, true) }
-
-// EncodeLegacyV1 serializes the artifact in the original trailer-less
-// v1 layout. Kept (and exercised by the cross-version tests and
-// fuzzers) so registries written before the v2 per-section trailer
-// remain readable; new artifacts always encode as v2 or v3.
-func EncodeLegacyV1(a *Artifact) ([]byte, error) { return a.encode(legacyFormatVersion, false) }
-
-func (a *Artifact) encode(version uint32, trailer bool) ([]byte, error) {
+// Encode serializes the artifact as a self-contained v2 artifact
+// (CurrentFormatVersion) into one buffer of exactly its encoded length.
+func (a *Artifact) Encode() ([]byte, error) {
 	if err := a.validate(); err != nil {
 		return nil, fmt.Errorf("medusa: refusing to encode inconsistent artifact: %w", err)
 	}
-	n := envelopeLen
+	n := envelopeLen + trailerLen
 	for i := range numBodySections {
 		n += a.sectionLen(i)
 	}
-	if trailer {
-		n += trailerLen
-	}
 	b := make([]byte, envelopeLen, n)
-	return seal(a.appendBody(b, trailer), wireMagic, version), nil
+	return seal(a.appendBody(b), wireMagic, CurrentFormatVersion), nil
 }
 
-// Decode parses a self-contained (v1 or v2) artifact, verifying magic,
-// version, the envelope checksum, and (v2) every per-section checksum.
+// EnvelopeVersion returns the format version that an encoded
+// artifact's envelope declares, after checking its length and magic.
+func EnvelopeVersion(p []byte) (uint32, error) {
+	if len(p) < envelopeLen {
+		return 0, fmt.Errorf("medusa: artifact of %d bytes is shorter than its header", len(p))
+	}
+	if !bytes.Equal(p[:4], wireMagic[:]) {
+		return 0, fmt.Errorf("medusa: bad artifact magic %q", p[:4])
+	}
+	return binary.LittleEndian.Uint32(p[4:8]), nil
+}
+
+// Decode parses a self-contained (v2) artifact, verifying magic,
+// version, the envelope checksum, and every per-section checksum.
 // Checksum failures return a *faults.ArtifactCorruptError naming the
 // first damaged section (best effort — "body" when the damage prevents
 // even locating sections); structural failures (truncation, limit
@@ -472,25 +470,21 @@ func Decode(p []byte) (*Artifact, error) {
 	return DecodeResolved(p, nil)
 }
 
-// DecodeResolved parses an artifact of any supported wire version,
-// resolving v3 template references through resolve. Decoded artifacts
-// are normalized to the current self-contained version: re-encoding
-// with Encode always writes v2, and re-encoding with EncodeDelta
-// against the same template reproduces the v3 bytes exactly. A nil
-// resolver decodes v1/v2 only (v3 surfaces the typed missing-template
-// error). Like Decode, it never panics.
+// DecodeResolved parses a v2 or v3 artifact, resolving v3 template
+// references through resolve. Re-encoding a decoded artifact with
+// Encode always writes v2, and re-encoding with EncodeDelta against
+// the same template reproduces the v3 bytes exactly. A nil resolver
+// decodes v2 only (v3 surfaces the typed missing-template error). Like
+// Decode, it never panics.
 func DecodeResolved(p []byte, resolve TemplateResolver) (*Artifact, error) {
-	if len(p) < 16 {
-		return nil, fmt.Errorf("medusa: artifact of %d bytes is shorter than its header", len(p))
+	version, err := EnvelopeVersion(p)
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(p[:4], wireMagic[:]) {
-		return nil, fmt.Errorf("medusa: bad artifact magic %q", p[:4])
-	}
-	version := binary.LittleEndian.Uint32(p[4:8])
 	switch version {
-	case legacyFormatVersion, CurrentFormatVersion, DeltaFormatVersion:
+	case CurrentFormatVersion, DeltaFormatVersion:
 	default:
-		return nil, fmt.Errorf("medusa: artifact format v%d not supported (≤ v%d)", version, DeltaFormatVersion)
+		return nil, fmt.Errorf("medusa: artifact format v%d not supported (reads v%d and v%d)", version, CurrentFormatVersion, DeltaFormatVersion)
 	}
 	bodyLen := binary.LittleEndian.Uint32(p[8:12])
 	wantCRC := binary.LittleEndian.Uint32(p[12:16])
@@ -503,23 +497,21 @@ func DecodeResolved(p []byte, resolve TemplateResolver) (*Artifact, error) {
 		if version == DeltaFormatVersion {
 			return nil, corruptDeltaError(body, detail)
 		}
-		return nil, corruptError(body, version == CurrentFormatVersion, detail)
+		return nil, corruptError(body, detail)
 	}
 	if version == DeltaFormatVersion {
 		return decodeDeltaBody(body, resolve)
 	}
 
-	a, ends, crcs, err := parseBody(body, version == CurrentFormatVersion)
+	a, ends, crcs, err := parseBody(body)
 	if err != nil {
 		return nil, err
 	}
-	if version == CurrentFormatVersion {
-		if section, ok := verifySectionCRCs(body, ends, crcs); !ok {
-			return nil, &faults.ArtifactCorruptError{
-				Key:     a.ModelName,
-				Section: section,
-				Detail:  "section checksum mismatch",
-			}
+	if section, ok := verifySectionCRCs(body, ends, crcs); !ok {
+		return nil, &faults.ArtifactCorruptError{
+			Key:     a.ModelName,
+			Section: section,
+			Detail:  "section checksum mismatch",
 		}
 	}
 	if err := a.validate(); err != nil {
@@ -528,19 +520,16 @@ func DecodeResolved(p []byte, resolve TemplateResolver) (*Artifact, error) {
 	return a, nil
 }
 
-// corruptError builds the ArtifactCorruptError for a v1/v2 body that
+// corruptError builds the ArtifactCorruptError for a v2 body that
 // failed the envelope checksum, localizing the damage to the first
 // section whose trailer CRC mismatches when the body is still
-// structurally parseable (v2 only — v1 has no trailer), and falling
-// back to "body" when it is not.
-func corruptError(body []byte, trailer bool, detail string) error {
+// structurally parseable, and falling back to "body" when it is not.
+func corruptError(body []byte, detail string) error {
 	section, key := "body", ""
-	if a, ends, crcs, err := parseBody(body, trailer); err == nil {
+	if a, ends, crcs, err := parseBody(body); err == nil {
 		key = a.ModelName
-		if trailer {
-			if bad, ok := verifySectionCRCs(body, ends, crcs); !ok {
-				section = bad
-			}
+		if bad, ok := verifySectionCRCs(body, ends, crcs); !ok {
+			section = bad
 		}
 	}
 	return &faults.ArtifactCorruptError{Key: key, Section: section, Detail: detail}
@@ -559,12 +548,11 @@ func verifySectionCRCs(body []byte, ends [numBodySections]int, crcs [numBodySect
 	return "", true
 }
 
-// parseBody decodes the six body sections and, when trailer is set
-// (v2), the checksum trailer — returning the artifact, each section's
-// end offset, and the trailer's stored checksums. It performs no
-// checksum verification and no semantic validation — Decode layers
-// those on top.
-func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [numBodySections]uint32, error) {
+// parseBody decodes the six body sections and the checksum trailer —
+// returning the artifact, each section's end offset, and the trailer's
+// stored checksums. It performs no checksum verification and no
+// semantic validation — Decode layers those on top.
+func parseBody(body []byte) (*Artifact, [numBodySections]int, [numBodySections]uint32, error) {
 	var ends [numBodySections]int
 	var crcs [numBodySections]uint32
 	r := &wireReader{p: body}
@@ -574,13 +562,11 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 		a.parseSection(r, i, names)
 		ends[i] = r.off
 	}
-	if trailer {
-		if n := r.u8(); n != numBodySections && r.err == nil {
-			r.fail("checksum trailer lists %d sections, want %d", n, numBodySections)
-		}
-		for i := range crcs {
-			crcs[i] = r.u32()
-		}
+	if n := r.u8(); n != numBodySections && r.err == nil {
+		r.fail("checksum trailer lists %d sections, want %d", n, numBodySections)
+	}
+	for i := range crcs {
+		crcs[i] = r.u32()
 	}
 
 	if r.err != nil {
@@ -592,10 +578,9 @@ func parseBody(body []byte, trailer bool) (*Artifact, [numBodySections]int, [num
 	return a, ends, crcs, nil
 }
 
-// newDecodedArtifact returns the empty artifact the parse steps fill:
-// decoding normalizes every input version to the current one.
+// newDecodedArtifact returns the empty artifact the parse steps fill.
 func newDecodedArtifact() *Artifact {
-	return &Artifact{FormatVersion: CurrentFormatVersion, Kernels: make(map[string]KernelLoc)}
+	return &Artifact{Kernels: make(map[string]KernelLoc)}
 }
 
 // parseSection decodes body section i from r into a, the inverse of

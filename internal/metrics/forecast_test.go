@@ -6,52 +6,6 @@ import (
 	"time"
 )
 
-// TestEWMAClosedForm checks the smoother against the recurrence
-// computed by hand: l₀ = x₀, lₙ = α·xₙ + (1−α)·lₙ₋₁.
-func TestEWMAClosedForm(t *testing.T) {
-	const alpha = 0.25
-	e, err := NewEWMA(alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := []float64{4, 8, 2, 10, 6}
-	want := xs[0]
-	e.Observe(xs[0])
-	for _, x := range xs[1:] {
-		e.Observe(x)
-		want = alpha*x + (1-alpha)*want
-		if got := e.Level(); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("after %v: level = %v, want %v", x, got, want)
-		}
-	}
-	if e.Count() != len(xs) {
-		t.Fatalf("count = %d, want %d", e.Count(), len(xs))
-	}
-}
-
-// TestEWMAConstantSeries pins the fixed point: a constant input is
-// reproduced exactly at any alpha.
-func TestEWMAConstantSeries(t *testing.T) {
-	e, err := NewEWMA(0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		e.Observe(3.5)
-	}
-	if got := e.Level(); got != 3.5 {
-		t.Fatalf("constant series level = %v, want 3.5 exactly", got)
-	}
-}
-
-func TestEWMARejectsBadAlpha(t *testing.T) {
-	for _, a := range []float64{0, -0.1, 1.5} {
-		if _, err := NewEWMA(a); err == nil {
-			t.Errorf("alpha %v accepted", a)
-		}
-	}
-}
-
 // TestHoltTracksLinearSeriesExactly pins the closed form the
 // predictive autoscaler relies on: with the textbook initialization
 // (level₀ = x₀, trend₀ = x₁ − x₀), Holt's method reproduces a

@@ -105,11 +105,6 @@ func (s *Sample) offer(d time.Duration) {
 // Len reports the observation count.
 func (s *Sample) Len() int { return int(s.count) }
 
-// Retained reports how many observations the sample currently holds
-// for quantile estimation. Retained < Len means quantiles are
-// reservoir estimates rather than exact order statistics.
-func (s *Sample) Retained() int { return len(s.vals) }
-
 // AddAll merges another sample — fleet-level percentiles merge the
 // per-deployment series this way, and replication merges fold per-rep
 // samples in rep order. Counts, sums and maxima merge exactly; the

@@ -172,8 +172,8 @@ func TestReservoirExactUnderCap(t *testing.T) {
 	for i := 0; i < DefaultReservoir; i++ {
 		s.Add(time.Duration(i) * time.Millisecond)
 	}
-	if s.Retained() != DefaultReservoir || s.Len() != DefaultReservoir {
-		t.Fatalf("Retained=%d Len=%d, want %d each", s.Retained(), s.Len(), DefaultReservoir)
+	if len(s.vals) != DefaultReservoir || s.Len() != DefaultReservoir {
+		t.Fatalf("Retained=%d Len=%d, want %d each", len(s.vals), s.Len(), DefaultReservoir)
 	}
 	if got := s.Percentile(50); got != time.Duration(DefaultReservoir/2-1)*time.Millisecond {
 		t.Fatalf("p50 = %v under cap, want exact order statistic", got)
@@ -197,8 +197,8 @@ func TestReservoirBoundedAndDeterministic(t *testing.T) {
 		return &s
 	}
 	a, b := build(), build()
-	if a.Retained() != DefaultReservoir {
-		t.Fatalf("Retained = %d, want %d", a.Retained(), DefaultReservoir)
+	if len(a.vals) != DefaultReservoir {
+		t.Fatalf("Retained = %d, want %d", len(a.vals), DefaultReservoir)
 	}
 	if a.Len() != n {
 		t.Fatalf("Len = %d, want %d", a.Len(), n)
@@ -252,8 +252,8 @@ func TestRetain(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s.Add(time.Duration(i))
 	}
-	if s.Retained() != n {
-		t.Fatalf("Retained = %d after Retain, want %d", s.Retained(), n)
+	if len(s.vals) != n {
+		t.Fatalf("Retained = %d after Retain, want %d", len(s.vals), n)
 	}
 }
 

@@ -175,16 +175,6 @@ func (c Config) NodesPerGraph(batch int, captureSizes []int) int {
 	return n
 }
 
-// TotalGraphNodes returns the summed node count over all capture sizes
-// — the Table 1 "CUDA graph nodes" figure.
-func (c Config) TotalGraphNodes(captureSizes []int) int {
-	total := 0
-	for _, b := range captureSizes {
-		total += c.NodesPerGraph(b, captureSizes)
-	}
-	return total
-}
-
 // CaptureBatchSizes returns vLLM's default 35 CUDA-graph capture batch
 // sizes: 1, 2, 4, then multiples of 8 up to 256.
 func CaptureBatchSizes() []int {

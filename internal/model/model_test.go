@@ -8,6 +8,23 @@ import (
 	"testing/quick"
 )
 
+// TotalGraphNodes returns the summed node count over all capture sizes
+// — the Table 1 "CUDA graph nodes" figure the zoo tests check.
+func (c Config) TotalGraphNodes(captureSizes []int) int {
+	total := 0
+	for _, b := range captureSizes {
+		total += c.NodesPerGraph(b, captureSizes)
+	}
+	return total
+}
+
+// tinyOf is TestTiny with the layer family f.
+func tinyOf(name string, f Family) Config {
+	c := TestTiny(name)
+	c.Family = f
+	return c
+}
+
 func TestCaptureBatchSizes(t *testing.T) {
 	sizes := CaptureBatchSizes()
 	if len(sizes) != 35 {
@@ -73,7 +90,7 @@ func TestZooValidates(t *testing.T) {
 			t.Errorf("%s: zoo model marked functional", c.Name)
 		}
 	}
-	for _, c := range []Config{TestTiny("t"), TestTinyFused("t"), TestTinyParallel("t")} {
+	for _, c := range []Config{TestTiny("t"), tinyOf("t", FamilyFused), tinyOf("t", FamilyParallel)} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("tiny %s/%s: %v", c.Name, c.Family, err)
 		}
@@ -135,7 +152,7 @@ func TestTensorsStructure(t *testing.T) {
 	if last.Name != "lm_head" {
 		t.Fatalf("last tensor = %+v", last)
 	}
-	cp := TestTinyParallel("tinyp")
+	cp := tinyOf("tinyp", FamilyParallel)
 	if len(cp.Tensors()) != 1+7*2+2 {
 		t.Fatalf("parallel tensor count = %d", len(cp.Tensors()))
 	}
@@ -278,7 +295,7 @@ func TestShardTensorsConsistency(t *testing.T) {
 // model and both tiny families.
 func TestTensorNamesMatchFormatted(t *testing.T) {
 	suffixes := []string{"input_norm", "wqkv", "wo", "post_norm", "wgateup", "wdown"}
-	for _, c := range append(Zoo(), TestTiny("tiny"), TestTinyParallel("tinyp")) {
+	for _, c := range append(Zoo(), TestTiny("tiny"), tinyOf("tinyp", FamilyParallel)) {
 		layer := suffixes
 		if c.Family == FamilyParallel {
 			layer = append(slices.Clone(suffixes), "attn_bias")

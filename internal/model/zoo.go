@@ -83,18 +83,3 @@ func TestTiny(name string) Config {
 		Functional: true,
 	}
 }
-
-// TestTinyFused is a functional model with the 10-kernel fused layer.
-func TestTinyFused(name string) Config {
-	c := TestTiny(name)
-	c.Family = FamilyFused
-	return c
-}
-
-// TestTinyParallel is a functional model with the 12-kernel Falcon
-// layer.
-func TestTinyParallel(name string) Config {
-	c := TestTiny(name)
-	c.Family = FamilyParallel
-	return c
-}

@@ -115,8 +115,8 @@ func FuzzAddExclusive(f *testing.F) {
 				if g, w := got.Duration(p), want.Duration(p); g != w {
 					t.Fatalf("call %d %v: Duration(%s) = %v, want %v", ci, call, p, g, w)
 				}
-				if g, w := got.Count(p), want.Count(p); g != w {
-					t.Fatalf("call %d %v: Count(%s) = %d, want %d", ci, call, p, g, w)
+				if g, w := got.counts[p], want.counts[p]; g != w {
+					t.Fatalf("call %d %v: count(%s) = %d, want %d", ci, call, p, g, w)
 				}
 			}
 			if g, w := got.Total(), want.Total(); g != w {

@@ -92,15 +92,6 @@ func NewPhaseBreakdown() *PhaseBreakdown {
 	return &PhaseBreakdown{totals: make(map[string]time.Duration), counts: make(map[string]int)}
 }
 
-// Add charges d to a phase directly.
-func (b *PhaseBreakdown) Add(phase string, d time.Duration) {
-	if _, ok := b.totals[phase]; !ok {
-		b.order = append(b.order, phase)
-	}
-	b.totals[phase] += d
-	b.counts[phase]++
-}
-
 // AddExclusive attributes the extent covered by the intervals to their
 // phases exclusively: at every instant the earliest-started covering
 // interval owns the time (ties broken by later end, then by phase
@@ -162,11 +153,8 @@ func (b *PhaseBreakdown) Phases() []string { return append([]string(nil), b.orde
 // Duration reports a phase's accumulated exclusive time.
 func (b *PhaseBreakdown) Duration(phase string) time.Duration { return b.totals[phase] }
 
-// Count reports how many attributions charged the phase.
-func (b *PhaseBreakdown) Count(phase string) int { return b.counts[phase] }
-
 // Total sums all phases — by construction, exactly the summed extents
-// handed to AddExclusive (plus direct Adds).
+// handed to AddExclusive.
 func (b *PhaseBreakdown) Total() time.Duration {
 	var t time.Duration
 	for _, d := range b.totals {

@@ -131,8 +131,8 @@ func TestTimelineBackwardsStagePanics(t *testing.T) {
 
 func TestTableListsPhasesInFirstChargedOrder(t *testing.T) {
 	b := NewPhaseBreakdown()
-	b.Add("zeta", time.Second)
-	b.Add("alpha", time.Second)
+	b.AddExclusive([]Interval{{Phase: "zeta", End: time.Second}})
+	b.AddExclusive([]Interval{{Phase: "alpha", End: time.Second}})
 	tab := b.Table()
 	if zi, ai := strings.Index(tab, "zeta"), strings.Index(tab, "alpha"); zi < 0 || ai < 0 || zi > ai {
 		t.Errorf("phases not in first-charged order:\n%s", tab)

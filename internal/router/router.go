@@ -81,29 +81,6 @@ func (*Scored) Score(c Candidate) float64 {
 		WeightTTFT*c.PredTTFT
 }
 
-// Pick returns the index of the best-scoring candidate, ties broken by
-// lowest ID, or −1 for an empty slate.
-func Pick(p Policy, cands []Candidate) int {
-	best := -1
-	var bestScore float64
-	var bestID int
-	for i, c := range cands {
-		s := p.Score(c)
-		if best < 0 || s > bestScore || (s == bestScore && c.ID < bestID) {
-			best, bestScore, bestID = i, s, c.ID
-		}
-	}
-	return best
-}
-
-// Rank orders indices into cands by descending score, ties broken by
-// ascending ID — the dispatch order the cluster simulator walks. It
-// allocates its result; a hot path ranks through a reused Ranker.
-func Rank(p Policy, cands []Candidate) []int {
-	var r Ranker
-	return r.Rank(p, cands)
-}
-
 // Ranker ranks candidates into buffers it keeps across calls, so a
 // warm Ranker allocates nothing. The zero value is ready to use.
 type Ranker struct {
@@ -131,7 +108,8 @@ func compareRank(a, b rankKey) int {
 	return cmp.Compare(a.id, b.id)
 }
 
-// Rank orders indices into cands like the package-level Rank. The
+// Rank orders indices into cands by descending score, ties broken by
+// ascending ID — the dispatch order the cluster simulator walks. The
 // returned slice is the Ranker's own buffer, valid until its next
 // call.
 func (r *Ranker) Rank(p Policy, cands []Candidate) []int {

@@ -16,8 +16,9 @@ func TestLeastLoadedPrefersEmptiest(t *testing.T) {
 		{ID: 2, QueueDepth: 1},
 		{ID: 9, QueueDepth: 1},
 	}
-	if got := Pick(p, cands); got != 1 {
-		t.Fatalf("Pick = %d (id %d), want index 1 (id 2)", got, cands[got].ID)
+	var r Ranker
+	if got := r.Rank(p, cands)[0]; got != 1 {
+		t.Fatalf("first = %d (id %d), want index 1 (id 2)", got, cands[got].ID)
 	}
 }
 
@@ -40,7 +41,7 @@ func TestScoredWeighsAllSignals(t *testing.T) {
 }
 
 // TestPickTieBreaksByLowestID pins the deterministic contract: exact
-// score ties resolve to the lowest instance id regardless of slice
+// score ties rank the lowest instance id first regardless of slice
 // order.
 func TestPickTieBreaksByLowestID(t *testing.T) {
 	p := &LeastLoaded{}
@@ -49,11 +50,12 @@ func TestPickTieBreaksByLowestID(t *testing.T) {
 		{ID: 3, QueueDepth: 2},
 		{ID: 11, QueueDepth: 2},
 	}
-	if got := Pick(p, cands); cands[got].ID != 3 {
+	var r Ranker
+	if got := r.Rank(p, cands)[0]; cands[got].ID != 3 {
 		t.Fatalf("tie went to id %d, want 3", cands[got].ID)
 	}
-	if got := Pick(p, nil); got != -1 {
-		t.Fatalf("empty slate picked %d", got)
+	if got := r.Rank(p, nil); len(got) != 0 {
+		t.Fatalf("empty slate ranked %v", got)
 	}
 }
 
@@ -67,7 +69,8 @@ func TestRankOrdersDeterministically(t *testing.T) {
 		{ID: 2, QueueDepth: 1},
 		{ID: 0, QueueDepth: 3},
 	}
-	order := Rank(p, cands)
+	var r Ranker
+	order := slices.Clone(r.Rank(p, cands))
 	wantIDs := []int{1, 2, 4, 0}
 	if len(order) != len(wantIDs) {
 		t.Fatalf("rank length %d, want %d", len(order), len(wantIDs))
@@ -79,7 +82,7 @@ func TestRankOrdersDeterministically(t *testing.T) {
 	}
 	// Permuting the input must not change the ranked id sequence.
 	perm := []Candidate{cands[3], cands[2], cands[1], cands[0]}
-	order2 := Rank(p, perm)
+	order2 := r.Rank(p, perm)
 	for i, idx := range order2 {
 		if perm[idx].ID != wantIDs[i] {
 			t.Fatalf("permuted rank position %d is id %d, want %d", i, perm[idx].ID, wantIDs[i])

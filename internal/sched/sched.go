@@ -11,7 +11,7 @@
 // tokens and blocks, not about virtual time or cost models. The
 // serverless and cluster event loops call Plan at iteration start,
 // price the returned prefill chunks and decode batch with the engine
-// cost model, and call Finish when the priced interval elapses.
+// cost model, and call FinishRun when the priced interval elapses.
 // Everything the scheduler does is a deterministic function of the
 // call sequence: sequences carry monotonically assigned ids, all
 // internal collections are slices or FIFO rings walked in order, and
@@ -107,13 +107,6 @@ type Seq[T any] struct {
 	preemptions int
 }
 
-// ID is the sequence's scheduler-assigned monotone id — the preemption
-// policy's victim ordering key.
-func (q *Seq[T]) ID() uint64 { return q.id }
-
-// State reports the sequence's lifecycle state.
-func (q *Seq[T]) State() State { return q.state }
-
 // Preemptions reports how many times the sequence was preempted.
 func (q *Seq[T]) Preemptions() int { return q.preemptions }
 
@@ -144,15 +137,6 @@ type Iteration[T any] struct {
 
 // Empty reports whether the round planned no work at all.
 func (it Iteration[T]) Empty() bool { return len(it.Chunks) == 0 && len(it.Decode) == 0 }
-
-// PrefillTokens sums the planned chunk sizes.
-func (it Iteration[T]) PrefillTokens() int {
-	n := 0
-	for _, c := range it.Chunks {
-		n += c.Tokens
-	}
-	return n
-}
 
 // Scheduler is one instance's iteration-level scheduler. It is not
 // safe for concurrent use; the event loops serialize access.
@@ -294,7 +278,7 @@ func (s *Scheduler[T]) maxFitTokens(q *Seq[T]) int {
 // caller's waiting queue (prompt and output token counts); pop
 // removes it, returning the payload — the scheduler only pops what it
 // admits. The returned Iteration is the work to price and execute;
-// Finish applies it. Plan returns an error when a single sequence
+// FinishRun applies it. Plan returns an error when a single sequence
 // cannot fit in the KV pool even alone — a configuration error, since
 // no preemption schedule can serve it.
 func (s *Scheduler[T]) Plan(peek func() (prompt, output int, ok bool), pop func() T) (Iteration[T], error) {
@@ -527,7 +511,7 @@ func (s *Scheduler[T]) DecodeRun() int {
 	return n
 }
 
-// Finish applies a planned round after the caller has priced and
+// FinishRun applies a planned round after the caller has priced and
 // elapsed it: prefilled chunks advance toward their targets, a
 // completed prefill emits the sequence's first token (recomputed
 // resumes emit their next token), and every decoded sequence emits
@@ -535,18 +519,15 @@ func (s *Scheduler[T]) DecodeRun() int {
 // done observes each completed sequence after its final token, just
 // before its KV blocks release and its state recycles. Both callbacks
 // fire in running order — the deterministic metric-recording order.
-func (s *Scheduler[T]) Finish(emit func(data T, emitted int), done func(data T)) {
-	s.FinishRun(1, emit, done)
-}
-
-// FinishRun applies n rounds of a decode run at once: the planned round
-// and n−1 more that Plan would have planned identically, which n must
-// not exceed (see DecodeRun). Each sequence reserves the later rounds'
-// tokens inside the KV block it already holds and emits n tokens, so the
-// block tables, the free list and the emitted counts are those of n
-// Plan/Finish rounds. emit observes each sequence once, with its count
-// after the run; done observes the sequences the run's last round
-// completes. FinishRun(1, …) is Finish.
+//
+// With n > 1 it applies n rounds of a decode run at once: the planned
+// round and n−1 more that Plan would have planned identically, which n
+// must not exceed (see DecodeRun). Each sequence reserves the later
+// rounds' tokens inside the KV block it already holds and emits n
+// tokens, so the block tables, the free list and the emitted counts
+// are those of n single rounds. emit then observes each sequence once,
+// with its count after the run, and done the sequences the run's last
+// round completes.
 func (s *Scheduler[T]) FinishRun(n int, emit func(data T, emitted int), done func(data T)) {
 	if n > 1 && n > s.run {
 		panic(fmt.Sprintf("sched: FinishRun(%d) exceeds the decode run of %d rounds", n, s.run))

@@ -57,6 +57,13 @@ func drive(t *testing.T, s *Scheduler[req], w *queue, maxRounds int) (tokens map
 	return nil, nil
 }
 
+// Finish applies one planned round, FinishRun(1, …): the single-round
+// path the decode-run tests and FuzzDecodeRunMatchesSteps compare
+// FinishRun(n) against.
+func (s *Scheduler[T]) Finish(emit func(data T, emitted int), done func(data T)) {
+	s.FinishRun(1, emit, done)
+}
+
 func TestSingleSequenceLifecycle(t *testing.T) {
 	s := New[req](Params{BatchTokens: 64, KVBlocks: 16})
 	w := &queue{reqs: []req{{id: 1, prompt: 10, output: 3}}}
@@ -74,7 +81,7 @@ func TestSingleSequenceLifecycle(t *testing.T) {
 	if first != 1 {
 		t.Fatalf("prefill completion emitted token %d, want 1", first)
 	}
-	if st := it.Admitted[0].State(); st != StateDecoding {
+	if st := it.Admitted[0].state; st != StateDecoding {
 		t.Fatalf("after prefill: state %v", st)
 	}
 
@@ -164,7 +171,11 @@ func TestDecodeConsumesBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := it.PrefillTokens(); got != 10 || len(it.Chunks) != 3 {
+	got := 0
+	for _, c := range it.Chunks {
+		got += c.Tokens
+	}
+	if got != 10 || len(it.Chunks) != 3 {
 		t.Fatalf("round 1: %d prefill tokens in %d chunks", got, len(it.Chunks))
 	}
 	s.Finish(func(req, int) {}, func(req) {})
@@ -204,11 +215,11 @@ func TestPreemptionEvictsLowestSeq(t *testing.T) {
 	if it.Preemptions != 1 {
 		t.Fatalf("preemptions = %d, want 1", it.Preemptions)
 	}
-	if a.State() != StateWaiting || a.Preemptions() != 1 {
-		t.Fatalf("victim: state=%v preemptions=%d, want lowest-id waiting", a.State(), a.Preemptions())
+	if a.state != StateWaiting || a.Preemptions() != 1 {
+		t.Fatalf("victim: state=%v preemptions=%d, want lowest-id waiting", a.state, a.Preemptions())
 	}
-	if b.State() != StateDecoding || len(it.Decode) != 1 || it.Decode[0] != b {
-		t.Fatalf("survivor: state=%v decode=%v", b.State(), it.Decode)
+	if b.state != StateDecoding || len(it.Decode) != 1 || it.Decode[0] != b {
+		t.Fatalf("survivor: state=%v decode=%v", b.state, it.Decode)
 	}
 	if s.PreemptedWaiting() != 1 {
 		t.Fatalf("preempted queue = %d", s.PreemptedWaiting())

@@ -1,6 +1,7 @@
 package serverless
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -83,28 +84,40 @@ func TestReadAheadDeliversSourceOrder(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// malformedTrace is a JSON Lines trace whose line k+1 is malformed.
-func malformedTrace(k int) string {
-	var b strings.Builder
-	for i := 0; i < k; i++ {
-		fmt.Fprintf(&b, "{\"arrival_ms\":%d,\"prompt_tokens\":16,\"output_tokens\":4}\n", 10*i)
-	}
-	b.WriteString("{\"arrival_ms\":\n")
-	return b.String()
+// failSource emits k requests, step apart from first, then stops
+// with errSourceFailed.
+type failSource struct {
+	k, i        int
+	first, step time.Duration
 }
 
-// TestReadAheadStopsAtSourceError reads traces that fail after k good
-// requests: the ring delivers exactly those k, then the reader's error,
-// and a fleet run fails with that same error.
+var errSourceFailed = errors.New("source failed")
+
+func (f *failSource) Next() (workload.Request, bool) {
+	if f.i >= f.k {
+		return workload.Request{}, false
+	}
+	r := workload.Request{ID: f.i, Arrival: f.first + time.Duration(f.i)*f.step, PromptTokens: 16, OutputTokens: 4}
+	f.i++
+	return r, true
+}
+
+func (f *failSource) Err() error {
+	if f.i >= f.k {
+		return errSourceFailed
+	}
+	return nil
+}
+
+// TestReadAheadStopsAtSourceError reads sources that fail after k good
+// requests: the ring delivers exactly those k, then the source's
+// error, and a fleet run fails with that same error.
 func TestReadAheadStopsAtSourceError(t *testing.T) {
 	base := runtime.NumGoroutine()
 	_, c := simFixture(t, "Qwen1.5-0.5B")
 	for _, k := range []int{0, 1, readAheadBlock, readAheadBlocks*readAheadBlock + 7} {
-		_, want := workload.Collect(workload.NewTraceReader(strings.NewReader(malformedTrace(k))))
-		if want == nil {
-			t.Fatalf("k=%d: malformed trace accepted", k)
-		}
-		ra := startReadAhead(oneDeployment{workload.NewTraceReader(strings.NewReader(malformedTrace(k)))})
+		want := errSourceFailed
+		ra := startReadAhead(oneDeployment{&failSource{k: k, step: 10 * time.Millisecond}})
 		got := 0
 		for {
 			_, _, ok := ra.Next()
@@ -122,7 +135,7 @@ func TestReadAheadStopsAtSourceError(t *testing.T) {
 		}
 
 		_, err := RunFleet(Fleet{Nodes: 1, GPUsPerNode: 2, Deployments: []Deployment{
-			{Name: "x", Config: c, Source: workload.NewTraceReader(strings.NewReader(malformedTrace(k)))},
+			{Name: "x", Config: c, Source: &failSource{k: k, step: 10 * time.Millisecond}},
 		}})
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("k=%d: RunFleet error = %v, want %v", k, err, want)

@@ -3,7 +3,6 @@ package serverless
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -128,21 +127,16 @@ func TestStreamingDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestMergeDeliversArrivalsBeforeSourceFailure merges a slice with a
-// trace reader that fails after k requests: every arrival pulled before
-// the failure is delivered in order, then the stream stops with the
-// reader's error.
+// source that fails after k requests: every arrival pulled before the
+// failure is delivered in order, then the stream stops with the
+// failing source's error.
 func TestMergeDeliversArrivalsBeforeSourceFailure(t *testing.T) {
 	const k = 3
 	var slice []workload.Request
-	var lines strings.Builder
 	for i := 0; i < 10; i++ {
 		slice = append(slice, workload.Request{ID: i, Arrival: time.Duration(2*i) * time.Millisecond, PromptTokens: 8, OutputTokens: 4})
-		if i < k {
-			fmt.Fprintf(&lines, `{"arrival_ms": %d, "prompt_tokens": 8, "output_tokens": 4}`+"\n", 2*i+1)
-		}
 	}
-	lines.WriteString("not json\n")
-	m := MergeArrivals([]workload.Source{workload.NewSlice(slice), workload.NewTraceReader(strings.NewReader(lines.String()))})
+	m := MergeArrivals([]workload.Source{workload.NewSlice(slice), &failSource{k: k, first: time.Millisecond, step: 2 * time.Millisecond}})
 	var got []time.Duration
 	for {
 		dep, req, ok := m.Next()
@@ -154,17 +148,17 @@ func TestMergeDeliversArrivalsBeforeSourceFailure(t *testing.T) {
 		}
 		got = append(got, req.Arrival)
 	}
-	// Slice arrivals 0, 2, 4 interleave with the reader's 1, 3, 5; the
-	// reader fails on its next pull, after handing over 5 ms.
+	// Slice arrivals 0, 2, 4 interleave with the failing source's 1, 3,
+	// 5; it fails on its next pull, after handing over 5 ms.
 	if len(got) != 2*k {
-		t.Fatalf("delivered %v, want the %d arrivals up to the reader's last", got, 2*k)
+		t.Fatalf("delivered %v, want the %d arrivals up to the failing source's last", got, 2*k)
 	}
 	for i, at := range got {
 		if at != time.Duration(i)*time.Millisecond {
 			t.Fatalf("delivered %v, want 0ms..%dms in order", got, 2*k-1)
 		}
 	}
-	if m.Err() == nil {
-		t.Fatal("stream stopped without the reader's error")
+	if m.Err() != errSourceFailed {
+		t.Fatalf("stream stopped with %v, want the failing source's error", m.Err())
 	}
 }

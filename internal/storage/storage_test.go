@@ -2,12 +2,9 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
-	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
@@ -87,16 +84,6 @@ func TestPutSizedChargesFullSize(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s := NewStore(DefaultArray())
-	clk := vclock.New()
-	s.Put(clk, "x", []byte{1})
-	s.Delete("x")
-	if s.Exists("x") {
-		t.Fatal("object survived Delete")
-	}
-}
-
 func TestChargeReadSlowdown(t *testing.T) {
 	s := NewStore(DefaultArray())
 	c1, c2 := vclock.New(), vclock.New()
@@ -111,57 +98,5 @@ func TestChargeReadSlowdown(t *testing.T) {
 	s.ChargeRead(c3, 1<<30, 0.5)
 	if c3.Now() != c1.Now() {
 		t.Fatal("slowdown < 1 not clamped")
-	}
-}
-
-// TestTracerDeterministicUnderConcurrentUse pins the property SetTracer
-// documents: a store shared by parallel simulated processes, each on
-// its own virtual clock, exports byte-identical traces no matter how
-// the goroutines interleave — the exporter orders spans by content.
-func TestTracerDeterministicUnderConcurrentUse(t *testing.T) {
-	const workers, objects = 6, 8
-	run := func(parallel bool) string {
-		s := NewStore(DefaultArray())
-		setup := vclock.New()
-		for i := 0; i < objects; i++ {
-			s.Put(setup, fmt.Sprintf("obj-%d", i), bytes.Repeat([]byte{byte(i)}, 512*(i+1)))
-		}
-		tr := obs.NewTracer()
-		s.SetTracer(tr)
-		work := func(w int) {
-			clk := vclock.New()
-			for i := 0; i < objects; i++ {
-				if _, err := s.Get(clk, fmt.Sprintf("obj-%d", (i+w)%objects)); err != nil {
-					t.Error(err)
-				}
-				s.ChargeRead(clk, uint64(1024*(w+1)), 1)
-			}
-		}
-		if parallel {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					work(w)
-				}(w)
-			}
-			wg.Wait()
-		} else {
-			for w := 0; w < workers; w++ {
-				work(w)
-			}
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteChrome(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	want := run(false)
-	for trial := 0; trial < 3; trial++ {
-		if got := run(true); got != want {
-			t.Fatalf("trial %d: concurrent trace differs from sequential export", trial)
-		}
 	}
 }

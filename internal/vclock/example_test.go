@@ -7,24 +7,6 @@ import (
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
-// Parallel models vLLM+ASYNC's overlapped loading: weights stream while
-// the tokenizer and KV init run on a second track; the clock lands at
-// the slower branch.
-func ExampleClock_Parallel() {
-	c := vclock.New()
-	c.Advance(850 * time.Millisecond) // model structure init
-	c.Parallel(
-		func(weights *vclock.Clock) { weights.Advance(470 * time.Millisecond) },
-		func(other *vclock.Clock) {
-			other.Advance(210 * time.Millisecond) // tokenizer
-			other.Advance(500 * time.Millisecond) // KV init
-		},
-	)
-	fmt.Printf("loading so far: %v\n", c.Now())
-	// Output:
-	// loading so far: 1.56s
-}
-
 func ExampleClock_Span() {
 	c := vclock.New()
 	d := c.Span(func() {

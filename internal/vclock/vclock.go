@@ -6,10 +6,7 @@
 // reproducible.
 //
 // The clock is single-goroutine by design: simulated work advances it
-// explicitly. Logical parallelism (for example vLLM+ASYNC's overlapped
-// weight loading, or Medusa's warm-up running next to disk I/O) is
-// expressed with Parallel, which forks branch clocks from the current
-// instant and joins them at the latest finish time.
+// explicitly.
 package vclock
 
 import (
@@ -25,9 +22,6 @@ type Clock struct {
 // New returns a clock starting at time zero.
 func New() *Clock { return &Clock{} }
 
-// NewAt returns a clock starting at the given instant.
-func NewAt(t time.Duration) *Clock { return &Clock{now: t} }
-
 // Now reports the current virtual time as an offset from the simulation
 // origin.
 func (c *Clock) Now() time.Duration { return c.now }
@@ -39,48 +33,6 @@ func (c *Clock) Advance(d time.Duration) {
 		panic(fmt.Sprintf("vclock: negative advance %v", d))
 	}
 	c.now += d
-}
-
-// AdvanceTo moves the clock forward to instant t. Moving to the current
-// instant is a no-op; moving backwards panics.
-func (c *Clock) AdvanceTo(t time.Duration) {
-	if t < c.now {
-		panic(fmt.Sprintf("vclock: AdvanceTo(%v) would move clock backwards from %v", t, c.now))
-	}
-	c.now = t
-}
-
-// Branch returns a new clock starting at the current instant of c.
-// Branches model concurrent activities: they advance independently and
-// are typically joined back with Join or through Parallel.
-func (c *Clock) Branch() *Clock { return &Clock{now: c.now} }
-
-// Join advances c to the later of its own time and the branch's time.
-func (c *Clock) Join(branch *Clock) {
-	if branch.now > c.now {
-		c.now = branch.now
-	}
-}
-
-// Parallel runs each fn on its own branch forked at the current instant,
-// then advances c to the latest branch finish time. It returns the
-// duration each branch consumed, in argument order. Branches run
-// sequentially in real time (determinism) but concurrently in virtual
-// time.
-func (c *Clock) Parallel(fns ...func(*Clock)) []time.Duration {
-	start := c.now
-	durs := make([]time.Duration, len(fns))
-	end := start
-	for i, fn := range fns {
-		b := c.Branch()
-		fn(b)
-		durs[i] = b.now - start
-		if b.now > end {
-			end = b.now
-		}
-	}
-	c.now = end
-	return durs
 }
 
 // Span measures the virtual duration of fn as observed on c.

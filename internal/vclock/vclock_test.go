@@ -2,7 +2,6 @@ package vclock
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -31,84 +30,6 @@ func TestAdvanceNegativePanics(t *testing.T) {
 	New().Advance(-time.Nanosecond)
 }
 
-func TestAdvanceTo(t *testing.T) {
-	c := NewAt(time.Second)
-	c.AdvanceTo(2 * time.Second)
-	if c.Now() != 2*time.Second {
-		t.Fatalf("Now = %v, want 2s", c.Now())
-	}
-	c.AdvanceTo(2 * time.Second) // same instant is allowed
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdvanceTo backwards did not panic")
-		}
-	}()
-	c.AdvanceTo(time.Second)
-}
-
-func TestBranchAndJoin(t *testing.T) {
-	c := NewAt(10 * time.Second)
-	b := c.Branch()
-	if b.Now() != c.Now() {
-		t.Fatalf("branch starts at %v, want %v", b.Now(), c.Now())
-	}
-	b.Advance(5 * time.Second)
-	c.Advance(time.Second)
-	c.Join(b)
-	if c.Now() != 15*time.Second {
-		t.Fatalf("after join Now = %v, want 15s", c.Now())
-	}
-	// Joining an earlier branch must not move the clock backwards.
-	early := NewAt(time.Second)
-	c.Join(early)
-	if c.Now() != 15*time.Second {
-		t.Fatalf("join with earlier branch moved clock to %v", c.Now())
-	}
-}
-
-func TestParallelTakesMax(t *testing.T) {
-	c := New()
-	durs := c.Parallel(
-		func(b *Clock) { b.Advance(3 * time.Second) },
-		func(b *Clock) { b.Advance(7 * time.Second) },
-		func(b *Clock) { b.Advance(time.Second) },
-	)
-	if c.Now() != 7*time.Second {
-		t.Fatalf("parallel end = %v, want 7s", c.Now())
-	}
-	want := []time.Duration{3 * time.Second, 7 * time.Second, time.Second}
-	for i := range want {
-		if durs[i] != want[i] {
-			t.Fatalf("durs[%d] = %v, want %v", i, durs[i], want[i])
-		}
-	}
-}
-
-func TestParallelEmpty(t *testing.T) {
-	c := NewAt(4 * time.Second)
-	durs := c.Parallel()
-	if len(durs) != 0 || c.Now() != 4*time.Second {
-		t.Fatalf("empty Parallel changed state: durs=%v now=%v", durs, c.Now())
-	}
-}
-
-func TestNestedParallel(t *testing.T) {
-	c := New()
-	c.Parallel(
-		func(b *Clock) {
-			b.Parallel(
-				func(bb *Clock) { bb.Advance(2 * time.Second) },
-				func(bb *Clock) { bb.Advance(4 * time.Second) },
-			)
-			b.Advance(time.Second) // sequential tail after inner join
-		},
-		func(b *Clock) { b.Advance(3 * time.Second) },
-	)
-	if c.Now() != 5*time.Second {
-		t.Fatalf("nested parallel end = %v, want 5s", c.Now())
-	}
-}
-
 func TestSpanAndStopwatch(t *testing.T) {
 	c := New()
 	d := c.Span(func() { c.Advance(42 * time.Millisecond) })
@@ -119,36 +40,5 @@ func TestSpanAndStopwatch(t *testing.T) {
 	c.Advance(8 * time.Millisecond)
 	if w.Elapsed() != 8*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 8ms", w.Elapsed())
-	}
-}
-
-// Property: Parallel over any set of nonnegative durations ends at
-// start + max(durations), and per-branch durations are reported exactly.
-func TestParallelMaxProperty(t *testing.T) {
-	f := func(start uint32, raw []uint16) bool {
-		c := NewAt(time.Duration(start) * time.Microsecond)
-		begin := c.Now()
-		fns := make([]func(*Clock), len(raw))
-		var max time.Duration
-		for i, r := range raw {
-			d := time.Duration(r) * time.Microsecond
-			if d > max {
-				max = d
-			}
-			fns[i] = func(b *Clock) { b.Advance(d) }
-		}
-		durs := c.Parallel(fns...)
-		if c.Now() != begin+max {
-			return false
-		}
-		for i, r := range raw {
-			if durs[i] != time.Duration(r)*time.Microsecond {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -122,8 +122,7 @@ type diurnalSource struct {
 	sojournEnd time.Duration
 }
 
-// NewDiurnal returns a streaming diurnal source. Draining it yields
-// exactly the trace GenerateDiurnal returns for the same config.
+// NewDiurnal returns a streaming diurnal source.
 func NewDiurnal(cfg DiurnalConfig) (Source, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -204,17 +203,6 @@ func (d *diurnalSource) Next() (Request, bool) {
 }
 
 func (d *diurnalSource) Err() error { return nil }
-
-// GenerateDiurnal produces a diurnal trace by draining NewDiurnal — the
-// slice-based convenience form for workloads small enough to hold in
-// memory.
-func GenerateDiurnal(cfg DiurnalConfig) ([]Request, error) {
-	src, err := NewDiurnal(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(src)
-}
 
 // DiurnalFleet splits cfg's base rate across n tenants with
 // Zipf-distributed popularity (tenant i gets weight ∝ (i+1)^−skew;

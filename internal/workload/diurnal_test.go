@@ -7,6 +7,20 @@ import (
 	"time"
 )
 
+// generateDiurnal drains NewDiurnal(cfg) into a slice.
+func generateDiurnal(t *testing.T, cfg DiurnalConfig) []Request {
+	t.Helper()
+	src, err := NewDiurnal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := Collect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
 func diurnalFixture() DiurnalConfig {
 	return DiurnalConfig{
 		Seed:        7,
@@ -23,10 +37,7 @@ func diurnalFixture() DiurnalConfig {
 // TestDiurnalArrivalsNondecreasing: thinning a homogeneous candidate
 // stream must preserve arrival order and emission-order IDs.
 func TestDiurnalArrivalsNondecreasing(t *testing.T) {
-	reqs, err := GenerateDiurnal(diurnalFixture())
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := generateDiurnal(t, diurnalFixture())
 	if len(reqs) == 0 {
 		t.Fatal("empty trace")
 	}
@@ -46,40 +57,20 @@ func TestDiurnalArrivalsNondecreasing(t *testing.T) {
 	}
 }
 
-// TestDiurnalStreamingMatchesGenerate: the streaming source and the
-// slice convenience must produce identical traces — and the trace must
-// not depend on scheduler parallelism.
+// TestDiurnalStreamingMatchesGenerate: the streamed trace, drained
+// into a slice, must not depend on scheduler parallelism.
 func TestDiurnalStreamingMatchesGenerate(t *testing.T) {
 	cfg := diurnalFixture()
-	fromGen, err := GenerateDiurnal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewDiurnal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(fromGen) {
-		t.Fatalf("streamed %d requests, Generate %d", len(streamed), len(fromGen))
-	}
-	for i := range streamed {
-		if streamed[i] != fromGen[i] {
-			t.Fatalf("request %d: streamed %+v vs generated %+v", i, streamed[i], fromGen[i])
-		}
-	}
+	first := generateDiurnal(t, cfg)
 	prev := runtime.GOMAXPROCS(1)
-	again, err := GenerateDiurnal(cfg)
+	again := generateDiurnal(t, cfg)
 	runtime.GOMAXPROCS(prev)
-	if err != nil {
-		t.Fatal(err)
+	if len(again) != len(first) {
+		t.Fatalf("%d requests under GOMAXPROCS=1, %d by default", len(again), len(first))
 	}
 	for i := range again {
-		if again[i] != fromGen[i] {
-			t.Fatalf("request %d differs under GOMAXPROCS=1: %+v vs %+v", i, again[i], fromGen[i])
+		if again[i] != first[i] {
+			t.Fatalf("request %d differs under GOMAXPROCS=1: %+v vs %+v", i, again[i], first[i])
 		}
 	}
 }
@@ -116,14 +107,8 @@ func TestBurstySourceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // diverges.
 func TestDiurnalSeedSensitivity(t *testing.T) {
 	cfg := diurnalFixture()
-	a, err := GenerateDiurnal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateDiurnal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := generateDiurnal(t, cfg)
+	b := generateDiurnal(t, cfg)
 	if len(a) != len(b) {
 		t.Fatalf("same seed, different lengths: %d vs %d", len(a), len(b))
 	}
@@ -133,10 +118,7 @@ func TestDiurnalSeedSensitivity(t *testing.T) {
 		}
 	}
 	cfg.Seed++
-	c, err := GenerateDiurnal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := generateDiurnal(t, cfg)
 	if len(c) == len(a) {
 		same := true
 		for i := range c {
@@ -165,10 +147,7 @@ func TestDiurnalEnvelopeShapesRate(t *testing.T) {
 		Phase:     math.Pi / 2, // cos envelope: peak at t=0, trough at t=Period/2
 		Duration:  10 * period,
 	}
-	reqs, err := GenerateDiurnal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := generateDiurnal(t, cfg)
 	var peak, trough int
 	for _, r := range reqs {
 		pos := r.Arrival % period
@@ -193,14 +172,8 @@ func TestDiurnalBurstsRaiseVolume(t *testing.T) {
 	calm := diurnalFixture()
 	calm.BurstFactor = 1
 	calm.MeanBurst, calm.MeanCalm = 0, 0
-	base, err := GenerateDiurnal(calm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bursty, err := GenerateDiurnal(diurnalFixture())
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := generateDiurnal(t, calm)
+	bursty := generateDiurnal(t, diurnalFixture())
 	if len(bursty) <= len(base) {
 		t.Fatalf("bursts did not add volume: %d bursty vs %d calm", len(bursty), len(base))
 	}

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 )
@@ -176,59 +174,5 @@ func TestSliceSource(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != reqs[0] || got[1] != reqs[1] {
 		t.Fatalf("Collect = %+v", got)
-	}
-}
-
-func TestTraceReaderMatchesReadTrace(t *testing.T) {
-	orig, err := Generate(TraceConfig{Seed: 3, RPS: 20, Duration: 20 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	want, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTraceReader(bytes.NewReader(buf.Bytes()))
-	got, err := Collect(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d requests, read %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("request %d: streamed %+v, read %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestTraceReaderRejectsUnsorted(t *testing.T) {
-	in := `{"arrival_ms":100,"prompt_tokens":10,"output_tokens":10}
-{"arrival_ms":50,"prompt_tokens":10,"output_tokens":10}
-`
-	tr := NewTraceReader(strings.NewReader(in))
-	if _, ok := tr.Next(); !ok {
-		t.Fatal("first line should parse")
-	}
-	if _, ok := tr.Next(); ok {
-		t.Fatal("out-of-order line should terminate the stream")
-	}
-	if tr.Err() == nil || !strings.Contains(tr.Err().Error(), "before previous") {
-		t.Fatalf("Err = %v", tr.Err())
-	}
-}
-
-func TestTraceReaderEmpty(t *testing.T) {
-	tr := NewTraceReader(strings.NewReader("\n\n"))
-	if _, ok := tr.Next(); ok {
-		t.Fatal("empty trace yielded a request")
-	}
-	if tr.Err() == nil {
-		t.Fatal("empty trace must error like ReadTrace does")
 	}
 }
