@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build fmt vet lint docs linkcheck loc test test-race short bench bench-layers bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
+.PHONY: all check build fmt vet lint docs linkcheck loc test test-race short bench bench-layers bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check bench-digests examples fuzz cover trace-demo clean
 
 all: build test
 
@@ -156,6 +156,20 @@ results-check:
 	$(GO) run ./cmd/medusa-bench -all -out "$$tmp" >/dev/null && \
 	$(GO) run ./cmd/medusa-simulate $(TRACE_DEMO_FLAGS) -trace "$$tmp/trace-demo.json" >/dev/null && \
 	diff -r -x 'perf-*.txt' "$$tmp" results && echo "results-check: no drift"
+
+# Zero-drift gate for the benchmark: run each bench workload for a
+# tenth of a second at seeds 1 and 7 and diff the output digests it
+# prints against the checked-in testdata/bench-digests.txt. A digest
+# fingerprints a run's rendered output, so any difference is a
+# behavior change. About 20 s with a warm build cache.
+BENCH_DIGEST_WORKLOADS = fleet-churn fleet-diurnal pool-burst offline-zoo
+bench-digests:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	for w in $(BENCH_DIGEST_WORKLOADS); do for s in 1 7; do \
+		out=$$(bash bench/run.sh -workload $$w -seed $$s -seconds 0.1) || exit 1; \
+		echo "$$out" | grep '/digest ' | sed "s/^/seed $$s /"; \
+	done; done > "$$tmp" && \
+	diff testdata/bench-digests.txt "$$tmp" && echo "bench-digests: no drift"
 
 examples:
 	$(GO) run ./examples/quickstart

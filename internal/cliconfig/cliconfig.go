@@ -62,9 +62,9 @@ type Values struct {
 	// Idle retires instances idle for this long (0 disables).
 	Idle time.Duration
 
-	// BatchTokens enables iteration-level continuous batching with
-	// this per-iteration token budget (0 keeps the legacy
-	// whole-request admission path).
+	// BatchTokens selects the scheduler's batched policy,
+	// iteration-level continuous batching with this per-iteration
+	// token budget (0 selects whole-request admission).
 	BatchTokens int
 	// KVBlocks sizes the paged KV pool per instance (0 derives it
 	// from the profile's measured KV capacity).
@@ -156,7 +156,7 @@ func RegisterBatch(fs *flag.FlagSet) *Values {
 
 // bindBatch is the single declaration point for the batching knobs.
 func (v *Values) bindBatch(fs *flag.FlagSet) {
-	fs.IntVar(&v.BatchTokens, "batch-tokens", 0, "per-iteration token budget; > 0 enables iteration-level continuous batching")
+	fs.IntVar(&v.BatchTokens, "batch-tokens", 0, "per-iteration token budget; > 0 selects iteration-level continuous batching, 0 whole-request admission")
 	fs.IntVar(&v.KVBlocks, "kv-blocks", 0, "paged KV pool size per instance in 16-token blocks (0 = derive from the instance profile)")
 	fs.BoolVar(&v.ChunkedPrefill, "chunked-prefill", false, "split long prompts into budget-sized chunks across iterations")
 }
@@ -230,8 +230,9 @@ func (v *Values) TraceConfig() workload.TraceConfig {
 	}
 }
 
-// BatchParams assembles the continuous-batching parameters (zero when
-// -batch-tokens was not set, which keeps the legacy admission path).
+// BatchParams assembles the scheduler policy's parameters. Without
+// -batch-tokens they select whole-request admission, which a
+// -kv-blocks pool also bounds.
 func (v *Values) BatchParams() sched.Params {
 	return sched.Params{
 		BatchTokens:    v.BatchTokens,

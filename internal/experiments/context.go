@@ -30,11 +30,12 @@ type Context struct {
 	// trace because the exporter orders spans by content, not by
 	// emission order.
 	Tracer *obs.Tracer
-	// Batch, when enabled, overrides the batching parameters of
-	// experiments that serve with continuous batching (ext-batching
-	// runs a single cell with these knobs instead of its built-in
-	// sweep). medusa-bench populates it from the -batch-tokens /
-	// -kv-blocks / -chunked-prefill flags shared with medusa-simulate.
+	// Batch, when it selects the batched policy (BatchTokens > 0),
+	// overrides the batching parameters of experiments that serve with
+	// continuous batching (ext-batching runs a single cell with these
+	// knobs instead of its built-in sweep). medusa-bench populates it
+	// from the -batch-tokens / -kv-blocks / -chunked-prefill flags
+	// shared with medusa-simulate.
 	Batch sched.Params
 	// Fleet, when enabled, pins the ext-fleet experiment to a single
 	// control-plane cell (that autoscaler × router × SLO) instead of

@@ -42,7 +42,7 @@ func runExtBatching(c *Context) (*Report, error) {
 		zipf  float64
 	}
 	var cells []cell
-	if c.Batch.Enabled() {
+	if c.Batch.BatchTokens > 0 {
 		// The command line pinned the batching knobs: run one cell per
 		// skew level instead of the built-in grid.
 		for _, z := range []float64{1.1, 2.0} {

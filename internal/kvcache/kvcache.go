@@ -56,6 +56,8 @@ func (e *OutOfBlocksError) Error() string {
 type Seq struct {
 	table  []int
 	tokens int
+	// held counts blocks the sequence holds without naming them (Hold).
+	held int
 }
 
 // Len returns the sequence's cached token count.
@@ -109,6 +111,7 @@ type Manager struct {
 	fresh     int   // blocks [fresh, numBlocks) have never been popped
 	returned  []int // blocks pushed back since the last reset, in push order
 	pending   []reservation
+	held      int // blocks Seqs hold without naming them (Hold)
 }
 
 // NewManager creates a manager over numBlocks blocks.
@@ -121,7 +124,7 @@ func NewManager(numBlocks int) *Manager {
 func (m *Manager) NumBlocks() int { return m.numBlocks }
 
 // NumFreeBlocks returns the free block count.
-func (m *Manager) NumFreeBlocks() int { return len(m.returned) + m.numBlocks - m.fresh }
+func (m *Manager) NumFreeBlocks() int { return len(m.returned) + m.numBlocks - m.fresh - m.held }
 
 // needed returns the blocks q needs to grow by n tokens, or an error
 // when n is negative or those blocks are not free.
@@ -205,21 +208,41 @@ func (m *Manager) Commit() {
 	m.pending = m.pending[:0]
 }
 
-// Reset restores the manager to its freshly constructed state, keeping
-// the capacity of its returned blocks, so pooled managers can be
-// recycled across instances. It takes back every block without touching
-// the Seqs that held them: Release those first, or drop them, since
-// their tables name blocks the manager now hands out afresh.
-func (m *Manager) Reset() {
+// Reset restores the manager to the state NewManager(numBlocks)
+// constructs, keeping the capacity of its returned blocks and open
+// reservation, so pooled managers can be recycled across instances of
+// any pool size. It takes back every block without touching the Seqs
+// that held them: Release those first, or drop them, since their tables
+// name blocks the manager now hands out afresh.
+func (m *Manager) Reset(numBlocks int) {
+	m.numBlocks = numBlocks
 	m.returned = m.returned[:0]
 	m.fresh = 0
 	m.pending = m.pending[:0]
+	m.held = 0
+}
+
+// Hold gives q, which must hold no blocks, the blocks n tokens need
+// without naming them: a lifetime reserved whole, for a caller that
+// never reads its block table. They leave the free pool until Release;
+// no block moves on the free list, so named blocks go out in the order
+// they would without the hold. On exhaustion it returns
+// OutOfBlocksError and changes nothing.
+func (m *Manager) Hold(q *Seq, n int) error {
+	need, err := m.needed(q, n)
+	if err != nil {
+		return err
+	}
+	q.held, q.tokens = need, n
+	m.held += need
+	return nil
 }
 
 // Release frees all blocks of a sequence and empties it, keeping its
 // table's capacity. Releasing an empty Seq does nothing.
 func (m *Manager) Release(q *Seq) {
 	m.returned = append(m.returned, q.table...)
+	m.held -= q.held
 	q.table = q.table[:0]
-	q.tokens = 0
+	q.tokens, q.held = 0, 0
 }

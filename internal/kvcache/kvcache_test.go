@@ -181,13 +181,21 @@ func TestResetRestoresFreshState(t *testing.T) {
 	var a, b Seq
 	m.Append(&a, 40)
 	m.Reserve(&b, 1)
-	m.Reset()
+	m.Reset(3)
 	fresh := NewManager(3)
 	if m.NumFreeBlocks() != 3 || len(m.pending) != 0 {
 		t.Fatalf("Reset left free=%d pending=%d", m.NumFreeBlocks(), len(m.pending))
 	}
 	if free, want := freeList(m), freeList(fresh); !slices.Equal(free, want) {
 		t.Fatalf("Reset free-list order %v != fresh %v", free, want)
+	}
+	// Resetting to another pool size matches a fresh manager of it.
+	a, b = Seq{}, Seq{}
+	m.Append(&a, 20)
+	m.Release(&a)
+	m.Reset(5)
+	if free, want := freeList(m), freeList(NewManager(5)); m.NumBlocks() != 5 || !slices.Equal(free, want) {
+		t.Fatalf("Reset(5): %d blocks, free list %v, want %v", m.NumBlocks(), free, want)
 	}
 }
 
@@ -388,7 +396,7 @@ func TestManagerMatchesTwoMapOracle(t *testing.T) {
 					t.Fatalf("trial %d step %d: Append(%d, %d) disagrees", trial, step, seq, n)
 				}
 			case op == 6:
-				m.Reset()
+				m.Reset(blocks)
 				seqs = [8]Seq{}
 				ref = newRefManager(blocks)
 			default:
@@ -475,7 +483,7 @@ func FuzzManagerOps(f *testing.F) {
 				ref.rollback()
 			default:
 				if n%4 == 0 {
-					m.Reset()
+					m.Reset(int(blocks))
 					seqs = [8]Seq{}
 					ref = newRefManager(int(blocks))
 				} else {
@@ -623,5 +631,42 @@ func BenchmarkSizedSeqLifetime(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		lifetime(b, m, &q, 70, 90)
+	}
+}
+
+// TestHoldCountsWithoutNaming: held blocks leave the free count until
+// Release returns them, name no block, and leave the free list's order
+// to the named blocks alone: a sequence appended after a hold gets the
+// blocks it would get without it.
+func TestHoldCountsWithoutNaming(t *testing.T) {
+	m, ref := NewManager(8), NewManager(8)
+	var held, a, b Seq
+	if err := m.Hold(&held, 50); err != nil { // 4 blocks
+		t.Fatal(err)
+	}
+	if m.NumFreeBlocks() != 4 || held.Len() != 50 || len(held.Table()) != 0 {
+		t.Fatalf("after Hold: %d free, %d tokens held in %v", m.NumFreeBlocks(), held.Len(), held.Table())
+	}
+	var oversized Seq
+	if err := m.Hold(&oversized, 80); err == nil || m.NumFreeBlocks() != 4 || oversized.Len() != 0 {
+		t.Fatalf("Hold beyond the free count: err %v, %d free, %d tokens", err, m.NumFreeBlocks(), oversized.Len())
+	}
+	if err := m.Append(&a, 40); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Append(&b, 40); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.Table(), b.Table()) {
+		t.Fatalf("named blocks %v after a hold, %v without", a.Table(), b.Table())
+	}
+	m.Release(&held)
+	if m.NumFreeBlocks() != 5 || held.Len() != 0 {
+		t.Fatalf("after Release: %d free, %d tokens held", m.NumFreeBlocks(), held.Len())
+	}
+	m.Release(&a)
+	ref.Release(&b)
+	if !slices.Equal(freeList(m), freeList(ref)) {
+		t.Fatalf("free list %v, without the hold %v", freeList(m), freeList(ref))
 	}
 }

@@ -20,7 +20,7 @@ type Candidate struct {
 	// ID is the instance id (the deterministic tie-break key).
 	ID int
 	// QueueDepth counts requests already on the instance (running plus,
-	// in batched mode, preempted-waiting).
+	// under the batched policy, preempted-waiting).
 	QueueDepth int
 	// KVHeadroom is the instance's free KV-cache fraction in [0, 1].
 	KVHeadroom float64

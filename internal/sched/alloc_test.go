@@ -18,7 +18,12 @@ type arrival struct {
 type batchCase struct {
 	name     string
 	params   Params
+	maxSeqs  int
 	arrivals []arrival
+	// seqs are the arrivals' sequence handles and it the rounds' plan,
+	// reused by every replay.
+	seqs []Seq[req]
+	it   *Iteration[req]
 	// meanBatch is the sequences per planned round the case is built
 	// to run at; the gate checks it so the case keeps its shape.
 	meanBatch float64
@@ -26,7 +31,7 @@ type batchCase struct {
 
 // batchCases: a trickle of short requests whose rounds average about
 // 1.55 sequences, as in a batched diurnal fleet, and a queue deep
-// enough to keep MaxSeqs sequences running.
+// enough to keep the capped running set full, under either policy.
 func batchCases() []batchCase {
 	var trickle, full []arrival
 	for i := 0; i < 12; i++ {
@@ -35,10 +40,18 @@ func batchCases() []batchCase {
 	for i := 0; i < 32; i++ {
 		full = append(full, arrival{r: req{id: i, prompt: 24 + 5*(i%4), output: 16}})
 	}
-	return []batchCase{
-		{"mean_batch", Params{BatchTokens: 512, KVBlocks: 64}, trickle, 1.55},
-		{"full_batch", Params{BatchTokens: 512, KVBlocks: 128, MaxSeqs: 8}, full, 8},
+	cases := []batchCase{
+		{name: "mean_batch", params: Params{BatchTokens: 512, KVBlocks: 64}, arrivals: trickle, meanBatch: 1.55},
+		{name: "full_batch", params: Params{BatchTokens: 512, KVBlocks: 128}, maxSeqs: 8, arrivals: full, meanBatch: 8},
+		// A whole-request admission counts twice: its prompt's chunk and
+		// its place in the decode batch.
+		{name: "whole_request", params: Params{KVBlocks: 128}, maxSeqs: 8, arrivals: full, meanBatch: 8.5},
 	}
+	for i := range cases {
+		cases[i].seqs = make([]Seq[req], len(cases[i].arrivals))
+		cases[i].it = new(Iteration[req])
+	}
+	return cases
 }
 
 // replay drives the case's arrivals through s until the scheduler
@@ -53,16 +66,17 @@ func (bc batchCase) replay(s *Scheduler[req]) (rounds, seqs int) {
 		}
 		return pending[0].r.prompt, pending[0].r.output, true
 	}
-	pop := func() req {
-		r := pending[0].r
+	pop := func() *Seq[req] {
+		q := &bc.seqs[len(bc.arrivals)-len(pending)]
+		q.Data = pending[0].r
 		pending = pending[1:]
-		return r
+		return q
 	}
-	emit := func(req, int) {}
+	emit := func(req) {}
 	done := func(req) {}
+	it := bc.it
 	for {
-		it, err := s.Plan(peek, pop)
-		if err != nil {
+		if err := s.Plan(it, peek, pop); err != nil {
 			panic(err)
 		}
 		if it.Empty() {
@@ -72,7 +86,7 @@ func (bc batchCase) replay(s *Scheduler[req]) (rounds, seqs int) {
 			round = pending[0].at
 			continue
 		}
-		n := s.DecodeRun()
+		n := s.DecodeRun(false)
 		if len(pending) > 0 {
 			n = max(1, min(n, pending[0].at-round))
 		}
@@ -88,9 +102,9 @@ func (bc batchCase) replay(s *Scheduler[req]) (rounds, seqs int) {
 // sequence prefills and decodes.
 func TestAdmissionSizesBlockTable(t *testing.T) {
 	const prompt, output = 40, 100
-	s := New[req](Params{BatchTokens: 512, KVBlocks: 64})
+	s := newSched[req](Params{BatchTokens: 512, KVBlocks: 64}, 0)
 	w := &queue{reqs: []req{{id: 1, prompt: prompt, output: output}}}
-	it, err := s.Plan(w.peek, w.pop)
+	it, err := s.plan(w.peek, w.pop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,25 +114,26 @@ func TestAdmissionSizesBlockTable(t *testing.T) {
 	}
 	first := &q.Table()[0]
 	for !it.Empty() {
-		s.FinishRun(s.DecodeRun(), func(req, int) {}, func(req) {})
+		s.FinishRun(s.DecodeRun(false), func(req) {}, func(req) {})
 		if q.Len() > 0 && &q.Table()[0] != first {
 			t.Fatalf("table moved at %d tokens", q.Len())
 		}
-		if it, err = s.Plan(w.peek, w.pop); err != nil {
+		if it, err = s.plan(w.peek, w.pop); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestPlanFinishRunAllocatesNothing: once recycled sequences hold
+// TestPlanFinishRunAllocatesNothing: once reused sequence handles hold
 // tables sized for their lifetimes, Plan/FinishRun allocate nothing,
-// at a diurnal fleet's mean batch and at a full one.
+// at a diurnal fleet's mean batch and at a full one, under either
+// policy.
 func TestPlanFinishRunAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	for _, bc := range batchCases() {
-		s := New[req](bc.params)
+		s := newSched[req](bc.params, bc.maxSeqs)
 		rounds, seqs := bc.replay(s)
 		mean := float64(seqs) / float64(rounds)
 		t.Logf("%s: %d rounds, %.2f sequences per round", bc.name, rounds, mean)
@@ -134,7 +149,7 @@ func TestPlanFinishRunAllocatesNothing(t *testing.T) {
 func BenchmarkPlanFinishRun(b *testing.B) {
 	for _, bc := range batchCases() {
 		b.Run(bc.name, func(b *testing.B) {
-			s := New[req](bc.params)
+			s := newSched[req](bc.params, bc.maxSeqs)
 			rounds, _ := bc.replay(s)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -24,19 +24,22 @@ func (w *queue) peek() (int, int, bool) {
 	return w.reqs[0].prompt, w.reqs[0].output, true
 }
 
-func (w *queue) pop() req {
+func (w *queue) pop() *Seq[req] {
 	r := w.reqs[0]
 	w.reqs = w.reqs[1:]
-	return r
+	return &Seq[req]{Data: r}
 }
 
 // drive runs the scheduler to completion, returning the per-request
 // iteration index of each token as "events" plus the completion order.
+// A round's tokens are the rise in its sequences' emitted counts.
 func drive(t *testing.T, s *Scheduler[req], w *queue, maxRounds int) (tokens map[int][]int, doneOrder []int) {
 	t.Helper()
 	tokens = map[int][]int{}
+	var seqs []*Seq[req]
+	var before []int
 	for round := 0; round < maxRounds; round++ {
-		it, err := s.Plan(w.peek, w.pop)
+		it, err := s.plan(w.peek, w.pop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,28 +50,48 @@ func drive(t *testing.T, s *Scheduler[req], w *queue, maxRounds int) (tokens map
 			}
 			return tokens, doneOrder
 		}
-		s.Finish(func(r req, emitted int) {
-			tokens[r.id] = append(tokens[r.id], round)
-		}, func(r req) {
+		seqs, before = append(seqs[:0], s.running...), before[:0]
+		for _, q := range seqs {
+			before = append(before, q.emitted)
+		}
+		s.Finish(func(req) {}, func(r req) {
 			doneOrder = append(doneOrder, r.id)
 		})
+		for i, q := range seqs {
+			for e := before[i]; e < q.emitted; e++ {
+				tokens[q.Data.id] = append(tokens[q.Data.id], round)
+			}
+		}
 	}
 	t.Fatalf("scheduler did not drain in %d rounds", maxRounds)
 	return nil, nil
 }
 
+// newSched returns a reset scheduler.
+func newSched[T any](p Params, maxSeqs int) *Scheduler[T] {
+	s := new(Scheduler[T])
+	s.Reset(p, maxSeqs)
+	return s
+}
+
+// plan runs Plan into an Iteration of its own.
+func (s *Scheduler[T]) plan(peek func() (int, int, bool), pop func() *Seq[T]) (*Iteration[T], error) {
+	it := new(Iteration[T])
+	return it, s.Plan(it, peek, pop)
+}
+
 // Finish applies one planned round, FinishRun(1, …): the single-round
 // path the decode-run tests and FuzzDecodeRunMatchesSteps compare
 // FinishRun(n) against.
-func (s *Scheduler[T]) Finish(emit func(data T, emitted int), done func(data T)) {
-	s.FinishRun(1, emit, done)
+func (s *Scheduler[T]) Finish(first, done func(data T)) {
+	s.FinishRun(1, first, done)
 }
 
 func TestSingleSequenceLifecycle(t *testing.T) {
-	s := New[req](Params{BatchTokens: 64, KVBlocks: 16})
+	s := newSched[req](Params{BatchTokens: 64, KVBlocks: 16}, 0)
 	w := &queue{reqs: []req{{id: 1, prompt: 10, output: 3}}}
 
-	it, err := s.Plan(w.peek, w.pop)
+	it, err := s.plan(w.peek, w.pop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +99,10 @@ func TestSingleSequenceLifecycle(t *testing.T) {
 		t.Fatalf("admission round: %d chunks (%v tokens), %d admitted",
 			len(it.Chunks), it.Chunks, len(it.Admitted))
 	}
-	var first int
-	s.Finish(func(r req, emitted int) { first = emitted }, func(req) { t.Fatal("early done") })
-	if first != 1 {
-		t.Fatalf("prefill completion emitted token %d, want 1", first)
+	firsts := 0
+	s.Finish(func(req) { firsts++ }, func(req) { t.Fatal("early done") })
+	if e := it.Admitted[0].emitted; firsts != 1 || e != 1 {
+		t.Fatalf("prefill completion: %d first tokens, %d emitted; want 1 and 1", firsts, e)
 	}
 	if st := it.Admitted[0].state; st != StateDecoding {
 		t.Fatalf("after prefill: state %v", st)
@@ -88,14 +111,14 @@ func TestSingleSequenceLifecycle(t *testing.T) {
 	// Two more decode rounds complete output=3.
 	done := false
 	for i := 0; i < 2; i++ {
-		it, err := s.Plan(w.peek, w.pop)
+		it, err := s.plan(w.peek, w.pop)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(it.Decode) != 1 || len(it.Chunks) != 0 {
 			t.Fatalf("decode round %d: %d decode, %d chunks", i, len(it.Decode), len(it.Chunks))
 		}
-		s.Finish(func(req, int) {}, func(req) { done = true })
+		s.Finish(func(req) {}, func(req) { done = true })
 	}
 	if !done || !s.Idle() {
 		t.Fatalf("done=%v idle=%v", done, s.Idle())
@@ -103,11 +126,11 @@ func TestSingleSequenceLifecycle(t *testing.T) {
 }
 
 func TestChunkedPrefillSplitsLongPrompt(t *testing.T) {
-	s := New[req](Params{BatchTokens: 32, KVBlocks: 16, ChunkedPrefill: true})
+	s := newSched[req](Params{BatchTokens: 32, KVBlocks: 16, ChunkedPrefill: true}, 0)
 	w := &queue{reqs: []req{{id: 1, prompt: 100, output: 2}}}
 	sizes := []int{}
 	for {
-		it, err := s.Plan(w.peek, w.pop)
+		it, err := s.plan(w.peek, w.pop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +140,7 @@ func TestChunkedPrefillSplitsLongPrompt(t *testing.T) {
 		for _, c := range it.Chunks {
 			sizes = append(sizes, c.Tokens)
 		}
-		s.Finish(func(req, int) {}, func(req) {})
+		s.Finish(func(req) {}, func(req) {})
 	}
 	want := []int{32, 32, 32, 4}
 	if len(sizes) != len(want) {
@@ -133,12 +156,12 @@ func TestChunkedPrefillSplitsLongPrompt(t *testing.T) {
 func TestWholePromptWaitsForBudgetException(t *testing.T) {
 	// Non-chunked: a 50-token prompt exceeds the 32-token budget, so it
 	// only runs as the round's sole prefill.
-	s := New[req](Params{BatchTokens: 32, KVBlocks: 32})
+	s := newSched[req](Params{BatchTokens: 32, KVBlocks: 32}, 0)
 	w := &queue{reqs: []req{
 		{id: 1, prompt: 8, output: 2},
 		{id: 2, prompt: 50, output: 2},
 	}}
-	it, err := s.Plan(w.peek, w.pop)
+	it, err := s.plan(w.peek, w.pop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +170,8 @@ func TestWholePromptWaitsForBudgetException(t *testing.T) {
 	if len(it.Chunks) != 1 || it.Chunks[0].Tokens != 8 {
 		t.Fatalf("round 1 chunks %v", it.Chunks)
 	}
-	s.Finish(func(req, int) {}, func(req) {})
-	it, err = s.Plan(w.peek, w.pop)
+	s.Finish(func(req) {}, func(req) {})
+	it, err = s.plan(w.peek, w.pop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +183,14 @@ func TestWholePromptWaitsForBudgetException(t *testing.T) {
 }
 
 func TestDecodeConsumesBudget(t *testing.T) {
-	s := New[req](Params{BatchTokens: 10, KVBlocks: 64, ChunkedPrefill: true})
+	s := newSched[req](Params{BatchTokens: 10, KVBlocks: 64, ChunkedPrefill: true}, 0)
 	w := &queue{reqs: []req{
 		{id: 1, prompt: 4, output: 8},
 		{id: 2, prompt: 4, output: 8},
 		{id: 3, prompt: 40, output: 2},
 	}}
 	// Round 1: admit 1 and 2 (8 tokens) and the first 2-token chunk of 3.
-	it, err := s.Plan(w.peek, w.pop)
+	it, err := s.plan(w.peek, w.pop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +201,9 @@ func TestDecodeConsumesBudget(t *testing.T) {
 	if got != 10 || len(it.Chunks) != 3 {
 		t.Fatalf("round 1: %d prefill tokens in %d chunks", got, len(it.Chunks))
 	}
-	s.Finish(func(req, int) {}, func(req) {})
+	s.Finish(func(req) {}, func(req) {})
 	// Round 2: seqs 1,2 decode (2 budget tokens), leaving 8 for seq 3.
-	it, err = s.Plan(w.peek, w.pop)
+	it, err = s.plan(w.peek, w.pop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +216,12 @@ func TestPreemptionEvictsLowestSeq(t *testing.T) {
 	// Pool of 4 blocks = 64 tokens. Two sequences of 32+32 tokens fill
 	// it exactly at admission; the first decode round must evict one,
 	// and the victim must be the lowest id.
-	s := New[req](Params{BatchTokens: 64, KVBlocks: 4})
+	s := newSched[req](Params{BatchTokens: 64, KVBlocks: 4}, 0)
 	w := &queue{reqs: []req{
 		{id: 1, prompt: 32, output: 32},
 		{id: 2, prompt: 32, output: 32},
 	}}
-	it, err := s.Plan(w.peek, w.pop)
+	it, err := s.plan(w.peek, w.pop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +229,9 @@ func TestPreemptionEvictsLowestSeq(t *testing.T) {
 		t.Fatalf("admitted %d", len(it.Admitted))
 	}
 	a, b := it.Admitted[0], it.Admitted[1]
-	s.Finish(func(req, int) {}, func(req) {})
+	s.Finish(func(req) {}, func(req) {})
 
-	it, err = s.Plan(w.peek, w.pop)
+	it, err = s.plan(w.peek, w.pop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +250,7 @@ func TestPreemptionEvictsLowestSeq(t *testing.T) {
 }
 
 func TestPreemptedSequenceResumesAndCompletes(t *testing.T) {
-	s := New[req](Params{BatchTokens: 64, KVBlocks: 4, ChunkedPrefill: true})
+	s := newSched[req](Params{BatchTokens: 64, KVBlocks: 4, ChunkedPrefill: true}, 0)
 	w := &queue{reqs: []req{
 		{id: 1, prompt: 32, output: 32},
 		{id: 2, prompt: 32, output: 32},
@@ -251,15 +274,15 @@ func TestPreemptedSequenceResumesAndCompletes(t *testing.T) {
 }
 
 func TestRecomputeOnResumeGrowsTarget(t *testing.T) {
-	s := New[req](Params{BatchTokens: 64, KVBlocks: 4})
+	s := newSched[req](Params{BatchTokens: 64, KVBlocks: 4}, 0)
 	w := &queue{reqs: []req{
 		{id: 1, prompt: 32, output: 32},
 		{id: 2, prompt: 32, output: 32},
 	}}
-	it, _ := s.Plan(w.peek, w.pop)
+	it, _ := s.plan(w.peek, w.pop)
 	a := it.Admitted[0]
-	s.Finish(func(req, int) {}, func(req) {}) // both prefilled, 1 token each
-	s.Plan(w.peek, w.pop)                     // evicts a
+	s.Finish(func(req) {}, func(req) {}) // both prefilled, 1 token each
+	s.plan(w.peek, w.pop)                // evicts a
 	if a.target != a.prompt+a.emitted {
 		t.Fatalf("victim target %d, want prompt %d + emitted %d", a.target, a.prompt, a.emitted)
 	}
@@ -269,21 +292,21 @@ func TestRecomputeOnResumeGrowsTarget(t *testing.T) {
 }
 
 func TestOversizedSequenceIsAnError(t *testing.T) {
-	s := New[req](Params{BatchTokens: 64, KVBlocks: 2}) // 32-token pool
+	s := newSched[req](Params{BatchTokens: 64, KVBlocks: 2}, 0) // 32-token pool
 	w := &queue{reqs: []req{{id: 1, prompt: 30, output: 10}}}
-	if _, err := s.Plan(w.peek, w.pop); err == nil {
+	if _, err := s.plan(w.peek, w.pop); err == nil {
 		t.Fatal("Plan admitted a sequence that cannot fit the pool")
 	}
 }
 
 func TestMaxSeqsCapsAdmission(t *testing.T) {
-	s := New[req](Params{BatchTokens: 64, KVBlocks: 64, MaxSeqs: 2})
+	s := newSched[req](Params{BatchTokens: 64, KVBlocks: 64}, 2)
 	w := &queue{reqs: []req{
 		{id: 1, prompt: 4, output: 2},
 		{id: 2, prompt: 4, output: 2},
 		{id: 3, prompt: 4, output: 2},
 	}}
-	it, err := s.Plan(w.peek, w.pop)
+	it, err := s.plan(w.peek, w.pop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +317,7 @@ func TestMaxSeqsCapsAdmission(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() ([]int, map[int][]int) {
-		s := New[req](Params{BatchTokens: 48, KVBlocks: 6, ChunkedPrefill: true})
+		s := newSched[req](Params{BatchTokens: 48, KVBlocks: 6, ChunkedPrefill: true}, 0)
 		w := &queue{reqs: []req{
 			{id: 1, prompt: 40, output: 20},
 			{id: 2, prompt: 30, output: 25},
@@ -327,18 +350,17 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 func TestResetRecyclesCleanly(t *testing.T) {
-	s := New[req](Params{BatchTokens: 32, KVBlocks: 8})
+	s := newSched[req](Params{BatchTokens: 32, KVBlocks: 8}, 0)
 	w := &queue{reqs: []req{{id: 1, prompt: 10, output: 50}}}
-	s.Plan(w.peek, w.pop)
-	s.Finish(func(req, int) {}, func(req) {})
-	s.Reset(Params{BatchTokens: 32, KVBlocks: 8})
+	it, _ := s.plan(w.peek, w.pop)
+	held := it.Admitted[0]
+	s.Finish(func(req) {}, func(req) {})
+	s.Reset(Params{BatchTokens: 32, KVBlocks: 8}, 0)
 	if !s.Idle() || s.KVFreeBlocks() != 8 {
 		t.Fatalf("after Reset: idle=%v free=%d", s.Idle(), s.KVFreeBlocks())
 	}
-	for _, q := range s.freeSeqs {
-		if q.Len() != 0 || len(q.Table()) != 0 {
-			t.Fatalf("after Reset: a recycled sequence holds %d tokens in %v", q.Len(), q.Table())
-		}
+	if q := held; q.Len() != 0 || len(q.Table()) != 0 {
+		t.Fatalf("after Reset: the dropped sequence holds %d tokens in %v", q.Len(), q.Table())
 	}
 	// A fresh workload on the recycled scheduler behaves like new.
 	w2 := &queue{reqs: []req{{id: 9, prompt: 16, output: 2}}}
@@ -352,21 +374,21 @@ func TestResetRecyclesCleanly(t *testing.T) {
 // the KV invariant after every round: blocks held by running sequences
 // plus free blocks always equals the pool size.
 func TestBlockConservationUnderChurn(t *testing.T) {
-	s := New[req](Params{BatchTokens: 24, KVBlocks: 5, ChunkedPrefill: true})
+	s := newSched[req](Params{BatchTokens: 24, KVBlocks: 5, ChunkedPrefill: true}, 0)
 	w := &queue{}
 	for i := 0; i < 12; i++ {
 		w.reqs = append(w.reqs, req{id: i, prompt: 10 + (i*7)%40, output: 5 + (i*3)%25})
 	}
 	completed := 0
 	for round := 0; round < 5000; round++ {
-		it, err := s.Plan(w.peek, w.pop)
+		it, err := s.plan(w.peek, w.pop)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if it.Empty() {
 			break
 		}
-		s.Finish(func(req, int) {}, func(req) { completed++ })
+		s.Finish(func(req) {}, func(req) { completed++ })
 		held := 0
 		for _, q := range s.running {
 			held += kvcache.BlocksForTokens(q.Len())
@@ -380,30 +402,36 @@ func TestBlockConservationUnderChurn(t *testing.T) {
 	}
 }
 
-// TestSteadyCycleAllocatesNothing: once the scheduler's free-list holds
-// recycled sequences whose KV tables kept their capacity, a batch that
-// is admitted, decoded to completion and released (Reserve, Commit and
-// Release on every round) allocates nothing.
+// TestSteadyCycleAllocatesNothing: once reused sequence handles hold
+// KV tables that kept their capacity, a batch that is admitted, decoded
+// to completion and released (Reserve, Commit and Release on every
+// round) allocates nothing.
 func TestSteadyCycleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	s := New[req](Params{BatchTokens: 64, KVBlocks: 32})
+	s := newSched[req](Params{BatchTokens: 64, KVBlocks: 32}, 0)
 	batch := []req{{id: 1, prompt: 20, output: 40}, {id: 2, prompt: 9, output: 33}, {id: 3, prompt: 30, output: 18}}
 	w := &queue{}
-	emit := func(req, int) {}
+	handles := make([]Seq[req], len(batch))
+	pop := func() *Seq[req] {
+		q := &handles[len(batch)-len(w.reqs)]
+		q.Data, w.reqs = w.reqs[0], w.reqs[1:]
+		return q
+	}
+	emit := func(req) {}
 	done := func(req) {}
+	it := new(Iteration[req])
 	cycle := func() {
 		w.reqs = batch
 		for {
-			it, err := s.Plan(w.peek, w.pop)
-			if err != nil {
+			if err := s.Plan(it, w.peek, pop); err != nil {
 				t.Fatal(err)
 			}
 			if it.Empty() {
 				return
 			}
-			s.FinishRun(s.DecodeRun(), emit, done)
+			s.FinishRun(s.DecodeRun(false), emit, done)
 		}
 	}
 	cycle()

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/medusa-repro/medusa/internal/artifactcache"
 	"github.com/medusa-repro/medusa/internal/engine"
+	"github.com/medusa-repro/medusa/internal/kvcache"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
@@ -97,5 +99,50 @@ func TestPrewarmAvoidsColdStart(t *testing.T) {
 	}
 	if res.TTFT.P99() > 500*time.Millisecond {
 		t.Fatalf("prewarmed p99 TTFT = %v, want warm-path latency", res.TTFT.P99())
+	}
+}
+
+// TestWholeRequestKVPoolBinds fills one instance's KV pool under
+// whole-request admission: each request's lifetime (prompt plus
+// output, a multiple of the 16-token block) takes just over a third of
+// the pool, so two fit and the other two wait for their completions.
+// The lengths are block multiples, so rounding lifetimes up to whole
+// blocks cannot change which requests fit.
+func TestWholeRequestKVPoolBinds(t *testing.T) {
+	_, c := simFixture(t, "Qwen1.5-0.5B")
+	c.Strategy = engine.StrategyMedusa
+	c.Scheduler.Prewarm = 1
+	dc, err := c.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := buildProfile(dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const output = kvcache.TokensPerBlock
+	lifetime := (prof.maxKVTok/kvcache.TokensPerBlock/3 + 1) * kvcache.TokensPerBlock
+	if 2*lifetime > prof.maxKVTok || 3*lifetime <= prof.maxKVTok || dc.Scheduler.MaxBatch < 4 {
+		t.Fatalf("fixture: lifetime %d tokens in a %d-token pool, batch cap %d", lifetime, prof.maxKVTok, dc.Scheduler.MaxBatch)
+	}
+	var reqs []workload.Request
+	for i := 0; i < 4; i++ {
+		reqs = append(reqs, workload.Request{ID: i, PromptTokens: lifetime - output, OutputTokens: output})
+	}
+	res, err := RunFleet(Fleet{
+		Nodes: 1, GPUsPerNode: 1, Cache: artifactcache.DefaultParams(), Network: artifactcache.DefaultNetwork(),
+		Deployments: []Deployment{{Name: "q", Config: c, Requests: reqs}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := res.PerDeployment[0]
+	if d.Completed != 4 || d.ColdStarts != 0 {
+		t.Fatalf("completed %d with %d cold starts, want 4 on the prewarmed instance", d.Completed, d.ColdStarts)
+	}
+	// Every request arrives at zero: the later pair's first token comes
+	// no earlier than the earlier pair's completion.
+	if late, done := d.TTFT.Max(), d.E2E.Percentile(25); late < done {
+		t.Fatalf("no request waited for KV blocks: last first token at %v, first completions at %v", late, done)
 	}
 }

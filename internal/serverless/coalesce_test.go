@@ -194,6 +194,25 @@ func crashMidRun(t *testing.T) Fleet {
 	return f
 }
 
+// maxBatchBurst is a fleet of batch-2 instances under bursts that keep
+// their batches full with requests queued.
+func maxBatchBurst(t *testing.T) Fleet {
+	f := coalesceFleet(t, func(_ int, c *Config) {
+		c.Scheduler.MaxBatch = 2
+		c.Scheduler.InstanceTarget = 6
+	})
+	for i := range f.Deployments {
+		reqs, err := workload.Generate(workload.TraceConfig{
+			Seed: int64(80 + i), RPS: 30, Duration: 4 * time.Second, MeanOutput: 16, MaxOutput: 32,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Deployments[i].Requests = reqs
+	}
+	return f
+}
+
 // TestCoalescedDecodeMatchesPerStep is the oracle for coalesced decode
 // runs in both execution modes: forcing one event per iteration must
 // change nothing but the number of iteration-end events.
@@ -238,25 +257,19 @@ func TestCoalescedDecodeMatchesPerStep(t *testing.T) {
 			return crash(coalesceFleet(t, func(int, *Config) {}))
 		}},
 		{"crash-mid-run", crashMidRun},
-		{"maxbatch-burst", func(t *testing.T) Fleet {
-			f := coalesceFleet(t, func(_ int, c *Config) {
-				c.Scheduler.MaxBatch = 2
-				c.Scheduler.InstanceTarget = 6
-			})
-			for i := range f.Deployments {
-				reqs, err := workload.Generate(workload.TraceConfig{
-					Seed: int64(80 + i), RPS: 30, Duration: 4 * time.Second, MeanOutput: 16, MaxOutput: 32,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Deployments[i].Requests = reqs
-			}
-			return f
-		}},
+		{"maxbatch-burst", maxBatchBurst},
 		{"predictive", func(t *testing.T) Fleet {
 			f := coalesceFleet(t, func(int, *Config) {})
 			f.Autoscaler = predictive(t)
+			return f
+		}},
+		{"batched-maxbatch-burst", func(t *testing.T) Fleet {
+			// Full batches with requests queued: batched runs coalesce
+			// until a completion makes room.
+			f := maxBatchBurst(t)
+			for i := range f.Deployments {
+				f.Deployments[i].Config.Scheduler.Batch = batchParams
+			}
 			return f
 		}},
 		{"batched", func(t *testing.T) Fleet {

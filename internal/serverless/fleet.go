@@ -314,8 +314,8 @@ func runFleet(f Fleet, opts runOptions) (*FleetResult, error) {
 // restore stage and the fault plan's RegistryTimeout and NodeCrashes
 // entries are ignored — the single pool. It prepares every deployment
 // once — defaults, the profile and the vanilla fallback profile, the
-// artifact's registry entry or storage-read cost, batched-mode KV
-// sizing, instruments — merges the traffic, and runs the event loop
+// artifact's registry entry or storage-read cost, the scheduler's KV
+// pool, instruments — merges the traffic, and runs the event loop
 // with the arrival source read ahead on a goroutine of its own, which
 // it stops and joins before returning.
 func simulate(f Fleet, registry *artifactcache.Registry, opts runOptions) (*FleetResult, error) {
@@ -449,19 +449,14 @@ func (s *simulation) prepare(di int, dep Deployment) (*depState, error) {
 	if name == "" {
 		name = fmt.Sprintf("deployment-%d", di)
 	}
-	// Resolve the batched-execution parameters against the measured
-	// profile: an unset KV pool inherits the instance's measured KV
-	// capacity, so legacy and batched admission see the same memory.
-	batch := dcfg.Scheduler.Batch
-	if batch.Enabled() && batch.KVBlocks == 0 {
-		batch.KVBlocks = prof.maxKVTok / kvcache.TokensPerBlock
+	// An unset KV pool inherits the instance's measured KV capacity.
+	if dcfg.Scheduler.Batch.KVBlocks == 0 {
+		dcfg.Scheduler.Batch.KVBlocks = prof.maxKVTok / kvcache.TokensPerBlock
 	}
 	d := &depState{
-		cfg:     dcfg,
-		prof:    prof,
-		name:    name,
-		batched: batch.Enabled(),
-		batch:   batch,
+		cfg:  dcfg,
+		prof: prof,
+		name: name,
 		// The predictive autoscaler scales ahead by the launch lead time:
 		// the profile's measured cold start (placement may shave the
 		// fetch, but the loading stages dominate).

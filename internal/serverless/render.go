@@ -39,8 +39,8 @@ func (r *FleetResult) Render() string {
 		if d.ColdStart.Len() > 0 {
 			fmt.Fprintf(&b, "  cold start p50 %-12v p99 %-12v\n", d.ColdStart.P50(), d.ColdStart.P99())
 		}
-		// TPOT exists only in batched execution mode; gating on it keeps
-		// legacy output byte-identical.
+		// TPOT exists only under the batched policy; gating on it keeps
+		// whole-request output byte-identical.
 		if d.TPOT != nil {
 			fmt.Fprintf(&b, "  tpot p50 %-12v p99 %-12v preemptions %d\n",
 				d.TPOT.P50(), d.TPOT.P99(), d.Preemptions)

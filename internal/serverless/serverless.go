@@ -79,11 +79,13 @@ func (w Workload) Validate() error {
 	return nil
 }
 
-// Scheduler groups the serving policy: per-instance admission, the
-// autoscaling rules that add and retire instances, and the optional
-// iteration-level batched execution mode.
+// Scheduler groups the serving policy: per-instance admission and
+// iteration scheduling, and the autoscaling rules that add and retire
+// instances.
 type Scheduler struct {
-	// MaxBatch bounds per-instance concurrency (vLLM max_num_seqs).
+	// MaxBatch bounds per-instance concurrency (vLLM max_num_seqs):
+	// the running-sequence cap of the instance's scheduler, under
+	// either policy.
 	MaxBatch int
 	// InstanceTarget is the outstanding-request count one instance is
 	// expected to absorb before the autoscaler adds another.
@@ -100,12 +102,11 @@ type Scheduler struct {
 	// phase on top of the loading phase. 0 means an unbounded pool —
 	// the paper's setting.
 	WarmContainers int
-	// Batch selects iteration-level continuous batching with paged KV
-	// and chunked prefill (internal/sched) when Batch.BatchTokens > 0.
-	// The zero value keeps the legacy whole-request admission path,
-	// byte-identical to before the scheduler existed. Batch.KVBlocks 0
-	// derives the pool from the instance profile's measured KV
-	// capacity; Batch.MaxSeqs 0 inherits MaxBatch.
+	// Batch selects the instance scheduler's policy (internal/sched):
+	// iteration-level continuous batching when Batch.BatchTokens > 0,
+	// else whole-request admission (FIFO up to MaxBatch, each prompt
+	// plus output held in KV blocks from admission). Batch.KVBlocks 0
+	// derives the pool from the profile's measured KV capacity.
 	Batch sched.Params
 }
 
@@ -127,8 +128,6 @@ func (s Scheduler) Validate() error {
 		return &ConfigError{Field: "Scheduler.Batch.BatchTokens", Reason: fmt.Sprintf("must be ≥ 0, got %d", s.Batch.BatchTokens)}
 	case s.Batch.KVBlocks < 0:
 		return &ConfigError{Field: "Scheduler.Batch.KVBlocks", Reason: fmt.Sprintf("must be ≥ 0, got %d", s.Batch.KVBlocks)}
-	case s.Batch.MaxSeqs < 0:
-		return &ConfigError{Field: "Scheduler.Batch.MaxSeqs", Reason: fmt.Sprintf("must be ≥ 0, got %d", s.Batch.MaxSeqs)}
 	}
 	return nil
 }
@@ -205,8 +204,9 @@ type SLO struct {
 	// TTFT is the time-to-first-token deadline (0 = unconstrained).
 	TTFT time.Duration
 	// TPOT is the time-per-output-token deadline, checked against each
-	// completed request's mean inter-token gap. Only batched execution
-	// mode measures TPOT; the legacy path ignores this deadline.
+	// completed request's mean inter-token gap. Only the batched
+	// scheduler policy measures TPOT; whole-request admission ignores
+	// this deadline.
 	TPOT time.Duration
 }
 
@@ -364,9 +364,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Scheduler.InstanceTarget == 0 {
 		c.Scheduler.InstanceTarget = 128
 	}
-	if c.Scheduler.Batch.Enabled() && c.Scheduler.Batch.MaxSeqs == 0 {
-		c.Scheduler.Batch.MaxSeqs = c.Scheduler.MaxBatch
-	}
 	if c.Workload.AvgContextTokens == 0 {
 		c.Workload.AvgContextTokens = workload.ShareGPTMeanPrompt + workload.ShareGPTMeanOutput/2
 	}
@@ -385,12 +382,11 @@ type Result struct {
 	E2E *metrics.Sample
 	// TPOT is the time-per-output-token sample — per completed request,
 	// the mean inter-token gap (last token minus first token over
-	// output−1 tokens). It is recorded only in batched execution mode
-	// (Scheduler.Batch enabled), where per-token completion events
-	// exist; nil otherwise.
+	// output−1 tokens). It is recorded only under the batched scheduler
+	// policy (Scheduler.Batch.BatchTokens > 0); nil otherwise.
 	TPOT *metrics.Sample
 	// Preemptions counts scheduler evictions under KV pressure
-	// (batched execution mode only).
+	// (batched policy only).
 	Preemptions int
 	// Completed counts finished requests.
 	Completed int
@@ -453,7 +449,7 @@ type profile struct {
 	// startIteration always runs before the first decode of a size).
 	// Both are slices grown on demand (0 = not yet computed):
 	// prefillCache is indexed by prompt length clamped at maxSeqLen,
-	// stepCache by decode batch size, which MaxBatch/MaxSeqs bound.
+	// stepCache by decode batch size, which MaxBatch bounds.
 	prefillCache []time.Duration
 	stepCache    []time.Duration
 }

@@ -50,14 +50,18 @@ import (
 //   - The autoscaler is asked for a deployment's desired count only
 //     when its outstanding or live count changed or the policy's
 //     stated horizon passed (see tick).
-//   - In both execution modes a run of decode steps that admit nothing
-//     is one event (see coalescible and DecodeRun in internal/sched):
-//     the steps are identical, and no skipped boundary changes anything
-//     but token counts. A run ends at its first completion, before a
-//     batched step that needs a new KV block, and at the first boundary
-//     at or after the earliest policy horizon of any deployment. A
-//     request queued mid-run cuts the run back to the boundary where
-//     per-step code would admit it (splitRuns). A run's end is pushed
+//   - Every instance plans its rounds through its internal/sched
+//     scheduler, under the deployment's policy: whole-request admission
+//     (Scheduler.Batch.BatchTokens 0) or continuous batching. A run of
+//     decode steps that admit nothing is one event when the scheduler
+//     says so (DecodeRun): the queue is empty, or the running set is
+//     full; the steps are identical, and no skipped boundary changes
+//     anything but token counts. A run ends at its first completion,
+//     before a batched step that needs a new KV block, and at the first
+//     boundary at or after the earliest policy horizon of any
+//     deployment. A request queued mid-run cuts a run with room back to
+//     the boundary where per-step code would plan with it in view
+//     (splitRuns). A run's end is pushed
 //     at the start of its last step, as per-step code pushes it, and an
 //     iteration end pops ahead of other events due and pushed at the
 //     same instant, two ends in per-step order (pushOrder), so exact
@@ -102,7 +106,6 @@ const runtimeInitDuration = 830 * time.Millisecond
 type reqState struct {
 	workload.Request
 	dep      int // owning deployment
-	emitted  int
 	ttftSeen bool
 	// sloViolated latches the first missed deadline; checked once at
 	// completion so each request counts toward attainment exactly once.
@@ -112,25 +115,26 @@ type reqState struct {
 	firstTok time.Duration
 	// turn is the request's position in its conversation (1-based).
 	turn int
+	// seq is the request's handle in its instance's scheduler, which
+	// owns it from admission to completion; its KV block table keeps its
+	// storage as the request state recycles.
+	seq sched.Seq[*reqState]
 }
 
 // instState is one provisioned instance, pinned to a node.
 type instState struct {
-	id      int
-	dep     int
-	node    int
-	ready   bool
-	running []*reqState
+	id    int
+	dep   int
+	node  int
+	ready bool
 	// iterating reports whether an iteration-end event is in flight.
 	iterating bool
 	// The in-flight iteration-end event closes a run of runLen steps
 	// begun at runStart: the first lasts runFirst (graph capture and
 	// prefill, if any, plus one decode step), every later one runStep.
-	// runLen > 1 only for a coalesced decode run (see startIteration and
-	// startIterationBatched). runAdmitted is how many requests the first
-	// step admitted (legacy mode).
+	// runLen > 1 only for a coalesced decode run (see startIteration).
 	runStart, runFirst, runStep time.Duration
-	runLen, runAdmitted         int
+	runLen                      int
 	// runOrigin is the push instant of the event whose handling started
 	// the run (see pushedBack).
 	runOrigin time.Duration
@@ -139,17 +143,15 @@ type instState struct {
 	readyEv, endEv, checkEv eventq.Handle
 	idleSince               time.Duration
 	launchedAt              time.Duration
-	kvTokens                int
 	// captured tracks graph sizes this instance has lazily captured
 	// (deferred-capture strategy only).
 	captured map[int]bool
 	// degraded records the fault reason when the launch fell back to the
 	// vanilla cold-start profile ("" for a clean launch).
 	degraded string
-	// sch is the instance's iteration-level scheduler (batched
-	// execution mode only; nil otherwise). It recycles with the
-	// instance state through the free-list.
-	sch *sched.Scheduler[*reqState]
+	// sch is the instance's iteration-level scheduler. It recycles with
+	// the instance state through the free-list.
+	sch sched.Scheduler[*reqState]
 }
 
 // boundary returns the end of the run's j-th step (j = 0 is the run's
@@ -263,12 +265,7 @@ func (inst *instState) pushedBack(k int) (time.Duration, bool) {
 }
 
 // idleNow reports whether the instance currently holds no work.
-func (inst *instState) idleNow(batched bool) bool {
-	if batched {
-		return !inst.iterating && inst.sch.Idle()
-	}
-	return !inst.iterating && len(inst.running) == 0
-}
+func (inst *instState) idleNow() bool { return !inst.iterating && inst.sch.Idle() }
 
 // nodeState is one fleet node: a GPU budget, a warm-container pool and,
 // on a multi-node fleet, the tiered artifact cache.
@@ -313,12 +310,6 @@ type depState struct {
 	// from storage on a node without a cache.
 	artRead time.Duration
 
-	// batched selects iteration-level continuous batching; batch is the
-	// resolved parameter set (KVBlocks defaulted from the profile's
-	// measured KV capacity, MaxSeqs from MaxBatch).
-	batched bool
-	batch   sched.Params
-
 	// provLatency is the launch lead time the predictive autoscaler
 	// scales ahead by (the profile's measured cold start).
 	provLatency time.Duration
@@ -350,6 +341,9 @@ type depState struct {
 	seenArr  bool
 	lastDone time.Duration
 	rng      *rand.Rand
+	// iterations counts settled steps; the iterations counter takes it
+	// when the run ends, keeping an atomic add off every round.
+	iterations int64
 
 	// Cached registry instruments (hot path).
 	cCompleted  *obs.Counter
@@ -370,9 +364,10 @@ type depState struct {
 	cSLOMet *obs.Counter
 }
 
-// bindInstruments resolves the hot-path instruments once. The
-// batched-only instruments (tpot, preemptions) register lazily so a
-// legacy-mode registry renders exactly the historical instrument set.
+// bindInstruments resolves the hot-path instruments once. The batched
+// policy's instruments (tpot, preemptions) register only under it, so a
+// whole-request registry renders exactly the historical instrument set:
+// one of the two places the policies differ outside internal/sched.
 func (d *depState) bindInstruments() {
 	d.cCompleted = d.reg.Counter("completed")
 	d.cColdStarts = d.reg.Counter("cold_starts")
@@ -381,7 +376,7 @@ func (d *depState) bindInstruments() {
 	d.sTTFT = d.reg.Sample("ttft")
 	d.sE2E = d.reg.Sample("e2e")
 	d.gLive = d.reg.Gauge("live_instances")
-	if d.batched {
+	if d.cfg.Scheduler.Batch.BatchTokens > 0 {
 		d.cPreempt = d.reg.Counter("preemptions")
 		d.sTPOT = d.reg.Sample("tpot")
 	}
@@ -412,8 +407,8 @@ type runOptions struct {
 	// active instance, checking each deployment's idle count against a
 	// recount.
 	referenceLoop bool
-	// forcePerStep makes every iteration, in either execution mode, its
-	// own event, to check coalesced runs against per-step execution.
+	// forcePerStep makes every iteration, under either policy, its own
+	// event, to check coalesced runs against per-step execution.
 	forcePerStep bool
 }
 
@@ -471,12 +466,13 @@ type simulation struct {
 
 	// Scratch buffers reused across calls on the hot path.
 	scratchIntervals []obs.Interval
-	scratchAdmitted  []*reqState
 	scratchCrash     []*instState
 	scratchChunkDur  []time.Duration
-	scratchCands     []router.Candidate
-	scratchRoute     []*instState
-	ranker           router.Ranker
+	// round is the iteration every instance plans into.
+	round        sched.Iteration[*reqState]
+	scratchCands []router.Candidate
+	scratchRoute []*instState
+	ranker       router.Ranker
 
 	created    int
 	completed  int
@@ -516,12 +512,17 @@ func (s *simulation) newReq() *reqState {
 		s.reqPool = s.reqPool[:n-1]
 		return r
 	}
-	return &reqState{}
+	r := &reqState{}
+	r.seq.Data = r
+	return r
 }
 
-// freeReq recycles a completed request's state.
+// freeReq recycles a completed request's state, keeping the storage of
+// its sequence handle's KV table, which the scheduler has released.
 func (s *simulation) freeReq(r *reqState) {
+	kv := r.seq.Seq
 	*r = reqState{}
+	r.seq.Data, r.seq.Seq = r, kv
 	s.reqPool = append(s.reqPool, r)
 }
 
@@ -539,13 +540,8 @@ func (s *simulation) newInst(dep, node int) *instState {
 	s.instSeq++
 	inst.dep = dep
 	inst.node = node
-	if d := s.deps[dep]; d.batched {
-		if inst.sch == nil {
-			inst.sch = sched.New[*reqState](d.batch)
-		} else {
-			inst.sch.Reset(d.batch)
-		}
-	}
+	d := s.deps[dep]
+	inst.sch.Reset(d.cfg.Scheduler.Batch, d.cfg.Scheduler.MaxBatch)
 	return inst
 }
 
@@ -556,9 +552,8 @@ func (s *simulation) freeInst(inst *instState) {
 	s.events.Cancel(&inst.readyEv)
 	s.events.Cancel(&inst.endEv)
 	s.events.Cancel(&inst.checkEv)
-	running := inst.running[:0]
 	// The scheduler recycles with the instance (newInst resets it).
-	*inst = instState{running: running, sch: inst.sch}
+	*inst = instState{sch: inst.sch}
 	s.instPool = append(s.instPool, inst)
 }
 
@@ -701,7 +696,7 @@ func (s *simulation) run() (*FleetResult, error) {
 			s.work.IdleChecks++
 			inst := ev.inst
 			d := s.deps[inst.dep]
-			if !inst.idleNow(d.batched) {
+			if !inst.idleNow() {
 				// Busy: the next markIdle arms a fresh check.
 				break
 			}
@@ -781,6 +776,7 @@ func (s *simulation) assemble() *FleetResult {
 	out := &FleetResult{Config: s.cfg, Metrics: s.reg, Makespan: s.lastDone,
 		GPUSeconds: s.gpuSeconds, Completed: s.completed, Work: s.work}
 	for _, d := range s.deps {
+		d.cIterations.Add(d.iterations)
 		completed := int(d.cCompleted.Value())
 		coldStarts := int(d.cColdStarts.Value())
 		degraded := int(d.reg.Counter("degraded_cold_starts").Value())
@@ -801,7 +797,7 @@ func (s *simulation) assemble() *FleetResult {
 			Name:      d.name,
 			ColdStart: d.sColdStart,
 		}
-		if d.batched {
+		if d.cPreempt != nil {
 			res.TPOT = d.sTPOT
 			res.Preemptions = int(d.cPreempt.Value())
 		}
@@ -961,7 +957,7 @@ func (s *simulation) nodeAnchored(node int, except *instState) bool {
 			if inst == except || inst.node != node {
 				continue
 			}
-			if !inst.idleNow(d.batched) || s.now-inst.idleSince < d.cfg.Scheduler.IdleTimeout {
+			if !inst.idleNow() || s.now-inst.idleSince < d.cfg.Scheduler.IdleTimeout {
 				return true
 			}
 		}
@@ -1218,7 +1214,6 @@ func (s *simulation) crashNode(id int) error {
 		requeue := func(r *reqState) {
 			// Partial generation is lost: the request restarts from its
 			// first output token on whichever instance re-admits it.
-			r.emitted = 0
 			d.pending.PushBack(r)
 			d.reg.Counter("requeued").Inc()
 			s.reg.Counter("requeued").Inc()
@@ -1226,16 +1221,8 @@ func (s *simulation) crashNode(id int) error {
 		if inst.iterating {
 			s.settleRun(inst, inst.stepsBegun(s.now))
 		}
-		if d.batched {
-			inst.sch.Drain(requeue)
-		} else {
-			for _, r := range inst.running {
-				requeue(r)
-			}
-		}
-		inst.running = inst.running[:0]
+		inst.sch.Drain(requeue)
 		s.setIterating(inst, false)
-		inst.kvTokens = 0
 		s.retire(inst)
 	}
 	s.scratchCrash = doomed[:0]
@@ -1272,8 +1259,8 @@ func (s *simulation) setIterating(inst *instState, on bool) {
 // dispatchIdle starts iterations on ready instances that are idle and
 // have admissible work. A deployment with no idle instance or nothing
 // queued is skipped: an idle instance holds no work (every iteration
-// end starts the next iteration, and a batched scheduler that holds
-// work always plans some), so without queued requests it has nothing
+// end starts the next iteration, and a scheduler that holds work
+// always plans some), so without queued requests it has nothing
 // to start. Without a router each deployment's live instances are
 // walked in launch order (the historical behavior), until no idle
 // instance is left or nothing is queued. With a router, dispatchable
@@ -1325,7 +1312,7 @@ func (s *simulation) checkIdle(d *depState) error {
 		}
 		if inst.ready && !inst.iterating {
 			n++
-			if !inst.idleNow(d.batched) {
+			if !inst.idleNow() {
 				return fmt.Errorf("serverless: %s inst-%d holds work while idle at %v", d.name, inst.id, s.now)
 			}
 		}
@@ -1387,24 +1374,15 @@ func (s *simulation) routeDispatch(d *depState) error {
 	return nil
 }
 
-// candidate snapshots one instance for the router: queue depth, KV
-// headroom, artifact locality of its node's cache, and a predicted
-// TTFT (the queue-deepened decode step a newly admitted request would
-// wait behind).
+// candidate snapshots one instance for the router: queue depth and KV
+// headroom from its scheduler, artifact locality of its node's cache,
+// and a predicted TTFT (the queue-deepened decode step a newly admitted
+// request would wait behind).
 func (s *simulation) candidate(d *depState, inst *instState) (router.Candidate, error) {
-	var depth int
+	depth := inst.sch.Running() + inst.sch.PreemptedWaiting()
 	var headroom float64
-	prof := s.profOf(inst)
-	if d.batched {
-		depth = inst.sch.Running() + inst.sch.PreemptedWaiting()
-		if total := d.batch.KVBlocks; total > 0 {
-			headroom = float64(inst.sch.KVFreeBlocks()) / float64(total)
-		}
-	} else {
-		depth = len(inst.running)
-		if max := prof.maxKVTok; max > 0 {
-			headroom = float64(max-inst.kvTokens) / float64(max)
-		}
+	if total := d.cfg.Scheduler.Batch.KVBlocks; total > 0 {
+		headroom = float64(inst.sch.KVFreeBlocks()) / float64(total)
 	}
 	locality := 0.0
 	if cache := s.nodes[inst.node].cache; cache != nil && d.key != "" {
@@ -1419,7 +1397,7 @@ func (s *simulation) candidate(d *depState, inst *instState) (router.Candidate, 
 	if max := d.cfg.Scheduler.MaxBatch; max > 0 && batch > max {
 		batch = max
 	}
-	step, err := prof.decodeStep(batch)
+	step, err := s.profOf(inst).decodeStep(batch)
 	if err != nil {
 		return router.Candidate{}, err
 	}
@@ -1432,83 +1410,133 @@ func (s *simulation) candidate(d *depState, inst *instState) (router.Candidate, 
 	}, nil
 }
 
-// admit moves pending requests of the instance's deployment into it up
-// to batch and KV capacity, returning the admitted set (valid until the
-// next admit call).
-func (s *simulation) admit(inst *instState) []*reqState {
-	d := s.deps[inst.dep]
-	admitted := s.scratchAdmitted[:0]
-	for d.pending.Len() > 0 && len(inst.running) < d.cfg.Scheduler.MaxBatch {
-		r := d.pending.Front()
-		need := r.PromptTokens + r.OutputTokens
-		if inst.kvTokens+need > s.profOf(inst).maxKVTok {
-			break
-		}
-		d.pending.PopFront()
-		inst.kvTokens += need
-		inst.running = append(inst.running, r)
-		admitted = append(admitted, r)
-	}
-	s.scratchAdmitted = admitted
-	return admitted
-}
-
-// startIteration admits work and schedules the iteration's end. An
-// iteration covers the prefill of newly admitted requests plus one
-// decode step for every running sequence. Batched deployments plan
-// the iteration through the continuous-batching scheduler instead.
+// startIteration plans one round through the instance's scheduler and
+// prices it with the engine cost model: deferred graph capture (first
+// use of a decode batch size), one prefill cost per planned chunk, one
+// decode step for the whole decode batch. Under the whole-request
+// policy every running request is in the decode batch, so a round costs
+// the prefill of each admitted request plus one decode step over all.
 //
-// A step that admits nothing starts a coalesced decode run when
-// coalescible allows it: one end event covers every step up to the
-// first completion, capped by runSteps, all of them decodeStep(n) for
-// the same batch.
+// When the scheduler says the round repeats (DecodeRun: a pure-decode
+// round over every running sequence, with nothing queued or no room to
+// admit it), one end event covers every step up to the first
+// completion, or the block boundary of a batched sequence, capped by
+// runSteps, all of them priced the same decode step.
 func (s *simulation) startIteration(inst *instState) error {
 	d := s.deps[inst.dep]
-	if d.batched {
-		return s.startIterationBatched(inst)
-	}
-	admitted := s.admit(inst)
-	if d.cfg.Tracer != nil {
-		for _, r := range admitted {
-			s.traceQueued(d, r)
+	peek := func() (int, int, bool) {
+		if d.pending.Len() == 0 {
+			return 0, 0, false
 		}
+		r := d.pending.Front()
+		return r.PromptTokens, r.OutputTokens, true
 	}
-	if len(inst.running) == 0 {
-		return nil
-	}
-	var dur time.Duration
-	prof := s.profOf(inst)
-	if prof.deferred {
-		c, err := inst.captureOnce(prof, len(inst.running))
-		if err != nil {
-			return err
-		}
-		dur += c
-	}
-	for _, r := range admitted {
-		p, err := prof.prefillDur(r.PromptTokens)
-		if err != nil {
-			return err
-		}
-		dur += p
-	}
-	step, err := prof.decodeStep(len(inst.running))
-	if err != nil {
+	pop := func() *sched.Seq[*reqState] { return &d.pending.PopFront().seq }
+	it := &s.round
+	if err := inst.sch.Plan(it, peek, pop); err != nil {
 		return err
 	}
-	dur += step
-	s.setIterating(inst, true)
-	inst.runStart, inst.runFirst, inst.runStep, inst.runOrigin = s.now, dur, step, s.popAt
-	inst.runLen, inst.runAdmitted = 1, len(admitted)
-	if len(admitted) == 0 && s.coalescible(d, inst) {
-		k := inst.running[0].OutputTokens - inst.running[0].emitted
-		for _, r := range inst.running[1:] {
-			k = min(k, r.OutputTokens-r.emitted)
+	if it.Preemptions > 0 {
+		d.cPreempt.Add(int64(it.Preemptions))
+	}
+	if d.cfg.Tracer != nil {
+		for _, q := range it.Admitted {
+			s.traceQueued(d, q.Data)
 		}
-		inst.runLen = s.runSteps(inst, k)
+	}
+	if it.Empty() {
+		return nil
+	}
+	prof := s.profOf(inst)
+	var captureDur time.Duration
+	var err error
+	if prof.deferred && len(it.Decode) > 0 {
+		if captureDur, err = inst.captureOnce(prof, len(it.Decode)); err != nil {
+			return err
+		}
+	}
+	dur := captureDur
+	chunkDur := s.scratchChunkDur[:0]
+	for _, ch := range it.Chunks {
+		p, err := prof.prefillDur(ch.Tokens)
+		if err != nil {
+			return err
+		}
+		chunkDur = append(chunkDur, p)
+		dur += p
+	}
+	s.scratchChunkDur = chunkDur
+	var stepDur time.Duration
+	if len(it.Decode) > 0 {
+		stepDur, err = prof.decodeStep(len(it.Decode))
+		if err != nil {
+			return err
+		}
+		dur += stepDur
+	}
+	s.setIterating(inst, true)
+	if tr := d.cfg.Tracer; tr != nil {
+		s.traceRound(tr, inst, s.now, s.now+dur, captureDur, stepDur, len(it.Decode), len(it.Admitted), it.Preemptions, it.Chunks, chunkDur)
+	}
+	inst.runStart, inst.runFirst, inst.runStep, inst.runLen = s.now, dur, stepDur, 1
+	inst.runOrigin = s.popAt
+	if !s.opts.forcePerStep {
+		inst.runLen = s.runSteps(inst, inst.sch.DecodeRun(d.pending.Len() > 0))
 	}
 	s.scheduleEnd(inst)
 	return nil
+}
+
+// traceRound records one round's iteration span on the instance's
+// track, from start to end: graph capture, one prefill per chunk
+// (chunkDur holds their costs), then a decode step over decode
+// sequences. It is one of the two places the policies differ outside
+// internal/sched. Whole-request deployments (Scheduler.Batch.BatchTokens
+// 0) record the flat spans results/trace-demo.json holds: the iteration
+// alone, whose batch is the decode batch, every running request.
+// Batched ones count the chunks' sequences into the batch, add the
+// preemption count, and tile the span with the round's parts, a chunk
+// tagged "preempt" when it recomputes an evicted sequence's prefix, so
+// phase attribution never drifts.
+func (s *simulation) traceRound(tr *obs.Tracer, inst *instState, start, end, capture, step time.Duration,
+	decode, admitted, preemptions int, chunks []sched.Chunk[*reqState], chunkDur []time.Duration) {
+	phase := "decode"
+	switch {
+	case len(chunks) > 0 && decode > 0:
+		phase = "prefill+decode"
+	case len(chunks) > 0:
+		phase = "prefill"
+	}
+	if s.deps[inst.dep].cfg.Scheduler.Batch.BatchTokens == 0 {
+		tr.RecordSpan(s.instTrack(inst), "iteration", phase, start, end,
+			obs.Attr{Key: "batch", Value: fmt.Sprint(decode)},
+			obs.Attr{Key: "admitted", Value: fmt.Sprint(admitted)})
+		return
+	}
+	root := tr.StartSpan(s.instTrack(inst), "iteration", start).
+		Tag(phase).
+		Attr("batch", fmt.Sprint(decode+len(chunks))).
+		Attr("admitted", fmt.Sprint(admitted)).
+		Attr("preemptions", fmt.Sprint(preemptions))
+	off := start
+	if capture > 0 {
+		root.Child("graph_capture", off).Tag("capture").End(off + capture)
+		off += capture
+	}
+	for i, ch := range chunks {
+		tag := "prefill"
+		if ch.Seq.Preemptions() > 0 {
+			tag = "preempt"
+		}
+		root.Child("prefill", off).Tag(tag).
+			Attr("tokens", fmt.Sprint(ch.Tokens)).
+			End(off + chunkDur[i])
+		off += chunkDur[i]
+	}
+	if decode > 0 {
+		root.Child("decode", off).Tag("decode").End(end)
+	}
+	root.End(end)
 }
 
 // traceQueued closes a request's queueing span: it ends when the
@@ -1534,17 +1562,6 @@ func (inst *instState) captureOnce(prof *profile, n int) (time.Duration, error) 
 	}
 	inst.captured[gb] = true
 	return c, nil
-}
-
-// coalescible reports whether a legacy-mode step that admitted nothing
-// may run on as a coalesced decode run: the admit at every later
-// boundary finds nothing because the queue is empty or the batch is
-// full (a request queued later splits the run; see splitRuns). The
-// batched path asks its scheduler instead (DecodeRun), with the queue
-// empty. Either way runSteps caps the run where a tick may do more than
-// reuse its answers.
-func (s *simulation) coalescible(d *depState, inst *instState) bool {
-	return !s.opts.forcePerStep && (d.pending.Len() == 0 || len(inst.running) >= d.cfg.Scheduler.MaxBatch)
 }
 
 // runSteps caps a coalesced run of up to k steps, begun now, at the
@@ -1574,17 +1591,17 @@ func (s *simulation) scheduleEnd(inst *instState) {
 // splitRuns cuts every coalesced run of the deployment that may take
 // another request back to its next step boundary, once a request
 // pushed at pushedAt (an arrival, or -1 for a crash requeue) is left
-// queued: per-step code would admit it there, or in batched mode plan
-// with it in view. A legacy run with a full batch has no room and runs
-// on. The queue grows nowhere else, so a run is never cut for any other
-// reason. The cut end moves in the queue and keeps its sequence number,
-// the one its run's first push took.
+// queued: per-step code would plan with it in view there. A run whose
+// scheduler is Full has no room and runs on. The queue grows nowhere
+// else, so a run is never cut for any other reason. The cut end moves
+// in the queue and keeps its sequence number, the one its run's first
+// push took.
 func (s *simulation) splitRuns(d *depState, pushedAt time.Duration) {
 	if s.opts.forcePerStep || d.pending.Len() == 0 {
 		return
 	}
 	for _, inst := range d.active {
-		if !inst.iterating || inst.runLen == 1 || (!d.batched && len(inst.running) >= d.cfg.Scheduler.MaxBatch) {
+		if !inst.iterating || inst.runLen == 1 || inst.sch.Full() {
 			continue
 		}
 		if j := inst.nextBoundary(s.now, pushedAt); j < inst.runLen {
@@ -1595,191 +1612,30 @@ func (s *simulation) splitRuns(d *depState, pushedAt time.Duration) {
 }
 
 // settleRun books the first steps of the instance's run as done: the
-// iteration counters and, under a tracer, one iteration span per step.
-// A batched run's first step was booked when it was planned, so only
-// its later steps, all pure decode, are booked here.
+// iteration counters and, under a tracer, one iteration span per step
+// after the first, all pure decode. The first step's span was recorded
+// when it was planned.
 func (s *simulation) settleRun(inst *instState, steps int) {
 	d := s.deps[inst.dep]
-	from := 1
-	if d.batched {
-		from = 2
-	}
-	if steps < from {
-		return
-	}
-	d.cIterations.Add(int64(steps - from + 1))
-	s.work.Iterations += steps - from + 1
-	tr := d.cfg.Tracer
-	if tr == nil {
-		return
-	}
-	if d.batched {
-		track, batch := s.instTrack(inst), fmt.Sprint(inst.sch.Running())
-		for j := from; j <= steps; j++ {
-			start, end := inst.boundary(j-1), inst.boundary(j)
-			root := tr.StartSpan(track, "iteration", start).Tag("decode").
-				Attr("batch", batch).Attr("admitted", "0").Attr("preemptions", "0")
-			root.Child("decode", start).Tag("decode").End(end)
-			root.End(end)
-		}
-		return
-	}
-	track, batch := s.instTrack(inst), fmt.Sprint(len(inst.running))
-	for j := from; j <= steps; j++ {
-		phase, admitted := "decode", 0
-		if j == 1 && inst.runAdmitted > 0 {
-			phase, admitted = "prefill+decode", inst.runAdmitted
-		}
-		tr.RecordSpan(track, "iteration", phase, inst.boundary(j-1), inst.boundary(j),
-			obs.Attr{Key: "batch", Value: batch},
-			obs.Attr{Key: "admitted", Value: fmt.Sprint(admitted)})
-	}
-}
-
-// finishIteration emits one token per running request for every step
-// of the run, completes finished ones, and starts the next iteration.
-func (s *simulation) finishIteration(inst *instState) error {
-	d := s.deps[inst.dep]
-	if d.batched {
-		return s.finishIterationBatched(inst)
-	}
-	steps := inst.runLen
-	s.settleRun(inst, steps)
-	s.setIterating(inst, false)
-	keep := inst.running[:0]
-	for _, r := range inst.running {
-		s.emit(d, r, r.emitted+steps)
-		if r.emitted >= r.OutputTokens {
-			inst.kvTokens -= r.PromptTokens + r.OutputTokens
-			s.complete(d, r)
-			continue
-		}
-		keep = append(keep, r)
-	}
-	inst.running = keep
-	if len(inst.running) == 0 {
-		s.markIdle(inst)
-	}
-	if err := s.tick(); err != nil {
-		return err
-	}
-	return s.startIteration(inst)
-}
-
-// startIterationBatched plans one continuous-batching round through
-// the instance's scheduler and prices it with the engine cost model:
-// deferred graph capture (first use of a decode batch size), one
-// prefill cost per planned chunk, one decode step for the whole decode
-// batch. The iteration span's children tile the interval exactly —
-// capture, each chunk (tagged "preempt" when it recomputes an evicted
-// sequence's prefix), then decode — so phase attribution never drifts.
-func (s *simulation) startIterationBatched(inst *instState) error {
-	d := s.deps[inst.dep]
-	peek := func() (int, int, bool) {
-		if d.pending.Len() == 0 {
-			return 0, 0, false
-		}
-		r := d.pending.Front()
-		return r.PromptTokens, r.OutputTokens, true
-	}
-	it, err := inst.sch.Plan(peek, d.pending.PopFront)
-	if err != nil {
-		return err
-	}
-	if it.Preemptions > 0 {
-		d.cPreempt.Add(int64(it.Preemptions))
-	}
-	if d.cfg.Tracer != nil {
-		for _, q := range it.Admitted {
-			s.traceQueued(d, q.Data)
-		}
-	}
-	if it.Empty() {
-		return nil
-	}
-	prof := s.profOf(inst)
-	var captureDur time.Duration
-	if prof.deferred && len(it.Decode) > 0 {
-		if captureDur, err = inst.captureOnce(prof, len(it.Decode)); err != nil {
-			return err
-		}
-	}
-	dur := captureDur
-	chunkDur := s.scratchChunkDur[:0]
-	for _, ch := range it.Chunks {
-		p, err := prof.prefillDur(ch.Tokens)
-		if err != nil {
-			return err
-		}
-		chunkDur = append(chunkDur, p)
-		dur += p
-	}
-	s.scratchChunkDur = chunkDur
-	var stepDur time.Duration
-	if len(it.Decode) > 0 {
-		stepDur, err = prof.decodeStep(len(it.Decode))
-		if err != nil {
-			return err
-		}
-		dur += stepDur
-	}
-	s.setIterating(inst, true)
-	d.cIterations.Inc()
-	s.work.Iterations++
+	d.iterations += int64(steps)
+	s.work.Iterations += steps
 	if tr := d.cfg.Tracer; tr != nil {
-		phase := "decode"
-		switch {
-		case len(it.Chunks) > 0 && len(it.Decode) > 0:
-			phase = "prefill+decode"
-		case len(it.Chunks) > 0:
-			phase = "prefill"
+		for j := 2; j <= steps; j++ {
+			s.traceRound(tr, inst, inst.boundary(j-1), inst.boundary(j), 0, inst.runStep, inst.sch.Running(), 0, 0, nil, nil)
 		}
-		root := tr.StartSpan(s.instTrack(inst), "iteration", s.now).
-			Tag(phase).
-			Attr("batch", fmt.Sprint(len(it.Decode)+len(it.Chunks))).
-			Attr("admitted", fmt.Sprint(len(it.Admitted))).
-			Attr("preemptions", fmt.Sprint(it.Preemptions))
-		off := s.now
-		if captureDur > 0 {
-			root.Child("graph_capture", off).Tag("capture").End(off + captureDur)
-			off += captureDur
-		}
-		for i, ch := range it.Chunks {
-			tag := "prefill"
-			if ch.Seq.Preemptions() > 0 {
-				tag = "preempt"
-			}
-			root.Child("prefill", off).Tag(tag).
-				Attr("tokens", fmt.Sprint(ch.Tokens)).
-				End(off + chunkDur[i])
-			off += chunkDur[i]
-		}
-		if len(it.Decode) > 0 {
-			root.Child("decode", off).Tag("decode").End(off + stepDur)
-			off += stepDur
-		}
-		root.End(off)
 	}
-	inst.runStart, inst.runFirst, inst.runStep, inst.runLen = s.now, dur, stepDur, 1
-	inst.runOrigin = s.popAt
-	if captureDur == 0 && d.pending.Len() == 0 && !s.opts.forcePerStep {
-		// A pure-decode round with nothing queued: the scheduler says
-		// how many rounds repeat it (DecodeRun), all priced stepDur.
-		inst.runLen = s.runSteps(inst, inst.sch.DecodeRun())
-	}
-	s.scheduleEnd(inst)
-	return nil
 }
 
-// finishIterationBatched applies the elapsed round, or the elapsed
-// decode run: per-token events feed TTFT at the first emission and TPOT
-// (mean inter-token gap) at completion.
-func (s *simulation) finishIterationBatched(inst *instState) error {
+// finishIteration applies the elapsed round, or the elapsed decode run,
+// completes finished requests, and starts the next iteration: per-token
+// events feed TTFT at the first emission and, under the batched policy,
+// TPOT (mean inter-token gap) at completion.
+func (s *simulation) finishIteration(inst *instState) error {
 	d := s.deps[inst.dep]
 	s.settleRun(inst, inst.runLen)
 	s.setIterating(inst, false)
 	inst.sch.FinishRun(inst.runLen,
-		func(r *reqState, emitted int) { s.emit(d, r, emitted) },
+		func(r *reqState) { s.firstToken(d, r) },
 		func(r *reqState) { s.complete(d, r) })
 	if inst.sch.Idle() {
 		s.markIdle(inst)
@@ -1790,17 +1646,13 @@ func (s *simulation) finishIterationBatched(inst *instState) error {
 	return s.startIteration(inst)
 }
 
-// emit books a request's emitted-token count. It stays small enough
-// to inline on the per-token path; only a first emission calls out.
-func (s *simulation) emit(d *depState, r *reqState, emitted int) {
-	r.emitted = emitted
-	if !r.ttftSeen {
-		s.firstToken(d, r)
-	}
-}
-
-// firstToken records a request's TTFT and checks the TTFT deadline.
+// firstToken records a request's TTFT and checks the TTFT deadline,
+// once per request: a request requeued by a node crash emits its first
+// token again on the instance that re-admits it.
 func (s *simulation) firstToken(d *depState, r *reqState) {
+	if r.ttftSeen {
+		return
+	}
 	r.ttftSeen = true
 	r.firstTok = s.now
 	d.sTTFT.Add(s.now - r.Arrival)
