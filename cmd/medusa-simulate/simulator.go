@@ -142,9 +142,7 @@ func (s *simulator) fleet(deps []serverless.Deployment, rep int64) (serverless.F
 		if err != nil {
 			return f, err
 		}
-		for i := range f.Deployments {
-			f.Deployments[i].Source = srcs[i]
-		}
+		f.Arrivals = serverless.MergeArrivals(srcs)
 	case v.Stream:
 		tc := v.TraceConfig()
 		tc.Seed = seed
@@ -164,7 +162,7 @@ func (s *simulator) fleet(deps []serverless.Deployment, rep int64) (serverless.F
 			return f, err
 		}
 		if len(f.Deployments) > 1 {
-			f.Deployments, err = serverless.ZipfDeployments(f.Deployments, trace, seed+1, v.Zipf)
+			f.Arrivals, err = serverless.ZipfArrivals(workload.NewSlice(trace), len(f.Deployments), seed+1, v.Zipf)
 		} else {
 			f.Deployments[0].Requests = trace
 		}

@@ -12,6 +12,8 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"github.com/medusa-repro/medusa/internal/cuda"
 	"github.com/medusa-repro/medusa/internal/gpu"
@@ -148,12 +150,10 @@ func snapshot(p *cuda.Process, addr uint64) []byte {
 	return out
 }
 
+// keys lists the artifact's kernel names, sorted: map order varies
+// from run to run.
 func keys(art *medusa.Artifact) []string {
-	var out []string
-	for k := range art.Kernels {
-		out = append(out, k)
-	}
-	return out
+	return slices.Sorted(maps.Keys(art.Kernels))
 }
 
 func must(err error) {

@@ -1,19 +1,12 @@
-// Package cliconfig declares the simulator commands' shared flag
-// surface exactly once. medusa-simulate's single-pool and cluster
-// modes historically declared ~35 overlapping flags across two files;
-// this package owns each knob's name, default and help text, plus the
-// flag-to-config translation, so medusa-simulate and the medusa-bench
-// extension experiments cannot drift apart on what, say,
-// -batch-tokens means.
+// Package cliconfig declares medusa-simulate's flag surface exactly
+// once: each knob's name, default and help text, plus the
+// flag-to-config translation. Its single-pool and cluster modes
+// historically declared ~35 overlapping flags across two files.
 //
 // Register binds the full simulator surface onto a FlagSet and
-// returns the Values the flags write into; RegisterBatch binds only
-// the batched-execution knobs (what medusa-bench forwards to the
-// ext-batching experiment), and RegisterFleet only the fleet
-// control-plane policies and deadlines (what medusa-bench forwards to
-// ext-fleet, whose diurnal traffic is built in, so -diurnal stays a
-// medusa-simulate flag). The builder methods translate parsed values into the config sub-structs
-// the simulators consume.
+// returns the Values the flags write into. The builder methods
+// translate parsed values into the config sub-structs the simulators
+// consume.
 package cliconfig
 
 import (
@@ -31,8 +24,8 @@ import (
 
 // Values holds every shared simulator option after flag parsing. The
 // zero value is NOT the default configuration — defaults live in the
-// flag declarations, so Register (or RegisterBatch) is the only way
-// to obtain canonically defaulted Values.
+// flag declarations, so Register is the only way to obtain
+// canonically defaulted Values.
 type Values struct {
 	// Model is the served model's name (single-pool mode and the
 	// cluster default when -models is empty).
@@ -127,7 +120,9 @@ func Register(fs *flag.FlagSet) *Values {
 	fs.IntVar(&v.GPUs, "gpus", 4, "GPU count")
 	fs.IntVar(&v.Prewarm, "prewarm", 0, "instances pre-warmed at time zero")
 	fs.DurationVar(&v.Idle, "idle", 0, "instance idle timeout (0 disables)")
-	v.bindBatch(fs)
+	fs.IntVar(&v.BatchTokens, "batch-tokens", 0, "per-iteration token budget; > 0 selects iteration-level continuous batching, 0 whole-request admission")
+	fs.IntVar(&v.KVBlocks, "kv-blocks", 0, "paged KV pool size per instance in 16-token blocks (0 = derive from the instance profile)")
+	fs.BoolVar(&v.ChunkedPrefill, "chunked-prefill", false, "split long prompts into budget-sized chunks across iterations")
 	fs.IntVar(&v.Nodes, "nodes", 0, "fleet size; > 0 runs the multi-node simulator with tiered artifact caches")
 	fs.IntVar(&v.GPUsPerNode, "gpus-per-node", 4, "GPUs per node (cluster mode)")
 	fs.StringVar(&v.CachePolicy, "cache-policy", "lru", "artifact cache eviction policy: lru | lfu | costaware")
@@ -139,45 +134,12 @@ func Register(fs *flag.FlagSet) *Values {
 	fs.Float64Var(&v.Zipf, "zipf", 1.2, "Zipf popularity skew across -models (must be > 1)")
 	fs.BoolVar(&v.Stream, "stream", false, "stream arrivals instead of materializing the trace — memory stays O(active requests), enabling 10M+ request runs (cluster mode)")
 	fs.BoolVar(&v.Retain, "retain", false, "retain every per-request latency observation for exact quantiles (O(requests) memory; default uses a bounded deterministic reservoir)")
-	v.bindFleet(fs)
-	fs.DurationVar(&v.Diurnal, "diurnal", 0, "day/night cycle period; > 0 streams phase-staggered diurnal multi-tenant arrivals instead of the flat trace (cluster mode)")
-	return v
-}
-
-// RegisterBatch binds only the batched-execution knobs onto fs —
-// medusa-bench registers these so the ext-batching experiment can be
-// driven from the command line with the same flags, declared once,
-// that medusa-simulate uses.
-func RegisterBatch(fs *flag.FlagSet) *Values {
-	v := &Values{}
-	v.bindBatch(fs)
-	return v
-}
-
-// bindBatch is the single declaration point for the batching knobs.
-func (v *Values) bindBatch(fs *flag.FlagSet) {
-	fs.IntVar(&v.BatchTokens, "batch-tokens", 0, "per-iteration token budget; > 0 selects iteration-level continuous batching, 0 whole-request admission")
-	fs.IntVar(&v.KVBlocks, "kv-blocks", 0, "paged KV pool size per instance in 16-token blocks (0 = derive from the instance profile)")
-	fs.BoolVar(&v.ChunkedPrefill, "chunked-prefill", false, "split long prompts into budget-sized chunks across iterations")
-}
-
-// RegisterFleet binds only the fleet control-plane knobs onto fs —
-// medusa-bench registers these so the ext-fleet experiment can be
-// driven from the command line with the same flags medusa-simulate
-// declares.
-func RegisterFleet(fs *flag.FlagSet) *Values {
-	v := &Values{}
-	v.bindFleet(fs)
-	return v
-}
-
-// bindFleet is the single declaration point for the fleet
-// control-plane knobs.
-func (v *Values) bindFleet(fs *flag.FlagSet) {
 	fs.DurationVar(&v.SLOTTFT, "slo-ttft", 0, "time-to-first-token deadline; with -slo-tpot 0 disables SLO accounting (cluster mode)")
 	fs.DurationVar(&v.SLOTPOT, "slo-tpot", 0, "time-per-output-token deadline, checked in batched execution mode (cluster mode)")
 	fs.StringVar(&v.Autoscale, "autoscale", "reactive", "fleet autoscaling policy: reactive | predictive")
 	fs.StringVar(&v.Router, "router", "fifo", "fleet dispatch policy: fifo | leastloaded | score")
+	fs.DurationVar(&v.Diurnal, "diurnal", 0, "day/night cycle period; > 0 streams phase-staggered diurnal multi-tenant arrivals instead of the flat trace (cluster mode)")
+	return v
 }
 
 // SLO assembles the per-request deadline sub-config (zero when neither

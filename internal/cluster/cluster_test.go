@@ -228,22 +228,29 @@ func TestClusterDeterministic(t *testing.T) {
 	}
 }
 
-// zipfWorkload splits one Poisson trace across the first n fixture
-// models with Zipf popularity (rank 0 = smallest artifact).
-func zipfWorkload(t testing.TB, n int, idle time.Duration, traceSeed int64, rps float64, seconds int) []serverless.Deployment {
+// zipfWorkload deploys the first n fixture models on cfg and splits
+// one Poisson trace across them with Zipf popularity (rank 0 =
+// smallest artifact).
+func zipfWorkload(t testing.TB, cfg *serverless.Fleet, n int, idle time.Duration, traceSeed int64, rps float64, seconds int) {
 	t.Helper()
-	deps := make([]serverless.Deployment, 0, n)
+	cfg.Deployments = make([]serverless.Deployment, 0, n)
 	for i, name := range fixtureModels[:n] {
-		deps = append(deps, serverless.Deployment{
+		cfg.Deployments = append(cfg.Deployments, serverless.Deployment{
 			Name:   name,
 			Config: idleOut(medusaDeployment(t, name, int64(i+1)), idle),
 		})
 	}
-	split, err := serverless.ZipfDeployments(deps, genTrace(t, traceSeed, rps, seconds), 43, 1.2)
+	cfg.Arrivals = zipfSplit(t, genTrace(t, traceSeed, rps, seconds), n)
+}
+
+// zipfSplit streams trace across n deployments with Zipf popularity.
+func zipfSplit(t testing.TB, trace []workload.Request, n int) serverless.ArrivalSource {
+	t.Helper()
+	arr, err := serverless.ZipfArrivals(workload.NewSlice(trace), n, 43, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return split
+	return arr
 }
 
 // TestLocalityImprovesHitRate compares locality-aware placement with
@@ -255,7 +262,7 @@ func TestLocalityImprovesHitRate(t *testing.T) {
 	run := func(weight float64) *serverless.FleetResult {
 		cfg := churnConfig(artifactcache.PolicyLRU)
 		cfg.LocalityWeight = weight
-		cfg.Deployments = zipfWorkload(t, 6, 150*time.Millisecond, 31, 4, 30)
+		zipfWorkload(t, &cfg, 6, 150*time.Millisecond, 31, 4, 30)
 		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -290,7 +297,7 @@ func TestCostAwareBeatsLRUOnZipf(t *testing.T) {
 	for _, kind := range artifactcache.PolicyKinds() {
 		cfg := base
 		cfg.Cache.Policy = kind
-		cfg.Deployments = zipfWorkload(t, len(fixtureModels), 150*time.Millisecond, 41, 4, 40)
+		zipfWorkload(t, &cfg, len(fixtureModels), 150*time.Millisecond, 41, 4, 40)
 		res, err := serverless.RunFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -333,50 +340,6 @@ func TestPrewarmSSDServesFirstLaunchLocally(t *testing.T) {
 	}
 }
 
-func TestZipfDeployments(t *testing.T) {
-	trace := genTrace(t, 61, 5, 30)
-	deps := make([]serverless.Deployment, 4)
-	for i := range deps {
-		deps[i].Name = fixtureModels[i]
-	}
-	split, err := serverless.ZipfDeployments(deps, trace, 9, 1.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i, d := range split {
-		if len(d.Requests) == 0 {
-			t.Fatalf("deployment %d got no requests", i)
-		}
-		total += len(d.Requests)
-		for j := 1; j < len(d.Requests); j++ {
-			if d.Requests[j].Arrival < d.Requests[j-1].Arrival {
-				t.Fatalf("deployment %d arrivals out of order", i)
-			}
-		}
-	}
-	if total != len(trace) {
-		t.Fatalf("split %d requests, had %d", total, len(trace))
-	}
-	if len(split[0].Requests) <= len(split[len(split)-1].Requests) {
-		t.Fatalf("skew inverted: rank 0 got %d, last rank %d",
-			len(split[0].Requests), len(split[len(split)-1].Requests))
-	}
-	// Same seed, same split.
-	again, err := serverless.ZipfDeployments(deps, trace, 9, 1.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range split {
-		if len(split[i].Requests) != len(again[i].Requests) {
-			t.Fatalf("split not deterministic for deployment %d", i)
-		}
-	}
-	if _, err := serverless.ZipfDeployments(deps, trace, 9, 0.9); err == nil {
-		t.Fatal("skew ≤ 1 should be rejected")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := serverless.RunFleet(serverless.Fleet{}); err == nil {
 		t.Fatal("empty config should be rejected (no deployments)")
@@ -387,8 +350,16 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("locality weight %g should be rejected", w)
 		}
 	}
-	if _, err := serverless.RunFleet(serverless.Fleet{
-		Deployments: []serverless.Deployment{{Name: "empty"}}}); err == nil {
-		t.Fatal("empty trace should be rejected")
+	// A deployment without traffic is valid: it serves nothing.
+	res, err := serverless.RunFleet(serverless.Fleet{Deployments: []serverless.Deployment{
+		{Name: "empty", Config: medusaDeployment(t, "Qwen1.5-0.5B", 1)}}})
+	if err != nil {
+		t.Fatalf("zero-traffic deployment rejected: %v", err)
+	}
+	if res.Completed != 0 {
+		t.Fatalf("zero-traffic deployment completed %d requests", res.Completed)
+	}
+	if out := res.Render(); !strings.Contains(out, "deployment empty            completed     0") {
+		t.Fatalf("render lacks the empty deployment:\n%s", out)
 	}
 }

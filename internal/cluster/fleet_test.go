@@ -34,15 +34,15 @@ func fleetSources(t testing.TB, n int, skew float64) []workload.Source {
 // parameterized over the control-plane policies under test.
 func fleetConfig(t testing.TB, scaler autoscale.Policy, route router.Policy, slo serverless.SLO) serverless.Fleet {
 	t.Helper()
-	srcs := fleetSources(t, 2, 1.0)
 	cfg := churnConfig(artifactcache.PolicyLRU)
 	cfg.Autoscaler = scaler
 	cfg.Router = route
 	cfg.SLO = slo
 	cfg.Deployments = []serverless.Deployment{
-		{Name: "a", Config: idleOut(medusaDeployment(t, "Qwen1.5-0.5B", 1), time.Second), Source: srcs[0]},
-		{Name: "b", Config: idleOut(medusaDeployment(t, "Llama2-7B", 2), time.Second), Source: srcs[1]},
+		{Name: "a", Config: idleOut(medusaDeployment(t, "Qwen1.5-0.5B", 1), time.Second)},
+		{Name: "b", Config: idleOut(medusaDeployment(t, "Llama2-7B", 2), time.Second)},
 	}
+	cfg.Arrivals = serverless.MergeArrivals(fleetSources(t, 2, 1.0))
 	return cfg
 }
 

@@ -40,11 +40,11 @@ func runExtCachePolicies(c *Context) (*Report, error) {
 			"cold start p50(s)", "cold start p99(s)", "TTFT p99(s)", "fetched MB"},
 	}
 	for _, kind := range artifactcache.PolicyKinds() {
-		deps, err := c.zipfChurn(cfgs)
+		deps, arr, err := c.zipfChurn(cfgs)
 		if err != nil {
 			return nil, err
 		}
-		cfg := tightFleet(deps)
+		cfg := tightFleet(deps, arr)
 		cfg.Cache.Policy = kind
 		res, err := serverless.RunFleet(cfg)
 		if err != nil {
@@ -67,7 +67,7 @@ func runExtCachePolicies(c *Context) (*Report, error) {
 // Its tiers are tight: SSD holds two small artifacts or one large one,
 // so the eviction policy decides which models stay local while the
 // Zipf tail streams one-shot artifacts through.
-func tightFleet(deps []serverless.Deployment) serverless.Fleet {
+func tightFleet(deps []serverless.Deployment, arr serverless.ArrivalSource) serverless.Fleet {
 	params := artifactcache.DefaultParams()
 	params.RAMBytes = 2 << 20
 	params.SSDBytes = 6 << 20
@@ -77,6 +77,7 @@ func tightFleet(deps []serverless.Deployment) serverless.Fleet {
 		LocalityWeight: 0.8,
 		Seed:           7,
 		Deployments:    deps,
+		Arrivals:       arr,
 	}
 }
 
@@ -87,17 +88,24 @@ var churn = serverless.Scheduler{IdleTimeout: 150 * time.Millisecond}
 // zipfChurn builds the models' Medusa deployments under churn and
 // splits one seeded trace across them by Zipf popularity. Each run
 // calls it afresh, so runs share no mutable state.
-func (c *Context) zipfChurn(cfgs []model.Config) ([]serverless.Deployment, error) {
+func (c *Context) zipfChurn(cfgs []model.Config) ([]serverless.Deployment, serverless.ArrivalSource, error) {
 	deps, err := c.medusaDeployments(cfgs, churn)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	trace, err := workload.Generate(workload.TraceConfig{
+	arr, err := zipfPoisson(workload.TraceConfig{
 		Seed: 41, RPS: 4, Duration: 40 * time.Second,
 		MeanOutput: 16, MaxOutput: 32,
-	})
+	}, len(deps), 43, 1.2)
+	return deps, arr, err
+}
+
+// zipfPoisson streams one seeded Poisson trace across n deployments by
+// Zipf popularity (skew s, drawn from seed).
+func zipfPoisson(tc workload.TraceConfig, n int, seed int64, s float64) (serverless.ArrivalSource, error) {
+	src, err := workload.NewPoisson(tc)
 	if err != nil {
 		return nil, err
 	}
-	return serverless.ZipfDeployments(deps, trace, 43, 1.2)
+	return serverless.ZipfArrivals(src, n, seed, s)
 }

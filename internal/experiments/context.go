@@ -13,7 +13,6 @@ import (
 	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/obs"
-	"github.com/medusa-repro/medusa/internal/sched"
 	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/storage"
 	"github.com/medusa-repro/medusa/internal/vclock"
@@ -30,19 +29,6 @@ type Context struct {
 	// trace because the exporter orders spans by content, not by
 	// emission order.
 	Tracer *obs.Tracer
-	// Batch, when it selects the batched policy (BatchTokens > 0),
-	// overrides the batching parameters of experiments that serve with
-	// continuous batching (ext-batching runs a single cell with these
-	// knobs instead of its built-in sweep). medusa-bench populates it
-	// from the -batch-tokens / -kv-blocks / -chunked-prefill flags
-	// shared with medusa-simulate.
-	Batch sched.Params
-	// Fleet, when enabled, pins the ext-fleet experiment to a single
-	// control-plane cell (that autoscaler × router × SLO) instead of
-	// its built-in sweep. medusa-bench populates it from the
-	// -autoscale / -router / -slo-ttft / -slo-tpot flags shared with
-	// medusa-simulate.
-	Fleet FleetOverrides
 
 	mu        sync.Mutex
 	artifacts map[string]*artifactEntry
@@ -50,25 +36,6 @@ type Context struct {
 	seed      int64
 	phases    map[string]*obs.PhaseBreakdown
 	phaseTot  map[string]time.Duration
-}
-
-// FleetOverrides carries the command-line control-plane knobs into the
-// ext-fleet experiment. The policy fields hold the names accepted by
-// autoscale.Parse and router.Parse — names rather than constructed
-// policies, because a stateful policy must be built fresh for every
-// serverless.RunFleet and the sweep runs many.
-type FleetOverrides struct {
-	Autoscale string
-	Router    string
-	SLO       serverless.SLO
-}
-
-// Enabled reports whether any knob deviates from the legacy defaults
-// (reactive autoscaling, launch-order dispatch, no SLO).
-func (f FleetOverrides) Enabled() bool {
-	return (f.Autoscale != "" && f.Autoscale != "reactive") ||
-		(f.Router != "" && f.Router != "fifo") ||
-		!f.SLO.Zero()
 }
 
 type artifactEntry struct {

@@ -29,8 +29,7 @@ const batchingSLO = time.Second
 // memory pressure (recompute-on-resume), trading TPOT for admission;
 // large budgets admit more prefill chunks per iteration, trading TTFT
 // for decode latency. Goodput counts only requests whose TTFT met the
-// SLO. With -batch-tokens set on the medusa-bench command line the
-// built-in grid is replaced by that single cell.
+// SLO.
 func runExtBatching(c *Context) (*Report, error) {
 	cfgs, err := c.fleetConfigs(batchingModels)
 	if err != nil {
@@ -42,21 +41,13 @@ func runExtBatching(c *Context) (*Report, error) {
 		zipf  float64
 	}
 	var cells []cell
-	if c.Batch.BatchTokens > 0 {
-		// The command line pinned the batching knobs: run one cell per
-		// skew level instead of the built-in grid.
-		for _, z := range []float64{1.1, 2.0} {
-			cells = append(cells, cell{batch: c.Batch, zipf: z})
-		}
-	} else {
-		for _, bt := range []int{256, 1024} {
-			for _, kv := range []int{48, 256} {
-				for _, z := range []float64{1.1, 2.0} {
-					cells = append(cells, cell{
-						batch: sched.Params{BatchTokens: bt, KVBlocks: kv, ChunkedPrefill: true},
-						zipf:  z,
-					})
-				}
+	for _, bt := range []int{256, 1024} {
+		for _, kv := range []int{48, 256} {
+			for _, z := range []float64{1.1, 2.0} {
+				cells = append(cells, cell{
+					batch: sched.Params{BatchTokens: bt, KVBlocks: kv, ChunkedPrefill: true},
+					zipf:  z,
+				})
 			}
 		}
 	}
@@ -64,19 +55,23 @@ func runExtBatching(c *Context) (*Report, error) {
 	// Prompts and outputs are clamped so the largest request needs 40 KV
 	// blocks: the 48-block cells fit barely one worst-case sequence and
 	// preempt under concurrency, while 256 blocks decode unhindered.
-	mkDeps := func(batch sched.Params, zipf float64) ([]serverless.Deployment, error) {
+	mkFleet := func(batch sched.Params, zipf float64) (serverless.Fleet, error) {
 		deps, err := c.medusaDeployments(cfgs, serverless.Scheduler{Batch: batch})
 		if err != nil {
-			return nil, err
+			return serverless.Fleet{}, err
 		}
-		trace, err := workload.Generate(workload.TraceConfig{
+		arr, err := zipfPoisson(workload.TraceConfig{
 			Seed: 61, RPS: 12, Duration: 40 * time.Second,
 			MaxPrompt: 512, MeanOutput: 64, MaxOutput: 128,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return serverless.ZipfDeployments(deps, trace, 67, zipf)
+		}, len(deps), 67, zipf)
+		return serverless.Fleet{
+			Nodes: 2, GPUsPerNode: 2,
+			Cache:          artifactcache.DefaultParams(),
+			LocalityWeight: 0.8,
+			Seed:           7,
+			Deployments:    deps,
+			Arrivals:       arr,
+		}, err
 	}
 
 	r := &Report{
@@ -86,17 +81,11 @@ func runExtBatching(c *Context) (*Report, error) {
 			"TPOT p50(ms)", "preempt", "goodput (req/s)", "completed"},
 	}
 	for _, cl := range cells {
-		deps, err := mkDeps(cl.batch, cl.zipf)
+		f, err := mkFleet(cl.batch, cl.zipf)
 		if err != nil {
 			return nil, err
 		}
-		res, err := serverless.RunFleet(serverless.Fleet{
-			Nodes: 2, GPUsPerNode: 2,
-			Cache:          artifactcache.DefaultParams(),
-			LocalityWeight: 0.8,
-			Seed:           7,
-			Deployments:    deps,
-		})
+		res, err := serverless.RunFleet(f)
 		if err != nil {
 			return nil, err
 		}

@@ -22,8 +22,8 @@ func init() {
 // diurnal fleet tilts traffic toward the first.
 var fleetModels = []string{"Qwen1.5-4B", "Llama2-7B"}
 
-// fleetSLO is the default per-request deadline the sweep measures
-// attainment against (overridable with -slo-ttft / -slo-tpot).
+// fleetSLO is the per-request deadline the sweep measures attainment
+// against.
 var fleetSLO = serverless.SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond}
 
 // runExtFleet sweeps the fleet control plane — autoscaling policy ×
@@ -36,9 +36,7 @@ var fleetSLO = serverless.SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond}
 // headroom, artifact locality, and predicted TTFT instead of walking
 // instances in launch order. SLO attainment and node-seconds are the
 // two axes of merit: a policy pair dominates when it meets more
-// deadlines without holding more capacity. With -autoscale / -router /
-// -slo-ttft set on the medusa-bench command line the built-in policy
-// grid is replaced by that single pair.
+// deadlines without holding more capacity.
 func runExtFleet(c *Context) (*Report, error) {
 	cfgs, err := c.fleetConfigs(fleetModels)
 	if err != nil {
@@ -50,29 +48,16 @@ func runExtFleet(c *Context) (*Report, error) {
 		route  string
 		skew   float64
 	}
-	skews := []float64{0, 1.5}
 	var cells []cell
-	if c.Fleet.Enabled() {
-		// The command line pinned the policies: run one cell per skew
-		// level instead of the built-in grid.
-		for _, sk := range skews {
-			cells = append(cells, cell{scaler: c.Fleet.Autoscale, route: c.Fleet.Router, skew: sk})
-		}
-	} else {
-		for _, sc := range []string{"reactive", "predictive"} {
-			for _, rt := range []string{"fifo", "score"} {
-				for _, sk := range skews {
-					cells = append(cells, cell{scaler: sc, route: rt, skew: sk})
-				}
+	for _, sc := range []string{"reactive", "predictive"} {
+		for _, rt := range []string{"fifo", "score"} {
+			for _, sk := range []float64{0, 1.5} {
+				cells = append(cells, cell{scaler: sc, route: rt, skew: sk})
 			}
 		}
 	}
-	slo := fleetSLO
-	if !c.Fleet.SLO.Zero() {
-		slo = c.Fleet.SLO
-	}
 
-	mkDeps := func(skew float64) ([]serverless.Deployment, error) {
+	mkDeps := func(skew float64) ([]serverless.Deployment, serverless.ArrivalSource, error) {
 		// Phase-staggered diurnal sources, one per deployment: tenant
 		// peaks are offset around the cycle, so fleet demand is never
 		// flat even at skew 0.
@@ -83,7 +68,7 @@ func runExtFleet(c *Context) (*Report, error) {
 			MaxPrompt: 512, MeanOutput: 64, MaxOutput: 128,
 		}, len(cfgs), skew)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// A small per-instance target and a short idle timeout make the
 		// autoscaler the bottleneck: every diurnal trough drains
@@ -94,13 +79,7 @@ func runExtFleet(c *Context) (*Report, error) {
 			IdleTimeout:    2 * time.Second,
 			Batch:          sched.Params{BatchTokens: 512, KVBlocks: 512, ChunkedPrefill: true},
 		})
-		if err != nil {
-			return nil, err
-		}
-		for i := range deps {
-			deps[i].Source = srcs[i]
-		}
-		return deps, nil
+		return deps, serverless.MergeArrivals(srcs), err
 	}
 
 	r := &Report{
@@ -136,7 +115,7 @@ func runExtFleet(c *Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		deps, err := mkDeps(cl.skew)
+		deps, arr, err := mkDeps(cl.skew)
 		if err != nil {
 			return nil, err
 		}
@@ -169,10 +148,11 @@ func runExtFleet(c *Context) (*Report, error) {
 			LocalityWeight: 2.0,
 			Seed:           7,
 			Deployments:    deps,
+			Arrivals:       arr,
 			Faults:         serverless.FaultSpec{Plan: &plan},
 			Autoscaler:     scaler,
 			Router:         route,
-			SLO:            slo,
+			SLO:            fleetSLO,
 		})
 		if err != nil {
 			return nil, err
@@ -186,7 +166,7 @@ func runExtFleet(c *Context) (*Report, error) {
 			secs(pooled(res, ttftOf).P99()),
 			fmt.Sprintf("%d", res.TotalColdStarts))
 	}
-	r.AddNote("SLO: ttft ≤ %v, tpot ≤ %v; node-seconds integrate wall time each node holds ≥1 live instance, so a row dominates when attainment rises at equal or lower node-seconds", slo.TTFT, slo.TPOT)
+	r.AddNote("SLO: ttft ≤ %v, tpot ≤ %v; node-seconds integrate wall time each node holds ≥1 live instance, so a row dominates when attainment rises at equal or lower node-seconds", fleetSLO.TTFT, fleetSLO.TPOT)
 	r.AddNote("fixed seed: every cell is byte-identical across reruns and GOMAXPROCS — diff results/ext-fleet.txt against a fresh run to verify")
 	return r, nil
 }

@@ -92,7 +92,7 @@ func runExtTemplate(c *Context) (*Report, error) {
 	}
 	var fetched [2]uint64
 	for mode, withTemplates := range []bool{false, true} {
-		deps, err := c.zipfChurn(cfgs)
+		deps, arr, err := c.zipfChurn(cfgs)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +102,7 @@ func runExtTemplate(c *Context) (*Report, error) {
 				deps[i].Config.Cache.ArtifactBytes = deltaSizes[i]
 			}
 		}
-		res, err := serverless.RunFleet(tightFleet(deps))
+		res, err := serverless.RunFleet(tightFleet(deps, arr))
 		if err != nil {
 			return nil, err
 		}

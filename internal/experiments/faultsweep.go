@@ -32,21 +32,18 @@ func runExtFaultSweep(c *Context) (*Report, error) {
 		return nil, err
 	}
 
-	mkDeps := func() ([]serverless.Deployment, error) {
+	mkFleet := func() (serverless.Fleet, error) {
 		deps, err := c.medusaDeployments(cfgs, churn)
 		if err != nil {
-			return nil, err
+			return serverless.Fleet{}, err
 		}
 		// Long-ish generations keep batches busy so the crash row's node
 		// death lands on running requests (they requeue, not vanish).
-		trace, err := workload.Generate(workload.TraceConfig{
+		arr, err := zipfPoisson(workload.TraceConfig{
 			Seed: 51, RPS: 4, Duration: 40 * time.Second,
 			MeanOutput: 256, MaxOutput: 1024,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return serverless.ZipfDeployments(deps, trace, 53, 1.2)
+		}, len(deps), 53, 1.2)
+		return tightFleet(deps, arr), err
 	}
 
 	type point struct {
@@ -76,12 +73,11 @@ func runExtFaultSweep(c *Context) (*Report, error) {
 			"requeued", "TTFT p50(s)", "TTFT p99(s)", "cold start p99(s)"},
 	}
 	for _, pt := range points {
-		deps, err := mkDeps()
+		ccfg, err := mkFleet()
 		if err != nil {
 			return nil, err
 		}
 		plan := pt.plan
-		ccfg := tightFleet(deps)
 		ccfg.Faults = serverless.FaultSpec{Plan: &plan}
 		res, err := serverless.RunFleet(ccfg)
 		if err != nil {

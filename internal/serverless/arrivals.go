@@ -10,7 +10,10 @@ import (
 
 // ArrivalSource streams (deployment, request) arrivals across a whole
 // multi-deployment simulation in nondecreasing arrival order — the form
-// the event loop consumes traffic in. Pull-based delivery is what lets
+// the event loop consumes traffic in. Every run reads exactly one:
+// Fleet.Arrivals when set, otherwise MergeArrivals over the
+// deployments' Requests. The run numbers requests in delivery order,
+// overwriting the IDs the source emits. Pull-based delivery is what lets
 // a 10M-request run hold O(active) request state: a run reads its
 // source on a producer goroutine into a fixed ring of 4 blocks of 512
 // arrivals, so however long the trace, at most 2048 arrivals wait
@@ -33,10 +36,8 @@ type ArrivalSource interface {
 }
 
 // mergeArrivals k-way merges per-deployment request streams by
-// (arrival, deployment index). The deployment-index tie-break matches
-// the order the slice-based path has always scheduled simultaneous
-// arrivals in (concatenation order), so both paths deliver identical
-// arrival sequences.
+// (arrival, deployment index): simultaneous arrivals go to the lowest
+// deployment index first.
 type mergeArrivals struct {
 	srcs  []workload.Source
 	heads []workload.Request
@@ -109,56 +110,10 @@ func newZipf(n int, seed int64, s float64) (*rand.Zipf, error) {
 	return zipf, nil
 }
 
-// ZipfDeployments splits one Poisson arrival process across the given
-// deployments with Zipf-distributed popularity (skew s > 1; rank 0 is
-// the most popular). The returned slices preserve each deployment's
-// own arrival ordering and re-number per-deployment request IDs.
-func ZipfDeployments(deps []Deployment, trace []workload.Request, seed int64, s float64) ([]Deployment, error) {
-	zipf, err := newZipf(len(deps), seed, s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Deployment, len(deps))
-	copy(out, deps)
-	for i := range out {
-		out[i].Requests = nil
-	}
-	for _, r := range trace {
-		di := int(zipf.Uint64())
-		r.ID = len(out[di].Requests)
-		out[di].Requests = append(out[di].Requests, r)
-	}
-	for i := range out {
-		if len(out[i].Requests) == 0 {
-			// Every deployment needs at least one request or the core
-			// rejects it; steal the tail of the busiest deployment.
-			busiest := 0
-			for j := range out {
-				if len(out[j].Requests) > len(out[busiest].Requests) {
-					busiest = j
-				}
-			}
-			if len(out[busiest].Requests) < 2 {
-				return nil, fmt.Errorf("serverless: trace too small to cover %d deployments", len(deps))
-			}
-			last := len(out[busiest].Requests) - 1
-			r := out[busiest].Requests[last]
-			out[busiest].Requests = out[busiest].Requests[:last]
-			r.ID = 0
-			out[i].Requests = []workload.Request{r}
-		}
-	}
-	return out, nil
-}
-
 // zipfArrivals streams one arrival process across a fleet of
-// deployments with Zipf-distributed popularity — the pull-based
-// counterpart of ZipfDeployments. Draw order matches ZipfDeployments
-// exactly (one Zipf draw per request, in trace order), so both paths
-// route request k of the trace to the same deployment. Unlike the
-// slice-based splitter it never materializes the trace and never
-// reshuffles requests into empty deployments: a deployment the Zipf
-// draw skips simply serves no traffic.
+// deployments with Zipf-distributed popularity: one Zipf draw per
+// request, in trace order. It never materializes the trace, and a
+// deployment the draws skip serves no traffic.
 type zipfArrivals struct {
 	src  workload.Source
 	zipf *rand.Zipf

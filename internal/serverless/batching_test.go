@@ -218,10 +218,12 @@ func TestBatchedStreamingMatchesRetainedAggregation(t *testing.T) {
 	}
 
 	streamCfg, _ := batchedFixture(t)
+	perDep := make([]workload.Source, len(traces))
 	for i := range streamCfg.Deployments {
 		streamCfg.Deployments[i].Requests = nil
-		streamCfg.Deployments[i].Source = workload.NewSlice(traces[i])
+		perDep[i] = workload.NewSlice(traces[i])
 	}
+	streamCfg.Arrivals = MergeArrivals(perDep)
 	streamed, err := RunMulti(streamCfg)
 	if err != nil {
 		t.Fatal(err)

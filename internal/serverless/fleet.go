@@ -62,14 +62,14 @@ type Fleet struct {
 	// "storage/cache/node<N>" tracks; each deployment's cold-start,
 	// iteration and queueing spans go to its Config.Tracer.
 	Tracer *obs.Tracer
-	// Arrivals, when set, streams the whole fleet's traffic instead of
-	// per-deployment Requests slices: the run reads it ahead of the event
-	// loop into a fixed ring, on a goroutine of its own (see
-	// ArrivalSource for the bound and the concurrency contract), so
-	// memory stays O(active requests) however long the trace. Each
-	// emitted deployment index must be valid and arrivals must be
-	// nondecreasing. Deployments' Requests/Source fields are ignored
-	// when set.
+	// Arrivals, when set, streams the whole fleet's traffic and the
+	// deployments' Requests are ignored; when nil, the run merges the
+	// deployments' Requests into one stream. Either way the run reads
+	// the stream ahead of the event loop into a fixed ring, on a
+	// goroutine of its own (see ArrivalSource for the bound and the
+	// concurrency contract), so memory stays O(active requests) however
+	// long the trace. Each emitted deployment index must be valid and
+	// arrivals must be nondecreasing.
 	Arrivals ArrivalSource
 	// Autoscaler decides how many instances each deployment keeps live,
 	// consulted at every control tick (arrival, iteration end, idle
@@ -348,64 +348,21 @@ func simulate(f Fleet, registry *artifactcache.Registry, opts runOptions) (*Flee
 		sim.nodes = append(sim.nodes, n)
 	}
 
-	// Streaming mode — a pre-merged stream or any per-deployment Source
-	// — assigns request IDs in delivery order; the slice-based path
-	// pre-assigns concatenation-order IDs below (the historical
-	// numbering, which tracer span names embed).
-	streaming := f.Arrivals != nil
-	for _, dep := range f.Deployments {
-		if dep.Source != nil {
-			streaming = true
-		}
-	}
 	for di, dep := range f.Deployments {
-		if !streaming && len(dep.Requests) == 0 {
-			return nil, fmt.Errorf("serverless: deployment %d (%s) has an empty trace", di, dep.Name)
-		}
 		d, err := sim.prepare(di, dep)
 		if err != nil {
 			return nil, err
 		}
-		if !streaming {
-			d.seenArr = true
-			d.firstArr = dep.Requests[0].Arrival
-		}
 		sim.deps = append(sim.deps, d)
 	}
 
-	var src ArrivalSource
-	if streaming {
-		sim.renumber = true
-		if f.Arrivals != nil {
-			src = f.Arrivals
-		} else {
-			perDep := make([]workload.Source, len(f.Deployments))
-			for di, dep := range f.Deployments {
-				if dep.Source != nil {
-					perDep[di] = dep.Source
-				} else {
-					perDep[di] = workload.NewSlice(dep.Requests)
-				}
-			}
-			src = MergeArrivals(perDep)
-		}
-	} else {
-		// Pre-assign concatenation-order global IDs (the historical
-		// numbering; follow-ups are numbered after all initial requests)
-		// and merge the per-deployment traces by (arrival, deployment).
-		nextID := 0
+	src := f.Arrivals
+	if src == nil {
 		perDep := make([]workload.Source, len(f.Deployments))
 		for di, dep := range f.Deployments {
-			reqs := make([]workload.Request, len(dep.Requests))
-			copy(reqs, dep.Requests)
-			for i := range reqs {
-				reqs[i].ID = nextID
-				nextID++
-			}
-			perDep[di] = workload.NewSlice(reqs)
+			perDep[di] = workload.NewSlice(dep.Requests)
 		}
 		src = MergeArrivals(perDep)
-		sim.nextID = nextID
 	}
 	sim.src = startReadAhead(src)
 	defer sim.src.close()

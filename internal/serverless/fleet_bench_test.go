@@ -13,8 +13,9 @@ import (
 // performance work is measured against: ten models of skewed
 // popularity churning through two nodes with tight caches and short
 // idle timeouts, so the run exercises placement, cache contention,
-// continual relaunching and the full event-loop hot path.
-func benchZipfFleet(b testing.TB, rps float64, seconds int) Fleet {
+// continual relaunching and the full event-loop hot path. It returns
+// the fleet without traffic and the trace; zipfSplit feeds one run.
+func benchZipfFleet(b testing.TB, rps float64, seconds int) (Fleet, []workload.Request) {
 	b.Helper()
 	cfg := churnConfig(artifactcache.PolicyCostAware)
 	cfg.Nodes = 4
@@ -35,12 +36,19 @@ func benchZipfFleet(b testing.TB, rps float64, seconds int) Fleet {
 	if err != nil {
 		b.Fatal(err)
 	}
-	split, err := ZipfDeployments(deps, trace, 43, 1.2)
+	cfg.Deployments = deps
+	return cfg, trace
+}
+
+// zipfSplit streams trace across n deployments with the Zipf
+// popularity benchZipfFleet measures.
+func zipfSplit(b testing.TB, trace []workload.Request, n int) ArrivalSource {
+	b.Helper()
+	arr, err := ZipfArrivals(workload.NewSlice(trace), n, 43, 1.2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg.Deployments = split
-	return cfg
+	return arr
 }
 
 // BenchmarkClusterSimWallclock is the headline simulator-core
@@ -64,22 +72,19 @@ func BenchmarkClusterSimWallclock(b *testing.B) {
 		{"zipf-180k", 50, 3600},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			cfg := benchZipfFleet(b, bc.rps, bc.seconds)
-			total := 0
-			for _, d := range cfg.Deployments {
-				total += len(d.Requests)
-			}
+			cfg, trace := benchZipfFleet(b, bc.rps, bc.seconds)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Each deployment's Requests slice is read-only to Run, so
-				// the config is reusable across iterations.
+				// An arrival stream is read once; the trace it splits is
+				// read-only, so each iteration splits it afresh.
+				cfg.Arrivals = zipfSplit(b, trace, len(cfg.Deployments))
 				res, err := RunFleet(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(float64(total), "requests")
+					b.ReportMetric(float64(len(trace)), "requests")
 					b.ReportMetric(float64(res.TotalColdStarts), "cold_starts")
 				}
 			}
@@ -99,7 +104,8 @@ func TestFleetAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	cfg := benchZipfFleet(t, 50, 120)
+	cfg, trace := benchZipfFleet(t, 50, 120)
+	cfg.Arrivals = zipfSplit(t, trace, len(cfg.Deployments))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.GC()

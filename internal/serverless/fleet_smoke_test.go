@@ -43,7 +43,7 @@ func TestFleetSmoke100k(t *testing.T) {
 	for i, name := range models {
 		dcfg := idleOut(medusaDeployment(t, name, int64(i+1)), 2*time.Second)
 		dcfg.Scheduler.Batch = sched.Params{BatchTokens: 512, KVBlocks: 256, ChunkedPrefill: true}
-		deps = append(deps, Deployment{Name: name, Config: dcfg, Source: srcs[i]})
+		deps = append(deps, Deployment{Name: name, Config: dcfg})
 	}
 	scaler, err := autoscale.NewPredictive(autoscale.PredictiveConfig{Window: 2 * time.Second})
 	if err != nil {
@@ -56,6 +56,7 @@ func TestFleetSmoke100k(t *testing.T) {
 	cfg := Fleet{
 		Nodes: 4, GPUsPerNode: 8, Seed: 7,
 		Deployments: deps,
+		Arrivals:    MergeArrivals(srcs),
 		Autoscaler:  scaler,
 		Router:      route,
 		SLO:         SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond},

@@ -2,6 +2,8 @@ package serverless
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,18 +42,89 @@ func TestRunFleetFillsDefaults(t *testing.T) {
 	}
 }
 
-// TestZipfRejectsBadSkew pins the skew check of both Zipf splitters:
-// math/rand's sampler never returns for a NaN or infinite skew and
-// needs one above 1.
+// TestZipfRejectsBadSkew pins ZipfArrivals' skew check: math/rand's
+// sampler never returns for a NaN or infinite skew and needs one
+// above 1.
 func TestZipfRejectsBadSkew(t *testing.T) {
-	deps := []Deployment{{Name: "a"}, {Name: "b"}}
 	trace := shortTrace(t, 2, 5)
-	for _, s := range []float64{math.NaN(), math.Inf(1), 1} {
-		if _, err := ZipfDeployments(deps, trace, 1, s); err == nil {
-			t.Errorf("ZipfDeployments accepted skew %g", s)
-		}
-		if _, err := ZipfArrivals(workload.NewSlice(trace), len(deps), 1, s); err == nil {
+	for _, s := range []float64{math.NaN(), math.Inf(1), 1, 0.9} {
+		if _, err := ZipfArrivals(workload.NewSlice(trace), 2, 1, s); err == nil {
 			t.Errorf("ZipfArrivals accepted skew %g", s)
+		}
+	}
+}
+
+// TestZipfArrivalsSplit pins how ZipfArrivals splits one trace: every
+// request is delivered once, in trace order, to a valid deployment;
+// rank 0 is the most popular; and the same seed draws the same split.
+func TestZipfArrivalsSplit(t *testing.T) {
+	const nDeps = 4
+	trace := shortTrace(t, 5, 30)
+	split := func() []int {
+		arr, err := ZipfArrivals(workload.NewSlice(trace), nDeps, 9, 1.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deps []int
+		for {
+			di, req, ok := arr.Next()
+			if !ok {
+				break
+			}
+			if di < 0 || di >= nDeps {
+				t.Fatalf("arrival %d routed to deployment %d of %d", len(deps), di, nDeps)
+			}
+			if req != trace[len(deps)] {
+				t.Fatalf("arrival %d is %+v, want trace request %+v", len(deps), req, trace[len(deps)])
+			}
+			deps = append(deps, di)
+		}
+		if err := arr.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return deps
+	}
+	deps := split()
+	if len(deps) != len(trace) {
+		t.Fatalf("delivered %d requests, had %d", len(deps), len(trace))
+	}
+	counts := make([]int, nDeps)
+	for _, di := range deps {
+		counts[di]++
+	}
+	if counts[0] <= counts[nDeps-1] {
+		t.Fatalf("skew inverted: rank 0 got %d, last rank %d", counts[0], counts[nDeps-1])
+	}
+	if again := split(); !slices.Equal(deps, again) {
+		t.Fatal("same seed drew a different split")
+	}
+}
+
+// TestRenderDeploymentWithoutTraffic renders a fleet in which one
+// batched deployment draws no traffic: its TTFT and TPOT samples are
+// empty, and Render reports zero quantiles instead of panicking.
+func TestRenderDeploymentWithoutTraffic(t *testing.T) {
+	busy := medusaDeployment(t, "Qwen1.5-0.5B", 1)
+	idle := medusaDeployment(t, "Qwen1.5-1.8B", 2)
+	idle.Scheduler.Batch = batchParams
+	trace := shortTrace(t, 2, 5)
+	res, err := RunFleet(Fleet{
+		Deployments: []Deployment{{Name: "busy", Config: busy}, {Name: "idle", Config: idle}},
+		Arrivals:    MergeArrivals([]workload.Source{workload.NewSlice(trace), workload.NewSlice(nil)}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.PerDeployment[0].Completed; got != len(trace) {
+		t.Fatalf("busy deployment completed %d of %d", got, len(trace))
+	}
+	out := res.Render()
+	for _, want := range []string{
+		"deployment idle             completed     0  ttft p50 0s           p99 0s           cold_starts    0",
+		"  tpot p50 0s           p99 0s           preemptions 0",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
 		}
 	}
 }

@@ -134,9 +134,10 @@ func TestReadAheadStopsAtSourceError(t *testing.T) {
 			t.Errorf("k=%d: Err = %v, want %v", k, err, want)
 		}
 
-		_, err := RunFleet(Fleet{Nodes: 1, GPUsPerNode: 2, Deployments: []Deployment{
-			{Name: "x", Config: c, Source: &failSource{k: k, step: 10 * time.Millisecond}},
-		}})
+		_, err := RunFleet(Fleet{Nodes: 1, GPUsPerNode: 2,
+			Deployments: []Deployment{{Name: "x", Config: c}},
+			Arrivals:    MergeArrivals([]workload.Source{&failSource{k: k, step: 10 * time.Millisecond}}),
+		})
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("k=%d: RunFleet error = %v, want %v", k, err, want)
 		}

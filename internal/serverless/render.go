@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
+	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/obs"
 )
 
@@ -35,7 +37,7 @@ func (r *FleetResult) Render() string {
 	}
 	for _, d := range r.PerDeployment {
 		fmt.Fprintf(&b, "deployment %-16s completed %5d  ttft p50 %-12v p99 %-12v cold_starts %4d (total %v)\n",
-			d.Name, d.Completed, d.TTFT.P50(), d.TTFT.P99(), d.ColdStarts, d.ColdStartTotal)
+			d.Name, d.Completed, quantile(d.TTFT, 0.5), quantile(d.TTFT, 0.99), d.ColdStarts, d.ColdStartTotal)
 		if d.ColdStart.Len() > 0 {
 			fmt.Fprintf(&b, "  cold start p50 %-12v p99 %-12v\n", d.ColdStart.P50(), d.ColdStart.P99())
 		}
@@ -43,7 +45,7 @@ func (r *FleetResult) Render() string {
 		// whole-request output byte-identical.
 		if d.TPOT != nil {
 			fmt.Fprintf(&b, "  tpot p50 %-12v p99 %-12v preemptions %d\n",
-				d.TPOT.P50(), d.TPOT.P99(), d.Preemptions)
+				quantile(d.TPOT, 0.5), quantile(d.TPOT, 0.99), d.Preemptions)
 		}
 		if withSLO {
 			pct := 0.0
@@ -100,4 +102,11 @@ func sortedPhases(b *obs.PhaseBreakdown) []string {
 	phases := b.Phases()
 	sort.Strings(phases)
 	return phases
+}
+
+// quantile is s's p-quantile, or 0 for a sample with no values: a
+// deployment that completed nothing renders instead of panicking.
+func quantile(s *metrics.Sample, p float64) time.Duration {
+	d, _ := s.Quantile(p)
+	return d
 }

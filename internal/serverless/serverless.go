@@ -593,15 +593,12 @@ type Deployment struct {
 	// NumGPUs and Scheduler.WarmContainers are pool-wide and taken from
 	// MultiConfig or Fleet instead.
 	Config Config
-	// Requests is the deployment's arrival trace.
+	// Requests is the deployment's arrival trace, in nondecreasing
+	// arrival order; nil serves nothing. The run merges every
+	// deployment's Requests into its one ArrivalSource (unless Fleet or
+	// MultiConfig sets Arrivals) and numbers requests in fleet-wide
+	// delivery order, so the IDs here are ignored.
 	Requests []workload.Request
-	// Source, when set, streams the deployment's arrivals instead of
-	// Requests — the scale path, under which the trace never exists in
-	// memory at once. Requests in nondecreasing arrival order; IDs are
-	// reassigned in cluster-wide delivery order. The run merges every
-	// deployment's stream and reads it ahead on a goroutine of its own,
-	// so Source is bound by ArrivalSource's concurrency contract.
-	Source workload.Source
 }
 
 // MultiConfig shares one GPU pool among several deployments — the
@@ -617,9 +614,8 @@ type MultiConfig struct {
 	Deployments []Deployment
 	// Arrivals, when set, supplies every deployment's traffic as one
 	// pre-merged stream (nondecreasing arrival order, deployment indices
-	// into Deployments); the per-deployment Requests/Source fields are
-	// then ignored and request IDs are assigned in delivery order. It is
-	// read ahead like Fleet.Arrivals.
+	// into Deployments) and the per-deployment Requests are ignored, as
+	// for Fleet.Arrivals.
 	Arrivals ArrivalSource
 	// Faults applies one fault plan to every deployment's launches (see
 	// FaultSpec for which sites the single-pool simulator honors).

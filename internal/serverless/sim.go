@@ -33,9 +33,10 @@ import (
 //     interface boxing) with the (time, push instant, push-sequence)
 //     tie-break.
 //   - Arrivals are generated on a second goroutine that reads the
-//     ArrivalSource into a fixed ring of blocks (readAhead), at most
-//     readAheadBlocks·readAheadBlock arrivals ahead of the loop, so
-//     neither the trace nor its events are ever materialized in full.
+//     run's one ArrivalSource into a fixed ring of blocks (readAhead),
+//     at most readAheadBlocks·readAheadBlock arrivals ahead of the
+//     loop, so neither the trace nor its events are ever materialized
+//     in full.
 //     The loop pulls one arrival at a time from the ring; the pulled,
 //     unfired arrival waits beside the queue under the push instant and
 //     sequence number a push would have given it (eventq.Queue.Stamp),
@@ -448,9 +449,6 @@ type simulation struct {
 	headAt   time.Duration
 	headSeq  uint64
 	headHeld bool
-	// renumber assigns request IDs in delivery order (streaming mode);
-	// the slice-based path pre-assigns concatenation-order IDs instead.
-	renumber bool
 	lastArr  time.Duration
 
 	now time.Duration
@@ -462,7 +460,7 @@ type simulation struct {
 	reqPool  []*reqState
 	instPool []*instState
 	instSeq  int // next instance id
-	nextID   int // next request id (follow-ups, streaming arrivals)
+	nextID   int // next request id, in delivery order (arrivals, follow-ups)
 
 	// Scratch buffers reused across calls on the hot path.
 	scratchIntervals []obs.Interval
@@ -579,10 +577,8 @@ func (s *simulation) pullArrival() error {
 	r.Request = req
 	r.dep = di
 	r.turn = 1
-	if s.renumber {
-		r.ID = s.nextID
-		s.nextID++
-	}
+	r.ID = s.nextID
+	s.nextID++
 	s.created++
 	s.head = r
 	if s.opts.referenceLoop {

@@ -55,10 +55,11 @@ func streamingFixture(t testing.TB) (MultiConfig, [][]workload.Request) {
 	}, [][]workload.Request{traceA, traceB}
 }
 
-// TestStreamingMatchesRetainedAggregation pins the tentpole's
-// correctness contract: the pull-based arrival path with bounded
-// reservoir aggregation produces exactly the summaries the slice-based
-// retained path computes, on traces under the reservoir cap.
+// TestStreamingMatchesRetainedAggregation pins the two ways traffic
+// and aggregation are configured against each other: a pre-merged
+// Arrivals stream with bounded reservoir aggregation produces exactly
+// the summaries the deployments' Requests with retained aggregation
+// compute, on traces under the reservoir cap.
 func TestStreamingMatchesRetainedAggregation(t *testing.T) {
 	retainedCfg, traces := streamingFixture(t)
 	for i := range retainedCfg.Deployments {
@@ -69,49 +70,36 @@ func TestStreamingMatchesRetainedAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	streamCfg, _ := streamingFixture(t)
-	for i := range streamCfg.Deployments {
-		streamCfg.Deployments[i].Requests = nil
-		streamCfg.Deployments[i].Source = workload.NewSlice(traces[i])
-	}
-	streamed, err := RunMulti(streamCfg)
+	streamed, err := RunMulti(mergedFixture(t, traces))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	want, got := multiSummary(retained), multiSummary(streamed)
-	if want != got {
+	if want, got := multiSummary(retained), multiSummary(streamed); want != got {
 		t.Fatalf("streaming aggregation diverged from retained:\n--- retained\n%s\n--- streamed\n%s", want, got)
 	}
+}
 
-	// The pre-merged Arrivals form must agree too.
-	mergedCfg, _ := streamingFixture(t)
+// mergedFixture is streamingFixture fed by one pre-merged Arrivals
+// stream of traces instead of the deployments' Requests.
+func mergedFixture(t testing.TB, traces [][]workload.Request) MultiConfig {
+	t.Helper()
+	cfg, _ := streamingFixture(t)
 	perDep := make([]workload.Source, len(traces))
-	for i := range mergedCfg.Deployments {
-		mergedCfg.Deployments[i].Requests = nil
+	for i := range cfg.Deployments {
+		cfg.Deployments[i].Requests = nil
 		perDep[i] = workload.NewSlice(traces[i])
 	}
-	mergedCfg.Arrivals = MergeArrivals(perDep)
-	merged, err := RunMulti(mergedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := multiSummary(merged); got != want {
-		t.Fatalf("pre-merged Arrivals diverged from retained:\n--- retained\n%s\n--- merged\n%s", want, got)
-	}
+	cfg.Arrivals = MergeArrivals(perDep)
+	return cfg
 }
 
 // TestStreamingDeterministicAcrossGOMAXPROCS pins byte-identical
 // streaming-mode output at a fixed seed regardless of scheduler
 // parallelism.
 func TestStreamingDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	_, traces := streamingFixture(t)
 	run := func() string {
-		cfg, traces := streamingFixture(t)
-		for i := range cfg.Deployments {
-			cfg.Deployments[i].Requests = nil
-			cfg.Deployments[i].Source = workload.NewSlice(traces[i])
-		}
-		res, err := RunMulti(cfg)
+		res, err := RunMulti(mergedFixture(t, traces))
 		if err != nil {
 			t.Fatal(err)
 		}
