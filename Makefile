@@ -78,7 +78,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Per-layer benchmarks of the cold-start, serving and control-plane
-# paths whose zero-allocation tests pin them (ROADMAP direction 7):
+# paths whose zero-allocation tests pin them (ROADMAP direction 10):
 # the event queue's push/pop and handle reschedule/cancel, AddExclusive
 # on a Medusa launch, FetchPair by tier, a sized KV sequence's
 # lifetime, Plan/FinishRun at a mean and a full batch, a device

@@ -18,7 +18,8 @@
 // cold-starting instances are placed by a locality-aware scorer
 // (-locality). -models co-locates several deployments sharing the
 // fleet under Zipf popularity (-zipf). Without -nodes the same
-// deployments run on one pool of -gpus GPUs without an artifact cache.
+// deployments run on one pool of -gpus GPUs without an artifact cache,
+// and setting a flag only the fleet reads is an error.
 // -work adds the simulator core's work counters, in total and per
 // request.
 //
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/cliconfig"
@@ -42,6 +44,10 @@ import (
 	"github.com/medusa-repro/medusa/internal/storage"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
+
+// fleetOnly names the flags only a fleet (-nodes) reads.
+var fleetOnly = []string{"autoscale", "router", "slo-ttft", "slo-tpot", "cache-policy",
+	"cache-ram", "cache-ssd", "locality", "prewarm-ssd", "gpus-per-node"}
 
 func main() {
 	v := cliconfig.Register(flag.CommandLine)
@@ -83,6 +89,13 @@ func main() {
 		fail(fmt.Errorf("-stream and -diurnal need -nodes and exclude -requests and -requests-out"))
 	case v.Nodes == 0 && len(v.ModelNames()) > 1:
 		fail(fmt.Errorf("a multi-model fleet (-models) needs -nodes"))
+	}
+	if v.Nodes == 0 {
+		flag.Visit(func(f *flag.Flag) {
+			if slices.Contains(fleetOnly, f.Name) {
+				fail(fmt.Errorf("-%s needs -nodes", f.Name))
+			}
+		})
 	}
 	strategy, err := engine.ParseStrategy(v.Strategy)
 	if err != nil {

@@ -126,7 +126,7 @@ func (s *simulator) fleet(deps []serverless.Deployment, rep int64) (serverless.F
 		PrewarmSSD:     v.PrewarmSSD,
 		Seed:           seed,
 		Deployments:    append([]serverless.Deployment(nil), deps...),
-		Faults:         serverless.FaultSpec{Plan: s.plan},
+		Faults:         s.plan,
 		Autoscaler:     scaler,
 		Router:         route,
 		SLO:            v.SLO(),

@@ -109,4 +109,17 @@ func TestMedusaSimulateCLI(t *testing.T) {
 	if cold, warm := run(t, bin, append(fleet, "-prewarm", "0")...), run(t, bin, append(fleet, "-prewarm", "1")...); cold == warm {
 		t.Fatalf("fleet ignores -prewarm:\n%s", warm)
 	}
+	// The single pool reads no fleet-only flag, so setting one without
+	// -nodes is an error rather than silently ignored.
+	for _, flagArgs := range [][]string{
+		{"-autoscale", "predictive"}, {"-router", "score"}, {"-slo-ttft", "100ms"}, {"-slo-tpot", "50ms"},
+		{"-cache-policy", "lfu"}, {"-cache-ram", "1"}, {"-cache-ssd", "1"}, {"-locality", "0"},
+		{"-prewarm-ssd"}, {"-gpus-per-node", "2"},
+	} {
+		args := append([]string{"-model", "Qwen1.5-0.5B", "-strategy", "vllm", "-rps", "2", "-duration", "5"}, flagArgs...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), flagArgs[0]+" needs -nodes") {
+			t.Errorf("%v without -nodes: err %v, output:\n%s", flagArgs, err, out)
+		}
+	}
 }

@@ -90,15 +90,10 @@ func TestCachedDesiredMatchesFullScan(t *testing.T) {
 				}
 			})
 		}},
-		{"warm-exhaustion", func(t *testing.T) serverless.Fleet {
-			cfg := base(t, func(int, *serverless.Config) {})
-			cfg.WarmContainersPerNode = 1
-			return cfg
-		}},
 		{"crash", func(t *testing.T) serverless.Fleet {
 			cfg := base(t, func(int, *serverless.Config) {})
 			plan := faults.Presets()["crash"]
-			cfg.Faults = serverless.FaultSpec{Plan: &plan}
+			cfg.Faults = &plan
 			return cfg
 		}},
 	}

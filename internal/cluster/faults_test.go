@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ import (
 // deployments whose relaunch churn gives the injector plenty of draws.
 func faultConfig(t *testing.T, plan *faults.Plan) serverless.Fleet {
 	cfg := churnConfig(artifactcache.PolicyLRU)
-	cfg.Faults = serverless.FaultSpec{Plan: plan}
+	cfg.Faults = plan
 	cfg.Deployments = []serverless.Deployment{
 		{Name: "a", Config: idleOut(medusaDeployment(t, "Qwen1.5-0.5B", 1), 250*time.Millisecond),
 			Requests: genTrace(t, 31, 2, 15)},
@@ -360,22 +361,30 @@ func TestClusterTemplateFaultsDeterministic(t *testing.T) {
 	}
 }
 
-// TestClusterCrashValidation rejects plans the fleet cannot survive.
+// TestClusterCrashValidation rejects plans the fleet cannot survive;
+// a plan that is invalid in itself is a *ConfigError on field Faults.
 func TestClusterCrashValidation(t *testing.T) {
 	base := faultConfig(t, nil)
 	for _, tc := range []struct {
-		name string
-		plan faults.Plan
+		name  string
+		plan  faults.Plan
+		field string
 	}{
-		{"node out of range", faults.Plan{NodeCrashes: []faults.NodeCrash{{Node: 2}}}},
-		{"all nodes crash", faults.Plan{NodeCrashes: []faults.NodeCrash{{Node: 0}, {Node: 1}}}},
-		{"invalid probability", faults.Plan{SSDRead: faults.SiteSpec{Probability: 1.5}}},
+		{"node out of range", faults.Plan{NodeCrashes: []faults.NodeCrash{{Node: 2}}}, ""},
+		{"all nodes crash", faults.Plan{NodeCrashes: []faults.NodeCrash{{Node: 0}, {Node: 1}}}, ""},
+		{"invalid probability", faults.Plan{SSDRead: faults.SiteSpec{Probability: 1.5}}, "Faults"},
 	} {
 		cfg := base
 		plan := tc.plan
-		cfg.Faults = serverless.FaultSpec{Plan: &plan}
-		if _, err := serverless.RunFleet(cfg); err == nil {
+		cfg.Faults = &plan
+		_, err := serverless.RunFleet(cfg)
+		if err == nil {
 			t.Errorf("%s: Run accepted an unsurvivable plan", tc.name)
+			continue
+		}
+		var ce *serverless.ConfigError
+		if tc.field != "" && (!errors.As(err, &ce) || ce.Field != tc.field) {
+			t.Errorf("%s: error %v is not a *ConfigError on field %s", tc.name, err, tc.field)
 		}
 	}
 }

@@ -11,11 +11,10 @@ import (
 )
 
 // TestOneNodeFleetMatchesSinglePool is the metamorphic guard between
-// the two simulator front ends: a one-node fleet with N GPUs and W warm
-// containers must serve a trace exactly as the single-pool simulator
-// with an N-GPU pool and W warm containers does. The fixtures use the
-// vLLM strategy, which fetches no artifact, so the node cache never
-// enters the picture.
+// the two simulator front ends: a one-node fleet with N GPUs must serve
+// a trace exactly as the single-pool simulator with an N-GPU pool
+// does. The fixtures use the vLLM strategy, which fetches no artifact,
+// so the node cache never enters the picture.
 func TestOneNodeFleetMatchesSinglePool(t *testing.T) {
 	deps := func(t *testing.T, tweak func(i int, c *serverless.Config)) []serverless.Deployment {
 		var out []serverless.Deployment
@@ -38,19 +37,19 @@ func TestOneNodeFleetMatchesSinglePool(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name        string
-		gpus, warm  int
+		gpus        int
 		deployments func(t *testing.T) []serverless.Deployment
 	}{
-		{"legacy", 4, 2, func(t *testing.T) []serverless.Deployment {
+		{"legacy", 4, func(t *testing.T) []serverless.Deployment {
 			return deps(t, func(int, *serverless.Config) {})
 		}},
-		{"batched", 4, 1, func(t *testing.T) []serverless.Deployment {
+		{"batched", 4, func(t *testing.T) []serverless.Deployment {
 			return deps(t, func(_ int, c *serverless.Config) {
 				// A small KV pool so the scheduler preempts.
 				c.Scheduler.Batch = sched.Params{BatchTokens: 256, KVBlocks: 80}
 			})
 		}},
-		{"tp2", 6, 2, func(t *testing.T) []serverless.Deployment {
+		{"tp2", 6, func(t *testing.T) []serverless.Deployment {
 			return deps(t, func(i int, c *serverless.Config) {
 				if i == 1 {
 					c.TPDegree = 2
@@ -60,21 +59,21 @@ func TestOneNodeFleetMatchesSinglePool(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fleet, err := serverless.RunFleet(serverless.Fleet{
-				Nodes: 1, GPUsPerNode: tc.gpus, WarmContainersPerNode: tc.warm,
+				Nodes: 1, GPUsPerNode: tc.gpus,
 				Deployments: tc.deployments(t),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			pool, err := serverless.RunMulti(serverless.MultiConfig{
-				NumGPUs: tc.gpus, WarmContainers: tc.warm,
+				NumGPUs:     tc.gpus,
 				Deployments: tc.deployments(t),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fleet.TotalColdStarts <= 2*tc.warm {
-				t.Fatalf("fixture too tame: %d cold starts never exhaust %d warm containers", fleet.TotalColdStarts, tc.warm)
+			if fleet.TotalColdStarts <= 2*len(fleet.PerDeployment) {
+				t.Fatalf("fixture too tame: %d cold starts", fleet.TotalColdStarts)
 			}
 			if fleet.GPUSeconds != pool.GPUSeconds {
 				t.Errorf("gpu-seconds: fleet %v, pool %v", fleet.GPUSeconds, pool.GPUSeconds)

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/cuda"
-	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/gpu"
 	"github.com/medusa-repro/medusa/internal/kernels"
 	"github.com/medusa-repro/medusa/internal/kvcache"
@@ -211,9 +210,6 @@ type Options struct {
 	// Store is the SSD tier holding weights and artifacts. Nil creates
 	// a private default store.
 	Store *storage.Store
-	// Runtime is the installed kernel environment. Nil installs the
-	// standard kernel set.
-	Runtime *cuda.Runtime
 	// Clock, when set, advances by the composed cold-start duration
 	// (the externally observable latency).
 	Clock *vclock.Clock
@@ -240,9 +236,6 @@ type Options struct {
 	// CheckpointBytes is the image size for StrategyCheckpoint, from a
 	// prior TakeCheckpoint.
 	CheckpointBytes uint64
-	// GPUMemoryUtilization caps usable device memory like vLLM's
-	// gpu_memory_utilization (default 0.9).
-	GPUMemoryUtilization float64
 	// Tuning overrides calibrated cost-model knobs; nil keeps the
 	// A100/Optane calibration. Used by the sensitivity-analysis
 	// experiment to show conclusions survive parameter perturbation.
@@ -252,25 +245,9 @@ type Options struct {
 	TriggerMode TriggerMode
 	// Tracer, when set, receives the composed cold-start timeline as
 	// phase-tagged spans (positioned on Clock when one is set) plus
-	// internal per-stage detail spans on a "<track>/internal" lane.
+	// internal per-stage detail spans on an
+	// "engine/<model>/<strategy>/internal" lane.
 	Tracer *obs.Tracer
-	// Track names the tracer lane; empty derives
-	// "engine/<model>/<strategy>".
-	Track string
-	// Faults, when set, injects restore-path faults (artifact
-	// corruption, restore-validation mismatches) into this cold start.
-	// An injected fault never aborts the launch: ColdStart degrades the
-	// instance to the vanilla cold-start stages and records the reason
-	// (the paper §4 fallback). Nil injects nothing.
-	Faults *faults.Injector
-}
-
-// trackName resolves the tracer lane for these options.
-func (o Options) trackName() string {
-	if o.Track != "" {
-		return o.Track
-	}
-	return fmt.Sprintf("engine/%s/%s", o.Model.Name, o.Strategy)
 }
 
 // TriggerMode selects the triggering-kernels implementation.
@@ -316,17 +293,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Store == nil {
 		o.Store = storage.NewStore(storage.DefaultArray())
 	}
-	if o.Runtime == nil {
-		o.Runtime = kernels.NewRuntime()
-	}
 	if len(o.CaptureSizes) == 0 {
 		o.CaptureSizes = model.CaptureBatchSizes()
 	}
 	if err := checkCaptureSizes(o.CaptureSizes); err != nil {
 		return o, err
-	}
-	if o.GPUMemoryUtilization == 0 {
-		o.GPUMemoryUtilization = 0.9
 	}
 	info := o.Strategy.Info()
 	if info.NeedsArtifact && o.Artifact == nil {
@@ -387,14 +358,13 @@ type Instance struct {
 
 	decodeDur  map[int]time.Duration
 	prefillDur map[int]time.Duration
-
-	degradedReason string
 }
 
-// DegradedReason reports why this instance fell back to the vanilla
-// cold-start stages ("" for a clean launch): one of the faults.Reason*
-// constants, recorded when a Medusa restore failed survivably.
-func (inst *Instance) DegradedReason() string { return inst.degradedReason }
+// DegradedReason always reports "": ColdStart never degrades a launch.
+// The §4 fallback to the vanilla cold start lives in the serverless
+// simulator, which degrades a launch whose restore cannot be trusted.
+// The method stays because the benchmark module still reads it.
+func (inst *Instance) DegradedReason() string { return "" }
 
 // Timeline returns the cold start's stage timeline.
 func (inst *Instance) Timeline() obs.Timeline { return inst.timeline }
@@ -444,52 +414,10 @@ func (inst *Instance) KVRecord() medusa.KVRecord { return inst.kvRecord }
 // strategy then composes the stage durations into the externally
 // observable timeline — overlapping what the strategy overlaps — and
 // advances opts.Clock by the composed total.
-//
-// When an artifact-backed launch fails with a degradable fault (a
-// corrupt artifact or a restore-validation mismatch, injected via
-// Options.Faults or surfaced by the wire-format checksums), ColdStart
-// does not error: it falls back to the vanilla cold-start stages — the
-// paper §4 fallback — prepending the failed attempt's wasted time as a
-// "restore_failed" stage and recording the reason on the instance
-// (DegradedReason). The fallback itself runs fault-free: one launch
-// degrades at most once.
 func ColdStart(opts Options) (*Instance, error) {
-	inst, wasted, err := coldStartOnce(opts)
-	if err != nil {
-		reason, degradable := faults.DegradeReason(err)
-		if !degradable || !opts.Strategy.NeedsArtifact() {
-			return nil, err
-		}
-		fopts := opts
-		fopts.Strategy = StrategyVLLM
-		fopts.Artifact = nil
-		fopts.ArtifactBytes = 0
-		fopts.ArtifactPreloaded = false
-		fopts.Faults = nil
-		inst, _, err = coldStartOnce(fopts)
-		if err != nil {
-			return nil, fmt.Errorf("engine: vanilla fallback after %s: %w", reason, err)
-		}
-		inst.markDegraded(reason, wasted)
-	}
-	base := time.Duration(0)
-	if opts.Clock != nil {
-		base = opts.Clock.Now()
-		opts.Clock.Advance(inst.timeline.Total())
-	}
-	inst.emitTimelineSpans(base)
-	return inst, nil
-}
-
-// coldStartOnce runs one cold-start attempt: all stages on a fresh
-// private clock, timeline composed, but no shared-clock advance and no
-// span emission (ColdStart layers those on after fallback handling).
-// On error it reports the attempt's private-clock elapsed time, so the
-// caller can account the wasted work.
-func coldStartOnce(opts Options) (*Instance, time.Duration, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	mode := gpu.CostOnly
 	if opts.Model.Functional {
@@ -515,7 +443,7 @@ func coldStartOnce(opts Options) (*Instance, time.Duration, error) {
 			procCfg.ModuleLoadCost = t.ModuleLoadCost
 		}
 	}
-	proc := cuda.NewProcess(opts.Runtime, clock, procCfg)
+	proc := cuda.NewProcess(kernels.NewRuntime(), clock, procCfg)
 	inst := &Instance{
 		opts:       opts,
 		proc:       proc,
@@ -526,7 +454,7 @@ func coldStartOnce(opts Options) (*Instance, time.Duration, error) {
 		decodeDur:  make(map[int]time.Duration),
 		prefillDur: make(map[int]time.Duration),
 	}
-	inst.track = opts.trackName()
+	inst.track = fmt.Sprintf("engine/%s/%s", opts.Model.Name, opts.Strategy)
 	inst.padded = opts.Model.PaddedSizes(opts.CaptureSizes)
 	if opts.Recorder != nil {
 		proc.SetHooks(opts.Recorder.Hooks())
@@ -534,7 +462,7 @@ func coldStartOnce(opts Options) (*Instance, time.Duration, error) {
 	if opts.Strategy.NeedsArtifact() {
 		rest, err := medusa.NewRestorer(proc, opts.Artifact)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		inst.restorer = rest
 	}
@@ -544,67 +472,46 @@ func coldStartOnce(opts Options) (*Instance, time.Duration, error) {
 
 	dStruct = clock.Span(func() { err = inst.stageStructInit() })
 	if err != nil {
-		return nil, clock.Now(), fmt.Errorf("engine: struct init: %w", err)
+		return nil, fmt.Errorf("engine: struct init: %w", err)
 	}
 	dWeights = clock.Span(func() { err = inst.stageWeights() })
 	if err != nil {
-		return nil, clock.Now(), fmt.Errorf("engine: weights loading: %w", err)
+		return nil, fmt.Errorf("engine: weights loading: %w", err)
 	}
 	dTok = clock.Span(func() { err = inst.stageTokenizer() })
 	if err != nil {
-		return nil, clock.Now(), fmt.Errorf("engine: tokenizer: %w", err)
+		return nil, fmt.Errorf("engine: tokenizer: %w", err)
 	}
 	if opts.Strategy.NeedsArtifact() {
 		dKV = clock.Span(func() { err = inst.stageKVRestore() })
 		if err != nil {
-			return nil, clock.Now(), fmt.Errorf("engine: KV restore: %w", err)
+			return nil, fmt.Errorf("engine: KV restore: %w", err)
 		}
 		dCapture = clock.Span(func() { err = inst.stageGraphRestore() })
 		if err != nil {
-			return nil, clock.Now(), fmt.Errorf("engine: graph restore: %w", err)
+			return nil, fmt.Errorf("engine: graph restore: %w", err)
 		}
 	} else {
 		dKV = clock.Span(func() { err = inst.stageKVInit() })
 		if err != nil {
-			return nil, clock.Now(), fmt.Errorf("engine: KV init: %w", err)
+			return nil, fmt.Errorf("engine: KV init: %w", err)
 		}
 		if opts.Strategy.Info().CapturesEagerly {
 			dCapture = clock.Span(func() { err = inst.stageCapture() })
 			if err != nil {
-				return nil, clock.Now(), fmt.Errorf("engine: capture: %w", err)
+				return nil, fmt.Errorf("engine: capture: %w", err)
 			}
 		}
 	}
 
 	inst.compose(dStruct, dWeights, dTok, dKV, dCapture)
-	return inst, 0, nil
-}
-
-// markDegraded records the fallback on the instance: the reason, and a
-// "restore_failed" stage holding the failed attempt's wasted time
-// ahead of the (already composed) vanilla stages. Runtime init, when
-// present, stays first — the container initialized once, before the
-// restore was attempted.
-func (inst *Instance) markDegraded(reason string, wasted time.Duration) {
-	inst.degradedReason = reason
-	if wasted <= 0 {
-		return
+	base := time.Duration(0)
+	if opts.Clock != nil {
+		base = opts.Clock.Now()
+		opts.Clock.Advance(inst.timeline.Total())
 	}
-	old := inst.timeline
-	var nt obs.Timeline
-	shiftFrom := time.Duration(0)
-	if d := old.StageDuration(StageRuntimeInit); d > 0 {
-		nt.Record(StageRuntimeInit, 0, d)
-		shiftFrom = d
-	}
-	nt.Record(StageRestoreFailed, shiftFrom, shiftFrom+wasted)
-	for _, st := range old {
-		if st.Phase == StageRuntimeInit {
-			continue
-		}
-		nt.Record(st.Phase, st.Start+wasted, st.End+wasted)
-	}
-	inst.timeline = nt
+	inst.emitTimelineSpans(base)
+	return inst, nil
 }
 
 // emitTimelineSpans renders the composed cold-start timeline onto the
@@ -620,9 +527,6 @@ func (inst *Instance) emitTimelineSpans(base time.Duration) {
 		Tag("cold_start").
 		Attr("strategy", inst.opts.Strategy.String()).
 		Attr("model", inst.opts.Model.Name)
-	if inst.degradedReason != "" {
-		root.Attr("degraded_reason", inst.degradedReason)
-	}
 	for _, st := range inst.timeline {
 		root.Child(st.Phase, base+st.Start).Tag(st.Phase).End(base + st.End)
 	}

@@ -10,6 +10,10 @@ import (
 	"github.com/medusa-repro/medusa/internal/obs"
 )
 
+// gpuMemoryUtilization caps usable device memory like vLLM's
+// gpu_memory_utilization default.
+const gpuMemoryUtilization = 0.9
+
 // kvElemBytes is the element width of KV cache entries: f32 for
 // functional models, fp16 for the calibrated ones.
 func (inst *Instance) kvElemBytes() int {
@@ -32,8 +36,8 @@ func (inst *Instance) stageKVInit() error {
 	}
 	profDone()
 	// Residual memory after the worst-case forwarding, under the
-	// configured utilization cap.
-	usable := uint64(inst.opts.GPUMemoryUtilization * float64(inst.proc.Device().Config().TotalMemory))
+	// utilization cap.
+	usable := uint64(gpuMemoryUtilization * float64(inst.proc.Device().Config().TotalMemory))
 	peak := inst.proc.Device().PeakUsedMemory()
 	if peak >= usable {
 		return fmt.Errorf("engine: model leaves no room for KV cache (peak %d, usable %d)", peak, usable)

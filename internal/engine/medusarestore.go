@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/cuda"
-	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/kernels"
 	"github.com/medusa-repro/medusa/internal/obs"
 )
@@ -33,16 +32,6 @@ func (inst *Instance) stageGraphRestore() error {
 	ioDone(obs.Attr{Key: "bytes", Value: fmt.Sprint(size)},
 		obs.Attr{Key: "nodes", Value: fmt.Sprint(art.TotalNodes())})
 
-	// Injected corruption surfaces here, where real damage would: the
-	// checksum verification that follows the read+decode.
-	if inj := inst.opts.Faults; inj != nil && inj.Inject(faults.SiteArtifactCorrupt, inst.opts.Model.Name) {
-		return &faults.ArtifactCorruptError{
-			Key:     inst.opts.Model.Name,
-			Section: "injected",
-			Detail:  "injected corruption (checksum verification failed)",
-		}
-	}
-
 	if err := inst.restorer.ReplayCaptureStage(); err != nil {
 		return err
 	}
@@ -60,12 +49,6 @@ func (inst *Instance) stageGraphRestore() error {
 	trigDone(obs.Attr{Key: "trigger", Value: inst.opts.TriggerMode.String()},
 		obs.Attr{Key: "graphs", Value: fmt.Sprint(len(graphs))})
 	inst.graphs = graphs
-
-	// Injected validation mismatch: the restore completed but cannot be
-	// trusted — §4's trigger for discarding it and cold-starting vanilla.
-	if inj := inst.opts.Faults; inj != nil && inj.Inject(faults.SiteRestoreMismatch, inst.opts.Model.Name) {
-		return &faults.RestoreMismatchError{Key: inst.opts.Model.Name, Label: "allocation replay"}
-	}
 
 	done()
 	return nil

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/medusa-repro/medusa/internal/cuda"
 	"github.com/medusa-repro/medusa/internal/medusa"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/obs"
@@ -29,8 +28,6 @@ type OfflineOptions struct {
 	Model model.Config
 	// Store receives the encoded artifact.
 	Store *storage.Store
-	// Runtime is the installed kernel environment (nil: standard set).
-	Runtime *cuda.Runtime
 	// Seed randomizes the offline process.
 	Seed int64
 	// Clock accumulates the offline phase's duration (Figure 9).
@@ -102,7 +99,6 @@ func RunOffline(opts OfflineOptions) (*medusa.Artifact, *OfflineReport, error) {
 		Strategy:     StrategyVLLM,
 		Seed:         opts.Seed,
 		Store:        opts.Store,
-		Runtime:      opts.Runtime,
 		CaptureSizes: opts.CaptureSizes,
 		Recorder:     rec,
 	})
@@ -243,7 +239,6 @@ func validateArtifact(offline *Instance, art *medusa.Artifact, opts OfflineOptio
 					Strategy:     StrategyMedusa,
 					Seed:         (opts.Seed + round*int64(workers) + int64(wi)) ^ 0x5a5a5a,
 					Store:        opts.Store,
-					Runtime:      opts.Runtime,
 					CaptureSizes: opts.CaptureSizes,
 					Artifact:     a,
 				})

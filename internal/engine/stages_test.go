@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/storage"
@@ -264,8 +263,8 @@ func TestOfflineReportTotal(t *testing.T) {
 
 // TestColdStartRecordsEachPhaseOnce backs Timeline.Stage's lookup by
 // start order: no cold start records a phase twice — not any
-// strategy's, not one degraded by a restore mismatch, not a
-// tensor-parallel rank's — so the first match is the only one.
+// strategy's, not a tensor-parallel rank's — so the first match is the
+// only one.
 func TestColdStartRecordsEachPhaseOnce(t *testing.T) {
 	check := func(what string, tl obs.Timeline) {
 		t.Helper()
@@ -296,15 +295,6 @@ func TestColdStartRecordsEachPhaseOnce(t *testing.T) {
 		opts.IncludeRuntimeInit = true
 		check(s.String(), mustColdStart(t, opts).Timeline())
 	}
-
-	mismatch := medusaOpts
-	mismatch.IncludeRuntimeInit = true
-	mismatch.Faults = mustInjector(t, faults.Plan{RestoreMismatch: faults.SiteSpec{Every: 1}})
-	inst := mustColdStart(t, mismatch)
-	if inst.DegradedReason() != faults.ReasonRestoreMismatch {
-		t.Fatalf("DegradedReason = %q, want %q", inst.DegradedReason(), faults.ReasonRestoreMismatch)
-	}
-	check("restore mismatch", inst.Timeline())
 
 	tp, err := TPColdStart(TPOptions{
 		Model: model.TestTiny("tp-tiny"), Degree: 2, Strategy: StrategyMedusa,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/medusa-repro/medusa/internal/cuda"
 	"github.com/medusa-repro/medusa/internal/medusa"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/storage"
@@ -33,8 +32,6 @@ type TPOptions struct {
 	Strategy Strategy
 	// Store holds weights and per-rank artifacts.
 	Store *storage.Store
-	// Runtime is the installed kernel environment (nil: standard set).
-	Runtime *cuda.Runtime
 	// Seed namespaces all rank processes.
 	Seed int64
 	// CaptureSizes overrides the capture batch sizes.
@@ -76,7 +73,6 @@ func TPColdStart(opts TPOptions) (*TPResult, error) {
 			Strategy:     opts.Strategy,
 			Seed:         opts.Seed + int64(rank)*1009,
 			Store:        opts.Store,
-			Runtime:      opts.Runtime,
 			CaptureSizes: opts.CaptureSizes,
 		}
 		if opts.Strategy.NeedsArtifact() {
@@ -116,7 +112,6 @@ func tpRankArtifact(opts TPOptions, shard model.Config, rank int) (*medusa.Artif
 	art, report, err := RunOffline(OfflineOptions{
 		Model:        shard,
 		Store:        opts.Store,
-		Runtime:      opts.Runtime,
 		Seed:         opts.Seed + 7777 + int64(rank),
 		CaptureSizes: opts.CaptureSizes,
 	})

@@ -149,7 +149,7 @@ func runExtFleet(c *Context) (*Report, error) {
 			Seed:           7,
 			Deployments:    deps,
 			Arrivals:       arr,
-			Faults:         serverless.FaultSpec{Plan: &plan},
+			Faults:         &plan,
 			Autoscaler:     scaler,
 			Router:         route,
 			SLO:            fleetSLO,

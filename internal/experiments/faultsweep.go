@@ -78,7 +78,7 @@ func runExtFaultSweep(c *Context) (*Report, error) {
 			return nil, err
 		}
 		plan := pt.plan
-		ccfg.Faults = serverless.FaultSpec{Plan: &plan}
+		ccfg.Faults = &plan
 		res, err := serverless.RunFleet(ccfg)
 		if err != nil {
 			return nil, fmt.Errorf("fault sweep p=%s: %w", pt.label, err)

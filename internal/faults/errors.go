@@ -89,7 +89,7 @@ func (e *TemplateMismatchError) Error() string {
 	return fmt.Sprintf("faults: artifact %q does not match template %q: %s", e.Key, e.Template, e.Detail)
 }
 
-// DegradeReason maps an error to the DegradedReason a survivable
+// DegradeReason maps an error to the Reason* constant a survivable
 // launch records, and reports whether the error is degradable at all.
 // Non-degradable errors (nil, or genuine bugs) propagate as failures.
 func DegradeReason(err error) (string, bool) {

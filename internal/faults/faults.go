@@ -6,8 +6,8 @@
 // virtual instant. The paper's §4 safety story is that materialized
 // state is never trusted blindly: whenever validation fails, the
 // system "falls back to the vanilla cold start". This package supplies
-// the failures; storage, artifactcache, engine, serverless and cluster
-// supply the survival paths (see FAILURES.md for the full catalog).
+// the failures; storage, artifactcache, serverless and cluster supply
+// the survival paths (see FAILURES.md for the full catalog).
 //
 // Determinism is the design constraint everything here serves. The
 // injector draws no shared random stream: every decision is a pure

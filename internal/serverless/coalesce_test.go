@@ -189,8 +189,8 @@ func crashMidRun(t *testing.T) Fleet {
 		{ID: 1, PromptTokens: 32, OutputTokens: 1000},
 	}
 	f.Deployments[0].Config.Scheduler.Prewarm = 2
-	f.Faults = FaultSpec{Plan: &faults.Plan{
-		NodeCrashes: []faults.NodeCrash{{Node: 1, At: faults.Duration(100 * time.Millisecond)}}}}
+	f.Faults = &faults.Plan{
+		NodeCrashes: []faults.NodeCrash{{Node: 1, At: faults.Duration(100 * time.Millisecond)}}}
 	return f
 }
 
@@ -220,7 +220,7 @@ func TestCoalescedDecodeMatchesPerStep(t *testing.T) {
 	t.Parallel()
 	crash := func(f Fleet) Fleet {
 		plan := faults.Presets()["crash"]
-		f.Faults = FaultSpec{Plan: &plan}
+		f.Faults = &plan
 		return f
 	}
 	followUps := func(_ int, c *Config) {
@@ -247,11 +247,6 @@ func TestCoalescedDecodeMatchesPerStep(t *testing.T) {
 					c.TPDegree = 2
 				}
 			})
-		}},
-		{"warm-exhaustion", func(t *testing.T) Fleet {
-			f := coalesceFleet(t, func(int, *Config) {})
-			f.WarmContainersPerNode = 1
-			return f
 		}},
 		{"crash", func(t *testing.T) Fleet {
 			return crash(coalesceFleet(t, func(int, *Config) {}))

@@ -67,7 +67,6 @@ func goldenSinglePool(t *testing.T) string {
 	cfg.Strategy = engine.StrategyMedusa
 	cfg.Scheduler.IdleTimeout = 300 * time.Millisecond
 	plan := faults.Presets()["heavy"]
-	cfg.Faults = FaultSpec{Plan: &plan}
 	tr := obs.NewTracer()
 	cfg.Tracer = tr
 	reqs, err := workload.Generate(workload.TraceConfig{
@@ -76,7 +75,7 @@ func goldenSinglePool(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, reqs)
+	res, err := runPlan(cfg, &plan, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func goldenSinglePool(t *testing.T) string {
 func goldenFleet(t *testing.T, tweak func(c *Config), plan faults.Plan, ram, ssd uint64) (*FleetResult, string) {
 	f := coalesceFleet(t, func(_ int, c *Config) { tweak(c) })
 	f.Cache.RAMBytes, f.Cache.SSDBytes = ram, ssd
-	f.Faults = FaultSpec{Plan: &plan}
+	f.Faults = &plan
 	res, _, trace := runTraced(t, f, runOptions{})
 	return res, trace
 }

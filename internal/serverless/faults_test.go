@@ -10,14 +10,27 @@ import (
 )
 
 // faultyMedusa is a Medusa config with idle churn (several launches per
-// trace) and the given plan attached.
-func faultyMedusa(t *testing.T, plan *faults.Plan) Config {
+// trace).
+func faultyMedusa(t *testing.T) Config {
 	t.Helper()
 	_, base := simFixture(t, "Qwen1.5-0.5B")
 	base.Strategy = engine.StrategyMedusa
 	base.Scheduler.IdleTimeout = 2 * time.Second
-	base.Faults = FaultSpec{Plan: plan}
 	return base
+}
+
+// runPlan is Run under a fault plan: cfg's deployment alone on a pool
+// of cfg.NumGPUs GPUs (default 4).
+func runPlan(cfg Config, plan *faults.Plan, reqs []workload.Request) (*Result, error) {
+	res, err := RunMulti(MultiConfig{
+		NumGPUs:     cfg.NumGPUs,
+		Deployments: []Deployment{{Name: cfg.Model.Name, Config: cfg, Requests: reqs}},
+		Faults:      plan,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &res.PerDeployment[0].Result, nil
 }
 
 // churnReqs spaces requests past the idle timeout so every one pays a
@@ -44,9 +57,9 @@ func TestRunDegradesPerSite(t *testing.T) {
 		{"ssd read", faults.Plan{SSDRead: faults.SiteSpec{Every: 1}}, faults.ReasonSSDReadFailed},
 	} {
 		plan := tc.plan
-		cfg := faultyMedusa(t, &plan)
+		cfg := faultyMedusa(t)
 		reqs := churnReqs(3)
-		res, err := Run(cfg, reqs)
+		res, err := runPlan(cfg, &plan, reqs)
 		if err != nil {
 			t.Fatalf("%s: injected fault must degrade, not abort: %v", tc.name, err)
 		}
@@ -61,9 +74,7 @@ func TestRunDegradesPerSite(t *testing.T) {
 		}
 		// The degraded launch pays the failed attempt plus a vanilla cold
 		// start, so its TTFT exceeds the clean Medusa launch's.
-		clean := cfg
-		clean.Faults = FaultSpec{}
-		cres, err := Run(clean, churnReqs(3))
+		cres, err := runPlan(cfg, nil, churnReqs(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,9 +88,8 @@ func TestRunTransientReadRetryRecovers(t *testing.T) {
 	// Every=2 fires on draws 2, 4, ...: each launch's first read attempt
 	// alternates clean/failed across launches, and no launch exhausts the
 	// 4-attempt budget, so nothing degrades — launches just arrive late.
-	cfg := faultyMedusa(t, &faults.Plan{SSDRead: faults.SiteSpec{Every: 2}})
 	reqs := churnReqs(4)
-	res, err := Run(cfg, reqs)
+	res, err := runPlan(faultyMedusa(t), &faults.Plan{SSDRead: faults.SiteSpec{Every: 2}}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +106,7 @@ func TestRunTransientReadRetryRecovers(t *testing.T) {
 
 func TestRunEmptyPlanBitIdentical(t *testing.T) {
 	run := func(plan *faults.Plan) string {
-		cfg := faultyMedusa(t, plan)
-		res, err := Run(cfg, churnReqs(3))
+		res, err := runPlan(faultyMedusa(t), plan, churnReqs(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,8 +125,7 @@ func TestRunFaultsDeterministic(t *testing.T) {
 		RestoreMismatch: faults.SiteSpec{Probability: 0.3},
 	}
 	run := func() string {
-		cfg := faultyMedusa(t, plan)
-		res, err := Run(cfg, churnReqs(6))
+		res, err := runPlan(faultyMedusa(t), plan, churnReqs(6))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,8 @@ type Fleet struct {
 	// Nodes is the fleet size (default 2).
 	Nodes int
 	// GPUsPerNode bounds instances per node (default 4, the paper's
-	// testbed as one node).
+	// testbed as one node); it replaces every deployment's
+	// Config.NumGPUs.
 	GPUsPerNode int
 	// Cache sizes and times each node's local tiers and selects the
 	// eviction policy (default artifactcache.DefaultParams).
@@ -46,10 +47,6 @@ type Fleet struct {
 	// load. 0 means pure load balancing; negative and non-finite
 	// values are rejected.
 	LocalityWeight float64
-	// WarmContainersPerNode sizes each node's pool of pre-initialized
-	// execution environments; launches beyond it also pay runtime init.
-	// 0 means unbounded (the paper's assumption).
-	WarmContainersPerNode int
 	// PrewarmSSD pre-pulls every deployment's artifact onto every
 	// node's SSD tier before the trace starts (operator-driven warm-up,
 	// charged no virtual time).
@@ -99,7 +96,7 @@ type Fleet struct {
 	// zero plan leaves the simulation bit-identical to a fault-free
 	// build. Node crashes must name nodes of the fleet and leave one
 	// standing. See FAILURES.md for the catalog.
-	Faults FaultSpec
+	Faults *faults.Plan
 }
 
 // withDefaults fills the fleet defaults and rejects configurations the
@@ -117,9 +114,6 @@ func (f Fleet) withDefaults() (Fleet, error) {
 	if !(f.LocalityWeight >= 0) || math.IsInf(f.LocalityWeight, 1) {
 		return f, fmt.Errorf("serverless: LocalityWeight must be finite and ≥ 0, got %g", f.LocalityWeight)
 	}
-	if f.WarmContainersPerNode < 0 {
-		return f, fmt.Errorf("serverless: WarmContainersPerNode must be ≥ 0, got %d", f.WarmContainersPerNode)
-	}
 	if err := f.SLO.Validate(); err != nil {
 		return f, err
 	}
@@ -129,12 +123,12 @@ func (f Fleet) withDefaults() (Fleet, error) {
 	if f.Network == (storage.Array{}) {
 		f.Network = artifactcache.DefaultNetwork()
 	}
-	if f.Faults.Plan != nil {
+	if f.Faults != nil {
 		if err := f.Faults.Validate(); err != nil {
-			return f, err
+			return f, &ConfigError{Field: "Faults", Reason: err.Error()}
 		}
 		crashed := make(map[int]bool)
-		for _, nc := range f.Faults.Plan.NodeCrashes {
+		for _, nc := range f.Faults.NodeCrashes {
 			if nc.Node >= f.Nodes {
 				return f, fmt.Errorf("serverless: fault plan crashes node %d of a %d-node fleet", nc.Node, f.Nodes)
 			}
@@ -268,8 +262,7 @@ type FleetDeployment struct {
 	// Name labels the deployment.
 	Name string
 	// ColdStart samples each launch's end-to-end provisioning latency
-	// (runtime init + artifact fetch + loading, overlap-aware); nil on
-	// nodes without a cache.
+	// (artifact fetch, then loading); nil on nodes without a cache.
 	ColdStart *metrics.Sample
 	// SLOMet counts completed requests that met every configured
 	// deadline (0 when the SLO is zero).
@@ -328,18 +321,15 @@ func simulate(f Fleet, registry *artifactcache.Registry, opts runOptions) (*Flee
 		sim.scaler = autoscale.NewReactive()
 	}
 	sim.horizon, _ = sim.scaler.(autoscale.Horizon)
-	if f.Faults.Plan != nil {
-		inj, err := faults.NewInjector(*f.Faults.Plan)
+	if f.Faults != nil {
+		inj, err := faults.NewInjector(*f.Faults)
 		if err != nil {
 			return nil, err
 		}
 		sim.inj = inj // nil for a zero plan: the fault paths vanish
 	}
 	for i := 0; i < f.Nodes; i++ {
-		n := &nodeState{id: i, warmLeft: -1}
-		if f.WarmContainersPerNode > 0 {
-			n.warmLeft = f.WarmContainersPerNode
-		}
+		n := &nodeState{id: i}
 		if sim.registry != nil {
 			n.cache = artifactcache.NewNodeCache(fmt.Sprintf("node%d", i), f.Cache, sim.registry)
 			n.cache.SetObs(f.Tracer, sim.reg)
@@ -437,7 +427,7 @@ func (s *simulation) prepare(di int, dep Deployment) (*depState, error) {
 				// the same object); re-registration by later deployments
 				// is idempotent.
 				d.tmplKey = tmpl.ID()
-				s.registry.RegisterSized(d.tmplKey, dcfg.Cache.EncodedTemplateBytes())
+				s.registry.RegisterSized(d.tmplKey, uint64(len(tmpl.Encode())))
 			}
 		} else {
 			// Without a cache the launch reads the artifact from storage:

@@ -133,35 +133,3 @@ func TestTPDegreeValidation(t *testing.T) {
 		t.Fatal("TP degree above GPU count accepted")
 	}
 }
-
-func TestWarmContainerPoolExhaustion(t *testing.T) {
-	_, base := simFixture(t, "Qwen1.5-0.5B")
-	base.Strategy = engine.StrategyMedusa
-	base.Scheduler.InstanceTarget = 1 // every outstanding request wants its own instance
-	base.Scheduler.MaxBatch = 1       // and each instance serves exactly one at a time
-	base.NumGPUs = 2
-	// Long outputs keep instance 1 busy past instance 2's launch, so
-	// request 2 genuinely waits for the second (pool-missing) launch.
-	reqs := []workload.Request{
-		{ID: 0, Arrival: 0, PromptTokens: 64, OutputTokens: 1500},
-		{ID: 1, Arrival: 0, PromptTokens: 64, OutputTokens: 1500},
-	}
-	run := func(pool int) *Result {
-		cfg := base
-		cfg.Scheduler.WarmContainers = pool
-		res, err := Run(cfg, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	warm := run(0)    // unbounded pool: both launches warm
-	starved := run(1) // second launch pays runtime init
-	if starved.ColdStarts != 2 || warm.ColdStarts != 2 {
-		t.Fatalf("cold starts = %d/%d, want 2 each", warm.ColdStarts, starved.ColdStarts)
-	}
-	diff := starved.TTFT.Max() - warm.TTFT.Max()
-	if diff < 700*time.Millisecond || diff > time.Second {
-		t.Fatalf("pool exhaustion added %v, want ≈830ms of runtime init", diff)
-	}
-}

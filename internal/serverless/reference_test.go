@@ -72,7 +72,7 @@ func TestHeldArrivalAndIdleDispatchMatchReference(t *testing.T) {
 		{"crash", func(t *testing.T) Fleet {
 			f := legacy(t)
 			plan := faults.Presets()["crash"]
-			f.Faults = FaultSpec{Plan: &plan}
+			f.Faults = &plan
 			return f
 		}},
 		{"batched", batched},
@@ -104,7 +104,7 @@ func TestHeldArrivalAndIdleDispatchMatchReference(t *testing.T) {
 			cases = append(cases, fleetCase{fmt.Sprintf("crash/%s/at=%v", mode.name, at), func(t *testing.T) Fleet {
 				f := mode.build(t)
 				plan := faults.Plan{NodeCrashes: []faults.NodeCrash{{Node: int(at/time.Second) % 2, At: faults.Duration(at)}}}
-				f.Faults = FaultSpec{Plan: &plan}
+				f.Faults = &plan
 				return f
 			}})
 		}

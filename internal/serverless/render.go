@@ -16,7 +16,7 @@ import (
 func (r *FleetResult) Render() string {
 	// Fault lines only appear under a nonzero plan so that fault-free
 	// output stays byte-identical to builds without fault injection.
-	withFaults := r.Config.Faults.Plan != nil && !r.Config.Faults.Plan.Zero()
+	withFaults := r.Config.Faults != nil && !r.Config.Faults.Zero()
 	// SLO and control-plane lines only appear when an SLO is configured,
 	// for the same reason.
 	withSLO := !r.Config.SLO.Zero()

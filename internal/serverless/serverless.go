@@ -96,12 +96,6 @@ type Scheduler struct {
 	// cold start charged), modelling an already-running deployment —
 	// Figure 11's setting, where only scale-out pays cold starts.
 	Prewarm int
-	// WarmContainers sizes the pool of pre-initialized execution
-	// environments (§7.5's assumption, from SAND/SOCK-style systems).
-	// Launches beyond the pool also pay the runtime-initialization
-	// phase on top of the loading phase. 0 means an unbounded pool —
-	// the paper's setting.
-	WarmContainers int
 	// Batch selects the instance scheduler's policy (internal/sched):
 	// iteration-level continuous batching when Batch.BatchTokens > 0,
 	// else whole-request admission (FIFO up to MaxBatch, each prompt
@@ -122,8 +116,6 @@ func (s Scheduler) Validate() error {
 		return &ConfigError{Field: "Scheduler.IdleTimeout", Reason: fmt.Sprintf("must be ≥ 0, got %v", s.IdleTimeout)}
 	case s.Prewarm < 0:
 		return &ConfigError{Field: "Scheduler.Prewarm", Reason: fmt.Sprintf("must be ≥ 0, got %d", s.Prewarm)}
-	case s.WarmContainers < 0:
-		return &ConfigError{Field: "Scheduler.WarmContainers", Reason: fmt.Sprintf("must be ≥ 0, got %d", s.WarmContainers)}
 	case s.Batch.BatchTokens < 0:
 		return &ConfigError{Field: "Scheduler.Batch.BatchTokens", Reason: fmt.Sprintf("must be ≥ 0, got %d", s.Batch.BatchTokens)}
 	case s.Batch.KVBlocks < 0:
@@ -155,9 +147,6 @@ type CacheSpec struct {
 	// it alongside the delta (cached independently, shared across sibling
 	// deployments); ArtifactBytes then means the delta's encoded size.
 	Template *medusa.Template
-	// TemplateBytes is the encoded template's size; zero means "encode
-	// to measure". Only meaningful with Template set.
-	TemplateBytes uint64
 }
 
 // ColdFetchBytes is the byte count one cold start must move for the
@@ -182,18 +171,6 @@ func (c CacheSpec) ColdFetchBytes() (uint64, error) {
 		return 0, err
 	}
 	return uint64(len(enc)), nil
-}
-
-// EncodedTemplateBytes is the encoded template's size (TemplateBytes
-// when declared, measured otherwise); zero without a template.
-func (c CacheSpec) EncodedTemplateBytes() uint64 {
-	if c.Template == nil {
-		return 0
-	}
-	if c.TemplateBytes != 0 {
-		return c.TemplateBytes
-	}
-	return uint64(len(c.Template.Encode()))
 }
 
 // SLO sets per-request latency deadlines. The zero value disables SLO
@@ -225,35 +202,10 @@ func (s SLO) Validate() error {
 	return nil
 }
 
-// FaultSpec groups fault injection. The sub-config exists so the
-// deployment, pool and fleet configurations share one validation path
-// and one field-path namespace for fault options.
-type FaultSpec struct {
-	// Plan, when set to a nonzero plan, injects deterministic faults
-	// into artifact-based launches: SSD read errors (retried with
-	// backoff, then degrade), artifact corruption and restore-validation
-	// mismatches (degrade to the vanilla cold-start stages). The
-	// single pool (Run, RunMulti) has no registry and one node, so
-	// RegistryTimeout and NodeCrashes entries are ignored there; the
-	// fleet (RunFleet) exercises them. Nil or a zero plan changes nothing.
-	Plan *faults.Plan
-}
-
-// Validate checks the fault sub-config, naming fields under the
-// "Faults." path.
-func (f FaultSpec) Validate() error {
-	if f.Plan != nil {
-		if err := f.Plan.Validate(); err != nil {
-			return &ConfigError{Field: "Faults.Plan", Reason: err.Error()}
-		}
-	}
-	return nil
-}
-
 // Config parameterizes one cluster simulation. The scalar identity of
 // the deployment (model, strategy, resources, seed) lives at the top
-// level; policy knobs compose from the Workload, Scheduler, Cache and
-// Faults sub-configs, each with its own Validate under one shared
+// level; policy knobs compose from the Workload, Scheduler and Cache
+// sub-configs, the first two with their own Validate under one shared
 // field-path namespace.
 type Config struct {
 	// Model is the served model.
@@ -263,6 +215,8 @@ type Config struct {
 	// Store holds weights and artifacts.
 	Store *storage.Store
 	// NumGPUs bounds concurrent instances (the paper's testbed has 4).
+	// Run and NewProfile read it; a run of several deployments takes the
+	// GPU count from MultiConfig.NumGPUs or Fleet.GPUsPerNode instead.
 	NumGPUs int
 	// TPDegree shards each instance tensor-parallel across this many
 	// GPUs (§8 extension). An instance then occupies TPDegree GPUs, so
@@ -289,8 +243,6 @@ type Config struct {
 	Scheduler Scheduler
 	// Cache is the artifact materialization input.
 	Cache CacheSpec
-	// Faults is the fault-injection policy.
-	Faults FaultSpec
 }
 
 // Validate checks the configuration's invariants as-is, without
@@ -308,9 +260,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	if err := c.Workload.Validate(); err != nil {
-		return err
-	}
-	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
 	if !c.Strategy.Valid() {
@@ -404,7 +353,7 @@ type Result struct {
 	// PeakInstances is the maximum concurrently provisioned instances.
 	PeakInstances int
 	// ColdStartPhases is the exclusive per-phase attribution of every
-	// cold start this deployment paid (runtime init, the strategy's
+	// cold start this deployment paid (artifact fetch, the strategy's
 	// loading stages, overlap gaps). By construction its Total equals
 	// ColdStartTotal exactly.
 	ColdStartPhases *obs.PhaseBreakdown
@@ -590,8 +539,8 @@ type Deployment struct {
 	// Name labels the deployment in results.
 	Name string
 	// Config carries the model, strategy and per-deployment policies.
-	// NumGPUs and Scheduler.WarmContainers are pool-wide and taken from
-	// MultiConfig or Fleet instead.
+	// Its NumGPUs is ignored: the GPU count is pool-wide, taken from
+	// MultiConfig.NumGPUs or Fleet.GPUsPerNode.
 	Config Config
 	// Requests is the deployment's arrival trace, in nondecreasing
 	// arrival order; nil serves nothing. The run merges every
@@ -605,11 +554,9 @@ type Deployment struct {
 // setting behind §2.4's observation that hot spares for every model
 // type are unaffordable.
 type MultiConfig struct {
-	// NumGPUs is the shared pool size.
+	// NumGPUs is the shared pool size (default 4); it replaces every
+	// deployment's Config.NumGPUs.
 	NumGPUs int
-	// WarmContainers sizes the shared warm execution-environment pool
-	// (0 = unbounded, the paper's assumption).
-	WarmContainers int
 	// Deployments are the co-located models.
 	Deployments []Deployment
 	// Arrivals, when set, supplies every deployment's traffic as one
@@ -617,26 +564,30 @@ type MultiConfig struct {
 	// into Deployments) and the per-deployment Requests are ignored, as
 	// for Fleet.Arrivals.
 	Arrivals ArrivalSource
-	// Faults applies one fault plan to every deployment's launches (see
-	// FaultSpec for which sites the single-pool simulator honors).
-	Faults FaultSpec
+	// Faults, when set to a nonzero plan, injects deterministic faults
+	// into every deployment's artifact-based launches: SSD read errors
+	// (retried with backoff, then degrade), artifact corruption and
+	// restore-validation mismatches (degrade to the vanilla cold-start
+	// stages). The pool has no registry and one node, so the plan's
+	// RegistryTimeout and NodeCrashes entries are ignored; RunFleet
+	// exercises them. Nil or a zero plan changes nothing.
+	Faults *faults.Plan
 }
 
 // RunMulti simulates several deployments contending for one GPU pool:
-// the simulator core on a single node of NumGPUs GPUs (default 4) and
-// WarmContainers warm containers, without an artifact cache, under the
-// reactive autoscaler and launch-order dispatch.
+// the simulator core on a single node of NumGPUs GPUs (default 4),
+// without an artifact cache, under the reactive autoscaler and
+// launch-order dispatch.
 func RunMulti(cfg MultiConfig) (*FleetResult, error) {
 	if cfg.NumGPUs == 0 {
 		cfg.NumGPUs = 4
 	}
 	return simulate(Fleet{
-		Nodes:                 1,
-		GPUsPerNode:           cfg.NumGPUs,
-		WarmContainersPerNode: cfg.WarmContainers,
-		Deployments:           cfg.Deployments,
-		Arrivals:              cfg.Arrivals,
-		Faults:                cfg.Faults,
+		Nodes:       1,
+		GPUsPerNode: cfg.NumGPUs,
+		Deployments: cfg.Deployments,
+		Arrivals:    cfg.Arrivals,
+		Faults:      cfg.Faults,
 	}, nil, runOptions{})
 }
 
@@ -651,10 +602,8 @@ func Run(cfg Config, reqs []workload.Request) (*Result, error) {
 		return nil, fmt.Errorf("serverless: empty trace")
 	}
 	res, err := RunMulti(MultiConfig{
-		NumGPUs:        cfg.NumGPUs,
-		WarmContainers: cfg.Scheduler.WarmContainers,
-		Deployments:    []Deployment{{Name: cfg.Model.Name, Config: cfg, Requests: reqs}},
-		Faults:         cfg.Faults,
+		NumGPUs:     cfg.NumGPUs,
+		Deployments: []Deployment{{Name: cfg.Model.Name, Config: cfg, Requests: reqs}},
 	})
 	if err != nil {
 		return nil, err

@@ -72,10 +72,10 @@ import (
 //     its state: rescheduling moves the queued event in place and
 //     retiring the instance cancels it, so every popped event is live.
 //
-// Every launch first picks a node (locality vs load), then charges
-// runtime init and the artifact read. A node with a cache overlaps its
-// cache fetch with runtime init (the node daemon pulls the artifact
-// while the container boots); on a node without one the read from
+// Every launch first picks a node (locality vs load), then charges the
+// artifact read. The warm-container pool is unbounded, as §7.5 assumes,
+// so no launch pays runtime init. A node with a cache fetches the
+// artifact before loading begins; on a node without one the read from
 // storage stays inside the restore stage.
 
 type eventKind uint8
@@ -98,10 +98,6 @@ type event struct {
 	req  *reqState
 	inst *instState
 }
-
-// runtimeInitDuration mirrors the engine's runtime-initialization
-// phase, paid by launches that miss the node's warm container pool.
-const runtimeInitDuration = 830 * time.Millisecond
 
 // reqState tracks one request through the fleet.
 type reqState struct {
@@ -268,12 +264,11 @@ func (inst *instState) pushedBack(k int) (time.Duration, bool) {
 // idleNow reports whether the instance currently holds no work.
 func (inst *instState) idleNow() bool { return !inst.iterating && inst.sch.Idle() }
 
-// nodeState is one fleet node: a GPU budget, a warm-container pool and,
-// on a multi-node fleet, the tiered artifact cache.
+// nodeState is one fleet node: a GPU budget and, on a multi-node
+// fleet, the tiered artifact cache.
 type nodeState struct {
 	id       int
 	gpusUsed int
-	warmLeft int // -1 = unbounded
 	launches int
 	crashed  bool
 	// cache is nil on a node without an artifact cache.
@@ -984,10 +979,9 @@ func (s *simulation) retainVeto(inst *instState) bool {
 }
 
 // launchOne starts one instance for the deployment if some node has
-// free GPUs. On a node with a cache the launch overlaps runtime
-// initialization with the cache's artifact fetch, and loading begins
-// when both are done; on a node without one, loading follows runtime
-// init and reads the artifact itself.
+// free GPUs. On a node with a cache loading begins once the cache's
+// artifact fetch is done; on a node without one, loading begins at
+// once and reads the artifact itself.
 func (s *simulation) launchOne(di int) (bool, error) {
 	d := s.deps[di]
 	node := s.placeNode(d)
@@ -1006,17 +1000,7 @@ func (s *simulation) launchOne(di int) (bool, error) {
 	d.liveChanged()
 
 	intervals := s.scratchIntervals[:0]
-	riEnd := s.now
-	if node.warmLeft == 0 {
-		// Warm pool exhausted: this launch also initializes its
-		// execution environment (container, Python, framework).
-		riEnd = s.now + runtimeInitDuration
-		intervals = append(intervals, obs.Interval{
-			Phase: engine.StageRuntimeInit, Start: s.now, End: riEnd})
-	} else if node.warmLeft > 0 {
-		node.warmLeft--
-	}
-	loadStart := riEnd
+	loadStart := s.now
 	prof := d.prof
 	var fetch artifactcache.FetchResult
 	// reason is set when the Medusa restore is abandoned; wasted is
@@ -1025,8 +1009,8 @@ func (s *simulation) launchOne(di int) (bool, error) {
 	var wasted time.Duration
 	switch {
 	case node.cache == nil:
-		// The launch reads its artifact from storage after runtime init;
-		// each failed attempt costs the full read.
+		// The launch reads its artifact from storage; each failed
+		// attempt costs the full read.
 		if d.fallback != nil && !s.inj.Retry(faults.SiteSSDRead, d.key, func(backoff time.Duration) {
 			wasted += d.artRead + backoff
 			d.reg.Counter("faults_ssd_read").Inc()
