@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build fmt vet lint docs linkcheck loc test test-race short bench bench-layers bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check bench-digests examples fuzz cover trace-demo clean
+.PHONY: all check build fmt vet lint docs linkcheck loc test test-race short bench bench-layers bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check bench-digests examples fuzz cover reach reach-check reach-profiles trace-demo clean
 
 all: build test
 
@@ -198,6 +198,75 @@ fuzz:
 
 cover:
 	$(GO) test -cover ./internal/...
+
+# Production reachability (DESIGN.md §6): build every command, example
+# and the bench with coverage instrumentation, run the production
+# command set under GOCOVERDIR, run the tests under coverage, and hand
+# both sides to TestReach (reach_test.go), which classifies every
+# internal/ block as production, test-only or never-run. `make reach`
+# rewrites testdata/reach.txt; `make reach-check` is the ratchet, failing
+# when a package's test-only or never-run count rises or a listed block
+# has no class. Note: the bench needs an explicit -coverpkg that names
+# its own main package, or its binary writes no coverage data at all.
+# GOMAXPROCS is pinned because worker counts, and so the branches that
+# size them, follow it.
+REACH_DIR = .reach
+REACH_BIN = $(abspath $(REACH_DIR))/bin
+REACH_TMP = $(abspath $(REACH_DIR))/tmp
+REACH_RUN = GOMAXPROCS=2 GOCOVERDIR=$(abspath $(REACH_DIR))/prod
+reach-profiles:
+	rm -rf $(REACH_DIR) && mkdir -p $(REACH_DIR)/prod $(REACH_DIR)/test $(REACH_TMP)
+	$(GO) build -cover -o $(REACH_BIN)/ ./cmd/... ./examples/...
+	$(GO) -C bench build -cover -o $(REACH_BIN)/bench \
+		-coverpkg=github.com/medusa-repro/medusa/internal/...,github.com/medusa-repro/medusa/bench .
+	@# results-check
+	$(REACH_RUN) $(REACH_BIN)/medusa-bench -all -out $(REACH_TMP) >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate $(TRACE_DEMO_FLAGS) -trace $(REACH_TMP)/trace-demo.json >/dev/null
+	@# bench-smoke and faults-smoke
+	$(REACH_RUN) $(REACH_BIN)/medusa-bench -exp ext-cache-policies >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" \
+		-cache-policy costaware -cache-ram 3 -cache-ssd 6 -idle 200ms -rps 3 -duration 10 >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-bench -exp ext-fault-sweep >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -faults crash -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" \
+		-cache-ram 3 -cache-ssd 6 -idle 250ms -rps 3 -duration 15 >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -model Qwen1.5-0.5B -faults heavy -idle 300ms -rps 0.5 -duration 120 >/dev/null
+	@# examples, and every bench workload once
+	for e in quickstart graph-materialize serverless-burst batch-sweep multimodel; do \
+		$(REACH_RUN) $(REACH_BIN)/$$e >/dev/null || exit 1; done
+	$(REACH_RUN) $(REACH_BIN)/bench -seed 1 -seconds 0.1 -trace 0 >/dev/null
+	@# the CLI surfaces the smokes leave unset
+	$(REACH_RUN) $(REACH_BIN)/medusa-inspect >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-inspect -dot 1 >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-offline -model Qwen1.5-0.5B >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-offline -model Qwen1.5-0.5B -templates >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -model Qwen1.5-0.5B -rps 3 -duration 10 -work \
+		-requests-out $(REACH_TMP)/requests.jsonl >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -model Qwen1.5-0.5B -requests $(REACH_TMP)/requests.jsonl >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" -prewarm-ssd \
+		-rps 3 -duration 10 >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" -batch-tokens 512 \
+		-chunked-prefill -autoscale predictive -router score -slo-ttft 1s -slo-tpot 250ms \
+		-rps 3 -duration 10 -trace $(REACH_TMP)/fleet-trace.json >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-bench -exp fig1 -trace $(REACH_TMP)/fig1-trace.json -phases -format csv >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -model Qwen1.5-0.5B -rps 3 -duration 10 -reps 2 -parallel >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -model Qwen1.5-0.5B -rps 3 -duration 10 \
+		-cpuprofile $(REACH_TMP)/cpu.pprof -memprofile $(REACH_TMP)/mem.pprof >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" -stream -diurnal 30s \
+		-router leastloaded -cache-policy lfu -followup 0.3 -retain -rps 3 -duration 10 >/dev/null
+	$(REACH_RUN) $(REACH_BIN)/medusa-simulate -faults testdata/faults-plan.json -nodes 2 -models "Qwen1.5-0.5B,Llama2-7B" \
+		-cache-ram 3 -cache-ssd 6 -idle 250ms -rps 3 -duration 20 >/dev/null
+	$(GO) tool covdata textfmt -i=$(REACH_DIR)/prod -o $(REACH_DIR)/prod.out
+	@# the tests: in-process under -coverpkg, and the CLI tests' binaries
+	@# (built with -cover because GOCOVERDIR is set)
+	GOMAXPROCS=2 $(GO) test -count=1 -coverpkg=./internal/... -coverprofile=$(REACH_DIR)/test.out ./internal/...
+	GOMAXPROCS=2 GOCOVERDIR=$(abspath $(REACH_DIR))/test $(GO) test -count=1 -run CLI .
+	$(GO) tool covdata textfmt -i=$(REACH_DIR)/test -o $(REACH_DIR)/test-cli.out
+
+reach: reach-profiles
+	MEDUSA_REACH=$(abspath $(REACH_DIR)) MEDUSA_REACH_UPDATE=1 $(GO) test -count=1 -run '^TestReach$$' .
+
+reach-check: reach-profiles
+	MEDUSA_REACH=$(abspath $(REACH_DIR)) $(GO) test -count=1 -run '^TestReach$$' .
 
 # Demonstrate the tracing layer: a short cluster simulation that writes
 # a Perfetto-loadable Chrome trace and prints the drift-free per-phase

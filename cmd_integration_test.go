@@ -9,11 +9,17 @@ import (
 )
 
 // buildCmd compiles one command into a temp dir and returns the binary
-// path.
+// path. Under coverage (GOCOVERDIR set, as `go test -cover` does) the
+// binary is built with -cover too, so the code it runs counts as
+// reached by tests.
 func buildCmd(t *testing.T, name string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	args := []string{"build", "-o", bin}
+	if os.Getenv("GOCOVERDIR") != "" {
+		args = append(args, "-cover")
+	}
+	cmd := exec.Command("go", append(args, "./cmd/"+name)...)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("build %s: %v\n%s", name, err, out)

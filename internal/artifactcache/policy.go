@@ -54,8 +54,6 @@ func ParsePolicy(name string) (PolicyKind, error) {
 // score is evicted first. Implementations are per-tier (the cost-aware
 // policy carries an inflation clock), created via PolicyKind.New.
 type Policy interface {
-	// Kind identifies the policy.
-	Kind() PolicyKind
 	// Score computes the entry's retention priority.
 	Score(e EntryStats) float64
 	// OnEvict observes the evicted entry's score (the cost-aware
@@ -104,13 +102,11 @@ func CostAwareWeight(size uint64, cost time.Duration, freq int) float64 {
 
 type lruPolicy struct{}
 
-func (lruPolicy) Kind() PolicyKind           { return PolicyLRU }
 func (lruPolicy) Score(e EntryStats) float64 { return float64(e.LastSeq) }
 func (lruPolicy) OnEvict(float64)            {}
 
 type lfuPolicy struct{}
 
-func (lfuPolicy) Kind() PolicyKind { return PolicyLFU }
 func (lfuPolicy) Score(e EntryStats) float64 {
 	// Recency breaks frequency ties; the sequence term stays < 1 so it
 	// can never outrank a whole access.
@@ -125,7 +121,6 @@ type gdsfPolicy struct {
 	l float64
 }
 
-func (*gdsfPolicy) Kind() PolicyKind { return PolicyCostAware }
 func (p *gdsfPolicy) Score(e EntryStats) float64 {
 	return p.l + CostAwareWeight(e.Size, e.Cost, e.Freq)
 }

@@ -104,28 +104,6 @@ func TestModuleLoadChargedOnce(t *testing.T) {
 	}
 }
 
-func TestCustomKernelCostHook(t *testing.T) {
-	clk := vclock.New()
-	p := NewProcess(costRuntime(t), clk, Config{
-		Seed: 5, Mode: gpu.CostOnly,
-		KernelCost: func(impl *KernelImpl, args []Value) time.Duration {
-			return 42 * time.Millisecond
-		},
-	})
-	s := p.NewStream()
-	if err := p.Launch(s, "tiny", nil); err != nil {
-		t.Fatal(err)
-	}
-	before := clk.Now()
-	if err := p.Launch(s, "tiny", nil); err != nil {
-		t.Fatal(err)
-	}
-	got := clk.Now() - before - p.Config().LaunchOverhead
-	if got != 42*time.Millisecond {
-		t.Fatalf("custom cost hook not used: %v", got)
-	}
-}
-
 func TestWaitUnrecordedEvent(t *testing.T) {
 	p := NewProcess(costRuntime(t), vclock.New(), Config{Seed: 6, Mode: gpu.CostOnly})
 	s := p.NewStream()

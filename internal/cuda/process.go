@@ -10,12 +10,6 @@ import (
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
-// KernelCostFunc models the GPU execution time of one kernel given its
-// decoded arguments. The engine installs a model-specific cost function;
-// the default charges a small floor per kernel ("kernel execution on the
-// GPU can be as fast as microseconds", §1).
-type KernelCostFunc func(impl *KernelImpl, args []Value) time.Duration
-
 // Config tunes per-process driver overheads. Zero values select the
 // defaults below, which are calibrated for the paper's A100 testbed.
 type Config struct {
@@ -25,9 +19,6 @@ type Config struct {
 	Seed int64
 	// Mode selects functional or cost-only kernel execution.
 	Mode gpu.ExecMode
-	// Device optionally overrides the GPU configuration (defaults to an
-	// A100-40GB).
-	Device *gpu.DeviceConfig
 
 	// LaunchOverhead is the CPU cost of launching one kernel
 	// individually (default 5µs).
@@ -55,11 +46,6 @@ type Config struct {
 	// MemcpyLatency is the fixed per-copy submission latency
 	// (default 5µs).
 	MemcpyLatency time.Duration
-	// KernelCost models per-kernel GPU time; nil selects a 2µs floor
-	// plus memory traffic at HBM bandwidth when Traffic is available.
-	// It must not retain args: graph launches reuse their storage for
-	// the next node.
-	KernelCost KernelCostFunc
 }
 
 func (c Config) withDefaults() Config {
@@ -178,20 +164,11 @@ func (m *LoadedModule) Kernels() []*Kernel { return m.kernels }
 // NewProcess starts a simulated process against the installed runtime.
 func NewProcess(rt *Runtime, clock *vclock.Clock, cfg Config) *Process {
 	cfg = cfg.withDefaults()
-	if clock == nil {
-		clock = vclock.New()
-	}
-	devCfg := gpu.A100(cfg.Seed, cfg.Mode)
-	if cfg.Device != nil {
-		devCfg = *cfg.Device
-		devCfg.Seed = cfg.Seed
-		devCfg.Mode = cfg.Mode
-	}
 	return &Process{
 		rt:        rt,
 		cfg:       cfg,
 		clock:     clock,
-		dev:       gpu.NewDevice(devCfg),
+		dev:       gpu.NewDevice(gpu.A100(cfg.Seed, cfg.Mode)),
 		linker:    dl.NewLinker(rt.DL(), cfg.Seed),
 		byAddr:    make(map[uint64]*Kernel),
 		byName:    make(map[string]*Kernel),
@@ -384,9 +361,6 @@ func (p *Process) ModuleEnumerateFunctions(m *LoadedModule) []*Kernel {
 // bandwidth and its FLOPs at half of peak, with a 2µs floor ("kernel
 // execution on the GPU can be as fast as microseconds", §1).
 func (p *Process) kernelCost(impl *KernelImpl, args []Value) time.Duration {
-	if p.cfg.KernelCost != nil {
-		return p.cfg.KernelCost(impl, args)
-	}
 	t := 2 * time.Microsecond
 	if impl.Traffic != nil {
 		bw := p.dev.Config().MemBandwidth

@@ -210,9 +210,6 @@ type Options struct {
 	// Store is the SSD tier holding weights and artifacts. Nil creates
 	// a private default store.
 	Store *storage.Store
-	// Clock, when set, advances by the composed cold-start duration
-	// (the externally observable latency).
-	Clock *vclock.Clock
 	// CaptureSizes overrides the batch sizes to capture (default:
 	// vLLM's 35).
 	CaptureSizes []int
@@ -244,7 +241,7 @@ type Options struct {
 	// hold hidden kernels (§5).
 	TriggerMode TriggerMode
 	// Tracer, when set, receives the composed cold-start timeline as
-	// phase-tagged spans (positioned on Clock when one is set) plus
+	// phase-tagged spans starting at instant zero, plus
 	// internal per-stage detail spans on an
 	// "engine/<model>/<strategy>/internal" lane.
 	Tracer *obs.Tracer
@@ -412,8 +409,7 @@ func (inst *Instance) KVRecord() medusa.KVRecord { return inst.kvRecord }
 // sequentially on the instance's private virtual clock (dependencies
 // require it: capture needs weights, restore needs structure); the
 // strategy then composes the stage durations into the externally
-// observable timeline — overlapping what the strategy overlaps — and
-// advances opts.Clock by the composed total.
+// observable timeline — overlapping what the strategy overlaps.
 func ColdStart(opts Options) (*Instance, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -505,33 +501,27 @@ func ColdStart(opts Options) (*Instance, error) {
 	}
 
 	inst.compose(dStruct, dWeights, dTok, dKV, dCapture)
-	base := time.Duration(0)
-	if opts.Clock != nil {
-		base = opts.Clock.Now()
-		opts.Clock.Advance(inst.timeline.Total())
-	}
-	inst.emitTimelineSpans(base)
+	inst.emitTimelineSpans()
 	return inst, nil
 }
 
 // emitTimelineSpans renders the composed cold-start timeline onto the
 // tracer: a root "cold_start" span holding one phase-tagged child per
-// observable stage, positioned at the cold start's instant on the
-// shared clock. No-op without a tracer.
-func (inst *Instance) emitTimelineSpans(base time.Duration) {
+// observable stage. No-op without a tracer.
+func (inst *Instance) emitTimelineSpans() {
 	tr := inst.opts.Tracer
 	if tr == nil {
 		return
 	}
-	root := tr.StartSpan(inst.track, "cold_start", base).
+	root := tr.StartSpan(inst.track, "cold_start", 0).
 		Tag("cold_start").
 		Attr("strategy", inst.opts.Strategy.String()).
 		Attr("model", inst.opts.Model.Name)
 	for _, st := range inst.timeline {
-		root.Child(st.Phase, base+st.Start).Tag(st.Phase).End(base + st.End)
+		root.Child(st.Phase, st.Start).Tag(st.Phase).End(st.End)
 	}
 	root.AttrDuration("total", inst.timeline.Total())
-	root.End(base + inst.timeline.Total())
+	root.End(inst.timeline.Total())
 }
 
 // stageSpan opens an internal-detail span on the instance's private

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/kernels"
 	"github.com/medusa-repro/medusa/internal/model"
+	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/storage"
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
@@ -342,13 +344,64 @@ func TestRuntimeInitPhase(t *testing.T) {
 	}
 }
 
-func TestExternalClockAdvances(t *testing.T) {
-	clk := vclock.New()
-	opts := tinyOptions(StrategyVLLM, 96)
-	opts.Clock = clk
-	inst := mustColdStart(t, opts)
-	if clk.Now() != inst.ColdStartDuration() {
-		t.Fatalf("external clock %v != cold start %v", clk.Now(), inst.ColdStartDuration())
+// TestColdStartSpans: a traced cold start emits one cold_start root on
+// the instance's track whose children are its timeline stage for stage;
+// every internal-detail span on the "<track>/internal" lane is ended.
+func TestColdStartSpans(t *testing.T) {
+	store := storage.NewStore(storage.DefaultArray())
+	_, _, medusaOpts := offlineTiny(t, model.TestTiny("tiny"), store, 60)
+	ckptBytes, err := TakeCheckpoint(mustColdStart(t, tinyOptions(StrategyVLLM, 61)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range AllStrategies() {
+		opts := tinyOptions(s, int64(62+i))
+		switch s {
+		case StrategyMedusa:
+			opts = medusaOpts
+		case StrategyCheckpoint:
+			opts.Store, opts.CheckpointBytes = store, ckptBytes
+		}
+		tr := obs.NewTracer()
+		opts.Tracer = tr
+		inst := mustColdStart(t, opts)
+
+		spans := tr.Spans()
+		sort.Slice(spans, func(i, j int) bool { return spans[i].ID < spans[j].ID })
+		var roots, children []obs.SpanData
+		internal := 0
+		for _, sp := range spans {
+			switch {
+			case sp.Track == inst.track+"/internal":
+				internal++
+				if sp.End <= sp.Start {
+					t.Errorf("%s: internal span %q not ended (start %v, end %v)", s, sp.Name, sp.Start, sp.End)
+				}
+			case sp.Parent == -1:
+				roots = append(roots, sp)
+			default:
+				children = append(children, sp)
+			}
+		}
+		if len(roots) != 1 || roots[0].Name != "cold_start" || roots[0].Track != inst.track ||
+			roots[0].Start != 0 || roots[0].End != inst.ColdStartDuration() {
+			t.Fatalf("%s: roots %+v, want one cold_start on %s over [0, %v]",
+				s, roots, inst.track, inst.ColdStartDuration())
+		}
+		tl := inst.Timeline()
+		if len(children) != len(tl) {
+			t.Fatalf("%s: %d child spans for %d timeline stages", s, len(children), len(tl))
+		}
+		for j, st := range tl {
+			c := children[j]
+			if c.Parent != roots[0].ID || c.Name != st.Phase || c.Phase != st.Phase ||
+				c.Start != st.Start || c.End != st.End {
+				t.Errorf("%s: child %d = %+v, want %s over [%v, %v]", s, j, c, st.Phase, st.Start, st.End)
+			}
+		}
+		if internal == 0 {
+			t.Errorf("%s: no internal-detail spans", s)
+		}
 	}
 }
 

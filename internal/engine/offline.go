@@ -299,12 +299,12 @@ func LoadArtifact(store *storage.Store, clock *vclock.Clock, modelName string) (
 }
 
 // StoreResolver adapts a storage.Store into a medusa.TemplateResolver:
-// template IDs are store object names, fetched through Store.GetOnce so
-// the template read is charged once per store however many sibling
-// artifacts resolve against it (the single-process analogue of the
-// cluster cache's template sharing). Decode failures and unknown IDs
-// resolve to not-found — DecodeResolved then surfaces its typed
-// missing-template error and callers degrade to a vanilla cold start.
+// template IDs are store object names, read and decoded once per
+// resolver however many sibling artifacts resolve against them (the
+// single-process analogue of the cluster cache's template sharing).
+// Decode failures and unknown IDs resolve to not-found — DecodeResolved
+// then surfaces its typed missing-template error and callers degrade to
+// a vanilla cold start.
 func StoreResolver(store *storage.Store, clock *vclock.Clock) medusa.TemplateResolver {
 	cache := make(map[string]*medusa.Template)
 	var mu sync.Mutex
@@ -314,7 +314,7 @@ func StoreResolver(store *storage.Store, clock *vclock.Clock) medusa.TemplateRes
 		if t, ok := cache[id]; ok {
 			return t, t != nil
 		}
-		raw, err := store.GetOnce(clock, id)
+		raw, err := store.Get(clock, id)
 		if err != nil || raw == nil {
 			cache[id] = nil
 			return nil, false

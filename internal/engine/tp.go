@@ -58,9 +58,6 @@ func TPColdStart(opts TPOptions) (*TPResult, error) {
 	if opts.Degree < 1 {
 		return nil, fmt.Errorf("engine: tensor-parallel degree %d", opts.Degree)
 	}
-	if opts.Store == nil {
-		opts.Store = storage.NewStore(storage.DefaultArray())
-	}
 	res := &TPResult{Degree: opts.Degree}
 	var max time.Duration
 	for rank := 0; rank < opts.Degree; rank++ {

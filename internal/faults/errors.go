@@ -36,22 +36,6 @@ func (e *FetchTimeoutError) Error() string {
 	return fmt.Sprintf("faults: fetch of %q timed out after %d attempts", e.Key, e.Attempts)
 }
 
-// RestoreMismatchError reports that a Medusa restore's validation
-// diverged: the replayed allocation sequence no longer matches the
-// artifact, so the materialized state cannot be trusted (§4's trigger
-// for the vanilla-cold-start fallback).
-type RestoreMismatchError struct {
-	// Key identifies the artifact being restored.
-	Key string
-	// Label names the divergent structure (e.g. a graph or workspace).
-	Label string
-}
-
-// Error implements error.
-func (e *RestoreMismatchError) Error() string {
-	return fmt.Sprintf("faults: restore of %q diverged at %q; materialized state untrusted", e.Key, e.Label)
-}
-
 // TemplateMissingError reports that a v3 (template+delta) artifact
 // references an architecture template the resolver cannot supply — not
 // in the registry, or no resolver at all. The delta alone cannot be
@@ -100,10 +84,6 @@ func DegradeReason(err error) (string, bool) {
 	var timeout *FetchTimeoutError
 	if errors.As(err, &timeout) {
 		return ReasonFetchTimeout, true
-	}
-	var mismatch *RestoreMismatchError
-	if errors.As(err, &mismatch) {
-		return ReasonRestoreMismatch, true
 	}
 	var tmplMissing *TemplateMissingError
 	if errors.As(err, &tmplMissing) {

@@ -49,10 +49,11 @@ const (
 	// read, or the SSD tier of a node cache, which falls through to the
 	// registry).
 	SiteSSDRead Site = "ssd_read"
-	// SiteRestoreMismatch makes a Medusa restore's validation diverge
-	// (a RestoreMismatchError): the replayed allocation sequence no
-	// longer matches the artifact, so the instance discards the restore
-	// and degrades to the vanilla cold start — §4's fallback.
+	// SiteRestoreMismatch makes a Medusa restore's validation diverge:
+	// the replayed allocation sequence no longer matches the artifact,
+	// so the instance discards the restore and degrades to the vanilla
+	// cold start — §4's fallback. No error is returned; the launch
+	// records ReasonRestoreMismatch.
 	SiteRestoreMismatch Site = "restore_mismatch"
 	// SiteTemplateMissing makes the shared architecture template of a
 	// template+delta deployment vanish from the registry (a

@@ -323,8 +323,7 @@ func TestDegradeReason(t *testing.T) {
 	}{
 		{&ArtifactCorruptError{Key: "m", Section: "graphs", Detail: "crc"}, ReasonCorruptArtifact, true},
 		{&FetchTimeoutError{Key: "m", Attempts: 4}, ReasonFetchTimeout, true},
-		{&RestoreMismatchError{Key: "m", Label: "graph 0"}, ReasonRestoreMismatch, true},
-		{fmt.Errorf("wrapped: %w", &RestoreMismatchError{Key: "m"}), ReasonRestoreMismatch, true},
+		{fmt.Errorf("wrapped: %w", &FetchTimeoutError{Key: "m"}), ReasonFetchTimeout, true},
 		{errors.New("plain"), "", false},
 		{nil, "", false},
 	}
@@ -337,7 +336,6 @@ func TestDegradeReason(t *testing.T) {
 	for _, err := range []error{
 		&ArtifactCorruptError{Key: "k", Section: "s", Detail: "d"},
 		&FetchTimeoutError{Key: "k", Attempts: 2},
-		&RestoreMismatchError{Key: "k", Label: "l"},
 	} {
 		if err.Error() == "" {
 			t.Errorf("%T has empty Error()", err)

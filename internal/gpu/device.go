@@ -21,10 +21,7 @@
 // bytes.
 package gpu
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // ExecMode selects whether kernels actually compute on buffer contents.
 type ExecMode int
@@ -38,17 +35,6 @@ const (
 	// virtual time; used for the large calibrated models.
 	CostOnly
 )
-
-func (m ExecMode) String() string {
-	switch m {
-	case Functional:
-		return "functional"
-	case CostOnly:
-		return "cost-only"
-	default:
-		return fmt.Sprintf("ExecMode(%d)", int(m))
-	}
-}
 
 // DeviceConfig describes the simulated hardware.
 type DeviceConfig struct {
@@ -94,9 +80,6 @@ type Device struct {
 
 // NewDevice creates a device with a fresh randomized allocator.
 func NewDevice(cfg DeviceConfig) *Device {
-	if cfg.TotalMemory == 0 {
-		cfg = A100(cfg.Seed, cfg.Mode)
-	}
 	d := &Device{cfg: cfg}
 	d.alloc = newAllocator(cfg.TotalMemory, rand.New(rand.NewSource(cfg.Seed)))
 	return d

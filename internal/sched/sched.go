@@ -75,21 +75,6 @@ const (
 	StateFinished
 )
 
-// String names the state for spans and debugging.
-func (s State) String() string {
-	switch s {
-	case StateWaiting:
-		return "waiting"
-	case StatePrefilling:
-		return "prefilling"
-	case StateDecoding:
-		return "decoding"
-	case StateFinished:
-		return "finished"
-	}
-	return fmt.Sprintf("State(%d)", int(s))
-}
-
 // Seq is one sequence under scheduler management, owned by the caller
 // and handed over when Plan pops it: until done observes its completion
 // (or Drain returns it), all but Data is scheduler-owned. The embedded

@@ -316,9 +316,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Workload.AvgContextTokens == 0 {
 		c.Workload.AvgContextTokens = workload.ShareGPTMeanPrompt + workload.ShareGPTMeanOutput/2
 	}
-	if c.Store == nil {
-		c.Store = storage.NewStore(storage.DefaultArray())
-	}
 	return c, c.Validate()
 }
 

@@ -47,7 +47,6 @@ type Store struct {
 	mu      sync.Mutex
 	objects map[string][]byte
 	sizes   map[string]uint64 // declared sizes for content-free objects
-	fetched map[string]bool   // names already charged through GetOnce
 }
 
 // NewStore creates a store on the given array.
@@ -66,7 +65,6 @@ func (s *Store) Put(clock *vclock.Clock, name string, data []byte) {
 	s.mu.Lock()
 	s.objects[name] = data
 	s.sizes[name] = uint64(len(data))
-	delete(s.fetched, name) // rewritten contents must be re-read
 	s.mu.Unlock()
 }
 
@@ -78,7 +76,6 @@ func (s *Store) PutSized(clock *vclock.Clock, name string, size uint64) {
 	s.mu.Lock()
 	s.objects[name] = nil
 	s.sizes[name] = size
-	delete(s.fetched, name) // rewritten contents must be re-read
 	s.mu.Unlock()
 }
 
@@ -98,40 +95,8 @@ func (s *Store) Get(clock *vclock.Clock, name string) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// GetOnce reads an object like Get, but charges the read time only on
-// the first call per name: later calls return the bytes at zero virtual
-// cost, as the object is already resident in host memory. This is the
-// single-process analogue of the cluster cache's singleflight — the
-// template half of a v3 artifact is fetched once per process however
-// many delta-encoded artifacts reference it. The dedup state is
-// per-store and survives across clocks.
-func (s *Store) GetOnce(clock *vclock.Clock, name string) ([]byte, error) {
-	s.mu.Lock()
-	if s.fetched == nil {
-		s.fetched = make(map[string]bool)
-	}
-	hit := s.fetched[name]
-	s.mu.Unlock()
-	if hit {
-		data, ok := s.Peek(name)
-		if !ok {
-			return nil, fmt.Errorf("storage: object %q not found", name)
-		}
-		return data, nil
-	}
-	data, err := s.Get(clock, name)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.fetched[name] = true
-	s.mu.Unlock()
-	return data, nil
-}
-
-// Peek returns an object's contents without charging I/O time — for
-// callers that have already paid the transfer (GetOnce's repeat
-// reads). Returns nil contents for content-free (PutSized) objects.
+// Peek returns an object's contents without charging I/O time. Returns
+// nil contents for content-free (PutSized) objects.
 func (s *Store) Peek(name string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
